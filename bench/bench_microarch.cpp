@@ -5,12 +5,14 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 
 #include "asm/assembler.hpp"
 #include "branch/predictor.hpp"
 #include "core/select_order.hpp"
 #include "core/simulator.hpp"
+#include "emu/checkpoint.hpp"
 #include "emu/emulator.hpp"
 #include "lsq/disambig.hpp"
 #include "mem/cache.hpp"
@@ -357,6 +359,31 @@ void BM_AssembleWorkload(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * src.size());
 }
 BENCHMARK(BM_AssembleWorkload)->Unit(benchmark::kMillisecond);
+
+// --- simulation set-up: what every short run pays before its first cycle --
+// gcc has the suite's largest generated source (~300 KB of .word data), so
+// its build is dominated by formatting and re-assembling that text.
+void BM_BuildWorkload(benchmark::State& state) {
+  for (auto _ : state) benchmark::DoNotOptimize(build_workload("gcc"));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BuildWorkload)->Unit(benchmark::kMillisecond);
+
+// A campaign task's Simulator: mcf (the 2 MiB image) on the x2 full stack,
+// started from a 1M-instruction checkpoint. Construction installs the image
+// and the checkpoint into both the oracle and the checker emulator.
+void BM_SimulatorConstruct(benchmark::State& state) {
+  const Workload w = build_workload("mcf");
+  const MachineConfig cfg = bitsliced_machine(2, kAllTechniques);
+  const std::optional<Checkpoint> ckpt = fast_forward(w.program, 1'000'000);
+  if (!ckpt) std::abort();
+  for (auto _ : state) {
+    Simulator sim(cfg, w.program, *ckpt);
+    benchmark::DoNotOptimize(sim);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimulatorConstruct)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bsp

@@ -9,9 +9,11 @@
 #   scripts/bench_perf.sh --paired OLD_BIN NEW_BIN [output-json]
 #
 # --check is the regression gate: instead of recording a new baseline it
-# re-measures the BM_SimulatorThroughput configs and the scheduler
+# re-measures the BM_SimulatorThroughput configs, the scheduler
 # microbenches (BM_WakeupSelect / BM_DispatchOnly / BM_SelectSort /
-# BM_CommitOnly) and compares them against the committed baseline JSON,
+# BM_CommitOnly) and the set-up benches (BM_SimulatorConstruct: mcf from a
+# checkpoint on x2; BM_BuildWorkload: gcc) and compares them against the
+# committed baseline JSON,
 # exiting non-zero if any tracked benchmark lost more than 15% of its
 # items_per_second. The same library_build_type gate applies (Release
 # builds only unless --allow-debug-library): a debug-library measurement
@@ -150,10 +152,10 @@ cmake --build "$BUILD" --target bench_microarch -j "$(nproc)" > /dev/null
 TMP="$OUT.tmp"
 trap 'rm -f "$TMP"' EXIT
 
-FILTER='SimulatorThroughput|TechniqueStackThroughput|EmulatorStep|EmulatorFastRun|WakeupSelect|DispatchOnly|SelectSort|CommitOnly'
+FILTER='SimulatorThroughput|TechniqueStackThroughput|EmulatorStep|EmulatorFastRun|WakeupSelect|DispatchOnly|SelectSort|CommitOnly|SimulatorConstruct|BuildWorkload'
 if [ "$CHECK" -eq 1 ]; then
   # The gate re-measures only the benchmarks it compares.
-  FILTER='SimulatorThroughput/|WakeupSelect|DispatchOnly|SelectSort|CommitOnly'
+  FILTER='SimulatorThroughput/|WakeupSelect|DispatchOnly|SelectSort|CommitOnly|SimulatorConstruct|BuildWorkload'
 fi
 
 "$BUILD/bench/bench_microarch" \

@@ -1,9 +1,12 @@
 #include "asm/assembler.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <charconv>
+#include <deque>
 #include <optional>
+#include <string>
+#include <string_view>
 
 #include "isa/isa.hpp"
 
@@ -23,19 +26,60 @@ namespace {
 // Tokenizer: splits one source line into label / mnemonic / operand tokens.
 // ---------------------------------------------------------------------------
 
+// Every token is a view: of the source text, or of a compacted operand in
+// the Assembler's spill storage. Both outlive the Lines.
 struct Line {
   unsigned number = 0;
-  std::string label;                 // without ':'
-  std::string mnemonic;              // instruction or directive (with '.')
-  std::vector<std::string> operands; // comma-separated; "imm(reg)" kept whole
+  std::string_view label;                  // without ':'
+  std::string_view mnemonic;               // instruction or directive
+  std::vector<std::string_view> operands;  // "imm(reg)" kept whole
 };
 
+// The "C" locale's isspace/isalnum, inlined: the tokenizer tests every
+// source character, and the library calls were a large share of assembling
+// a data-heavy kernel. The process never changes locale.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
 bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.' ||
-         c == '$' || c == '%';
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '$' ||
+         c == '%';
+}
+
+// Steps the string-literal state over text[i]: a '"' opens a literal, and
+// closes it unless escaped by the character before it.
+bool quote_state_after(std::string_view text, std::size_t i, bool in_quote) {
+  if (text[i] != '"') return in_quote;
+  return !in_quote || (i > 0 && text[i - 1] == '\\');
+}
+
+// One comma-separated operand field with the whitespace outside string
+// literals removed. Nearly always that is a trim, and the result is a view
+// of `field`; an operand with whitespace inside it ("4 ( $sp )") is
+// compacted into a string `spill` owns.
+std::string_view operand(std::string_view field,
+                         std::deque<std::string>* spill) {
+  std::size_t b = 0, e = field.size();
+  while (b < e && is_space(field[b])) ++b;
+  while (e > b && is_space(field[e - 1])) --e;
+  field = field.substr(b, e - b);
+  bool in_quote = false, gap = false;
+  for (std::size_t i = 0; i < field.size() && !gap; ++i) {
+    gap = !in_quote && is_space(field[i]);
+    in_quote = quote_state_after(field, i, in_quote);
+  }
+  if (!gap) return field;
+  std::string& out = spill->emplace_back();
+  in_quote = false;
+  for (std::size_t i = 0; i < field.size(); ++i) {
+    if (in_quote || !is_space(field[i])) out += field[i];
+    in_quote = quote_state_after(field, i, in_quote);
+  }
+  return out;
 }
 
 std::optional<Line> tokenize(std::string_view text, unsigned number,
+                             std::deque<std::string>* spill,
                              std::string* error) {
   // Strip comment.
   if (const auto hash = text.find('#'); hash != std::string_view::npos)
@@ -45,9 +89,7 @@ std::optional<Line> tokenize(std::string_view text, unsigned number,
   line.number = number;
   std::size_t i = 0;
   const auto skip_ws = [&] {
-    while (i < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[i])))
-      ++i;
+    while (i < text.size() && is_space(text[i])) ++i;
   };
 
   skip_ws();
@@ -58,7 +100,7 @@ std::optional<Line> tokenize(std::string_view text, unsigned number,
     std::size_t j = i;
     while (j < text.size() && is_ident_char(text[j])) ++j;
     if (j < text.size() && text[j] == ':') {
-      line.label = std::string(text.substr(i, j - i));
+      line.label = text.substr(i, j - i);
       i = j + 1;
       skip_ws();
     }
@@ -68,40 +110,32 @@ std::optional<Line> tokenize(std::string_view text, unsigned number,
   // Mnemonic / directive.
   {
     std::size_t j = i;
-    while (j < text.size() &&
-           !std::isspace(static_cast<unsigned char>(text[j])))
-      ++j;
-    line.mnemonic = std::string(text.substr(i, j - i));
+    while (j < text.size() && !is_space(text[j])) ++j;
+    line.mnemonic = text.substr(i, j - i);
     i = j;
   }
 
-  // Operands: split on commas; quoted strings and parens kept intact.
+  // Operands: split on commas outside string literals.
   skip_ws();
-  std::string cur;
+  line.operands.reserve(static_cast<std::size_t>(
+                            std::count(text.begin() + i, text.end(), ',')) +
+                        1);
+  std::size_t field = i;
   bool in_quote = false;
   for (; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_quote) {
-      cur += c;
-      if (c == '"' && (cur.size() < 2 || cur[cur.size() - 2] != '\\'))
-        in_quote = false;
-      continue;
+    if (!in_quote && text[i] == ',') {
+      line.operands.push_back(operand(text.substr(field, i - field), spill));
+      field = i + 1;
     }
-    if (c == '"') {
-      cur += c;
-      in_quote = true;
-    } else if (c == ',') {
-      line.operands.push_back(cur);
-      cur.clear();
-    } else if (!std::isspace(static_cast<unsigned char>(c))) {
-      cur += c;
-    }
+    in_quote = quote_state_after(text, i, in_quote);
   }
   if (in_quote) {
     *error = "unterminated string literal";
     return line;
   }
-  if (!cur.empty()) line.operands.push_back(cur);
+  if (const std::string_view last = operand(text.substr(field), spill);
+      !last.empty())
+    line.operands.push_back(last);
   for (const auto& o : line.operands) {
     if (o.empty()) {
       *error = "empty operand (stray comma?)";
@@ -136,6 +170,7 @@ class Assembler {
 
  private:
   AsmResult result_;
+  std::deque<std::string> spill_;  // compacted operands (see operand())
   Section section_ = Section::Text;
   u32 text_pc_ = 0;   // byte offset within text
   u32 data_pc_ = 0;   // byte offset within data
@@ -146,6 +181,9 @@ class Assembler {
 
   std::vector<Line> parse_lines(std::string_view source) {
     std::vector<Line> lines;
+    lines.reserve(static_cast<std::size_t>(
+                      std::count(source.begin(), source.end(), '\n')) +
+                  1);
     unsigned number = 0;
     std::size_t pos = 0;
     while (pos <= source.size()) {
@@ -155,7 +193,7 @@ class Assembler {
                                                           : nl - pos);
       ++number;
       std::string err;
-      if (auto line = tokenize(raw, number, &err)) {
+      if (auto line = tokenize(raw, number, &spill_, &err)) {
         if (!err.empty()) error(number, err);
         lines.push_back(std::move(*line));
       }
@@ -167,7 +205,7 @@ class Assembler {
 
   // Number of instruction words a (pseudo-)instruction expands to. Fixed per
   // mnemonic so pass-1 layout is stable.
-  static unsigned words_for(const std::string& mnemonic) {
+  static unsigned words_for(std::string_view mnemonic) {
     if (mnemonic == "li" || mnemonic == "la") return 2;
     return 1;
   }
@@ -197,21 +235,21 @@ class Assembler {
     const u32 addr = section_ == Section::Text
                          ? result_.program.text_base + text_pc_
                          : result_.program.data_base + data_pc_;
-    if (!syms.emplace(line.label, addr).second)
-      error(line.number, "duplicate label '" + line.label + "'");
+    if (!syms.emplace(std::string(line.label), addr).second)
+      error(line.number, "duplicate label '" + std::string(line.label) + "'");
   }
 
   void layout_directive(const Line& line) {
-    const std::string& d = line.mnemonic;
+    const std::string_view d = line.mnemonic;
     if (d == ".text") { section_ = Section::Text; return; }
     if (d == ".data") { section_ = Section::Data; return; }
     if (d == ".globl" || d == ".global") return;
     if (section_ != Section::Data) {
       if (d == ".word" || d == ".half" || d == ".byte" || d == ".space" ||
           d == ".align" || d == ".asciiz")
-        error(line.number, d + " outside .data section");
+        error(line.number, std::string(d) + " outside .data section");
       else
-        error(line.number, "unknown directive '" + d + "'");
+        error(line.number, "unknown directive '" + std::string(d) + "'");
       return;
     }
     if (d == ".word") { align_data(4); data_pc_ += 4 * count(line); return; }
@@ -235,7 +273,7 @@ class Assembler {
       data_pc_ += string_length(line) + 1;
       return;
     }
-    error(line.number, "unknown directive '" + d + "'");
+    error(line.number, "unknown directive '" + std::string(d) + "'");
   }
 
   void align_data(u32 alignment) {
@@ -253,7 +291,7 @@ class Assembler {
     return static_cast<u32>(decoded.size());
   }
 
-  static bool decode_string(const std::string& tok, std::string* out) {
+  static bool decode_string(std::string_view tok, std::string* out) {
     if (tok.size() < 2 || tok.front() != '"' || tok.back() != '"') return false;
     for (std::size_t i = 1; i + 1 < tok.size(); ++i) {
       char c = tok[i];
@@ -295,13 +333,13 @@ class Assembler {
 
   // Resolves an operand to a 32-bit value: integer literal, label,
   // label+offset, label-offset, %hi(x), %lo(x).
-  std::optional<u32> eval(const std::string& tok, unsigned line) {
-    if (tok.rfind("%hi(", 0) == 0 && tok.back() == ')') {
+  std::optional<u32> eval(std::string_view tok, unsigned line) {
+    if (tok.starts_with("%hi(") && tok.back() == ')') {
       if (auto v = eval(tok.substr(4, tok.size() - 5), line))
         return (*v >> 16) & 0xffffu;
       return std::nullopt;
     }
-    if (tok.rfind("%lo(", 0) == 0 && tok.back() == ')') {
+    if (tok.starts_with("%lo(") && tok.back() == ')') {
       if (auto v = eval(tok.substr(4, tok.size() - 5), line))
         return *v & 0xffffu;
       return std::nullopt;
@@ -311,17 +349,17 @@ class Assembler {
     std::size_t split = tok.npos;
     for (std::size_t i = 1; i < tok.size(); ++i)
       if (tok[i] == '+' || tok[i] == '-') { split = i; break; }
-    const std::string base = tok.substr(0, split);
+    const std::string_view base = tok.substr(0, split);
     const auto it = result_.program.symbols.find(base);
     if (it == result_.program.symbols.end()) {
-      error(line, "unknown symbol '" + base + "'");
+      error(line, "unknown symbol '" + std::string(base) + "'");
       return std::nullopt;
     }
     u32 value = it->second;
     if (split != tok.npos) {
-      const auto off = parse_plain_int(std::string_view(tok).substr(split));
+      const auto off = parse_plain_int(tok.substr(split));
       if (!off) {
-        error(line, "bad offset in '" + tok + "'");
+        error(line, "bad offset in '" + std::string(tok) + "'");
         return std::nullopt;
       }
       value += static_cast<u32>(*off);
@@ -335,7 +373,8 @@ class Assembler {
       return 0;
     }
     if (auto r = parse_reg(line.operands[idx])) return *r;
-    error(line.number, "bad register '" + line.operands[idx] + "'");
+    error(line.number,
+          "bad register '" + std::string(line.operands[idx]) + "'");
     return 0;
   }
 
@@ -345,7 +384,8 @@ class Assembler {
       return 0;
     }
     if (auto r = parse_fp_reg(line.operands[idx])) return *r;
-    error(line.number, "bad FP register '" + line.operands[idx] + "'");
+    error(line.number,
+          "bad FP register '" + std::string(line.operands[idx]) + "'");
     return 0;
   }
 
@@ -387,7 +427,7 @@ class Assembler {
   }
 
   void encode_directive(const Line& line) {
-    const std::string& d = line.mnemonic;
+    const std::string_view d = line.mnemonic;
     if (d == ".text") { section_ = Section::Text; return; }
     if (d == ".data") { section_ = Section::Data; return; }
     if (d == ".globl" || d == ".global") return;
@@ -462,7 +502,7 @@ class Assembler {
   }
 
   void encode_instruction(const Line& line) {
-    const std::string& m = line.mnemonic;
+    const std::string_view m = line.mnemonic;
 
     // --- pseudo-instructions (fixed expansion sizes, see words_for) ---
     if (m == "nop") { emit(make_nop().raw); return; }
@@ -475,7 +515,9 @@ class Assembler {
       const unsigned rt = reg_operand(line, 0);
       const u32 v = line.operands.size() > 1
                         ? eval(line.operands[1], line.number).value_or(0)
-                        : (error(line.number, m + " needs a value"), 0u);
+                        : (error(line.number,
+                                 std::string(m) + " needs a value"),
+                           0u);
       emit(make_lui(rt, v >> 16).raw);
       emit(make_iarith(Op::ORI, rt, rt, v & 0xffffu).raw);
       return;
@@ -501,13 +543,14 @@ class Assembler {
     // --- native instructions ---
     const auto op = op_from_mnemonic(m);
     if (!op) {
-      error(line.number, "unknown mnemonic '" + m + "'");
+      error(line.number, "unknown mnemonic '" + std::string(m) + "'");
       return;
     }
     const OpInfo& info = op_info(*op);
     const auto expect = [&](std::size_t n) {
       if (line.operands.size() != n) {
-        error(line.number, m + " expects " + std::to_string(n) + " operands");
+        error(line.number, std::string(m) + " expects " + std::to_string(n) +
+                               " operands");
         return false;
       }
       return true;
@@ -577,7 +620,7 @@ class Assembler {
         if (!expect(2)) return;
         // "imm(reg)" or "(reg)"; the offset may itself contain parens
         // (%lo(sym)), so the base register starts at the *last* '('.
-        const std::string& a = line.operands[1];
+        const std::string_view a = line.operands[1];
         const auto open = a.rfind('(');
         if (open == a.npos || a.back() != ')') {
           error(line.number, "memory operand must be offset(reg)");
@@ -595,7 +638,8 @@ class Assembler {
         }
         const auto base = parse_reg(a.substr(open + 1, a.size() - open - 2));
         if (!base) {
-          error(line.number, "bad base register in '" + a + "'");
+          error(line.number,
+                "bad base register in '" + std::string(a) + "'");
           return;
         }
         emit(make_mem(*op, reg_operand(line, 0), *base,
@@ -651,7 +695,7 @@ class Assembler {
         return;
       case OperandSig::FpMem: {
         if (!expect(2)) return;
-        const std::string& a = line.operands[1];
+        const std::string_view a = line.operands[1];
         const auto open = a.rfind('(');
         if (open == a.npos || a.back() != ')') {
           error(line.number, "memory operand must be offset(reg)");
@@ -669,7 +713,8 @@ class Assembler {
         }
         const auto base = parse_reg(a.substr(open + 1, a.size() - open - 2));
         if (!base) {
-          error(line.number, "bad base register in '" + a + "'");
+          error(line.number,
+                "bad base register in '" + std::string(a) + "'");
           return;
         }
         emit(make_fpmem(*op, fp_reg_operand(line, 0), *base,

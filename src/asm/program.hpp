@@ -23,7 +23,7 @@ struct Program {
   std::vector<u8> data;
 
   u32 entry = kDefaultTextBase;
-  std::map<std::string, u32> symbols;
+  std::map<std::string, u32, std::less<>> symbols;  // string_view lookups
 
   u32 text_end() const {
     return text_base + static_cast<u32>(text.size()) * 4;

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 
 namespace bsp::campaign {
@@ -53,7 +54,7 @@ bool sync_path(const std::string& path, int open_flags) {
 
 }  // namespace
 
-std::string checkpoint_cache_key(const Program& program, u64 fast_forward) {
+ImageHash::ImageHash(const Program& program) {
   Fnv1a f;
   f.word(program.text_base);
   f.word(program.text.size());
@@ -62,6 +63,11 @@ std::string checkpoint_cache_key(const Program& program, u64 fast_forward) {
   f.word(program.data.size());
   f.bytes(program.data.data(), program.data.size());
   f.word(program.entry);
+  state_ = f.h;
+}
+
+std::string ImageHash::key(u64 fast_forward) const {
+  Fnv1a f{state_};
   f.word(fast_forward);
   char buf[32];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -69,22 +75,26 @@ std::string checkpoint_cache_key(const Program& program, u64 fast_forward) {
   return buf;
 }
 
+std::string checkpoint_cache_key(const Program& program, u64 fast_forward) {
+  return ImageHash(program).key(fast_forward);
+}
+
 std::string checkpoint_cache_path(const std::string& dir,
                                   const std::string& workload, u64 seed,
-                                  const Program& program, u64 fast_forward) {
+                                  const ImageHash& image, u64 fast_forward) {
   std::ostringstream os;
   os << dir << "/" << sanitise(workload) << "-s" << std::hex << seed
-     << std::dec << "-ff" << fast_forward << "-"
-     << checkpoint_cache_key(program, fast_forward) << ".bspc";
+     << std::dec << "-ff" << fast_forward << "-" << image.key(fast_forward)
+     << ".bspc";
   return os.str();
 }
 
 std::string publish_checkpoint(const std::string& dir,
                                const std::string& workload, u64 seed,
-                               const Program& program, u64 fast_forward,
+                               const ImageHash& image, u64 fast_forward,
                                const Checkpoint& ckpt, std::string* error) {
   const std::string path =
-      checkpoint_cache_path(dir, workload, seed, program, fast_forward);
+      checkpoint_cache_path(dir, workload, seed, image, fast_forward);
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   // Write-then-rename: readers never observe a partial file, and two
@@ -132,9 +142,11 @@ CkptFetch fetch_checkpoint(const std::string& dir, const std::string& workload,
     return out;
   }
 
+  std::optional<ImageHash> image;
   if (!dir.empty()) {
+    image.emplace(program);
     out.path =
-        checkpoint_cache_path(dir, workload, seed, program, fast_forward);
+        checkpoint_cache_path(dir, workload, seed, *image, fast_forward);
     std::string load_error;
     if (auto ckpt = load_checkpoint_file(out.path, &load_error)) {
       out.checkpoint = std::make_shared<const Checkpoint>(std::move(*ckpt));
@@ -159,8 +171,8 @@ CkptFetch fetch_checkpoint(const std::string& dir, const std::string& workload,
   }
   out.checkpoint = std::make_shared<const Checkpoint>(std::move(*ckpt));
 
-  if (!dir.empty()) {
-    if (publish_checkpoint(dir, workload, seed, program, fast_forward,
+  if (image) {
+    if (publish_checkpoint(dir, workload, seed, *image, fast_forward,
                            *out.checkpoint, &out.error)
             .empty()) {
       out.checkpoint = nullptr;

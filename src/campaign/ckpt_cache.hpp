@@ -38,25 +38,41 @@ struct CkptFetch {
   bool ok() const { return checkpoint != nullptr; }
 };
 
-// Content key: 64-bit FNV-1a over the program image and the fast-forward
-// count, as 16 lowercase hex digits.
+// The FNV-1a state after hashing a program image (bases, text and data
+// bytes, entry). Hashing a multi-MiB image takes milliseconds, so a pass
+// over several fast-forward offsets hashes the image once here and derives
+// each offset's key by appending the count.
+class ImageHash {
+ public:
+  explicit ImageHash(const Program& program);
+  // Content key: the state extended by the fast-forward count, as 16
+  // lowercase hex digits.
+  std::string key(u64 fast_forward) const;
+
+ private:
+  u64 state_;
+};
+
+// ImageHash(program).key(fast_forward).
 std::string checkpoint_cache_key(const Program& program, u64 fast_forward);
 
-// Full cache file path for a (workload, seed, program, fast_forward) tuple.
+// Full cache file path for a (workload, seed, program image, fast_forward)
+// tuple.
 std::string checkpoint_cache_path(const std::string& dir,
                                   const std::string& workload, u64 seed,
-                                  const Program& program, u64 fast_forward);
+                                  const ImageHash& image, u64 fast_forward);
 
 // Atomically publishes `ckpt` as the cache file for (workload, seed,
-// program, fast_forward) under `dir`: serialise to "<final>.tmp.<pid>",
-// rename(2) into place. Concurrent publishers of the same key race
-// benignly (identical bytes, last rename wins). Returns the final path, or
-// "" on failure with *error describing why. The sampled-simulation prewarm
-// uses this directly — it captures checkpoints from one incremental
-// emulator pass instead of calling fetch_checkpoint() per offset.
+// program image, fast_forward) under `dir`: serialise to
+// "<final>.tmp.<pid>", rename(2) into place. Concurrent publishers of the
+// same key race benignly (identical bytes, last rename wins). Returns the
+// final path, or "" on failure with *error describing why. The
+// sampled-simulation prewarm uses this directly — it captures checkpoints
+// from one incremental emulator pass instead of calling fetch_checkpoint()
+// per offset.
 std::string publish_checkpoint(const std::string& dir,
                                const std::string& workload, u64 seed,
-                               const Program& program, u64 fast_forward,
+                               const ImageHash& image, u64 fast_forward,
                                const Checkpoint& ckpt,
                                std::string* error = nullptr);
 

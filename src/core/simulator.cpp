@@ -79,7 +79,8 @@ struct Simulator::Impl {
         core(cfg.core),
         geom(core.slice_geometry()),
         sliced_sched(core.has(Technique::PartialBypass)),
-        prog(program),
+        text_base(program.text_base),
+        text_end(program.text_end()),
         oracle(program),
         checker(program),
         predictor(cfg.branch),
@@ -138,9 +139,9 @@ struct Simulator::Impl {
     // for off-image wrong-path fetches), built once under this machine's
     // geometry/techniques. Dispatch and fetch index it by pc.
     nop_si = build_static(make_nop());
-    stab.reserve(prog.text.size());
-    stab_ok.reserve(prog.text.size());
-    for (const u32 raw : prog.text) {
+    stab.reserve(program.text.size());
+    stab_ok.reserve(program.text.size());
+    for (const u32 raw : program.text) {
       const auto d = decode(raw);
       stab_ok.push_back(d.has_value());
       stab.push_back(d ? build_static(*d) : nop_si);
@@ -176,7 +177,10 @@ struct Simulator::Impl {
   const CoreConfig& core;
   const SliceGeometry geom;
   const bool sliced_sched;
-  Program prog;
+  // Bounds of the text image the predecoded table covers; the image itself
+  // lives in the emulators' memories.
+  const u32 text_base;
+  const u32 text_end;
 
   Emulator oracle;   // steps at dispatch: supplies values & outcomes
   Emulator checker;  // steps at commit: co-simulation reference
@@ -1148,7 +1152,7 @@ struct Simulator::Impl {
       // path they can differ — refresh the row so the predecoded shape
       // stays authoritative, exactly as the per-dispatch re-decode did.
       if (si != &nop_si && e.oracle.inst.raw != si->inst.raw) {
-        const std::size_t row = (slot.pc - prog.text_base) / 4;
+        const std::size_t row = (slot.pc - text_base) / 4;
         stab[row] = build_static(e.oracle.inst);
         stab_ok[row] = 1;
         si = &stab[row];
@@ -1288,9 +1292,8 @@ struct Simulator::Impl {
   // construction; decoding per fetch slot per cycle was ~25% of whole-run
   // profiles). Off-text or undecodable words fetch the shared nop row.
   const StaticInst* fetch_static(u32 pc) const {
-    if (pc < prog.text_base || pc >= prog.text_end() || pc % 4 != 0)
-      return nullptr;
-    const std::size_t row = (pc - prog.text_base) / 4;
+    if (pc < text_base || pc >= text_end || pc % 4 != 0) return nullptr;
+    const std::size_t row = (pc - text_base) / 4;
     return stab_ok[row] ? &stab[row] : nullptr;
   }
 

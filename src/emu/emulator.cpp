@@ -17,9 +17,10 @@ void Emulator::load(const Program& program) {
   exited_ = false;
   exit_code_ = 0;
 
-  for (std::size_t i = 0; i < program.text.size(); ++i)
-    mem_.store_u32(program.text_base + static_cast<u32>(i) * 4,
-                   program.text[i]);
+  // Host and target are both little-endian, so the text words' bytes are
+  // the image store_u32 would write one word at a time.
+  mem_.write_block(program.text_base, program.text.data(),
+                   program.text.size() * sizeof(u32));
   if (!program.data.empty())
     mem_.write_block(program.data_base, program.data.data(),
                      program.data.size());

@@ -65,9 +65,19 @@ class SparseMemory {
     store_u16(addr + 2, static_cast<u16>(v >> 16));
   }
 
+  // Copies `n` bytes to `addr` one page-sized chunk at a time. Same result
+  // as a store_u8 loop, including the pages it allocates (zero bytes too)
+  // and the wrap from 0xffffffff to 0.
   void write_block(u32 addr, const void* src, std::size_t n) {
     const u8* b = static_cast<const u8*>(src);
-    for (std::size_t i = 0; i < n; ++i) store_u8(addr + static_cast<u32>(i), b[i]);
+    while (n > 0) {
+      const std::size_t chunk =
+          std::min<std::size_t>(n, kPageSize - offset(addr));
+      std::memcpy(&page(addr).bytes[offset(addr)], b, chunk);
+      addr += static_cast<u32>(chunk);
+      b += chunk;
+      n -= chunk;
+    }
   }
 
   std::size_t pages_allocated() const { return pages_.size(); }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -75,39 +77,45 @@ PrewarmResult materialise_interval_checkpoints(const Program& program,
 
   const WallTimer timer;
   // One incremental functional pass: ascending offsets extend the same
-  // emulator. A cache hit restores its checkpoint to skip ahead — legal
+  // emulator, which is loaded only once some offset misses the cache. A
+  // miss after hits continues from the latest hit's checkpoint — legal
   // because a later capture's page set is a superset of any earlier
   // prefix's (same deterministic stream), so the restore fully overwrites
-  // the emulator's state.
-  Emulator emu(program);
+  // the emulator's state. When every offset hits, nothing is emulated or
+  // restored.
+  std::optional<campaign::ImageHash> image;
+  if (!cache_dir.empty()) image.emplace(program);
+  std::optional<Emulator> emu;
   u64 pos = 0;
-  bool dead = false;  // program exited/faulted before the remaining offsets
+  std::shared_ptr<const Checkpoint> resume;  // latest hit not yet restored
   for (const u64 offset : offsets) {
-    if (dead) break;
-    if (!cache_dir.empty()) {
+    if (image) {
       const std::string path = campaign::checkpoint_cache_path(
-          cache_dir, workload, seed, program, offset);
+          cache_dir, workload, seed, *image, offset);
       if (auto ckpt = load_checkpoint_file(path)) {
-        restore_checkpoint(emu, *ckpt);
+        resume = std::make_shared<const Checkpoint>(std::move(*ckpt));
         pos = offset;
         ++out.reused;
-        out.by_offset[offset] =
-            std::make_shared<const Checkpoint>(std::move(*ckpt));
+        out.by_offset[offset] = resume;
         continue;
       }
     }
-    emu.run_fast(offset - pos);
-    pos = emu.instructions_retired();
+    if (!emu) emu.emplace(program);
+    if (resume) {
+      restore_checkpoint(*emu, *resume);
+      resume = nullptr;
+    }
+    emu->run_fast(offset - pos);
+    pos = emu->instructions_retired();
     if (pos < offset) {
       // Exit/fault before the offset: later intervals are unreachable.
       // Not an error — their specs are recorded as skipped.
-      dead = true;
       break;
     }
-    auto ckpt = std::make_shared<const Checkpoint>(capture_checkpoint(emu));
-    if (!cache_dir.empty()) {
+    auto ckpt = std::make_shared<const Checkpoint>(capture_checkpoint(*emu));
+    if (image) {
       std::string err;
-      if (campaign::publish_checkpoint(cache_dir, workload, seed, program,
+      if (campaign::publish_checkpoint(cache_dir, workload, seed, *image,
                                        offset, *ckpt, &err)
               .empty()) {
         out.error = err;

@@ -60,9 +60,23 @@ SubprocessResult run_subprocess(const std::vector<std::string>& argv,
     return res;
   }
 
+  // Everything the child needs is built here, before fork(): the child of a
+  // multithreaded parent may only make async-signal-safe calls until exec,
+  // and a heap allocation there can deadlock on an allocator lock another
+  // parent thread held at the fork.
+  std::vector<char*> cargv;
+  cargv.reserve(argv.size() + 1);
+  for (const std::string& a : argv)
+    cargv.push_back(const_cast<char*>(a.c_str()));
+  cargv.push_back(nullptr);
+  const std::string exec_failed = "exec failed: " + argv.front() + ": ";
+
+  // O_CLOEXEC: a child another thread forks concurrently must not inherit
+  // this child's pipe ends (dup2 onto stdout/stderr clears the flag on the
+  // copies this child keeps).
   int out_pipe[2], err_pipe[2];
-  if (::pipe(out_pipe) != 0) return spawn_failure("pipe");
-  if (::pipe(err_pipe) != 0) {
+  if (::pipe2(out_pipe, O_CLOEXEC) != 0) return spawn_failure("pipe");
+  if (::pipe2(err_pipe, O_CLOEXEC) != 0) {
     const SubprocessResult r = spawn_failure("pipe");
     ::close(out_pipe[0]);
     ::close(out_pipe[1]);
@@ -87,23 +101,21 @@ SubprocessResult run_subprocess(const std::vector<std::string>& argv,
     ::close(out_pipe[1]);
     ::close(err_pipe[0]);
     ::close(err_pipe[1]);
-    const int devnull = ::open("/dev/null", O_RDONLY);
+    const int devnull = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
     if (devnull >= 0) {
       ::dup2(devnull, STDIN_FILENO);
       ::close(devnull);
     }
-    std::vector<char*> cargv;
-    cargv.reserve(argv.size() + 1);
-    for (const std::string& a : argv)
-      cargv.push_back(const_cast<char*>(a.c_str()));
-    cargv.push_back(nullptr);
     ::execvp(cargv[0], cargv.data());
     // Only reached when exec failed; report through the stderr pipe and
     // die with the conventional 127 without running any parent atexit code.
-    const std::string msg =
-        "exec failed: " + argv.front() + ": " + std::strerror(errno) + "\n";
-    [[maybe_unused]] const ssize_t n =
-        ::write(STDERR_FILENO, msg.data(), msg.size());
+    // strerrordesc_np reads a static table: no locale, no allocation.
+    const char* why = ::strerrordesc_np(errno);
+    if (!why) why = "unknown error";
+    [[maybe_unused]] ssize_t n =
+        ::write(STDERR_FILENO, exec_failed.data(), exec_failed.size());
+    n = ::write(STDERR_FILENO, why, std::strlen(why));
+    n = ::write(STDERR_FILENO, "\n", 1);
     ::_exit(127);
   }
 

@@ -9,7 +9,10 @@
 // when run unbounded.
 #include "workloads/kernels.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -18,16 +21,25 @@ namespace bsp::kernels {
 
 namespace {
 
-// Emits `.word` lines in chunks of eight values.
+// Emits `.word` lines in chunks of eight lowercase hex values. Formatted
+// with to_chars into one buffer: a data-heavy kernel emits ~10^5 words.
 void emit_words(std::ostringstream& os, const std::vector<u32>& words) {
+  std::string text;
+  // "  .word " + 8 x "0x" and up to 8 digits + 7 x ", " + "\n" per line.
+  text.reserve((words.size() / 8 + 1) * 104);
+  char digits[8];
   for (std::size_t i = 0; i < words.size(); i += 8) {
-    os << "  .word ";
+    text += "  .word ";
     for (std::size_t j = i; j < std::min(i + 8, words.size()); ++j) {
-      if (j != i) os << ", ";
-      os << "0x" << std::hex << words[j] << std::dec;
+      if (j != i) text += ", ";
+      text += "0x";
+      const auto end = std::to_chars(digits, digits + sizeof digits,
+                                     words[j], 16).ptr;
+      text.append(digits, end);
     }
-    os << "\n";
+    text += '\n';
   }
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 // Standard prologue: countdown in $s7, PRNG seed in $t9.

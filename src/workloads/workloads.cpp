@@ -104,11 +104,11 @@ Workload build_workload(const std::string& name,
                         const WorkloadParams& params) {
   Workload w;
   w.info = workload_info(name);
-  const AsmResult r = assemble(workload_source(name, params));
+  AsmResult r = assemble(workload_source(name, params));
   if (!r.ok())
     throw std::runtime_error("workload '" + name +
                              "' failed to assemble:\n" + r.error_text());
-  w.program = r.program;
+  w.program = std::move(r.program);
   return w;
 }
 

@@ -176,6 +176,36 @@ buf: .word 99
                      static_cast<i32>(p.symbol("buf") & 0xffff)).raw);
 }
 
+// Whitespace outside string literals is insignificant, also inside an
+// operand; inside a literal it is kept, commas included.
+TEST(Assembler, OperandWhitespaceIsDropped) {
+  const AsmResult spaced = ok(R"(
+.text
+main:
+  lw $t1 , %lo( buf + 4 ) ( $t0 )
+  addiu $t2,$t2,  - 3
+.data
+buf: .word 1 , target - 4,2
+target: .asciiz  "a, b \"c\" "  # comment
+)");
+  const AsmResult tight = ok(R"(
+.text
+main:
+  lw $t1,%lo(buf+4)($t0)
+  addiu $t2,$t2,-3
+.data
+buf: .word 1,target-4,2
+target: .asciiz "a, b \"c\" "
+)");
+  EXPECT_EQ(spaced.program.text, tight.program.text);
+  EXPECT_EQ(spaced.program.data, tight.program.data);
+  EXPECT_EQ(spaced.program.symbols, tight.program.symbols);
+  const std::string lit = "a, b \"c\" ";
+  const auto& d = tight.program.data;
+  ASSERT_EQ(d.size(), 12 + lit.size() + 1);
+  EXPECT_EQ(std::string(d.begin() + 12, d.end() - 1), lit);
+}
+
 TEST(Assembler, EntryPointIsMain) {
   const AsmResult r = ok(".text\n  nop\nmain:\n  nop\n");
   EXPECT_EQ(r.program.entry, r.program.text_base + 4);

@@ -543,8 +543,8 @@ TEST(CkptCache, MissMaterialisesThenHitsAndSurvivesCorruption) {
   ASSERT_TRUE(miss.ok()) << miss.error;
   EXPECT_FALSE(miss.hit);
   EXPECT_GE(miss.ffwd_sec, 0.0);
-  EXPECT_EQ(miss.path, checkpoint_cache_path(dir, "li", 0x5eed, w.program,
-                                             30'000));
+  const ImageHash image(w.program);
+  EXPECT_EQ(miss.path, checkpoint_cache_path(dir, "li", 0x5eed, image, 30'000));
   EXPECT_TRUE(std::filesystem::exists(miss.path));
   EXPECT_EQ(miss.checkpoint->retired, 30'000u);
 
@@ -557,8 +557,8 @@ TEST(CkptCache, MissMaterialisesThenHitsAndSurvivesCorruption) {
   EXPECT_EQ(hit.checkpoint->pages.size(), miss.checkpoint->pages.size());
 
   // Distinct fast-forward counts key distinct files.
-  EXPECT_NE(checkpoint_cache_path(dir, "li", 0x5eed, w.program, 30'000),
-            checkpoint_cache_path(dir, "li", 0x5eed, w.program, 60'000));
+  EXPECT_NE(checkpoint_cache_path(dir, "li", 0x5eed, image, 30'000),
+            checkpoint_cache_path(dir, "li", 0x5eed, image, 60'000));
 
   // A truncated cache file is a miss, not an error: re-materialised and
   // overwritten with a good image.

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 #include <unistd.h>
 
@@ -135,6 +136,42 @@ TEST(Subprocess, ExecFailureSurfacesAs127) {
   EXPECT_FALSE(r.spawn_error);
   EXPECT_EQ(r.exit_code, 127);
   EXPECT_NE(r.err.find("exec failed"), std::string::npos);
+}
+
+// Scheduler threads spawn workers concurrently. Each spawn must get its own
+// child's output and exit status, including exec failures, with no child
+// hanging on a lock some other thread held at its fork, and no pipe end
+// leaking into a sibling.
+TEST(Subprocess, ConcurrentSpawnsFromSeveralThreads) {
+  constexpr int kThreads = 6, kSpawns = 12;
+  std::vector<std::string> failures[kThreads];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &failures] {
+      for (int i = 0; i < kSpawns; ++i) {
+        const std::string id = std::to_string(t) + "." + std::to_string(i);
+        if (i % 4 == 3) {
+          const SubprocessResult r =
+              run_subprocess({"/nonexistent-bsp-worker-" + id});
+          if (r.exit_code != 127 ||
+              r.err.find("exec failed: /nonexistent-bsp-worker-" + id) ==
+                  std::string::npos)
+            failures[t].push_back(id + ": exec failure not reported: " +
+                                  r.err);
+          continue;
+        }
+        const SubprocessResult r = run_subprocess(
+            {"/bin/sh", "-c", "echo \"$1\"; exit $2", "sh", id,
+             std::to_string(i % 3)});
+        if (r.spawn_error || r.out != id + "\n" || r.exit_code != i % 3)
+          failures[t].push_back(id + ": got out='" + r.out + "' exit " +
+                                std::to_string(r.exit_code));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t)
+    for (const std::string& f : failures[t]) ADD_FAILURE() << f;
 }
 
 TEST(Subprocess, ReportsChildRusage) {

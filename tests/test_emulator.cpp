@@ -3,6 +3,9 @@
 // depend on.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "asm/assembler.hpp"
 #include "emu/emulator.hpp"
 #include "util/rng.hpp"
@@ -372,6 +375,53 @@ TEST(Emulator, SparseMemoryPageCrossingAccesses) {
   // A page-crossing load where only one side is mapped zero-fills the rest.
   m.store_u8(11 * ps - 1, 0x77);
   EXPECT_EQ(m.load_u32(11 * ps - 1), 0x77u);
+}
+
+// Every allocated page with its bytes, in address order.
+std::vector<std::pair<u32, std::vector<u8>>> memory_image(
+    const SparseMemory& m) {
+  std::vector<std::pair<u32, std::vector<u8>>> out;
+  m.for_each_page([&](u32 base, const u8* bytes) {
+    out.emplace_back(base,
+                     std::vector<u8>(bytes, bytes + SparseMemory::kPageSize));
+  });
+  return out;
+}
+
+// write_block copies page-sized chunks; it must leave memory exactly as a
+// store_u8 loop does: same bytes, same allocated pages (a zero byte still
+// allocates its page), and the same wrap from 0xffffffff to 0.
+TEST(Emulator, SparseMemoryWriteBlockMatchesByteStores) {
+  const u32 ps = SparseMemory::kPageSize;
+  const struct {
+    const char* name;
+    u32 addr;
+    std::size_t n;
+  } cases[] = {
+      {"unaligned start", 0x1003, 100},
+      {"crosses a page", 2 * ps - 10, 30},
+      {"exactly one page", 3 * ps, ps},
+      {"several pages, unaligned", 5 * ps + 7, 3 * ps},
+      {"wraps past 0xffffffff", 0xffffffffu - 5, 20},
+      {"empty", 0x9000, 0},
+  };
+  Rng rng(11);
+  for (const auto& c : cases) {
+    std::vector<u8> block(c.n);
+    for (std::size_t i = 0; i < c.n; ++i)
+      block[i] = i % 5 == 0 ? 0 : static_cast<u8>(rng.next());
+    SparseMemory chunked, bytewise;
+    // Existing data around the block must survive where not overwritten.
+    for (SparseMemory* m : {&chunked, &bytewise}) {
+      m->store_u32(c.addr & ~3u, 0x5a5a5a5a);
+      m->store_u32(0x0ff0, 0x12345678);
+    }
+    chunked.write_block(c.addr, block.data(), block.size());
+    for (std::size_t i = 0; i < c.n; ++i)
+      bytewise.store_u8(c.addr + static_cast<u32>(i), block[i]);
+    EXPECT_EQ(chunked.pages_allocated(), bytewise.pages_allocated()) << c.name;
+    EXPECT_TRUE(memory_image(chunked) == memory_image(bytewise)) << c.name;
+  }
 }
 
 // --- run_fast(): the fast-forward interpreter must be architecturally

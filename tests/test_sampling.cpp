@@ -10,12 +10,16 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <unistd.h>
 #include <vector>
 
+#include "campaign/ckpt_cache.hpp"
 #include "config/machine_config.hpp"
 #include "core/simulator.hpp"
+#include "emu/checkpoint.hpp"
 #include "obs/interval.hpp"
 #include "sampling/sampled.hpp"
 #include "stats/stats.hpp"
@@ -343,6 +347,41 @@ TEST(Sampled, PrewarmReusesPublishedCheckpoints) {
   EXPECT_EQ(warm.ckpt_reused, 3u);
   // The cache is invisible to timing.
   EXPECT_EQ(counter_values(warm.aggregate), counter_values(cold.aggregate));
+  std::filesystem::remove_all(dir);
+}
+
+// A pass over a partly populated cache loads the hits without restoring
+// them; the miss between them continues from the latest hit's checkpoint.
+// Every checkpoint must equal the one a cold pass captured.
+TEST(Sampled, PrewarmContinuesFromTheLatestHitAtAMiss) {
+  const std::string dir = testing::TempDir() + "bsp_sampling_partial_" +
+                          std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  const Workload w = build_workload("li");
+  const SamplePlan plan = plan_intervals(9'000, 0, 0, 4, 500);
+  const PrewarmResult cold =
+      materialise_interval_checkpoints(w.program, "li", 0x5eed, plan, dir);
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  ASSERT_EQ(cold.materialised, 3u);
+  const auto bytes = [](const Checkpoint& c) {
+    std::ostringstream os;
+    save_checkpoint(c, os);
+    return os.str();
+  };
+
+  // Drop the middle offset's file: hit, miss, hit.
+  const u64 middle = std::next(cold.by_offset.begin())->first;
+  ASSERT_TRUE(std::filesystem::remove(campaign::checkpoint_cache_path(
+      dir, "li", 0x5eed, campaign::ImageHash(w.program), middle)));
+  const PrewarmResult partial =
+      materialise_interval_checkpoints(w.program, "li", 0x5eed, plan, dir);
+  ASSERT_TRUE(partial.ok()) << partial.error;
+  EXPECT_EQ(partial.reused, 2u);
+  EXPECT_EQ(partial.materialised, 1u);
+  ASSERT_EQ(partial.by_offset.size(), cold.by_offset.size());
+  for (const auto& [offset, ckpt] : cold.by_offset)
+    EXPECT_EQ(bytes(*partial.by_offset.at(offset)), bytes(*ckpt))
+        << "offset " << offset;
   std::filesystem::remove_all(dir);
 }
 

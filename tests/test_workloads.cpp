@@ -2,6 +2,11 @@
 // exhibits the qualitative characteristics its SPEC namesake is modelled on.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+
+#include "campaign/ckpt_cache.hpp"
 #include "trace/studies.hpp"
 #include "trace/trace.hpp"
 #include "workloads/workloads.hpp"
@@ -67,6 +72,45 @@ TEST(Workloads, ElevenBenchmarksInPaperOrder) {
 TEST(Workloads, UnknownNameThrows) {
   EXPECT_THROW(build_workload("specfp"), std::runtime_error);
   EXPECT_THROW(workload_info("specfp"), std::runtime_error);
+}
+
+// Every program image, pinned by its checkpoint cache key (FNV-1a over
+// bases, text, data and entry, with a 1M-instruction fast-forward). A
+// change to a generator or to the assembler that alters any image byte
+// fails here, and so does one that would rename the cache files.
+TEST(Workloads, ProgramImagesArePinned) {
+  const std::map<std::pair<std::string, u64>, std::string> pinned = {
+      {{"bzip", 0x5eed}, "802db0e83b388e84"},
+      {{"gcc", 0x5eed}, "3177301a1b50f129"},
+      {{"go", 0x5eed}, "e75996fb64d4f890"},
+      {{"gzip", 0x5eed}, "60918650dc5da0b4"},
+      {{"ijpeg", 0x5eed}, "aaef85ec9d2559e5"},
+      {{"li", 0x5eed}, "ea1b07474f39d41b"},
+      {{"mcf", 0x5eed}, "13545dc7936c2511"},
+      {{"parser", 0x5eed}, "bdc3dfa242a3ec98"},
+      {{"twolf", 0x5eed}, "4909d93c64a7ae9c"},
+      {{"vortex", 0x5eed}, "52445aba5515576b"},
+      {{"vpr", 0x5eed}, "ebc236a712a4c41c"},
+      {{"bzip", 9}, "82ef6981358dd691"},
+      {{"gcc", 9}, "8c0b6b1c69e71640"},
+      {{"go", 9}, "3cf2e1c920530062"},
+      {{"gzip", 9}, "696ad92a18b24087"},
+      {{"ijpeg", 9}, "27cf0671210b6655"},
+      {{"li", 9}, "a664d70ded8beedc"},
+      {{"mcf", 9}, "9cbef3c7bcb444ab"},
+      {{"parser", 9}, "faed948759873821"},
+      {{"twolf", 9}, "b00fafed19211d74"},
+      {{"vortex", 9}, "d18192aaf11c0316"},
+      {{"vpr", 9}, "c27c2610f21d7936"},
+  };
+  ASSERT_EQ(pinned.size(), 2 * workload_names().size());
+  for (const auto& [id, key] : pinned) {
+    WorkloadParams params;
+    params.seed = id.second;
+    const Workload w = build_workload(id.first, params);
+    EXPECT_EQ(campaign::checkpoint_cache_key(w.program, 1'000'000), key)
+        << id.first << " seed " << id.second;
+  }
 }
 
 // Qualitative characteristics the characterisations rely on.

@@ -329,7 +329,8 @@ int main(int argc, char** argv) {
     std::optional<Checkpoint> start;
     if (spec.offset > 0) {
       const std::string path = campaign::checkpoint_cache_path(
-          ckpt_cache, input, kSeed, *program, spec.offset);
+          ckpt_cache, input, kSeed, campaign::ImageHash(*program),
+          spec.offset);
       std::string error;
       start = load_checkpoint_file(path, &error);
       if (!start) {
