@@ -14,50 +14,48 @@
 
 namespace bsp::campaign {
 
-TaskRecord record_from_outcome(const TaskSpec& task, const TaskOutcome& out) {
-  TaskRecord rec;
-  rec.task = task;
-  rec.status = out.status;
-  rec.error = out.error;
-  rec.attempts = out.attempts;
-  rec.duration_ms = out.duration_ms;
-  rec.stats = out.stats;
-  rec.interval = out.interval;
-  rec.series = out.series;
-  rec.max_rss_kb = out.max_rss_kb;
-  rec.user_sec = out.user_sec;
-  rec.sys_sec = out.sys_sec;
-  rec.ckpt_cache = out.ckpt_cache;
-  rec.ffwd_sec = out.ffwd_sec;
-  rec.sample_intervals = out.sample_intervals;
-  rec.sample_warmup = out.sample_warmup;
-  rec.ipc_mean = out.ipc_mean;
-  rec.ipc_ci95 = out.ipc_ci95;
-  rec.samples = out.samples;
-  return rec;
-}
+namespace {
 
-TaskOutcome outcome_from_record(const TaskRecord& rec) {
-  TaskOutcome out;
-  out.status = rec.status;
-  out.error = rec.error;
-  out.attempts = rec.attempts;
-  out.duration_ms = rec.duration_ms;
-  out.stats = rec.stats;
-  out.interval = rec.interval;
-  out.series = rec.series;
-  out.max_rss_kb = rec.max_rss_kb;
-  out.user_sec = rec.user_sec;
-  out.sys_sec = rec.sys_sec;
-  out.ckpt_cache = rec.ckpt_cache;
-  out.ffwd_sec = rec.ffwd_sec;
-  out.sample_intervals = rec.sample_intervals;
-  out.sample_warmup = rec.sample_warmup;
-  out.ipc_mean = rec.ipc_mean;
-  out.ipc_ci95 = rec.ipc_ci95;
-  out.samples = rec.samples;
-  return out;
-}
+// Build-once map shared by concurrent tasks: the first caller for a key
+// runs `build`; the others block on its shared_future and receive the
+// same value (or rethrow the same exception).
+template <class Key, class Value>
+class BuildOnce {
+ public:
+  // *built (optional) reports whether this call was the builder.
+  template <class Build>
+  Value get(const Key& key, Build&& build, bool* built = nullptr) {
+    std::shared_future<Value> fut;
+    std::promise<Value> promise;
+    bool builder = false;
+    {
+      std::lock_guard<std::mutex> lock(m_);
+      const auto it = map_.find(key);
+      if (it == map_.end()) {
+        fut = promise.get_future().share();
+        map_.emplace(key, fut);
+        builder = true;
+      } else {
+        fut = it->second;
+      }
+    }
+    if (builder) {
+      try {
+        promise.set_value(build());
+      } catch (...) {
+        promise.set_exception(std::current_exception());
+      }
+    }
+    if (built) *built = builder;
+    return fut.get();
+  }
+
+ private:
+  std::mutex m_;
+  std::map<Key, std::shared_future<Value>> map_;
+};
+
+}  // namespace
 
 CampaignReport run_campaign(const SweepSpec& spec, const TaskRunner& runner,
                             const CampaignOptions& options) {
@@ -94,7 +92,7 @@ CampaignReport run_campaign(const SweepSpec& spec, const TaskRunner& runner,
   run_tasks(pending, runner, options.scheduler,
             [&](std::size_t pi, const TaskOutcome& out) {
               // Thread-safe, atomic line append.
-              store.append(record_from_outcome(pending[pi], out));
+              store.append(TaskRecord{out, pending[pi]});
               meter.task_done(out);
               std::lock_guard<std::mutex> lock(report_mutex);
               ++report.ran;
@@ -116,102 +114,67 @@ CampaignReport run_campaign(const SweepSpec& spec, const TaskRunner& runner,
   return report;
 }
 
-TaskRunner make_sim_runner(const RunnerOptions& options) {
-  // Shared (workload, seed) -> Workload cache. The first task to need a
-  // program builds it; concurrent tasks for the same key block on the
-  // shared_future instead of re-assembling. Everything lives behind a
-  // shared_ptr so detached timed-out attempts stay memory-safe.
-  struct Cache {
-    std::mutex m;
-    std::map<std::pair<std::string, u64>,
-             std::shared_future<std::shared_ptr<const Workload>>>
-        built;
-    // (workload, seed, fast_forward) -> start checkpoint, same
-    // build-once/share pattern: within one process each distinct
-    // fast-forward is paid (or its cache file read) exactly once, no matter
-    // how many concurrent tasks need it.
-    std::map<std::tuple<std::string, u64, u64>, std::shared_future<CkptFetch>>
-        ckpts;
-  };
-  auto cache = std::make_shared<Cache>();
-  return [cache, options](const TaskSpec& task) -> AttemptResult {
-    std::shared_future<std::shared_ptr<const Workload>> fut;
-    bool builder = false;
-    std::promise<std::shared_ptr<const Workload>> promise;
-    {
-      std::lock_guard<std::mutex> lock(cache->m);
-      const auto key = std::make_pair(task.workload, task.seed);
-      const auto it = cache->built.find(key);
-      if (it == cache->built.end()) {
-        fut = promise.get_future().share();
-        cache->built.emplace(key, fut);
-        builder = true;
-      } else {
-        fut = it->second;
-      }
-    }
-    if (builder) {
-      try {
-        WorkloadParams params;
-        params.seed = task.seed;
-        promise.set_value(std::make_shared<const Workload>(
-            build_workload(task.workload, params)));
-      } catch (...) {
-        promise.set_exception(std::current_exception());
-      }
-    }
+TaskRunner memoise_workloads(WorkloadTaskBody body) {
+  using Memo =
+      BuildOnce<std::pair<std::string, u64>, std::shared_ptr<const Workload>>;
+  auto memo = std::make_shared<Memo>();
+  return [memo, body = std::move(body)](const TaskSpec& task) {
     std::shared_ptr<const Workload> workload;
     try {
-      workload = fut.get();  // rethrows the builder's failure for everyone
+      workload = memo->get({task.workload, task.seed}, [&] {
+        WorkloadParams params;
+        params.seed = task.seed;
+        return std::make_shared<const Workload>(
+            build_workload(task.workload, params));
+      });
     } catch (const std::exception& e) {
-      AttemptResult r;
+      TaskOutcome r;
       r.error = std::string("workload build failed: ") + e.what();
       return r;
     }
+    return body(task, *workload);
+  };
+}
+
+TaskRunner make_sim_runner(const RunnerOptions& options) {
+  // (workload, seed, fast_forward) -> start checkpoint: within one process
+  // each distinct fast-forward is paid (or its cache file read) exactly
+  // once, no matter how many concurrent tasks need it.
+  using CkptMemo = BuildOnce<std::tuple<std::string, u64, u64>, CkptFetch>;
+  auto ckpts = std::make_shared<CkptMemo>();
+  return memoise_workloads([ckpts, options](const TaskSpec& task,
+                                            const Workload& workload) {
+    TaskOutcome r;
     // Fast-forward tasks start from a shared checkpoint: in-process memo
     // first, then the on-disk cache, then (cold path) one fast-forward run
     // whose result every later task reuses.
     CkptFetch ckpt;
     if (task.fast_forward > 0) {
-      std::shared_future<CkptFetch> cfut;
-      bool ckpt_builder = false;
-      std::promise<CkptFetch> cpromise;
-      {
-        std::lock_guard<std::mutex> lock(cache->m);
-        const auto key =
-            std::make_tuple(task.workload, task.seed, task.fast_forward);
-        const auto it = cache->ckpts.find(key);
-        if (it == cache->ckpts.end()) {
-          cfut = cpromise.get_future().share();
-          cache->ckpts.emplace(key, cfut);
-          ckpt_builder = true;
-        } else {
-          cfut = it->second;
-        }
-      }
-      if (ckpt_builder)
-        cpromise.set_value(fetch_checkpoint(options.ckpt_cache_dir,
-                                            task.workload, task.seed,
-                                            workload->program,
-                                            task.fast_forward));
-      ckpt = cfut.get();
+      bool builder = false;
+      ckpt = ckpts->get(
+          {task.workload, task.seed, task.fast_forward},
+          [&] {
+            return fetch_checkpoint(options.ckpt_cache_dir, task.workload,
+                                    task.seed, workload.program,
+                                    task.fast_forward);
+          },
+          &builder);
       if (!ckpt.ok()) {
-        AttemptResult r;
         r.error = "fast-forward failed: " + ckpt.error;
         return r;
       }
       // Memo consumers after the first share the builder's fetch; only the
       // builder reports its miss (and pays its ffwd_sec) so per-task
       // records sum to the real host cost instead of multiply counting it.
-      if (!ckpt_builder) {
+      if (!builder) {
         ckpt.hit = true;
         ckpt.ffwd_sec = 0;
       }
     }
     Simulator sim = task.fast_forward > 0
-                        ? Simulator(task.machine.build(), workload->program,
+                        ? Simulator(task.machine.build(), workload.program,
                                     *ckpt.checkpoint)
-                        : Simulator(task.machine.build(), workload->program);
+                        : Simulator(task.machine.build(), workload.program);
     obs::IntervalSampler sampler(options.interval ? options.interval : 1);
     if (options.interval) sim.set_interval_sampler(&sampler);
     if (options.host_profile) sim.enable_host_profile();
@@ -221,14 +184,12 @@ TaskRunner make_sim_runner(const RunnerOptions& options) {
     if (!cosim_text.empty()) {
       SimOptions so;
       if (!parse_cosim(cosim_text, &so)) {
-        AttemptResult r;
         r.error = "bad cosim mode: " + cosim_text;
         return r;
       }
       sim.set_options(so);
     }
     const SimResult res = sim.run(task.instructions, task.warmup);
-    AttemptResult r;
     r.stats = res.stats;
     r.error = res.error;
     if (task.fast_forward > 0) {
@@ -249,7 +210,7 @@ TaskRunner make_sim_runner(const RunnerOptions& options) {
       }
     }
     return r;
-  };
+  });
 }
 
 Table summary_table(const SweepSpec& spec, const CampaignReport& report) {

@@ -3,13 +3,19 @@
 // fault-tolerant scheduler with live progress, and summarise.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "campaign/scheduler.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/store.hpp"
+#include "sampling/plan.hpp"
 #include "util/table.hpp"
+
+namespace bsp {
+struct Workload;
+}
 
 namespace bsp::campaign {
 
@@ -47,13 +53,10 @@ struct CampaignReport {
 CampaignReport run_campaign(const SweepSpec& spec, const TaskRunner& runner,
                             const CampaignOptions& options);
 
-// Scheduler outcome <-> store record, one field mapping in one place. Used
-// by run_campaign, the remote worker (outcome -> RECORD frame) and the
-// remote coordinator (RECORD frame -> progress meter feed).
-TaskRecord record_from_outcome(const TaskSpec& task, const TaskOutcome& out);
-TaskOutcome outcome_from_record(const TaskRecord& rec);
-
-// Per-task observability knobs for the production runner.
+// Per-task knobs for the production runners: the one declaration of every
+// option that changes how a task is simulated or what its record carries.
+// bsp-sweep forwards them to process workers as flags and the remote
+// coordinator forwards them to workers in its SPEC frame (RemoteSpec::run).
 struct RunnerOptions {
   // Sample deltas of every SimStats counter each `interval` committed
   // instructions (obs/interval.hpp); the series lands in the task's record
@@ -65,7 +68,7 @@ struct RunnerOptions {
   // Shared checkpoint cache directory for fast_forward > 0 tasks ("" = no
   // on-disk cache; concurrent in-process tasks still share one fast-forward
   // through the runner's memo). Point workers at the same directory the
-  // scheduler prewarmed.
+  // scheduler prewarmed. Host-local: never sent to remote workers.
   std::string ckpt_cache_dir;
   // CPI-stack cycle accounting per task (Simulator::enable_cpi_stack):
   // the SimStats cpi_* leaves land in every record, ready for
@@ -74,13 +77,29 @@ struct RunnerOptions {
   // Run-wide co-simulation cadence default ("full", "off", "spot[:N]");
   // a task's own TaskSpec::cosim overrides it. "" = full.
   std::string cosim;
+  // Sampled simulation (src/sampling/): K intervals per task, each with
+  // `sample_warmup` discarded warm-up commits. 0 = monolithic;
+  // sampling::make_sampled_runner() is the runner that honours them.
+  unsigned sample_intervals = 0;
+  u64 sample_warmup = sampling::kDefaultSampleWarmup;
 };
 
-// The production runner: builds each (workload, seed) program once —
-// concurrent tasks share it through an internal cache — then runs the
-// task's machine configuration. Co-simulation divergence and workload-build
-// failures come back as AttemptResult errors, never as exceptions or
-// aborts.
+// Simulates one task against its (memoised) workload program.
+using WorkloadTaskBody =
+    std::function<TaskOutcome(const TaskSpec& task, const Workload& workload)>;
+
+// Wraps `body` in the (workload, seed) memo every production runner uses:
+// the first task to need a program builds it, concurrent tasks for the
+// same key wait for that build instead of re-assembling, and a build
+// failure comes back as each task's error. The memo lives in the returned
+// runner behind a shared_ptr, so detached timed-out attempts stay
+// memory-safe.
+TaskRunner memoise_workloads(WorkloadTaskBody body);
+
+// The production runner: runs each task's machine configuration on its
+// memoised workload, restoring fast-forward checkpoints through a second
+// build-once memo. Co-simulation divergence and workload-build failures
+// come back as outcome errors, never as exceptions or aborts.
 TaskRunner make_sim_runner(const RunnerOptions& options = {});
 
 // Per-campaign summary: one row per (workload, seed), one IPC column per

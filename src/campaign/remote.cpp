@@ -95,17 +95,18 @@ std::vector<TaskSpec> prewarm_representatives(
 std::string encode_remote_spec(const RemoteSpec& spec) {
   std::ostringstream os;
   os << "{\"proto\":" << spec.proto << ",\"campaign\":\""
-     << json_escape_min(spec.campaign) << "\",\"interval\":" << spec.interval
-     << ",\"host_profile\":" << (spec.host_profile ? "true" : "false")
-     << ",\"cpi_stack\":" << (spec.cpi_stack ? "true" : "false")
-     << ",\"sample_intervals\":" << spec.sample_intervals
-     << ",\"sample_warmup\":" << spec.sample_warmup
+     << json_escape_min(spec.campaign)
+     << "\",\"interval\":" << spec.run.interval
+     << ",\"host_profile\":" << (spec.run.host_profile ? "true" : "false")
+     << ",\"cpi_stack\":" << (spec.run.cpi_stack ? "true" : "false")
+     << ",\"sample_intervals\":" << spec.run.sample_intervals
+     << ",\"sample_warmup\":" << spec.run.sample_warmup
      << ",\"timeout_sec\":" << fmt_double(spec.timeout_sec)
      << ",\"max_attempts\":" << spec.max_attempts
      << ",\"heartbeat_sec\":" << fmt_double(spec.heartbeat_sec);
   // Written only when set, mirroring the store's only-when-set rule.
-  if (!spec.cosim.empty())
-    os << ",\"cosim\":\"" << json_escape_min(spec.cosim) << "\"";
+  if (!spec.run.cosim.empty())
+    os << ",\"cosim\":\"" << json_escape_min(spec.run.cosim) << "\"";
   os << "}";
   return os.str();
 }
@@ -118,18 +119,20 @@ std::optional<RemoteSpec> parse_remote_spec(const std::string& json) {
   if (spec.proto < 0) return std::nullopt;
   if (const obs::JsonValue* c = v->get("campaign"))
     if (c->is_string()) spec.campaign = c->str;
-  spec.interval = static_cast<u64>(json_num(*v, "interval", 0));
-  spec.host_profile = json_bool(*v, "host_profile", false);
-  spec.cpi_stack = json_bool(*v, "cpi_stack", false);
-  spec.sample_intervals =
-      static_cast<u64>(json_num(*v, "sample_intervals", 0));
-  spec.sample_warmup = static_cast<u64>(json_num(*v, "sample_warmup", 2000));
+  RunnerOptions& run = spec.run;
+  run.interval = static_cast<u64>(json_num(*v, "interval", 0));
+  run.host_profile = json_bool(*v, "host_profile", false);
+  run.cpi_stack = json_bool(*v, "cpi_stack", false);
+  run.sample_intervals =
+      static_cast<unsigned>(json_num(*v, "sample_intervals", 0));
+  run.sample_warmup = static_cast<u64>(json_num(
+      *v, "sample_warmup", static_cast<double>(run.sample_warmup)));
   spec.timeout_sec = json_num(*v, "timeout_sec", 0);
   spec.max_attempts =
       static_cast<unsigned>(json_num(*v, "max_attempts", 2));
   spec.heartbeat_sec = json_num(*v, "heartbeat_sec", 1.0);
   if (const obs::JsonValue* c = v->get("cosim"))
-    if (c->is_string()) spec.cosim = c->str;
+    if (c->is_string()) run.cosim = c->str;
   return spec;
 }
 
@@ -340,7 +343,7 @@ CampaignReport serve_campaign(const SweepSpec& spec,
     state[idx].done = true;
     ++done_count;
     store.append(*rec);
-    const TaskOutcome out = outcome_from_record(*rec);
+    const TaskOutcome& out = *rec;
     meter.task_done(out);
     std::lock_guard<std::mutex> lock(report_mutex);
     ++report.ran;
@@ -820,7 +823,7 @@ WorkerReport run_remote_worker(const WorkerOptions& options,
           const TaskOutcome out = run_one_task(task, runner, sched);
           ran.fetch_add(1);
           if (out.ok()) ok.fetch_add(1);
-          ch.send("RECORD " + to_jsonl(record_from_outcome(task, out)));
+          ch.send("RECORD " + to_jsonl(TaskRecord{out, task}));
         }
       });
     }

@@ -50,24 +50,21 @@ namespace bsp::campaign {
 constexpr int kRemoteProtocolVersion = 2;
 
 // Everything a worker must know to execute tasks the way the coordinator
-// would have locally: per-task observability knobs plus the retry/timeout
-// policy. Host-local choices (jobs, checkpoint-cache directory, isolation
-// mode) stay on the worker's own command line.
+// would have locally: the per-task run options plus the retry/timeout
+// policy. Host-local choices (jobs, isolation mode and the checkpoint-cache
+// directory, run.ckpt_cache_dir included) stay on the worker's own command
+// line and never enter the frame.
 struct RemoteSpec {
   int proto = kRemoteProtocolVersion;
   std::string campaign;
-  u64 interval = 0;           // RunnerOptions::interval
-  bool host_profile = false;  // RunnerOptions::host_profile
-  bool cpi_stack = false;     // RunnerOptions::cpi_stack
-  u64 sample_intervals = 0;   // sampled-simulation K (0 = monolithic)
-  u64 sample_warmup = 2000;
+  // Forwarded fields: interval, host_profile, cpi_stack, cosim and
+  // sample_*. A non-empty cosim is the fleet-wide default; per-task
+  // TaskSpec::cosim (carried in the TASK frame's record JSONL) still wins,
+  // and "" (full) is omitted from the frame.
+  RunnerOptions run;
   double timeout_sec = 0;     // per-task wall clock (0 = none)
   unsigned max_attempts = 2;  // worker-local bounded retry
   double heartbeat_sec = 1;   // PING period every worker must keep
-  // Fleet-wide co-simulation cadence default (RunnerOptions::cosim);
-  // per-task TaskSpec::cosim (carried in the TASK frame's record JSONL)
-  // still wins. "" = full, and "" is omitted from the frame.
-  std::string cosim;
 };
 std::string encode_remote_spec(const RemoteSpec& spec);
 std::optional<RemoteSpec> parse_remote_spec(const std::string& json);

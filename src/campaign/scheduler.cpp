@@ -19,15 +19,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-AttemptResult guarded_call(const TaskRunner& runner, const TaskSpec& task) {
+TaskOutcome guarded_call(const TaskRunner& runner, const TaskSpec& task) {
   try {
     return runner(task);
   } catch (const std::exception& e) {
-    AttemptResult r;
+    TaskOutcome r;
     r.error = std::string("exception: ") + e.what();
     return r;
   } catch (...) {
-    AttemptResult r;
+    TaskOutcome r;
     r.error = "unknown exception";
     return r;
   }
@@ -39,17 +39,17 @@ AttemptResult guarded_call(const TaskRunner& runner, const TaskSpec& task) {
 // shared_ptr state, so abandonment is memory-safe — but the thread keeps
 // burning a core until it finishes. IsolationMode::kProcess is the mode
 // that actually reclaims the core (SIGKILL + reap).
-AttemptResult timed_call(const TaskRunner& runner, const TaskSpec& task,
-                         double timeout_sec, bool* timed_out) {
+TaskOutcome timed_call(const TaskRunner& runner, const TaskSpec& task,
+                       double timeout_sec, bool* timed_out) {
   struct Shared {
     std::mutex m;
     std::condition_variable cv;
     bool done = false;
-    AttemptResult result;
+    TaskOutcome result;
   };
   auto shared = std::make_shared<Shared>();
   std::thread worker([shared, runner, task] {
-    AttemptResult r = guarded_call(runner, task);
+    TaskOutcome r = guarded_call(runner, task);
     std::lock_guard<std::mutex> lock(shared->m);
     shared->result = std::move(r);
     shared->done = true;
@@ -64,7 +64,7 @@ AttemptResult timed_call(const TaskRunner& runner, const TaskSpec& task,
   if (!done) {
     worker.detach();
     *timed_out = true;
-    return AttemptResult{};
+    return TaskOutcome{};
   }
   worker.join();
   *timed_out = false;
@@ -102,8 +102,8 @@ std::string stderr_tail(const std::string& err) {
 }
 
 // One task under process isolation: fork/exec the worker per attempt,
-// enforce the deadline with SIGKILL, and fold the worker's printed record
-// back into a TaskOutcome.
+// enforce the deadline with SIGKILL, and take the worker's printed record
+// as the outcome. Attempts, duration and rusage are the scheduler's own.
 TaskOutcome run_one_task_process(const TaskSpec& task,
                                  const SchedulerOptions& options) {
   TaskOutcome out;
@@ -111,14 +111,17 @@ TaskOutcome run_one_task_process(const TaskSpec& task,
   const unsigned max_attempts = std::max(1u, options.max_attempts);
   std::vector<std::string> argv = options.worker_cmd;
   argv.push_back(options.worker_task_json ? task_jsonl(task) : task.id());
+  unsigned attempts = 0;
+  long max_rss_kb = 0;
+  double user_sec = 0, sys_sec = 0;
   for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-    out.attempts = attempt;
+    attempts = attempt;
     SubprocessLimits limits;
     limits.timeout_sec = options.timeout_sec;
     const SubprocessResult sp = run_subprocess(argv, limits);
-    out.max_rss_kb = std::max(out.max_rss_kb, sp.max_rss_kb);
-    out.user_sec += sp.user_sec;
-    out.sys_sec += sp.sys_sec;
+    max_rss_kb = std::max(max_rss_kb, sp.max_rss_kb);
+    user_sec += sp.user_sec;
+    sys_sec += sp.sys_sec;
     if (sp.timed_out) {
       // Not retried — re-running a wedged configuration would just park
       // another core on it; --retry-failed on a later run opts back in.
@@ -141,7 +144,7 @@ TaskOutcome run_one_task_process(const TaskSpec& task,
                   stderr_tail(sp.err);
       continue;
     }
-    const auto rec = parse_jsonl(last_nonempty_line(sp.out));
+    auto rec = parse_jsonl(last_nonempty_line(sp.out));
     if (!rec || rec->task.id() != task.id()) {
       out.status = "failed";
       out.error = "worker exited " + std::to_string(sp.exit_code) +
@@ -150,20 +153,13 @@ TaskOutcome run_one_task_process(const TaskSpec& task,
                   stderr_tail(sp.err);
       continue;
     }
-    out.status = rec->status;
-    out.error = rec->error;
-    out.stats = rec->stats;
-    out.interval = rec->interval;
-    out.series = rec->series;
-    out.ckpt_cache = rec->ckpt_cache;
-    out.ffwd_sec = rec->ffwd_sec;
-    out.sample_intervals = rec->sample_intervals;
-    out.sample_warmup = rec->sample_warmup;
-    out.ipc_mean = rec->ipc_mean;
-    out.ipc_ci95 = rec->ipc_ci95;
-    out.samples = rec->samples;
-    if (out.status == "ok") break;
+    out = std::move(static_cast<TaskOutcome&>(*rec));
+    if (out.ok()) break;
   }
+  out.attempts = attempts;
+  out.max_rss_kb = max_rss_kb;
+  out.user_sec = user_sec;
+  out.sys_sec = sys_sec;
   out.duration_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   return out;
@@ -239,10 +235,11 @@ TaskOutcome run_one_task(const TaskSpec& task, const TaskRunner& runner,
   TaskOutcome out;
   const auto t0 = Clock::now();
   const unsigned max_attempts = std::max(1u, options.max_attempts);
+  unsigned attempts = 0;
   for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-    out.attempts = attempt;
+    attempts = attempt;
     bool timed_out = false;
-    const AttemptResult r =
+    TaskOutcome r =
         options.timeout_sec > 0
             ? timed_call(runner, task, options.timeout_sec, &timed_out)
             : guarded_call(runner, task);
@@ -253,23 +250,15 @@ TaskOutcome run_one_task(const TaskSpec& task, const TaskRunner& runner,
       break;
     }
     if (r.error.empty()) {
+      out = std::move(r);
       out.status = "ok";
-      out.error.clear();
-      out.stats = r.stats;
-      out.interval = r.interval;
-      out.series = r.series;
-      out.ckpt_cache = r.ckpt_cache;
-      out.ffwd_sec = r.ffwd_sec;
-      out.sample_intervals = r.sample_intervals;
-      out.sample_warmup = r.sample_warmup;
-      out.ipc_mean = r.ipc_mean;
-      out.ipc_ci95 = r.ipc_ci95;
-      out.samples = r.samples;
       break;
     }
+    // A failed attempt contributes only its error.
     out.status = "failed";
-    out.error = r.error;
+    out.error = std::move(r.error);
   }
+  out.attempts = attempts;
   out.duration_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   return out;

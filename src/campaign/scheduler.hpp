@@ -30,43 +30,17 @@
 #include <vector>
 
 #include "campaign/spec.hpp"
-#include "core/pipeline.hpp"
+#include "campaign/store.hpp"
 
 namespace bsp::campaign {
 
-// What one attempt at one task produced. Empty `error` means success.
-struct AttemptResult {
-  SimStats stats;
-  std::string error;
-  // Optional interval time-series (obs/interval.hpp): sampling period in
-  // committed instructions (0 = none collected) and one row per sample —
-  // [cycle, committed, <delta of every registered SimStats counter, registry
-  // order>]. Numeric-only so the store can serialise it losslessly.
-  u64 interval = 0;
-  std::vector<std::vector<u64>> series;
-  // Fast-forward bookkeeping (tasks with fast_forward > 0 only): where the
-  // start checkpoint came from ("hit" = cache file or in-process memo,
-  // "miss" = fast-forwarded here) and the host seconds that cost.
-  std::string ckpt_cache;
-  double ffwd_sec = 0;
-  // Sampled-simulation fields (src/sampling/; zero/empty when the task ran
-  // monolithically): interval count K and per-interval warm-up N, the
-  // per-interval IPC mean with its 95% confidence half-width, and one
-  // numeric row per measured interval —
-  // [index, offset, warmup, commits, cycles, committed].
-  u64 sample_intervals = 0;
-  u64 sample_warmup = 0;
-  double ipc_mean = 0;
-  double ipc_ci95 = 0;
-  std::vector<std::vector<u64>> samples;
-};
-
-// Runs a single attempt. May throw; the scheduler converts the exception
-// into a failed attempt. Must be safe to call from several threads at once
-// and must stay valid until every (possibly detached) attempt finished —
-// in practice: keep all state inside shared_ptr captures, as
-// make_sim_runner() does.
-using TaskRunner = std::function<AttemptResult(const TaskSpec&)>;
+// Runs a single attempt and returns its TaskOutcome, runner-side fields
+// filled (empty `error` means success). May throw; the scheduler converts
+// the exception into a failed attempt. Must be safe to call from several
+// threads at once and must stay valid until every (possibly detached)
+// attempt finished — in practice: keep all state inside shared_ptr
+// captures, as make_sim_runner() does.
+using TaskRunner = std::function<TaskOutcome(const TaskSpec&)>;
 
 enum class IsolationMode {
   kThread,   // in-process attempts on pool threads (shared address space)
@@ -79,13 +53,12 @@ struct SchedulerOptions {
   double timeout_sec = 0;     // per-attempt wall clock; 0 = no timeout
   IsolationMode isolate = IsolationMode::kThread;
   // kProcess only: argv prefix of the worker command; the scheduler appends
-  // the task as the final argument — its id by default, or the full
-  // status:"queued" record line (task_jsonl) with worker_task_json set. The
-  // worker must run that one task and print its TaskRecord as a single
-  // JSONL line on stdout (bsp-sweep's hidden --worker and --worker-json
-  // flags implement the two forms). The JSONL form makes the command
-  // self-contained: remote workers use it because they have no SweepSpec
-  // to resolve an id against.
+  // the task as the final argument. With worker_task_json set that is the
+  // full status:"queued" record line (task_jsonl) — the form bsp-sweep's
+  // hidden --worker-json flag reads, self-contained because the record
+  // carries the whole parameter tuple — otherwise the task id. The worker
+  // must run that one task and print its TaskRecord as a single JSONL line
+  // on stdout.
   std::vector<std::string> worker_cmd;
   bool worker_task_json = false;
   // Shared on-disk checkpoint cache directory (campaign/ckpt_cache.hpp).
@@ -93,35 +66,6 @@ struct SchedulerOptions {
   // prewarm_checkpoint_cache() materialises each distinct checkpoint once
   // before the sweep and workers (threads or subprocesses) restore from it.
   std::string ckpt_cache_dir;
-};
-
-struct TaskOutcome {
-  std::string status;  // "ok" | "failed" | "timeout" | "crashed"
-  std::string error;
-  unsigned attempts = 0;
-  double duration_ms = 0;  // wall clock across all attempts
-  SimStats stats;          // meaningful only when status == "ok"
-  u64 interval = 0;        // successful attempt's interval series, if any
-  std::vector<std::vector<u64>> series;
-  // Process-mode rusage: peak RSS over all attempts, CPU summed across
-  // them. All zero in thread mode (the process-wide numbers would lie).
-  long max_rss_kb = 0;
-  double user_sec = 0;
-  double sys_sec = 0;
-  // Fast-forward bookkeeping from the successful attempt (see
-  // AttemptResult).
-  std::string ckpt_cache;
-  double ffwd_sec = 0;
-  // Sampled-simulation fields from the successful attempt (see
-  // AttemptResult; zero/empty for monolithic tasks).
-  u64 sample_intervals = 0;
-  u64 sample_warmup = 0;
-  double ipc_mean = 0;
-  double ipc_ci95 = 0;
-  std::vector<std::vector<u64>> samples;
-
-  bool ok() const { return status == "ok"; }
-  bool retried() const { return attempts > 1; }
 };
 
 // Checkpoint-cache pre-pass: groups `tasks` by (workload, seed,

@@ -23,11 +23,13 @@
 
 namespace bsp::campaign {
 
-// One task's outcome, as written to (and parsed back from) the store.
-struct TaskRecord {
-  TaskSpec task;
+// What running one task produced: the single declaration of a task's
+// result fields. The runner fills `error`, `stats` and the interval,
+// checkpoint and sampling fields; the scheduler fills `status`,
+// `attempts`, `duration_ms` and the rusage fields.
+struct TaskOutcome {
   std::string status;  // "ok" | "failed" | "timeout" | "crashed"
-  std::string error;   // last attempt's error when status != "ok"
+  std::string error;   // last attempt's error; empty means success
   unsigned attempts = 1;
   double duration_ms = 0;  // wall clock across all attempts
   SimStats stats;          // meaningful only when status == "ok"
@@ -36,15 +38,16 @@ struct TaskRecord {
   // [cycle, committed, <delta per registered counter, registry order>].
   u64 interval = 0;
   std::vector<std::vector<u64>> series;
-  // Per-task rusage, recorded by the process-isolation scheduler (zero —
-  // and omitted from the JSONL — when the task ran in thread mode).
+  // Per-task rusage, recorded by the process-isolation scheduler: peak RSS
+  // over all attempts, CPU summed across them. Zero — and omitted from the
+  // JSONL — in thread mode, where the process-wide numbers would lie.
   long max_rss_kb = 0;
   double user_sec = 0;
   double sys_sec = 0;
   // Fast-forward bookkeeping (fast_forward > 0 tasks only; "" — and omitted
   // from the JSONL — otherwise): "hit" when the start checkpoint came from
-  // the cache, "miss" when this task paid the fast-forward, plus the host
-  // seconds it spent doing so (0 for a hit).
+  // the cache or the runner's in-process memo, "miss" when this task paid
+  // the fast-forward, plus the host seconds it spent doing so (0 for a hit).
   std::string ckpt_cache;
   double ffwd_sec = 0;
   // Sampled-simulation fields (src/sampling/): interval count K and
@@ -58,6 +61,15 @@ struct TaskRecord {
   double ipc_mean = 0;
   double ipc_ci95 = 0;
   std::vector<std::vector<u64>> samples;
+
+  bool ok() const { return status == "ok"; }
+  bool retried() const { return attempts > 1; }
+};
+
+// One task's outcome together with the task it belongs to, as written to
+// (and parsed back from) the store.
+struct TaskRecord : TaskOutcome {
+  TaskSpec task;
 };
 
 // Serialises one record as a single JSON line (no trailing newline).

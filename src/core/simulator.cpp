@@ -9,6 +9,7 @@
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "core/select_order.hpp"
@@ -67,6 +68,14 @@ bool uses_fp_mul_div_unit(ExecClass cls) {
 bool uses_fp_alu(ExecClass cls) {
   return cls == ExecClass::FpAlu || cls == ExecClass::FpCompare ||
          cls == ExecClass::FpBranch;
+}
+
+const MachineConfig& checked_config(const MachineConfig& config) {
+  if (!config.core.slice_geometry().valid())
+    throw std::invalid_argument(
+        "invalid slice geometry: " + std::to_string(config.core.slices) +
+        " slices (must be 1, 2, 4 or 8)");
+  return config;
 }
 
 }  // namespace
@@ -1207,8 +1216,12 @@ struct Simulator::Impl {
 
     // Register this entry on each in-flight producer's consumer list: the
     // selective-replay cascade walks these edges instead of the whole RUU.
+    // A rename mapping restored by a squash can name a producer that has
+    // since committed and whose slot was reused — possibly by this very
+    // entry; such a source reads the register file, so it gets no edge.
     for (const ProducerRef& src : e.sources)
-      if (src.index >= 0)
+      if (src.index >= 0 &&
+          ruu[static_cast<unsigned>(src.index)].seq == src.seq)
         cons_append(consumers[static_cast<unsigned>(src.index)],
                     ConsumerRef{idx, e.seq});
 
@@ -1880,11 +1893,29 @@ struct Simulator::Impl {
     // time is *also* counted in hprof.memory (see obs/host_profile.hpp).
     HpClock::time_point t0;
     if (host_profile_on) t0 = HpClock::now();
+    // Every slice-op reverts at most once per relaxation (nothing
+    // re-selects inside it), loads, stores and branches regress at most
+    // once each, and each regression re-queues at most a window of
+    // consumers: a legal relaxation stays far below this many pops.
+    // Passing it means the dependence graph has a cycle, reported as an
+    // error instead of a hang.
+    const std::size_t pop_limit = 8 * std::size_t{core.ruu_entries} *
+                                  core.ruu_entries * (kMaxSlices + 4);
+    std::size_t pops = 0;
     while (!relax_work.empty()) {
       const unsigned idx = relax_work.back();
       relax_work.pop_back();
       relax_queued[idx] = 0;
       RuuEntry& e = ruu[idx];
+      if (++pops > pop_limit) {
+        fail("selective replay did not converge after " +
+             std::to_string(pop_limit) +
+             " revalidations (at instruction seq " + std::to_string(e.seq) +
+             ")");
+        for (const unsigned i : relax_work) relax_queued[i] = 0;
+        relax_work.clear();
+        break;
+      }
       if (!e.valid) continue;
       bool changed = false;
 
@@ -2555,7 +2586,8 @@ struct Simulator::Impl {
 };
 
 Simulator::Simulator(const MachineConfig& config, const Program& program)
-    : cfg_(config), impl_(std::make_unique<Impl>(config, program)) {}
+    : cfg_(checked_config(config)),
+      impl_(std::make_unique<Impl>(config, program)) {}
 
 Simulator::Simulator(const MachineConfig& config, const Program& program,
                      const Checkpoint& start)

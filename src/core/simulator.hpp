@@ -88,6 +88,8 @@ std::string cosim_name(const SimOptions& options);
 
 class Simulator {
  public:
+  // Throws std::invalid_argument when config's slice geometry is invalid
+  // (SliceGeometry::valid(): 1, 2, 4 or 8 slices).
   Simulator(const MachineConfig& config, const Program& program);
   // Starts from a captured architectural state (see emu/checkpoint.hpp)
   // instead of the program's entry point: the oracle, the co-simulation

@@ -32,6 +32,10 @@
 
 namespace bsp::sampling {
 
+// Default per-interval warm-up commits (`sample_warmup` below; the
+// --sample-warmup flags and the campaign runner options start from it).
+inline constexpr u64 kDefaultSampleWarmup = 2000;
+
 // One independently simulable shard of the measured stream.
 struct IntervalSpec {
   unsigned index = 0;

@@ -1,79 +1,37 @@
 #include "sampling/runner.hpp"
 
-#include <cassert>
-#include <future>
-#include <map>
-#include <memory>
-#include <mutex>
-
 #include "workloads/workloads.hpp"
 
 namespace bsp::sampling {
 
-campaign::TaskRunner make_sampled_runner(const SampleOptions& options) {
-  assert(options.worker_cmd.empty() &&
-         "sweep tasks sample with threads; see runner.hpp");
-  // Shared (workload, seed) -> Workload memo, same build-once/share
-  // pattern as make_sim_runner: everything sits behind a shared_ptr so a
-  // detached timed-out attempt stays memory-safe.
-  struct Cache {
-    std::mutex m;
-    std::map<std::pair<std::string, u64>,
-             std::shared_future<std::shared_ptr<const Workload>>>
-        built;
-  };
-  auto cache = std::make_shared<Cache>();
-  return [cache, options](const campaign::TaskSpec& task)
-             -> campaign::AttemptResult {
-    std::shared_future<std::shared_ptr<const Workload>> fut;
-    bool builder = false;
-    std::promise<std::shared_ptr<const Workload>> promise;
-    {
-      std::lock_guard<std::mutex> lock(cache->m);
-      const auto key = std::make_pair(task.workload, task.seed);
-      const auto it = cache->built.find(key);
-      if (it == cache->built.end()) {
-        fut = promise.get_future().share();
-        cache->built.emplace(key, fut);
-        builder = true;
-      } else {
-        fut = it->second;
-      }
-    }
-    if (builder) {
-      try {
-        WorkloadParams params;
-        params.seed = task.seed;
-        promise.set_value(std::make_shared<const Workload>(
-            build_workload(task.workload, params)));
-      } catch (...) {
-        promise.set_exception(std::current_exception());
-      }
-    }
-    std::shared_ptr<const Workload> workload;
-    try {
-      workload = fut.get();
-    } catch (const std::exception& e) {
-      campaign::AttemptResult r;
-      r.error = std::string("workload build failed: ") + e.what();
-      return r;
-    }
-
-    // The task itself already occupies one scheduler slot; its interval
-    // workers run inline on that slot so a sweep's total thread count
-    // stays at the scheduler's --jobs.
-    SampleOptions opts = options;
-    opts.jobs = 1;
-    if (!task.cosim.empty() && !parse_cosim(task.cosim, &opts.sim)) {
-      campaign::AttemptResult r;
-      r.error = "bad cosim mode: " + task.cosim;
+campaign::TaskRunner make_sampled_runner(
+    const campaign::RunnerOptions& options) {
+  // The task itself already occupies one scheduler slot; its interval
+  // workers run inline on that slot so a sweep's total thread count stays
+  // at the scheduler's --jobs.
+  SampleOptions base;
+  base.intervals = options.sample_intervals;
+  base.warmup = options.sample_warmup;
+  base.jobs = 1;
+  base.ckpt_cache_dir = options.ckpt_cache_dir;
+  base.host_profile = options.host_profile;
+  base.cpi_stack = options.cpi_stack;
+  return campaign::memoise_workloads([base, options](
+                                         const campaign::TaskSpec& task,
+                                         const Workload& workload) {
+    campaign::TaskOutcome r;
+    SampleOptions opts = base;
+    // The task's own cosim mode overrides the run-wide default.
+    const std::string& cosim_text =
+        !task.cosim.empty() ? task.cosim : options.cosim;
+    if (!cosim_text.empty() && !parse_cosim(cosim_text, &opts.sim)) {
+      r.error = "bad cosim mode: " + cosim_text;
       return r;
     }
     const SampledResult res = run_sampled(
-        task.machine.build(), workload->program, task.workload, task.seed,
+        task.machine.build(), workload.program, task.workload, task.seed,
         task.instructions, task.warmup, task.fast_forward, opts);
 
-    campaign::AttemptResult r;
     r.stats = res.aggregate;
     r.error = res.error;
     if (res.ckpt_materialised + res.ckpt_reused > 0) {
@@ -93,7 +51,7 @@ campaign::TaskRunner make_sampled_runner(const SampleOptions& options) {
                            iv.stats.committed});
     }
     return r;
-  };
+  });
 }
 
 }  // namespace bsp::sampling

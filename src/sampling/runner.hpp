@@ -17,12 +17,16 @@
 
 namespace bsp::sampling {
 
-// Builds the sampling TaskRunner. `options.worker_cmd` must be empty:
-// inside a sweep, interval workers always run as threads (the sweep's own
-// --isolate process already wraps the whole task in a subprocess; nesting
-// another fork/exec layer per interval would multiply process churn for
-// no extra containment). Workload programs are built once per (workload,
-// seed) and shared across concurrent tasks, as in make_sim_runner().
-campaign::TaskRunner make_sampled_runner(const SampleOptions& options);
+// Builds the sampling TaskRunner from the campaign's per-task knobs:
+// options.sample_intervals (K, > 0) and sample_warmup shape each task's
+// plan; ckpt_cache_dir, host_profile, cpi_stack and cosim mean what they
+// mean for make_sim_runner(). Interval workers always run as threads on the
+// task's own scheduler slot — the sweep's --isolate process already wraps
+// the whole task in a subprocess, and nesting another fork/exec layer per
+// interval would multiply process churn for no extra containment.
+// Workload programs come from the same memo as make_sim_runner()'s
+// (campaign::memoise_workloads).
+campaign::TaskRunner make_sampled_runner(
+    const campaign::RunnerOptions& options);
 
 }  // namespace bsp::sampling

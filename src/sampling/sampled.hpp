@@ -45,8 +45,9 @@ namespace bsp::sampling {
 
 struct SampleOptions {
   unsigned intervals = 8;  // K
-  u64 warmup = 2000;       // N: per-interval warm-up commits (intervals > 0;
-                           // interval 0 always keeps the monolithic warm-up)
+  u64 warmup = kDefaultSampleWarmup;  // N: per-interval warm-up commits
+                                     // (intervals > 0; interval 0 always
+                                     // keeps the monolithic warm-up)
   unsigned jobs = 0;       // worker parallelism (0 = hardware concurrency)
   // Shared checkpoint cache directory ("" = in-memory checkpoints only;
   // required for process isolation, since workers restore from disk).

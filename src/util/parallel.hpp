@@ -6,7 +6,7 @@
 // Contract (relied on by src/campaign/scheduler.cpp and the bench drivers):
 // * `fn` must not throw. parallel_for runs tasks on plain std::threads with
 //   no exception rail — an escaping exception calls std::terminate. Tasks
-//   report failure through their results (see campaign::AttemptResult).
+//   report failure through their results (see campaign::TaskOutcome).
 // * Every index in [0, n) is visited exactly once; the call returns only
 //   after all of them complete.
 // * n == 0 returns immediately without touching `fn`.

@@ -68,7 +68,7 @@ SimStats fake_stats(const TaskSpec& task) {
 
 TaskRunner fake_runner() {
   return [](const TaskSpec& task) {
-    AttemptResult r;
+    TaskOutcome r;
     r.stats = fake_stats(task);
     return r;
   };
@@ -331,12 +331,12 @@ TEST(Campaign, InjectedFailureIsRetriedThenRecordedWithoutAborting) {
   options.scheduler.max_attempts = 3;
   const auto report = run_campaign(
       spec,
-      [&](const TaskSpec& task) -> AttemptResult {
+      [&](const TaskSpec& task) -> TaskOutcome {
         int n;
         { std::lock_guard<std::mutex> lock(m); n = ++attempts[task.id()]; }
         if (task.id() == poison) throw std::runtime_error("co-sim abort");
         if (task.id() == flaky && n == 1) {
-          AttemptResult fail;
+          TaskOutcome fail;
           fail.error = "transient divergence";
           return fail;
         }
@@ -388,9 +388,11 @@ TEST(Campaign, TimedOutTaskIsRecordedAndDoesNotKillTheCampaign) {
   options.progress = false;
   options.scheduler.jobs = 1;
   options.scheduler.timeout_sec = 0.05;
+  // `slow` by value: the timed-out attempt's detached thread outlives this
+  // scope's locals (TaskRunner's contract).
   const auto report = run_campaign(
       spec,
-      [&](const TaskSpec& task) -> AttemptResult {
+      [slow](const TaskSpec& task) -> TaskOutcome {
         if (task.id() == slow)
           std::this_thread::sleep_for(std::chrono::milliseconds(500));
         return fake_runner()(task);
@@ -445,7 +447,7 @@ TEST(Campaign, SimRunnerMatchesLegacySimulate) {
   task.instructions = 5000;
   task.warmup = 1000;
 
-  const AttemptResult r = make_sim_runner()(task);
+  const TaskOutcome r = make_sim_runner()(task);
   ASSERT_TRUE(r.error.empty()) << r.error;
 
   const Workload w = build_workload("li");
@@ -644,14 +646,14 @@ TEST(Campaign, SimRunnerMemoisesTheCheckpointSoOneTaskPaysTheMiss) {
   const auto tasks = spec.expand();
   ASSERT_EQ(tasks.size(), 2u);
 
-  std::vector<AttemptResult> results(tasks.size());
+  std::vector<TaskOutcome> results(tasks.size());
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < tasks.size(); ++i)
     threads.emplace_back([&, i] { results[i] = runner(tasks[i]); });
   for (auto& t : threads) t.join();
 
   std::size_t misses = 0, hits = 0;
-  for (const AttemptResult& r : results) {
+  for (const TaskOutcome& r : results) {
     ASSERT_TRUE(r.error.empty()) << r.error;
     if (r.ckpt_cache == "miss") ++misses;
     if (r.ckpt_cache == "hit") ++hits;
@@ -695,6 +697,117 @@ TEST(ResultStore, JsonlRoundTripsSampledFields) {
   ASSERT_TRUE(lback.has_value());
   EXPECT_EQ(lback->sample_intervals, 0u);
   EXPECT_TRUE(lback->samples.empty());
+}
+
+// The store's bytes are the contract resumed stores and bsp-report rely
+// on: these literal lines pin to_jsonl for each record shape, so a change
+// to how records are declared or assembled cannot silently move a key, a
+// default or a number format.
+TEST(ResultStore, JsonlBytesArePinned) {
+  const std::string kStats =
+      R"("stats":{"cycles":1234,"committed":1000,"dispatched":0,)"
+      R"("bogus_dispatched":0,"branches":77,"branch_mispredicts":0,)"
+      R"("early_resolved_branches":0,"loads":0,"stores":0,)"
+      R"("load_forwards":0,"loads_issued_partial_lsq":0,)"
+      R"("partial_tag_accesses":0,"way_mispredicts":0,)"
+      R"("early_miss_detects":0,"load_replays":0,"op_replays":0,)"
+      R"("spec_forwards":0,"spec_forward_misses":0,"narrow_operands":0,)"
+      R"("l1d_hits":0,"l1d_misses":5,"idle_cycles_skipped":0,"cpi_base":0,)"
+      R"("cpi_fe_icache":0,"cpi_fe_fill":0,"cpi_br_squash":0,)"
+      R"("cpi_ruu_full":0,"cpi_slice_low":0,"cpi_slice_chain":0,)"
+      R"("cpi_exec_unit":0,"cpi_br_resolve":0,"cpi_lsq_disambig":0,)"
+      R"("cpi_dcache":0,"cpi_partial_tag":0,"cpi_spec_forward":0,)"
+      R"("cpi_store_data":0,"cpi_drain":0,"cpi_other":0,"ipc":0.810373})";
+  SimStats stats;
+  stats.cycles = 1234;
+  stats.committed = 1000;
+  stats.branches = 77;
+  stats.l1d_misses = 5;
+  stats.host_seconds = 0.25;
+
+  TaskRecord mono;
+  mono.task = small_spec().expand()[1];
+  mono.task.fast_forward = 50'000;
+  mono.task.cosim = "spot:64";
+  mono.status = "ok";
+  mono.attempts = 1;
+  mono.duration_ms = 3.5;
+  mono.stats = stats;
+  mono.stats.host_profile.enabled = true;
+  mono.stats.host_profile.commit = 0.125;
+  mono.stats.host_profile.ffwd = 0.5;
+  mono.stats.host_profile.loop_cycles = 900;
+  mono.interval = 500;
+  mono.series = {{600, 500, 1, 2}, {1234, 1000, 3, 4}};
+  mono.ckpt_cache = "miss";
+  mono.ffwd_sec = 0.5;
+  EXPECT_EQ(to_jsonl(mono),
+      R"({"campaign":"unit",)"
+      R"("task":"unit/li/seed=0x5eed/sliced-x2-t0x1f/n=1000/w=0/ff=50000/co)"
+      R"(sim=spot:64",)"
+      R"("workload":"li","seed":"0x5eed","machine":"sliced","slices":2,)"
+      R"("techniques":"0x1f","label":"full x2","instructions":1000,)"
+      R"("warmup":0,"fast_forward":50000,"cosim_mode":"spot:64",)"
+      R"("status":"ok","attempts":1,"duration_ms":3.500,)"
+      R"("host_seconds":0.250,"ckpt_cache":"miss","ffwd_sec":0.500000,)"
+      R"("host_phases":{"commit":0.125000,"resolve":0.000000,)"
+      R"("select":0.000000,"memory":0.000000,"dispatch":0.000000,)"
+      R"("fetch":0.000000,"cosim":0.000000,"replay":0.000000,)"
+      R"("ffwd":0.500000,"loop_cycles":900},)" +
+            kStats +
+      R"(,"interval":500,"series":[[600,500,1,2],[1234,1000,3,4]]})");
+
+  TaskRecord sampled;  // attempts left at the TaskRecord default
+  sampled.task = small_spec().expand().front();
+  sampled.status = "ok";
+  sampled.duration_ms = 7.25;
+  sampled.stats = stats;
+  sampled.ckpt_cache = "hit";
+  sampled.sample_intervals = 2;
+  sampled.sample_warmup = 2000;
+  sampled.ipc_mean = 0.8125;
+  sampled.ipc_ci95 = 0.0625;
+  sampled.samples = {{0, 0, 0, 500, 610, 500}, {1, 2500, 2000, 500, 624, 500}};
+  EXPECT_EQ(to_jsonl(sampled),
+      R"({"campaign":"unit","task":"unit/li/seed=0x5eed/base/n=1000/w=0",)"
+      R"("workload":"li","seed":"0x5eed","machine":"base","slices":1,)"
+      R"("techniques":"0x0","label":"base","instructions":1000,"warmup":0,)"
+      R"("status":"ok","attempts":1,"duration_ms":7.250,)"
+      R"("host_seconds":0.250,"ckpt_cache":"hit","ffwd_sec":0.000000,)" +
+            kStats +
+      R"(,"sample_intervals":2,"sample_warmup":2000,"ipc_mean":0.812500,)"
+      R"("ipc_ci95":0.062500,"samples":[[0,0,0,500,610,500],[1,2500,2000,)"
+      R"(500,624,500]]})");
+
+  TaskRecord failed;
+  failed.task = small_spec().expand()[2];
+  failed.status = "failed";
+  failed.error = "co-simulation divergence at \"pc\"\n";
+  failed.attempts = 2;
+  failed.duration_ms = 41.0;
+  failed.stats = stats;
+  failed.max_rss_kb = 20480;
+  failed.user_sec = 0.375;
+  failed.sys_sec = 0.0625;
+  EXPECT_EQ(to_jsonl(failed),
+      R"({"campaign":"unit","task":"unit/li/seed=0x1234/base/n=1000/w=0",)"
+      R"("workload":"li","seed":"0x1234","machine":"base","slices":1,)"
+      R"("techniques":"0x0","label":"base","instructions":1000,"warmup":0,)"
+      R"("status":"failed","attempts":2,"duration_ms":41.000,)"
+      R"("host_seconds":0.250,"rusage":{"max_rss_kb":20480,)"
+      R"("user_sec":0.375,"sys_sec":0.062},)"
+      R"("error":"co-simulation divergence at \"pc\"\n"})");
+
+  // A queued line carries attempts 1, the TaskRecord default.
+  EXPECT_EQ(task_jsonl(mono.task),
+      R"({"campaign":"unit",)"
+      R"("task":"unit/li/seed=0x5eed/sliced-x2-t0x1f/n=1000/w=0/ff=50000/co)"
+      R"(sim=spot:64",)"
+      R"("workload":"li","seed":"0x5eed","machine":"sliced","slices":2,)"
+      R"("techniques":"0x1f","label":"full x2","instructions":1000,)"
+      R"("warmup":0,"fast_forward":50000,"cosim_mode":"spot:64",)"
+      R"("status":"queued","attempts":1,"duration_ms":0.000,)"
+      R"("host_seconds":0.000})");
 }
 
 TEST(Campaign, WarmCheckpointCacheReproducesColdStatsWithAllHits) {

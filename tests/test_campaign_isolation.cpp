@@ -86,8 +86,8 @@ SchedulerOptions process_options(std::vector<std::string> worker_cmd) {
 }
 
 TaskRunner unused_runner() {
-  return [](const TaskSpec&) -> AttemptResult {
-    AttemptResult r;
+  return [](const TaskSpec&) -> TaskOutcome {
+    TaskOutcome r;
     r.error = "in-process runner must not be called in process mode";
     return r;
   };

@@ -74,12 +74,12 @@ TaskRecord ok_record(const TaskSpec& task) {
 // Deterministic synthetic runner: no simulator, stats keyed on the id.
 TaskRunner fake_runner(double sleep_for = 0,
                        const std::string& slow_id_substr = "") {
-  return [=](const TaskSpec& t) -> AttemptResult {
+  return [=](const TaskSpec& t) -> TaskOutcome {
     if (sleep_for > 0 &&
         (slow_id_substr.empty() ||
          t.id().find(slow_id_substr) != std::string::npos))
       sleep_sec(sleep_for);
-    AttemptResult r;
+    TaskOutcome r;
     r.stats = fake_stats(t);
     return r;
   };
@@ -283,11 +283,11 @@ TEST(SocketAddrParse, AcceptsHostPortAndAnyInterfaceForms) {
 TEST(RemoteSpecJson, RoundTripsEveryField) {
   RemoteSpec spec;
   spec.campaign = "fig11";
-  spec.interval = 5000;
-  spec.host_profile = true;
-  spec.cpi_stack = true;
-  spec.sample_intervals = 30;
-  spec.sample_warmup = 1234;
+  spec.run.interval = 5000;
+  spec.run.host_profile = true;
+  spec.run.cpi_stack = true;
+  spec.run.sample_intervals = 30;
+  spec.run.sample_warmup = 1234;
   spec.timeout_sec = 12.5;
   spec.max_attempts = 3;
   spec.heartbeat_sec = 0.25;
@@ -295,16 +295,48 @@ TEST(RemoteSpecJson, RoundTripsEveryField) {
   ASSERT_TRUE(back);
   EXPECT_EQ(back->proto, kRemoteProtocolVersion);
   EXPECT_EQ(back->campaign, "fig11");
-  EXPECT_EQ(back->interval, 5000u);
-  EXPECT_TRUE(back->host_profile);
-  EXPECT_TRUE(back->cpi_stack);
-  EXPECT_EQ(back->sample_intervals, 30u);
-  EXPECT_EQ(back->sample_warmup, 1234u);
+  EXPECT_EQ(back->run.interval, 5000u);
+  EXPECT_TRUE(back->run.host_profile);
+  EXPECT_TRUE(back->run.cpi_stack);
+  EXPECT_EQ(back->run.sample_intervals, 30u);
+  EXPECT_EQ(back->run.sample_warmup, 1234u);
   EXPECT_DOUBLE_EQ(back->timeout_sec, 12.5);
   EXPECT_EQ(back->max_attempts, 3u);
   EXPECT_DOUBLE_EQ(back->heartbeat_sec, 0.25);
   EXPECT_FALSE(parse_remote_spec("not json"));
   EXPECT_FALSE(parse_remote_spec("{\"campaign\":\"x\"}"));  // no proto
+}
+
+// The SPEC frame is wire protocol: a worker of another build must read
+// it, so its bytes only change together with kRemoteProtocolVersion.
+TEST(RemoteSpecJson, FrameBytesArePinned) {
+  RemoteSpec spec;
+  spec.campaign = "fig11";
+  spec.run.interval = 5000;
+  spec.run.host_profile = true;
+  spec.run.cpi_stack = true;
+  spec.run.sample_intervals = 30;
+  spec.run.sample_warmup = 1234;
+  spec.run.cosim = "spot:64";
+  spec.run.ckpt_cache_dir = "/host/local";  // never on the wire
+  spec.timeout_sec = 12.5;
+  spec.max_attempts = 3;
+  spec.heartbeat_sec = 0.25;
+  EXPECT_EQ(encode_remote_spec(spec),
+            R"({"proto":2,"campaign":"fig11","interval":5000,)"
+            R"("host_profile":true,"cpi_stack":true,"sample_intervals":30,)"
+            R"("sample_warmup":1234,"timeout_sec":12.500000,)"
+            R"("max_attempts":3,"heartbeat_sec":0.250000,)"
+            R"("cosim":"spot:64"})");
+  EXPECT_EQ(encode_remote_spec(RemoteSpec{}),
+            R"({"proto":2,"campaign":"","interval":0,"host_profile":false,)"
+            R"("cpi_stack":false,"sample_intervals":0,"sample_warmup":2000,)"
+            R"("timeout_sec":0.000000,"max_attempts":2,)"
+            R"("heartbeat_sec":1.000000})");
+  const auto back = parse_remote_spec(encode_remote_spec(spec));
+  ASSERT_TRUE(back);
+  EXPECT_EQ(back->run.cosim, "spot:64");
+  EXPECT_TRUE(back->run.ckpt_cache_dir.empty());
 }
 
 // --------------------------------------------------------------- end to end

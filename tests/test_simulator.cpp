@@ -40,6 +40,18 @@ TEST(Simulator, MaxCommitCapStopsTheRun) {
   EXPECT_EQ(r.stats.committed, 5000u);
 }
 
+TEST(Simulator, InvalidSliceGeometryThrowsAtConstruction) {
+  const Program p = counting_loop(10);
+  for (const unsigned slices : {0u, 3u, 16u, 64u}) {
+    MachineConfig cfg = bitsliced_machine(2, kAllTechniques);
+    cfg.core.slices = slices;
+    EXPECT_THROW(Simulator(cfg, p), std::invalid_argument) << slices;
+  }
+  MachineConfig ok = bitsliced_machine(2, kAllTechniques);
+  ok.core.slices = 8;
+  EXPECT_NO_THROW(Simulator(ok, p));
+}
+
 // The decisive correctness gate: every workload commits the same
 // architectural sequence as the reference emulator (the simulator verifies
 // at commit and reports any divergence), on every pipeline configuration.

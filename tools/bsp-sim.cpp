@@ -45,6 +45,7 @@
 #include "obs/interval.hpp"
 #include "obs/sinks.hpp"
 #include "sampling/sampled.hpp"
+#include "util/cli.hpp"
 #include "util/subprocess.hpp"
 #include "workloads/workloads.hpp"
 
@@ -188,7 +189,7 @@ int main(int argc, char** argv) {
   bool cpi_stack = false;
   SimOptions sim_opts;
   unsigned sample_intervals = 0;
-  u64 sample_warmup = 2'000;
+  u64 sample_warmup = sampling::kDefaultSampleWarmup;
   unsigned sample_jobs = 0;
   bool sample_process = false;
   std::string sample_out, ckpt_cache;
@@ -208,7 +209,12 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--slices") {
-      slices = static_cast<unsigned>(std::strtoul(value(), nullptr, 0));
+      slices = parse_cli_unsigned(a, value());
+      if (!SliceGeometry{slices}.valid()) {
+        std::cerr << "bsp-sim: --slices must be 1, 2, 4 or 8, got " << slices
+                  << "\n";
+        return 2;
+      }
     } else if (a == "--techniques") {
       const auto t = parse_techniques(value());
       if (!t) {
@@ -217,18 +223,17 @@ int main(int argc, char** argv) {
       }
       techniques = *t;
     } else if (a == "--instructions" || a == "-n") {
-      instructions = std::strtoull(value(), nullptr, 0);
+      instructions = parse_cli_u64(a, value());
     } else if (a == "--warmup") {
-      warmup = std::strtoull(value(), nullptr, 0);
+      warmup = parse_cli_u64(a, value());
     } else if (a == "--fast-forward") {
-      fast_forward = std::strtoull(value(), nullptr, 0);
+      fast_forward = parse_cli_u64(a, value());
     } else if (a == "--sample-intervals") {
-      sample_intervals =
-          static_cast<unsigned>(std::strtoul(value(), nullptr, 0));
+      sample_intervals = parse_cli_unsigned(a, value());
     } else if (a == "--sample-warmup") {
-      sample_warmup = std::strtoull(value(), nullptr, 0);
+      sample_warmup = parse_cli_u64(a, value());
     } else if (a == "--sample-jobs") {
-      sample_jobs = static_cast<unsigned>(std::strtoul(value(), nullptr, 0));
+      sample_jobs = parse_cli_unsigned(a, value());
     } else if (a == "--sample-isolate") {
       const std::string mode = value();
       if (mode == "process") {
@@ -242,14 +247,14 @@ int main(int argc, char** argv) {
     } else if (a == "--ckpt-cache") {
       ckpt_cache = value();
     } else if (a == "--sample-worker") {
-      sample_worker = std::strtol(value(), nullptr, 0);
+      sample_worker = parse_cli_unsigned(a, value());
     } else if (a == "--checkpoint") {
       ckpt_path = value();
     } else if (a == "--trace") {
       trace = true;
       if (i + 2 < argc && argv[i + 1][0] != '-' && argv[i + 2][0] != '-') {
-        trace_start = std::strtoull(argv[++i], nullptr, 0);
-        trace_end = std::strtoull(argv[++i], nullptr, 0);
+        trace_start = parse_cli_u64(a, argv[++i]);
+        trace_end = parse_cli_u64(a, argv[++i]);
       }
     } else if (a == "--trace-perfetto") {
       perfetto_path = value();
@@ -258,7 +263,7 @@ int main(int argc, char** argv) {
     } else if (a == "--interval-stats") {
       interval_path = value();
     } else if (a == "--interval") {
-      interval = std::strtoull(value(), nullptr, 0);
+      interval = parse_cli_u64(a, value());
       if (interval == 0) {
         std::cerr << "bsp-sim: --interval must be > 0\n";
         return 2;

@@ -9,7 +9,7 @@
 // skipped.
 //
 // With --isolate process every task runs in its own worker subprocess
-// (this binary re-exec'd with the hidden --worker flag): a segfaulting
+// (this binary re-exec'd with the hidden --worker-json flag): a segfaulting
 // configuration is recorded as "crashed" with its signal name, a wedged
 // one is SIGKILLed at the --timeout deadline and its core reclaimed, and
 // per-task rusage lands in the store. The sweep itself exits 0 whenever it
@@ -87,66 +87,38 @@ std::string maybe_inject_fault(const std::string& task_id) {
   return "";
 }
 
-// The worker half of the process-isolation protocol: run exactly one task
-// and print its TaskRecord JSONL on stdout. The parent scheduler owns
-// timeout, retry, and rusage; attempts here is always 1. Exit 0 whenever a
-// record was printed — a task-level failure is payload, not a worker
-// error.
-int run_worker_task(const TaskSpec& task, const TaskRunner& runner) {
-  const std::string injected = maybe_inject_fault(task.id());
-  const auto t0 = std::chrono::steady_clock::now();
-  AttemptResult r;
-  if (!injected.empty()) {
-    r.error = injected;
-  } else {
-    r = runner(task);
+// The runner a worker process uses: `runner` behind the fault-injection
+// hook.
+TaskRunner with_fault_injection(TaskRunner runner) {
+  return [runner = std::move(runner)](const TaskSpec& task) {
+    TaskOutcome injected;
+    injected.error = maybe_inject_fault(task.id());
+    return injected.error.empty() ? runner(task) : injected;
+  };
+}
+
+// The worker half of the process-isolation protocol: the task arrives as a
+// full status:"queued" record line (campaign::task_jsonl), so the worker
+// needs no campaign — which is also what lets remote workers run tasks for
+// a spec they never saw. Runs exactly that task and prints its TaskRecord
+// JSONL on stdout. The parent scheduler owns timeout, retry, and rusage;
+// attempts here is always 1. Exit 0 whenever a record was printed — a
+// task-level failure is payload, not a worker error.
+int run_worker_json(const TaskRunner& runner, const std::string& record) {
+  const auto queued = parse_jsonl(record);
+  if (!queued) {
+    std::cerr << "bsp-sweep --worker-json: unparseable task record\n";
+    return 3;
   }
-  TaskRecord rec;
-  rec.task = task;
-  rec.status = r.error.empty() ? "ok" : "failed";
-  rec.error = r.error;
+  const auto t0 = std::chrono::steady_clock::now();
+  TaskRecord rec{with_fault_injection(runner)(queued->task), queued->task};
+  rec.status = rec.error.empty() ? "ok" : "failed";
   rec.attempts = 1;
   rec.duration_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-  rec.stats = r.stats;
-  rec.interval = r.interval;
-  rec.series = r.series;
-  rec.ckpt_cache = r.ckpt_cache;
-  rec.ffwd_sec = r.ffwd_sec;
-  rec.sample_intervals = r.sample_intervals;
-  rec.sample_warmup = r.sample_warmup;
-  rec.ipc_mean = r.ipc_mean;
-  rec.ipc_ci95 = r.ipc_ci95;
-  rec.samples = r.samples;
   std::cout << to_jsonl(rec) << "\n" << std::flush;
   return 0;
-}
-
-// --worker form: the task arrives as an id and is resolved against the
-// worker's own expansion of the campaign (requires the parent's spec-shape
-// flags on the command line).
-int run_worker(const SweepSpec& spec, const TaskRunner& runner,
-               const std::string& task_id) {
-  const auto tasks = spec.expand();
-  for (const auto& t : tasks)
-    if (t.id() == task_id) return run_worker_task(t, runner);
-  std::cerr << "bsp-sweep --worker: task '" << task_id
-            << "' not in the expanded campaign\n";
-  return 3;
-}
-
-// --worker-json form: the task arrives as a full status:"queued" record
-// line (campaign::task_jsonl), making the worker command self-contained —
-// no campaign re-expansion, which is what lets remote workers run tasks
-// for a spec they never saw.
-int run_worker_json(const TaskRunner& runner, const std::string& record) {
-  const auto rec = parse_jsonl(record);
-  if (!rec) {
-    std::cerr << "bsp-sweep --worker-json: unparseable task record\n";
-    return 3;
-  }
-  return run_worker_task(rec->task, runner);
 }
 
 }  // namespace
@@ -160,7 +132,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> workloads;
   std::vector<u64> seeds;
   std::string isolate = "thread";
-  std::string worker_task, worker_json;
+  std::string worker_json;
   std::string serve_addr, connect_addr, status_addr, port_file;
   double heartbeat_sec = 1.0, worker_deadline_sec = 15, steal_after_sec = 20;
   CampaignOptions options;
@@ -254,24 +226,24 @@ int main(int argc, char** argv) {
                      options.scheduler.ckpt_cache_dir = v;
                      runner_options.ckpt_cache_dir = v;
                    });
-  unsigned sample_intervals = 0;
-  u64 sample_warmup = 2000;
   parser.add_value("--sample-intervals", "K",
                    "sampled simulation: split each task's measured window "
                    "into K intervals, detail-simulate them in sequence from "
                    "functional checkpoints, and record per-interval stats "
                    "plus a mean-IPC estimate with a 95% confidence interval",
                    [&](const std::string& v) {
-                     sample_intervals =
+                     runner_options.sample_intervals =
                          parse_cli_unsigned("--sample-intervals", v);
                    });
   parser.add_value("--sample-warmup", "N",
                    "per-interval detail warm-up commits discarded before "
-                   "each measured interval (default 2000; interval 0 uses "
-                   "the task's own warm-up so K=1 matches the monolithic "
-                   "run exactly)",
+                   "each measured interval (default " +
+                       std::to_string(sampling::kDefaultSampleWarmup) +
+                       "; interval 0 uses the task's own warm-up so K=1 "
+                       "matches the monolithic run exactly)",
                    [&](const std::string& v) {
-                     sample_warmup = parse_cli_u64("--sample-warmup", v);
+                     runner_options.sample_warmup =
+                         parse_cli_u64("--sample-warmup", v);
                    });
   parser.add_flag("--no-progress", "suppress the live progress line",
                   &no_progress);
@@ -313,9 +285,6 @@ int main(int argc, char** argv) {
                    "duplicate-dispatch in-flight tasks older than this "
                    "(default 20; first record wins)",
                    &steal_after_sec);
-  parser.add_hidden_value("--worker", "TASK-ID",
-                          "(internal) run one task and print its record",
-                          &worker_task);
   parser.add_hidden_value("--worker-json", "RECORD",
                           "(internal) run the task described by a queued "
                           "record line and print its record",
@@ -348,18 +317,9 @@ int main(int argc, char** argv) {
   // its intervals serially inside the slot, so sweep-level parallelism
   // (and process isolation) keep working unchanged.
   const auto make_runner = [&]() -> TaskRunner {
-    if (sample_intervals == 0) return make_sim_runner(runner_options);
-    sampling::SampleOptions sopts;
-    sopts.intervals = sample_intervals;
-    sopts.warmup = sample_warmup;
-    sopts.ckpt_cache_dir = runner_options.ckpt_cache_dir;
-    sopts.host_profile = runner_options.host_profile;
-    sopts.cpi_stack = runner_options.cpi_stack;
-    // Run-wide default; a task's own TaskSpec::cosim still overrides it
-    // inside the sampled runner. Validated right after parsing.
-    if (!runner_options.cosim.empty())
-      parse_cosim(runner_options.cosim, &sopts.sim);
-    return sampling::make_sampled_runner(sopts);
+    return runner_options.sample_intervals > 0
+               ? sampling::make_sampled_runner(runner_options)
+               : make_sim_runner(runner_options);
   };
 
   // Self-contained process-isolation worker command: this binary, the
@@ -382,11 +342,11 @@ int main(int argc, char** argv) {
       cmd.push_back("--cosim");
       cmd.push_back(runner_options.cosim);
     }
-    if (sample_intervals > 0) {
+    if (runner_options.sample_intervals > 0) {
       cmd.push_back("--sample-intervals");
-      cmd.push_back(std::to_string(sample_intervals));
+      cmd.push_back(std::to_string(runner_options.sample_intervals));
       cmd.push_back("--sample-warmup");
-      cmd.push_back(std::to_string(sample_warmup));
+      cmd.push_back(std::to_string(runner_options.sample_warmup));
     }
     cmd.push_back("--worker-json");
     return cmd;
@@ -409,24 +369,14 @@ int main(int argc, char** argv) {
     wopts.heartbeat_sec = heartbeat_sec;
     const WorkerSetup setup = [&](const RemoteSpec& rs, TaskRunner* runner,
                                   SchedulerOptions* sched) {
-      // The coordinator's SPEC overrides the observability knobs — every
-      // worker must produce records of the same shape — while isolation
-      // mode and the checkpoint-cache directory stay host-local choices.
-      runner_options.interval = rs.interval;
-      runner_options.host_profile = rs.host_profile;
-      runner_options.cpi_stack = rs.cpi_stack;
-      runner_options.cosim = rs.cosim;
-      sample_intervals = static_cast<unsigned>(rs.sample_intervals);
-      sample_warmup = rs.sample_warmup;
-      sched->ckpt_cache_dir = options.scheduler.ckpt_cache_dir;
-      const TaskRunner base = make_runner();
-      *runner = [base](const TaskSpec& t) -> AttemptResult {
-        const std::string injected = maybe_inject_fault(t.id());
-        if (injected.empty()) return base(t);
-        AttemptResult r;
-        r.error = injected;
-        return r;
-      };
+      // The coordinator's SPEC overrides the run options — every worker
+      // must produce records of the same shape — while isolation mode and
+      // the checkpoint-cache directory stay host-local choices.
+      const std::string ckpt_cache_dir = runner_options.ckpt_cache_dir;
+      runner_options = rs.run;
+      runner_options.ckpt_cache_dir = ckpt_cache_dir;
+      sched->ckpt_cache_dir = ckpt_cache_dir;
+      *runner = with_fault_injection(make_runner());
       if (isolate == "process") {
         sched->isolate = IsolationMode::kProcess;
         sched->worker_cmd = worker_json_cmd();
@@ -473,8 +423,6 @@ int main(int argc, char** argv) {
   if (has_ff) spec.fast_forward = fast_forward;
   if (!runner_options.cosim.empty()) spec.cosim = runner_options.cosim;
 
-  if (!worker_task.empty()) return run_worker(spec, make_runner(), worker_task);
-
   if (dry_run) {
     for (const auto& task : spec.expand()) std::cout << task.id() << "\n";
     return 0;
@@ -517,12 +465,7 @@ int main(int argc, char** argv) {
     ropts.worker_deadline_sec = worker_deadline_sec;
     ropts.steal_after_sec = steal_after_sec;
     ropts.spec.campaign = spec.name;
-    ropts.spec.interval = runner_options.interval;
-    ropts.spec.host_profile = runner_options.host_profile;
-    ropts.spec.cpi_stack = runner_options.cpi_stack;
-    ropts.spec.sample_intervals = sample_intervals;
-    ropts.spec.sample_warmup = sample_warmup;
-    ropts.spec.cosim = runner_options.cosim;
+    ropts.spec.run = runner_options;
     ropts.spec.timeout_sec = options.scheduler.timeout_sec;
     ropts.spec.max_attempts = options.scheduler.max_attempts;
     report = serve_campaign(spec, options, ropts);
