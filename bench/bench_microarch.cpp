@@ -245,9 +245,9 @@ void BM_SimulatorThroughput(benchmark::State& state) {
                                       kAllTechniques);
   // BSP_BENCH_COSIM (a parse_cosim spec) overrides the co-simulation
   // cadence; unset means the default full check, which is what recorded
-  // baselines and --check use. scripts/bench_perf.sh --paired sets it on
-  // the new side only, so the A/B compares like-named benchmarks while
-  // the new binary runs the cadence the speedup is claimed under.
+  // baselines and --check use. scripts/bench_perf.sh --paired sets it to
+  // the same value on both sides (PAIRED_COSIM, default full), so an A/B
+  // ratio never mixes a cadence change into the code change.
   SimOptions so;
   if (const char* spec = std::getenv("BSP_BENCH_COSIM"))
     if (!parse_cosim(spec, &so)) std::abort();

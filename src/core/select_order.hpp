@@ -20,7 +20,8 @@
 //
 // All paths produce the same selection order: a permutation of the input
 // that is non-decreasing in key, where key ties never distinguish live
-// candidates.
+// candidates. The return value says whether the std::sort fallback ran
+// (the scheduler counts these in its host events).
 #pragma once
 
 #include <algorithm>
@@ -52,9 +53,9 @@ struct SelectOrderScratch {
 };
 
 template <class Ref>
-void order_by_key(std::vector<Ref>& v, SelectOrderScratch<Ref>& s) {
+bool order_by_key(std::vector<Ref>& v, SelectOrderScratch<Ref>& s) {
   const std::size_t n = v.size();
-  if (n <= 1) return;
+  if (n <= 1) return false;
 
   if (n <= kSelectInsertionMax) {
     for (std::size_t i = 1; i < n; ++i) {
@@ -63,7 +64,7 @@ void order_by_key(std::vector<Ref>& v, SelectOrderScratch<Ref>& s) {
       for (; j > 0 && v[j - 1].key > r.key; --j) v[j] = v[j - 1];
       v[j] = r;
     }
-    return;
+    return false;
   }
 
   u64 lo = v[0].key;
@@ -76,7 +77,7 @@ void order_by_key(std::vector<Ref>& v, SelectOrderScratch<Ref>& s) {
   if (range >= s.head.size() || range > kSelectSpreadMax * n) {
     std::sort(v.begin(), v.end(),
               [](const Ref& a, const Ref& b) { return a.key < b.key; });
-    return;
+    return true;
   }
 
   s.next.resize(n);
@@ -93,6 +94,7 @@ void order_by_key(std::vector<Ref>& v, SelectOrderScratch<Ref>& s) {
       s.tmp.push_back(v[static_cast<std::size_t>(i)]);
   }
   v.swap(s.tmp);
+  return false;
 }
 
 }  // namespace bsp

@@ -86,6 +86,24 @@ bool parse_cosim(const std::string& text, SimOptions* out);
 // Canonical spelling of the co-sim mode: "full", "off" or "spot:N".
 std::string cosim_name(const SimOptions& options);
 
+// Host-side scheduler event counts over the measured window (warm-up
+// excluded): how often the event-driven core did each unit of work, so
+// host ns/commit decomposes into events/commit x ns/event. Plain integer
+// increments, always on; they never feed timing and are deliberately not
+// SimStats counters, so golden hashes and stored records do not see them.
+struct HostEvents {
+  u64 queue_ops = 0;              // queue_op calls (dispatch, replay, select)
+  u64 wakes = 0;                  // nonempty waiter lists walked
+  u64 waiter_visits = 0;          // waiter nodes visited by those walks
+  u64 reregisters = 0;            // woken ops put back on a waiter list
+  u64 same_list_reregisters = 0;  // ... on the very list they were woken from
+  u64 select_candidates = 0;      // refs examined by select
+  u64 dead_candidates = 0;        // of those, stale refs dropped on sight
+  u64 selections = 0;             // slice-ops selected
+  u64 sort_fallbacks = 0;         // order_by_key std::sort fallbacks
+  u64 far_spills = 0;             // ops queued beyond the fine wheel horizon
+};
+
 class Simulator {
  public:
   // Throws std::invalid_argument when config's slice geometry is invalid
@@ -151,6 +169,9 @@ class Simulator {
   // dispatch/wakeup/replay paths do no heap allocation once warm). Exposed
   // for the no-reallocation regression test.
   unsigned scratch_reallocations() const;
+
+  // Scheduler host-event counts of the last run() (see HostEvents).
+  const HostEvents& host_events() const;
 
   // Enables occupancy/latency histogram collection (small per-cycle cost).
   // Must be called before run(); read the result with detail() afterwards.

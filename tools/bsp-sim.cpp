@@ -18,7 +18,8 @@
 //                           print the CPI stack (obs/cpi_stack.hpp)
 //     --cosim MODE          full | spot[:N] | off — oracle co-simulation
 //                           cadence (core/simulator.hpp)  [default full]
-//     --host-profile        report where host time went per scheduler phase
+//     --host-profile        report where host time went per scheduler phase,
+//                           and the scheduler's host events per commit
 //     --print-config        dump the machine configuration first
 //   Sampled simulation (src/sampling/): shard the measured region into K
 //   intervals and simulate them in parallel, stitching the stats back
@@ -167,6 +168,26 @@ void print_host_profile(const SimStats& s) {
                 pct(hp.commit), cosim, pct(hp.resolve),
                 pct(hp.select), pct(hp.memory), replay,
                 pct(hp.dispatch), pct(hp.fetch));
+  std::cout << buf;
+}
+
+// Scheduler host events per measured commit (Simulator::host_events()):
+// with the phase shares above, host time decomposes into events/commit x
+// ns/event.
+void print_host_events(const HostEvents& ev, u64 committed) {
+  const double n = committed ? static_cast<double>(committed) : 1.0;
+  const auto per = [&](u64 v) { return static_cast<double>(v) / n; };
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "host events per commit: %.3f queue_op, %.3f wakes, %.3f "
+                "waiter visits (%.3f re-registered, %.3f on the same list)\n"
+                "  %.3f select candidates (%.3f dead), %.3f selections, "
+                "%.5f sort fallbacks, %.5f far-wheel spills\n",
+                per(ev.queue_ops), per(ev.wakes), per(ev.waiter_visits),
+                per(ev.reregisters), per(ev.same_list_reregisters),
+                per(ev.select_candidates), per(ev.dead_candidates),
+                per(ev.selections), per(ev.sort_fallbacks),
+                per(ev.far_spills));
   std::cout << buf;
 }
 
@@ -508,6 +529,7 @@ int main(int argc, char** argv) {
   print_stats(s);
   if (cpi_stack) std::cout << obs::format_cpi_stack(s, cfg.core.commit_width);
   print_host_profile(s);
+  if (host_profile) print_host_events(sim.host_events(), s.committed);
   if (detail) {
     const DetailedStats& d = sim.detail();
     const auto line = [](const char* name, const Histogram& h) {
