@@ -5,6 +5,7 @@
 # diffable across commits.
 #
 #   scripts/bench_perf.sh [build-dir] [output-json] [--allow-debug-library]
+#                         [--sampling]
 #   scripts/bench_perf.sh --check [build-dir] [baseline-json]
 #   scripts/bench_perf.sh --paired OLD_BIN NEW_BIN [output-json]
 #
@@ -36,8 +37,9 @@
 # measures the code change alone; a binary that predates the variable
 # always runs full, so only compare such a binary at the default.
 #
-# Alongside the microbenchmark baseline the script records
-# BENCH_sampling.json: monolithic vs sampled-simulation (K=8) wall clock
+# With --sampling the script also records BENCH_sampling.json (only then:
+# the file is a committed record, not a by-product of every baseline run):
+# monolithic vs sampled-simulation (K=8) wall clock
 # and IPC-estimate error on long bzip/mcf runs. Sampled wall clock is
 # parallelism-bound — on an H-core host the K intervals overlap at most
 # H-wide — so the file records both the measured wall seconds *and* the
@@ -131,11 +133,13 @@ BUILD="build-perf"
 OUT="BENCH_simcore.json"
 ALLOW_DEBUG=0
 CHECK=0
+SAMPLING=0
 i=0
 for arg in "$@"; do
   case "$arg" in
     --allow-debug-library) ALLOW_DEBUG=1 ;;
     --check) CHECK=1 ;;
+    --sampling) SAMPLING=1 ;;
     *)
       i=$((i + 1))
       if [ "$i" -eq 1 ]; then BUILD="$arg"; else OUT="$arg"; fi
@@ -250,6 +254,7 @@ EOF
 
 mv "$TMP" "$OUT"
 echo "wrote $OUT (ckpt cache sweep: cold ${COLD_SEC}s, warm ${WARM_SEC}s)"
+[ "$SAMPLING" -eq 1 ] || exit 0
 
 # Sampled-simulation baseline: monolithic vs K=8 sampled on long runs.
 # Deterministic modulo host timing; IPC figures are exact re-run to re-run.

@@ -1,50 +1,42 @@
 #!/bin/sh
-# Runs every reproduced table/figure/ablation with its default (publication)
-# parameters, writing results into results/.
+# Reproduces every table, figure and ablation at its publication budget
+# into results/: each campaign's JSONL store plus the view bsp-sweep prints,
+# Figure 12 and Table 1 as views over the fig11 store, and the trace
+# studies. A rerun resumes from the stores and re-renders every view.
 #
 #   scripts/run_all_benches.sh [build-dir] [results-dir]
-#
-# Sweeps that have been ported onto the campaign engine run through
-# bsp-sweep: machine-readable JSONL (one record per simulation) plus the
-# summary table, checkpointed so a rerun resumes instead of restarting.
-# The remaining drivers run directly until they are ported too.
 set -eu
 
 BUILD="${1:-build}"
 OUT="${2:-results}"
 mkdir -p "$OUT"
+SWEEP="$BUILD/tools/bsp-sweep"
+REPORT="$BUILD/tools/bsp-report"
 
-CAMPAIGNS="
-fig11
-fig12
-abl_slice_width
-"
-
-for c in $CAMPAIGNS; do
+for c in fig11 abl_slice_width abl_extensions abl_sam abl_seeds \
+  abl_predictor abl_way_policy abl_window abl_fp_corner; do
   echo "== campaign $c"
-  "$BUILD/tools/bsp-sweep" --campaign "$c" --out "$OUT/$c.jsonl" \
-    > "$OUT/$c.txt" 2>&1
+  "$SWEEP" --campaign "$c" --no-progress --out "$OUT/$c.jsonl" > "$OUT/$c.txt"
+done
+for v in fig12 table1; do
+  echo "== view $v"
+  "$REPORT" --view "$v" "$OUT/fig11.jsonl" > "$OUT/$v.txt"
 done
 
-BENCHES="
-table1_characteristics
-table_operand_profile
-fig2_lsq_disambiguation
-fig4_partial_tag
-fig6_early_branch
-abl_lsq_depth
-abl_way_policy
-abl_stability
-abl_extensions
-abl_seeds
-abl_sam
-abl_predictor
-abl_fp_corner
-abl_window
-"
+# IPC vs measurement window, from reset and after the default warm-up;
+# task ids differ by n= and w=, so the grid shares one store.
+echo "== campaign abl_stability"
+for w in 0 300000; do
+  for n in 25000 50000 100000 200000 400000 800000; do
+    "$SWEEP" --campaign abl_stability -n "$n" --warmup "$w" --no-progress \
+      --out "$OUT/abl_stability.jsonl" > /dev/null
+  done
+done
+"$REPORT" --view abl_stability "$OUT/abl_stability.jsonl" \
+  > "$OUT/abl_stability.txt"
 
-for b in $BENCHES; do
-  echo "== $b"
-  "$BUILD/bench/$b" > "$OUT/$b.txt" 2>&1
+for s in fig2 fig4 fig6 operand_profile abl_lsq_depth; do
+  echo "== study $s"
+  "$BUILD/tools/bsp-study" "$s" > "$OUT/$s.txt"
 done
 echo "done: $OUT/"

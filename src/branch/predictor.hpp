@@ -162,6 +162,7 @@ class FrontEndPredictor {
     unsigned ras_depth = 8;
     bool use_bimodal = false;  // ablation: bimodal instead of gshare
     unsigned bimodal_entries = 4096;
+    bool operator==(const Config&) const = default;
   };
 
   FrontEndPredictor() : FrontEndPredictor(Config{}) {}

@@ -1,14 +1,18 @@
-// Built-in named campaigns: the paper sweeps ported from hand-rolled bench
-// driver loops onto the campaign engine. Each is a SweepSpec factory with
-// the same default budgets, seeds and configuration stacks as the legacy
-// driver it mirrors, so `bsp-sweep --campaign fig11` reproduces
-// `bench/fig11_ipc` exactly (same configs + seeds => identical SimStats).
+// Built-in named campaigns — every simulated paper result as a SweepSpec
+// factory (builtin.cpp) — and the report views that render their records
+// (views.cpp). `bsp-sweep --campaign NAME` runs one and prints the view of
+// the same name; `bsp-report --view NAME STORE` re-renders any view from a
+// store. A view reads TaskRecords only and never simulates. It finds its
+// points by machine key, orders rows and columns as the builtin campaign
+// declares them, counts only ok records, and skips a row it cannot fill.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "campaign/spec.hpp"
+#include "campaign/store.hpp"
 
 namespace bsp::campaign {
 
@@ -22,5 +26,23 @@ const std::vector<BuiltinCampaign>& builtin_campaigns();
 
 // nullptr when unknown.
 const BuiltinCampaign* find_campaign(const std::string& name);
+
+// The Figures 11/12 cumulative technique stack for one slice count as
+// machine points (technique_stack order), labels prefixed "xN ". The fig11
+// campaign runs them; the fig11, fig12 and table1 views look them up.
+std::vector<MachinePoint> stack_points(unsigned slices);
+
+struct ReportView {
+  std::string name;
+  void (*render)(const std::vector<TaskRecord>& records, bool csv,
+                 std::ostream& os);
+};
+
+// One view per builtin campaign, named after it, plus fig12 and table1
+// (over a fig11 store).
+const std::vector<ReportView>& report_views();
+
+// nullptr when unknown.
+const ReportView* find_view(const std::string& name);
 
 }  // namespace bsp::campaign

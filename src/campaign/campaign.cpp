@@ -213,58 +213,4 @@ TaskRunner make_sim_runner(const RunnerOptions& options) {
   });
 }
 
-Table summary_table(const SweepSpec& spec, const CampaignReport& report) {
-  std::vector<std::string> header = {"workload"};
-  if (spec.seeds.size() > 1) header.push_back("seed");
-  for (const auto& m : spec.machines) header.push_back(m.label);
-  Table table(std::move(header));
-
-  std::map<std::string, const TaskRecord*> by_id;
-  for (const auto& rec : report.records) by_id[rec.task.id()] = &rec;
-
-  std::vector<double> col_sum(spec.machines.size(), 0.0);
-  std::vector<unsigned> col_n(spec.machines.size(), 0);
-  for (const auto& workload : spec.workloads) {
-    for (const u64 seed : spec.seeds) {
-      std::vector<std::string> row = {workload};
-      if (spec.seeds.size() > 1) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "0x%llx",
-                      static_cast<unsigned long long>(seed));
-        row.push_back(buf);
-      }
-      for (std::size_t mi = 0; mi < spec.machines.size(); ++mi) {
-        TaskSpec probe;
-        probe.campaign = spec.name;
-        probe.workload = workload;
-        probe.seed = seed;
-        probe.machine = spec.machines[mi];
-        probe.instructions = spec.instructions;
-        probe.warmup = spec.warmup;
-        probe.fast_forward = spec.fast_forward;
-        probe.cosim = spec.cosim;
-        const auto it = by_id.find(probe.id());
-        if (it == by_id.end()) {
-          row.push_back("-");
-        } else if (it->second->status != "ok") {
-          row.push_back(it->second->status);
-        } else {
-          const double ipc = it->second->stats.ipc();
-          row.push_back(Table::num(ipc, 3));
-          col_sum[mi] += ipc;
-          ++col_n[mi];
-        }
-      }
-      table.add_row(std::move(row));
-    }
-  }
-  std::vector<std::string> mean_row = {"mean"};
-  if (spec.seeds.size() > 1) mean_row.push_back("");
-  for (std::size_t mi = 0; mi < spec.machines.size(); ++mi)
-    mean_row.push_back(col_n[mi] ? Table::num(col_sum[mi] / col_n[mi], 3)
-                                 : "-");
-  table.add_row(std::move(mean_row));
-  return table;
-}
-
 }  // namespace bsp::campaign

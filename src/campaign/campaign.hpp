@@ -11,7 +11,6 @@
 #include "campaign/spec.hpp"
 #include "campaign/store.hpp"
 #include "sampling/plan.hpp"
-#include "util/table.hpp"
 
 namespace bsp {
 struct Workload;
@@ -101,10 +100,5 @@ TaskRunner memoise_workloads(WorkloadTaskBody body);
 // build-once memo. Co-simulation divergence and workload-build failures
 // come back as outcome errors, never as exceptions or aborts.
 TaskRunner make_sim_runner(const RunnerOptions& options = {});
-
-// Per-campaign summary: one row per (workload, seed), one IPC column per
-// machine point (spec order), with failed tasks shown as their status. A
-// final "mean" row averages each column over its successful rows.
-Table summary_table(const SweepSpec& spec, const CampaignReport& report);
 
 }  // namespace bsp::campaign

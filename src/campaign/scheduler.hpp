@@ -1,7 +1,7 @@
 // Fault-tolerant task scheduler for campaigns.
 //
 // Layered on util/parallel.hpp's worker pool, adding the three things a
-// long unattended sweep needs and a bench driver loop lacks:
+// long unattended sweep needs and a bare parallel loop lacks:
 //  * fault isolation — a task that throws or returns a co-simulation error
 //    is recorded as failed; it never brings down the campaign (and per the
 //    parallel_for contract, exceptions must not escape into the pool);

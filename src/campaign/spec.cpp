@@ -1,6 +1,7 @@
 #include "campaign/spec.hpp"
 
 #include <sstream>
+#include <stdexcept>
 #include <unordered_set>
 
 namespace bsp::campaign {
@@ -15,12 +16,15 @@ const char* machine_kind_name(MachineKind k) {
 }
 
 MachineConfig MachinePoint::build() const {
-  switch (kind) {
-    case MachineKind::Base: return base_machine();
-    case MachineKind::Simple: return simple_pipelined_machine(slices);
-    case MachineKind::Sliced: return bitsliced_machine(slices, techniques);
-  }
-  return base_machine();
+  MachineConfig cfg = kind == MachineKind::Simple
+                          ? simple_pipelined_machine(slices)
+                      : kind == MachineKind::Sliced
+                          ? bitsliced_machine(slices, techniques)
+                          : base_machine();
+  std::string error;
+  if (!apply_overrides(cfg, overrides, &error))
+    throw std::invalid_argument(error);
+  return cfg;
 }
 
 std::string MachinePoint::key() const {
@@ -28,6 +32,7 @@ std::string MachinePoint::key() const {
   os << machine_kind_name(kind);
   if (kind != MachineKind::Base) os << "-x" << slices;
   if (kind == MachineKind::Sliced) os << "-t0x" << std::hex << techniques;
+  if (!overrides.empty()) os << "+" << overrides;
   return os.str();
 }
 

@@ -30,9 +30,15 @@ struct MachinePoint {
   MachineKind kind = MachineKind::Base;
   unsigned slices = 1;                      // ignored for Base
   TechniqueSet techniques = kNoTechniques;  // Sliced only
+  // Edits applied on top of the preset (config/machine_config.hpp
+  // apply_overrides), e.g. "ruu=32,lsq=16,width=2". "" = the preset as is.
+  std::string overrides;
 
+  // Throws std::invalid_argument on a malformed override string.
   MachineConfig build() const;
-  // Canonical id fragment: "base", "simple-x2", "sliced-x2-t0x1f".
+  // Canonical id fragment: "base", "simple-x2", "sliced-x2-t0x1f"; a
+  // non-empty override string appends "+<overrides>" (none adds nothing,
+  // so pre-existing stores resume unchanged).
   std::string key() const;
 };
 

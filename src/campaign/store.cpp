@@ -151,8 +151,11 @@ std::string to_jsonl(const TaskRecord& rec) {
      << ",\"slices\":" << t.machine.slices
      << ",\"techniques\":\"0x" << std::hex << t.machine.techniques
      << std::dec << "\""
-     << ",\"label\":\"" << escape(t.machine.label) << "\""
-     << ",\"instructions\":" << t.instructions
+     << ",\"label\":\"" << escape(t.machine.label) << "\"";
+  // Written only when set so stores without overrides stay byte-stable.
+  if (!t.machine.overrides.empty())
+    os << ",\"overrides\":\"" << escape(t.machine.overrides) << "\"";
+  os << ",\"instructions\":" << t.instructions
      << ",\"warmup\":" << t.warmup;
   // Written only when nonzero so pre-fast-forward stores stay byte-stable.
   if (t.fast_forward != 0) os << ",\"fast_forward\":" << t.fast_forward;
@@ -344,6 +347,7 @@ std::optional<TaskRecord> parse_jsonl(const std::string& line) {
   rec.task.machine.slices = static_cast<unsigned>(*slices);
   rec.task.machine.techniques = static_cast<TechniqueSet>(*techniques);
   rec.task.machine.label = *label;
+  if (const auto o = str("overrides")) rec.task.machine.overrides = *o;
   rec.task.instructions = *instructions;
   rec.task.warmup = *warmup;
   if (const auto ff = num("fast_forward")) rec.task.fast_forward = *ff;

@@ -1,5 +1,6 @@
 #include "config/machine_config.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace bsp {
@@ -88,6 +89,75 @@ MachineConfig bitsliced_machine(unsigned slices, TechniqueSet techniques) {
   MachineConfig cfg = simple_pipelined_machine(slices);
   cfg.core.techniques = techniques;
   return cfg;
+}
+
+namespace {
+
+bool parse_count(const std::string& v, unsigned* out) {
+  if (v.empty() || v.size() > 6 ||
+      v.find_first_not_of("0123456789") != std::string::npos)
+    return false;
+  *out = static_cast<unsigned>(std::stoul(v));
+  return *out > 0;
+}
+
+// One row per override key: how `key=value` edits a MachineConfig.
+struct OverrideKey {
+  const char* key;
+  bool (*apply)(MachineConfig& cfg, const std::string& value);
+};
+
+const OverrideKey kOverrideKeys[] = {
+    {"ruu",
+     [](MachineConfig& c, const std::string& v) {
+       return parse_count(v, &c.core.ruu_entries);
+     }},
+    {"lsq",
+     [](MachineConfig& c, const std::string& v) {
+       return parse_count(v, &c.core.lsq_entries);
+     }},
+    {"width",
+     [](MachineConfig& c, const std::string& v) {
+       unsigned w = 0;
+       if (!parse_count(v, &w)) return false;
+       c.core.fetch_width = c.core.issue_width = c.core.commit_width = w;
+       return true;
+     }},
+    {"predictor",
+     [](MachineConfig& c, const std::string& v) {
+       if (v != "gshare" && v != "bimodal") return false;
+       c.branch.use_bimodal = v == "bimodal";
+       return true;
+     }},
+    {"way",
+     [](MachineConfig& c, const std::string& v) {
+       const std::string names[] = {"mru", "first-match", "random"};
+       const auto i = std::find(names, names + 3, v) - names;
+       if (i < 3) c.core.way_policy = static_cast<WayPolicy>(i);  // in order
+       return i < 3;
+     }},
+};
+
+}  // namespace
+
+bool apply_overrides(MachineConfig& cfg, const std::string& overrides,
+                     std::string* error) {
+  if (overrides.empty()) return true;
+  // Every item ends in ','; a trailing comma leaves an empty, bad item.
+  std::istringstream items(overrides + ",");
+  for (std::string item; std::getline(items, item, ',');) {
+    const std::size_t eq = item.find('=');
+    const std::string key = item.substr(0, eq);
+    const OverrideKey* row = nullptr;
+    for (const OverrideKey& k : kOverrideKeys)
+      if (key == k.key) row = &k;
+    if (eq == std::string::npos || !row ||
+        !row->apply(cfg, item.substr(eq + 1))) {
+      if (error) *error = "bad machine override '" + item + "'";
+      return false;
+    }
+  }
+  return true;
 }
 
 std::string pipeline_diagram(const MachineConfig& cfg) {

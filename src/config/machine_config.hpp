@@ -103,6 +103,7 @@ struct CoreConfig {
   bool has(Technique t) const {
     return sliced() && has_technique(techniques, t);
   }
+  bool operator==(const CoreConfig&) const = default;
 };
 
 struct MachineConfig {
@@ -112,6 +113,7 @@ struct MachineConfig {
 
   // Human-readable one-line-per-parameter dump (Table 2 reproduction).
   std::string describe() const;
+  bool operator==(const MachineConfig&) const = default;
 };
 
 // --- presets (Figure 10) ------------------------------------------------------
@@ -126,13 +128,20 @@ MachineConfig simple_pipelined_machine(unsigned slices);
 // raises the L1D latency to 2 cycles.
 MachineConfig bitsliced_machine(unsigned slices, TechniqueSet techniques);
 
-// Pipeline-stage listing for Figure 10 ("--print-pipelines").
+// Applies a comma-separated "key=value" list of edits, e.g.
+// "ruu=32,lsq=16,width=2": ruu=N, lsq=N, width=N (fetch, issue and commit
+// together), predictor=gshare|bimodal, way=mru|first-match|random. "" is
+// no edit. False, with the reason in *error, on a bad key or value.
+bool apply_overrides(MachineConfig& cfg, const std::string& overrides,
+                     std::string* error = nullptr);
+
+// Pipeline-stage listing for Figure 10 (`bsp-sim --print-config`).
 std::string pipeline_diagram(const MachineConfig& cfg);
 
 // The cumulative technique stacks of Figures 11/12 for one slice count:
 // simple pipelining, then +bypass, +ooo slices, +early branch, +early lsq,
-// +partial tag (the paper's order). Shared by the bench drivers and the
-// campaign engine so both sweep exactly the same configurations.
+// +partial tag (the paper's order). Shared by the campaign definitions and
+// the report views so both name exactly the same configurations.
 struct StackPoint {
   std::string label;
   MachineConfig config;

@@ -328,7 +328,7 @@ struct SimStats {
   void merge(const SimStats& other);
 
   // Simulated commits (cycles) retired per host-second: the simulator-
-  // throughput figures the campaign engine and bench drivers report.
+  // throughput figures the campaign engine reports.
   double commits_per_host_second() const {
     return host_seconds > 0 ? static_cast<double>(committed) / host_seconds
                             : 0.0;

@@ -71,7 +71,7 @@ enum class CosimMode {
   kFull,  // checker steps and compares at every commit (default)
   kSpot,  // catch up via run_fast; compare every Nth commit + at every
           // mispredicted-branch / syscall / exit boundary
-  kOff,   // no checking: divergence goes UNDETECTED (bench/sweep use only)
+  kOff,   // no checking: divergence goes UNDETECTED (sweep use only)
 };
 
 struct SimOptions {

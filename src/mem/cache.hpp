@@ -30,6 +30,7 @@ struct CacheGeometry {
            size_bytes >= line_bytes * ways &&
            is_pow2(num_sets());
   }
+  bool operator==(const CacheGeometry&) const = default;
 };
 
 // Way-selection policy when multiple ways match a partial tag (§7: the paper

@@ -17,6 +17,7 @@ struct HierarchyConfig {
   CacheGeometry l2{1024 * 1024, 64, 4};
   unsigned l2_latency = 6;
   unsigned memory_latency = 100;
+  bool operator==(const HierarchyConfig&) const = default;
 };
 
 class MemoryHierarchy {

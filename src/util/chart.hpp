@@ -1,5 +1,6 @@
-// Minimal ASCII chart rendering for the bench drivers, so reproduced figures
-// can be eyeballed against the paper's plots directly in a terminal.
+// Minimal ASCII chart rendering for the report views and trace studies, so
+// reproduced figures can be eyeballed against the paper's plots directly in
+// a terminal.
 //
 // Two chart types cover the paper's figures:
 //   * LineChart  — one or more named series over a shared x axis

@@ -1,6 +1,5 @@
-// Minimal declarative CLI parser shared by the bench drivers
-// (bench/common.hpp) and the campaign tools (tools/bsp-sweep.cpp), replacing
-// the hand-rolled strcmp chains each driver used to carry. Supports long and
+// Minimal declarative CLI parser shared by the tools (bsp-sweep, bsp-report,
+// bsp-study), replacing hand-rolled strcmp chains. Supports long and
 // short aliases, typed value options, repeatable options, hidden (internal)
 // options, and a generated --help. Matches the historical bench behaviour:
 // exits 0 on --help, exits 2 on an unknown option, a missing value, or —
@@ -143,6 +142,11 @@ class ArgParser {
                      [out](const std::string& v) { *out = v; });
   }
 
+  // Bare (non-dash) arguments go to `fn` instead of being rejected.
+  void set_positional(std::function<void(const std::string&)> fn) {
+    positional_ = std::move(fn);
+  }
+
   // Parses argv[1..]; on --help/-h prints usage and exits 0, on an unknown
   // option or missing value prints a complaint and exits 2.
   void parse(int argc, char** argv) const {
@@ -151,6 +155,10 @@ class ArgParser {
       if (a == "--help" || a == "-h") {
         print_help(std::cout);
         std::exit(0);
+      }
+      if (positional_ && !a.empty() && a[0] != '-') {
+        positional_(a);
+        continue;
       }
       const Option* opt = find(a);
       if (!opt) {
@@ -225,6 +233,7 @@ class ArgParser {
 
   std::string description_;
   std::vector<Option> options_;
+  std::function<void(const std::string&)> positional_;
 };
 
 }  // namespace bsp

@@ -1,9 +1,9 @@
-// Tiny thread-pool helpers for the bench sweeps and the campaign engine:
-// the Figure 11/12 drivers and bsp-sweep run dozens of completely
-// independent whole-program simulations, which parallelise trivially. Each
-// Simulator owns all its state, so tasks never share mutable data.
+// Tiny thread-pool helpers for the campaign engine and sampled simulation:
+// bsp-sweep runs dozens of completely independent whole-program
+// simulations, which parallelise trivially. Each Simulator owns all its
+// state, so tasks never share mutable data.
 //
-// Contract (relied on by src/campaign/scheduler.cpp and the bench drivers):
+// Contract (relied on by src/campaign/scheduler.cpp):
 // * `fn` must not throw. parallel_for runs tasks on plain std::threads with
 //   no exception rail — an escaping exception calls std::terminate. Tasks
 //   report failure through their results (see campaign::TaskOutcome).

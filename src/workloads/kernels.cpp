@@ -661,4 +661,44 @@ std::string vpr(const WorkloadParams& p) {
   return os.str();
 }
 
+// fp_saxpy (not in the suite): the §6 corner case. FP loads, mul/add
+// chains, an FP compare and an integer div, all full-collect. Fixed 60000
+// iterations; the seed does not enter.
+std::string fp_saxpy(const WorkloadParams&) {
+  return R"(
+.text
+main:
+  li $s7, 60000
+  la $s0, x
+  la $s1, y
+  li $t0, 0x40490fdb     # pi as the scalar
+  mtc1 $t0, $f8
+loop:
+  andi $t1, $s7, 0xfc
+  addu $t2, $s0, $t1
+  addu $t3, $s1, $t1
+  lwc1 $f0, 0($t2)
+  lwc1 $f1, 0($t3)
+  mul.s $f2, $f0, $f8    # a*x
+  add.s $f3, $f2, $f1    # a*x + y
+  swc1 $f3, 0($t3)
+  c.lt.s $f3, $f8
+  bc1f no_norm
+  add.s $f4, $f4, $f3    # accumulate small values
+no_norm:
+  li $t4, 97
+  divu $s7, $t4          # integer div in the mix (20-cycle collect)
+  mfhi $t5
+  addu $t6, $t6, $t5
+  addiu $s7, $s7, -1
+  bgtz $s7, loop
+  li $v0, 10
+  li $a0, 0
+  syscall
+.data
+x: .space 256
+y: .space 256
+)";
+}
+
 }  // namespace bsp::kernels

@@ -19,5 +19,7 @@ std::string parser(const WorkloadParams& p);
 std::string twolf(const WorkloadParams& p);
 std::string vortex(const WorkloadParams& p);
 std::string vpr(const WorkloadParams& p);
+// The §6 FP/div corner-case kernel (registered, but not in the suite).
+std::string fp_saxpy(const WorkloadParams& p);
 
 }  // namespace bsp::kernels

@@ -67,6 +67,11 @@ const std::map<std::string, KernelDef>& registry() {
        {kernels::vpr,
         "routing: grid random walk with rarely-taken bounds checks",
         0.96}},
+      // Outside workload_names(): the abl_fp_corner campaign's §6 kernel.
+      {"fp_saxpy",
+       {kernels::fp_saxpy,
+        "FP/div saxpy with reduction: dataflow through full-collect units",
+        -1.0}},
   };
   return defs;
 }

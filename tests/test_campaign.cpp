@@ -5,10 +5,12 @@
 // runner to simulate().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <regex>
@@ -463,8 +465,9 @@ TEST(Campaign, SimRunnerMatchesLegacySimulate) {
 
 TEST(Builtin, CampaignsExpandAndStayAlignedWithTheLegacyStacks) {
   ASSERT_NE(find_campaign("fig11"), nullptr);
-  ASSERT_NE(find_campaign("fig12"), nullptr);
   ASSERT_NE(find_campaign("abl_slice_width"), nullptr);
+  // Figure 12 and Table 1 are views over the fig11 store, not campaigns.
+  EXPECT_EQ(find_campaign("fig12"), nullptr);
   EXPECT_EQ(find_campaign("nope"), nullptr);
 
   const SweepSpec fig11 = find_campaign("fig11")->make();
@@ -486,6 +489,275 @@ TEST(Builtin, CampaignsExpandAndStayAlignedWithTheLegacyStacks) {
     std::set<std::string> ids;
     for (const auto& t : tasks) ids.insert(t.id());
     EXPECT_EQ(ids.size(), tasks.size()) << c.name;
+    EXPECT_NE(find_view(c.name), nullptr) << c.name;
+  }
+}
+
+// Every point of every built-in campaign builds exactly the MachineConfig
+// the bench driver it replaced built by hand (the drivers' loops, copied
+// here), so the ported campaigns simulate the same machines.
+TEST(Builtin, CampaignPointsBuildTheLegacyDriverConfigs) {
+  const auto all_but = [](Technique t) {
+    return kAllTechniques & ~static_cast<unsigned>(t);
+  };
+  const auto with = [](MachineConfig cfg, auto edit) {
+    edit(cfg);
+    return cfg;
+  };
+  std::map<std::string, std::vector<MachineConfig>> legacy;
+  legacy["fig11"] = {base_machine()};
+  for (const unsigned s : {2u, 4u})
+    for (const StackPoint& p : technique_stack(s))
+      legacy["fig11"].push_back(p.config);
+  legacy["abl_slice_width"] = {base_machine()};
+  for (const unsigned s : {2u, 4u, 8u})
+    legacy["abl_slice_width"].push_back(bitsliced_machine(s, kAllTechniques));
+  for (const unsigned s : {2u, 4u, 8u})
+    legacy["abl_slice_width"].push_back(simple_pipelined_machine(s));
+  for (const TechniqueSet t :
+       {kAllTechniques,
+        kAllTechniques | static_cast<unsigned>(Technique::SpecForward),
+        kAllTechniques | static_cast<unsigned>(Technique::NarrowWidth),
+        kExtendedTechniques})
+    legacy["abl_extensions"].push_back(bitsliced_machine(4, t));
+  const TechniqueSet common = all_but(Technique::PartialTag);
+  const unsigned tag = static_cast<unsigned>(Technique::PartialTag);
+  const unsigned sam = static_cast<unsigned>(Technique::SumAddressed);
+  for (const TechniqueSet t :
+       {common, common | tag, common | sam, common | tag | sam})
+    legacy["abl_sam"].push_back(bitsliced_machine(4, t));
+  legacy["abl_seeds"] = {base_machine(), simple_pipelined_machine(2),
+                         bitsliced_machine(2, kAllTechniques)};
+  for (const bool bimodal : {false, true})
+    for (const TechniqueSet t :
+         {kAllTechniques, all_but(Technique::EarlyBranch)})
+      legacy["abl_predictor"].push_back(
+          with(bitsliced_machine(4, t),
+               [&](MachineConfig& c) { c.branch.use_bimodal = bimodal; }));
+  for (const WayPolicy w :
+       {WayPolicy::MRU, WayPolicy::FirstMatch, WayPolicy::Random})
+    legacy["abl_way_policy"].push_back(
+        with(bitsliced_machine(2, kAllTechniques),
+             [&](MachineConfig& c) { c.core.way_policy = w; }));
+  for (const unsigned width : {2u, 4u, 8u}) {
+    const auto resize = [&](MachineConfig& c) {
+      c.core.ruu_entries = 16 * width;
+      c.core.lsq_entries = 8 * width;
+      c.core.fetch_width = c.core.issue_width = c.core.commit_width = width;
+    };
+    for (const MachineConfig& cfg :
+         {base_machine(), simple_pipelined_machine(2),
+          bitsliced_machine(2, kAllTechniques)})
+      legacy["abl_window"].push_back(with(cfg, resize));
+  }
+  for (const unsigned s : {2u, 4u}) {
+    legacy["abl_fp_corner"].push_back(simple_pipelined_machine(s));
+    legacy["abl_fp_corner"].push_back(bitsliced_machine(s, kAllTechniques));
+  }
+  legacy["abl_stability"] = {bitsliced_machine(2, kAllTechniques)};
+
+  ASSERT_EQ(legacy.size(), builtin_campaigns().size());
+  for (const auto& c : builtin_campaigns()) {
+    const SweepSpec spec = c.make();
+    const auto& want = legacy.at(c.name);
+    ASSERT_EQ(spec.machines.size(), want.size()) << c.name;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const MachineConfig got = spec.machines[i].build();
+      EXPECT_TRUE(got == want[i]) << c.name << " point " << i;
+      EXPECT_EQ(got.describe(), want[i].describe()) << c.name << " " << i;
+    }
+  }
+  // The drivers' default workload subsets and seeds.
+  EXPECT_EQ(find_campaign("abl_seeds")->make().seeds,
+            (std::vector<u64>{0x5eed, 0xD00D, 0xBEE5, 0x1234, 0xFEED}));
+  EXPECT_EQ(find_campaign("abl_predictor")->make().workloads,
+            (std::vector<std::string>{"go", "gcc", "li", "parser"}));
+  EXPECT_EQ(find_campaign("abl_window")->make().workloads,
+            (std::vector<std::string>{"bzip", "li", "vortex"}));
+  EXPECT_EQ(find_campaign("abl_fp_corner")->make().workloads.front(),
+            "fp_saxpy");
+}
+
+TEST(MachinePoint, OverridesEditThePresetAndRejectGarbage) {
+  MachineConfig cfg = base_machine();
+  ASSERT_TRUE(apply_overrides(cfg, ""));
+  EXPECT_TRUE(cfg == base_machine());
+  ASSERT_TRUE(apply_overrides(
+      cfg, "ruu=128,lsq=64,width=8,predictor=bimodal,way=random"));
+  EXPECT_EQ(cfg.core.ruu_entries, 128u);
+  EXPECT_EQ(cfg.core.lsq_entries, 64u);
+  EXPECT_EQ(cfg.core.fetch_width, 8u);
+  EXPECT_EQ(cfg.core.issue_width, 8u);
+  EXPECT_EQ(cfg.core.commit_width, 8u);
+  EXPECT_TRUE(cfg.branch.use_bimodal);
+  EXPECT_EQ(cfg.core.way_policy, WayPolicy::Random);
+  for (const char* bad : {"ruu", "ruu=", "ruu=0", "ruu=-4", "ruu=4x",
+                          "rob=32", "way=lru", "predictor=perceptron",
+                          "ruu=32,"}) {
+    std::string error;
+    MachineConfig c = base_machine();
+    EXPECT_FALSE(apply_overrides(c, bad, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+  MachinePoint p;
+  p.overrides = "width=banana";
+  EXPECT_THROW(p.build(), std::invalid_argument);
+}
+
+TEST(MachinePoint, OverridesEnterTheIdAndRecordOnlyWhenSet) {
+  TaskSpec t = small_spec().expand()[1];
+  const std::string plain_id = t.id();
+  const std::string plain_line = task_jsonl(t);
+  EXPECT_EQ(plain_line.find("overrides"), std::string::npos);
+  EXPECT_EQ(t.machine.key(), "sliced-x2-t0x1f");
+
+  t.machine.overrides = "ruu=32,lsq=16,width=2";
+  EXPECT_EQ(t.machine.key(), "sliced-x2-t0x1f+ruu=32,lsq=16,width=2");
+  EXPECT_NE(t.id(), plain_id);
+  const std::string line = task_jsonl(t);
+  EXPECT_NE(line.find(R"("overrides":"ruu=32,lsq=16,width=2")"),
+            std::string::npos);
+  const auto back = parse_jsonl(line);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->task.machine.overrides, t.machine.overrides);
+  EXPECT_EQ(back->task.id(), t.id());
+  EXPECT_TRUE(back->task.machine.build() == t.machine.build());
+
+  // And through a store: load_records keeps the override, and the
+  // override-free twin stays a separate task.
+  const std::string path = temp_path("overrides");
+  {
+    TaskRecord with;
+    with.task = t;
+    with.status = "ok";
+    with.stats = fake_stats(t);
+    TaskRecord without = with;
+    without.task.machine.overrides.clear();
+    std::ofstream out(path);
+    out << to_jsonl(with) << "\n" << to_jsonl(without) << "\n";
+  }
+  const auto records = load_records(path);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].task.machine.overrides, "ruu=32,lsq=16,width=2");
+  EXPECT_EQ(records[0].task.machine.build().core.ruu_entries, 32u);
+  EXPECT_EQ(records[1].task.id(), plain_id);
+  std::remove(path.c_str());
+}
+
+// Fake ok records for `spec` with a per-(workload, machine) IPC taken
+// from `ipc`.
+std::vector<TaskRecord> records_with_ipc(
+    const SweepSpec& spec,
+    const std::function<double(const TaskSpec&)>& ipc) {
+  std::vector<TaskRecord> out;
+  for (const TaskSpec& t : spec.expand()) {
+    TaskRecord r;
+    r.task = t;
+    r.status = "ok";
+    r.stats.committed = 100000;
+    r.stats.cycles = static_cast<u64>(100000 / ipc(t));
+    out.push_back(r);
+  }
+  return out;
+}
+
+std::string render(const std::string& view,
+                   const std::vector<TaskRecord>& records) {
+  std::ostringstream os;
+  find_view(view)->render(records, false, os);
+  return os.str();
+}
+
+// fig11 and fig12 must print the same average speedup of the full stack
+// over simple pipelining, from one helper (the mean of per-benchmark
+// ratios). The fake store makes the two candidate means differ, so a view
+// that printed a ratio of means would fail.
+TEST(Views, Fig11AndFig12PrintTheSameAverageSpeedup) {
+  SweepSpec spec = find_campaign("fig11")->make();
+  spec.workloads = {"li", "mcf"};
+  const auto records = records_with_ipc(spec, [](const TaskSpec& t) {
+    const double wl = t.workload == "li" ? 1.0 : 0.25;
+    if (t.machine.kind == MachineKind::Base) return 1.2 * wl;
+    if (t.machine.kind == MachineKind::Simple) return 0.5 * wl;
+    return (t.machine.techniques == kAllTechniques
+                ? (t.workload == "li" ? 1.0 : 0.4)
+                : 0.6) *
+           wl;
+  });
+  const std::string fig11 = render("fig11", records);
+  const std::string fig12 = render("fig12", records);
+  const std::string mean = R"(\(mean of per-benchmark ratios\): ([-0-9.]+%))";
+  const std::regex f11("full vs simple pipelining " + mean);
+  const std::regex f12("average total speedup " + mean);
+  std::vector<std::string> a, b;
+  for (std::sregex_iterator it(fig11.begin(), fig11.end(), f11), end;
+       it != end; ++it)
+    a.push_back((*it)[1]);
+  for (std::sregex_iterator it(fig12.begin(), fig12.end(), f12), end;
+       it != end; ++it)
+    b.push_back((*it)[1]);
+  ASSERT_EQ(a.size(), 2u) << fig11;  // x2 and x4
+  EXPECT_EQ(a, b);
+  // li: 1.0/0.5 = 2.0, mcf: 0.1/0.125 = 0.8 -> mean ratio 1.4 (+40%); the
+  // ratio of means would be 1.1/0.625 = 1.76 (+76%).
+  EXPECT_EQ(a[0], "40.0%");
+  EXPECT_EQ(a[1], "40.0%");
+}
+
+// Every view over a tiny real campaign: its builtin campaign (fig11 for
+// fig12 and table1) at 2000 instructions on li, plus fp_saxpy for the FP
+// corner case, must print the line that carries its result.
+class ViewSmoke
+    : public testing::TestWithParam<std::pair<std::string, std::string>> {};
+
+TEST_P(ViewSmoke, TinyCampaignPrintsItsResult) {
+  const auto& [view, expect] = GetParam();
+  const BuiltinCampaign* c = find_campaign(view);
+  SweepSpec spec = (c ? c : find_campaign("fig11"))->make();
+  spec.workloads = {"li"};
+  if (view == "abl_fp_corner") spec.workloads.push_back("fp_saxpy");
+  spec.instructions = 2000;
+  spec.warmup = 0;
+  CampaignOptions options;
+  options.out_path = temp_path("view_" + view);
+  options.fresh = true;
+  options.progress = false;
+  const auto report = run_campaign(spec, make_sim_runner(), options);
+  EXPECT_EQ(report.ok, report.total);
+  const std::string out = render(view, report.records);
+  EXPECT_TRUE(std::regex_search(out, std::regex(expect))) << out;
+  std::remove(options.out_path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllViews, ViewSmoke,
+    testing::Values(
+        std::pair{"fig11", R"(full vs simple pipelining \(mean of per-)"},
+        std::pair{"fig12", R"(average total speedup \(mean of per-)"},
+        std::pair{"table1", R"(li +[0-9.]+ +[0-9.]+% .* 95%)"},
+        std::pair{"abl_slice_width", R"(li +[0-9.]+ .*\nmean +[0-9.]+)"},
+        std::pair{"abl_extensions", R"(li( +[0-9.]+){4}( +[0-9]+){3})"},
+        std::pair{"abl_sam", R"(average( +[0-9.]+){4})"},
+        std::pair{"abl_seeds", R"(li +spread +[-0-9.]+%\.\.)"},
+        std::pair{"abl_predictor", R"(li +bimodal-4k +[0-9]+%)"},
+        std::pair{"abl_way_policy", R"(li +first-match +[0-9.]+%)"},
+        std::pair{"abl_window", R"(li +64/32, 4-wide \(Table 2\) +[0-9])"},
+        std::pair{"abl_fp_corner", R"(fp/div saxpy +slice-by-4.*\n)"
+                                   R"(integer suite avg +slice-by-2)"},
+        std::pair{"abl_stability", R"(li +0 +[0-9.]+ +0\.0%)"}),
+    [](const auto& info) { return std::string(info.param.first); });
+
+TEST(Views, EveryCampaignViewRendersItsRecords) {
+  for (const auto& c : builtin_campaigns()) {
+    SweepSpec spec = c.make();
+    spec.workloads.resize(1);
+    spec.seeds.resize(std::min<std::size_t>(spec.seeds.size(), 2));
+    const auto records =
+        records_with_ipc(spec, [](const TaskSpec&) { return 1.0; });
+    const std::string out = render(c.name, records);
+    EXPECT_NE(out.find("1.00"), std::string::npos) << c.name << ":\n" << out;
+    // Any view over any store renders without throwing.
+    for (const auto& v : report_views()) render(v.name, records);
   }
 }
 
@@ -889,9 +1161,17 @@ TEST(Campaign, SummaryTableCoversTheGrid) {
   options.fresh = true;
   options.progress = false;
   const auto report = run_campaign(spec, fake_runner(), options);
-  const Table table = summary_table(spec, report);
-  // workload x seed rows plus the mean row.
-  EXPECT_EQ(table.rows(), spec.workloads.size() * spec.seeds.size() + 1);
+  // The one-IPC-column-per-machine table abl_slice_width prints.
+  std::ostringstream os;
+  find_view("abl_slice_width")->render(report.records, true, os);
+  // Header, workload x seed rows and the mean row are the CSV lines.
+  std::istringstream lines(os.str());
+  std::size_t rows = 0;
+  for (std::string line; std::getline(lines, line);)
+    rows += line.find(',') != std::string::npos;
+  EXPECT_EQ(rows, spec.workloads.size() * spec.seeds.size() + 2) << os.str();
+  const std::string csv = os.str();
+  EXPECT_NE(csv.find("li seed=0x1234,"), std::string::npos) << csv;
   std::remove(path.c_str());
 }
 

@@ -1,5 +1,9 @@
 // bsp-report: post-hoc reports over a campaign result store (JSONL).
 //
+// --view NAME renders a paper view (campaign/builtin.hpp) exactly as
+// bsp-sweep prints it after a run: fig11, fig12 and table1 over a fig11
+// store, each abl_* table over its campaign's store.
+//
 // --cpi-stack aggregates the cpi_* cycle-accounting leaves per machine
 // point and renders side-by-side breakdowns — where each technique stack
 // spends its commit slots — as a text table (default), per-machine full
@@ -8,6 +12,7 @@
 // the identity sum(cpi_*) == cycles * commit width, and the tool exits 1
 // if any aggregate violates it — the offline half of CI's identity check.
 //
+//   bsp-report --view fig12 results/fig11.jsonl
 //   bsp-report --cpi-stack results/fig11.jsonl
 //   bsp-report --cpi-stack results/fig11.jsonl --json > stacks.json
 //   bsp-report --cpi-stack results/fig11.jsonl --full
@@ -18,6 +23,7 @@
 #include <vector>
 
 #include "campaign/store.hpp"
+#include "campaign/builtin.hpp"
 #include "config/machine_config.hpp"
 #include "obs/cpi_stack.hpp"
 #include "util/cli.hpp"
@@ -69,7 +75,7 @@ std::string json_escape(const std::string& s) {
 
 int main(int argc, char** argv) {
   bool cpi_stack = false, json = false, csv = false, full = false;
-  std::string store_path;
+  std::string store_path, view_name;
 
   ArgParser parser(
       "bsp-report: render reports from a campaign result store (JSONL)");
@@ -78,6 +84,12 @@ int main(int argc, char** argv) {
                   "print side-by-side CPI stacks (store must come from a "
                   "--cpi-stack sweep)",
                   &cpi_stack);
+  std::string view_names;
+  for (const auto& v : report_views())
+    view_names += (view_names.empty() ? "" : ", ") + v.name;
+  parser.add_value("--view", "NAME",
+                   "print a paper view of the store (" + view_names + ")",
+                   &view_name);
   parser.add_value("--store", "PATH",
                    "result store to read (also accepted as a bare argument)",
                    &store_path);
@@ -85,36 +97,35 @@ int main(int argc, char** argv) {
                   "print each machine's full stack (slots, share, CPI) "
                   "instead of the side-by-side table",
                   &full);
-  parser.add_flag("--csv", "print the side-by-side table as CSV", &csv);
+  parser.add_flag("--csv", "print the view's or the side-by-side table as CSV",
+                  &csv);
   parser.add_flag("--json",
                   "print one JSON object: per-machine leaf counts, cycles, "
                   "committed, commit width",
                   &json);
 
-  // ArgParser has no positional support; peel off bare arguments as the
-  // store path before handing the dashed ones over.
-  std::vector<char*> dashed = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i][0] != '-' && !store_path.empty()) {
+  parser.set_positional([&](const std::string& path) {
+    if (!store_path.empty()) {
       std::cerr << "bsp-report: more than one store path given\n";
-      return 2;
+      std::exit(2);
     }
-    if (argv[i][0] != '-' && store_path.empty())
-      store_path = argv[i];
-    else
-      dashed.push_back(argv[i]);
-    // --store's value must stay attached to its option.
-    if (std::string(argv[i]) == "--store" && i + 1 < argc)
-      dashed.push_back(argv[++i]);
-  }
-  parser.parse(static_cast<int>(dashed.size()), dashed.data());
+    store_path = path;
+  });
+  parser.parse(argc, argv);
 
   if (store_path.empty()) {
     std::cerr << "bsp-report: no result store given (try --help)\n";
     return 2;
   }
-  if (!cpi_stack) {
-    std::cerr << "bsp-report: no report selected (try --cpi-stack)\n";
+  const ReportView* view = nullptr;
+  if (!view_name.empty() && !(view = find_view(view_name))) {
+    std::cerr << "bsp-report: unknown view '" << view_name << "' (one of "
+              << view_names << ")\n";
+    return 2;
+  }
+  if (!cpi_stack && !view) {
+    std::cerr << "bsp-report: no report selected (try --view or "
+                 "--cpi-stack)\n";
     return 2;
   }
 
@@ -131,6 +142,10 @@ int main(int argc, char** argv) {
   if (records.empty()) {
     std::cerr << "bsp-report: no parseable records in " << store_path << "\n";
     return 2;
+  }
+  if (view) {
+    view->render(records, csv, std::cout);
+    if (!cpi_stack) return 0;
   }
 
   const std::vector<MachineAgg> machines = aggregate_by_machine(records);

@@ -20,7 +20,8 @@
 //                           cadence (core/simulator.hpp)  [default full]
 //     --host-profile        report where host time went per scheduler phase,
 //                           and the scheduler's host events per commit
-//     --print-config        dump the machine configuration first
+//     --print-config        dump the machine configuration (Table 2) and
+//                           its Figure-10 pipeline diagram first
 //   Sampled simulation (src/sampling/): shard the measured region into K
 //   intervals and simulate them in parallel, stitching the stats back
 //   together with a confidence interval on the IPC estimate.
@@ -332,7 +333,9 @@ int main(int argc, char** argv) {
 
   const MachineConfig cfg =
       slices == 1 ? base_machine() : bitsliced_machine(slices, techniques);
-  if (print_config) std::cout << cfg.describe() << "\n";
+  if (print_config)
+    std::cout << cfg.describe() << "Figure 10 pipeline: "
+              << pipeline_diagram(cfg) << "\n\n";
 
   // Checkpoint-cache keying seed: bsp-sim builds workloads with the
   // default WorkloadParams seed, and the content hash carries correctness

@@ -6,7 +6,8 @@
 // never kills the sweep), and checkpointed to a JSONL result store — one
 // record per task with the full parameter tuple and SimStats. Rerunning
 // with the same --out path resumes: tasks with existing records are
-// skipped.
+// skipped. After the run it prints the campaign's report view
+// (campaign/builtin.hpp) over the grid's records.
 //
 // With --isolate process every task runs in its own worker subprocess
 // (this binary re-exec'd with the hidden --worker-json flag): a segfaulting
@@ -28,7 +29,7 @@
 //   bsp-sweep --list
 //   bsp-sweep --campaign fig11                      # full paper sweep
 //   bsp-sweep --campaign fig11 -n 20000 -w li       # quick smoke slice
-//   bsp-sweep --campaign fig12 --out results/fig12.jsonl --retry-failed
+//   bsp-sweep --campaign abl_sam --out results/abl_sam.jsonl --retry-failed
 //   bsp-sweep --campaign fig11 --isolate process --timeout 600
 //   bsp-sweep --campaign fig11 --serve :9000 --status-endpoint :9001
 //   bsp-sweep --connect coordinator-host:9000 -j 8
@@ -249,7 +250,7 @@ int main(int argc, char** argv) {
                   &no_progress);
   parser.add_flag("--dry-run", "print the expanded task list and exit",
                   &dry_run);
-  parser.add_flag("--csv", "print the summary table as CSV", &csv);
+  parser.add_flag("--csv", "print the view's tables as CSV", &csv);
   parser.add_value("--serve", "HOST:PORT",
                    "coordinate this campaign over TCP instead of running it "
                    "locally: shard tasks across --connect workers, stream "
@@ -488,11 +489,7 @@ int main(int argc, char** argv) {
               << " hit / " << report.ckpt_misses << " miss\n";
   }
   std::cout << "results: " << options.out_path << "\n\n";
-  const Table summary = summary_table(spec, report);
-  if (csv)
-    summary.print_csv(std::cout);
-  else
-    summary.print(std::cout);
+  find_view(spec.name)->render(report.records, csv, std::cout);
 
   if (runner_options.cpi_stack) {
     // Per-machine CPI aggregate: cpi_* leaves are registered counters, so
