@@ -251,14 +251,21 @@ void BM_SimulatorThroughput(benchmark::State& state) {
   SimOptions so;
   if (const char* spec = std::getenv("BSP_BENCH_COSIM"))
     if (!parse_cosim(spec, &so)) std::abort();
+  HostEvents ev;
   for (auto _ : state) {
     Simulator sim(cfg, w.program);
     sim.set_options(so);
     const SimResult r = sim.run(20'000);
     if (!r.ok()) state.SkipWithError(r.error.c_str());
     benchmark::DoNotOptimize(r.stats.cycles);
+    ev = sim.host_events();
   }
   state.SetItemsProcessed(state.iterations() * 20'000);
+  // Deterministic cost ledger: every host-event count per commit. Each
+  // iteration runs the same simulation, so these repeat bit for bit across
+  // runs and hosts; a moved count is an algorithmic change, never noise.
+  for (const HostEventDesc& d : kHostEventFields)
+    state.counters[d.name] = static_cast<double>(ev.*d.field) / 20'000;
 }
 BENCHMARK(BM_SimulatorThroughput)->Arg(0)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);

@@ -84,7 +84,7 @@ struct StaticInst {
                                  // dispatch runs the dynamic narrow test
     kFlagEarlyEq = 1u << 11,     // multi-op BranchEq under EarlyBranch:
                                  // resolve_time walks the compare slices
-    kFlagWatched = 1u << 12,     // cond branch or jr: joins branch_watch
+    kFlagWatched = 1u << 12,     // cond branch or jr: resolve-phase wakes
   };
 
   DecodedInst inst;
@@ -138,6 +138,7 @@ struct RuuEntry {
 
   // --- memory state (loads & stores) ---
   MemPhase mem_phase = MemPhase::Agen;
+  unsigned lsq_slot = 0;              // LSQ ring slot while queued
   Cycle lsq_decision_cycle = kNever;  // when the LSQ let the load proceed
   Cycle access_start_cycle = kNever;  // cache probe start (loads)
   bool data_final = false;            // verification complete
@@ -186,7 +187,7 @@ struct RuuEntry {
   // either written unconditionally by dispatch before any read (valid,
   // bogus, seq, pc, si, inst, flags/num_ops/op_latency/order/res_kind,
   // ready_floor, dispatch_cycle, sources[0..1], prediction state from the
-  // fetch slot) or only ever read behind a guard that dispatch re-arms
+  // fetch slot, lsq_slot for memory ops) or only ever read behind a guard that dispatch re-arms
   // (prev_* behind dest/hi-lo renames, forward_store_seq and
   // spec_forward_value behind `forwarded`/way markers, narrow_result
   // behind the narrow-candidate branch). Clearing the whole entry instead

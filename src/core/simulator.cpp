@@ -30,6 +30,16 @@ constexpr Cycle kWatchdogCycles = 100000;
 // Memory ports into the L1 D-cache (load accesses started per cycle).
 constexpr unsigned kDCachePorts = 2;
 
+// Invariant build (-DBSP_CHECK_INVARIANTS=ON): every cycle, the memory and
+// resolve phases also evaluate their "can this advance now?" predicate on
+// each LSQ entry and branch they skipped, and fail the run on any that
+// could have.
+#ifdef BSP_CHECK_INVARIANTS
+constexpr bool kCheckInvariants = true;
+#else
+constexpr bool kCheckInvariants = false;
+#endif
+
 // Classes whose execution can be decomposed into per-slice micro-ops.
 bool is_sliceable(ExecClass cls) {
   switch (cls) {
@@ -88,6 +98,7 @@ struct Simulator::Impl {
         core(cfg.core),
         geom(core.slice_geometry()),
         sliced_sched(core.has(Technique::PartialBypass)),
+        sum_addressed(core.has(Technique::SumAddressed)),
         text_base(program.text_base),
         text_end(program.text_end()),
         oracle(program),
@@ -106,21 +117,26 @@ struct Simulator::Impl {
     wheel_head.fill(-1);
     far_min.fill(kNever);
     lsq.init(core.lsq_entries);
+    lsq_due.assign((lsq.buf.size() + 63) / 64, 0);
+    lsq_store_wait.assign(lsq_due.size(), 0);
     fetch_q.init(ifq_capacity + core.fetch_width);
     // Pre-size the node pools and scheduler buffers from the machine shape:
     // at most ruu_entries * geometry slice-ops are in flight, each resident
     // in exactly one waiter list / wheel slot / pending (stale refs add a
-    // small constant factor). Reserving here keeps the steady state free of
-    // heap allocation on the dispatch/wakeup hot paths; the steady-state
-    // test asserts these capacities never grow (scratch_reallocations()).
+    // small constant factor), and each selected memory or branch op holds
+    // at most one timed wake for the memory / resolve phases, plus one
+    // verify or store-data wake per LSQ entry. Reserving here keeps the
+    // steady state free of heap allocation on the dispatch/wakeup hot
+    // paths; the steady-state test asserts these capacities never grow
+    // (scratch_reallocations()).
     const std::size_t max_ops = std::size_t{core.ruu_entries} * geom.count;
-    wait_pool.reserve(2 * max_ops + 64);
+    wait_pool.reserve(3 * max_ops + 2 * std::size_t{core.lsq_entries} + 64);
     cons_pool.reserve(4 * core.ruu_entries + 64);
     pending.reserve(2 * max_ops + 64);
     cand_scratch.reserve(2 * max_ops + 64);
     views_scratch.reserve(core.lsq_entries);
     relax_work.reserve(core.ruu_entries);
-    branch_watch.reserve(2 * core.ruu_entries);
+    branch_due.reserve(2 * core.ruu_entries);
     far_scratch.reserve(64);
     far_overflow.reserve(64);
     // Sortless select scratch: `tmp` swaps with cand_scratch, so all three
@@ -168,7 +184,7 @@ struct Simulator::Impl {
     return {wait_pool.capacity(),    cons_pool.capacity(),
             pending.capacity(),      cand_scratch.capacity(),
             views_scratch.capacity(), relax_work.capacity(),
-            branch_watch.capacity(), far_scratch.capacity(),
+            branch_due.capacity(),   far_scratch.capacity(),
             far_overflow.capacity(), sel_scratch.head.capacity(),
             sel_scratch.next.capacity(), sel_scratch.tmp.capacity(),
             wake_scratch.capacity()};
@@ -186,6 +202,8 @@ struct Simulator::Impl {
   const CoreConfig& core;
   const SliceGeometry geom;
   const bool sliced_sched;
+  const bool sum_addressed;  // loads may access the cache once every agen
+                             // op is selected (Technique::SumAddressed)
   // Bounds of the text image the predecoded table covers; the image itself
   // lives in the emulators' memories.
   const u32 text_base;
@@ -243,6 +261,12 @@ struct Simulator::Impl {
     // at queue time is still exact and select can skip re-deriving it.
     u64 epoch;
   };
+  // Two wake kinds share the wheels, waiter lists and node pool with
+  // slice-op refs, told apart by an op_idx no op has: an LSQ entry the
+  // memory phase must examine, and a branch the resolve phase must check.
+  // They carry no token — the entry's seq alone validates them.
+  static constexpr unsigned kMemWake = kMaxSlices;
+  static constexpr unsigned kBranchWake = kMaxSlices + 1;
   struct ConsumerRef {
     unsigned idx;
     u64 seq;
@@ -342,16 +366,6 @@ struct Simulator::Impl {
     cons_free = cons_pool[n].next;
     return n;
   }
-  void wait_append(NodeList& l, const OpRef& r) {
-    const int n = wait_alloc();
-    wait_pool[n].ref = r;
-    wait_pool[n].next = -1;
-    if (l.tail < 0)
-      l.head = n;
-    else
-      wait_pool[l.tail].next = n;
-    l.tail = n;
-  }
   void cons_append(NodeList& l, const ConsumerRef& r) {
     const int n = cons_alloc();
     cons_pool[n].ref = r;
@@ -435,17 +449,9 @@ struct Simulator::Impl {
   Cycle far_overflow_min = kNever;
   std::vector<FarWake> far_scratch;  // drain staging
 
-  void wheel_push(Cycle c, const OpRef& ref) {
-    const unsigned slot = static_cast<unsigned>(c & (kWheelSize - 1));
-    const int n = wait_alloc();
-    wait_pool[static_cast<unsigned>(n)].ref = ref;
-    wait_pool[static_cast<unsigned>(n)].next = wheel_head[slot];
-    wheel_head[slot] = n;
-    wheel_bits[slot >> 6] |= u64{1} << (slot & 63);
-    ++wheel_count;
-  }
-
-  void far_push(Cycle c, const OpRef& ref) {
+  // Out of line: a rare path that would otherwise bloat every inlined
+  // place_node.
+  [[gnu::noinline]] void far_push(Cycle c, const OpRef& ref) {
     const Cycle ep = c >> kWheelBits;
     if (ep - far_epoch < kFarEpochs) {
       const unsigned b = static_cast<unsigned>(ep & (kFarEpochs - 1));
@@ -481,14 +487,8 @@ struct Simulator::Impl {
         far_bits &= ~bit;
       }
       far_epoch = cur;
-      for (const FarWake& fw : far_scratch) {
-        if (fw.c <= now)
-          pending.push_back(fw.ref);
-        else if (fw.c - now < kWheelSize)
-          wheel_push(fw.c, fw.ref);
-        else
-          far_push(fw.c, fw.ref);
-      }
+      for (const FarWake& fw : far_scratch)
+        place_node(wait_alloc(), fw.ref, fw.c, 0);
     }
     far_epoch = cur;
     if (!far_overflow.empty() &&
@@ -496,14 +496,8 @@ struct Simulator::Impl {
       far_scratch.clear();
       far_scratch.swap(far_overflow);
       far_overflow_min = kNever;
-      for (const FarWake& fw : far_scratch) {
-        if (fw.c <= now)
-          pending.push_back(fw.ref);
-        else if (fw.c - now < kWheelSize)
-          wheel_push(fw.c, fw.ref);
-        else
-          far_push(fw.c, fw.ref);
-      }
+      for (const FarWake& fw : far_scratch)
+        place_node(wait_alloc(), fw.ref, fw.c, 0);
     }
   }
 
@@ -577,15 +571,16 @@ struct Simulator::Impl {
     }
     return kNever;
   }
-  // In-flight correct-path conditional branches / jr (dispatch order). The
-  // resolve scan walks this short list instead of the whole RUU; dead and
-  // committed entries are pruned lazily.
-  std::vector<ConsumerRef> branch_watch;
+  // Correct-path branches whose resolve time may have arrived this cycle
+  // (kBranchWake refs drained from the wheel), checked in seq order by
+  // the resolve phase; duplicates and dead refs are skipped there.
+  std::vector<ConsumerRef> branch_due;
   // Selective-replay worklist (entry indices) + membership flags.
   std::vector<unsigned> relax_work;
   std::vector<u8> relax_queued;
   // Bumped whenever replay regresses any recorded time; tells the in-cycle
-  // store-view cache in memory_progress() to rebuild.
+  // store-view cache to rebuild and the memory phase to re-examine every
+  // active LSQ entry.
   u64 sched_epoch = 0;
   // Set by any state mutation this cycle; a fully quiet cycle with no
   // same-cycle retry pending is when the idle skip may fast-forward.
@@ -599,7 +594,8 @@ struct Simulator::Impl {
 
   // Unified LSQ: RUU indices of in-flight memory ops, oldest first. A flat
   // power-of-two ring (capacity fixed by the machine config) instead of a
-  // segmented deque: the disambiguation walk indexes it every cycle.
+  // segmented deque; an entry keeps its ring slot (RuuEntry::lsq_slot)
+  // from dispatch to commit or squash, so per-slot bitmaps can track it.
   struct IntRing {
     std::vector<int> buf;
     unsigned mask = 0;
@@ -618,9 +614,14 @@ struct Simulator::Impl {
     int operator[](std::size_t i) const {
       return buf[(head + static_cast<unsigned>(i)) & mask];
     }
-    void push_back(int v) {
-      buf[(head + count) & mask] = v;
+    unsigned slot(std::size_t i) const {
+      return (head + static_cast<unsigned>(i)) & mask;
+    }
+    unsigned push_back(int v) {
+      const unsigned s = (head + count) & mask;
+      buf[s] = v;
       ++count;
+      return s;
     }
     void pop_front() {
       head = (head + 1) & mask;
@@ -630,23 +631,22 @@ struct Simulator::Impl {
   };
   IntRing lsq;
 
-  // Count of LSQ entries not yet in MemPhase::Done: when zero the per-cycle
-  // memory walk has nothing to advance and is skipped wholesale. Every
-  // phase transition funnels through set_mem_phase() so the counter cannot
-  // drift from the queue contents.
+  // Per-ring-slot bitmaps. `lsq_due`: entries the memory phase must
+  // examine at its next run; a bit set behind the walk's position carries
+  // over to the next cycle, exactly when a polling walk would next have
+  // looked. `lsq_store_wait`: loads whose last disambiguation waited on an
+  // older store, woken together whenever a store's view changes.
+  std::vector<u64> lsq_due;
+  std::vector<u64> lsq_store_wait;
+  // Count of LSQ entries not yet in MemPhase::Done: when zero the memory
+  // phase has nothing to advance and is skipped wholesale. Every phase
+  // transition funnels through set_mem_phase() so the counter cannot drift
+  // from the queue contents.
   int mem_active_ = 0;
-  // First LSQ position that can be non-Done: positions below it hold only
-  // finished entries awaiting commit, so the per-cycle walk starts here.
-  // Invariant upkeep: commit shifts it down with the head, any Done ->
-  // non-Done regression (replay) resets it to zero, and dispatch can only
-  // append at/after it.
-  std::size_t mem_scan_from = 0;
   // Line address of the last I-cache probe (see fetch()); ~0u is never a
   // line address, so the first fetch always probes.
   u32 last_fetch_line_ = ~0u;
   void set_mem_phase(RuuEntry& e, MemPhase p) {
-    if (e.mem_phase == MemPhase::Done && p != MemPhase::Done)
-      mem_scan_from = 0;
     mem_active_ += static_cast<int>(e.mem_phase == MemPhase::Done) -
                    static_cast<int>(p == MemPhase::Done);
     e.mem_phase = p;
@@ -764,37 +764,6 @@ struct Simulator::Impl {
     if (error.empty()) error = "cycle " + std::to_string(now) + ": " + why;
   }
 
-  // When each slice of `e`'s *result* becomes available: one dense switch
-  // on the dispatch-time result class (kRes*) instead of re-deriving
-  // is-load / exec-class / op-count / narrow-width per probe.
-  Cycle result_slice_time(const RuuEntry& e, unsigned slice) const {
-    const Cycle* d = op_done_row(eidx(e));
-    switch (e.res_kind) {
-      case kResLoad:
-        return e.data_cycle;
-      case kResLast:
-        return last_op_done(eidx(e));  // sign/borrow defined only at the end
-      case kResSingle:
-      case kResNarrow:
-        // Narrow-width: a result that is just the sign extension of its low
-        // slice releases every slice the moment the low slice exists (its
-        // significance tag says the rest is all-0s/all-1s).
-        return d[0];
-      default:
-        return d[slice];
-    }
-  }
-
-  // Availability of slice `k` of source operand `which` of entry `e`.
-  Cycle source_slice_time(const RuuEntry& e, unsigned which,
-                          unsigned k) const {
-    const ProducerRef& ref = e.sources[which];
-    if (ref.from_regfile()) return 0;
-    const RuuEntry& p = ruu[ref.index];
-    if (!p.valid || p.seq != ref.seq) return 0;  // producer committed
-    return result_slice_time(p, k);
-  }
-
   // Source-slice requirement of slice-op `op_idx` on source `which`, for an
   // instruction dispatched with slice order `order`. Pure in dispatch-time
   // constants; build_static() bakes it into the predecoded table.
@@ -825,6 +794,68 @@ struct Simulator::Impl {
     return ruu[pidx].order == SliceOrder::HighToLow
                ? static_cast<unsigned>(std::countr_zero(undef))
                : 31u - static_cast<unsigned>(std::countl_zero(undef));
+  }
+
+  // When the slices `mask` of source operand `which` of `e` all exist: 0
+  // for a register-file or committed producer, kNever while one is still
+  // unproduced — then `blocker` (when given) receives the waiter list of
+  // one undefined time among them: a producer slice-op's done time or a
+  // load's data time. The producer is resolved once per call: a dense
+  // switch on its result class, where slice-uniform classes (loads,
+  // collects, compares, narrow) short-circuit the per-slice walk. Forced
+  // inline: op_ready_time, the hottest path, calls it once per source.
+  [[gnu::always_inline]] Cycle source_time(const RuuEntry& e, unsigned which,
+                                           u32 mask, unsigned* blocker) const {
+    if (!mask) return 0;
+    const ProducerRef& ref = e.sources[which];
+    if (ref.from_regfile()) return 0;  // regfile: ready at 0
+    const RuuEntry& p = ruu[ref.index];
+    if (!p.valid || p.seq != ref.seq) return 0;  // producer committed
+    Cycle t;
+    const unsigned pidx = static_cast<unsigned>(ref.index);
+    const Cycle* pd = op_done_row(pidx);
+    switch (p.res_kind) {
+      case kResLoad:
+        t = p.data_cycle;
+        break;
+      case kResLast:
+        t = last_op_done(pidx);  // sign/borrow defined only at the end
+        break;
+      case kResSingle:
+      case kResNarrow:
+        // Narrow-width: a result that is just the sign extension of its low
+        // slice releases every slice the moment the low slice exists (its
+        // significance tag says the rest is all-0s/all-1s).
+        t = pd[0];
+        break;
+      default: {
+        t = 0;
+        for (u32 m = mask; m && t != kNever; m &= m - 1) {
+          const unsigned k = static_cast<unsigned>(std::countr_zero(m));
+          t = std::max(t, pd[k]);
+        }
+        break;
+      }
+    }
+    if (t == kNever && blocker) {
+      switch (p.res_kind) {
+        case kResLoad:
+          *blocker = data_list(pidx);
+          break;
+        case kResLast:
+          *blocker =
+              op_list(pidx, last_undefined_op(pidx, low_mask(p.num_ops)));
+          break;
+        case kResSingle:
+        case kResNarrow:
+          *blocker = op_list(pidx, 0);
+          break;
+        default:
+          *blocker = op_list(pidx, last_undefined_op(pidx, mask));
+          break;
+      }
+    }
+    return t;
   }
 
   // Latest cycle at which every operand slice op `op_idx` needs exists; or
@@ -861,59 +892,8 @@ struct Simulator::Impl {
     }
     const auto& need = e.si->need[op_idx];
     for (unsigned which = 0; which < 3; ++which) {
-      const ProducerRef& ref = e.sources[which];
-      if (ref.from_regfile()) continue;  // regfile: ready at 0
-      const RuuEntry& p = ruu[ref.index];
-      if (!p.valid || p.seq != ref.seq) continue;  // producer committed
-      const u32 mask = need[which];
-      if (!mask) continue;
-      // Producer resolved once per source: a dense switch on its result
-      // class; slice-uniform classes (loads, collects, compares, narrow)
-      // short-circuit the per-slice walk.
-      Cycle t;
-      const unsigned pidx = static_cast<unsigned>(ref.index);
-      const Cycle* pd = op_done_row(pidx);
-      switch (p.res_kind) {
-        case kResLoad:
-          t = p.data_cycle;
-          break;
-        case kResLast:
-          t = last_op_done(pidx);
-          break;
-        case kResSingle:
-        case kResNarrow:
-          t = pd[0];
-          break;
-        default: {
-          t = 0;
-          for (u32 m = mask; m && t != kNever; m &= m - 1) {
-            const unsigned k = static_cast<unsigned>(std::countr_zero(m));
-            t = std::max(t, pd[k]);
-          }
-          break;
-        }
-      }
-      if (t == kNever) {
-        if (blocker) {
-          switch (p.res_kind) {
-            case kResLoad:
-              *blocker = data_list(pidx);
-              break;
-            case kResLast:
-              *blocker = op_list(pidx, last_undefined_op(pidx,
-                                                         low_mask(p.num_ops)));
-              break;
-            case kResSingle:
-            case kResNarrow:
-              *blocker = op_list(pidx, 0);
-              break;
-            default:
-              *blocker = op_list(pidx, last_undefined_op(pidx, mask));
-              break;
-          }
-        }
-        return kNever;
-      }
+      const Cycle t = source_time(e, which, need[which], blocker);
+      if (t == kNever) return kNever;
       ready = std::max(ready, t);
     }
     return ready;
@@ -944,23 +924,72 @@ struct Simulator::Impl {
                  sched_epoch};
   }
 
+  // Puts pool node `n` carrying `ref` where its time says: the waiter list
+  // `blocker` while the time is undefined, the due sets once it has
+  // arrived, else the wheel slot (or far wheel) of that cycle. Waiter lists
+  // and wheel slots share the pool, so the node is relinked, not copied.
+  // Forced inline: every wakeup and queue_op ends here.
+  [[gnu::always_inline]] void place_node(int n, const OpRef& ref, Cycle ready,
+                                         unsigned blocker) {
+    if (ready == kNever) {
+      NodeList& l = waiters[blocker];
+      wait_pool[n].ref = ref;
+      wait_pool[n].next = -1;
+      if (l.tail < 0)
+        l.head = n;
+      else
+        wait_pool[l.tail].next = n;
+      l.tail = n;
+    } else if (ready <= now) {
+      route_due(ref);
+      wait_release(n);
+    } else if (ready - now < kWheelSize) {
+      const unsigned slot = static_cast<unsigned>(ready & (kWheelSize - 1));
+      wait_pool[n].ref = ref;
+      wait_pool[n].next = wheel_head[slot];
+      wheel_head[slot] = n;
+      wheel_bits[slot >> 6] |= u64{1} << (slot & 63);
+      ++wheel_count;
+    } else {
+      ++hev.far_spills;
+      far_push(ready, ref);
+      wait_release(n);
+    }
+  }
+
   // (Re)tracks an unselected op in exactly one scheduler structure, chosen
   // by its current ready time.
   void queue_op(unsigned idx, unsigned op_idx) {
     ++hev.queue_ops;
     unsigned blocker = 0;
     const Cycle ready = op_ready_time(ruu[idx], op_idx, &blocker);
-    const OpRef ref = fresh_ref(idx, op_idx);
-    if (ready == kNever) {
-      wait_append(waiters[blocker], ref);
-    } else if (ready <= now) {
-      pending.push_back(ref);
-    } else if (ready - now < kWheelSize) {
-      wheel_push(ready, ref);
+    place_node(wait_alloc(), fresh_ref(idx, op_idx), ready, blocker);
+  }
+
+  // A ref whose time has arrived: a slice-op becomes a select candidate,
+  // an LSQ entry is examined by this cycle's memory phase, a branch is
+  // checked by the next resolve phase.
+  void route_due(const OpRef& r) {
+    if (r.op_idx < kMaxSlices)
+      pending.push_back(r);
+    else
+      route_wake(r);
+  }
+  void route_wake(const OpRef& r) {
+    const RuuEntry& e = ruu[r.idx];
+    if (!e.valid || e.seq != r.seq) return;  // squashed or committed
+    if (r.op_idx == kMemWake) {
+      if (e.mem_phase != MemPhase::Done) mark_mem_due(e);
     } else {
-      ++hev.far_spills;
-      far_push(ready, ref);
+      branch_due.push_back(ConsumerRef{r.idx, r.seq});
     }
+  }
+
+  // Schedules a wake of kind `kind` for entry `idx` at cycle `c` — or, if
+  // `c` is still undefined, when waiter list `blocker` is woken.
+  void wake_at(Cycle c, unsigned idx, unsigned kind, unsigned blocker = 0) {
+    place_node(wait_alloc(), OpRef{idx, ruu[idx].seq, kind, 0, 0, 0}, c,
+               blocker);
   }
 
   // First cycle > now with a populated wheel slot (kNever if none): scans
@@ -983,46 +1012,10 @@ struct Simulator::Impl {
     return kNever;
   }
 
-  // queue_op for a walk of waiter list `from` that already holds a pool
-  // node: the node is relinked straight into the destination list (another
-  // waiter list, or a wheel slot — both share the pool) instead of a
-  // release + alloc round trip. Same token bump, same ref, same routing as
-  // queue_op.
-  void requeue_node(int n, unsigned idx, unsigned op_idx, unsigned from) {
-    unsigned blocker = 0;
-    const Cycle ready = op_ready_time(ruu[idx], op_idx, &blocker);
-    const OpRef ref = fresh_ref(idx, op_idx);
-    if (ready == kNever) {
-      ++hev.reregisters;
-      hev.same_list_reregisters += blocker == from;
-      NodeList& l = waiters[blocker];
-      wait_pool[n].ref = ref;
-      wait_pool[n].next = -1;
-      if (l.tail < 0)
-        l.head = n;
-      else
-        wait_pool[l.tail].next = n;
-      l.tail = n;
-    } else if (ready <= now) {
-      pending.push_back(ref);
-      wait_release(n);
-    } else if (ready - now < kWheelSize) {
-      const unsigned slot = static_cast<unsigned>(ready & (kWheelSize - 1));
-      wait_pool[n].ref = ref;
-      wait_pool[n].next = wheel_head[slot];
-      wheel_head[slot] = n;
-      wheel_bits[slot >> 6] |= u64{1} << (slot & 63);
-      ++wheel_count;
-    } else {
-      ++hev.far_spills;
-      far_push(ready, ref);
-      wait_release(n);
-    }
-  }
-
   // The time waiter list `list` stands for was published (an op was
   // selected, or load data was scheduled): re-evaluate every op blocked on
-  // it.
+  // it, and every store whose data waited on it. Each node is relinked
+  // straight into its next list or wheel slot (place_node).
   void wake_waiters(unsigned list) {
     // Detach the whole list first: its time now exists, so the walk's
     // re-registrations all land on other lists.
@@ -1034,10 +1027,23 @@ struct Simulator::Impl {
       ++hev.waiter_visits;
       const OpRef r = wait_pool[n].ref;
       const int next = wait_pool[n].next;
-      if (ref_entry(r))
-        requeue_node(n, r.idx, r.op_idx, list);
-      else
+      unsigned blocker = 0;
+      if (r.op_idx == kMemWake) {
+        const RuuEntry& e = ruu[r.idx];
+        if (e.valid && e.seq == r.seq && e.mem_phase != MemPhase::Done)
+          place_node(n, r, store_data_time(e, &blocker), blocker);
+        else
+          wait_release(n);
+      } else if (ref_entry(r)) {
+        const Cycle ready = op_ready_time(ruu[r.idx], r.op_idx, &blocker);
+        if (ready == kNever) {
+          ++hev.reregisters;
+          hev.same_list_reregisters += blocker == list;
+        }
+        place_node(n, fresh_ref(r.idx, r.op_idx), ready, blocker);
+      } else {
         wait_release(n);
+      }
       n = next;
     }
   }
@@ -1061,7 +1067,7 @@ struct Simulator::Impl {
   // decoder, so the access overlaps the agen ops themselves: the address is
   // usable the cycle the last agen op is *selected*.
   Cycle full_addr_cycle(const RuuEntry& e) const {
-    if (!core.has(Technique::SumAddressed)) return agen_complete_cycle(e);
+    if (!sum_addressed) return agen_complete_cycle(e);
     const unsigned idx = eidx(e);
     Cycle m = 0;
     for (unsigned i = 0; i < e.num_ops; ++i) {
@@ -1073,15 +1079,9 @@ struct Simulator::Impl {
   }
 
   // When all slices of a store's *data* operand are available (kNever if the
-  // producer has not finished).
-  Cycle store_data_time(const RuuEntry& e) const {
-    Cycle t = 0;
-    for (unsigned k = 0; k < geom.count; ++k) {
-      const Cycle s = source_slice_time(e, 1, k);
-      if (s == kNever) return kNever;
-      t = std::max(t, s);
-    }
-    return t;
+  // producer has not finished; `blocker` then names one undefined time).
+  Cycle store_data_time(const RuuEntry& e, unsigned* blocker = nullptr) const {
+    return source_time(e, 1, low_mask(geom.count), blocker);
   }
 
   // ---------------------------------------------------------------------------
@@ -1162,8 +1162,8 @@ struct Simulator::Impl {
     s.flags = f;
 
     // Static part of the result-time class; dispatch upgrades kResSliced to
-    // kResNarrow when the dynamic narrow-width test passes. The priority
-    // mirrors the original result_slice_time chain: load, compare, single.
+    // kResNarrow when the dynamic narrow-width test passes. Priority: load,
+    // compare, single.
     if (cls == ExecClass::Load)
       s.res_kind = kResLoad;
     else if (cls == ExecClass::Compare)
@@ -1303,11 +1303,10 @@ struct Simulator::Impl {
     }
 
     if (si->flags & StaticInst::kFlagMem) {
-      lsq.push_back(static_cast<int>(idx));
+      // Nothing can advance before an agen op completes, which wakes it.
+      e.lsq_slot = lsq.push_back(static_cast<int>(idx));
       ++mem_active_;  // fresh mem ops enter in MemPhase::Agen
     }
-    if (!e.bogus && (si->flags & StaticInst::kFlagWatched))
-      branch_watch.push_back(ConsumerRef{idx, e.seq});
 
     // Hand every slice-op to the scheduler queues (source-need masks come
     // from the predecoded row).
@@ -1425,16 +1424,13 @@ struct Simulator::Impl {
   // select & execute
   // ---------------------------------------------------------------------------
 
-  void select_and_execute() {
-    // Per-slice-datapath issue slots this cycle. Unsliced machines and
-    // collect ops use datapath 0; FP ops use their own unit pool.
-    std::array<unsigned, kMaxSlices> slots{};
-    unsigned fp_alu_used = 0;
-    const unsigned per_slice_limit = std::min(core.issue_width, core.int_alus);
-
-    // Pull every op whose scheduled wake cycle has arrived into `pending`.
-    // (Wheel slots strictly between skipped cycles are empty by construction
-    // of the idle skip, so draining just now's slot is complete.)
+  // Routes every wake whose cycle has arrived (route_due): slice-ops into
+  // `pending`, LSQ entries into the memory phase's due set, branches into
+  // `branch_due`. Runs first in the cycle, so the resolve phase sees its
+  // branches before select. (Wheel slots strictly between skipped cycles
+  // are empty by construction of the idle skip, so draining just now's
+  // slot is complete.)
+  void drain_wakeups() {
     if (wheel_count) {
       const unsigned slot = static_cast<unsigned>(now & (kWheelSize - 1));
       int n = wheel_head[slot];
@@ -1443,7 +1439,7 @@ struct Simulator::Impl {
         wheel_bits[slot >> 6] &= ~(u64{1} << (slot & 63));
         while (n >= 0) {
           const int next = wait_pool[static_cast<unsigned>(n)].next;
-          pending.push_back(wait_pool[static_cast<unsigned>(n)].ref);
+          route_due(wait_pool[static_cast<unsigned>(n)].ref);
           wait_release(n);
           --wheel_count;
           n = next;
@@ -1451,7 +1447,33 @@ struct Simulator::Impl {
       }
     }
     if (far_count || !far_overflow.empty()) drain_far();
+  }
+
+  // A selected slice-op publishes a done time the memory and resolve
+  // phases wait on: its LSQ entry is examined when the op completes (an
+  // address slice lands) — or at once if a sum-addressed load's address
+  // just became usable — and a branch is checked when the op could prove
+  // its outcome.
+  void note_selected(const RuuEntry& e, unsigned idx, unsigned op,
+                     Cycle done) {
+    if ((e.flags & StaticInst::kFlagMem) && e.mem_phase != MemPhase::Done) {
+      wake_at(done, idx, kMemWake);
+      if (sum_addressed && (e.flags & StaticInst::kFlagLoad) &&
+          full_addr_cycle(e) == now)
+        mark_mem_due(e);
+    }
+    if ((e.flags & StaticInst::kFlagWatched) && !e.bogus && !e.resolved &&
+        may_prove_outcome(e, idx, op))
+      wake_at(done, idx, kBranchWake);
+  }
+
+  void select_and_execute() {
     if (pending.empty()) return;
+    // Per-slice-datapath issue slots this cycle. Unsliced machines and
+    // collect ops use datapath 0; FP ops use their own unit pool.
+    std::array<unsigned, kMaxSlices> slots{};
+    unsigned fp_alu_used = 0;
+    const unsigned per_slice_limit = std::min(core.issue_width, core.int_alus);
 
     // Select in the order the scan-based scheduler examined ops: oldest
     // entry first, then slice visit order within the entry. Same-cycle
@@ -1529,6 +1551,8 @@ struct Simulator::Impl {
       if (!fp_unit) ++slots[datapath];
       arm_timer(done);
       cycle_activity = true;
+      if (fl & (StaticInst::kFlagMem | StaticInst::kFlagWatched))
+        note_selected(e, r.idx, op_idx, done);
       // The newly defined done time may unblock the ops waiting on exactly
       // it. Wakes are deferred to one pass after the candidate walk: every
       // published done is >= now + 1, so a woken op can never become a
@@ -1563,26 +1587,35 @@ struct Simulator::Impl {
     v.id = lsq[slot];
     if (s.bogus) {
       v.addr_known_bits = 0;  // wrong-path store: address never produced
-    } else {
-      v.addr_known_bits = addr_bits_known_at(s, now);
-      v.addr = s.oracle.mem_addr;
-      v.bytes = s.oracle.mem_bytes;
-      const Cycle dt = store_data_time(s);
-      v.data_ready = dt != kNever && dt <= now;
-      v.data = s.oracle.store_value;
+      return v;
     }
+    v.addr = s.oracle.mem_addr;
+    v.bytes = s.oracle.mem_bytes;
+    v.data = s.oracle.store_value;
+    if (s.mem_phase == MemPhase::Done) {
+      // Done means address and data both exist: replay moves a store whose
+      // times regress back to Agen.
+      v.addr_known_bits = 32;
+      v.data_ready = true;
+      return v;
+    }
+    v.addr_known_bits = addr_bits_known_at(s, now);
+    // Disambiguation reads data_ready only of a store whose address is
+    // complete, so the producer is probed only then.
+    if (v.addr_known_bits == 32) v.data_ready = store_data_time(s) <= now;
     return v;
   }
 
-  // Publishes a (possibly speculative) load data time: arms the wakeup
-  // timers for the data return and its verification point, and re-evaluates
-  // consumers blocked on the previously undefined time.
+  // Publishes a (possibly speculative) load data time: arms the timer for
+  // the data return, schedules the memory phase's look at its verification
+  // point, and re-evaluates consumers blocked on the previously undefined
+  // time.
   void publish_load_data(unsigned idx) {
     RuuEntry& e = ruu[idx];
     cycle_activity = true;
     if (e.data_cycle != kNever) {
       arm_timer(e.data_cycle);
-      if (!e.data_final) arm_timer(e.data_cycle + 1);  // verify next cycle
+      if (!e.data_final) wake_at(e.data_cycle + 1, idx, kMemWake);
     }
     wake_waiters(data_list(idx));
   }
@@ -1699,208 +1732,326 @@ struct Simulator::Impl {
     run_relax();
   }
 
+  // --- event-driven memory phase ------------------------------------------
+  // The phase examines an LSQ entry only in a cycle when something it
+  // depends on changed: one of its agen ops completes (or, sum-addressed,
+  // its address becomes usable at select), an older store's view changes
+  // (the store is examined, or commits), its store data or its verify
+  // point arrives, it lost a D-cache port race last cycle, or a replay
+  // regressed recorded times (every active entry). Due entries are still
+  // visited in LSQ order, so ports and the store-view prefix behave
+  // exactly as in a walk over the whole queue.
+
+  static void bit_set(std::vector<u64>& bits, unsigned slot) {
+    bits[slot >> 6] |= u64{1} << (slot & 63);
+  }
+  static void bit_clear(std::vector<u64>& bits, unsigned slot) {
+    bits[slot >> 6] &= ~(u64{1} << (slot & 63));
+  }
+  void mark_mem_due(const RuuEntry& e) { bit_set(lsq_due, e.lsq_slot); }
+  void wake_store_waiters() {
+    for (std::size_t w = 0; w < lsq_due.size(); ++w)
+      lsq_due[w] |= lsq_store_wait[w];
+  }
+  // An entry leaving the LSQ takes its slot's bits with it.
+  void lsq_forget(const RuuEntry& e) {
+    bit_clear(lsq_due, e.lsq_slot);
+    bit_clear(lsq_store_wait, e.lsq_slot);
+  }
+  void mark_active_due() {
+    for (std::size_t i = 0; i < lsq.size(); ++i)
+      if (ruu[static_cast<unsigned>(lsq[i])].mem_phase != MemPhase::Done)
+        bit_set(lsq_due, lsq.slot(i));
+  }
+  // First LSQ position >= pos whose due bit is set (lsq.size() if none).
+  std::size_t next_due(std::size_t pos) const {
+    const unsigned cap = lsq.mask + 1;
+    while (pos < lsq.size()) {
+      const unsigned s = lsq.slot(pos);
+      const u64 w = lsq_due[s >> 6] >> (s & 63);
+      if (w) return pos + static_cast<unsigned>(std::countr_zero(w));
+      pos += std::min(64 - (s & 63), cap - s);
+    }
+    return lsq.size();
+  }
+
+  // Store views for the LSQ prefix below `upto`, extended incrementally as
+  // the memory phase advances through the queue and rebuilt when a replay
+  // regresses recorded times (a store's address/data availability may
+  // have moved later). Reset at the start of each memory phase.
+  std::size_t views_built_ = 0;
+  u64 views_epoch_ = 0;
+  void refresh_views(std::size_t upto) {
+    if (views_epoch_ != sched_epoch) {
+      views_scratch.clear();
+      views_built_ = 0;
+      views_epoch_ = sched_epoch;
+    }
+    for (; views_built_ < upto; ++views_built_) {
+      const RuuEntry& s = ruu[static_cast<unsigned>(lsq[views_built_])];
+      if (!s.valid || !(s.flags & StaticInst::kFlagStore)) continue;
+      views_scratch.push_back(store_view_of(views_built_));
+    }
+  }
+
+  // What the memory phase would do with the entry at LSQ position `pos`
+  // this cycle. It is the one "can this entry advance now?" predicate:
+  // the phase acts on it, and the invariant check requires kNone of every
+  // entry the phase skipped. Pure apart from the store-view cache.
+  enum class MemStep : u8 {
+    kNone,       // nothing can change this cycle
+    kStoreDone,  // store: address and data complete (wrong path: agen)
+    kBogusLoad,  // wrong-path load: agen complete
+    kLoadAgen,   // load: an LSQ decision to record, a forward, or an access
+    kVerify,     // load: verification point with what it needs present
+  };
+  struct MemPlan {
+    MemStep step = MemStep::kNone;
+    bool store_wait = false;  // load: an older store blocks the decision
+    bool access = false;      // kLoadAgen: start the cache access
+    bool full_now = false;    // kLoadAgen: the full address is usable
+    unsigned bits = 0;        // load: address bits known
+    DisambigResult d;         // kLoadAgen: the LSQ decision
+    Cycle addr_t = kNever;    // store: agen completion
+    Cycle data_t = kNever;    // store: data availability
+    unsigned data_blocker = 0;  // store: waiter list while data_t is kNever
+  };
+  MemPlan plan_mem(const RuuEntry& e, unsigned idx, std::size_t pos) {
+    MemPlan p;
+    if (e.mem_phase == MemPhase::Done) return p;
+    if (e.flags & StaticInst::kFlagStore) {
+      if (e.bogus) {
+        if (ops_done(idx, now)) p.step = MemStep::kStoreDone;
+        return p;
+      }
+      p.addr_t = agen_complete_cycle(e);
+      p.data_t = store_data_time(e, &p.data_blocker);
+      if (p.addr_t != kNever && p.addr_t <= now && p.data_t != kNever &&
+          p.data_t <= now)
+        p.step = MemStep::kStoreDone;
+      return p;
+    }
+    if (e.bogus) {
+      // Wrong-path load: occupies the queue; completes after agen.
+      if (e.mem_phase == MemPhase::Agen && ops_done(idx, now))
+        p.step = MemStep::kBogusLoad;
+      return p;
+    }
+    if (e.mem_phase == MemPhase::Agen) {
+      p.bits = addr_bits_known_at(e, now);
+      if (p.bits == 0) return p;
+      refresh_views(pos);
+      p.d = disambiguate_load(
+          LoadQuery{p.bits, e.oracle.mem_addr, e.oracle.mem_bytes},
+          views_scratch, core.has(Technique::EarlyLsq),
+          core.has(Technique::SpecForward));
+      if (p.d.decision == LoadDecision::WaitStore) {
+        p.store_wait = true;
+        return p;
+      }
+      // Issue: start the cache access when enough address bits exist.
+      const unsigned tag_lo = mem.l1d().geometry().tag_lo_bit();
+      const Cycle full_at = full_addr_cycle(e);
+      p.full_now = full_at != kNever && full_at <= now;
+      const bool can_partial = core.has(Technique::PartialTag) &&
+                               p.bits > tag_lo && p.bits < 32 && !p.full_now;
+      p.access = p.d.decision == LoadDecision::Issue &&
+                 (p.full_now || can_partial);
+      if (p.d.decision != LoadDecision::Issue || p.access ||
+          e.lsq_decision_cycle == kNever)
+        p.step = MemStep::kLoadAgen;
+      return p;
+    }
+    // Access. Verification happens the cycle *after* the speculative data
+    // return (paper Figure 3: "verify with full tag bits on next cycle"),
+    // so dependents selected against the speculative time are genuinely in
+    // flight and must replay on a mis-speculation. A speculative
+    // partial-match forward (way marker -3) and a partial-tag access need
+    // the full address; a plain hit-speculated miss (-2) does not.
+    if (now < e.data_cycle + 1) return p;
+    const Cycle full_at = full_addr_cycle(e);
+    const bool full_addr = full_at != kNever && full_at <= now;
+    if (full_addr || (e.predicted_way == -2)) p.step = MemStep::kVerify;
+    return p;
+  }
+
   void memory_progress() {
-    // Every resident memory op has reached MemPhase::Done: the walk below
-    // would only skip over finished entries, so don't walk at all. (Commit
-    // drains Done entries from the head; replay re-raises the counter
-    // through set_mem_phase before anything can regress.)
+    // Every resident memory op has reached MemPhase::Done: nothing can
+    // advance. (Commit drains Done entries from the head; replay re-raises
+    // the counter through set_mem_phase before anything can regress.)
     if (mem_active_ == 0) return;
     unsigned ports_used = 0;
-    // Store views for the walked LSQ prefix, extended incrementally as the
-    // walk advances (the scan rebuilt them per load, an O(LSQ^2) cost) and
-    // invalidated wholesale when a replay this cycle regresses recorded
-    // times — a store's address/data availability may have moved later.
-    std::vector<StoreView>& views = views_scratch;
-    views.clear();
-    std::size_t views_built = 0;
-    u64 views_epoch = sched_epoch;
-    const auto refresh_views = [&](std::size_t upto) {
-      if (views_epoch != sched_epoch) {
-        views.clear();
-        views_built = 0;
-        views_epoch = sched_epoch;
-      }
-      for (; views_built < upto; ++views_built) {
-        const RuuEntry& s = ruu[static_cast<unsigned>(lsq[views_built])];
-        if (!s.valid || !(s.flags & StaticInst::kFlagStore)) continue;
-        views.push_back(store_view_of(views_built));
-      }
+    views_scratch.clear();
+    views_built_ = 0;
+    views_epoch_ = sched_epoch;
+    u64 epoch = sched_epoch;
+    // The invariant build visits every position, checking the skipped ones.
+    const auto next = [&](std::size_t pos) {
+      return kCheckInvariants ? pos : next_due(pos);
     };
-
-    bool first_active_found = false;
-    for (std::size_t i = std::min(mem_scan_from, lsq.size());
-         i < lsq.size(); ++i) {
-      const unsigned idx = static_cast<unsigned>(lsq[i]);
+    for (std::size_t pos = next(0); pos < lsq.size(); pos = next(pos + 1)) {
+      const unsigned slot = lsq.slot(pos);
+      const unsigned idx = static_cast<unsigned>(lsq[pos]);
       RuuEntry& e = ruu[idx];
-      if (!e.valid) continue;
-      if (!first_active_found && e.mem_phase != MemPhase::Done) {
-        first_active_found = true;
-        mem_scan_from = i;
-      }
-
-      if (e.flags & StaticInst::kFlagStore) {
-        if (e.mem_phase == MemPhase::Done) continue;
-        if (e.bogus) {
-          if (ops_done(idx, now)) {
-            set_mem_phase(e, MemPhase::Done);
-            cycle_activity = true;
-          }
-          continue;
-        }
-        const Cycle addr_t = agen_complete_cycle(e);
-        const Cycle data_t = store_data_time(e);
-        if (addr_t != kNever && addr_t <= now && data_t != kNever &&
-            data_t <= now) {
-          set_mem_phase(e, MemPhase::Done);
-          cycle_activity = true;
-        }
+      const bool due = (lsq_due[slot >> 6] >> (slot & 63)) & 1;
+      if (kCheckInvariants && !due) {
+        if (e.mem_phase != MemPhase::Done &&
+            plan_mem(e, idx, pos).step != MemStep::kNone)
+          fail("invariant: the memory phase skipped LSQ entry seq " +
+               std::to_string(e.seq) + ", which could advance");
         continue;
       }
+      bit_clear(lsq_due, slot);
+      if (e.mem_phase == MemPhase::Done) continue;  // stale wake
+      ++hev.lsq_visits;
+      advance_mem(e, idx, pos, ports_used);
+      if (sched_epoch != epoch) {
+        // A replay regressed recorded times: re-examine every active entry
+        // (those behind this position next cycle, as a full walk would).
+        epoch = sched_epoch;
+        mark_active_due();
+      }
+    }
+  }
 
-      if (!(e.flags & StaticInst::kFlagLoad)) continue;
-      if (e.bogus) {
-        // Wrong-path load: occupies the queue; completes after agen.
-        if (e.mem_phase == MemPhase::Agen && ops_done(idx, now)) {
-          e.data_cycle = now + mem.l1d().hit_latency();
+  void advance_mem(RuuEntry& e, unsigned idx, std::size_t pos,
+                   unsigned& ports_used) {
+    const MemPlan p = plan_mem(e, idx, pos);
+    if (e.flags & StaticInst::kFlagStore) {
+      // A correct-path store is examined because an address slice or its
+      // data just landed (or a replay): the view younger loads
+      // disambiguate against may have changed.
+      if (!e.bogus) wake_store_waiters();
+      if (p.step == MemStep::kStoreDone) {
+        set_mem_phase(e, MemPhase::Done);
+        cycle_activity = true;
+      } else if (p.addr_t <= now) {
+        // Address complete, data outstanding: look again when it lands.
+        // (A wrong-path store's addr_t stays kNever.)
+        wake_at(p.data_t, idx, kMemWake, p.data_blocker);
+      }
+      return;
+    }
+    if (p.store_wait)
+      bit_set(lsq_store_wait, e.lsq_slot);
+    else
+      bit_clear(lsq_store_wait, e.lsq_slot);
+
+    switch (p.step) {
+      case MemStep::kNone:
+      case MemStep::kStoreDone:
+        return;
+      case MemStep::kBogusLoad:
+        e.data_cycle = now + mem.l1d().hit_latency();
+        e.data_final = true;
+        set_mem_phase(e, MemPhase::Done);
+        publish_load_data(idx);  // wrong-path consumers still schedule
+        return;
+      case MemStep::kLoadAgen:
+        load_agen(e, idx, p, ports_used);
+        return;
+      case MemStep::kVerify:
+        if (e.predicted_way != -3) {
+          verify_load(e);
+          return;
+        }
+        // Speculative partial-match forward: the full address settles
+        // whether the forwarded value was the architecturally loaded one.
+        if (e.spec_forward_value == e.oracle.load_value) {
           e.data_final = true;
           set_mem_phase(e, MemPhase::Done);
-          publish_load_data(idx);  // wrong-path consumers still schedule
+          cycle_activity = true;
+          if (obs_on) emit_verify(e, 4, e.data_cycle, false);
+        } else {
+          ++stats.spec_forward_misses;
+          if (obs_on) emit_verify(e, 5, 0, true);
+          reset_load(e);
+          // Data regressed to undefined: replay the dependence cone.
+          ++sched_epoch;
+          cycle_activity = true;
+          schedule_consumers(idx);
+          run_relax();
         }
-        continue;
+        return;
+    }
+  }
+
+  void load_agen(RuuEntry& e, unsigned idx, const MemPlan& p,
+                 unsigned& ports_used) {
+    const DisambigResult& d = p.d;
+    if (e.lsq_decision_cycle == kNever) {
+      e.lsq_decision_cycle = now;
+      cycle_activity = true;
+      if (d.used_partial) {
+        e.used_partial_lsq = true;
+        ++stats.loads_issued_partial_lsq;
       }
-
-      switch (e.mem_phase) {
-        case MemPhase::Agen: {
-          const unsigned bits = addr_bits_known_at(e, now);
-          if (bits == 0) break;
-
-          // LSQ disambiguation.
-          refresh_views(i);
-          LoadQuery q{bits, e.oracle.mem_addr, e.oracle.mem_bytes};
-          const DisambigResult d = disambiguate_load(
-              q, views, core.has(Technique::EarlyLsq),
-              core.has(Technique::SpecForward));
-          if (d.decision == LoadDecision::WaitStore) break;
-          if (e.lsq_decision_cycle == kNever) {
-            e.lsq_decision_cycle = now;
-            cycle_activity = true;
-            if (d.used_partial) {
-              e.used_partial_lsq = true;
-              ++stats.loads_issued_partial_lsq;
-            }
-            if (obs_on) {
-              obs::TraceEvent ev;
-              ev.kind = obs::EventKind::LsqDecision;
-              ev.cycle = now;
-              ev.seq = e.seq;
-              ev.pc = e.pc;
-              ev.a = bits;
-              ev.b = d.decision == LoadDecision::Forward       ? 1
-                     : d.decision == LoadDecision::SpecForward ? 2
-                                                               : 0;
-              ev.flags = d.used_partial ? obs::kFlagPartial : 0u;
-              emit(ev);
-            }
-          }
-
-          if (d.decision == LoadDecision::Forward) {
-            ++stats.load_forwards;
-            e.forwarded = true;
-            e.forward_store = d.store_id;
-            e.forward_store_seq = ruu[d.store_id].seq;
-            e.data_cycle = now + 1;
-            e.data_final = true;
-            set_mem_phase(e, MemPhase::Done);
-            // Replay edge: if the store's address/data times regress, this
-            // load's forward must be revalidated.
-            cons_append(consumers[static_cast<unsigned>(d.store_id)],
-                        ConsumerRef{idx, e.seq});
-            publish_load_data(idx);
-            break;
-          }
-          if (d.decision == LoadDecision::SpecForward) {
-            ++stats.spec_forwards;
-            e.forwarded = true;
-            e.forward_store = d.store_id;
-            e.forward_store_seq = ruu[d.store_id].seq;
-            e.spec_forward_value = d.forwarded;
-            e.data_cycle = now + 1;
-            e.data_final = false;
-            e.predicted_way = -3;
-            set_mem_phase(e, MemPhase::Access);
-            cons_append(consumers[static_cast<unsigned>(d.store_id)],
-                        ConsumerRef{idx, e.seq});
-            publish_load_data(idx);
-            break;
-          }
-
-          // decision == Issue: start the cache access when enough address
-          // bits exist.
-          const unsigned tag_lo = mem.l1d().geometry().tag_lo_bit();
-          const Cycle full_at = full_addr_cycle(e);
-          const bool full_now = full_at != kNever && full_at <= now;
-          const bool can_partial = core.has(Technique::PartialTag) &&
-                                   bits > tag_lo && bits < 32 && !full_now;
-          if (full_now || can_partial) {
-            if (ports_used >= kDCachePorts) {
-              retry_this_cycle = true;  // port conflict: retry next cycle
-              break;
-            }
-            ++ports_used;
-            start_load_access(e, full_now ? 32 : bits);
-            publish_load_data(idx);
-            if (obs_on) {
-              obs::TraceEvent ev;
-              ev.kind = obs::EventKind::CacheAccess;
-              ev.cycle = now;
-              ev.seq = e.seq;
-              ev.pc = e.pc;
-              ev.a = e.data_cycle;
-              ev.b = bits;  // the text sink's label reads this, as the
-                            // inline trace always did
-              ev.flags = (e.used_partial_tag ? obs::kFlagPartial : 0u) |
-                         (e.early_miss ? obs::kFlagEarly : 0u);
-              emit(ev);
-            }
-          }
-          break;
-        }
-        case MemPhase::Access: {
-          // Verification happens the cycle *after* the speculative data
-          // return (paper Figure 3: "verify with full tag bits on next
-          // cycle"), so dependents selected against the speculative time are
-          // genuinely in flight and must replay on a mis-speculation.
-          const Cycle full_at = full_addr_cycle(e);
-          const bool full_addr = full_at != kNever && full_at <= now;
-          if (now < e.data_cycle + 1) break;
-          if (e.predicted_way == -3) {
-            // Speculative partial-match forward: the full address settles
-            // whether the forwarded value was the architecturally loaded
-            // one.
-            if (!full_addr) break;
-            if (e.spec_forward_value == e.oracle.load_value) {
-              e.data_final = true;
-              set_mem_phase(e, MemPhase::Done);
-              cycle_activity = true;
-              if (obs_on) emit_verify(e, 4, e.data_cycle, false);
-            } else {
-              ++stats.spec_forward_misses;
-              if (obs_on) emit_verify(e, 5, 0, true);
-              reset_load(e);
-              // Data regressed to undefined: replay the dependence cone.
-              ++sched_epoch;
-              cycle_activity = true;
-              schedule_consumers(idx);
-              run_relax();
-            }
-            break;
-          }
-          if (e.predicted_way == -2 || full_addr) verify_load(e);
-          break;
-        }
-        case MemPhase::Done:
-          break;
+      if (obs_on) {
+        obs::TraceEvent ev;
+        ev.kind = obs::EventKind::LsqDecision;
+        ev.cycle = now;
+        ev.seq = e.seq;
+        ev.pc = e.pc;
+        ev.a = p.bits;
+        ev.b = d.decision == LoadDecision::Forward       ? 1
+               : d.decision == LoadDecision::SpecForward ? 2
+                                                         : 0;
+        ev.flags = d.used_partial ? obs::kFlagPartial : 0u;
+        emit(ev);
       }
+    }
+
+    if (d.decision == LoadDecision::Forward) {
+      ++stats.load_forwards;
+      e.forwarded = true;
+      e.forward_store = d.store_id;
+      e.forward_store_seq = ruu[d.store_id].seq;
+      e.data_cycle = now + 1;
+      e.data_final = true;
+      set_mem_phase(e, MemPhase::Done);
+      // Replay edge: if the store's address/data times regress, this
+      // load's forward must be revalidated.
+      cons_append(consumers[static_cast<unsigned>(d.store_id)],
+                  ConsumerRef{idx, e.seq});
+      publish_load_data(idx);
+      return;
+    }
+    if (d.decision == LoadDecision::SpecForward) {
+      ++stats.spec_forwards;
+      e.forwarded = true;
+      e.forward_store = d.store_id;
+      e.forward_store_seq = ruu[d.store_id].seq;
+      e.spec_forward_value = d.forwarded;
+      e.data_cycle = now + 1;
+      e.data_final = false;
+      e.predicted_way = -3;
+      set_mem_phase(e, MemPhase::Access);
+      cons_append(consumers[static_cast<unsigned>(d.store_id)],
+                  ConsumerRef{idx, e.seq});
+      publish_load_data(idx);
+      return;
+    }
+    if (!p.access) return;
+    if (ports_used >= kDCachePorts) {
+      retry_this_cycle = true;  // port conflict: retry next cycle
+      mark_mem_due(e);
+      return;
+    }
+    ++ports_used;
+    start_load_access(e, p.full_now ? 32 : p.bits);
+    publish_load_data(idx);
+    if (obs_on) {
+      obs::TraceEvent ev;
+      ev.kind = obs::EventKind::CacheAccess;
+      ev.cycle = now;
+      ev.seq = e.seq;
+      ev.pc = e.pc;
+      ev.a = e.data_cycle;
+      ev.b = p.bits;  // the text sink's label reads this, as the inline
+                      // trace always did
+      ev.flags = (e.used_partial_tag ? obs::kFlagPartial : 0u) |
+                 (e.early_miss ? obs::kFlagEarly : 0u);
+      emit(ev);
     }
   }
 
@@ -2033,10 +2184,15 @@ struct Simulator::Impl {
         // resolve scan recompute it. (A branch whose recovery already
         // redirected fetch keeps it: the direction was architecturally
         // correct, only its timing was optimistic.)
-        if (resolve_time(e) > e.resolve_cycle) {
+        ++hev.branch_checks;
+        const Cycle rt = resolve_time(e);
+        if (rt > e.resolve_cycle) {
           e.resolved = false;
           e.resolve_cycle = kNever;
           changed = true;
+          // Still provable from the ops that stand: check again at the
+          // next resolve phase (otherwise a re-selection wakes it).
+          if (rt != kNever) wake_at(std::max(rt, now + 1), idx, kBranchWake);
         }
       }
 
@@ -2151,9 +2307,9 @@ struct Simulator::Impl {
       if (victim.flags & StaticInst::kFlagMem) {
         assert(!lsq.empty() &&
                lsq.back() == static_cast<int>(ruu_index(ruu_count - 1)));
+        lsq_forget(victim);
         lsq.pop_back();
         if (victim.mem_phase != MemPhase::Done) --mem_active_;
-        if (mem_scan_from > lsq.size()) mem_scan_from = lsq.size();
       }
       // Unwind the rename map from the undo log, youngest-first and in
       // reverse of dispatch's write order. This replaces the scan-based
@@ -2172,22 +2328,49 @@ struct Simulator::Impl {
     }
   }
 
-  void resolve_and_recover() {
-    // Walk the watch list (correct-path branches in dispatch order) instead
-    // of the whole RUU, compacting out refs to squashed/committed entries.
-    // After a recovery the scan stopped examining younger branches (they
-    // were just squashed); `recovered` replicates that early exit while the
-    // compaction still copies the remaining refs.
-    std::size_t w = 0;
-    bool recovered = false;
-    for (const ConsumerRef& c : branch_watch) {
-      RuuEntry& e = ruu[c.idx];
-      if (!e.valid || e.seq != c.seq) continue;  // squashed or committed
-      branch_watch[w++] = c;
-      if (recovered || e.resolved) continue;
+  // Could selecting op `op` of branch `e` make its resolve time finite or
+  // earlier? Mirrors resolve_time(): a differing compare slice proves
+  // "not equal" on its own; otherwise the outcome needs every op, so only
+  // the last one selected (which also completes last) can prove it.
+  bool may_prove_outcome(const RuuEntry& e, unsigned idx, unsigned op) const {
+    if (e.flags & StaticInst::kFlagEarlyEq) {
+      const u32 a = e.oracle.src1_value, b = e.oracle.src2_value;
+      if (a != b) return slice_get(geom, a, op) != slice_get(geom, b, op);
+    }
+    for (unsigned i = 0; i < e.num_ops; ++i)
+      if (!op_selected(idx, i)) return false;
+    return true;
+  }
 
-      const Cycle rt = resolve_time(e);
-      if (rt == kNever || rt > now) continue;
+  // The one "can this branch resolve now?" predicate, shared by the
+  // resolve phase and the invariant check: its outcome is provable by this
+  // cycle (the proving cycle goes to `rt`).
+  bool branch_resolvable(const RuuEntry& e, Cycle& rt) const {
+    rt = resolve_time(e);
+    return rt != kNever && rt <= now;
+  }
+
+  void resolve_and_recover() {
+    // Only branches woken at a cycle their outcome may become provable
+    // (note_selected, run_relax) are checked, oldest first: predictor
+    // training and the first-mispredict recovery keep dispatch order, and
+    // a recovery squashes every younger branch, whose refs then fail the
+    // seq check.
+    if (branch_due.size() > 1)
+      std::sort(branch_due.begin(), branch_due.end(),
+                [](const ConsumerRef& x, const ConsumerRef& y) {
+                  return x.seq < y.seq;
+                });
+    u64 last_seq = 0;
+    for (const ConsumerRef& c : branch_due) {
+      RuuEntry& e = ruu[c.idx];
+      if (c.seq == last_seq) continue;  // woken twice this cycle
+      last_seq = c.seq;
+      if (!e.valid || e.seq != c.seq || e.resolved) continue;
+      ++hev.branch_checks;
+      Cycle rt = kNever;
+      if (!branch_resolvable(e, rt)) continue;
+      ++hev.branch_resolves;
       e.resolved = true;
       e.resolve_cycle = rt;
       cycle_activity = true;
@@ -2221,10 +2404,20 @@ struct Simulator::Impl {
         wrong_path = false;
         cpi_refill_pending = true;  // empty-RUU cycles until the redirected
                                     // path dispatches are squash shadow
-        recovered = true;  // younger refs are now dead; stop processing
       }
     }
-    branch_watch.resize(w);
+    branch_due.clear();
+    if (kCheckInvariants) {
+      for (unsigned pos = 0; pos < ruu_count; ++pos) {
+        const RuuEntry& e = entry_at(pos);
+        Cycle rt = kNever;
+        if ((e.flags & StaticInst::kFlagWatched) && !e.bogus && !e.resolved &&
+            branch_resolvable(e, rt))
+          fail("invariant: the resolve phase skipped branch seq " +
+               std::to_string(e.seq) + ", provable since cycle " +
+               std::to_string(rt));
+      }
+    }
   }
 
   // ---------------------------------------------------------------------------
@@ -2367,8 +2560,10 @@ struct Simulator::Impl {
 
       if (e.flags & StaticInst::kFlagMem) {
         assert(!lsq.empty() && lsq.front() == static_cast<int>(idx));
+        lsq_forget(e);
         lsq.pop_front();  // committable mem ops are always Done
-        if (mem_scan_from > 0) --mem_scan_from;
+        // The store leaves every younger load's view of older stores.
+        if (e.flags & StaticInst::kFlagStore) wake_store_waiters();
       }
 
       if (obs_on) {
@@ -2548,6 +2743,8 @@ struct Simulator::Impl {
       }
       const u64 committed_before = stats.committed;
       if (hp) hp_t = HpClock::now();
+      drain_wakeups();
+      if (hp) hp_take(hp_t, hprof.select);
       commit();
       if (hp) hp_take(hp_t, hprof.commit);
       if (detail) detail->commit_width.add(stats.committed - committed_before);

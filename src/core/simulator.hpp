@@ -38,6 +38,7 @@
 // pipelining" baseline.
 #pragma once
 
+#include <array>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -95,14 +96,43 @@ struct HostEvents {
   u64 queue_ops = 0;              // queue_op calls (dispatch, replay, select)
   u64 wakes = 0;                  // nonempty waiter lists walked
   u64 waiter_visits = 0;          // waiter nodes visited by those walks
+                                  // (slice-ops and stores awaiting data)
   u64 reregisters = 0;            // woken ops put back on a waiter list
   u64 same_list_reregisters = 0;  // ... on the very list they were woken from
   u64 select_candidates = 0;      // refs examined by select
   u64 dead_candidates = 0;        // of those, stale refs dropped on sight
   u64 selections = 0;             // slice-ops selected
   u64 sort_fallbacks = 0;         // order_by_key std::sort fallbacks
-  u64 far_spills = 0;             // ops queued beyond the fine wheel horizon
+  u64 far_spills = 0;             // wakes queued beyond the fine wheel
+                                  // horizon
+  u64 lsq_visits = 0;             // LSQ entries examined by the memory phase
+  u64 branch_checks = 0;          // resolve_time() evaluations
+  u64 branch_resolves = 0;        // branches resolved (checks' denominator)
 };
+
+// Every HostEvents count by name, in declaration order: the keys of the
+// deterministic cost ledger (BM_SimulatorThroughput's per-commit counters).
+struct HostEventDesc {
+  const char* name;
+  u64 HostEvents::*field;
+};
+inline constexpr std::array<HostEventDesc, 13> kHostEventFields = {{
+    {"queue_ops", &HostEvents::queue_ops},
+    {"wakes", &HostEvents::wakes},
+    {"waiter_visits", &HostEvents::waiter_visits},
+    {"reregisters", &HostEvents::reregisters},
+    {"same_list_reregisters", &HostEvents::same_list_reregisters},
+    {"select_candidates", &HostEvents::select_candidates},
+    {"dead_candidates", &HostEvents::dead_candidates},
+    {"selections", &HostEvents::selections},
+    {"sort_fallbacks", &HostEvents::sort_fallbacks},
+    {"far_spills", &HostEvents::far_spills},
+    {"lsq_visits", &HostEvents::lsq_visits},
+    {"branch_checks", &HostEvents::branch_checks},
+    {"branch_resolves", &HostEvents::branch_resolves},
+}};
+static_assert(sizeof(HostEvents) == kHostEventFields.size() * sizeof(u64),
+              "kHostEventFields must list every HostEvents count");
 
 class Simulator {
  public:

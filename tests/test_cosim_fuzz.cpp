@@ -209,6 +209,15 @@ TEST_P(CoSimFuzz, RandomProgramsCoSimulateOnAllConfigs) {
   ASSERT_TRUE(emu.exited()) << "generated program did not terminate";
   const u64 length = emu.instructions_retired();
 
+  // The x4 all-technique machine with a given RUU / LSQ window: a tight
+  // one keeps both queues full and wrapping, a wide one keeps hundreds of
+  // ops and many stores in flight at once.
+  const auto windowed = [](unsigned ruu, unsigned lsq) {
+    MachineConfig cfg = bitsliced_machine(4, kAllTechniques);
+    cfg.core.ruu_entries = ruu;
+    cfg.core.lsq_entries = lsq;
+    return cfg;
+  };
   const MachineConfig configs[] = {
       base_machine(),
       simple_pipelined_machine(2),
@@ -218,12 +227,15 @@ TEST_P(CoSimFuzz, RandomProgramsCoSimulateOnAllConfigs) {
       bitsliced_machine(8, kAllTechniques),
       bitsliced_machine(4, kExtendedTechniques |
                                static_cast<unsigned>(Technique::SumAddressed)),
+      windowed(16, 8),
+      windowed(256, 128),
   };
   for (const auto& cfg : configs) {
     const SimResult r = simulate(cfg, assembled.program, 1u << 22);
     ASSERT_TRUE(r.ok()) << "seed " << GetParam() << " slices "
                         << cfg.core.slices << " techniques "
-                        << cfg.core.techniques << ": " << r.error;
+                        << cfg.core.techniques << " ruu "
+                        << cfg.core.ruu_entries << ": " << r.error;
     EXPECT_TRUE(r.exited);
     EXPECT_EQ(r.stats.committed, length)
         << "committed stream length diverged from the emulator";

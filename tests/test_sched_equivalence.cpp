@@ -141,8 +141,9 @@ TEST(SchedEquivalence, ExtendedTechniquesWithSumAddressed) {
 
 // Larger instruction windows: the SoA slab layout is indexed by RUU slot,
 // so 128- and 256-entry windows pin the scheduler at sizes where slab
-// strides, wheel occupancy and the LSQ walk all differ from the 64-entry
-// default. LSQ scales with the window as in the paper's machine (RUU/2).
+// strides, wheel occupancy and the LSQ due bitmap all differ from the
+// 64-entry default. LSQ scales with the window as in the paper's machine
+// (RUU/2).
 TEST(SchedEquivalence, LargerRuuWindows) {
   for (const unsigned ruu : {128u, 256u}) {
     for (const char* wname : {"gzip", "li"}) {
@@ -164,6 +165,33 @@ TEST(SchedEquivalence, LargerRuuWindows) {
       ASSERT_TRUE(ra.ok()) << ra.error;
       expect_matches_golden(prefix + "s4/alltech", ra.stats);
     }
+  }
+}
+
+// A tight window: a 16-entry RUU with an 8-entry LSQ keeps both queues full
+// and wrapping, so dispatch stalls on LSQ space every few cycles and the
+// memory phase sees its oldest entries commit out from under it. These rows
+// were recorded from the event-driven scheduler before the memory and
+// resolve phases became event-driven, and pin that change to the polling
+// behaviour it replaced.
+TEST(SchedEquivalence, TightRuuAndLsqWindow) {
+  for (const char* wname : {"gzip", "li"}) {
+    const Workload w = build_workload(wname);
+    const std::string prefix = std::string(wname) + "/ruu16/";
+
+    MachineConfig base = base_machine();
+    base.core.ruu_entries = 16;
+    base.core.lsq_entries = 8;
+    const SimResult rb = simulate(base, w.program, kCommits, kWarmup);
+    ASSERT_TRUE(rb.ok()) << rb.error;
+    expect_matches_golden(prefix + "base", rb.stats);
+
+    MachineConfig all = bitsliced_machine(4, kAllTechniques);
+    all.core.ruu_entries = 16;
+    all.core.lsq_entries = 8;
+    const SimResult ra = simulate(all, w.program, kCommits, kWarmup);
+    ASSERT_TRUE(ra.ok()) << ra.error;
+    expect_matches_golden(prefix + "s4/alltech", ra.stats);
   }
 }
 

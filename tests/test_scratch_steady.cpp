@@ -1,6 +1,6 @@
 // Steady-state allocation discipline: every scratch vector and node pool
 // on the scheduler's hot paths (pending/candidate buffers, store-view
-// scratch, relaxation worklist, branch watch list, waiter/consumer node
+// scratch, relaxation worklist, woken-branch list, waiter/consumer node
 // pools, far-wheel staging) is reserved once at construction from the
 // machine shape. A reallocation after warm-up means a heap allocation
 // slipped onto the dispatch/wakeup/replay path — a throughput regression

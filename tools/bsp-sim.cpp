@@ -183,12 +183,18 @@ void print_host_events(const HostEvents& ev, u64 committed) {
                 "host events per commit: %.3f queue_op, %.3f wakes, %.3f "
                 "waiter visits (%.3f re-registered, %.3f on the same list)\n"
                 "  %.3f select candidates (%.3f dead), %.3f selections, "
-                "%.5f sort fallbacks, %.5f far-wheel spills\n",
+                "%.5f sort fallbacks, %.5f far-wheel spills\n"
+                "  %.3f LSQ visits, %.3f branch checks (%.3f per resolved "
+                "branch)\n",
                 per(ev.queue_ops), per(ev.wakes), per(ev.waiter_visits),
                 per(ev.reregisters), per(ev.same_list_reregisters),
                 per(ev.select_candidates), per(ev.dead_candidates),
                 per(ev.selections), per(ev.sort_fallbacks),
-                per(ev.far_spills));
+                per(ev.far_spills), per(ev.lsq_visits),
+                per(ev.branch_checks),
+                ev.branch_resolves ? static_cast<double>(ev.branch_checks) /
+                                         static_cast<double>(ev.branch_resolves)
+                                   : 0.0);
   std::cout << buf;
 }
 
