@@ -1,15 +1,20 @@
 #include "campaign/campaign.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <tuple>
+#include <type_traits>
 
 #include "campaign/ckpt_cache.hpp"
 #include "campaign/progress.hpp"
 #include "core/simulator.hpp"
 #include "obs/interval.hpp"
+#include "obs/json.hpp"
+#include "util/cli.hpp"
 #include "workloads/workloads.hpp"
 
 namespace bsp::campaign {
@@ -136,6 +141,168 @@ TaskRunner memoise_workloads(WorkloadTaskBody body) {
   };
 }
 
+const std::vector<RunOptionField>& run_option_fields() {
+  static const std::vector<RunOptionField> kFields = {
+      {"interval", "--interval-stats", "N",
+       "record a time-series of counter deltas every N committed "
+       "instructions into each record's \"series\"",
+       &RunnerOptions::interval},
+      {"host_profile", "--host-profile", "",
+       "profile host time per simulator phase (records' \"host_phases\")",
+       &RunnerOptions::host_profile},
+      {"ckpt_cache_dir", "--ckpt-cache", "DIR",
+       "shared checkpoint cache: each distinct fast-forward checkpoint is "
+       "materialised once into DIR (atomic) and restored by every later "
+       "task and run",
+       &RunnerOptions::ckpt_cache_dir, /*host_local=*/true},
+      {"cpi_stack", "--cpi-stack", "",
+       "CPI-stack cycle accounting: charge every commit slot to a stall "
+       "cause (cpi_* counters, sum == cycles * commit width) and print it",
+       &RunnerOptions::cpi_stack},
+      {"cosim", "--cosim", "MODE",
+       "oracle co-simulation cadence: full (default), spot[:N] (check every "
+       "Nth commit and every mispredict/syscall) or off; part of a sweep's "
+       "task ids",
+       &RunnerOptions::cosim, /*host_local=*/false, /*frame_optional=*/true},
+      {"sample_intervals", "--sample-intervals", "K",
+       "sampled simulation: split the measured window into K intervals "
+       "simulated from functional checkpoints, stitched with a mean-IPC "
+       "95% confidence interval (0 = monolithic)",
+       &RunnerOptions::sample_intervals},
+      {"sample_warmup", "--sample-warmup", "N",
+       "warm-up commits discarded before each sampled interval (default " +
+           std::to_string(sampling::kDefaultSampleWarmup) +
+           "; interval 0 keeps the run's own, so K=1 is the monolithic run)",
+       &RunnerOptions::sample_warmup},
+  };
+  return kFields;
+}
+
+namespace {
+
+template <class T>
+constexpr bool kIsBool = std::is_same_v<std::decay_t<T>, bool>;
+template <class T>
+constexpr bool kIsString = std::is_same_v<std::decay_t<T>, std::string>;
+
+}  // namespace
+
+bool RunOptionField::is_default(const RunnerOptions& o) const {
+  static const RunnerOptions kDefaults;
+  return std::visit([&](auto m) { return o.*m == kDefaults.*m; }, member);
+}
+
+std::string RunOptionField::json(const RunnerOptions& o) const {
+  return std::visit(
+      [&](auto m) -> std::string {
+        using T = decltype(o.*m);
+        if constexpr (kIsBool<T>)
+          return o.*m ? "true" : "false";
+        else if constexpr (kIsString<T>)
+          return "\"" + obs::json_escape(o.*m) + "\"";
+        else
+          return std::to_string(o.*m);
+      },
+      member);
+}
+
+bool RunOptionField::set_json(const obs::JsonValue& v,
+                              RunnerOptions* o) const {
+  return std::visit(
+      [&](auto m) {
+        using T = std::decay_t<decltype(o->*m)>;
+        if constexpr (kIsBool<T>) {
+          if (v.kind != obs::JsonValue::Kind::Bool) return false;
+          o->*m = v.boolean;
+        } else if constexpr (kIsString<T>) {
+          if (!v.is_string()) return false;
+          o->*m = v.str;
+        } else {
+          const auto n = v.as_uint(std::numeric_limits<T>::max());
+          if (!n) return false;
+          o->*m = static_cast<T>(*n);
+        }
+        return true;
+      },
+      member);
+}
+
+void RunOptionField::copy(const RunnerOptions& from,
+                          RunnerOptions* to) const {
+  std::visit([&](auto m) { to->*m = from.*m; }, member);
+}
+
+void add_run_option_flags(ArgParser& parser, RunnerOptions* out,
+                          const std::vector<std::string>& skip) {
+  for (const RunOptionField& f : run_option_fields()) {
+    if (std::find(skip.begin(), skip.end(), f.key) != skip.end()) continue;
+    std::visit(
+        [&](auto m) {
+          if constexpr (kIsBool<decltype(out->*m)>)
+            parser.add_flag(f.flag, f.help, &(out->*m));
+          else
+            parser.add_value(f.flag, f.placeholder, f.help, &(out->*m));
+        },
+        f.member);
+  }
+}
+
+std::vector<std::string> run_option_args(const RunnerOptions& options) {
+  std::vector<std::string> args;
+  for (const RunOptionField& f : run_option_fields()) {
+    if (f.is_default(options)) continue;
+    args.push_back(f.flag);
+    std::visit(
+        [&](auto m) {
+          using T = decltype(options.*m);
+          if constexpr (kIsString<T>)
+            args.push_back(options.*m);
+          else if constexpr (!kIsBool<T>)
+            args.push_back(std::to_string(options.*m));
+        },
+        f.member);
+  }
+  return args;
+}
+
+TaskOutcome simulate_task(const TaskSpec& task, const MachineConfig& config,
+                          const Program& program, const Checkpoint* start,
+                          const RunnerOptions& options) {
+  TaskOutcome r;
+  SimOptions sim_options;
+  const std::string& cosim_text =
+      !task.cosim.empty() ? task.cosim : options.cosim;
+  if (!cosim_text.empty() && !parse_cosim(cosim_text, &sim_options)) {
+    r.error = "bad cosim mode: " + cosim_text;
+    return r;
+  }
+  Simulator sim = start ? Simulator(config, program, *start)
+                        : Simulator(config, program);
+  sim.set_options(sim_options);
+  obs::IntervalSampler sampler(options.interval ? options.interval : 1);
+  if (options.interval) sim.set_interval_sampler(&sampler);
+  if (options.host_profile) sim.enable_host_profile();
+  if (options.cpi_stack) sim.enable_cpi_stack();
+  const SimResult res = sim.run(task.instructions, task.warmup);
+  r.stats = res.stats;
+  r.error = res.error;
+  r.exited = res.exited;
+  r.exit_code = res.exit_code;
+  if (options.interval) {
+    r.interval = options.interval;
+    r.series.reserve(sampler.rows().size());
+    for (const obs::IntervalRow& row : sampler.rows()) {
+      std::vector<u64> flat;
+      flat.reserve(2 + row.delta.size());
+      flat.push_back(row.cycle);
+      flat.push_back(row.committed);
+      flat.insert(flat.end(), row.delta.begin(), row.delta.end());
+      r.series.push_back(std::move(flat));
+    }
+  }
+  return r;
+}
+
 TaskRunner make_sim_runner(const RunnerOptions& options) {
   // (workload, seed, fast_forward) -> start checkpoint: within one process
   // each distinct fast-forward is paid (or its cache file read) exactly
@@ -144,7 +311,6 @@ TaskRunner make_sim_runner(const RunnerOptions& options) {
   auto ckpts = std::make_shared<CkptMemo>();
   return memoise_workloads([ckpts, options](const TaskSpec& task,
                                             const Workload& workload) {
-    TaskOutcome r;
     // Fast-forward tasks start from a shared checkpoint: in-process memo
     // first, then the on-disk cache, then (cold path) one fast-forward run
     // whose result every later task reuses.
@@ -160,6 +326,7 @@ TaskRunner make_sim_runner(const RunnerOptions& options) {
           },
           &builder);
       if (!ckpt.ok()) {
+        TaskOutcome r;
         r.error = "fast-forward failed: " + ckpt.error;
         return r;
       }
@@ -171,43 +338,13 @@ TaskRunner make_sim_runner(const RunnerOptions& options) {
         ckpt.ffwd_sec = 0;
       }
     }
-    Simulator sim = task.fast_forward > 0
-                        ? Simulator(task.machine.build(), workload.program,
-                                    *ckpt.checkpoint)
-                        : Simulator(task.machine.build(), workload.program);
-    obs::IntervalSampler sampler(options.interval ? options.interval : 1);
-    if (options.interval) sim.set_interval_sampler(&sampler);
-    if (options.host_profile) sim.enable_host_profile();
-    if (options.cpi_stack) sim.enable_cpi_stack();
-    const std::string& cosim_text =
-        !task.cosim.empty() ? task.cosim : options.cosim;
-    if (!cosim_text.empty()) {
-      SimOptions so;
-      if (!parse_cosim(cosim_text, &so)) {
-        r.error = "bad cosim mode: " + cosim_text;
-        return r;
-      }
-      sim.set_options(so);
-    }
-    const SimResult res = sim.run(task.instructions, task.warmup);
-    r.stats = res.stats;
-    r.error = res.error;
+    TaskOutcome r = simulate_task(task, task.machine.build(),
+                                  workload.program, ckpt.checkpoint.get(),
+                                  options);
     if (task.fast_forward > 0) {
       r.ckpt_cache = ckpt.hit ? "hit" : "miss";
       r.ffwd_sec = ckpt.ffwd_sec;
       if (options.host_profile) r.stats.host_profile.ffwd = ckpt.ffwd_sec;
-    }
-    if (options.interval) {
-      r.interval = options.interval;
-      r.series.reserve(sampler.rows().size());
-      for (const obs::IntervalRow& row : sampler.rows()) {
-        std::vector<u64> flat;
-        flat.reserve(2 + row.delta.size());
-        flat.push_back(row.cycle);
-        flat.push_back(row.committed);
-        flat.insert(flat.end(), row.delta.begin(), row.delta.end());
-        r.series.push_back(std::move(flat));
-      }
     }
     return r;
   });

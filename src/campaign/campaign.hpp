@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "campaign/scheduler.hpp"
@@ -13,8 +14,14 @@
 #include "sampling/plan.hpp"
 
 namespace bsp {
+class ArgParser;
+struct Checkpoint;
+struct Program;
 struct Workload;
+namespace obs {
+struct JsonValue;
 }
+}  // namespace bsp
 
 namespace bsp::campaign {
 
@@ -54,8 +61,9 @@ CampaignReport run_campaign(const SweepSpec& spec, const TaskRunner& runner,
 
 // Per-task knobs for the production runners: the one declaration of every
 // option that changes how a task is simulated or what its record carries.
-// bsp-sweep forwards them to process workers as flags and the remote
-// coordinator forwards them to workers in its SPEC frame (RemoteSpec::run).
+// run_option_fields() below describes each member once; the tools' flags,
+// the process-worker argv and the remote SPEC frame (RemoteSpec::run) are
+// all generated from that registry.
 struct RunnerOptions {
   // Sample deltas of every SimStats counter each `interval` committed
   // instructions (obs/interval.hpp); the series lands in the task's record
@@ -81,7 +89,52 @@ struct RunnerOptions {
   // sampling::make_sampled_runner() is the runner that honours them.
   unsigned sample_intervals = 0;
   u64 sample_warmup = sampling::kDefaultSampleWarmup;
+
+  bool operator==(const RunnerOptions&) const = default;
 };
+
+// One RunnerOptions member as every consumer sees it. Consumers loop over
+// run_option_fields() instead of naming members, so a new knob is one
+// member plus one entry, and the code that reads its value.
+struct RunOptionField {
+  const char* key;          // JSON key in the remote SPEC frame
+  const char* flag;         // CLI flag, e.g. "--cpi-stack"
+  const char* placeholder;  // value placeholder ("" for a bool flag)
+  std::string help;
+  std::variant<bool RunnerOptions::*, unsigned RunnerOptions::*,
+               u64 RunnerOptions::*, std::string RunnerOptions::*>
+      member;
+  // Reaches local worker processes but never the SPEC frame: a remote
+  // worker keeps its own value (the checkpoint cache is a host's choice).
+  bool host_local = false;
+  // Written to the SPEC frame after RemoteSpec's own fields and only when
+  // set: the field came after the frame shipped, so frames that leave it
+  // unset keep their earlier bytes.
+  bool frame_optional = false;
+
+  bool is_default(const RunnerOptions& o) const;
+  // The value as a JSON token: true, 5000, "spot:64".
+  std::string json(const RunnerOptions& o) const;
+  // Sets the member from a SPEC-frame value. False — leaving *o as it
+  // was — on a wrong JSON type or a number that is negative, fractional
+  // or out of the member's range.
+  bool set_json(const obs::JsonValue& v, RunnerOptions* o) const;
+  void copy(const RunnerOptions& from, RunnerOptions* to) const;
+};
+
+// Every RunnerOptions member, in declaration order; the SPEC frame and
+// the worker argv write fields in this order.
+const std::vector<RunOptionField>& run_option_fields();
+
+// Registers one option per registry field on `parser`, writing into *out.
+// Fields whose key is in `skip` are left out (bsp-sim owns a different
+// --interval-stats).
+void add_run_option_flags(ArgParser& parser, RunnerOptions* out,
+                          const std::vector<std::string>& skip = {});
+
+// The flags that reproduce `options` on a worker's command line: every
+// field that differs from its default, host-local ones included.
+std::vector<std::string> run_option_args(const RunnerOptions& options);
 
 // Simulates one task against its (memoised) workload program.
 using WorkloadTaskBody =
@@ -94,6 +147,17 @@ using WorkloadTaskBody =
 // runner behind a shared_ptr, so detached timed-out attempts stay
 // memory-safe.
 TaskRunner memoise_workloads(WorkloadTaskBody body);
+
+// The task body every production runner shares, monolithic tasks and
+// sampled intervals alike: `config` runs `program` from `start` (the
+// functional state after task.fast_forward instructions; null = reset),
+// discards task.warmup commits, then measures task.instructions, with
+// `options`' interval series, host profile, CPI stack and co-simulation
+// cadence (task.cosim wins over options.cosim). Fills the outcome's stats,
+// error, series and exit status; checkpoint bookkeeping is the caller's.
+TaskOutcome simulate_task(const TaskSpec& task, const MachineConfig& config,
+                          const Program& program, const Checkpoint* start,
+                          const RunnerOptions& options);
 
 // The production runner: runs each task's machine configuration on its
 // memoised workload, restoring fast-forward checkpoints through a second

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
@@ -43,32 +44,17 @@ std::pair<std::string, std::string> split_verb(const std::string& payload) {
   return {payload.substr(0, sp), payload.substr(sp + 1)};
 }
 
-// Hostnames and campaign names are identifier-ish; this covers the two
-// characters that could still break a JSON string.
-std::string json_escape_min(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  return buf;
-}
-
 double json_num(const obs::JsonValue& obj, const char* key, double fallback) {
   const obs::JsonValue* v = obj.get(key);
   return v && v->is_number() ? v->number : fallback;
 }
 
-bool json_bool(const obs::JsonValue& obj, const char* key, bool fallback) {
+// An integer field of a peer's frame: nullopt when absent, or when present
+// but not an integer in [0, max].
+std::optional<u64> json_uint(const obs::JsonValue& obj, const char* key,
+                             u64 max) {
   const obs::JsonValue* v = obj.get(key);
-  return v && v->kind == obs::JsonValue::Kind::Bool ? v->boolean : fallback;
+  return v ? v->as_uint(max) : std::nullopt;
 }
 
 // One distinct (workload, seed, fast_forward > 0) representative per group,
@@ -94,19 +80,21 @@ std::vector<TaskSpec> prewarm_representatives(
 
 std::string encode_remote_spec(const RemoteSpec& spec) {
   std::ostringstream os;
+  // Forwarded run options in registry order; the frame_optional ones go
+  // after RemoteSpec's own fields, and only when set.
+  const auto run_fields = [&](bool optional) {
+    for (const RunOptionField& f : run_option_fields())
+      if (!f.host_local && f.frame_optional == optional &&
+          !(optional && f.is_default(spec.run)))
+        os << ",\"" << f.key << "\":" << f.json(spec.run);
+  };
   os << "{\"proto\":" << spec.proto << ",\"campaign\":\""
-     << json_escape_min(spec.campaign)
-     << "\",\"interval\":" << spec.run.interval
-     << ",\"host_profile\":" << (spec.run.host_profile ? "true" : "false")
-     << ",\"cpi_stack\":" << (spec.run.cpi_stack ? "true" : "false")
-     << ",\"sample_intervals\":" << spec.run.sample_intervals
-     << ",\"sample_warmup\":" << spec.run.sample_warmup
-     << ",\"timeout_sec\":" << fmt_double(spec.timeout_sec)
+     << obs::json_escape(spec.campaign) << "\"";
+  run_fields(false);
+  os << ",\"timeout_sec\":" << obs::fixed6(spec.timeout_sec)
      << ",\"max_attempts\":" << spec.max_attempts
-     << ",\"heartbeat_sec\":" << fmt_double(spec.heartbeat_sec);
-  // Written only when set, mirroring the store's only-when-set rule.
-  if (!spec.run.cosim.empty())
-    os << ",\"cosim\":\"" << json_escape_min(spec.run.cosim) << "\"";
+     << ",\"heartbeat_sec\":" << obs::fixed6(spec.heartbeat_sec);
+  run_fields(true);
   os << "}";
   return os.str();
 }
@@ -115,24 +103,23 @@ std::optional<RemoteSpec> parse_remote_spec(const std::string& json) {
   const auto v = obs::parse_json(json);
   if (!v || !v->is_object()) return std::nullopt;
   RemoteSpec spec;
-  spec.proto = static_cast<int>(json_num(*v, "proto", -1));
-  if (spec.proto < 0) return std::nullopt;
+  const auto proto = json_uint(*v, "proto", INT_MAX);
+  if (!proto) return std::nullopt;
+  spec.proto = static_cast<int>(*proto);
   if (const obs::JsonValue* c = v->get("campaign"))
     if (c->is_string()) spec.campaign = c->str;
-  RunnerOptions& run = spec.run;
-  run.interval = static_cast<u64>(json_num(*v, "interval", 0));
-  run.host_profile = json_bool(*v, "host_profile", false);
-  run.cpi_stack = json_bool(*v, "cpi_stack", false);
-  run.sample_intervals =
-      static_cast<unsigned>(json_num(*v, "sample_intervals", 0));
-  run.sample_warmup = static_cast<u64>(json_num(
-      *v, "sample_warmup", static_cast<double>(run.sample_warmup)));
+  for (const RunOptionField& f : run_option_fields()) {
+    if (f.host_local) continue;
+    if (const obs::JsonValue* fv = v->get(f.key))
+      if (!f.set_json(*fv, &spec.run)) return std::nullopt;
+  }
   spec.timeout_sec = json_num(*v, "timeout_sec", 0);
-  spec.max_attempts =
-      static_cast<unsigned>(json_num(*v, "max_attempts", 2));
+  if (v->get("max_attempts")) {
+    const auto n = json_uint(*v, "max_attempts", UINT_MAX);
+    if (!n) return std::nullopt;
+    spec.max_attempts = static_cast<unsigned>(*n);
+  }
   spec.heartbeat_sec = json_num(*v, "heartbeat_sec", 1.0);
-  if (const obs::JsonValue* c = v->get("cosim"))
-    if (c->is_string()) run.cosim = c->str;
   return spec;
 }
 
@@ -369,10 +356,10 @@ CampaignReport serve_campaign(const SweepSpec& spec,
           return;
         }
         const auto hello = obs::parse_json(body);
-        const int proto =
-            hello && hello->is_object()
-                ? static_cast<int>(json_num(*hello, "proto", -1))
-                : -1;
+        const auto hello_proto = hello && hello->is_object()
+                                     ? json_uint(*hello, "proto", INT_MAX)
+                                     : std::nullopt;
+        const int proto = hello_proto ? static_cast<int>(*hello_proto) : -1;
         if (proto != kRemoteProtocolVersion) {
           c.ch->queue_send("ERROR incompatible protocol version " +
                            std::to_string(proto) + " (coordinator speaks " +
@@ -382,8 +369,8 @@ CampaignReport serve_campaign(const SweepSpec& spec,
         }
         if (const obs::JsonValue* h = hello->get("host"))
           if (h->is_string() && !h->str.empty()) c.host = h->str;
-        c.slots = std::max(
-            1u, static_cast<unsigned>(json_num(*hello, "slots", 1)));
+        c.slots = std::max<unsigned>(
+            1, json_uint(*hello, "slots", UINT_MAX).value_or(1));
         bool sent = c.ch->queue_send(spec_frame);
         for (const TaskSpec& rep : reps)
           sent = sent && c.ch->queue_send("PREWARM " + task_jsonl(rep));
@@ -425,14 +412,14 @@ CampaignReport serve_campaign(const SweepSpec& spec,
       if (c->stage == Conn::kDead) continue;
       inflight += c->inflight.size();
       workers << (first ? "" : ",") << "{\"host\":\""
-              << json_escape_min(c->host) << "\",\"slots\":" << c->slots
+              << obs::json_escape(c->host) << "\",\"slots\":" << c->slots
               << ",\"inflight\":" << c->inflight.size() << ",\"idle_sec\":"
-              << fmt_double(seconds_between(c->last_seen, now)) << "}";
+              << obs::fixed6(seconds_between(c->last_seen, now)) << "}";
       first = false;
     }
     std::ostringstream os;
     std::lock_guard<std::mutex> lock(report_mutex);
-    os << "{\"campaign\":\"" << json_escape_min(spec.name)
+    os << "{\"campaign\":\"" << obs::json_escape(spec.name)
        << "\",\"proto\":" << kRemoteProtocolVersion
        << ",\"total\":" << s.total << ",\"skipped\":" << s.skipped
        << ",\"done\":" << s.done << ",\"ok\":" << report.ok
@@ -440,11 +427,11 @@ CampaignReport serve_campaign(const SweepSpec& spec,
        << ",\"crashed\":" << report.crashed
        << ",\"retried\":" << s.retried << ",\"queued\":" << queue.size()
        << ",\"inflight\":" << inflight
-       << ",\"elapsed_sec\":" << fmt_double(s.elapsed_sec)
-       << ",\"rate_tasks_per_sec\":" << fmt_double(s.rate)
-       << ",\"eta_sec\":" << fmt_double(s.eta_sec)
+       << ",\"elapsed_sec\":" << obs::fixed6(s.elapsed_sec)
+       << ",\"rate_tasks_per_sec\":" << obs::fixed6(s.rate)
+       << ",\"eta_sec\":" << obs::fixed6(s.eta_sec)
        << ",\"commits_per_host_second\":"
-       << fmt_double(s.commits_per_host_second)
+       << obs::fixed6(s.commits_per_host_second)
        << ",\"max_rss_kb\":" << s.max_rss_kb << ",\"workers\":["
        << workers.str() << "]}";
     return os.str();
@@ -720,7 +707,7 @@ WorkerReport run_remote_worker(const WorkerOptions& options,
   {
     std::ostringstream hello;
     hello << "HELLO {\"proto\":" << kRemoteProtocolVersion << ",\"host\":\""
-          << json_escape_min(host) << "\",\"slots\":" << slots << "}";
+          << obs::json_escape(host) << "\",\"slots\":" << slots << "}";
     if (!ch.send(hello.str())) {
       rep.error = "sending HELLO failed";
       return rep;

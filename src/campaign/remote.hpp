@@ -57,8 +57,8 @@ constexpr int kRemoteProtocolVersion = 2;
 struct RemoteSpec {
   int proto = kRemoteProtocolVersion;
   std::string campaign;
-  // Forwarded fields: interval, host_profile, cpi_stack, cosim and
-  // sample_*. A non-empty cosim is the fleet-wide default; per-task
+  // Forwarded fields: every run_option_fields() entry that is not
+  // host-local. A non-empty cosim is the fleet-wide default; per-task
   // TaskSpec::cosim (carried in the TASK frame's record JSONL) still wins,
   // and "" (full) is omitted from the frame.
   RunnerOptions run;

@@ -13,33 +13,13 @@
 namespace bsp::campaign {
 namespace {
 
+using obs::fixed6;
+using obs::json_escape;
+
 // The record's stats block covers every SimStats counter, in the
 // observability layer's registry order (obs/interval.hpp) — the same single
 // source of truth the interval sampler and trace validation use, so the
 // store, the sampler and the schema can never drift apart.
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // Reads the four hex digits of a \uXXXX escape at s[i..i+3]; nullopt when
 // the line is torn mid-escape or the digits are garbage.
@@ -112,12 +92,6 @@ std::string fmt_ms(double ms) {
   return buf;
 }
 
-std::string fmt_sec(double sec) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", sec);
-  return buf;
-}
-
 // Parses "[[1,2],[3,4]]" (jsonl_array_field output) back into rows.
 std::vector<std::vector<u64>> parse_series(const std::string& raw) {
   std::vector<std::vector<u64>> rows;
@@ -143,18 +117,18 @@ std::vector<std::vector<u64>> parse_series(const std::string& raw) {
 std::string to_jsonl(const TaskRecord& rec) {
   const TaskSpec& t = rec.task;
   std::ostringstream os;
-  os << "{\"campaign\":\"" << escape(t.campaign) << "\""
-     << ",\"task\":\"" << escape(t.id()) << "\""
-     << ",\"workload\":\"" << escape(t.workload) << "\""
+  os << "{\"campaign\":\"" << json_escape(t.campaign) << "\""
+     << ",\"task\":\"" << json_escape(t.id()) << "\""
+     << ",\"workload\":\"" << json_escape(t.workload) << "\""
      << ",\"seed\":\"0x" << std::hex << t.seed << std::dec << "\""
      << ",\"machine\":\"" << machine_kind_name(t.machine.kind) << "\""
      << ",\"slices\":" << t.machine.slices
      << ",\"techniques\":\"0x" << std::hex << t.machine.techniques
      << std::dec << "\""
-     << ",\"label\":\"" << escape(t.machine.label) << "\"";
+     << ",\"label\":\"" << json_escape(t.machine.label) << "\"";
   // Written only when set so stores without overrides stay byte-stable.
   if (!t.machine.overrides.empty())
-    os << ",\"overrides\":\"" << escape(t.machine.overrides) << "\"";
+    os << ",\"overrides\":\"" << json_escape(t.machine.overrides) << "\"";
   os << ",\"instructions\":" << t.instructions
      << ",\"warmup\":" << t.warmup;
   // Written only when nonzero so pre-fast-forward stores stay byte-stable.
@@ -162,8 +136,9 @@ std::string to_jsonl(const TaskRecord& rec) {
   // Written only when set so pre-cosim stores stay byte-stable. Key is
   // "cosim_mode", not "cosim": host_phases below already owns a "cosim"
   // key and the line-oriented parser matches needles anywhere in the line.
-  if (!t.cosim.empty()) os << ",\"cosim_mode\":\"" << escape(t.cosim) << "\"";
-  os << ",\"status\":\"" << escape(rec.status) << "\""
+  if (!t.cosim.empty())
+    os << ",\"cosim_mode\":\"" << json_escape(t.cosim) << "\"";
+  os << ",\"status\":\"" << json_escape(rec.status) << "\""
      << ",\"attempts\":" << rec.attempts
      << ",\"duration_ms\":" << fmt_ms(rec.duration_ms)
      << ",\"host_seconds\":" << fmt_ms(rec.stats.host_seconds);
@@ -173,23 +148,24 @@ std::string to_jsonl(const TaskRecord& rec) {
        << ",\"sys_sec\":" << fmt_ms(rec.sys_sec) << "}";
   }
   if (!rec.ckpt_cache.empty()) {
-    os << ",\"ckpt_cache\":\"" << escape(rec.ckpt_cache) << "\""
-       << ",\"ffwd_sec\":" << fmt_sec(rec.ffwd_sec);
+    os << ",\"ckpt_cache\":\"" << json_escape(rec.ckpt_cache) << "\""
+       << ",\"ffwd_sec\":" << fixed6(rec.ffwd_sec);
   }
   if (rec.stats.host_profile.enabled) {
     const obs::HostProfile& hp = rec.stats.host_profile;
-    os << ",\"host_phases\":{\"commit\":" << fmt_sec(hp.commit)
-       << ",\"resolve\":" << fmt_sec(hp.resolve)
-       << ",\"select\":" << fmt_sec(hp.select)
-       << ",\"memory\":" << fmt_sec(hp.memory)
-       << ",\"dispatch\":" << fmt_sec(hp.dispatch)
-       << ",\"fetch\":" << fmt_sec(hp.fetch)
-       << ",\"cosim\":" << fmt_sec(hp.cosim)
-       << ",\"replay\":" << fmt_sec(hp.replay)
-       << ",\"ffwd\":" << fmt_sec(hp.ffwd)
+    os << ",\"host_phases\":{\"commit\":" << fixed6(hp.commit)
+       << ",\"resolve\":" << fixed6(hp.resolve)
+       << ",\"select\":" << fixed6(hp.select)
+       << ",\"memory\":" << fixed6(hp.memory)
+       << ",\"dispatch\":" << fixed6(hp.dispatch)
+       << ",\"fetch\":" << fixed6(hp.fetch)
+       << ",\"cosim\":" << fixed6(hp.cosim)
+       << ",\"replay\":" << fixed6(hp.replay)
+       << ",\"ffwd\":" << fixed6(hp.ffwd)
        << ",\"loop_cycles\":" << hp.loop_cycles << "}";
   }
-  if (!rec.error.empty()) os << ",\"error\":\"" << escape(rec.error) << "\"";
+  if (!rec.error.empty())
+    os << ",\"error\":\"" << json_escape(rec.error) << "\"";
   if (rec.status == "ok") {
     os << ",\"stats\":{";
     bool first = true;
@@ -197,9 +173,7 @@ std::string to_jsonl(const TaskRecord& rec) {
       os << (first ? "\"" : ",\"") << c.name << "\":" << rec.stats.*c.field;
       first = false;
     }
-    char ipc[64];
-    std::snprintf(ipc, sizeof ipc, "%.6f", rec.stats.ipc());
-    os << ",\"ipc\":" << ipc << "}";
+    os << ",\"ipc\":" << fixed6(rec.stats.ipc()) << "}";
     if (rec.interval > 0 && !rec.series.empty()) {
       os << ",\"interval\":" << rec.interval << ",\"series\":[";
       for (std::size_t r = 0; r < rec.series.size(); ++r) {
@@ -217,8 +191,8 @@ std::string to_jsonl(const TaskRecord& rec) {
     os << ",\"sample_intervals\":" << rec.sample_intervals
        << ",\"sample_warmup\":" << rec.sample_warmup;
     if (rec.status == "ok") {
-      os << ",\"ipc_mean\":" << fmt_sec(rec.ipc_mean)
-         << ",\"ipc_ci95\":" << fmt_sec(rec.ipc_ci95);
+      os << ",\"ipc_mean\":" << fixed6(rec.ipc_mean)
+         << ",\"ipc_ci95\":" << fixed6(rec.ipc_ci95);
       if (!rec.samples.empty()) {
         os << ",\"samples\":[";
         for (std::size_t r = 0; r < rec.samples.size(); ++r) {

@@ -61,6 +61,11 @@ struct TaskOutcome {
   double ipc_mean = 0;
   double ipc_ci95 = 0;
   std::vector<std::vector<u64>> samples;
+  // The program ran to SYS_EXIT inside the task's window, with this code.
+  // Not stored: a record's committed count already shows a short window;
+  // sampled runs report it per interval.
+  bool exited = false;
+  int exit_code = 0;
 
   bool ok() const { return status == "ok"; }
   bool retried() const { return attempts > 1; }

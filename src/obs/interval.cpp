@@ -1,43 +1,12 @@
 #include "obs/interval.hpp"
 
 #include <cassert>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace bsp::obs {
-namespace {
-
-std::string fmt_rate(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  return buf;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 const std::vector<CounterDesc>& simstats_counters() {
   static const std::vector<CounterDesc> kCounters = {
@@ -193,18 +162,18 @@ std::string IntervalSampler::header_line(u64 every,
                                          const std::string& config) {
   std::ostringstream os;
   os << "{\"type\":\"header\",\"version\":1,\"interval\":" << every
-     << ",\"config\":\"" << escape(config) << "\",\"columns\":[";
+     << ",\"config\":\"" << json_escape(config) << "\",\"columns\":[";
   bool first = true;
   for (const CounterDesc& c : simstats_counters()) {
     os << (first ? "" : ",") << "{\"name\":\"" << c.name << "\",\"unit\":\""
-       << c.unit << "\",\"desc\":\"" << escape(c.desc) << "\"}";
+       << c.unit << "\",\"desc\":\"" << json_escape(c.desc) << "\"}";
     first = false;
   }
   os << "],\"derived\":[";
   first = true;
   for (const DerivedDesc& d : derived_metrics()) {
     os << (first ? "" : ",") << "{\"name\":\"" << d.name << "\",\"desc\":\""
-       << escape(d.desc) << "\"}";
+       << json_escape(d.desc) << "\"}";
     first = false;
   }
   os << "]}";
@@ -219,9 +188,9 @@ std::string IntervalSampler::row_line(const IntervalRow& row) {
   const auto& regs = simstats_counters();
   for (std::size_t i = 0; i < regs.size(); ++i)
     os << (i ? ",\"" : "\"") << regs[i].name << "\":" << row.delta[i];
-  os << "},\"ipc\":" << fmt_rate(row.ipc())
-     << ",\"replay_rate\":" << fmt_rate(row.replay_rate())
-     << ",\"l1d_miss_rate\":" << fmt_rate(row.l1d_miss_rate()) << "}";
+  os << "},\"ipc\":" << fixed6(row.ipc())
+     << ",\"replay_rate\":" << fixed6(row.replay_rate())
+     << ",\"l1d_miss_rate\":" << fixed6(row.l1d_miss_rate()) << "}";
   return os.str();
 }
 

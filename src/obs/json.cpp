@@ -1,6 +1,8 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace bsp::obs {
@@ -21,6 +23,46 @@ void append_utf8(char32_t cp, std::string& out) {
     out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
     out += static_cast<char>(0x80 | (cp & 0x3F));
   }
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string fixed6(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.6f", v);
+  return buf;
+}
+
+std::optional<u64> JsonValue::as_uint(u64 max) const {
+  // 2^64 is exact as a double; every smaller non-negative integral double
+  // converts to u64 without overflow.
+  if (!is_number() || !(number >= 0) || number >= 18446744073709551616.0 ||
+      std::floor(number) != number)
+    return std::nullopt;
+  const u64 v = static_cast<u64>(number);
+  if (v > max) return std::nullopt;
+  return v;
 }
 
 namespace {

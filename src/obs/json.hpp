@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "util/bitops.hpp"
+
 namespace bsp::obs {
 
 struct JsonValue {
@@ -29,6 +31,11 @@ struct JsonValue {
   bool is_number() const { return kind == Kind::Number; }
   bool is_string() const { return kind == Kind::String; }
 
+  // The number as an integer in [0, max]; nullopt when this is not a
+  // number or is negative, fractional or above `max` — the guard every
+  // reader of outside input needs before casting a double to an integer.
+  std::optional<u64> as_uint(u64 max) const;
+
   // Object member access; nullptr when absent or not an object.
   const JsonValue* get(const std::string& key) const {
     if (kind != Kind::Object) return nullptr;
@@ -45,5 +52,16 @@ std::optional<JsonValue> parse_json(const std::string& text);
 // Shared by every \uXXXX unescaper in the tree (this parser, the campaign
 // store's field extractor) so they cannot drift on encoding rules.
 void append_utf8(char32_t cp, std::string& out);
+
+// `s` escaped for use inside a JSON string literal: quote, backslash and
+// every control character below 0x20 are escaped, other bytes (UTF-8
+// included) pass through. The one escaper every JSON writer in the tree
+// uses, so parse_json of the quoted result gives `s` back.
+std::string json_escape(const std::string& s);
+
+// `v` with exactly six decimals ("%.6f"): the one format the JSON writers
+// use for non-integral numbers (seconds, rates, IPC), so their bytes stay
+// stable.
+std::string fixed6(double v);
 
 }  // namespace bsp::obs

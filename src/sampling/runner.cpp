@@ -9,31 +9,21 @@ campaign::TaskRunner make_sampled_runner(
   // The task itself already occupies one scheduler slot; its interval
   // workers run inline on that slot so a sweep's total thread count stays
   // at the scheduler's --jobs.
-  SampleOptions base;
-  base.intervals = options.sample_intervals;
-  base.warmup = options.sample_warmup;
-  base.jobs = 1;
-  base.ckpt_cache_dir = options.ckpt_cache_dir;
-  base.host_profile = options.host_profile;
-  base.cpi_stack = options.cpi_stack;
-  return campaign::memoise_workloads([base, options](
+  SampleOptions opts;
+  opts.intervals = options.sample_intervals;
+  opts.warmup = options.sample_warmup;
+  opts.jobs = 1;
+  opts.ckpt_cache_dir = options.ckpt_cache_dir;
+  return campaign::memoise_workloads([opts, options](
                                          const campaign::TaskSpec& task,
                                          const Workload& workload) {
+    const SampledResult res = run_sampled(task, task.machine.build(),
+                                          workload.program, opts, options);
     campaign::TaskOutcome r;
-    SampleOptions opts = base;
-    // The task's own cosim mode overrides the run-wide default.
-    const std::string& cosim_text =
-        !task.cosim.empty() ? task.cosim : options.cosim;
-    if (!cosim_text.empty() && !parse_cosim(cosim_text, &opts.sim)) {
-      r.error = "bad cosim mode: " + cosim_text;
-      return r;
-    }
-    const SampledResult res = run_sampled(
-        task.machine.build(), workload.program, task.workload, task.seed,
-        task.instructions, task.warmup, task.fast_forward, opts);
-
     r.stats = res.aggregate;
     r.error = res.error;
+    r.exited = res.exited;
+    r.exit_code = res.exit_code;
     if (res.ckpt_materialised + res.ckpt_reused > 0) {
       r.ckpt_cache = res.ckpt_materialised ? "miss" : "hit";
       r.ffwd_sec = res.prewarm_sec;

@@ -11,14 +11,13 @@
 //               gaps), and each capture publishes atomically into the
 //               campaign checkpoint cache so concurrent runs and worker
 //               subprocesses share it;
-//  3. workers — each interval restores its checkpoint, runs its warm-up
-//               commits with statistics discarded, then detail-simulates
-//               its chunk. Thread pool by default (util/parallel.hpp);
-//               with SampleOptions::worker_cmd set, one subprocess per
-//               interval (util/subprocess.hpp) for crash/timeout
-//               containment — the worker prints its IntervalResult as a
-//               single JSONL line on stdout (bsp-sim's hidden
-//               --sample-worker flag implements this protocol);
+//  3. workers — each interval is a monolithic task: fast-forward to its
+//               offset (the prewarmed checkpoint, straight from memory),
+//               discard its warm-up commits, measure its chunk — through
+//               campaign::simulate_task, the body every production runner
+//               shares. Thread pool (util/parallel.hpp); process
+//               containment is per task, `bsp-sweep --sample-intervals K
+//               --isolate process`;
 //  4. stitch  — SimStats::merge folds the K measured chunks into one
 //               aggregate, and estimate_ipc() puts a Student-t 95%
 //               confidence interval on the per-interval IPC mean
@@ -36,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "config/machine_config.hpp"
 #include "core/simulator.hpp"
 #include "sampling/plan.hpp"
@@ -43,30 +43,17 @@
 
 namespace bsp::sampling {
 
+// How a run is sharded; what each interval records (host profile, CPI
+// stack, co-simulation cadence) comes from the campaign::RunnerOptions
+// passed next to it.
 struct SampleOptions {
   unsigned intervals = 8;  // K
   u64 warmup = kDefaultSampleWarmup;  // N: per-interval warm-up commits
                                      // (intervals > 0; interval 0 always
                                      // keeps the monolithic warm-up)
   unsigned jobs = 0;       // worker parallelism (0 = hardware concurrency)
-  // Shared checkpoint cache directory ("" = in-memory checkpoints only;
-  // required for process isolation, since workers restore from disk).
+  // Shared checkpoint cache directory ("" = in-memory checkpoints only).
   std::string ckpt_cache_dir;
-  // Non-empty => process isolation: argv prefix of the worker command; the
-  // engine appends the interval index as the final argument. The worker
-  // prints interval_to_jsonl() on stdout.
-  std::vector<std::string> worker_cmd;
-  double timeout_sec = 0;    // per-interval wall clock (process mode only)
-  bool host_profile = false; // per-interval host-phase profiles
-  // CPI-stack accounting per interval (Simulator::enable_cpi_stack): the
-  // leaves are registered counters, so stitching merges them additively
-  // and the aggregate keeps the identity sum(cpi_*) == cycles * width.
-  bool cpi_stack = false;
-  // Co-simulation cadence for every interval (core/simulator.hpp). Pure
-  // check: interval stats are bit-identical across modes. In process mode
-  // the worker command line must carry the matching --cosim flag (bsp-sim
-  // forwards its own raw argv, so this happens automatically).
-  SimOptions sim;
 };
 
 // Prewarm outcome: checkpoints by functional offset. An offset missing
@@ -92,26 +79,10 @@ PrewarmResult materialise_interval_checkpoints(const Program& program,
                                                const SamplePlan& plan,
                                                const std::string& cache_dir);
 
-// Runs one interval in-process: restore `start` (null iff spec.offset ==
-// 0), discard spec.warmup commits, measure spec.commits. The worker entry
-// point and the thread-mode body.
-IntervalResult run_one_interval(const MachineConfig& config,
-                                const Program& program,
-                                const IntervalSpec& spec,
-                                const Checkpoint* start, bool host_profile,
-                                bool cpi_stack = false,
-                                const SimOptions& sim = SimOptions{});
-
 // One IntervalResult as a single JSON line (no trailing newline): the
-// process-worker protocol and the per-interval record format the tools
-// write. Counters appear under "stats" in registry order, like the
-// campaign store's records.
+// per-interval record bsp-sim --sample-out writes. Counters appear under
+// "stats" in registry order, like the campaign store's records.
 std::string interval_to_jsonl(const IntervalResult& r);
-
-// Parses an interval_to_jsonl() line. False on torn/garbage lines, with
-// *error describing why.
-bool interval_from_jsonl(const std::string& line, IntervalResult* out,
-                         std::string* error);
 
 struct SampledResult {
   SamplePlan plan;
@@ -130,9 +101,19 @@ struct SampledResult {
 };
 
 // The engine: plan, prewarm, run every interval (parallel), stitch.
+// `task` is the monolithic run being sampled (workload, seed,
+// instructions, warmup, fast_forward, cosim) on `config`; each interval
+// runs as a copy of it whose fast_forward, warmup and instructions are the
+// interval's offset, warm-up and chunk, with `run`'s knobs.
+SampledResult run_sampled(const campaign::TaskSpec& task,
+                          const MachineConfig& config, const Program& program,
+                          const SampleOptions& opts,
+                          const campaign::RunnerOptions& run = {});
+// The same run, given as its parameters.
 SampledResult run_sampled(const MachineConfig& config, const Program& program,
                           const std::string& workload, u64 seed,
                           u64 max_commits, u64 warmup, u64 fast_forward,
-                          const SampleOptions& opts);
+                          const SampleOptions& opts,
+                          const campaign::RunnerOptions& run = {});
 
 }  // namespace bsp::sampling

@@ -1,7 +1,8 @@
-// Minimal declarative CLI parser shared by the tools (bsp-sweep, bsp-report,
-// bsp-study), replacing hand-rolled strcmp chains. Supports long and
-// short aliases, typed value options, repeatable options, hidden (internal)
-// options, and a generated --help. Matches the historical bench behaviour:
+// Minimal declarative CLI parser shared by the tools (bsp-sim, bsp-sweep,
+// bsp-report, bsp-study), replacing hand-rolled strcmp chains. Supports
+// long and short aliases, typed value options, repeatable options, flags
+// with optional trailing values, hidden (internal) options, and a
+// generated --help. Matches the historical bench behaviour:
 // exits 0 on --help, exits 2 on an unknown option, a missing value, or —
 // via the typed overloads and the parse_cli_* helpers — a malformed
 // numeric value (trailing junk, overflow, or a negative where an unsigned
@@ -76,37 +77,55 @@ class ArgParser {
   }
   void add_flag(const std::string& names, const std::string& help,
                 std::function<void()> fn) {
-    options_.push_back({split(names), "", help,
-                        [fn = std::move(fn)](const std::string&) { fn(); },
-                        false, false});
+    add_optional_values(
+        names, "", help, 0,
+        [fn = std::move(fn)](const std::vector<std::string>&) { fn(); });
+  }
+
+  // A flag that may be followed by exactly `count` values, e.g.
+  // "--trace [START END]": they are consumed only when the next `count`
+  // arguments all exist and none starts with '-'. `fn` gets them, or an
+  // empty vector when the flag stands alone.
+  void add_optional_values(
+      const std::string& names, const std::string& placeholder,
+      const std::string& help, std::size_t count,
+      std::function<void(const std::vector<std::string>&)> fn) {
+    Option& o = add_option(names, placeholder, help);
+    o.optional_values = count;
+    o.apply_flag = std::move(fn);
   }
 
   // Value options; the typed conveniences parse strictly via parse_cli_*
   // (base 0, so hex "0x5eed" and decimal both work) and exit 2 on garbage
-  // instead of silently yielding 0.
+  // instead of silently yielding 0, naming the alias that was typed.
   void add_value(const std::string& names, const std::string& placeholder,
                  const std::string& help,
                  std::function<void(const std::string&)> fn) {
-    options_.push_back(
-        {split(names), placeholder, help, std::move(fn), true, false});
+    add_option(names, placeholder, help).apply_value =
+        [fn = std::move(fn)](const std::string&, const std::string& v) {
+          fn(v);
+        };
   }
   void add_value(const std::string& names, const std::string& placeholder,
                  const std::string& help, u64* out) {
-    add_value(names, placeholder, help, [out, names](const std::string& v) {
-      *out = parse_cli_u64(names, v);
-    });
+    add_option(names, placeholder, help).apply_value =
+        [out](const std::string& name, const std::string& v) {
+          *out = parse_cli_u64(name, v);
+        };
   }
   void add_value(const std::string& names, const std::string& placeholder,
                  const std::string& help, unsigned* out) {
-    add_value(names, placeholder, help, [out, names](const std::string& v) {
-      *out = parse_cli_unsigned(names, v);
-    });
+    add_option(names, placeholder, help).apply_value =
+        [out](const std::string& name, const std::string& v) {
+          *out = parse_cli_unsigned(name, v);
+        };
   }
   void add_value(const std::string& names, const std::string& placeholder,
                  const std::string& help, double* out) {
-    add_value(names, placeholder, help, [out, names](const std::string& v) {
-      *out = parse_cli_double(names, v);
-    });
+    add_option(names, placeholder, help).apply_value =
+        [out](const std::string& name, const std::string& v) {
+          *out = parse_cli_double(name, v);
+        };
   }
   void add_value(const std::string& names, const std::string& placeholder,
                  const std::string& help, std::string* out) {
@@ -121,19 +140,20 @@ class ArgParser {
   }
   void add_value(const std::string& names, const std::string& placeholder,
                  const std::string& help, std::vector<u64>* out) {
-    add_value(names, placeholder, help, [out, names](const std::string& v) {
-      out->push_back(parse_cli_u64(names, v));
-    });
+    add_option(names, placeholder, help).apply_value =
+        [out](const std::string& name, const std::string& v) {
+          out->push_back(parse_cli_u64(name, v));
+        };
   }
 
-  // Internal plumbing options (e.g. bsp-sweep's --worker): parsed like any
-  // value option but left out of --help.
+  // Internal plumbing options (e.g. bsp-sweep's --worker-json): parsed like
+  // any value option but left out of --help.
   void add_hidden_value(const std::string& names,
                         const std::string& placeholder,
                         const std::string& help,
                         std::function<void(const std::string&)> fn) {
-    options_.push_back(
-        {split(names), placeholder, help, std::move(fn), true, true});
+    add_value(names, placeholder, help, std::move(fn));
+    options_.back().hidden = true;
   }
   void add_hidden_value(const std::string& names,
                         const std::string& placeholder,
@@ -165,15 +185,23 @@ class ArgParser {
         std::cerr << "unknown option " << a << " (try --help)\n";
         std::exit(2);
       }
-      std::string value;
-      if (opt->takes_value) {
+      if (opt->apply_value) {
         if (i + 1 >= argc) {
           std::cerr << a << " needs a value\n";
           std::exit(2);
         }
-        value = argv[++i];
+        opt->apply_value(a, argv[++i]);
+        continue;
       }
-      opt->apply(value);
+      const std::size_t n = opt->optional_values;
+      std::vector<std::string> values;
+      if (n > 0 && i + n < static_cast<std::size_t>(argc) &&
+          std::all_of(argv + i + 1, argv + i + 1 + n,
+                      [](const char* v) { return v[0] != '-'; })) {
+        values.assign(argv + i + 1, argv + i + 1 + n);
+        i += static_cast<int>(n);
+      }
+      opt->apply_flag(values);
     }
   }
 
@@ -188,7 +216,7 @@ class ArgParser {
         if (i) left += ", ";
         left += o.names[i];
       }
-      if (o.takes_value) left += " " + o.placeholder;
+      if (!o.placeholder.empty()) left += " " + o.placeholder;
       width = std::max(width, left.size());
       lines.emplace_back(std::move(left), o.help);
     }
@@ -204,10 +232,23 @@ class ArgParser {
     std::vector<std::string> names;
     std::string placeholder;
     std::string help;
-    std::function<void(const std::string&)> apply;
-    bool takes_value;
-    bool hidden;
+    // Value options get (the alias typed, its value); flags get their
+    // optional trailing values.
+    std::function<void(const std::string&, const std::string&)> apply_value;
+    std::function<void(const std::vector<std::string>&)> apply_flag;
+    std::size_t optional_values = 0;
+    bool hidden = false;
   };
+
+  Option& add_option(const std::string& names, const std::string& placeholder,
+                     const std::string& help) {
+    options_.emplace_back();
+    Option& o = options_.back();
+    o.names = split(names);
+    o.placeholder = placeholder;
+    o.help = help;
+    return o;
+  }
 
   static std::vector<std::string> split(const std::string& names) {
     std::vector<std::string> out;

@@ -442,6 +442,34 @@ void parse_args(std::vector<std::string> args) {
   std::exit(0);  // parsed clean
 }
 
+// A flag with optional values (bsp-sim's --trace [START END]) takes them
+// only when all of them follow and none looks like an option; otherwise
+// the flag stands alone and the arguments stay positional.
+TEST(ArgParser, OptionalValuesAreTakenOnlyAsAGroup) {
+  using Parsed = std::pair<std::vector<std::string>, std::vector<std::string>>;
+  const auto parse = [](std::vector<std::string> args) {
+    ArgParser parser("test");
+    Parsed out;
+    u64 n = 0;
+    parser.add_optional_values(
+        "--trace", "[START END]", "trace", 2,
+        [&](const std::vector<std::string>& v) { out.first = v; });
+    parser.add_value("-n", "N", "count", &n);
+    parser.set_positional(
+        [&](const std::string& a) { out.second.push_back(a); });
+    std::vector<char*> argv = {const_cast<char*>("prog")};
+    for (auto& a : args) argv.push_back(a.data());
+    parser.parse(static_cast<int>(argv.size()), argv.data());
+    return out;
+  };
+  EXPECT_EQ(parse({"--trace", "0", "400", "li"}),
+            Parsed({"0", "400"}, {"li"}));
+  EXPECT_EQ(parse({"li", "--trace", "5", "9"}), Parsed({"5", "9"}, {"li"}));
+  EXPECT_EQ(parse({"li", "--trace"}), Parsed({}, {"li"}));
+  EXPECT_EQ(parse({"--trace", "li"}), Parsed({}, {"li"}));
+  EXPECT_EQ(parse({"--trace", "li", "-n", "5"}), Parsed({}, {"li"}));
+}
+
 using ArgParserDeath = ::testing::Test;
 
 TEST(ArgParserDeath, RejectsTrailingJunk) {

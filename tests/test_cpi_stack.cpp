@@ -233,10 +233,11 @@ TEST(CpiStack, SampledStitchingPreservesIdentity) {
   opts.intervals = 4;
   opts.warmup = 1000;
   opts.jobs = 2;
-  opts.cpi_stack = true;
+  campaign::RunnerOptions run;
+  run.cpi_stack = true;
   const sampling::SampledResult res =
       sampling::run_sampled(config, w.program, "gzip", 0x5eed, 20000, 2000,
-                            0, opts);
+                            0, opts, run);
   ASSERT_TRUE(res.ok()) << res.error;
   for (const sampling::IntervalResult& r : res.intervals) {
     if (r.skipped) continue;
@@ -251,9 +252,10 @@ TEST(CpiStack, SampledK1MatchesMonolithic) {
   const Workload w = build_workload("li");
   sampling::SampleOptions opts;
   opts.intervals = 1;
-  opts.cpi_stack = true;
+  campaign::RunnerOptions run;
+  run.cpi_stack = true;
   const sampling::SampledResult res = sampling::run_sampled(
-      config, w.program, "li", 0x5eed, 4000, 500, 0, opts);
+      config, w.program, "li", 0x5eed, 4000, 500, 0, opts, run);
   ASSERT_TRUE(res.ok()) << res.error;
   const SimResult mono = run_cpi(config, w.program, 4000, 500);
   ASSERT_TRUE(mono.ok());

@@ -3,6 +3,7 @@
 // counters, and none of it may perturb the simulation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
 
@@ -411,6 +412,37 @@ TEST(ObsJson, AppendUtf8CoversAllWidths) {
   EXPECT_EQ(enc(0xE9), "\xC3\xA9");
   EXPECT_EQ(enc(0x20AC), "\xE2\x82\xAC");
   EXPECT_EQ(enc(0x1F600), "\xF0\x9F\x98\x80");
+}
+
+// Every writer quotes strings through json_escape, so whatever a hostname,
+// label, error or path holds must come back from the parser unchanged.
+TEST(ObsJson, EscapeRoundTripsEveryByte) {
+  const auto round_trip = [](const std::string& s) {
+    const auto v = obs::parse_json("\"" + obs::json_escape(s) + "\"");
+    return v && v->is_string() ? v->str : std::string("<unparseable>");
+  };
+  for (int c = 0x01; c <= 0x7f; ++c) {
+    const std::string s = "a" + std::string(1, static_cast<char>(c)) + "z";
+    EXPECT_EQ(round_trip(s), s) << "byte 0x" << std::hex << c;
+  }
+  const std::string utf8 = "caf\xC3\xA9 \xE2\x82\xAC \xF0\x9F\x98\x80";
+  EXPECT_EQ(round_trip(utf8), utf8);
+}
+
+TEST(ObsJson, AsUintAcceptsOnlyIntegersInRange) {
+  const auto num = [](const char* text, u64 max) {
+    return obs::parse_json(text)->as_uint(max);
+  };
+  EXPECT_EQ(num("0", 10), 0u);
+  EXPECT_EQ(num("10", 10), 10u);
+  EXPECT_EQ(num("4294967295", UINT32_MAX), 4294967295u);
+  EXPECT_FALSE(num("11", 10));
+  EXPECT_FALSE(num("-1", 10));
+  EXPECT_FALSE(num("0.5", 10));
+  EXPECT_FALSE(num("1e30", UINT64_MAX));
+  EXPECT_FALSE(num("18446744073709551616", UINT64_MAX));
+  EXPECT_FALSE(num("\"5\"", 10));
+  EXPECT_FALSE(num("true", 10));
 }
 
 }  // namespace

@@ -14,12 +14,15 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "campaign/campaign.hpp"
 #include "campaign/remote.hpp"
 #include "campaign/store.hpp"
 #include "obs/json.hpp"
+#include "util/cli.hpp"
 #include "util/socket.hpp"
 
 namespace bsp::campaign {
@@ -337,6 +340,87 @@ TEST(RemoteSpecJson, FrameBytesArePinned) {
   ASSERT_TRUE(back);
   EXPECT_EQ(back->run.cosim, "spot:64");
   EXPECT_TRUE(back->run.ckpt_cache_dir.empty());
+}
+
+// SPEC-frame numbers come from another process: a negative, fractional or
+// out-of-range value rejects the frame instead of wrapping into a huge or
+// zero knob.
+TEST(RemoteSpecJson, RejectsNumbersOutsideTheFieldsRange) {
+  EXPECT_FALSE(parse_remote_spec(R"({"proto":2,"sample_intervals":-1})"));
+  EXPECT_FALSE(parse_remote_spec(R"({"proto":2,"sample_warmup":1e30})"));
+  EXPECT_FALSE(parse_remote_spec(R"({"proto":1e30})"));
+  EXPECT_FALSE(parse_remote_spec(R"({"proto":2,"interval":0.5})"));
+  EXPECT_FALSE(
+      parse_remote_spec(R"({"proto":2,"sample_intervals":4294967296})"));
+  EXPECT_FALSE(parse_remote_spec(R"({"proto":2,"max_attempts":-2})"));
+  EXPECT_FALSE(parse_remote_spec(R"({"proto":2,"cpi_stack":1})"));
+  const auto edge =
+      parse_remote_spec(R"({"proto":2,"sample_intervals":4294967295})");
+  ASSERT_TRUE(edge);
+  EXPECT_EQ(edge->run.sample_intervals, 4294967295u);
+}
+
+// --------------------------------------------------------------- run options
+
+// A RunnerOptions member missing from the registry would silently stay
+// behind on every worker. The structured binding stops compiling when a
+// member is added; the loop then demands a registry entry for it.
+TEST(RunOptions, EveryMemberIsRegistered) {
+  RunnerOptions o;
+  auto& [interval, host_profile, ckpt_cache_dir, cpi_stack, cosim,
+         sample_intervals, sample_warmup] = o;
+  const std::vector<const void*> members = {
+      &interval, &host_profile,     &ckpt_cache_dir, &cpi_stack,
+      &cosim,    &sample_intervals, &sample_warmup};
+  std::vector<const void*> registered;
+  for (const RunOptionField& f : run_option_fields())
+    registered.push_back(
+        std::visit([&](auto m) -> const void* { return &(o.*m); }, f.member));
+  EXPECT_EQ(registered, members);
+}
+
+// Every field, set to a value that is not its default, reaches a worker:
+// through the --isolate process argv and the parser the tools build from
+// the registry, and — unless host-local — through the SPEC frame.
+TEST(RunOptions, EveryFieldReachesWorkers) {
+  RunnerOptions o;
+  unsigned n = 0;
+  for (const RunOptionField& f : run_option_fields()) {
+    ++n;
+    std::visit(
+        [&](auto m) {
+          using T = std::decay_t<decltype(o.*m)>;
+          if constexpr (std::is_same_v<T, bool>)
+            o.*m = true;
+          else if constexpr (std::is_same_v<T, std::string>)
+            o.*m = "spot:" + std::to_string(n);
+          else
+            o.*m = 1'000 + n;
+        },
+        f.member);
+    EXPECT_FALSE(f.is_default(o)) << f.key;
+  }
+
+  std::vector<std::string> args = {"worker"};
+  for (const std::string& a : run_option_args(o)) args.push_back(a);
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  RunnerOptions parsed;
+  ArgParser parser("worker");
+  add_run_option_flags(parser, &parsed);
+  parser.parse(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(parsed, o);
+  EXPECT_TRUE(run_option_args(RunnerOptions{}).empty());
+
+  RemoteSpec spec;
+  spec.run = o;
+  const auto back = parse_remote_spec(encode_remote_spec(spec));
+  ASSERT_TRUE(back);
+  RunnerOptions expected = o;
+  for (const RunOptionField& f : run_option_fields())
+    if (f.host_local) f.copy(RunnerOptions{}, &expected);
+  EXPECT_EQ(back->run, expected);
+  EXPECT_NE(expected, o);  // some field is host-local
 }
 
 // --------------------------------------------------------------- end to end

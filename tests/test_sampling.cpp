@@ -1,7 +1,8 @@
 // Sampled-simulation tests: planner invariants, the stat-merge algebra the
 // stitcher is built on, the Student-t error bound, the interval JSONL
-// protocol, and the engine's acceptance properties — a 1-interval run is
-// bit-identical to the monolithic run, per-interval stats are
+// bytes, and the engine's acceptance properties — a 1-interval run is
+// bit-identical to the monolithic run, every interval equals the task it
+// describes, per-interval stats are
 // deterministic across reruns, the prewarm pass reuses published
 // checkpoints, and a K-interval estimate's confidence interval contains
 // the monolithic IPC on the pinned workload.
@@ -16,6 +17,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "campaign/ckpt_cache.hpp"
 #include "config/machine_config.hpp"
 #include "core/simulator.hpp"
@@ -208,9 +210,12 @@ TEST(Stitch, SingleIntervalHasNoConfidenceInterval) {
   EXPECT_DOUBLE_EQ(e.ci95, 0.0);
 }
 
-// --- interval JSONL protocol ------------------------------------------------
+// --- interval JSONL format --------------------------------------------------
 
-TEST(IntervalJsonl, MeasuredRecordRoundTrips) {
+// The per-interval line bsp-sim --sample-out writes: its bytes (key order,
+// number formatting, escaping) are an output format, so they only change
+// on purpose.
+TEST(IntervalJsonl, LineBytesArePinned) {
   IntervalResult r;
   r.spec = {3, 7'000, 2'000, 2'500, 9'000};
   const auto& counters = obs::simstats_counters();
@@ -220,46 +225,40 @@ TEST(IntervalJsonl, MeasuredRecordRoundTrips) {
   r.exited = true;
   r.exit_code = 42;
   r.host_sec = 1.5;
-
-  IntervalResult back;
-  std::string error;
-  ASSERT_TRUE(interval_from_jsonl(interval_to_jsonl(r), &back, &error))
-      << error;
-  EXPECT_EQ(back.spec.index, 3u);
-  EXPECT_EQ(back.spec.offset, 7'000u);
-  EXPECT_EQ(back.spec.warmup, 2'000u);
-  EXPECT_EQ(back.spec.commits, 2'500u);
-  EXPECT_EQ(back.spec.measured_start, 9'000u);
-  EXPECT_TRUE(back.exited);
-  EXPECT_EQ(back.exit_code, 42);
-  EXPECT_DOUBLE_EQ(back.host_sec, 1.5);
-  for (std::size_t i = 0; i < counters.size(); ++i)
-    EXPECT_EQ(back.stats.*(counters[i].field), 10 * i + 1)
-        << counters[i].name;
-  EXPECT_DOUBLE_EQ(back.stats.host_seconds, 0.125);
-}
-
-TEST(IntervalJsonl, FailedSkippedAndGarbageLines) {
+  EXPECT_EQ(
+      interval_to_jsonl(r),
+      R"({"type":"interval","index":3,"offset":7000,"warmup":2000,)"
+      R"("commits":2500,"measured_start":9000,"status":"ok","exited":true,)"
+      R"("exit_code":42,"host_sec":1.500000,"stats":{"cycles":1,)"
+      R"("committed":11,"dispatched":21,"bogus_dispatched":31,"branches":41,)"
+      R"("branch_mispredicts":51,"early_resolved_branches":61,"loads":71,)"
+      R"("stores":81,"load_forwards":91,"loads_issued_partial_lsq":101,)"
+      R"("partial_tag_accesses":111,"way_mispredicts":121,)"
+      R"("early_miss_detects":131,"load_replays":141,"op_replays":151,)"
+      R"("spec_forwards":161,"spec_forward_misses":171,)"
+      R"("narrow_operands":181,"l1d_hits":191,"l1d_misses":201,)"
+      R"("idle_cycles_skipped":211,"cpi_base":221,"cpi_fe_icache":231,)"
+      R"("cpi_fe_fill":241,"cpi_br_squash":251,"cpi_ruu_full":261,)"
+      R"("cpi_slice_low":271,"cpi_slice_chain":281,"cpi_exec_unit":291,)"
+      R"("cpi_br_resolve":301,"cpi_lsq_disambig":311,"cpi_dcache":321,)"
+      R"("cpi_partial_tag":331,"cpi_spec_forward":341,"cpi_store_data":351,)"
+      R"("cpi_drain":361,"cpi_other":371,"host_seconds":0.125000,)"
+      R"("ipc":11.000000}})");
   IntervalResult failed;
   failed.spec.index = 1;
-  failed.error = "co-sim divergence: \"pc\" mismatch";
-  IntervalResult back;
-  std::string error;
-  ASSERT_TRUE(interval_from_jsonl(interval_to_jsonl(failed), &back, &error));
-  EXPECT_FALSE(back.ok());
-  EXPECT_EQ(back.error, failed.error);
-
+  failed.error = "co-sim divergence: \"pc\" mismatch\n\x01";
+  EXPECT_EQ(interval_to_jsonl(failed),
+            R"({"type":"interval","index":1,"offset":0,"warmup":0,)"
+            R"("commits":0,"measured_start":0,"status":"failed",)"
+            R"("exited":false,"exit_code":0,"host_sec":0.000000,)"
+            R"("error":"co-sim divergence: \"pc\" mismatch\n\u0001"})");
   IntervalResult skipped;
   skipped.spec.index = 2;
   skipped.skipped = true;
-  ASSERT_TRUE(interval_from_jsonl(interval_to_jsonl(skipped), &back, &error));
-  EXPECT_TRUE(back.skipped);
-  EXPECT_FALSE(back.measured());
-
-  EXPECT_FALSE(interval_from_jsonl("", &back, &error));
-  EXPECT_FALSE(interval_from_jsonl("{\"type\":\"task\"}", &back, &error));
-  const std::string torn = interval_to_jsonl(failed).substr(0, 30);
-  EXPECT_FALSE(interval_from_jsonl(torn, &back, &error));
+  EXPECT_EQ(interval_to_jsonl(skipped),
+            R"({"type":"interval","index":2,"offset":0,"warmup":0,)"
+            R"("commits":0,"measured_start":0,"status":"skipped",)"
+            R"("exited":false,"exit_code":0,"host_sec":0.000000})");
 }
 
 // --- engine acceptance ------------------------------------------------------
@@ -347,6 +346,48 @@ TEST(Sampled, PrewarmReusesPublishedCheckpoints) {
   EXPECT_EQ(warm.ckpt_reused, 3u);
   // The cache is invisible to timing.
   EXPECT_EQ(counter_values(warm.aggregate), counter_values(cold.aggregate));
+  std::filesystem::remove_all(dir);
+}
+
+// A sampled interval is a monolithic task: fast-forward to its offset,
+// discard its warm-up commits, measure its chunk. Each interval's stats
+// must equal what make_sim_runner measures for the TaskSpec saying exactly
+// that, restoring from the same cache directory.
+TEST(Sampled, EveryIntervalEqualsTheTaskItDescribes) {
+  const std::string dir = testing::TempDir() + "bsp_sampling_task_" +
+                          std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  campaign::MachinePoint x2;
+  x2.label = "x2";
+  x2.kind = campaign::MachineKind::Sliced;
+  x2.slices = 2;
+  x2.techniques = kAllTechniques;
+  const Workload w = build_workload("gzip");
+  SampleOptions opts;
+  opts.intervals = 4;
+  opts.warmup = 1'000;
+  opts.ckpt_cache_dir = dir;
+  const SampledResult s = run_sampled(x2.build(), w.program, "gzip", 0x5eed,
+                                      12'000, 2'000, 3'000, opts);
+  ASSERT_TRUE(s.ok()) << s.error;
+  ASSERT_EQ(s.intervals.size(), 4u);
+
+  campaign::RunnerOptions ropts;
+  ropts.ckpt_cache_dir = dir;
+  const campaign::TaskRunner runner = campaign::make_sim_runner(ropts);
+  for (const IntervalResult& iv : s.intervals) {
+    ASSERT_TRUE(iv.measured()) << "interval " << iv.spec.index;
+    campaign::TaskSpec task;
+    task.workload = "gzip";
+    task.machine = x2;
+    task.fast_forward = iv.spec.offset;
+    task.warmup = iv.spec.warmup;
+    task.instructions = iv.spec.commits;
+    const campaign::TaskOutcome out = runner(task);
+    ASSERT_TRUE(out.error.empty()) << out.error;
+    EXPECT_EQ(counter_values(iv.stats), counter_values(out.stats))
+        << "interval " << iv.spec.index;
+  }
   std::filesystem::remove_all(dir);
 }
 

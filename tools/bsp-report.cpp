@@ -26,6 +26,7 @@
 #include "campaign/builtin.hpp"
 #include "config/machine_config.hpp"
 #include "obs/cpi_stack.hpp"
+#include "obs/json.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -58,15 +59,6 @@ std::vector<MachineAgg> aggregate_by_machine(
     MachineAgg& agg = out[it->second];
     agg.stats.merge(rec.stats);
     ++agg.runs;
-  }
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
   }
   return out;
 }
@@ -171,12 +163,13 @@ int main(int argc, char** argv) {
   }
 
   if (json) {
-    std::cout << "{\"store\":\"" << json_escape(store_path)
+    std::cout << "{\"store\":\"" << obs::json_escape(store_path)
               << "\",\"identity\":" << (identity_ok ? "true" : "false")
               << ",\"machines\":[";
     for (std::size_t i = 0; i < machines.size(); ++i) {
       const MachineAgg& m = machines[i];
-      std::cout << (i ? "," : "") << "{\"label\":\"" << json_escape(m.label)
+      std::cout << (i ? "," : "") << "{\"label\":\""
+                << obs::json_escape(m.label)
                 << "\",\"runs\":" << m.runs << ",\"stack\":"
                 << obs::cpi_stack_json(m.stats, m.commit_width) << "}";
     }

@@ -1,36 +1,15 @@
 // bsp-sim: run a program (source, object file, or built-in workload) on the
 // cycle-level bit-sliced core.
 //
-//   bsp-sim <program.{s,bspo} | workload> [options]
-//     --slices N            1 (base), 2, 4, 8            [default 2]
-//     --techniques SPEC     none | all | extended | comma list of
-//                           bypass,ooo,branch,lsq,tag,specfwd,narrow
-//     --instructions N      commit budget                [default 200000]
-//     --warmup N            detail commits discarded before measuring
-//     --fast-forward N      functional instructions skipped before detail
-//     --checkpoint F        start from a captured BSPC state
-//     --trace [START END]   pipeview trace of cycles [START, END)
-//     --trace-perfetto F    Chrome trace-event JSON (chrome://tracing, ui.perfetto.dev)
-//     --trace-konata F      Konata pipeline log (github.com/shioyadan/Konata)
-//     --interval-stats F    JSONL time-series of counter deltas
-//     --interval N          sampling period in committed insns [default 10000]
-//     --cpi-stack           charge every commit slot to a stall cause and
-//                           print the CPI stack (obs/cpi_stack.hpp)
-//     --cosim MODE          full | spot[:N] | off — oracle co-simulation
-//                           cadence (core/simulator.hpp)  [default full]
-//     --host-profile        report where host time went per scheduler phase,
-//                           and the scheduler's host events per commit
-//     --print-config        dump the machine configuration (Table 2) and
-//                           its Figure-10 pipeline diagram first
-//   Sampled simulation (src/sampling/): shard the measured region into K
-//   intervals and simulate them in parallel, stitching the stats back
-//   together with a confidence interval on the IPC estimate.
-//     --sample-intervals K  interval count (0 = monolithic)   [default 0]
-//     --sample-warmup N     per-interval warm-up commits      [default 2000]
-//     --sample-jobs J       interval parallelism (0 = cores)
-//     --sample-isolate M    thread | process                  [default thread]
-//     --sample-out F        per-interval results as JSONL
-//     --ckpt-cache DIR      shared BSPC checkpoint cache directory
+//   bsp-sim <program.{s,bspo} | workload> [options]      (--help lists them)
+//
+// The run knobs bsp-sweep shares (--host-profile, --cpi-stack, --cosim,
+// --sample-intervals, --sample-warmup, --ckpt-cache) come from the
+// campaign::RunnerOptions registry; --interval-stats here streams a
+// monolithic run's time-series to a file instead. With --sample-intervals
+// K the measured region is sharded into K intervals simulated in parallel
+// (src/sampling/) and stitched back with a confidence interval on the IPC
+// estimate.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -40,6 +19,7 @@
 
 #include "asm/assembler.hpp"
 #include "asm/objfile.hpp"
+#include "campaign/campaign.hpp"
 #include "campaign/ckpt_cache.hpp"
 #include "core/simulator.hpp"
 #include "emu/checkpoint.hpp"
@@ -48,7 +28,6 @@
 #include "obs/sinks.hpp"
 #include "sampling/sampled.hpp"
 #include "util/cli.hpp"
-#include "util/subprocess.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -203,7 +182,7 @@ void print_host_events(const HostEvents& ev, u64 committed) {
 int main(int argc, char** argv) {
   std::string input, ckpt_path;
   unsigned slices = 2;
-  TechniqueSet techniques = kAllTechniques;
+  std::string techniques_spec = "all";
   u64 instructions = 200'000;
   u64 warmup = 0;
   u64 fast_forward = 0;
@@ -213,124 +192,92 @@ int main(int argc, char** argv) {
   Cycle trace_start = 0, trace_end = 200;
   std::string perfetto_path, konata_path, interval_path;
   u64 interval = 10'000;
-  bool host_profile = false;
-  bool cpi_stack = false;
-  SimOptions sim_opts;
-  unsigned sample_intervals = 0;
-  u64 sample_warmup = sampling::kDefaultSampleWarmup;
   unsigned sample_jobs = 0;
-  bool sample_process = false;
-  std::string sample_out, ckpt_cache;
-  long sample_worker = -1;  // hidden: run one interval, print its JSONL
+  std::string sample_out;
+  campaign::RunnerOptions run;
 
-  // Original argv, re-forwarded verbatim to --sample-isolate process
-  // workers (plus the resolved cache dir and the hidden worker flag).
-  std::vector<std::string> raw_args(argv + 1, argv + argc);
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "bsp-sim: " << a << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--slices") {
-      slices = parse_cli_unsigned(a, value());
-      if (!SliceGeometry{slices}.valid()) {
-        std::cerr << "bsp-sim: --slices must be 1, 2, 4 or 8, got " << slices
-                  << "\n";
-        return 2;
-      }
-    } else if (a == "--techniques") {
-      const auto t = parse_techniques(value());
-      if (!t) {
-        std::cerr << "bsp-sim: bad technique spec\n";
-        return 2;
-      }
-      techniques = *t;
-    } else if (a == "--instructions" || a == "-n") {
-      instructions = parse_cli_u64(a, value());
-    } else if (a == "--warmup") {
-      warmup = parse_cli_u64(a, value());
-    } else if (a == "--fast-forward") {
-      fast_forward = parse_cli_u64(a, value());
-    } else if (a == "--sample-intervals") {
-      sample_intervals = parse_cli_unsigned(a, value());
-    } else if (a == "--sample-warmup") {
-      sample_warmup = parse_cli_u64(a, value());
-    } else if (a == "--sample-jobs") {
-      sample_jobs = parse_cli_unsigned(a, value());
-    } else if (a == "--sample-isolate") {
-      const std::string mode = value();
-      if (mode == "process") {
-        sample_process = true;
-      } else if (mode != "thread") {
-        std::cerr << "bsp-sim: --sample-isolate must be thread or process\n";
-        return 2;
-      }
-    } else if (a == "--sample-out") {
-      sample_out = value();
-    } else if (a == "--ckpt-cache") {
-      ckpt_cache = value();
-    } else if (a == "--sample-worker") {
-      sample_worker = parse_cli_unsigned(a, value());
-    } else if (a == "--checkpoint") {
-      ckpt_path = value();
-    } else if (a == "--trace") {
-      trace = true;
-      if (i + 2 < argc && argv[i + 1][0] != '-' && argv[i + 2][0] != '-') {
-        trace_start = parse_cli_u64(a, argv[++i]);
-        trace_end = parse_cli_u64(a, argv[++i]);
-      }
-    } else if (a == "--trace-perfetto") {
-      perfetto_path = value();
-    } else if (a == "--trace-konata") {
-      konata_path = value();
-    } else if (a == "--interval-stats") {
-      interval_path = value();
-    } else if (a == "--interval") {
-      interval = parse_cli_u64(a, value());
-      if (interval == 0) {
-        std::cerr << "bsp-sim: --interval must be > 0\n";
-        return 2;
-      }
-    } else if (a == "--host-profile") {
-      host_profile = true;
-    } else if (a == "--cpi-stack") {
-      cpi_stack = true;
-    } else if (a == "--cosim") {
-      if (!parse_cosim(value(), &sim_opts)) {
-        std::cerr << "bsp-sim: --cosim must be full, spot[:N], or off\n";
-        return 2;
-      }
-    } else if (a == "--print-config") {
-      print_config = true;
-    } else if (a == "--detail") {
-      detail = true;
-    } else if (a == "-h" || a == "--help") {
-      std::cout << "usage: bsp-sim <program.{s,bspo} | workload> "
-                   "[--slices N] [--techniques SPEC] [-n N] [--warmup N] "
-                   "[--fast-forward N] [--checkpoint in.bspc] "
-                   "[--trace [START END]] "
-                   "[--trace-perfetto out.json] [--trace-konata out.kanata] "
-                   "[--interval-stats out.jsonl] [--interval N] "
-                   "[--cpi-stack] [--host-profile] [--cosim MODE] "
-                   "[--print-config] "
-                   "[--sample-intervals K] [--sample-warmup N] "
-                   "[--sample-jobs J] [--sample-isolate thread|process] "
-                   "[--sample-out out.jsonl] [--ckpt-cache DIR]\n";
-      return 0;
-    } else if (!a.empty() && a[0] != '-' && input.empty()) {
-      input = a;
-    } else {
-      std::cerr << "bsp-sim: unknown argument '" << a << "'\n";
-      return 2;
+  ArgParser parser(
+      "bsp-sim: run a program on the cycle-level bit-sliced core\n\n"
+      "usage: bsp-sim <program.{s,bspo} | workload> [options]");
+  parser.set_positional([&](const std::string& a) {
+    if (!input.empty()) {
+      std::cerr << "bsp-sim: unexpected argument '" << a << "'\n";
+      std::exit(2);
     }
-  }
+    input = a;
+  });
+  parser.add_value("--slices", "N", "1 (base), 2, 4 or 8 (default 2)",
+                   &slices);
+  parser.add_value("--techniques", "SPEC",
+                   "none | all | extended | comma list of bypass,ooo,branch,"
+                   "lsq,tag,specfwd,narrow (default all)",
+                   &techniques_spec);
+  parser.add_value("-n, --instructions", "N",
+                   "measured commit budget (default 200000)", &instructions);
+  parser.add_value("--warmup", "N",
+                   "detail commits discarded before measuring", &warmup);
+  parser.add_value("--fast-forward", "N",
+                   "functional instructions skipped before detail",
+                   &fast_forward);
+  parser.add_value("--checkpoint", "FILE",
+                   "start from a captured BSPC state", &ckpt_path);
+  parser.add_optional_values(
+      "--trace", "[START END]",
+      "pipeview trace of cycles [START, END) (default 0 200)", 2,
+      [&](const std::vector<std::string>& v) {
+        trace = true;
+        if (v.empty()) return;
+        trace_start = parse_cli_u64("--trace", v[0]);
+        trace_end = parse_cli_u64("--trace", v[1]);
+      });
+  parser.add_value("--trace-perfetto", "FILE",
+                   "Chrome trace-event JSON (chrome://tracing, "
+                   "ui.perfetto.dev)",
+                   &perfetto_path);
+  parser.add_value("--trace-konata", "FILE",
+                   "Konata pipeline log (github.com/shioyadan/Konata)",
+                   &konata_path);
+  parser.add_value("--interval-stats", "FILE",
+                   "JSONL time-series of counter deltas", &interval_path);
+  parser.add_value("--interval", "N",
+                   "--interval-stats period in committed instructions "
+                   "(default 10000)",
+                   &interval);
+  parser.add_flag("--print-config",
+                  "dump the machine configuration (Table 2) and its "
+                  "Figure-10 pipeline diagram first",
+                  &print_config);
+  parser.add_flag("--detail",
+                  "print occupancy, load-to-use, branch-resolve and "
+                  "commit-width distributions",
+                  &detail);
+  add_run_option_flags(parser, &run, {"interval"});
+  parser.add_value("--sample-jobs", "J",
+                   "sampled-interval parallelism (0 = cores)", &sample_jobs);
+  parser.add_value("--sample-out", "FILE", "per-interval results as JSONL",
+                   &sample_out);
+  parser.parse(argc, argv);
   if (input.empty()) {
     std::cerr << "bsp-sim: no input (try --help)\n";
+    return 2;
+  }
+  if (!SliceGeometry{slices}.valid()) {
+    std::cerr << "bsp-sim: --slices must be 1, 2, 4 or 8, got " << slices
+              << "\n";
+    return 2;
+  }
+  const auto techniques = parse_techniques(techniques_spec);
+  if (!techniques) {
+    std::cerr << "bsp-sim: bad technique spec\n";
+    return 2;
+  }
+  if (interval == 0) {
+    std::cerr << "bsp-sim: --interval must be > 0\n";
+    return 2;
+  }
+  SimOptions sim_opts;
+  if (!run.cosim.empty() && !parse_cosim(run.cosim, &sim_opts)) {
+    std::cerr << "bsp-sim: --cosim must be full, spot[:N], or off\n";
     return 2;
   }
 
@@ -338,7 +285,7 @@ int main(int argc, char** argv) {
   if (!program) return 1;
 
   const MachineConfig cfg =
-      slices == 1 ? base_machine() : bitsliced_machine(slices, techniques);
+      slices == 1 ? base_machine() : bitsliced_machine(slices, *techniques);
   if (print_config)
     std::cout << cfg.describe() << "Figure 10 pipeline: "
               << pipeline_diagram(cfg) << "\n\n";
@@ -348,42 +295,7 @@ int main(int argc, char** argv) {
   // anyway (the readable prefix is for humans).
   constexpr u64 kSeed = 0x5eed;
 
-  // Hidden per-interval worker (--sample-isolate process protocol): the
-  // parent re-execs itself with its own CLI plus this flag; the worker
-  // recomputes the identical plan, restores its interval's checkpoint
-  // from the shared cache, simulates it, and prints one JSONL line.
-  if (sample_worker >= 0) {
-    const sampling::SamplePlan plan = sampling::plan_intervals(
-        instructions, warmup, fast_forward, sample_intervals, sample_warmup);
-    if (static_cast<std::size_t>(sample_worker) >= plan.intervals.size()) {
-      std::cerr << "bsp-sim: --sample-worker index out of range\n";
-      return 2;
-    }
-    const sampling::IntervalSpec spec =
-        plan.intervals[static_cast<std::size_t>(sample_worker)];
-    std::optional<Checkpoint> start;
-    if (spec.offset > 0) {
-      const std::string path = campaign::checkpoint_cache_path(
-          ckpt_cache, input, kSeed, campaign::ImageHash(*program),
-          spec.offset);
-      std::string error;
-      start = load_checkpoint_file(path, &error);
-      if (!start) {
-        sampling::IntervalResult fail;
-        fail.spec = spec;
-        fail.error = "cannot load interval checkpoint: " + error;
-        std::cout << sampling::interval_to_jsonl(fail) << "\n";
-        return 1;
-      }
-    }
-    const sampling::IntervalResult r = sampling::run_one_interval(
-        cfg, *program, spec, start ? &*start : nullptr, host_profile,
-        cpi_stack, sim_opts);
-    std::cout << sampling::interval_to_jsonl(r) << "\n";
-    return r.ok() ? 0 : 1;
-  }
-
-  if (sample_intervals > 0) {
+  if (run.sample_intervals > 0) {
     if (!ckpt_path.empty()) {
       std::cerr << "bsp-sim: --checkpoint cannot be combined with sampled "
                    "simulation (use --fast-forward)\n";
@@ -396,39 +308,13 @@ int main(int argc, char** argv) {
       return 2;
     }
     sampling::SampleOptions opts;
-    opts.intervals = sample_intervals;
-    opts.warmup = sample_warmup;
+    opts.intervals = run.sample_intervals;
+    opts.warmup = run.sample_warmup;
     opts.jobs = sample_jobs;
-    opts.host_profile = host_profile;
-    opts.cpi_stack = cpi_stack;
-    opts.sim = sim_opts;  // process workers get it via the forwarded argv
-    opts.ckpt_cache_dir = ckpt_cache;
-    if (sample_process) {
-      if (ckpt_cache.empty()) {
-        // Workers are separate processes: they restore from disk, so
-        // materialise the cache in a throwaway directory.
-        char tmpl[] = "/tmp/bsp-sample-XXXXXX";
-        const char* dir = ::mkdtemp(tmpl);
-        if (!dir) {
-          std::cerr << "bsp-sim: cannot create temporary checkpoint cache\n";
-          return 1;
-        }
-        ckpt_cache = dir;
-        opts.ckpt_cache_dir = ckpt_cache;
-      }
-      opts.worker_cmd.push_back(self_exe_path(argv[0]));
-      opts.worker_cmd.insert(opts.worker_cmd.end(), raw_args.begin(),
-                             raw_args.end());
-      // Later flags win in the parse loop, so re-appending the resolved
-      // cache dir overrides whatever the original argv said.
-      opts.worker_cmd.push_back("--ckpt-cache");
-      opts.worker_cmd.push_back(ckpt_cache);
-      opts.worker_cmd.push_back("--sample-worker");
-      // run_sampled appends the interval index as the final argument.
-    }
+    opts.ckpt_cache_dir = run.ckpt_cache_dir;
     const sampling::SampledResult res =
         sampling::run_sampled(cfg, *program, input, kSeed, instructions,
-                              warmup, fast_forward, opts);
+                              warmup, fast_forward, opts, run);
     if (!sample_out.empty()) {
       std::ofstream os(sample_out);
       if (!os) {
@@ -446,7 +332,7 @@ int main(int argc, char** argv) {
     print_stats(res.aggregate);
     // The leaves are registered counters, so the stitched aggregate keeps
     // the accounting identity across shards.
-    if (cpi_stack)
+    if (run.cpi_stack)
       std::cout << obs::format_cpi_stack(res.aggregate,
                                          cfg.core.commit_width);
     char buf[320];
@@ -483,7 +369,7 @@ int main(int argc, char** argv) {
     // Through the campaign cache when --ckpt-cache is given (publishes for
     // later runs), a plain emulator fast-forward otherwise.
     campaign::CkptFetch fetch = campaign::fetch_checkpoint(
-        ckpt_cache, input, kSeed, *program, fast_forward);
+        run.ckpt_cache_dir, input, kSeed, *program, fast_forward);
     if (!fetch.ok()) {
       std::cerr << "bsp-sim: " << fetch.error << "\n";
       return 1;
@@ -494,8 +380,8 @@ int main(int argc, char** argv) {
                        : Simulator(cfg, *program);
   if (trace) sim.set_pipe_trace(std::cout, trace_start, trace_end);
   if (detail) sim.enable_detail();
-  if (host_profile) sim.enable_host_profile();
-  if (cpi_stack) sim.enable_cpi_stack();
+  if (run.host_profile) sim.enable_host_profile();
+  if (run.cpi_stack) sim.enable_cpi_stack();
   sim.set_options(sim_opts);
 
   // Structured sinks and the interval sampler stream straight to their
@@ -536,9 +422,10 @@ int main(int argc, char** argv) {
   }
   const SimStats& s = r.stats;
   print_stats(s);
-  if (cpi_stack) std::cout << obs::format_cpi_stack(s, cfg.core.commit_width);
+  if (run.cpi_stack)
+    std::cout << obs::format_cpi_stack(s, cfg.core.commit_width);
   print_host_profile(s);
-  if (host_profile) print_host_events(sim.host_events(), s.committed);
+  if (run.host_profile) print_host_events(sim.host_events(), s.committed);
   if (detail) {
     const DetailedStats& d = sim.detail();
     const auto line = [](const char* name, const Histogram& h) {

@@ -196,56 +196,7 @@ int main(int argc, char** argv) {
                    "reclaimed, rusage is recorded)",
                    &isolate);
   RunnerOptions runner_options;
-  parser.add_value("--interval-stats", "N",
-                   "record a per-task time-series of counter deltas every N "
-                   "committed instructions into each record's \"series\"",
-                   [&](const std::string& v) {
-                     runner_options.interval =
-                         parse_cli_u64("--interval-stats", v);
-                   });
-  parser.add_flag("--host-profile",
-                  "collect per-phase host timings (records' \"host_phases\" "
-                  "+ summary breakdown after the progress line)",
-                  &runner_options.host_profile);
-  parser.add_flag("--cpi-stack",
-                  "CPI-stack cycle accounting: every record carries the "
-                  "cpi_* leaf counters (sum == cycles * commit width) and a "
-                  "per-machine aggregate stack prints after the summary",
-                  &runner_options.cpi_stack);
-  parser.add_value("--cosim", "MODE",
-                   "oracle co-simulation cadence for every task: full "
-                   "(default), spot[:N] (full check every Nth commit and at "
-                   "every mispredict/syscall), or off; becomes part of each "
-                   "task id, so resume stores keep modes apart",
-                   &runner_options.cosim);
-  parser.add_value("--ckpt-cache", "DIR",
-                   "shared checkpoint cache for --fast-forward: each "
-                   "distinct (workload, seed) checkpoint is materialised "
-                   "once into DIR (atomic, safe for concurrent sweeps) and "
-                   "every task — and every later run — restores from it",
-                   [&](const std::string& v) {
-                     options.scheduler.ckpt_cache_dir = v;
-                     runner_options.ckpt_cache_dir = v;
-                   });
-  parser.add_value("--sample-intervals", "K",
-                   "sampled simulation: split each task's measured window "
-                   "into K intervals, detail-simulate them in sequence from "
-                   "functional checkpoints, and record per-interval stats "
-                   "plus a mean-IPC estimate with a 95% confidence interval",
-                   [&](const std::string& v) {
-                     runner_options.sample_intervals =
-                         parse_cli_unsigned("--sample-intervals", v);
-                   });
-  parser.add_value("--sample-warmup", "N",
-                   "per-interval detail warm-up commits discarded before "
-                   "each measured interval (default " +
-                       std::to_string(sampling::kDefaultSampleWarmup) +
-                       "; interval 0 uses the task's own warm-up so K=1 "
-                       "matches the monolithic run exactly)",
-                   [&](const std::string& v) {
-                     runner_options.sample_warmup =
-                         parse_cli_u64("--sample-warmup", v);
-                   });
+  add_run_option_flags(parser, &runner_options);
   parser.add_flag("--no-progress", "suppress the live progress line",
                   &no_progress);
   parser.add_flag("--dry-run", "print the expanded task list and exit",
@@ -291,6 +242,8 @@ int main(int argc, char** argv) {
                           "record line and print its record",
                           &worker_json);
   parser.parse(argc, argv);
+  // The prewarm pass fills the same cache the runners read.
+  options.scheduler.ckpt_cache_dir = runner_options.ckpt_cache_dir;
 
   if (list) {
     Table table({"campaign", "tasks", "description"});
@@ -324,31 +277,13 @@ int main(int argc, char** argv) {
   };
 
   // Self-contained process-isolation worker command: this binary, the
-  // per-task observability knobs, and --worker-json as the terminal flag
-  // (the scheduler appends the task's queued record line as its value).
-  // No spec-shape flags — the record carries the full parameter tuple.
+  // run options as flags, and --worker-json as the terminal flag (the
+  // scheduler appends the task's queued record line as its value). No
+  // spec-shape flags — the record carries the full parameter tuple.
   const auto worker_json_cmd = [&]() -> std::vector<std::string> {
     std::vector<std::string> cmd = {self_exe_path(argv[0])};
-    if (!runner_options.ckpt_cache_dir.empty()) {
-      cmd.push_back("--ckpt-cache");
-      cmd.push_back(runner_options.ckpt_cache_dir);
-    }
-    if (runner_options.interval) {
-      cmd.push_back("--interval-stats");
-      cmd.push_back(std::to_string(runner_options.interval));
-    }
-    if (runner_options.host_profile) cmd.push_back("--host-profile");
-    if (runner_options.cpi_stack) cmd.push_back("--cpi-stack");
-    if (!runner_options.cosim.empty()) {
-      cmd.push_back("--cosim");
-      cmd.push_back(runner_options.cosim);
-    }
-    if (runner_options.sample_intervals > 0) {
-      cmd.push_back("--sample-intervals");
-      cmd.push_back(std::to_string(runner_options.sample_intervals));
-      cmd.push_back("--sample-warmup");
-      cmd.push_back(std::to_string(runner_options.sample_warmup));
-    }
+    for (std::string& arg : run_option_args(runner_options))
+      cmd.push_back(std::move(arg));
     cmd.push_back("--worker-json");
     return cmd;
   };
@@ -372,11 +307,10 @@ int main(int argc, char** argv) {
                                   SchedulerOptions* sched) {
       // The coordinator's SPEC overrides the run options — every worker
       // must produce records of the same shape — while isolation mode and
-      // the checkpoint-cache directory stay host-local choices.
-      const std::string ckpt_cache_dir = runner_options.ckpt_cache_dir;
-      runner_options = rs.run;
-      runner_options.ckpt_cache_dir = ckpt_cache_dir;
-      sched->ckpt_cache_dir = ckpt_cache_dir;
+      // the host-local options (the checkpoint cache) stay this host's.
+      for (const RunOptionField& f : run_option_fields())
+        if (!f.host_local) f.copy(rs.run, &runner_options);
+      sched->ckpt_cache_dir = runner_options.ckpt_cache_dir;
       *runner = with_fault_injection(make_runner());
       if (isolate == "process") {
         sched->isolate = IsolationMode::kProcess;
