@@ -23,6 +23,7 @@
 #include "core/simulator.hpp"
 #include "emu/checkpoint.hpp"
 #include "obs/interval.hpp"
+#include "obs/json.hpp"
 #include "sampling/sampled.hpp"
 #include "stats/stats.hpp"
 #include "workloads/workloads.hpp"
@@ -259,6 +260,68 @@ TEST(IntervalJsonl, LineBytesArePinned) {
             R"({"type":"interval","index":2,"offset":0,"warmup":0,)"
             R"("commits":0,"measured_start":0,"status":"skipped",)"
             R"("exited":false,"exit_code":0,"host_sec":0.000000})");
+}
+
+// Readers of --sample-out files use a plain JSON parser, so every line must
+// be one complete JSON document that gives back the values written.
+TEST(IntervalJsonl, MeasuredRecordRoundTrips) {
+  IntervalResult r;
+  r.spec = {3, 7'000, 2'000, 2'500, 9'000};
+  const auto& counters = obs::simstats_counters();
+  for (std::size_t i = 0; i < counters.size(); ++i)
+    r.stats.*(counters[i].field) = 10 * i + 1;
+  r.stats.host_seconds = 0.125;
+  r.exited = true;
+  r.exit_code = 42;
+  r.host_sec = 1.5;
+
+  const auto back = obs::parse_json(interval_to_jsonl(r));
+  ASSERT_TRUE(back && back->is_object());
+  const auto uint_of = [](const obs::JsonValue* v) {
+    return v ? v->as_uint(~u64{0}) : std::nullopt;
+  };
+  EXPECT_EQ(back->get("type")->str, "interval");
+  EXPECT_EQ(back->get("status")->str, "ok");
+  EXPECT_EQ(uint_of(back->get("index")), 3u);
+  EXPECT_EQ(uint_of(back->get("offset")), 7'000u);
+  EXPECT_EQ(uint_of(back->get("warmup")), 2'000u);
+  EXPECT_EQ(uint_of(back->get("commits")), 2'500u);
+  EXPECT_EQ(uint_of(back->get("measured_start")), 9'000u);
+  EXPECT_TRUE(back->get("exited")->boolean);
+  EXPECT_EQ(uint_of(back->get("exit_code")), 42u);
+  EXPECT_DOUBLE_EQ(back->get("host_sec")->number, 1.5);
+  const obs::JsonValue* stats = back->get("stats");
+  ASSERT_TRUE(stats && stats->is_object());
+  for (std::size_t i = 0; i < counters.size(); ++i)
+    EXPECT_EQ(uint_of(stats->get(counters[i].name)), 10 * i + 1)
+        << counters[i].name;
+  EXPECT_DOUBLE_EQ(stats->get("host_seconds")->number, 0.125);
+}
+
+TEST(IntervalJsonl, FailedSkippedAndGarbageLines) {
+  IntervalResult failed;
+  failed.spec.index = 1;
+  failed.error = "co-sim divergence: \"pc\" mismatch\n\x01";
+  const auto fback = obs::parse_json(interval_to_jsonl(failed));
+  ASSERT_TRUE(fback && fback->is_object());
+  EXPECT_EQ(fback->get("status")->str, "failed");
+  ASSERT_NE(fback->get("error"), nullptr);
+  EXPECT_EQ(fback->get("error")->str, failed.error);
+  EXPECT_EQ(fback->get("stats"), nullptr);
+
+  IntervalResult skipped;
+  skipped.spec.index = 2;
+  skipped.skipped = true;
+  const auto sback = obs::parse_json(interval_to_jsonl(skipped));
+  ASSERT_TRUE(sback && sback->is_object());
+  EXPECT_EQ(sback->get("status")->str, "skipped");
+  EXPECT_EQ(sback->get("error"), nullptr);
+  EXPECT_EQ(sback->get("stats"), nullptr);
+
+  // A torn tail (a run killed mid-write) never parses as a record.
+  const std::string line = interval_to_jsonl(failed);
+  for (std::size_t n : {std::size_t{0}, std::size_t{30}, line.size() - 1})
+    EXPECT_FALSE(obs::parse_json(line.substr(0, n))) << n;
 }
 
 // --- engine acceptance ------------------------------------------------------
