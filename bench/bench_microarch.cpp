@@ -92,6 +92,21 @@ void BM_EmulatorStepThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EmulatorStepThroughput);
 
+// The call shape the timing core's oracle and co-simulation checker use:
+// every step fills an ExecRecord.
+void BM_EmulatorStepRecordThroughput(benchmark::State& state) {
+  const Workload w = build_workload("bzip");
+  Emulator emu(w.program);
+  ExecRecord rec;
+  for (auto _ : state) {
+    if (emu.exited()) emu.load(w.program);
+    benchmark::DoNotOptimize(emu.step(&rec));
+    benchmark::DoNotOptimize(rec.next_pc);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EmulatorStepRecordThroughput);
+
 void BM_EmulatorFastRunThroughput(benchmark::State& state) {
   // Same workload as the step() benchmark above so the pair reads as a
   // speedup ratio: this is the fast-forward path campaigns use to reach
@@ -347,12 +362,18 @@ void BM_TechniqueStackThroughput(benchmark::State& state) {
   const Workload w = build_workload("gzip");
   state.SetLabel(point.label);
   constexpr u64 kCommits = 10'000;
+  HostEvents ev;
   for (auto _ : state) {
-    const SimResult r = simulate(point.config, w.program, kCommits);
+    Simulator sim(point.config, w.program);
+    const SimResult r = sim.run(kCommits);
     if (!r.ok()) state.SkipWithError(r.error.c_str());
     benchmark::DoNotOptimize(r.stats.cycles);
+    ev = sim.host_events();
   }
   state.SetItemsProcessed(state.iterations() * kCommits);
+  // The same per-commit cost ledger as BM_SimulatorThroughput.
+  for (const HostEventDesc& d : kHostEventFields)
+    state.counters[d.name] = static_cast<double>(ev.*d.field) / kCommits;
 }
 BENCHMARK(BM_TechniqueStackThroughput)
     ->DenseRange(0, 5)

@@ -23,8 +23,9 @@
 #
 # --paired is the honest A/B protocol for before/after claims: it takes
 # two already-built bench_microarch binaries (old first) and interleaves
-# BM_SimulatorThroughput/0, /2 and /4 runs (base, slice-2, slice-4) and
-# BM_WakeupSelect (the base machine's wakeup/select path alone) in one
+# BM_SimulatorThroughput/0, /2 and /4 runs (base, slice-2, slice-4),
+# BM_WakeupSelect (the base machine's wakeup/select path alone) and the
+# emulator rates (step() with and without an ExecRecord, run_fast) in one
 # window so host drift (thermal, cron, page cache) lands on both sides
 # equally. Within-pair run order alternates (old/new, then new/old, ...)
 # because the first run of a pair systematically sees a different
@@ -74,7 +75,7 @@ if [ "${1:-}" = "--paired" ]; then
   OUT="${4:-BENCH_simcore.json}"
   REPS="${PAIRED_REPS:-7}"
   COSIM="${PAIRED_COSIM:-full}"
-  PFILTER='BM_SimulatorThroughput/[024]$|BM_WakeupSelect$'
+  PFILTER='BM_SimulatorThroughput/[024]$|BM_WakeupSelect$|BM_Emulator(Step|StepRecord|FastRun)Throughput$'
   TMPD=$(mktemp -d)
   trap 'rm -rf "$TMPD"' EXIT
   run_side() {  # run_side BIN old|new PAIR

@@ -728,6 +728,12 @@ WorkerReport run_remote_worker(const WorkerOptions& options,
       rep.error = "coordinator rejected worker: " + body;
       return rep;
     }
+    if (verb == "DONE") {
+      // The campaign finished before this worker was served: a clean
+      // finish with nothing run.
+      rep.done = true;
+      return rep;
+    }
     if (verb != "SPEC") {
       rep.error = "protocol error: expected SPEC, got " + verb;
       return rep;

@@ -29,9 +29,10 @@ void Emulator::load(const Program& program) {
   regs_[R_SP] = kDefaultStackTop;
   regs_[R_GP] = program.data_base;
 
-  decode_base_ = program.text_base;
-  decode_cache_.assign(program.text.size(), DecodeSlot{});
-  fast_cache_.assign(program.text.size(), FastInst{});
+  assert(!decode(kUnfilled.raw));
+  text_base_ = program.text_base;
+  slots_.assign(program.text.size(), Slot{});
+  fetch_ = FetchCache{};
 }
 
 bool branch_outcome(const DecodedInst& inst, u32 src1, u32 src2) {
@@ -105,36 +106,285 @@ bool fp_compare_result(const DecodedInst& inst, u32 fs_bits, u32 ft_bits) {
   }
 }
 
-u32 alu_result(const DecodedInst& inst, u32 src1, u32 src2) {
-  const u32 imm = inst.imm_value();
-  switch (inst.op) {
-    case Op::ADD: case Op::ADDU: return src1 + src2;
-    case Op::SUB: case Op::SUBU: return src1 - src2;
-    case Op::AND: return src1 & src2;
-    case Op::OR:  return src1 | src2;
-    case Op::XOR: return src1 ^ src2;
-    case Op::NOR: return ~(src1 | src2);
-    case Op::SLT: return static_cast<i32>(src1) < static_cast<i32>(src2);
-    case Op::SLTU: return src1 < src2 ? 1 : 0;
-    case Op::ADDI: case Op::ADDIU: return src1 + imm;
-    case Op::SLTI: return static_cast<i32>(src1) < static_cast<i32>(imm);
-    case Op::SLTIU: return src1 < imm ? 1 : 0;
-    case Op::ANDI: return src1 & imm;
-    case Op::ORI:  return src1 | imm;
-    case Op::XORI: return src1 ^ imm;
-    case Op::LUI:  return imm;
-    // Shifts: src2 carries the value (rt), src1 the variable amount (rs).
-    case Op::SLL:  return src2 << inst.shamt;
-    case Op::SRL:  return src2 >> inst.shamt;
-    case Op::SRA:  return static_cast<u32>(static_cast<i32>(src2) >> inst.shamt);
-    case Op::SLLV: return src2 << (src1 & 31);
-    case Op::SRLV: return src2 >> (src1 & 31);
-    case Op::SRAV:
-      return static_cast<u32>(static_cast<i32>(src2) >> (src1 & 31));
-    default:
-      assert(false && "not a simple ALU op");
-      return 0;
+void Emulator::fill_slot(Slot& s, const DecodedInst& d, u32 pc) {
+  s.inst = d;
+  s.kind = FastKind::kStep;
+  s.dest = static_cast<u8>(d.dest());
+  s.s1 = static_cast<u8>(d.src1());
+  s.s2 = static_cast<u8>(d.src2());
+  s.imm = d.imm_value();
+  switch (d.op) {
+    case Op::ADD: case Op::ADDU: s.kind = FastKind::kAddu; break;
+    case Op::SUB: case Op::SUBU: s.kind = FastKind::kSubu; break;
+    case Op::AND: s.kind = FastKind::kAnd; break;
+    case Op::OR:  s.kind = FastKind::kOr; break;
+    case Op::XOR: s.kind = FastKind::kXor; break;
+    case Op::NOR: s.kind = FastKind::kNor; break;
+    case Op::SLT: s.kind = FastKind::kSlt; break;
+    case Op::SLTU: s.kind = FastKind::kSltu; break;
+    case Op::ADDI: case Op::ADDIU: s.kind = FastKind::kAddImm; break;
+    case Op::SLTI: s.kind = FastKind::kSltImm; break;
+    case Op::SLTIU: s.kind = FastKind::kSltuImm; break;
+    case Op::ANDI: s.kind = FastKind::kAndImm; break;
+    case Op::ORI:  s.kind = FastKind::kOrImm; break;
+    case Op::XORI: s.kind = FastKind::kXorImm; break;
+    case Op::LUI:  s.kind = FastKind::kLoadImm; break;
+    case Op::SLL: s.kind = FastKind::kSllImm; s.imm = d.shamt; break;
+    case Op::SRL: s.kind = FastKind::kSrlImm; s.imm = d.shamt; break;
+    case Op::SRA: s.kind = FastKind::kSraImm; s.imm = d.shamt; break;
+    case Op::SLLV: s.kind = FastKind::kSllv; break;
+    case Op::SRLV: s.kind = FastKind::kSrlv; break;
+    case Op::SRAV: s.kind = FastKind::kSrav; break;
+    case Op::MULT: s.kind = FastKind::kMult; break;
+    case Op::MULTU: s.kind = FastKind::kMultu; break;
+    case Op::DIV: s.kind = FastKind::kDiv; break;
+    case Op::DIVU: s.kind = FastKind::kDivu; break;
+    case Op::MFHI: s.kind = FastKind::kMfhi; break;
+    case Op::MFLO: s.kind = FastKind::kMflo; break;
+    case Op::LB:  s.kind = FastKind::kLb; break;
+    case Op::LBU: s.kind = FastKind::kLbu; break;
+    case Op::LH:  s.kind = FastKind::kLh; break;
+    case Op::LHU: s.kind = FastKind::kLhu; break;
+    case Op::LW:  s.kind = FastKind::kLw; break;
+    case Op::SB:  s.kind = FastKind::kSb; break;
+    case Op::SH:  s.kind = FastKind::kSh; break;
+    case Op::SW:  s.kind = FastKind::kSw; break;
+    case Op::BEQ:  s.kind = FastKind::kBeq;  s.imm = d.branch_target(pc); break;
+    case Op::BNE:  s.kind = FastKind::kBne;  s.imm = d.branch_target(pc); break;
+    case Op::BLEZ: s.kind = FastKind::kBlez; s.imm = d.branch_target(pc); break;
+    case Op::BGTZ: s.kind = FastKind::kBgtz; s.imm = d.branch_target(pc); break;
+    case Op::BLTZ: s.kind = FastKind::kBltz; s.imm = d.branch_target(pc); break;
+    case Op::BGEZ: s.kind = FastKind::kBgez; s.imm = d.branch_target(pc); break;
+    case Op::J:    s.kind = FastKind::kJ;    s.imm = d.branch_target(pc); break;
+    case Op::JAL:  s.kind = FastKind::kJal;  s.imm = d.branch_target(pc); break;
+    case Op::JR:   s.kind = FastKind::kJr; break;
+    case Op::JALR: s.kind = FastKind::kJalr; break;
+    default: break;  // syscall, FP, LWC1/SWC1: kStep
   }
+}
+
+inline u32 Emulator::fetch(u32 pc, FetchCache& fc) const {
+  const u32 page = pc & ~(SparseMemory::kPageSize - 1);
+  if (page != fc.base) [[unlikely]] {
+    const u8* bytes = mem_.page_bytes(pc);
+    if (!bytes) return 0;  // an unmapped word reads as zero, like load_u32
+    fc.page = bytes;
+    fc.base = page;
+  }
+  u32 raw;
+  std::memcpy(&raw, fc.page + (pc & (SparseMemory::kPageSize - 1)), 4);
+  return raw;
+}
+
+bool Emulator::refill(Slot& s, u32 raw, u32 pc) {
+  const auto decoded = decode(raw);
+  if (!decoded) return false;
+  fill_slot(s, *decoded, pc);
+  return true;
+}
+
+template <bool kRecord>
+[[gnu::always_inline]] inline bool Emulator::execute(const Slot& s, u32& pc,
+                                                     ExecRecord* rec) {
+  u32* const regs = regs_.data();
+  // The record needs the source values as read before the instruction (a
+  // handler may overwrite its own source), so they are read up front there;
+  // the fast loop reads each one where a handler uses it.
+  u32 r1 = 0, r2 = 0;
+  if constexpr (kRecord) {
+    r1 = regs[s.s1];
+    r2 = regs[s.s2];
+  }
+  const auto v1 = [&] { return kRecord ? r1 : regs[s.s1]; };
+  const auto v2 = [&] { return kRecord ? r2 : regs[s.s2]; };
+  bool jump = false;  // control moves to `target`, not to pc + 4
+  u32 target = 0;
+  u32 a = 0;  // effective address of a load or store
+  // Record-only facts stay in locals and reach *rec in one pass at the end,
+  // so a refused instruction leaves the caller's record untouched.
+  bool is_load = false, is_store = false, is_branch = false, taken = false;
+  u32 load_value = 0, store_value = 0;
+  unsigned bytes = 0;
+  const auto set = [&](u32 v) {
+    regs[s.dest] = v;
+    regs[0] = 0;
+  };
+  const auto addr = [&](u32 align_mask) {
+    a = v1() + s.imm;
+    return (a & align_mask) == 0;
+  };
+  const auto load = [&](unsigned n, u32 v) {
+    is_load = true;
+    bytes = n;
+    load_value = v;
+    set(v);
+  };
+  const auto stored = [&](unsigned n, u32 v) {
+    is_store = true;
+    bytes = n;
+    store_value = v;
+  };
+  const auto go = [&](u32 t) {
+    jump = true;
+    target = t;
+  };
+  const auto branch = [&](bool t) {
+    is_branch = true;
+    taken = t;
+    if (t) go(s.imm);
+  };
+  switch (s.kind) {
+    case FastKind::kAddu: set(v1() + v2()); break;
+    case FastKind::kSubu: set(v1() - v2()); break;
+    case FastKind::kAnd:  set(v1() & v2()); break;
+    case FastKind::kOr:   set(v1() | v2()); break;
+    case FastKind::kXor:  set(v1() ^ v2()); break;
+    case FastKind::kNor:  set(~(v1() | v2())); break;
+    case FastKind::kSlt:
+      set(static_cast<i32>(v1()) < static_cast<i32>(v2()));
+      break;
+    case FastKind::kSltu: set(v1() < v2() ? 1 : 0); break;
+    case FastKind::kAddImm: set(v1() + s.imm); break;
+    case FastKind::kSltImm:
+      set(static_cast<i32>(v1()) < static_cast<i32>(s.imm));
+      break;
+    case FastKind::kSltuImm: set(v1() < s.imm ? 1 : 0); break;
+    case FastKind::kAndImm: set(v1() & s.imm); break;
+    case FastKind::kOrImm:  set(v1() | s.imm); break;
+    case FastKind::kXorImm: set(v1() ^ s.imm); break;
+    case FastKind::kLoadImm: set(s.imm); break;
+    // Shifts: v2() is the value (rt), v1() the variable amount (rs).
+    case FastKind::kSllImm: set(v2() << s.imm); break;
+    case FastKind::kSrlImm: set(v2() >> s.imm); break;
+    case FastKind::kSraImm:
+      set(static_cast<u32>(static_cast<i32>(v2()) >> s.imm));
+      break;
+    case FastKind::kSllv: set(v2() << (v1() & 31)); break;
+    case FastKind::kSrlv: set(v2() >> (v1() & 31)); break;
+    case FastKind::kSrav:
+      set(static_cast<u32>(static_cast<i32>(v2()) >> (v1() & 31)));
+      break;
+    case FastKind::kMult: {
+      const u64 p = static_cast<u64>(static_cast<i64>(static_cast<i32>(v1())) *
+                                     static_cast<i64>(static_cast<i32>(v2())));
+      lo_ = static_cast<u32>(p);
+      hi_ = static_cast<u32>(p >> 32);
+      break;
+    }
+    case FastKind::kMultu: {
+      const u64 p = u64{v1()} * u64{v2()};
+      lo_ = static_cast<u32>(p);
+      hi_ = static_cast<u32>(p >> 32);
+      break;
+    }
+    case FastKind::kDiv:
+      if (v2() == 0) {
+        lo_ = 0;  // division by zero is defined as 0, remainder v1()
+        hi_ = v1();
+      } else if (v1() == 0x80000000u && v2() == 0xffffffffu) {
+        lo_ = 0x80000000u;  // INT_MIN / -1 wraps, as on MIPS
+        hi_ = 0;
+      } else {
+        lo_ = static_cast<u32>(static_cast<i32>(v1()) / static_cast<i32>(v2()));
+        hi_ = static_cast<u32>(static_cast<i32>(v1()) % static_cast<i32>(v2()));
+      }
+      break;
+    case FastKind::kDivu:
+      lo_ = v2() == 0 ? 0 : v1() / v2();
+      hi_ = v2() == 0 ? v1() : v1() % v2();
+      break;
+    case FastKind::kMfhi: set(hi_); break;
+    case FastKind::kMflo: set(lo_); break;
+    // A misaligned access changes nothing here: step_slow() raises the
+    // "misaligned load"/"misaligned store" fault.
+    case FastKind::kLb:
+      addr(0);
+      load(1, sign_extend(mem_.load_u8(a), 8));
+      break;
+    case FastKind::kLbu:
+      addr(0);
+      load(1, mem_.load_u8(a));
+      break;
+    case FastKind::kLh:
+      if (!addr(1)) return false;
+      load(2, sign_extend(mem_.load_u16(a), 16));
+      break;
+    case FastKind::kLhu:
+      if (!addr(1)) return false;
+      load(2, mem_.load_u16(a));
+      break;
+    case FastKind::kLw:
+      if (!addr(3)) return false;
+      load(4, mem_.load_u32(a));
+      break;
+    case FastKind::kSb:
+      addr(0);
+      mem_.store_u8(a, static_cast<u8>(v2()));
+      stored(1, v2() & 0xffu);
+      break;
+    case FastKind::kSh:
+      if (!addr(1)) return false;
+      mem_.store_u16(a, static_cast<u16>(v2()));
+      stored(2, v2() & 0xffffu);
+      break;
+    case FastKind::kSw:
+      if (!addr(3)) return false;
+      mem_.store_u32(a, v2());
+      stored(4, v2());
+      break;
+    case FastKind::kBeq: branch(v1() == v2()); break;
+    case FastKind::kBne: branch(v1() != v2()); break;
+    case FastKind::kBlez: branch(static_cast<i32>(v1()) <= 0); break;
+    case FastKind::kBgtz: branch(static_cast<i32>(v1()) > 0); break;
+    case FastKind::kBltz: branch(static_cast<i32>(v1()) < 0); break;
+    case FastKind::kBgez: branch(static_cast<i32>(v1()) >= 0); break;
+    case FastKind::kJ: go(s.imm); break;
+    case FastKind::kJal: set(pc + 4); go(s.imm); break;
+    case FastKind::kJr: go(v1()); break;
+    case FastKind::kJalr:
+      go(v1());  // read before a same-register link write
+      set(pc + 4);
+      break;
+    case FastKind::kStep:
+      return false;
+  }
+  const u32 next = jump ? target : pc + 4;
+  if constexpr (kRecord) {
+    rec->pc = pc;
+    rec->inst = s.inst;
+    rec->src1_value = r1;
+    rec->src2_value = r2;
+    rec->dest = s.dest;
+    rec->dest_value = regs[s.dest];  // $zero when there is no GPR result
+    rec->is_load = is_load;
+    rec->is_store = is_store;
+    rec->mem_addr = a;
+    rec->mem_bytes = bytes;
+    rec->store_value = store_value;
+    rec->load_value = load_value;
+    rec->is_cond_branch = is_branch;
+    rec->branch_taken = taken;
+    rec->next_pc = next;
+  }
+  pc = next;
+  return true;
+}
+
+u32 alu_result(const DecodedInst& inst, u32 src1, u32 src2) {
+  // The interpreter's own handler on a scratch register file: src1 in $1,
+  // src2 in $2, the result in $3.
+  Emulator emu;
+  Emulator::Slot s;
+  Emulator::fill_slot(s, inst, 0);
+  assert(s.kind != Emulator::FastKind::kStep && "not a simple ALU op");
+  s.s1 = 1;
+  s.s2 = 2;
+  s.dest = 3;
+  emu.regs_[1] = src1;
+  emu.regs_[2] = src2;
+  u32 pc = 0;
+  emu.execute<false>(s, pc, nullptr);
+  return emu.regs_[3];
 }
 
 StepResult Emulator::step(ExecRecord* record) {
@@ -145,75 +395,59 @@ StepResult Emulator::step(ExecRecord* record) {
     return r;
   }
   if (pc_ % 4 != 0) return fault("misaligned pc");
+  // A pc outside the table is predecoded into a local slot and runs
+  // through the same interpreter.
+  const u32 raw = fetch(pc_, fetch_);
+  const u32 i = (pc_ - text_base_) >> 2;
+  Slot local;
+  Slot& s = i < slots_.size() ? slots_[i] : local;
+  if (s.inst.raw != raw && !refill(s, raw, pc_))
+    return fault("illegal instruction at pc");
+  ExecRecord scratch;
+  u32 pc = pc_;
+  if (!execute<true>(s, pc, record ? record : &scratch))
+    return step_slow(s, record);
+  pc_ = pc;
+  ++retired_;
+  return {};
+}
 
-  const u32 raw = mem_.load_u32(pc_);
-  const DecodedInst* dp;
-  const u32 slot = (pc_ - decode_base_) / 4;
-  std::optional<DecodedInst> decoded_local;
-  if (pc_ >= decode_base_ && slot < decode_cache_.size()) {
-    DecodeSlot& ds = decode_cache_[slot];
-    if (!ds.filled || ds.raw != raw) {
-      const auto decoded = decode(raw);
-      if (!decoded) return fault("illegal instruction at pc");
-      ds.raw = raw;
-      ds.filled = true;
-      ds.inst = *decoded;
-    }
-    dp = &ds.inst;
-  } else {
-    decoded_local = decode(raw);
-    if (!decoded_local) return fault("illegal instruction at pc");
-    dp = &*decoded_local;
-  }
-  const DecodedInst& d = *dp;
-
+StepResult Emulator::step_slow(const Slot& s, ExecRecord* record) {
+  const DecodedInst& d = s.inst;
   ExecRecord rec;
   rec.pc = pc_;
   rec.inst = d;
-  rec.src1_value = regs_[d.src1()];
-  rec.src2_value = regs_[d.src2()];
+  rec.src1_value = regs_[s.s1];
+  rec.src2_value = regs_[s.s2];
   rec.next_pc = pc_ + 4;
-
   StepResult result;
-  u32 dest_value = 0;
-  unsigned dest = d.dest();
-
   switch (d.cls()) {
-    case ExecClass::Logic:
-    case ExecClass::Add:
-    case ExecClass::ShiftLeft:
-    case ExecClass::ShiftRight:
-    case ExecClass::Compare:
-      dest_value = alu_result(d, rec.src1_value, rec.src2_value);
-      break;
-
-    case ExecClass::Mul: {
-      const u64 product =
-          d.op == Op::MULT
-              ? static_cast<u64>(static_cast<i64>(static_cast<i32>(rec.src1_value)) *
-                                 static_cast<i64>(static_cast<i32>(rec.src2_value)))
-              : u64{rec.src1_value} * u64{rec.src2_value};
-      lo_ = static_cast<u32>(product);
-      hi_ = static_cast<u32>(product >> 32);
-      break;
-    }
-    case ExecClass::Div: {
-      const u32 a = rec.src1_value, b = rec.src2_value;
-      if (b == 0) {
-        lo_ = 0;  // division by zero is defined as 0/0 remainder a
-        hi_ = a;
-      } else if (d.op == Op::DIV) {
-        lo_ = static_cast<u32>(static_cast<i32>(a) / static_cast<i32>(b));
-        hi_ = static_cast<u32>(static_cast<i32>(a) % static_cast<i32>(b));
+    case ExecClass::Load:
+    case ExecClass::Store: {
+      const u32 addr = rec.src1_value + s.imm;
+      const unsigned n = d.mem_bytes();
+      if (addr % n != 0)
+        return fault(d.is_load() ? "misaligned load" : "misaligned store");
+      // The integer core's accesses never get here aligned: this is the FP
+      // word move, lwc1 or swc1.
+      rec.mem_addr = addr;
+      rec.mem_bytes = n;
+      if (d.op == Op::LWC1) {
+        const u32 v = mem_.load_u32(addr);
+        fp_regs_[d.ft()] = v;
+        rec.is_load = true;
+        rec.load_value = v;
+        rec.dest = kExtFpBase + d.ft();
+        rec.dest_value = v;
       } else {
-        lo_ = a / b;
-        hi_ = a % b;
+        const u32 v = fp_regs_[d.ft()];
+        mem_.store_u32(addr, v);
+        rec.is_store = true;
+        rec.src2_value = v;
+        rec.store_value = v;
       }
       break;
     }
-    case ExecClass::MfHiLo:
-      dest_value = d.op == Op::MFHI ? hi_ : lo_;
-      break;
 
     case ExecClass::FpAlu:
     case ExecClass::FpMul:
@@ -221,7 +455,11 @@ StepResult Emulator::step(ExecRecord* record) {
     case ExecClass::FpSqrt:
       if (d.op == Op::MFC1) {
         rec.src1_value = fp_regs_[d.fs()];
-        dest_value = rec.src1_value;  // generic tail writes the GPR
+        if (d.rt != 0) {
+          regs_[d.rt] = rec.src1_value;
+          rec.dest = d.rt;
+          rec.dest_value = rec.src1_value;
+        }
       } else if (d.op == Op::MTC1) {
         rec.src1_value = regs_[d.rt];
         fp_regs_[d.fs()] = rec.src1_value;
@@ -230,10 +468,10 @@ StepResult Emulator::step(ExecRecord* record) {
       } else {
         rec.src1_value = fp_regs_[d.fs()];
         rec.src2_value = fp_regs_[d.ft()];
-        const u32 result = fp_alu_result(d, rec.src1_value, rec.src2_value);
-        fp_regs_[d.fd()] = result;
+        const u32 v = fp_alu_result(d, rec.src1_value, rec.src2_value);
+        fp_regs_[d.fd()] = v;
         rec.dest = kExtFpBase + d.fd();
-        rec.dest_value = result;
+        rec.dest_value = v;
       }
       break;
 
@@ -250,60 +488,6 @@ StepResult Emulator::step(ExecRecord* record) {
       rec.is_cond_branch = true;
       rec.branch_taken = branch_outcome(d, rec.src1_value, 0);
       if (rec.branch_taken) rec.next_pc = d.branch_target(pc_);
-      break;
-
-    case ExecClass::Load: {
-      const u32 addr = rec.src1_value + d.imm_value();
-      const unsigned n = d.mem_bytes();
-      if (addr % n != 0) return fault("misaligned load");
-      u32 v = 0;
-      if (n == 1) v = mem_.load_u8(addr);
-      else if (n == 2) v = mem_.load_u16(addr);
-      else v = mem_.load_u32(addr);
-      if (d.mem_sign_extend() && d.op != Op::LWC1) v = sign_extend(v, n * 8);
-      if (d.op == Op::LWC1) {
-        fp_regs_[d.ft()] = v;
-        rec.dest = kExtFpBase + d.ft();
-        rec.dest_value = v;
-      } else {
-        dest_value = v;
-      }
-      rec.is_load = true;
-      rec.mem_addr = addr;
-      rec.mem_bytes = n;
-      rec.load_value = v;
-      break;
-    }
-    case ExecClass::Store: {
-      const u32 addr = rec.src1_value + d.imm_value();
-      const unsigned n = d.mem_bytes();
-      if (addr % n != 0) return fault("misaligned store");
-      if (d.op == Op::SWC1) rec.src2_value = fp_regs_[d.ft()];
-      const u32 v = rec.src2_value;
-      if (n == 1) mem_.store_u8(addr, static_cast<u8>(v));
-      else if (n == 2) mem_.store_u16(addr, static_cast<u16>(v));
-      else mem_.store_u32(addr, v);
-      rec.is_store = true;
-      rec.mem_addr = addr;
-      rec.mem_bytes = n;
-      rec.store_value = n == 4 ? v : (v & low_mask(n * 8));
-      break;
-    }
-
-    case ExecClass::BranchEq:
-    case ExecClass::BranchSign: {
-      rec.is_cond_branch = true;
-      rec.branch_taken = branch_outcome(d, rec.src1_value, rec.src2_value);
-      if (rec.branch_taken) rec.next_pc = d.branch_target(pc_);
-      break;
-    }
-    case ExecClass::Jump:
-      rec.next_pc = d.branch_target(pc_);
-      if (d.op == Op::JAL) dest_value = pc_ + 4;
-      break;
-    case ExecClass::JumpReg:
-      rec.next_pc = rec.src1_value;
-      if (d.op == Op::JALR) dest_value = pc_ + 4;
       break;
 
     case ExecClass::Syscall: {
@@ -327,12 +511,11 @@ StepResult Emulator::step(ExecRecord* record) {
       }
       break;
     }
-  }
 
-  if (dest != 0) {
-    regs_[dest] = dest_value;
-    rec.dest = dest;
-    rec.dest_value = dest_value;
+    default:
+      // Only an unfilled slot gets here: the fetched word matched its tag,
+      // the illegal word kUnfilled.raw.
+      return fault("illegal instruction at pc");
   }
   pc_ = rec.next_pc;
   ++retired_;
@@ -352,70 +535,6 @@ u64 Emulator::run(u64 max_instructions, StepResult* final_result) {
   return n;
 }
 
-bool Emulator::fill_fast_slot(FastInst& fi, u32 raw, u32 pc) {
-  const auto decoded = decode(raw);
-  if (!decoded) return false;
-  const DecodedInst& d = *decoded;
-  fi.raw = raw;
-  fi.kind = FastKind::kStep;
-  fi.dest = static_cast<u8>(d.dest());
-  fi.s1 = static_cast<u8>(d.src1());
-  fi.s2 = static_cast<u8>(d.src2());
-  fi.imm = d.imm_value();
-  switch (d.op) {
-    case Op::ADD: case Op::ADDU: fi.kind = FastKind::kAddu; break;
-    case Op::SUB: case Op::SUBU: fi.kind = FastKind::kSubu; break;
-    case Op::AND: fi.kind = FastKind::kAnd; break;
-    case Op::OR:  fi.kind = FastKind::kOr; break;
-    case Op::XOR: fi.kind = FastKind::kXor; break;
-    case Op::NOR: fi.kind = FastKind::kNor; break;
-    case Op::SLT: fi.kind = FastKind::kSlt; break;
-    case Op::SLTU: fi.kind = FastKind::kSltu; break;
-    case Op::ADDI: case Op::ADDIU: fi.kind = FastKind::kAddImm; break;
-    case Op::SLTI: fi.kind = FastKind::kSltImm; break;
-    case Op::SLTIU: fi.kind = FastKind::kSltuImm; break;
-    case Op::ANDI: fi.kind = FastKind::kAndImm; break;
-    case Op::ORI:  fi.kind = FastKind::kOrImm; break;
-    case Op::XORI: fi.kind = FastKind::kXorImm; break;
-    case Op::LUI:  fi.kind = FastKind::kLoadImm; break;
-    case Op::SLL:
-      fi.kind = raw == 0 ? FastKind::kNop : FastKind::kSllImm;
-      fi.imm = d.shamt;
-      break;
-    case Op::SRL: fi.kind = FastKind::kSrlImm; fi.imm = d.shamt; break;
-    case Op::SRA: fi.kind = FastKind::kSraImm; fi.imm = d.shamt; break;
-    case Op::SLLV: fi.kind = FastKind::kSllv; break;
-    case Op::SRLV: fi.kind = FastKind::kSrlv; break;
-    case Op::SRAV: fi.kind = FastKind::kSrav; break;
-    case Op::MULT: fi.kind = FastKind::kMult; break;
-    case Op::MULTU: fi.kind = FastKind::kMultu; break;
-    case Op::DIV: fi.kind = FastKind::kDiv; break;
-    case Op::DIVU: fi.kind = FastKind::kDivu; break;
-    case Op::MFHI: fi.kind = FastKind::kMfhi; break;
-    case Op::MFLO: fi.kind = FastKind::kMflo; break;
-    case Op::LB:  fi.kind = FastKind::kLb; break;
-    case Op::LBU: fi.kind = FastKind::kLbu; break;
-    case Op::LH:  fi.kind = FastKind::kLh; break;
-    case Op::LHU: fi.kind = FastKind::kLhu; break;
-    case Op::LW:  fi.kind = FastKind::kLw; break;
-    case Op::SB:  fi.kind = FastKind::kSb; break;
-    case Op::SH:  fi.kind = FastKind::kSh; break;
-    case Op::SW:  fi.kind = FastKind::kSw; break;
-    case Op::BEQ:  fi.kind = FastKind::kBeq;  fi.imm = d.branch_target(pc); break;
-    case Op::BNE:  fi.kind = FastKind::kBne;  fi.imm = d.branch_target(pc); break;
-    case Op::BLEZ: fi.kind = FastKind::kBlez; fi.imm = d.branch_target(pc); break;
-    case Op::BGTZ: fi.kind = FastKind::kBgtz; fi.imm = d.branch_target(pc); break;
-    case Op::BLTZ: fi.kind = FastKind::kBltz; fi.imm = d.branch_target(pc); break;
-    case Op::BGEZ: fi.kind = FastKind::kBgez; fi.imm = d.branch_target(pc); break;
-    case Op::J:    fi.kind = FastKind::kJ;    fi.imm = d.branch_target(pc); break;
-    case Op::JAL:  fi.kind = FastKind::kJal;  fi.imm = d.branch_target(pc); break;
-    case Op::JR:   fi.kind = FastKind::kJr; break;
-    case Op::JALR: fi.kind = FastKind::kJalr; break;
-    default: break;  // syscall, FP, LWC1/SWC1, ...: kStep
-  }
-  return true;
-}
-
 u64 Emulator::run_fast(u64 max_instructions, StepResult* final_result) {
   StepResult last;
   if (exited_) {
@@ -424,184 +543,44 @@ u64 Emulator::run_fast(u64 max_instructions, StepResult* final_result) {
     if (final_result) *final_result = last;
     return 0;
   }
-  if (fast_cache_.size() != decode_cache_.size())
-    fast_cache_.assign(decode_cache_.size(), FastInst{});
-
+  // pc and the fetch cache live in locals; retired_ is always the entry
+  // count plus n, so only n is kept.
+  const u64 retired = retired_;
   u64 n = 0;
   u32 pc = pc_;
-  u64 retired = retired_;
-  u32* const regs = regs_.data();
-  const u32 base = decode_base_;
-  const u32 nslots = static_cast<u32>(fast_cache_.size());
-  // Instruction-fetch page cache, separate from SparseMemory's data-access
-  // cache. Only non-null pointers may be cached (a store can allocate a
-  // page later); a mapped page's storage never moves.
-  const u8* ipage = nullptr;
-  u32 ipage_base = 1;  // never page-aligned, so the first fetch misses
-
+  FetchCache fc = fetch_;
+  Slot* const slots = slots_.data();
+  const u32 base = text_base_;
+  const u32 nslots = static_cast<u32>(slots_.size());
   while (n < max_instructions) {
-    if ((pc & 3u) == 0 && (pc - base) >> 2 < nslots) {
-      const u32 page = pc & ~(SparseMemory::kPageSize - 1);
-      if (page != ipage_base) {
-        ipage = mem_.page_bytes(pc);
-        if (ipage) ipage_base = page;
+    const u32 i = (pc - base) >> 2;
+    if ((pc & 3u) == 0 && i < nslots) {
+      const u32 raw = fetch(pc, fc);
+      Slot& s = slots[i];
+      if ((s.inst.raw == raw || refill(s, raw, pc)) &&
+          execute<false>(s, pc, nullptr)) {
+        ++n;
+        continue;
       }
-      u32 raw = 0;
-      if (ipage && page == ipage_base)
-        std::memcpy(&raw, ipage + (pc & (SparseMemory::kPageSize - 1)), 4);
-      FastInst& fi = fast_cache_[(pc - base) >> 2];
-      if (fi.kind == FastKind::kUnfilled || fi.raw != raw)
-        if (!fill_fast_slot(fi, raw, pc)) goto slow_path;
-      switch (fi.kind) {
-        case FastKind::kNop: pc += 4; break;
-        case FastKind::kAddu: regs[fi.dest] = regs[fi.s1] + regs[fi.s2]; regs[0] = 0; pc += 4; break;
-        case FastKind::kSubu: regs[fi.dest] = regs[fi.s1] - regs[fi.s2]; regs[0] = 0; pc += 4; break;
-        case FastKind::kAnd:  regs[fi.dest] = regs[fi.s1] & regs[fi.s2]; regs[0] = 0; pc += 4; break;
-        case FastKind::kOr:   regs[fi.dest] = regs[fi.s1] | regs[fi.s2]; regs[0] = 0; pc += 4; break;
-        case FastKind::kXor:  regs[fi.dest] = regs[fi.s1] ^ regs[fi.s2]; regs[0] = 0; pc += 4; break;
-        case FastKind::kNor:  regs[fi.dest] = ~(regs[fi.s1] | regs[fi.s2]); regs[0] = 0; pc += 4; break;
-        case FastKind::kSlt:
-          regs[fi.dest] = static_cast<i32>(regs[fi.s1]) < static_cast<i32>(regs[fi.s2]);
-          regs[0] = 0; pc += 4; break;
-        case FastKind::kSltu: regs[fi.dest] = regs[fi.s1] < regs[fi.s2] ? 1 : 0; regs[0] = 0; pc += 4; break;
-        case FastKind::kAddImm: regs[fi.dest] = regs[fi.s1] + fi.imm; regs[0] = 0; pc += 4; break;
-        case FastKind::kSltImm:
-          regs[fi.dest] = static_cast<i32>(regs[fi.s1]) < static_cast<i32>(fi.imm);
-          regs[0] = 0; pc += 4; break;
-        case FastKind::kSltuImm: regs[fi.dest] = regs[fi.s1] < fi.imm ? 1 : 0; regs[0] = 0; pc += 4; break;
-        case FastKind::kAndImm: regs[fi.dest] = regs[fi.s1] & fi.imm; regs[0] = 0; pc += 4; break;
-        case FastKind::kOrImm:  regs[fi.dest] = regs[fi.s1] | fi.imm; regs[0] = 0; pc += 4; break;
-        case FastKind::kXorImm: regs[fi.dest] = regs[fi.s1] ^ fi.imm; regs[0] = 0; pc += 4; break;
-        case FastKind::kLoadImm: regs[fi.dest] = fi.imm; regs[0] = 0; pc += 4; break;
-        case FastKind::kSllImm: regs[fi.dest] = regs[fi.s2] << fi.imm; regs[0] = 0; pc += 4; break;
-        case FastKind::kSrlImm: regs[fi.dest] = regs[fi.s2] >> fi.imm; regs[0] = 0; pc += 4; break;
-        case FastKind::kSraImm:
-          regs[fi.dest] = static_cast<u32>(static_cast<i32>(regs[fi.s2]) >> fi.imm);
-          regs[0] = 0; pc += 4; break;
-        case FastKind::kSllv: regs[fi.dest] = regs[fi.s2] << (regs[fi.s1] & 31); regs[0] = 0; pc += 4; break;
-        case FastKind::kSrlv: regs[fi.dest] = regs[fi.s2] >> (regs[fi.s1] & 31); regs[0] = 0; pc += 4; break;
-        case FastKind::kSrav:
-          regs[fi.dest] = static_cast<u32>(static_cast<i32>(regs[fi.s2]) >> (regs[fi.s1] & 31));
-          regs[0] = 0; pc += 4; break;
-        case FastKind::kMult: {
-          const u64 p = static_cast<u64>(
-              static_cast<i64>(static_cast<i32>(regs[fi.s1])) *
-              static_cast<i64>(static_cast<i32>(regs[fi.s2])));
-          lo_ = static_cast<u32>(p);
-          hi_ = static_cast<u32>(p >> 32);
-          pc += 4; break;
-        }
-        case FastKind::kMultu: {
-          const u64 p = u64{regs[fi.s1]} * u64{regs[fi.s2]};
-          lo_ = static_cast<u32>(p);
-          hi_ = static_cast<u32>(p >> 32);
-          pc += 4; break;
-        }
-        case FastKind::kDiv: {
-          const u32 a = regs[fi.s1], b = regs[fi.s2];
-          if (b == 0) {
-            lo_ = 0;
-            hi_ = a;
-          } else {
-            lo_ = static_cast<u32>(static_cast<i32>(a) / static_cast<i32>(b));
-            hi_ = static_cast<u32>(static_cast<i32>(a) % static_cast<i32>(b));
-          }
-          pc += 4; break;
-        }
-        case FastKind::kDivu: {
-          const u32 a = regs[fi.s1], b = regs[fi.s2];
-          if (b == 0) {
-            lo_ = 0;
-            hi_ = a;
-          } else {
-            lo_ = a / b;
-            hi_ = a % b;
-          }
-          pc += 4; break;
-        }
-        case FastKind::kMfhi: regs[fi.dest] = hi_; regs[0] = 0; pc += 4; break;
-        case FastKind::kMflo: regs[fi.dest] = lo_; regs[0] = 0; pc += 4; break;
-        case FastKind::kLb: {
-          const u32 a = regs[fi.s1] + fi.imm;
-          regs[fi.dest] = sign_extend(mem_.load_u8(a), 8);
-          regs[0] = 0; pc += 4; break;
-        }
-        case FastKind::kLbu: {
-          const u32 a = regs[fi.s1] + fi.imm;
-          regs[fi.dest] = mem_.load_u8(a);
-          regs[0] = 0; pc += 4; break;
-        }
-        case FastKind::kLh: {
-          const u32 a = regs[fi.s1] + fi.imm;
-          if (a & 1u) goto slow_path;  // exact "misaligned load" fault
-          regs[fi.dest] = sign_extend(mem_.load_u16(a), 16);
-          regs[0] = 0; pc += 4; break;
-        }
-        case FastKind::kLhu: {
-          const u32 a = regs[fi.s1] + fi.imm;
-          if (a & 1u) goto slow_path;
-          regs[fi.dest] = mem_.load_u16(a);
-          regs[0] = 0; pc += 4; break;
-        }
-        case FastKind::kLw: {
-          const u32 a = regs[fi.s1] + fi.imm;
-          if (a & 3u) goto slow_path;
-          regs[fi.dest] = mem_.load_u32(a);
-          regs[0] = 0; pc += 4; break;
-        }
-        case FastKind::kSb:
-          mem_.store_u8(regs[fi.s1] + fi.imm, static_cast<u8>(regs[fi.s2]));
-          pc += 4; break;
-        case FastKind::kSh: {
-          const u32 a = regs[fi.s1] + fi.imm;
-          if (a & 1u) goto slow_path;
-          mem_.store_u16(a, static_cast<u16>(regs[fi.s2]));
-          pc += 4; break;
-        }
-        case FastKind::kSw: {
-          const u32 a = regs[fi.s1] + fi.imm;
-          if (a & 3u) goto slow_path;
-          mem_.store_u32(a, regs[fi.s2]);
-          pc += 4; break;
-        }
-        case FastKind::kBeq: pc = regs[fi.s1] == regs[fi.s2] ? fi.imm : pc + 4; break;
-        case FastKind::kBne: pc = regs[fi.s1] != regs[fi.s2] ? fi.imm : pc + 4; break;
-        case FastKind::kBlez: pc = static_cast<i32>(regs[fi.s1]) <= 0 ? fi.imm : pc + 4; break;
-        case FastKind::kBgtz: pc = static_cast<i32>(regs[fi.s1]) > 0 ? fi.imm : pc + 4; break;
-        case FastKind::kBltz: pc = static_cast<i32>(regs[fi.s1]) < 0 ? fi.imm : pc + 4; break;
-        case FastKind::kBgez: pc = static_cast<i32>(regs[fi.s1]) >= 0 ? fi.imm : pc + 4; break;
-        case FastKind::kJ: pc = fi.imm; break;
-        case FastKind::kJal: regs[fi.dest] = pc + 4; regs[0] = 0; pc = fi.imm; break;
-        case FastKind::kJr: pc = regs[fi.s1]; break;
-        case FastKind::kJalr: {
-          const u32 target = regs[fi.s1];  // read before a same-reg link write
-          regs[fi.dest] = pc + 4;
-          regs[0] = 0;
-          pc = target;
-          break;
-        }
-        case FastKind::kStep:
-        case FastKind::kUnfilled:
-          goto slow_path;
-      }
-      ++retired;
-      ++n;
-      continue;
     }
-  slow_path:
-    // Anything the fast loop doesn't handle inline — misaligned or
-    // out-of-window pc, syscalls, FP, faults — is one exact step(), which
-    // also owns output, exit state and fault strings.
+    // Anything else — a misaligned or out-of-table pc, an illegal word, a
+    // syscall, FP, a faulting access — is one step(), which owns output,
+    // exit state and fault strings.
     pc_ = pc;
-    retired_ = retired;
+    retired_ = retired + n;
+    fetch_ = fc;
     last = step();
+    if (!last.ok()) {  // step() left pc_, retired_ and fetch_ current
+      if (final_result) *final_result = last;
+      return n;
+    }
     pc = pc_;
-    retired = retired_;
-    if (!last.ok()) break;
+    fc = fetch_;
     ++n;
   }
   pc_ = pc;
-  retired_ = retired;
+  retired_ = retired + n;
+  fetch_ = fc;
   if (final_result) *final_result = last;
   return n;
 }

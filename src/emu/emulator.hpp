@@ -6,8 +6,11 @@
 //     (Figures 2, 4, 6),
 //   * standalone program execution for tests, examples and workload bring-up.
 //
-// step() executes exactly one instruction and returns a full ExecRecord of
-// its architectural effects, which is also the trace record format.
+// One interpreter serves all three: a predecoded slot table with a dense
+// per-opcode dispatch. step() runs its recording instantiation, one
+// instruction with a full ExecRecord of its architectural effects (also the
+// trace record format); run_fast() runs the non-recording one in a loop.
+// BENCH_simcore.json records both rates.
 #pragma once
 
 #include <array>
@@ -76,16 +79,11 @@ class Emulator {
   // Runs until exit/fault or `max_instructions`. Returns instructions run.
   u64 run(u64 max_instructions, StepResult* final_result = nullptr);
 
-  // Fast-forward engine: architecturally identical to run(), several times
-  // faster. Executes straight-line runs of predecoded instructions with a
-  // single dense dispatch per instruction — no ExecRecord is built, pc and
-  // the retirement count live in locals, and instruction fetch goes through
-  // a cached text-page pointer. Anything outside the hot integer core
-  // (syscalls, FP, instructions outside the predecode window, faults) falls
-  // back to one exact step(), so output, exit and fault behaviour — down to
-  // the fault string — match a step() loop bit for bit. The timing core's
-  // co-simulation keeps calling step() directly; this path is for
-  // fast-forwarding billions of instructions before detailed timing.
+  // Fast-forward engine: architecturally identical to run(), with no
+  // ExecRecord built and pc kept in a local across instructions. Syscalls,
+  // FP, pcs outside the text image and faults take one step(), so output,
+  // exit and fault behaviour — down to the fault string — match a step()
+  // loop bit for bit.
   u64 run_fast(u64 max_instructions, StepResult* final_result = nullptr);
 
   u32 pc() const { return pc_; }
@@ -120,27 +118,14 @@ class Emulator {
     return r;
   }
 
-  // Decode cache over the text image, indexed by pc and tagged with the raw
-  // word: decode() is pure, so a hit is exact, and a (hypothetical) code
-  // write simply misses the tag and re-decodes. Decoding dominated step()
-  // before this cache (~25% of whole-simulation profiles).
-  struct DecodeSlot {
-    u32 raw = 0;
-    bool filled = false;
-    DecodedInst inst;
-  };
-  u32 decode_base_ = 0;
-  std::vector<DecodeSlot> decode_cache_;
-
-  // Predecoded form run_fast() dispatches on: one dense opcode kind plus the
-  // handful of fields its handler needs, with immediates pre-extended and
-  // branch/jump targets pre-resolved (a slot's pc is fixed, so its target
-  // is too). `raw` tags the slot like DecodeSlot does — a code write misses
-  // the tag and re-predecodes, keeping self-modifying code exact.
+  // Predecoded slot table over the text image, indexed by pc: one dense
+  // opcode kind plus the fields its handler needs, with immediates
+  // pre-extended and branch/jump targets pre-resolved (a slot's pc is
+  // fixed, so its target is too), and the DecodedInst the ExecRecord and
+  // the slow path read. `inst.raw` tags the slot: a code write misses the
+  // tag and re-predecodes, keeping self-modifying code exact.
   enum class FastKind : u8 {
-    kUnfilled = 0,
-    kStep,  // syscall / FP / anything the fast loop defers to step()
-    kNop,
+    kStep,  // syscall / FP: executed by step_slow()
     kAddu, kSubu, kAnd, kOr, kXor, kNor, kSlt, kSltu,
     kAddImm, kSltImm, kSltuImm, kAndImm, kOrImm, kXorImm, kLoadImm,
     kSllImm, kSrlImm, kSraImm, kSllv, kSrlv, kSrav,
@@ -149,17 +134,42 @@ class Emulator {
     kBeq, kBne, kBlez, kBgtz, kBltz, kBgez,
     kJ, kJal, kJr, kJalr,
   };
-  struct FastInst {
-    u32 raw = 0;
-    FastKind kind = FastKind::kUnfilled;
+  // Tag of a slot never filled: a word decode() rejects (opcode 0x3f). A
+  // fetch of that word hits the slot, and step_slow() reports it illegal.
+  static constexpr DecodedInst kUnfilled{.raw = 0xffffffffu};
+  struct Slot {
+    FastKind kind = FastKind::kStep;
     u8 dest = 0, s1 = 0, s2 = 0;
     u32 imm = 0;  // extended immediate, shift amount, or absolute target pc
+    DecodedInst inst = kUnfilled;
   };
-  std::vector<FastInst> fast_cache_;
+  u32 text_base_ = 0;
+  std::vector<Slot> slots_;
 
-  // Predecodes `raw` at `pc` into `fi`. False when decode() rejects it (the
-  // caller falls back to step() for the exact fault).
-  bool fill_fast_slot(FastInst& fi, u32 raw, u32 pc);
+  // Instruction-fetch page cache, separate from SparseMemory's data-access
+  // cache. Only mapped pages are cached (a store can map a page later); a
+  // mapped page's storage never moves while mem_ lives.
+  struct FetchCache {
+    const u8* page = nullptr;
+    u32 base = 1;  // never page-aligned, so the first fetch misses
+  };
+  FetchCache fetch_;
+
+  // Predecodes `d` at `pc` into `s`.
+  static void fill_slot(Slot& s, const DecodedInst& d, u32 pc);
+  // Predecodes `raw` at `pc` into `s`; false when decode() rejects it.
+  static bool refill(Slot& s, u32 raw, u32 pc);
+  u32 fetch(u32 pc, FetchCache& fc) const;
+
+  // The one interpreter for the integer core: executes `s` at `pc`,
+  // advancing `pc`, and with kRecord fills `*rec`. Returns false, having
+  // changed nothing, for what step_slow() owns: FP, syscalls and faulting
+  // accesses.
+  template <bool kRecord>
+  bool execute(const Slot& s, u32& pc, ExecRecord* rec);
+  StepResult step_slow(const Slot& s, ExecRecord* record);
+
+  friend u32 alu_result(const DecodedInst& inst, u32 src1, u32 src2);
 
   std::array<u32, kNumRegs> regs_{};
   std::array<u32, 32> fp_regs_{};
@@ -178,8 +188,9 @@ class Emulator {
 bool branch_outcome(const DecodedInst& inst, u32 src1, u32 src2);
 
 // Pure ALU result for non-memory, non-control ops (shared with the sliced
-// datapath verification tests). `src1`/`src2` follow DecodedInst::src1/src2
-// conventions; imm handled internally.
+// datapath verification tests), computed by the interpreter's own handler.
+// `src1`/`src2` follow DecodedInst::src1/src2 conventions; imm handled
+// internally.
 u32 alu_result(const DecodedInst& inst, u32 src1, u32 src2);
 
 // FP datapath results over raw single-precision bits (host IEEE-754).

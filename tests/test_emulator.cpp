@@ -3,10 +3,14 @@
 // depend on.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "asm/assembler.hpp"
+#include "config/machine_config.hpp"
+#include "core/simulator.hpp"
 #include "emu/emulator.hpp"
 #include "util/rng.hpp"
 #include "workloads/workloads.hpp"
@@ -121,6 +125,44 @@ TEST(Emulator, DivideByZeroIsDefined) {
 )");
   EXPECT_EQ(e.reg(R_T1), 0u);
   EXPECT_EQ(e.reg(R_T2), 9u);
+}
+
+// INT_MIN / -1 overflows; C++ leaves it undefined and x86 traps (SIGFPE).
+// The interpreter defines it MIPS-style: lo = INT_MIN, hi = 0. The program
+// exits with (lo >> 16) + hi so a full-co-sim run pins both values too.
+constexpr const char* kDivOverflow = R"(
+.text
+main:
+  lui $t0, 0x8000
+  li $t1, -1
+  div $t0, $t1
+  mflo $t2
+  mfhi $t3
+  srl $a0, $t2, 16
+  addu $a0, $a0, $t3
+  li $v0, 10
+  syscall
+)";
+
+TEST(Emulator, SignedDivideOverflowIsDefined) {
+  const Program p = compile(kDivOverflow);
+  Emulator slow(p), fast(p);
+  StepResult rs, rf;
+  slow.run(100, &rs);
+  fast.run_fast(100, &rf);
+  for (const Emulator* e : {&slow, &fast}) {
+    EXPECT_TRUE(e->exited());
+    EXPECT_EQ(e->reg(R_T2), 0x80000000u);
+    EXPECT_EQ(e->reg(R_T3), 0u);
+    EXPECT_EQ(e->lo(), 0x80000000u);
+    EXPECT_EQ(e->hi(), 0u);
+    EXPECT_EQ(e->exit_code(), 0x8000);
+  }
+
+  const SimResult r = simulate(base_machine(), p, 100);
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_TRUE(r.exited);
+  EXPECT_EQ(r.exit_code, 0x8000);
 }
 
 TEST(Emulator, MemoryAccessSizesAndSignExtension) {
@@ -467,6 +509,75 @@ TEST(EmulatorFastRun, MatchesStepAcrossWorkloads) {
   }
 }
 
+// FNV-1a over every ExecRecord field of the first `steps` step(&rec) calls,
+// plus each call's result kind. step() and run_fast() share one execute
+// routine, so comparing them against each other cannot catch a change to
+// that routine; these digests are the fixed reference instead.
+void fnv_mix(u64& h, u64 v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+}
+
+void fnv_mix_record(u64& h, const ExecRecord& r) {
+  for (const u64 v :
+       {u64{r.pc}, u64{static_cast<u8>(r.inst.op)}, u64{r.inst.rs},
+        u64{r.inst.rt}, u64{r.inst.rd}, u64{r.inst.shamt}, u64{r.inst.imm},
+        u64{r.inst.raw}, u64{r.src1_value}, u64{r.src2_value}, u64{r.dest},
+        u64{r.dest_value}, u64{r.is_load}, u64{r.is_store}, u64{r.mem_addr},
+        u64{r.mem_bytes}, u64{r.store_value}, u64{r.load_value},
+        u64{r.is_cond_branch}, u64{r.branch_taken}, u64{r.next_pc}})
+    fnv_mix(h, v);
+}
+
+u64 record_hash(const ExecRecord& r) {
+  u64 h = 0xcbf29ce484222325ull;
+  fnv_mix_record(h, r);
+  return h;
+}
+
+u64 step_record_digest(const Program& p, u64 steps) {
+  u64 h = 0xcbf29ce484222325ull;
+  Emulator emu(p);
+  ExecRecord r;
+  for (u64 i = 0; i < steps; ++i) {
+    const StepResult sr = emu.step(&r);
+    fnv_mix(h, static_cast<u64>(sr.kind));
+    if (!sr.ok()) break;
+    fnv_mix_record(h, r);
+  }
+  fnv_mix(h, emu.instructions_retired());
+  return h;
+}
+
+TEST(EmulatorFastRun, StepRecordDigestsArePinned) {
+  const std::pair<const char*, u64> expected[] = {
+      {"bzip", 0x8854e9ed76712e1aull},
+      {"gcc", 0x078bf660cfd2def9ull},
+      {"go", 0xa370396e531259aeull},
+      {"gzip", 0xb8f9241652f3403bull},
+      {"ijpeg", 0x0a2f3679074db5e9ull},
+      {"li", 0x6dfb0feef3ceec09ull},
+      {"mcf", 0x720a0b488664b53dull},
+      {"parser", 0xb8fc8e33590f0120ull},
+      {"twolf", 0x38b0b65a747fdb46ull},
+      {"vortex", 0xcb025d44318aa9f4ull},
+      {"vpr", 0xedb3ec226245c678ull},
+      {"fp_saxpy", 0xc98b42eba3e990deull},
+  };
+  std::vector<std::string> names = workload_names();
+  names.push_back("fp_saxpy");
+  ASSERT_EQ(names.size(), std::size(expected));
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    SCOPED_TRACE(names[i]);
+    EXPECT_EQ(names[i], expected[i].first);
+    const u64 got = step_record_digest(build_workload(names[i]).program,
+                                       200'000);
+    EXPECT_EQ(got, expected[i].second) << std::hex << "got 0x" << got;
+  }
+}
+
 TEST(EmulatorFastRun, MatchesStepThroughExit) {
   // Budget far beyond the program's length: both engines must agree on the
   // exit, the exit code, and the retired count (the exit syscall retires
@@ -551,10 +662,80 @@ main:
   EXPECT_EQ(slow.pc(), fast.pc());
 }
 
+TEST(EmulatorFastRun, FaultParityOnTheRecordPath) {
+  // Each program faults on its last instruction. step(&rec) must report
+  // the same fault string as run() and run_fast(), and leave the caller's
+  // record exactly as the previous step left it.
+  struct Case {
+    const char* body;
+    u32 trailing_word;  // appended to the text image when nonzero
+    const char* fault;
+  };
+  const Case cases[] = {
+      {"la $t0, buf\n  lw $t1, 1($t0)", 0, "misaligned load"},
+      {"la $t0, buf\n  lh $t1, 1($t0)", 0, "misaligned load"},
+      {"la $t0, buf\n  sw $t1, 2($t0)", 0, "misaligned store"},
+      {"la $t0, buf\n  sh $t1, 1($t0)", 0, "misaligned store"},
+      {"li $t0, 0x00100002\n  jr $t0", 0, "misaligned pc"},
+      {"li $v0, 99\n  syscall", 0, "unknown syscall 99"},
+      {"nop", 0xfc000000u, "illegal instruction at pc"},
+      // The word an unfilled slot is tagged with must still be illegal.
+      {"nop", 0xffffffffu, "illegal instruction at pc"},
+  };
+  for (const auto& [body, trailing_word, fault] : cases) {
+    SCOPED_TRACE(std::string(body) + " + " + std::to_string(trailing_word));
+    Program p = compile(std::string(".text\nmain:\n  ") + body +
+                        "\n.data\nbuf: .word 0\n");
+    if (trailing_word != 0) p.text.push_back(trailing_word);
+    Emulator slow(p), fast(p), rec_emu(p);
+    StepResult rs, rf, rr;
+    const u64 ns = slow.run(10, &rs);
+    EXPECT_EQ(fast.run_fast(10, &rf), ns);
+    ExecRecord rec;
+    u64 nr = 0;
+    for (; nr < 10; ++nr) {
+      const u64 before = record_hash(rec);
+      rr = rec_emu.step(&rec);
+      if (!rr.ok()) {
+        EXPECT_EQ(record_hash(rec), before) << "faulting step wrote the record";
+        break;
+      }
+    }
+    EXPECT_EQ(nr, ns);
+    for (const StepResult* r : {&rs, &rf, &rr}) {
+      EXPECT_EQ(r->kind, StepResult::Kind::Fault);
+      EXPECT_EQ(r->fault, fault);
+    }
+    EXPECT_EQ(rec_emu.pc(), slow.pc());
+    EXPECT_EQ(rec_emu.instructions_retired(), slow.instructions_retired());
+  }
+}
+
+TEST(EmulatorFastRun, WildJumpRecordsMatchTheFastLoop) {
+  // A jump far outside the text image runs through unmapped memory, which
+  // reads as zero words (nops). step(&rec) must retire them like run_fast.
+  const Program p = compile(R"(
+.text
+main:
+  li $t0, 0x00100000
+  jr $t0
+)");
+  Emulator fast(p), rec_emu(p);
+  StepResult rf;
+  EXPECT_EQ(fast.run_fast(10, &rf), 10u);
+  ExecRecord rec;
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(rec_emu.step(&rec).ok());
+  EXPECT_EQ(rec.pc, 0x00100000u + 4 * 6);
+  EXPECT_EQ(rec.inst.raw, 0u);
+  EXPECT_EQ(rec.next_pc, rec.pc + 4);
+  EXPECT_EQ(rec.dest, 0u);
+  EXPECT_EQ(rec_emu.pc(), fast.pc());
+}
+
 TEST(EmulatorFastRun, SelfModifyingCodeRedecodes) {
-  // Overwrite an addiu in a loop body through the data path; the fast
-  // cache's raw tag must miss and re-predecode, exactly like step()'s
-  // decode cache. The loop runs twice: once adding 1, once adding 5.
+  // Overwrite an addiu in a loop body through the data path; the slot's
+  // raw tag must miss and re-predecode, in run_fast() and step() alike.
+  // The loop runs twice: once adding 1, once adding 5.
   Program p = compile(R"(
 .text
 main:

@@ -9,8 +9,10 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <fstream>
 #include <future>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -439,14 +441,31 @@ TEST(RemoteCampaign, DistributedRunMatchesTheLocalRunnerByteForByte) {
   const Ports ports = wait_ports(ports_path);
   ASSERT_NE(ports.port, 0);
 
-  // Two workers race for the four tasks.
+  // Two workers race for the four tasks. No task completes before both
+  // have joined, or the first could finish the campaign before the second
+  // is served.
+  std::mutex m;
+  std::condition_variable cv;
+  unsigned joined = 0;
+  const TaskRunner gated = [&, runner = fake_runner()](const TaskSpec& t) {
+    {
+      std::unique_lock<std::mutex> lk(m);
+      cv.wait_for(lk, std::chrono::seconds(30), [&] { return joined == 2; });
+    }
+    return runner(t);
+  };
+  const WorkerSetup join = [&](const RemoteSpec&, TaskRunner* r,
+                               SchedulerOptions*) {
+    *r = gated;
+    std::lock_guard<std::mutex> lk(m);
+    ++joined;
+    cv.notify_all();
+  };
   auto w1 = std::async(std::launch::async, [&] {
-    return run_remote_worker(worker_options(ports.port, 1),
-                             test_setup(fake_runner()));
+    return run_remote_worker(worker_options(ports.port, 1), join);
   });
   auto w2 = std::async(std::launch::async, [&] {
-    return run_remote_worker(worker_options(ports.port, 1),
-                             test_setup(fake_runner()));
+    return run_remote_worker(worker_options(ports.port, 1), join);
   });
   const CampaignReport report = serve.get();
   const WorkerReport r1 = w1.get(), r2 = w2.get();
@@ -471,6 +490,34 @@ TEST(RemoteCampaign, DistributedRunMatchesTheLocalRunnerByteForByte) {
   }
   std::remove(out.c_str());
   std::remove(ports_path.c_str());
+}
+
+TEST(RemoteWorker, DoneInPlaceOfSpecIsACleanFinish) {
+  // A worker that connects after the last task was served gets DONE where
+  // it expects SPEC: the campaign is over, and it ran nothing.
+  TcpListener listener;
+  std::string err;
+  ASSERT_TRUE(listener.open({"127.0.0.1", 0}, &err)) << err;
+  auto worker = std::async(std::launch::async, [&] {
+    return run_remote_worker(worker_options(listener.port(), 1),
+                             test_setup(fake_runner()));
+  });
+  int fd = -1;
+  const auto t0 = Clock::now();
+  while (fd < 0 && seconds_since(t0) < 5) {
+    fd = listener.accept_fd();
+    if (fd < 0) sleep_sec(0.01);
+  }
+  ASSERT_GE(fd, 0);
+  FrameChannel ch(fd);
+  const auto hello = expect_frame(ch);
+  ASSERT_TRUE(hello);
+  EXPECT_EQ(hello->rfind("HELLO", 0), 0u) << *hello;
+  ASSERT_TRUE(ch.send("DONE"));
+  const WorkerReport r = worker.get();
+  EXPECT_TRUE(r.done);
+  EXPECT_EQ(r.ran, 0u);
+  EXPECT_EQ(r.error, "");
 }
 
 TEST(RemoteCampaign, ProtocolVersionMismatchIsRejectedAtHello) {
