@@ -175,10 +175,10 @@ void BM_DispatchOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_DispatchOnly)->Unit(benchmark::kMillisecond);
 
-// The per-cycle candidate ordering in isolation: order_by_key's bucket
-// path against the std::sort call it replaced, on the key distribution
-// select actually sees (dense seq-derived keys, small shuffled batches).
-// Arg = candidate count; BM_WakeupSelect covers the in-loop effect.
+// The per-cycle candidate ordering in isolation, on the key distribution
+// select actually sees (dense seq-derived keys, shuffled batches): 8 keys
+// take the insertion sort, 64 and 256 take std::sort. Arg = candidate
+// count; BM_WakeupSelect covers the in-loop effect.
 struct KeyRef {
   u64 key;
 };
@@ -198,35 +198,17 @@ std::vector<KeyRef> select_probe_keys(std::size_t n) {
 void BM_SelectSort(benchmark::State& state) {
   const std::vector<KeyRef> cands =
       select_probe_keys(static_cast<std::size_t>(state.range(0)));
-  SelectOrderScratch<KeyRef> scratch;
-  scratch.init(2048, 4096);
   std::vector<KeyRef> work;
   work.reserve(cands.size());
   for (auto _ : state) {
     work = cands;
-    order_by_key(work, scratch);
+    order_by_key(work);
     benchmark::DoNotOptimize(work.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(cands.size()));
 }
 BENCHMARK(BM_SelectSort)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_SelectSortStd(benchmark::State& state) {
-  const std::vector<KeyRef> cands =
-      select_probe_keys(static_cast<std::size_t>(state.range(0)));
-  std::vector<KeyRef> work;
-  work.reserve(cands.size());
-  for (auto _ : state) {
-    work = cands;
-    std::sort(work.begin(), work.end(),
-              [](const KeyRef& a, const KeyRef& b) { return a.key < b.key; });
-    benchmark::DoNotOptimize(work.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(cands.size()));
-}
-BENCHMARK(BM_SelectSortStd)->Arg(8)->Arg(64)->Arg(256);
 
 // Commit-path cost by co-simulation cadence on a commit-bound stream
 // (independent adds retire at full width): Arg 0 = full, 1 = spot:64,

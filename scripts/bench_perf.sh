@@ -11,8 +11,9 @@
 #
 # --check is the regression gate: instead of recording a new baseline it
 # re-measures the BM_SimulatorThroughput configs, the scheduler
-# microbenches (BM_WakeupSelect / BM_DispatchOnly / BM_SelectSort /
-# BM_CommitOnly) and the set-up benches (BM_SimulatorConstruct: mcf from a
+# microbenches (BM_WakeupSelect / BM_DispatchOnly / BM_CommitOnly, and
+# BM_SelectSort: the candidate ordering, an insertion sort at 8 keys and
+# std::sort at 64 and 256) and the set-up benches (BM_SimulatorConstruct: mcf from a
 # checkpoint on x2; BM_BuildWorkload: gcc) and compares them against the
 # committed baseline JSON,
 # exiting non-zero if any tracked benchmark lost more than 15% of its

@@ -7,11 +7,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <ostream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "core/event_wheel.hpp"
 #include "core/select_order.hpp"
 #include "lsq/disambig.hpp"
 #include "obs/cpi_stack.hpp"
@@ -24,8 +24,14 @@ namespace bsp {
 
 namespace {
 
-// Deadlock watchdog: abort a run if nothing commits for this many cycles.
-constexpr Cycle kWatchdogCycles = 100000;
+// Deadlock watchdog: abort a run if nothing commits for this many cycles,
+// 100,000 or four times the longest access path, whichever is larger, so
+// a healthy run at a long memory latency never trips it.
+Cycle watchdog_cycles(const HierarchyConfig& m) {
+  const Cycle path = std::max(m.l1i_latency, m.l1d_latency) + m.l2_latency +
+                     Cycle{m.memory_latency};
+  return std::max<Cycle>(100000, 4 * path);
+}
 
 // Memory ports into the L1 D-cache (load accesses started per cycle).
 constexpr unsigned kDCachePorts = 2;
@@ -33,7 +39,8 @@ constexpr unsigned kDCachePorts = 2;
 // Invariant build (-DBSP_CHECK_INVARIANTS=ON): every cycle, the memory and
 // resolve phases also evaluate their "can this advance now?" predicate on
 // each LSQ entry and branch they skipped, and fail the run on any that
-// could have.
+// could have; the event wheel checks its own structure, and commit checks
+// that nothing still waits on the retiring entry.
 #ifdef BSP_CHECK_INVARIANTS
 constexpr bool kCheckInvariants = true;
 #else
@@ -113,11 +120,10 @@ struct Simulator::Impl {
         waiters(std::size_t{core.ruu_entries} * wait_stride),
         consumers(core.ruu_entries),
         relax_queued(core.ruu_entries, 0),
-        ifq_capacity(std::max<unsigned>(32, 8 * core.fetch_width)) {
-    wheel_head.fill(-1);
-    far_min.fill(kNever);
+        ifq_capacity(std::max<unsigned>(32, 8 * core.fetch_width)),
+        watchdog(watchdog_cycles(cfg.memory)) {
     lsq.init(core.lsq_entries);
-    lsq_due.assign((lsq.buf.size() + 63) / 64, 0);
+    lsq_due.assign((lsq.capacity() + 63) / 64, 0);
     lsq_store_wait.assign(lsq_due.size(), 0);
     fetch_q.init(ifq_capacity + core.fetch_width);
     // Pre-size the node pools and scheduler buffers from the machine shape:
@@ -137,26 +143,24 @@ struct Simulator::Impl {
     views_scratch.reserve(core.lsq_entries);
     relax_work.reserve(core.ruu_entries);
     branch_due.reserve(2 * core.ruu_entries);
-    far_scratch.reserve(64);
-    far_overflow.reserve(64);
-    // Sortless select scratch: `tmp` swaps with cand_scratch, so all three
-    // candidate vectors share one capacity; the bucket array bounds the
-    // dense-burst key span the bucket path will take on.
-    sel_scratch.init(32 * std::size_t{core.ruu_entries} + 64,
-                     2 * max_ops + 64);
+    wheel.reserve_far(64);
     wake_scratch.reserve(max_ops);
     // Test-only divergence injection: BSP_COSIM_INJECT="N:R" flips bit 0 of
     // checker register R just before the Nth total commit is (or would be)
     // checked, so the divergence-detection test can pin each co-sim mode's
-    // detection latency without a hand-built broken program.
+    // detection latency without a hand-built broken program. Armed only
+    // when the whole value parses and R names a register.
     if (const char* inj = std::getenv("BSP_COSIM_INJECT")) {
+      char* colon = nullptr;
       char* end = nullptr;
-      inject_at_ = std::strtoull(inj, &end, 10);
-      if (end && *end == ':')
-        inject_reg_ =
-            static_cast<unsigned>(std::strtoul(end + 1, nullptr, 10));
-      else
-        inject_at_ = 0;
+      const u64 at = std::strtoull(inj, &colon, 10);
+      if (colon != inj && *colon == ':') {
+        const unsigned long reg = std::strtoul(colon + 1, &end, 10);
+        if (end != colon + 1 && *end == '\0' && reg < kNumRegs) {
+          inject_at_ = at;
+          inject_reg_ = static_cast<unsigned>(reg);
+        }
+      }
     }
     rename.fill(ProducerRef{});
     fetch_pc = program.entry;
@@ -179,14 +183,12 @@ struct Simulator::Impl {
   // at the end of construction; scratch_reallocations() counts how many
   // have since grown — any nonzero count means a steady-state reallocation
   // slipped onto the dispatch/wakeup path (pinned by the no-growth test).
-  static constexpr std::size_t kScratchVecs = 13;
+  static constexpr std::size_t kScratchVecs = 9;
   std::array<std::size_t, kScratchVecs> scratch_capacities() const {
-    return {wait_pool.capacity(),    cons_pool.capacity(),
-            pending.capacity(),      cand_scratch.capacity(),
+    return {wait_pool.capacity(),     cons_pool.capacity(),
+            pending.capacity(),       cand_scratch.capacity(),
             views_scratch.capacity(), relax_work.capacity(),
-            branch_due.capacity(),   far_scratch.capacity(),
-            far_overflow.capacity(), sel_scratch.head.capacity(),
-            sel_scratch.next.capacity(), sel_scratch.tmp.capacity(),
+            branch_due.capacity(),    wheel.far_capacity(),
             wake_scratch.capacity()};
   }
   std::array<std::size_t, kScratchVecs> scratch_baseline_{};
@@ -235,7 +237,7 @@ struct Simulator::Impl {
 
   // --- event-driven scheduler state ----------------------------------------
   // Instead of walking the whole RUU every cycle, each unselected slice-op
-  // lives in exactly one of three places: a time-indexed wakeup bucket (its
+  // lives in exactly one of three places: the event wheel (its
   // operand-ready cycle is known), the waiter list of one operand time
   // that is still undefined, or `pending` (ready this cycle but not yet
   // selected — e.g. blocked on an issue slot or a busy unit). References are
@@ -321,74 +323,14 @@ struct Simulator::Impl {
       op_sel(idx, i) = op_done(idx, i) = kNever;
   }
 
-  // --- free-list-recycled dependence-edge pools ----------------------------
-  // Waiter and consumer lists are singly-linked lists of pool nodes with
-  // O(1) append (tail pointers preserve registration order — replay
-  // worklist order depends on it) and O(1) whole-list recycling at
-  // dispatch. The pools are reserved at construction, so the steady state
-  // allocates nothing.
-  struct WaitNode {
-    OpRef ref;
-    int next;
-  };
-  struct ConsNode {
-    ConsumerRef ref;
-    int next;
-  };
-  struct NodeList {
-    int head = -1;
-    int tail = -1;
-  };
-  std::vector<WaitNode> wait_pool;
-  int wait_free = -1;
-  std::vector<ConsNode> cons_pool;
-  int cons_free = -1;
-
-  int wait_alloc() {
-    if (wait_free < 0) {
-      wait_pool.push_back(WaitNode{});
-      return static_cast<int>(wait_pool.size() - 1);
-    }
-    const int n = wait_free;
-    wait_free = wait_pool[n].next;
-    return n;
-  }
-  void wait_release(int n) {
-    wait_pool[n].next = wait_free;
-    wait_free = n;
-  }
-  int cons_alloc() {
-    if (cons_free < 0) {
-      cons_pool.push_back(ConsNode{});
-      return static_cast<int>(cons_pool.size() - 1);
-    }
-    const int n = cons_free;
-    cons_free = cons_pool[n].next;
-    return n;
-  }
-  void cons_append(NodeList& l, const ConsumerRef& r) {
-    const int n = cons_alloc();
-    cons_pool[n].ref = r;
-    cons_pool[n].next = -1;
-    if (l.tail < 0)
-      l.head = n;
-    else
-      cons_pool[l.tail].next = n;
-    l.tail = n;
-  }
-  // O(1) whole-list recycling: splice the list onto the free list.
-  void wait_recycle(NodeList& l) {
-    if (l.head < 0) return;
-    wait_pool[l.tail].next = wait_free;
-    wait_free = l.head;
-    l.head = l.tail = -1;
-  }
-  void cons_recycle(NodeList& l) {
-    if (l.head < 0) return;
-    cons_pool[l.tail].next = cons_free;
-    cons_free = l.head;
-    l.head = l.tail = -1;
-  }
+  // --- dependence-edge pools ------------------------------------------------
+  // Waiter and consumer lists are NodePool lists (core/event_wheel.hpp):
+  // O(1) append in registration order (replay worklist order depends on
+  // it) and O(1) whole-list recycling at dispatch. The pools are reserved
+  // at construction, so the steady state allocates nothing. Wheel slots
+  // share the waiter pool, so a woken op's node is relinked, not copied.
+  NodePool<OpRef> wait_pool;
+  NodePool<ConsumerRef> cons_pool;
 
   // Ops blocked on one still-undefined time, one list per time: list
   // op_list(idx, k) holds ops waiting for op_done(idx, k) and
@@ -405,7 +347,7 @@ struct Simulator::Impl {
   }
   bool waiters_empty(unsigned idx) const {
     for (unsigned l = 0; l < wait_stride; ++l)
-      if (waiters[idx * wait_stride + l].head >= 0) return false;
+      if (!waiters[idx * wait_stride + l].empty()) return false;
     return true;
   }
   // Producer entry -> dependent entries, registered at rename (plus the
@@ -413,164 +355,25 @@ struct Simulator::Impl {
   // persist for the producer's lifetime: selective replay walks them to
   // revert only the transitive dependents of a re-timed value.
   std::vector<NodeList> consumers;
-  // Ops whose computed ready cycle is in the future: a timing wheel over the
-  // next kWheelSize cycles (slot = cycle mod size; every entry's cycle lies
-  // in (now, now + kWheelSize) so the slot is unambiguous), with a summary
-  // bitmap for O(1)-ish next-event queries. Slot lists share the waiter
-  // node pool (within-slot order is irrelevant: candidates are sorted by
-  // the unique (seq, visit-pos) key before selection). Beyond-horizon
-  // wakeups go to the hierarchical far wheel below.
-  static constexpr unsigned kWheelBits = 10;
-  static constexpr Cycle kWheelSize = Cycle{1} << kWheelBits;
-  static constexpr unsigned kWheelWords = kWheelSize / 64;
-  std::array<int, kWheelSize> wheel_head;
-  std::array<u64, kWheelWords> wheel_bits{};
-  u64 wheel_count = 0;
-  // Beyond-horizon wakeups: a hierarchical coarse wheel over epochs of
-  // kWheelSize cycles (epoch = cycle >> kWheelBits). A wakeup landing past
-  // the fine horizon always lies in a strictly-future epoch; epochs within
-  // the next kFarEpochs map unambiguously to bucket (epoch & 63), tracked
-  // by a summary bitmap and a per-bucket minimum so both insertion and the
-  // idle skip's next-event query are O(1) — no ordered-map node churn. The
-  // (practically unreachable) beyond-window tail spills to a flat overflow
-  // vector with its own minimum, redistributed only when that minimum
-  // enters the window; each entry therefore moves O(1) times amortized.
-  static constexpr unsigned kFarEpochs = 64;
-  struct FarWake {
-    Cycle c;
-    OpRef ref;
-  };
-  std::array<std::vector<FarWake>, kFarEpochs> far_bucket;
-  std::array<Cycle, kFarEpochs> far_min;
-  u64 far_bits = 0;
-  u64 far_count = 0;
-  Cycle far_epoch = 0;  // epoch of `now` at the last drain
-  std::vector<FarWake> far_overflow;
-  Cycle far_overflow_min = kNever;
-  std::vector<FarWake> far_scratch;  // drain staging
-
-  // Out of line: a rare path that would otherwise bloat every inlined
-  // place_node.
-  [[gnu::noinline]] void far_push(Cycle c, const OpRef& ref) {
-    const Cycle ep = c >> kWheelBits;
-    if (ep - far_epoch < kFarEpochs) {
-      const unsigned b = static_cast<unsigned>(ep & (kFarEpochs - 1));
-      far_bucket[b].push_back(FarWake{c, ref});
-      far_min[b] = std::min(far_min[b], c);
-      far_bits |= u64{1} << b;
-      ++far_count;
-    } else {
-      far_overflow.push_back(FarWake{c, ref});
-      far_overflow_min = std::min(far_overflow_min, c);
-    }
-  }
-
-  // Drains every bucket whose epoch `now` has reached or passed, routing
-  // each staged entry to wherever it belongs under the advanced clock.
-  void drain_far() {
-    const Cycle cur = now >> kWheelBits;
-    if (cur == far_epoch) return;
-    if (far_count) {
-      far_scratch.clear();
-      const Cycle first =
-          cur - far_epoch >= kFarEpochs ? cur - (kFarEpochs - 1)
-                                        : far_epoch + 1;
-      for (Cycle ep = first; ep <= cur; ++ep) {
-        const unsigned b = static_cast<unsigned>(ep & (kFarEpochs - 1));
-        const u64 bit = u64{1} << b;
-        if (!(far_bits & bit)) continue;
-        far_scratch.insert(far_scratch.end(), far_bucket[b].begin(),
-                           far_bucket[b].end());
-        far_count -= far_bucket[b].size();
-        far_bucket[b].clear();
-        far_min[b] = kNever;
-        far_bits &= ~bit;
-      }
-      far_epoch = cur;
-      for (const FarWake& fw : far_scratch)
-        place_node(wait_alloc(), fw.ref, fw.c, 0);
-    }
-    far_epoch = cur;
-    if (!far_overflow.empty() &&
-        (far_overflow_min >> kWheelBits) < cur + kFarEpochs) {
-      far_scratch.clear();
-      far_scratch.swap(far_overflow);
-      far_overflow_min = kNever;
-      for (const FarWake& fw : far_scratch)
-        place_node(wait_alloc(), fw.ref, fw.c, 0);
-    }
-  }
-
-  // Earliest staged far wakeup (kNever if none): the nearest nonempty
-  // epoch bucket holds the global bucket minimum (epochs partition time),
-  // found by rotating the summary bitmap to the window start.
-  Cycle far_next() const {
-    Cycle best = far_overflow_min;
-    if (far_bits) {
-      const unsigned start =
-          static_cast<unsigned>((far_epoch + 1) & (kFarEpochs - 1));
-      const u64 rot =
-          (far_bits >> start) | (far_bits << ((kFarEpochs - start) & 63));
-      const unsigned k = static_cast<unsigned>(std::countr_zero(rot));
-      best = std::min(best, far_min[(start + k) & (kFarEpochs - 1)]);
-    }
-    return best;
-  }
+  // Every future event: ops whose computed ready cycle is in the future and
+  // timed memory/branch wakes (pool nodes in the wheel's slots, or past
+  // its 1,024-cycle horizon in its far tier), plus timers — cycles at
+  // which something can happen without a queued ref (op completions, load
+  // data returns), which the idle skip must not jump past. Within-slot
+  // order is irrelevant: candidates are sorted by their unique
+  // (seq, visit-pos) key before selection, and woken branches by seq.
+  EventWheel<OpRef> wheel{wait_pool};
   // Ops ready at (or before) the current cycle, awaiting selection.
   std::vector<OpRef> pending;
   // Reused scratch buffers (capacity reserved at construction; the
   // steady-state test asserts they never grow).
   std::vector<OpRef> cand_scratch;
   std::vector<StoreView> views_scratch;
-  // Sortless-select scratch (core/select_order.hpp): bucket heads, chain
-  // links and the staging vector order_by_key swaps into the candidates.
-  SelectOrderScratch<OpRef> sel_scratch;
   // Waiter lists of the ops selected this cycle, woken after the candidate
   // walk (an op selects at most once per cycle, so no list repeats).
   std::vector<unsigned> wake_scratch;
   // Host-side scheduler event counts (Simulator::host_events()).
   HostEvents hev;
-  // Future cycles at which *something* can happen (op completions, load data
-  // returns, verification points). Consulted by the idle-cycle skip. Stored
-  // as a cycle bitmap over the same wheel horizon (timers carry no payload,
-  // so a set bit per cycle suffices and duplicate arms are free); the run
-  // loop clears each cycle's bit as `now` reaches it, which keeps every set
-  // bit strictly in the future and the bitmap scan exact. Rare arms beyond
-  // the horizon spill to the ordered set.
-  std::array<u64, kWheelWords> timer_bits{};
-  u64 timer_count = 0;
-  std::set<Cycle> timer_far;
-
-  void arm_timer(Cycle c) {
-    if (c <= now) return;  // already due: the current cycle handles it
-    if (c - now < kWheelSize) {
-      const unsigned slot = static_cast<unsigned>(c & (kWheelSize - 1));
-      const u64 bit = u64{1} << (slot & 63);
-      timer_count += !(timer_bits[slot >> 6] & bit);
-      timer_bits[slot >> 6] |= bit;
-    } else {
-      timer_far.insert(c);
-    }
-  }
-
-  // First armed timer cycle > now (kNever if none); same scan as
-  // wheel_next().
-  Cycle timer_next() const {
-    if (!timer_count) return kNever;
-    const unsigned mask = kWheelSize - 1;
-    const unsigned start = static_cast<unsigned>((now + 1) & mask);
-    for (unsigned step = 0; step <= kWheelWords; ++step) {
-      const unsigned word = ((start >> 6) + step) & (kWheelWords - 1);
-      u64 bits = timer_bits[word];
-      if (step == 0) bits &= ~u64{0} << (start & 63);
-      if (bits) {
-        const unsigned slot =
-            word * 64 + static_cast<unsigned>(std::countr_zero(bits));
-        return now + 1 + ((slot - start) & mask);
-      }
-    }
-    return kNever;
-  }
   // Correct-path branches whose resolve time may have arrived this cycle
   // (kBranchWake refs drained from the wheel), checked in seq order by
   // the resolve phase; duplicates and dead refs are skipped there.
@@ -592,44 +395,11 @@ struct Simulator::Impl {
   // than for lack of RUU/LSQ space), the cycle it becomes dispatchable.
   Cycle dispatch_blocked_until = kNever;
 
-  // Unified LSQ: RUU indices of in-flight memory ops, oldest first. A flat
-  // power-of-two ring (capacity fixed by the machine config) instead of a
-  // segmented deque; an entry keeps its ring slot (RuuEntry::lsq_slot)
-  // from dispatch to commit or squash, so per-slot bitmaps can track it.
-  struct IntRing {
-    std::vector<int> buf;
-    unsigned mask = 0;
-    unsigned head = 0;
-    unsigned count = 0;
-    void init(unsigned capacity) {
-      unsigned cap = 1;
-      while (cap < capacity) cap <<= 1;
-      buf.assign(cap, -1);
-      mask = cap - 1;
-    }
-    bool empty() const { return count == 0; }
-    std::size_t size() const { return count; }
-    int front() const { return buf[head]; }
-    int back() const { return buf[(head + count - 1) & mask]; }
-    int operator[](std::size_t i) const {
-      return buf[(head + static_cast<unsigned>(i)) & mask];
-    }
-    unsigned slot(std::size_t i) const {
-      return (head + static_cast<unsigned>(i)) & mask;
-    }
-    unsigned push_back(int v) {
-      const unsigned s = (head + count) & mask;
-      buf[s] = v;
-      ++count;
-      return s;
-    }
-    void pop_front() {
-      head = (head + 1) & mask;
-      --count;
-    }
-    void pop_back() { --count; }
-  };
-  IntRing lsq;
+  // Unified LSQ: RUU indices of in-flight memory ops, oldest first, in a
+  // ring sized by the machine config. An entry keeps its ring slot
+  // (RuuEntry::lsq_slot) from dispatch to commit or squash, so per-slot
+  // bitmaps can track it.
+  Ring<int> lsq;
 
   // Per-ring-slot bitmaps. `lsq_due`: entries the memory phase must
   // examine at its next run; a bit set behind the walk's position carries
@@ -654,34 +424,11 @@ struct Simulator::Impl {
 
   std::array<ProducerRef, kNumRenameRegs> rename;
 
-  // Front end: same ring idiom for fetch slots (bounded by the IFQ
-  // capacity plus one fetch group).
-  struct FetchRing {
-    std::vector<FetchSlot> buf;
-    unsigned mask = 0;
-    unsigned head = 0;
-    unsigned count = 0;
-    void init(unsigned capacity) {
-      unsigned cap = 1;
-      while (cap < capacity) cap <<= 1;
-      buf.assign(cap, FetchSlot{});
-      mask = cap - 1;
-    }
-    bool empty() const { return count == 0; }
-    std::size_t size() const { return count; }
-    const FetchSlot& front() const { return buf[head]; }
-    void push_back(const FetchSlot& s) {
-      buf[(head + count) & mask] = s;
-      ++count;
-    }
-    void pop_front() {
-      head = (head + 1) & mask;
-      --count;
-    }
-    void clear() { count = 0; }
-  };
-  FetchRing fetch_q;
+  // Front end: fetch slots in a ring bounded by the IFQ capacity plus one
+  // fetch group.
+  Ring<FetchSlot> fetch_q;
   const unsigned ifq_capacity;
+  const Cycle watchdog;  // watchdog_cycles() of this machine
   u32 fetch_pc = 0;
   Cycle fetch_stall_until = 0;
   bool wrong_path = false;
@@ -926,34 +673,17 @@ struct Simulator::Impl {
 
   // Puts pool node `n` carrying `ref` where its time says: the waiter list
   // `blocker` while the time is undefined, the due sets once it has
-  // arrived, else the wheel slot (or far wheel) of that cycle. Waiter lists
-  // and wheel slots share the pool, so the node is relinked, not copied.
-  // Forced inline: every wakeup and queue_op ends here.
+  // arrived, else the event wheel at that cycle. Forced inline: every
+  // wakeup and queue_op ends here.
   [[gnu::always_inline]] void place_node(int n, const OpRef& ref, Cycle ready,
                                          unsigned blocker) {
     if (ready == kNever) {
-      NodeList& l = waiters[blocker];
-      wait_pool[n].ref = ref;
-      wait_pool[n].next = -1;
-      if (l.tail < 0)
-        l.head = n;
-      else
-        wait_pool[l.tail].next = n;
-      l.tail = n;
+      wait_pool.link_back(waiters[blocker], n, ref);
     } else if (ready <= now) {
       route_due(ref);
-      wait_release(n);
-    } else if (ready - now < kWheelSize) {
-      const unsigned slot = static_cast<unsigned>(ready & (kWheelSize - 1));
-      wait_pool[n].ref = ref;
-      wait_pool[n].next = wheel_head[slot];
-      wheel_head[slot] = n;
-      wheel_bits[slot >> 6] |= u64{1} << (slot & 63);
-      ++wheel_count;
+      wait_pool.release(n);
     } else {
-      ++hev.far_spills;
-      far_push(ready, ref);
-      wait_release(n);
+      hev.far_spills += wheel.push(ready, n, ref);
     }
   }
 
@@ -963,7 +693,7 @@ struct Simulator::Impl {
     ++hev.queue_ops;
     unsigned blocker = 0;
     const Cycle ready = op_ready_time(ruu[idx], op_idx, &blocker);
-    place_node(wait_alloc(), fresh_ref(idx, op_idx), ready, blocker);
+    place_node(wait_pool.alloc(), fresh_ref(idx, op_idx), ready, blocker);
   }
 
   // A ref whose time has arrived: a slice-op becomes a select candidate,
@@ -988,28 +718,8 @@ struct Simulator::Impl {
   // Schedules a wake of kind `kind` for entry `idx` at cycle `c` — or, if
   // `c` is still undefined, when waiter list `blocker` is woken.
   void wake_at(Cycle c, unsigned idx, unsigned kind, unsigned blocker = 0) {
-    place_node(wait_alloc(), OpRef{idx, ruu[idx].seq, kind, 0, 0, 0}, c,
+    place_node(wait_pool.alloc(), OpRef{idx, ruu[idx].seq, kind, 0, 0, 0}, c,
                blocker);
-  }
-
-  // First cycle > now with a populated wheel slot (kNever if none): scans
-  // the summary bitmap starting just past now's slot; a set bit at wrapped
-  // distance d means cycle now + 1 + d.
-  Cycle wheel_next() const {
-    if (!wheel_count) return kNever;
-    const unsigned mask = kWheelSize - 1;
-    const unsigned start = static_cast<unsigned>((now + 1) & mask);
-    for (unsigned step = 0; step <= kWheelWords; ++step) {
-      const unsigned word = ((start >> 6) + step) & (kWheelWords - 1);
-      u64 bits = wheel_bits[word];
-      if (step == 0) bits &= ~u64{0} << (start & 63);
-      if (bits) {
-        const unsigned slot =
-            word * 64 + static_cast<unsigned>(std::countr_zero(bits));
-        return now + 1 + ((slot - start) & mask);
-      }
-    }
-    return kNever;
   }
 
   // The time waiter list `list` stands for was published (an op was
@@ -1019,10 +729,9 @@ struct Simulator::Impl {
   void wake_waiters(unsigned list) {
     // Detach the whole list first: its time now exists, so the walk's
     // re-registrations all land on other lists.
-    int n = waiters[list].head;
+    int n = wait_pool.take(waiters[list]);
     if (n < 0) return;
     ++hev.wakes;
-    waiters[list].head = waiters[list].tail = -1;
     while (n >= 0) {
       ++hev.waiter_visits;
       const OpRef r = wait_pool[n].ref;
@@ -1033,7 +742,7 @@ struct Simulator::Impl {
         if (e.valid && e.seq == r.seq && e.mem_phase != MemPhase::Done)
           place_node(n, r, store_data_time(e, &blocker), blocker);
         else
-          wait_release(n);
+          wait_pool.release(n);
       } else if (ref_entry(r)) {
         const Cycle ready = op_ready_time(ruu[r.idx], r.op_idx, &blocker);
         if (ready == kNever) {
@@ -1042,7 +751,7 @@ struct Simulator::Impl {
         }
         place_node(n, fresh_ref(r.idx, r.op_idx), ready, blocker);
       } else {
-        wait_release(n);
+        wait_pool.release(n);
       }
       n = next;
     }
@@ -1198,9 +907,9 @@ struct Simulator::Impl {
     // This slot's previous occupant is gone: recycle its dependence edges
     // onto the node free lists in O(1). (Refs *to* the old occupant
     // elsewhere die via their seq checks.)
-    cons_recycle(consumers[idx]);
+    cons_pool.recycle(consumers[idx]);
     for (unsigned l = 0; l < wait_stride; ++l)
-      wait_recycle(waiters[idx * wait_stride + l]);
+      wait_pool.recycle(waiters[idx * wait_stride + l]);
     const StaticInst* si = slot.si;
     e.valid = true;
     e.seq = next_seq++;
@@ -1285,8 +994,8 @@ struct Simulator::Impl {
     for (const ProducerRef& src : e.sources)
       if (src.index >= 0 &&
           ruu[static_cast<unsigned>(src.index)].seq == src.seq)
-        cons_append(consumers[static_cast<unsigned>(src.index)],
-                    ConsumerRef{idx, e.seq});
+        cons_pool.append(consumers[static_cast<unsigned>(src.index)],
+                         ConsumerRef{idx, e.seq});
 
     // Destination renaming (wrong-path results feed wrong-path consumers),
     // saving the displaced mappings for O(squashed) recovery.
@@ -1338,7 +1047,7 @@ struct Simulator::Impl {
       if (slot.dispatch_ready > now) {
         // Still in the front end: the idle skip may jump to this cycle.
         // (When dispatch stops for lack of RUU/LSQ space instead, the
-        // unblocking commit is already covered by the timer set.)
+        // unblocking commit is already covered by the wheel's timers.)
         dispatch_blocked_until = slot.dispatch_ready;
         break;
       }
@@ -1427,26 +1136,10 @@ struct Simulator::Impl {
   // Routes every wake whose cycle has arrived (route_due): slice-ops into
   // `pending`, LSQ entries into the memory phase's due set, branches into
   // `branch_due`. Runs first in the cycle, so the resolve phase sees its
-  // branches before select. (Wheel slots strictly between skipped cycles
-  // are empty by construction of the idle skip, so draining just now's
-  // slot is complete.)
+  // branches before select. (The idle skip never jumps past the wheel's
+  // next event, so nothing lies between the skipped cycles.)
   void drain_wakeups() {
-    if (wheel_count) {
-      const unsigned slot = static_cast<unsigned>(now & (kWheelSize - 1));
-      int n = wheel_head[slot];
-      if (n >= 0) {
-        wheel_head[slot] = -1;
-        wheel_bits[slot >> 6] &= ~(u64{1} << (slot & 63));
-        while (n >= 0) {
-          const int next = wait_pool[static_cast<unsigned>(n)].next;
-          route_due(wait_pool[static_cast<unsigned>(n)].ref);
-          wait_release(n);
-          --wheel_count;
-          n = next;
-        }
-      }
-    }
-    if (far_count || !far_overflow.empty()) drain_far();
+    wheel.advance(now, [this](const OpRef& r) { route_due(r); });
   }
 
   // A selected slice-op publishes a done time the memory and resolve
@@ -1478,13 +1171,12 @@ struct Simulator::Impl {
     // Select in the order the scan-based scheduler examined ops: oldest
     // entry first, then slice visit order within the entry. Same-cycle
     // selections never make *other* ops ready this same cycle (op latency is
-    // >= 1), so ordering the candidate set up front is exact. order_by_key
-    // replaces the former std::sort with an insertion/bucket scheme on the
-    // single-integer key (see core/select_order.hpp for the invariant).
+    // >= 1), so ordering the candidate set up front is exact, by the
+    // single-integer key (see core/select_order.hpp).
     std::vector<OpRef>& cands = cand_scratch;
     cands.clear();
     cands.swap(pending);
-    if (order_by_key(cands, sel_scratch)) ++hev.sort_fallbacks;
+    if (order_by_key(cands)) ++hev.sort_fallbacks;
     hev.select_candidates += cands.size();
 
     for (const OpRef& r : cands) {
@@ -1549,7 +1241,7 @@ struct Simulator::Impl {
       ++op_token[r.idx * kMaxSlices + op_idx];  // selected: retire the ref
       ++hev.selections;
       if (!fp_unit) ++slots[datapath];
-      arm_timer(done);
+      wheel.mark(done);
       cycle_activity = true;
       if (fl & (StaticInst::kFlagMem | StaticInst::kFlagWatched))
         note_selected(e, r.idx, op_idx, done);
@@ -1614,7 +1306,7 @@ struct Simulator::Impl {
     RuuEntry& e = ruu[idx];
     cycle_activity = true;
     if (e.data_cycle != kNever) {
-      arm_timer(e.data_cycle);
+      wheel.mark(e.data_cycle);
       if (!e.data_final) wake_at(e.data_cycle + 1, idx, kMemWake);
     }
     wake_waiters(data_list(idx));
@@ -1765,7 +1457,7 @@ struct Simulator::Impl {
   }
   // First LSQ position >= pos whose due bit is set (lsq.size() if none).
   std::size_t next_due(std::size_t pos) const {
-    const unsigned cap = lsq.mask + 1;
+    const unsigned cap = lsq.capacity();
     while (pos < lsq.size()) {
       const unsigned s = lsq.slot(pos);
       const u64 w = lsq_due[s >> 6] >> (s & 63);
@@ -2011,8 +1703,8 @@ struct Simulator::Impl {
       set_mem_phase(e, MemPhase::Done);
       // Replay edge: if the store's address/data times regress, this
       // load's forward must be revalidated.
-      cons_append(consumers[static_cast<unsigned>(d.store_id)],
-                  ConsumerRef{idx, e.seq});
+      cons_pool.append(consumers[static_cast<unsigned>(d.store_id)],
+                       ConsumerRef{idx, e.seq});
       publish_load_data(idx);
       return;
     }
@@ -2026,8 +1718,8 @@ struct Simulator::Impl {
       e.data_final = false;
       e.predicted_way = -3;
       set_mem_phase(e, MemPhase::Access);
-      cons_append(consumers[static_cast<unsigned>(d.store_id)],
-                  ConsumerRef{idx, e.seq});
+      cons_pool.append(consumers[static_cast<unsigned>(d.store_id)],
+                       ConsumerRef{idx, e.seq});
       publish_load_data(idx);
       return;
     }
@@ -2070,28 +1762,12 @@ struct Simulator::Impl {
   // work list order feeds the replay fixpoint exactly as the vector did);
   // dead edges are unlinked in place and returned to the node pool.
   void schedule_consumers(unsigned idx) {
-    NodeList& list = consumers[idx];
-    int prev = -1;
-    int n = list.head;
-    while (n >= 0) {
-      ConsNode& node = cons_pool[static_cast<unsigned>(n)];
-      const int next = node.next;
-      const RuuEntry& d = ruu[node.ref.idx];
-      if (!d.valid || d.seq != node.ref.seq) {
-        // Dead edge: unlink and free.
-        if (prev < 0)
-          list.head = next;
-        else
-          cons_pool[static_cast<unsigned>(prev)].next = next;
-        if (next < 0) list.tail = prev;
-        node.next = cons_free;
-        cons_free = n;
-      } else {
-        schedule_relax(node.ref.idx);
-        prev = n;
-      }
-      n = next;
-    }
+    cons_pool.prune(consumers[idx], [this](const ConsumerRef& c) {
+      const RuuEntry& d = ruu[c.idx];
+      if (!d.valid || d.seq != c.seq) return false;
+      schedule_relax(c.idx);
+      return true;
+    });
   }
 
   // Selective replay: relaxation to a legal schedule. The scan-based
@@ -2580,7 +2256,9 @@ struct Simulator::Impl {
       // defined (committable() checked), an op only registers on an
       // undefined time, and defining a time wakes its list. Dispatch
       // recycles the (empty) lists when the slot is reused.
-      assert(waiters_empty(idx));
+      if (kCheckInvariants && !waiters_empty(idx))
+        fail("invariant: committing entry seq " + std::to_string(e.seq) +
+             " still has waiters");
       ruu_head = ruu_head + 1 == core.ruu_entries ? 0 : ruu_head + 1;
       --ruu_count;
       ++d_committed;
@@ -2679,18 +2357,12 @@ struct Simulator::Impl {
     return CpiCause::Other;
   }
 
-  // Earliest future cycle at which anything can happen: a scheduled wakeup,
-  // an armed timer (op completions, load data returns, verify points), the
-  // front slot becoming dispatchable, a fetch stall expiring — or, failing
-  // all of those, the exact cycle the watchdog would trip.
-  Cycle next_event_cycle() {
-    Cycle next = last_commit_cycle + kWatchdogCycles + 1;
-    if (wheel_count) next = std::min(next, wheel_next());
-    if (far_count || !far_overflow.empty()) next = std::min(next, far_next());
-    if (timer_count) next = std::min(next, timer_next());
-    while (!timer_far.empty() && *timer_far.begin() <= now)
-      timer_far.erase(timer_far.begin());
-    if (!timer_far.empty()) next = std::min(next, *timer_far.begin());
+  // Earliest future cycle at which anything can happen: a scheduled wakeup
+  // or timer (op completions, load data returns, verify points), the front
+  // slot becoming dispatchable, a fetch stall expiring — or, failing all of
+  // those, the exact cycle the watchdog would trip.
+  Cycle next_event_cycle() const {
+    Cycle next = std::min(last_commit_cycle + watchdog + 1, wheel.next());
     next = std::min(next, dispatch_blocked_until);
     if (!halted && now < fetch_stall_until)
       next = std::min(next, fetch_stall_until);
@@ -2733,14 +2405,6 @@ struct Simulator::Impl {
       }
       cycle_activity = false;
       retry_this_cycle = false;
-      {
-        // This cycle's timers are now due: retire their bitmap bit so the
-        // wheel never holds a bit at or behind `now` (see arm_timer).
-        const unsigned slot = static_cast<unsigned>(now & (kWheelSize - 1));
-        const u64 bit = u64{1} << (slot & 63);
-        timer_count -= (timer_bits[slot >> 6] & bit) ? 1 : 0;
-        timer_bits[slot >> 6] &= ~bit;
-      }
       const u64 committed_before = stats.committed;
       if (hp) hp_t = HpClock::now();
       drain_wakeups();
@@ -2771,6 +2435,10 @@ struct Simulator::Impl {
       if (hp) {
         hp_take(hp_t, hprof.fetch);
         ++hprof.loop_cycles;
+      }
+      if (kCheckInvariants) {
+        const std::string why = wheel.check(now);
+        if (!why.empty()) fail("invariant: event wheel: " + why);
       }
       // Idle skip: a cycle in which nothing changed, nothing is awaiting
       // selection and no port-blocked load retries cannot enable anything
@@ -2824,9 +2492,9 @@ struct Simulator::Impl {
         }
       }
       now = next;
-      if (now - last_commit_cycle > kWatchdogCycles) {
+      if (now - last_commit_cycle > watchdog) {
         fail("watchdog: no instruction committed for " +
-             std::to_string(kWatchdogCycles) + " cycles");
+             std::to_string(watchdog) + " cycles");
       }
     }
     stats.cycles = now - measure_base_cycle;

@@ -24,7 +24,7 @@
 //   mispredicted-branch, syscall and exit boundary — divergence stays
 //   localised to one spot window), or `off` (no checking at all). Co-sim is
 //   a pure check: SimStats are bit-identical across all three modes.
-// * Event-driven scheduler core: ready ops come off a timing wheel /
+// * Event-driven scheduler core: ready ops come off an event wheel /
 //   producer waiter-lists instead of a per-cycle RUU scan, replay walks
 //   consumer edges only, and fully idle cycles are skipped in one jump —
 //   all bit-identical in SimStats to the stepped scan (see
@@ -102,9 +102,9 @@ struct HostEvents {
   u64 select_candidates = 0;      // refs examined by select
   u64 dead_candidates = 0;        // of those, stale refs dropped on sight
   u64 selections = 0;             // slice-ops selected
-  u64 sort_fallbacks = 0;         // order_by_key std::sort fallbacks
-  u64 far_spills = 0;             // wakes queued beyond the fine wheel
-                                  // horizon
+  u64 sort_fallbacks = 0;         // candidate batches ordered by std::sort
+  u64 far_spills = 0;             // wakes queued in the event wheel's far
+                                  // tier (past the fine horizon)
   u64 lsq_visits = 0;             // LSQ entries examined by the memory phase
   u64 branch_checks = 0;          // resolve_time() evaluations
   u64 branch_resolves = 0;        // branches resolved (checks' denominator)

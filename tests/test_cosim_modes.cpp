@@ -119,6 +119,19 @@ TEST(CoSimModes, SpotMatchesFullStatsOnCleanRun) {
   EXPECT_EQ(full.stats.l1d_hits, spot.stats.l1d_hits);
 }
 
+// The hook arms only on a well-formed COMMIT:REG naming a register: an
+// out-of-range or unparsable register leaves the run clean (it used to
+// write past the checker's register file).
+TEST(CoSimModes, MalformedInjectionIsIgnored) {
+  const Program prog = s1_chain_program(3000);
+  for (const char* spec : {"2000:99", "2000:x", "2000:17x", "2000"}) {
+    const InjectGuard guard(spec);
+    const SimResult r = run_mode(prog, CosimMode::kFull);
+    EXPECT_TRUE(r.ok()) << spec << ": " << r.error;
+    EXPECT_TRUE(r.exited) << spec;
+  }
+}
+
 TEST(CoSimModes, ParseCosimSpecs) {
   SimOptions so;
   EXPECT_TRUE(parse_cosim("full", &so));

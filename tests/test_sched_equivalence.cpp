@@ -17,6 +17,7 @@
 #include <array>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/machine_config.hpp"
@@ -192,6 +193,32 @@ TEST(SchedEquivalence, TightRuuAndLsqWindow) {
     const SimResult ra = simulate(all, w.program, kCommits, kWarmup);
     ASSERT_TRUE(ra.ok()) << ra.error;
     expect_matches_golden(prefix + "s4/alltech", ra.stats);
+  }
+}
+
+// Memory latencies the shipped machines never reach: 3000 cycles lies past
+// the event wheel's 1,024-cycle fine horizon, 70000 past 64 x 1,024 cycles,
+// so every miss wakes its consumers out of the far tier. These rows were
+// recorded from the event-driven scheduler before the far tier became one
+// flat vector (it was then a 64-epoch coarse wheel with an overflow list),
+// and pin that change to the structure it replaced.
+TEST(SchedEquivalence, FarTierMemoryLatencies) {
+  const Workload w = build_workload("li");
+  for (const unsigned lat : {3000u, 70000u}) {
+    const std::string prefix = "li/mem" + std::to_string(lat) + "/";
+    MachineConfig base = base_machine();
+    base.memory.memory_latency = lat;
+    MachineConfig all = bitsliced_machine(4, kAllTechniques);
+    all.memory.memory_latency = lat;
+    for (const auto& [cfg, tag] :
+         {std::pair{base, "base"}, std::pair{all, "s4/alltech"}}) {
+      Simulator sim(cfg, w.program);
+      const SimResult r = sim.run(kCommits, kWarmup);
+      ASSERT_TRUE(r.ok()) << prefix << tag << ": " << r.error;
+      expect_matches_golden(prefix + tag, r.stats);
+      EXPECT_GT(sim.host_events().far_spills, 0u)
+          << prefix << tag << " never reached the far tier";
+    }
   }
 }
 

@@ -1,8 +1,8 @@
 // Steady-state allocation discipline: every scratch vector and node pool
 // on the scheduler's hot paths (pending/candidate buffers, store-view
 // scratch, relaxation worklist, woken-branch list, waiter/consumer node
-// pools, far-wheel staging) is reserved once at construction from the
-// machine shape. A reallocation after warm-up means a heap allocation
+// pools, the event wheel's far tier) is reserved once at construction from
+// the machine shape. A reallocation after warm-up means a heap allocation
 // slipped onto the dispatch/wakeup/replay path — a throughput regression
 // the benchmarks would only show as noise, so it is pinned here exactly.
 #include <gtest/gtest.h>

@@ -3,6 +3,8 @@
 // partial-operand technique is supposed to produce.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "asm/assembler.hpp"
 #include "core/simulator.hpp"
 #include "workloads/workloads.hpp"
@@ -38,6 +40,21 @@ TEST(Simulator, MaxCommitCapStopsTheRun) {
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_FALSE(r.exited);
   EXPECT_EQ(r.stats.committed, 5000u);
+}
+
+// The deadlock watchdog scales with the configured access path: a healthy
+// run that waits out back-to-back misses at a long memory latency is not a
+// deadlock. (A fixed 100,000-cycle bound stopped both of these.)
+TEST(Simulator, WatchdogScalesWithMemoryLatency) {
+  for (const auto& [name, latency] :
+       {std::pair{"gzip", 200'000u}, std::pair{"twolf", 70'000u}}) {
+    const Workload w = build_workload(name);
+    MachineConfig cfg = base_machine();
+    cfg.memory.memory_latency = latency;
+    const SimResult r = simulate(cfg, w.program, 5'000);
+    ASSERT_TRUE(r.ok()) << name << " at " << latency << ": " << r.error;
+    EXPECT_EQ(r.stats.committed, 5'000u) << name;
+  }
 }
 
 TEST(Simulator, InvalidSliceGeometryThrowsAtConstruction) {

@@ -162,7 +162,7 @@ void print_host_events(const HostEvents& ev, u64 committed) {
                 "host events per commit: %.3f queue_op, %.3f wakes, %.3f "
                 "waiter visits (%.3f re-registered, %.3f on the same list)\n"
                 "  %.3f select candidates (%.3f dead), %.3f selections, "
-                "%.5f sort fallbacks, %.5f far-wheel spills\n"
+                "%.5f sort fallbacks, %.5f far-tier spills\n"
                 "  %.3f LSQ visits, %.3f branch checks (%.3f per resolved "
                 "branch)\n",
                 per(ev.queue_ops), per(ev.wakes), per(ev.waiter_visits),
