@@ -92,8 +92,8 @@ void BM_EmulatorStepThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EmulatorStepThroughput);
 
-// The call shape the timing core's oracle and co-simulation checker use:
-// every step fills an ExecRecord.
+// The call shape the timing core's oracle uses: every step fills an
+// ExecRecord.
 void BM_EmulatorStepRecordThroughput(benchmark::State& state) {
   const Workload w = build_workload("bzip");
   Emulator emu(w.program);
@@ -210,28 +210,20 @@ void BM_SelectSort(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectSort)->Arg(8)->Arg(64)->Arg(256);
 
-// Commit-path cost by co-simulation cadence on a commit-bound stream
-// (independent adds retire at full width): Arg 0 = full, 1 = spot:64,
-// 2 = off. The full-vs-spot delta is the per-commit checker price the
-// spot mode amortises; spot-vs-off is the residual bookkeeping.
+// Commit-path cost on a commit-bound stream (independent adds retire at
+// full width), commit-stream check included.
 void BM_CommitOnly(benchmark::State& state) {
   const Program prog = scheduler_probe_program(/*dependent=*/false);
   const MachineConfig cfg = base_machine();
-  SimOptions so;
-  if (state.range(0) == 1) so.cosim = CosimMode::kSpot;
-  if (state.range(0) == 2) so.cosim = CosimMode::kOff;
-  state.SetLabel(cosim_name(so));
   for (auto _ : state) {
     Simulator sim(cfg, prog);
-    sim.set_options(so);
     const SimResult r = sim.run(20'000);
     if (!r.ok()) state.SkipWithError(r.error.c_str());
     benchmark::DoNotOptimize(r.stats.cycles);
   }
   state.SetItemsProcessed(state.iterations() * 20'000);
 }
-BENCHMARK(BM_CommitOnly)->Arg(0)->Arg(1)->Arg(2)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CommitOnly)->Unit(benchmark::kMillisecond);
 
 void BM_SimulatorThroughput(benchmark::State& state) {
   const Workload w = build_workload("gzip");
@@ -240,18 +232,9 @@ void BM_SimulatorThroughput(benchmark::State& state) {
                                 : bitsliced_machine(
                                       static_cast<unsigned>(state.range(0)),
                                       kAllTechniques);
-  // BSP_BENCH_COSIM (a parse_cosim spec) overrides the co-simulation
-  // cadence; unset means the default full check, which is what recorded
-  // baselines and --check use. scripts/bench_perf.sh --paired sets it to
-  // the same value on both sides (PAIRED_COSIM, default full), so an A/B
-  // ratio never mixes a cadence change into the code change.
-  SimOptions so;
-  if (const char* spec = std::getenv("BSP_BENCH_COSIM"))
-    if (!parse_cosim(spec, &so)) std::abort();
   HostEvents ev;
   for (auto _ : state) {
     Simulator sim(cfg, w.program);
-    sim.set_options(so);
     const SimResult r = sim.run(20'000);
     if (!r.ok()) state.SkipWithError(r.error.c_str());
     benchmark::DoNotOptimize(r.stats.cycles);
@@ -381,7 +364,7 @@ BENCHMARK(BM_BuildWorkload)->Unit(benchmark::kMillisecond);
 
 // A campaign task's Simulator: mcf (the 2 MiB image) on the x2 full stack,
 // started from a 1M-instruction checkpoint. Construction installs the image
-// and the checkpoint into both the oracle and the checker emulator.
+// and the checkpoint into the oracle emulator.
 void BM_SimulatorConstruct(benchmark::State& state) {
   const Workload w = build_workload("mcf");
   const MachineConfig cfg = bitsliced_machine(2, kAllTechniques);

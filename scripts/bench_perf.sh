@@ -34,10 +34,7 @@
 # >= 2s (--benchmark_min_time) so per-run jitter amortizes. Per-pair
 # ratios and one median ratio per benchmark are merged under "paired" in
 # the output JSON (default BENCH_simcore.json). PAIRED_REPS overrides the
-# pair count (default 7). Both sides run under the same co-simulation
-# cadence, BSP_BENCH_COSIM=$PAIRED_COSIM (default full), so the ratio
-# measures the code change alone; a binary that predates the variable
-# always runs full, so only compare such a binary at the default.
+# pair count (default 7).
 #
 # With --sampling the script also records BENCH_sampling.json (only then:
 # the file is a committed record, not a by-product of every baseline run):
@@ -75,13 +72,11 @@ if [ "${1:-}" = "--paired" ]; then
   NEW_BIN="${3:?--paired needs OLD_BIN NEW_BIN}"
   OUT="${4:-BENCH_simcore.json}"
   REPS="${PAIRED_REPS:-7}"
-  COSIM="${PAIRED_COSIM:-full}"
   PFILTER='BM_SimulatorThroughput/[024]$|BM_WakeupSelect$|BM_Emulator(Step|StepRecord|FastRun)Throughput$'
   TMPD=$(mktemp -d)
   trap 'rm -rf "$TMPD"' EXIT
   run_side() {  # run_side BIN old|new PAIR
-    BSP_BENCH_COSIM="$COSIM" \
-      "$1" --benchmark_filter="$PFILTER" --benchmark_min_time=2 \
+    "$1" --benchmark_filter="$PFILTER" --benchmark_min_time=2 \
       --benchmark_format=json \
       --benchmark_out="$TMPD/$2.$3.json" --benchmark_out_format=json \
       > /dev/null
@@ -96,9 +91,9 @@ if [ "${1:-}" = "--paired" ]; then
     echo "pair $i/$REPS done" >&2
     i=$((i + 1))
   done
-  python3 - "$TMPD" "$REPS" "$OUT" "$COSIM" <<'EOF'
+  python3 - "$TMPD" "$REPS" "$OUT" <<'EOF'
 import json, os, statistics, sys
-tmpd, reps, out, cosim = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+tmpd, reps, out = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 def rates(side, i):
     doc = json.load(open(f"{tmpd}/{side}.{i}.json"))
     return {b["name"]: b["items_per_second"]
@@ -124,7 +119,7 @@ for name in sorted(old[0]):
         "median_speedup": median,
     }
 data = json.load(open(out)) if os.path.exists(out) else {}
-data["paired"] = {"cosim": cosim, "pairs": reps, "benchmarks": paired}
+data["paired"] = {"pairs": reps, "benchmarks": paired}
 json.dump(data, open(out, "w"), indent=1)
 print(f"merged paired result into {out}")
 EOF

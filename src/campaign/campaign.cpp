@@ -1,6 +1,7 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <limits>
 #include <future>
 #include <map>
@@ -160,8 +161,8 @@ const std::vector<RunOptionField>& run_option_fields() {
        "cause (cpi_* counters, sum == cycles * commit width) and print it",
        &RunnerOptions::cpi_stack},
       {"cosim", "--cosim", "MODE",
-       "oracle co-simulation cadence: full (default), spot[:N] (check every "
-       "Nth commit and every mispredict/syscall) or off; part of a sweep's "
+       "co-simulation label: full (default), spot[:N] or off; every run "
+       "gets the same commit-stream check, the label is part of a sweep's "
        "task ids",
        &RunnerOptions::cosim, /*host_local=*/false, /*frame_optional=*/true},
       {"sample_intervals", "--sample-intervals", "K",
@@ -176,6 +177,16 @@ const std::vector<RunOptionField>& run_option_fields() {
        &RunnerOptions::sample_warmup},
   };
   return kFields;
+}
+
+bool valid_cosim(const std::string& mode) {
+  if (mode == "full" || mode == "off" || mode == "spot") return true;
+  if (mode.rfind("spot:", 0) != 0) return false;
+  const char* s = mode.c_str() + 5;
+  if (*s < '0' || *s > '9') return false;  // strtoull would take "-1"
+  char* end = nullptr;
+  const unsigned long long n = std::strtoull(s, &end, 10);
+  return *end == '\0' && n != 0;
 }
 
 namespace {
@@ -269,16 +280,14 @@ TaskOutcome simulate_task(const TaskSpec& task, const MachineConfig& config,
                           const Program& program, const Checkpoint* start,
                           const RunnerOptions& options) {
   TaskOutcome r;
-  SimOptions sim_options;
   const std::string& cosim_text =
       !task.cosim.empty() ? task.cosim : options.cosim;
-  if (!cosim_text.empty() && !parse_cosim(cosim_text, &sim_options)) {
+  if (!cosim_text.empty() && !valid_cosim(cosim_text)) {
     r.error = "bad cosim mode: " + cosim_text;
     return r;
   }
   Simulator sim = start ? Simulator(config, program, *start)
                         : Simulator(config, program);
-  sim.set_options(sim_options);
   obs::IntervalSampler sampler(options.interval ? options.interval : 1);
   if (options.interval) sim.set_interval_sampler(&sampler);
   if (options.host_profile) sim.enable_host_profile();

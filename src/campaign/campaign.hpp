@@ -81,8 +81,8 @@ struct RunnerOptions {
   // the SimStats cpi_* leaves land in every record, ready for
   // `bsp-report --cpi-stack` aggregation.
   bool cpi_stack = false;
-  // Run-wide co-simulation cadence default ("full", "off", "spot[:N]");
-  // a task's own TaskSpec::cosim overrides it. "" = full.
+  // Run-wide co-simulation label ("full", "off", "spot[:N]"; see
+  // valid_cosim()); a task's own TaskSpec::cosim overrides it. "" = full.
   std::string cosim;
   // Sampled simulation (src/sampling/): K intervals per task, each with
   // `sample_warmup` discarded warm-up commits. 0 = monolithic;
@@ -126,6 +126,12 @@ struct RunOptionField {
 // the worker argv write fields in this order.
 const std::vector<RunOptionField>& run_option_fields();
 
+// Whether `mode` is a --cosim spelling: "full", "off", "spot" or "spot:N"
+// with N a positive decimal. The mode is a recorded label only (task ids,
+// the store's "cosim_mode", the SPEC frame): every run gets the same
+// commit-stream check.
+bool valid_cosim(const std::string& mode);
+
 // Registers one option per registry field on `parser`, writing into *out.
 // Fields whose key is in `skip` are left out (bsp-sim owns a different
 // --interval-stats).
@@ -152,9 +158,10 @@ TaskRunner memoise_workloads(WorkloadTaskBody body);
 // sampled intervals alike: `config` runs `program` from `start` (the
 // functional state after task.fast_forward instructions; null = reset),
 // discards task.warmup commits, then measures task.instructions, with
-// `options`' interval series, host profile, CPI stack and co-simulation
-// cadence (task.cosim wins over options.cosim). Fills the outcome's stats,
-// error, series and exit status; checkpoint bookkeeping is the caller's.
+// `options`' interval series, host profile and CPI stack. A --cosim label
+// that valid_cosim() rejects (task.cosim wins over options.cosim) fails the
+// task. Fills the outcome's stats, error, series and exit status;
+// checkpoint bookkeeping is the caller's.
 TaskOutcome simulate_task(const TaskSpec& task, const MachineConfig& config,
                           const Program& program, const Checkpoint* start,
                           const RunnerOptions& options);

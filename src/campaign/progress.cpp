@@ -22,19 +22,7 @@ void ProgressMeter::task_done(const TaskOutcome& outcome) {
     committed_ += outcome.stats.committed;
     host_seconds_ += outcome.stats.host_seconds;
     const obs::HostProfile& hp = outcome.stats.host_profile;
-    if (hp.enabled) {
-      phases_.enabled = true;
-      phases_.commit += hp.commit;
-      phases_.resolve += hp.resolve;
-      phases_.select += hp.select;
-      phases_.memory += hp.memory;
-      phases_.dispatch += hp.dispatch;
-      phases_.fetch += hp.fetch;
-      phases_.cosim += hp.cosim;
-      phases_.replay += hp.replay;
-      phases_.ffwd += hp.ffwd;
-      phases_.loop_cycles += hp.loop_cycles;
-    }
+    if (hp.enabled) phases_.merge(hp);
   }
   if (enabled_) print_line_locked();
 }
@@ -146,16 +134,10 @@ void ProgressMeter::print_phases_locked() {
   const double total = phases_.total();
   if (total <= 0) return;
   const auto pct = [&](double v) { return 100.0 * v / total; };
-  // cosim and replay are nested inside commit and memory respectively, so
-  // their parentheticals say "of total" explicitly — a bare percentage
-  // inside "commit X% (...)" reads as a share of commit. cosim disappears
-  // when it never ran (--cosim off). ffwd happens before the cycle loop,
-  // so it reports in absolute seconds beside the loop's 100%, not as a
-  // share of it.
-  char cosim[48] = "";
-  if (phases_.cosim > 0)
-    std::snprintf(cosim, sizeof cosim, " (cosim %.1f%% of total)",
-                  pct(phases_.cosim));
+  // replay is nested inside memory, so its parenthetical says "of total"
+  // explicitly — a bare percentage inside "memory X% (...)" reads as a
+  // share of memory. ffwd happens before the cycle loop, so it reports in
+  // absolute seconds beside the loop's 100%, not as a share of it.
   char replay[48] = "";
   if (phases_.replay > 0)
     std::snprintf(replay, sizeof replay, " (replay %.1f%% of total)",
@@ -164,10 +146,10 @@ void ProgressMeter::print_phases_locked() {
   if (phases_.ffwd > 0)
     std::snprintf(ffwd, sizeof ffwd, " | ffwd %.2fs pre-loop", phases_.ffwd);
   std::fprintf(stderr,
-               "[%s] host phases: commit %.1f%%%s | "
+               "[%s] host phases: commit %.1f%% | "
                "resolve %.1f%% | select %.1f%% | memory %.1f%%%s"
                " | dispatch %.1f%% | fetch %.1f%%%s\n",
-               name_.c_str(), pct(phases_.commit), cosim,
+               name_.c_str(), pct(phases_.commit),
                pct(phases_.resolve), pct(phases_.select), pct(phases_.memory),
                replay, pct(phases_.dispatch),
                pct(phases_.fetch), ffwd);

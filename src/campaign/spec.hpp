@@ -55,10 +55,10 @@ struct TaskSpec {
   // timing starts (the paper skips ~1B per benchmark). 0 = start at reset.
   // Tasks sharing (workload, seed, fast_forward) can reuse one checkpoint.
   u64 fast_forward = 0;
-  // Co-simulation cadence ("full", "off", "spot" or "spot:N"; see
-  // core/simulator.hpp). "" = the runner's default (full). Co-sim is a pure
-  // check, so SimStats do not depend on it — but it is part of the task id
-  // when set, since it changes what a run verifies.
+  // Co-simulation label ("full", "off", "spot" or "spot:N"; see
+  // campaign::valid_cosim()). "" = the runner's default (full). Every run
+  // gets the same commit-stream check, so SimStats do not depend on it; it
+  // is part of the task id when set.
   std::string cosim;
 
   // Canonical unique key, e.g.

@@ -134,6 +134,8 @@ struct RuuEntry {
   u32 pc = 0;
   DecodedInst inst;
   ExecRecord oracle;       // architectural effects (valid when !bogus)
+  u64 step = 0;            // oracle step index since construction (valid
+                           // when !bogus): the commit-stream check's key
   Cycle dispatch_cycle = 0;
 
   // --- memory state (loads & stores) ---
@@ -165,8 +167,7 @@ struct RuuEntry {
   Cycle resolve_cycle = kNever;
   bool recovery_done = false;    // flush+redirect already performed
   bool caused_exit = false;      // oracle executed SYS_EXIT at this entry's
-                                 // dispatch (drives commit-time exit when
-                                 // the co-sim checker is off)
+                                 // dispatch: committing it ends the run
 
   // --- rename undo log ---
   // The map entries this instruction displaced at dispatch. Recovery walks

@@ -109,7 +109,6 @@ struct Simulator::Impl {
         text_base(program.text_base),
         text_end(program.text_end()),
         oracle(program),
-        checker(program),
         predictor(cfg.branch),
         mem(cfg.memory),
         ruu(core.ruu_entries),
@@ -145,22 +144,15 @@ struct Simulator::Impl {
     branch_due.reserve(2 * core.ruu_entries);
     wheel.reserve_far(64);
     wake_scratch.reserve(max_ops);
-    // Test-only divergence injection: BSP_COSIM_INJECT="N:R" flips bit 0 of
-    // checker register R just before the Nth total commit is (or would be)
-    // checked, so the divergence-detection test can pin each co-sim mode's
-    // detection latency without a hand-built broken program. Armed only
-    // when the whole value parses and R names a register.
+    // Test-only divergence injection: BSP_COSIM_INJECT="N" advances the
+    // expected step index by one at the Nth total commit, modelling an
+    // entry the core lost, so the tests can pin the commit-stream check's
+    // detection point without a hand-built broken core. Armed only when the
+    // whole value is a positive decimal number.
     if (const char* inj = std::getenv("BSP_COSIM_INJECT")) {
-      char* colon = nullptr;
       char* end = nullptr;
-      const u64 at = std::strtoull(inj, &colon, 10);
-      if (colon != inj && *colon == ':') {
-        const unsigned long reg = std::strtoul(colon + 1, &end, 10);
-        if (end != colon + 1 && *end == '\0' && reg < kNumRegs) {
-          inject_at_ = at;
-          inject_reg_ = static_cast<unsigned>(reg);
-        }
-      }
+      const u64 at = std::strtoull(inj, &end, 10);
+      if (end != inj && *end == '\0') inject_at_ = at;
     }
     rename.fill(ProducerRef{});
     fetch_pc = program.entry;
@@ -207,25 +199,20 @@ struct Simulator::Impl {
   const bool sum_addressed;  // loads may access the cache once every agen
                              // op is selected (Technique::SumAddressed)
   // Bounds of the text image the predecoded table covers; the image itself
-  // lives in the emulators' memories.
+  // lives in the oracle's memory.
   const u32 text_base;
   const u32 text_end;
 
-  Emulator oracle;   // steps at dispatch: supplies values & outcomes
-  Emulator checker;  // steps at commit: co-simulation reference
+  Emulator oracle;  // steps at dispatch: supplies values & outcomes
 
-  // Co-simulation cadence (SimOptions). In spot mode the checker lags the
-  // commit stream by `cosim_lag_` instructions and catches up through
-  // run_fast() right before each checked commit; full mode keeps the lag at
-  // zero, off mode never steps the checker at all. Pure check — none of
-  // this feeds timing, so SimStats are mode-invariant.
-  CosimMode cosim_mode_ = CosimMode::kFull;
-  u64 cosim_period_ = 64;
-  u64 cosim_countdown_ = 64;
-  u64 cosim_lag_ = 0;
-  // BSP_COSIM_INJECT state (see the constructor): 0 = no injection armed.
+  // Commit-stream check: oracle_steps_ numbers the correct-path entries at
+  // dispatch (RuuEntry::step), commit_steps_ counts commits; both run from
+  // construction, warm-up included. A committing entry must be the step
+  // commit_steps_ names. Pure check — it never feeds timing.
+  u64 oracle_steps_ = 0;
+  u64 commit_steps_ = 0;
+  // BSP_COSIM_INJECT (see the constructor): 0 = no injection armed.
   u64 inject_at_ = 0;
-  unsigned inject_reg_ = 0;
 
   FrontEndPredictor predictor;
   MemoryHierarchy mem;
@@ -928,6 +915,7 @@ struct Simulator::Impl {
         fail("oracle fault: " + sr.fault);
         return;
       }
+      e.step = oracle_steps_++;
       // The oracle decodes from live memory; the table row decodes the
       // construction-time image. On the (unsupported) self-modifying-text
       // path they can differ — refresh the row so the predecoded shape
@@ -940,7 +928,7 @@ struct Simulator::Impl {
       }
       if (oracle.exited()) {
         halted = true;
-        e.caused_exit = true;  // commit consults this when co-sim is off
+        e.caused_exit = true;
       }
 
       const u32 predicted_next =
@@ -2116,9 +2104,8 @@ struct Simulator::Impl {
   // `now` — it never depends on same-cycle commits — so the retirement run
   // length is fixed by one pre-scan of the head before any bookkeeping
   // starts. The run is then processed with stats deltas accumulated in
-  // registers and flushed once (the checker must still step sequentially:
-  // it is the architectural reference). Invariant: the deltas are flushed
-  // before *every* exit path, including co-simulation failures mid-run.
+  // registers and flushed once. Invariant: the deltas are flushed before
+  // *every* exit path, including commit-stream failures mid-run.
   void commit() {
     if (ruu_count == 0 || stats.committed >= max_commits_) return;
     const u64 budget = std::min<u64>(core.commit_width,
@@ -2144,65 +2131,21 @@ struct Simulator::Impl {
     for (unsigned k = 0; k < run; ++k) {
       RuuEntry& e = entry_at(0);
 
-      // Co-simulation: the independent checker must agree on every effect.
-      // Full mode checks every commit; spot mode checks every Nth plus
-      // every mispredicted-branch / syscall boundary (catching the checker
-      // up through run_fast first); off mode skips the checker entirely.
-      // Sub-phase timing: this is part of hprof.commit as well.
-      bool checked = cosim_mode_ != CosimMode::kOff;
-      if (cosim_mode_ == CosimMode::kSpot)
-        checked = e.mispredicted ||
-                  e.si->kind == static_cast<u8>(ExecClass::Syscall) ||
-                  --cosim_countdown_ == 0;
-      if (inject_at_ != 0 && stats.committed + d_committed + 1 >= inject_at_) {
-        checker.set_reg(inject_reg_, checker.reg(inject_reg_) ^ 1);
-        inject_at_ = 0;
+      // Commit-stream check: the entry must be the next oracle step. A
+      // wrong-path, skipped, repeated or reordered entry fails here.
+      if (inject_at_ != 0 && commit_steps_ + 1 == inject_at_) ++commit_steps_;
+      if (e.bogus || e.step != commit_steps_) {
+        std::ostringstream os;
+        os << "co-simulation divergence at pc 0x" << std::hex << e.pc
+           << std::dec << ": committed "
+           << (e.bogus ? "a wrong-path entry"
+                       : "oracle step " + std::to_string(e.step))
+           << ", expected step " << commit_steps_;
+        flush();
+        fail(os.str());
+        return;
       }
-      if (checked) {
-        cosim_countdown_ = cosim_period_;
-        ExecRecord ref;
-        HpClock::time_point t0;
-        if (host_profile_on) t0 = HpClock::now();
-        if (cosim_lag_ > 0) {
-          // Catch up over the unchecked window. The oracle committed these
-          // instructions without faulting or exiting (syscalls are always
-          // checked), so a checker that stops short has already diverged.
-          StepResult cr;
-          const u64 ran = checker.run_fast(cosim_lag_, &cr);
-          if (ran != cosim_lag_) {
-            std::ostringstream os;
-            os << "co-simulation divergence: checker desynced "
-               << (cosim_lag_ - ran) << " instructions into a spot window";
-            if (cr.kind == StepResult::Kind::Fault)
-              os << " (checker fault: " << cr.fault << ")";
-            flush();
-            fail(os.str());
-            return;
-          }
-          cosim_lag_ = 0;
-        }
-        const StepResult sr = checker.step(&ref);
-        if (sr.kind == StepResult::Kind::Fault) {
-          flush();
-          fail("checker fault: " + sr.fault);
-          return;
-        }
-        if (ref.pc != e.oracle.pc || ref.next_pc != e.oracle.next_pc ||
-            ref.dest != e.oracle.dest ||
-            ref.dest_value != e.oracle.dest_value ||
-            ref.mem_addr != e.oracle.mem_addr ||
-            ref.store_value != e.oracle.store_value) {
-          std::ostringstream os;
-          os << "co-simulation divergence at pc 0x" << std::hex
-             << e.oracle.pc;
-          flush();
-          fail(os.str());
-          return;
-        }
-        if (host_profile_on) hp_take(t0, hprof.cosim);
-      } else if (cosim_mode_ == CosimMode::kSpot) {
-        ++cosim_lag_;
-      }
+      ++commit_steps_;
 
       // Stores drain to the cache at commit (write buffer hides latency).
       if (e.flags & StaticInst::kFlagStore) {
@@ -2263,16 +2206,13 @@ struct Simulator::Impl {
       --ruu_count;
       ++d_committed;
 
-      // Exit detection: the checker sees the exit syscall whenever it ran
-      // this commit (always, in full mode; spot mode checks every syscall,
-      // so a checked exit can never hide in a catch-up window). With the
-      // checker off (or unchecked), the dispatch-time oracle flag stands in.
-      if (checked ? checker.exited() : e.caused_exit) {
+      // The oracle stepped the exit syscall when it dispatched this entry.
+      if (e.caused_exit) {
         flush();
         last_commit_cycle = now;
         cycle_activity = true;
         exited = true;
-        exit_code = checked ? checker.exit_code() : oracle.exit_code();
+        exit_code = oracle.exit_code();
         return;
       }
     }
@@ -2522,7 +2462,6 @@ Simulator::Simulator(const MachineConfig& config, const Program& program,
                      const Checkpoint& start)
     : Simulator(config, program) {
   restore_checkpoint(impl_->oracle, start);
-  restore_checkpoint(impl_->checker, start);
   impl_->fetch_pc = start.pc;
 }
 
@@ -2551,49 +2490,6 @@ void Simulator::add_trace_sink(obs::TraceSink* sink) {
 
 void Simulator::set_interval_sampler(obs::IntervalSampler* sampler) {
   impl_->sampler = sampler;
-}
-
-void Simulator::set_options(const SimOptions& options) {
-  impl_->cosim_mode_ = options.cosim;
-  impl_->cosim_period_ = std::max<u64>(1, options.cosim_period);
-  impl_->cosim_countdown_ = impl_->cosim_period_;
-}
-
-bool parse_cosim(const std::string& text, SimOptions* out) {
-  if (text == "full") {
-    out->cosim = CosimMode::kFull;
-    return true;
-  }
-  if (text == "off") {
-    out->cosim = CosimMode::kOff;
-    return true;
-  }
-  if (text == "spot") {
-    out->cosim = CosimMode::kSpot;
-    return true;
-  }
-  if (text.rfind("spot:", 0) == 0) {
-    const char* s = text.c_str() + 5;
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || n == 0) return false;
-    out->cosim = CosimMode::kSpot;
-    out->cosim_period = n;
-    return true;
-  }
-  return false;
-}
-
-std::string cosim_name(const SimOptions& options) {
-  switch (options.cosim) {
-    case CosimMode::kFull:
-      return "full";
-    case CosimMode::kOff:
-      return "off";
-    case CosimMode::kSpot:
-      return "spot:" + std::to_string(options.cosim_period);
-  }
-  return "full";
 }
 
 void Simulator::enable_cpi_stack() { impl_->cpi_on = true; }

@@ -16,14 +16,14 @@
 //   assuming an L1 hit; when a load's data is re-timed (miss, way
 //   mispredict, LSQ violation), a relaxation pass reverts every slice-op
 //   whose select cycle is no longer legal and they re-issue later.
-// * Co-simulation: a second emulator steps at commit and every architectural
-//   effect is compared; any divergence aborts the run. SimOptions selects the
-//   checking cadence: `full` (every commit, the default), `spot:N` (the
-//   checker catches up through the run_fast superblock interpreter and the
-//   full ExecRecord comparison runs every Nth commit plus at every
-//   mispredicted-branch, syscall and exit boundary — divergence stays
-//   localised to one spot window), or `off` (no checking at all). Co-sim is
-//   a pure check: SimStats are bit-identical across all three modes.
+// * Commit-stream check: every correct-path entry carries the oracle step
+//   index it was dispatched at, and commit requires the next index in order
+//   and a correct-path entry; anything else aborts the run with a
+//   co-simulation divergence. The oracle supplies every committed value, so
+//   a second emulator stepping at commit could only catch the same faults —
+//   a wrong-path, skipped, repeated or reordered entry — which the index
+//   catches exactly, in O(1). `--cosim` modes are run labels only: every
+//   run is checked the same way.
 // * Event-driven scheduler core: ready ops come off an event wheel /
 //   producer waiter-lists instead of a per-cycle RUU scan, replay walks
 //   consumer edges only, and fully idle cycles are skipped in one jump —
@@ -64,28 +64,6 @@ struct SimResult {
   std::string error;         // non-empty on co-simulation divergence / fault
   bool ok() const { return error.empty(); }
 };
-
-// Commit-time co-simulation cadence. Co-sim is a pure check: it never feeds
-// timing, so SimStats are bit-identical across all three modes (pinned by
-// the golden matrix in tests/test_sched_equivalence.cpp).
-enum class CosimMode {
-  kFull,  // checker steps and compares at every commit (default)
-  kSpot,  // catch up via run_fast; compare every Nth commit + at every
-          // mispredicted-branch / syscall / exit boundary
-  kOff,   // no checking: divergence goes UNDETECTED (sweep use only)
-};
-
-struct SimOptions {
-  CosimMode cosim = CosimMode::kFull;
-  u64 cosim_period = 64;  // spot-check window N (spot mode only; >= 1)
-};
-
-// Parses a co-sim mode spec — "full", "off", "spot" or "spot:N" — into
-// `out` (other fields untouched). Returns false on a malformed spec.
-bool parse_cosim(const std::string& text, SimOptions* out);
-
-// Canonical spelling of the co-sim mode: "full", "off" or "spot:N".
-std::string cosim_name(const SimOptions& options);
 
 // Host-side scheduler event counts over the measured window (warm-up
 // excluded): how often the event-driven core did each unit of work, so
@@ -140,9 +118,9 @@ class Simulator {
   // (SliceGeometry::valid(): 1, 2, 4 or 8 slices).
   Simulator(const MachineConfig& config, const Program& program);
   // Starts from a captured architectural state (see emu/checkpoint.hpp)
-  // instead of the program's entry point: the oracle, the co-simulation
-  // checker and the fetch pc all begin at the checkpoint. Caches and
-  // predictors start cold — combine with run()'s warm-up to heat them.
+  // instead of the program's entry point: the oracle and the fetch pc begin
+  // at the checkpoint (the image is installed once, into the oracle). Caches
+  // and predictors start cold — combine with run()'s warm-up to heat them.
   Simulator(const MachineConfig& config, const Program& program,
             const Checkpoint& start);
   Simulator(Simulator&&) noexcept;
@@ -155,10 +133,6 @@ class Simulator {
   // fast-forward), the program exits, or an internal error occurs. May be
   // called once per Simulator instance.
   SimResult run(u64 max_commits, u64 warmup_commits = 0);
-
-  // Selects the co-simulation cadence (default: CosimMode::kFull). Must be
-  // called before run().
-  void set_options(const SimOptions& options);
 
   // Enables a cycle-by-cycle event trace ("pipeview") on `os` for cycles in
   // [start, end): dispatches, slice-op selections, memory events, branch
@@ -190,7 +164,7 @@ class Simulator {
 
   // Enables host-phase profiling: SimStats::host_profile reports where
   // host_seconds went (commit/resolve/select/memory/dispatch/fetch, plus
-  // nested co-sim and replay sub-phases). Costs a few steady_clock reads
+  // the nested replay sub-phase). Costs a few steady_clock reads
   // per simulated cycle; off by default. Must be called before run().
   void enable_host_profile();
 

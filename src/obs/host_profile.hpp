@@ -2,16 +2,15 @@
 //
 // `SimStats::host_seconds` says how long the cycle loop ran; this breaks
 // that wall-clock down by scheduler phase so a BENCH_simcore.json
-// regression can be attributed ("commit/co-sim got slower") instead of
+// regression can be attributed ("commit got slower") instead of
 // merely observed. Opt-in (`Simulator::enable_host_profile()`): the
 // per-phase `steady_clock` reads cost real nanoseconds per simulated
 // cycle, so the default run keeps the loop clean and `enabled` false.
 //
-// Phase buckets mirror the cycle loop's stage order. Two sub-phases are
-// *nested inside* their parent and must not be double-counted when
-// summing: `cosim` time is part of `commit`, and `replay` (the relaxation
-// pass reverting illegal selects) is part of `memory`. total() therefore
-// sums the six top-level phases only.
+// Phase buckets mirror the cycle loop's stage order. `replay` (the
+// relaxation pass reverting illegal selects) is *nested inside* `memory`
+// and must not be double-counted when summing; total() therefore sums the
+// six top-level phases only.
 #pragma once
 
 #include "util/bitops.hpp"
@@ -22,7 +21,7 @@ struct HostProfile {
   bool enabled = false;
 
   // Top-level phases, in pipeline-stage order (seconds of host time).
-  double commit = 0;    // retire + architectural checks (includes cosim)
+  double commit = 0;    // retire + commit-stream check
   double resolve = 0;   // branch resolution + recovery
   double select = 0;    // wakeup/select + slice-op execute
   double memory = 0;    // LSQ disambiguation + cache access/verify
@@ -30,8 +29,10 @@ struct HostProfile {
   double dispatch = 0;  // RUU/LSQ insert + rename + oracle step
   double fetch = 0;     // front-end fetch/predict
 
-  // Nested sub-phases (already counted in their parent above).
-  double cosim = 0;     // co-simulation commit check   (subset of commit)
+  // Always 0: the commit-stream check is O(1) and untimed. Kept so stored
+  // records keep their "host_phases" keys.
+  double cosim = 0;
+  // Nested sub-phase (already counted in memory above).
   double replay = 0;    // selective-replay relaxation  (subset of memory)
 
   // Pre-loop phase: functional fast-forward to the task's start checkpoint

@@ -1,14 +1,12 @@
-// Co-simulation cadence modes (core/simulator.hpp): spot mode must keep
-// the checker honest — an injected architectural divergence is caught
-// within one spot window, not silently committed — while off mode runs
-// unchecked by design (its caveat: a divergence is invisible; the run
-// still completes and the timing stats are unchanged). The golden matrix
-// in test_sched_equivalence.cpp pins bit-identity of the stats across
-// modes; this file pins the checking semantics.
+// The commit-stream check (core/simulator.hpp): every committing entry must
+// be the next correct-path oracle step. An injected lost entry is caught at
+// exactly the commit it hits, under every accepted --cosim spelling — the
+// mode is a recorded label only, `off` included — and the label never
+// changes a number.
 //
-// Fault injection uses the BSP_COSIM_INJECT="COMMIT:REG" hook read at
-// Simulator construction: at the given commit count the checker's
-// register REG gets bit 0 flipped, modelling a checker/oracle desync.
+// Fault injection uses the BSP_COSIM_INJECT="N" hook read at Simulator
+// construction: at the Nth total commit (warm-up included) the expected
+// step index advances by one, modelling an entry the core lost.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -16,14 +14,17 @@
 #include <string>
 
 #include "asm/assembler.hpp"
+#include "campaign/campaign.hpp"
 #include "config/machine_config.hpp"
 #include "core/simulator.hpp"
+#include "obs/interval.hpp"
 
 namespace bsp {
 namespace {
 
-// Every loop-body ALU op reads $s1 (register 17), so a corrupted checker
-// $s1 shows up in the first checked commit after the injection point.
+constexpr const char* kSpellings[] = {"", "full", "spot", "spot:7",
+                                      "spot:64", "off"};
+
 Program s1_chain_program(unsigned iterations) {
   std::ostringstream os;
   os << ".text\nmain:\n  li $s1, 12345\n  li $s7, " << iterations
@@ -44,110 +45,106 @@ struct InjectGuard {
   ~InjectGuard() { ::unsetenv("BSP_COSIM_INJECT"); }
 };
 
-SimResult run_mode(const Program& prog, CosimMode mode, u64 period = 64,
-                   u64 max_commits = 40'000) {
-  Simulator sim(base_machine(), prog);
-  SimOptions so;
-  so.cosim = mode;
-  so.cosim_period = period;
-  sim.set_options(so);
-  return sim.run(max_commits);
+// One campaign task on the base machine under a --cosim label, the way
+// bsp-sweep and bsp-sim run it.
+campaign::TaskOutcome run_labelled(const Program& prog, const char* cosim) {
+  campaign::TaskSpec task;
+  task.instructions = 40'000;
+  task.warmup = 0;
+  task.cosim = cosim;
+  return campaign::simulate_task(task, base_machine(), prog, nullptr, {});
 }
 
-TEST(CoSimModes, SpotDetectsInjectedDivergenceWithinOneWindow) {
-  const InjectGuard guard("2000:17");
-  const Program prog = s1_chain_program(3000);
-  const SimResult r = run_mode(prog, CosimMode::kSpot, 64);
-  ASSERT_FALSE(r.ok()) << "spot mode committed through an injected desync";
-  EXPECT_NE(r.error.find("divergence"), std::string::npos) << r.error;
-  // Caught at the next checked commit: within one 64-commit window (plus
-  // the committing batch), never hundreds of commits later.
-  EXPECT_GE(r.stats.committed + 80, 2000u);
-  EXPECT_LT(r.stats.committed, 2000u + 80);
+void expect_divergence_at(const std::string& error, u64 committed, u64 at,
+                          const std::string& what) {
+  EXPECT_NE(error.find("co-simulation divergence"), std::string::npos)
+      << what << ": " << error;
+  EXPECT_EQ(committed, at - 1) << what;
 }
 
 TEST(CoSimModes, FullDetectsInjectedDivergencePromptly) {
-  const InjectGuard guard("2000:17");
   const Program prog = s1_chain_program(3000);
-  const SimResult r = run_mode(prog, CosimMode::kFull);
+  for (const u64 at : {1u, 2u, 2000u, 2001u}) {
+    const std::string spec = std::to_string(at);
+    const InjectGuard guard(spec.c_str());
+    const SimResult r = Simulator(base_machine(), prog).run(40'000);
+    ASSERT_FALSE(r.ok()) << "committed a lost entry at " << at;
+    expect_divergence_at(r.error, r.stats.committed, at, spec);
+  }
+  // Commits are counted from construction: a warm-up of 500 moves the
+  // measured count, not the injection point.
+  const InjectGuard guard("2000");
+  const SimResult r = Simulator(base_machine(), prog).run(40'000, 500);
   ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.error.find("divergence"), std::string::npos) << r.error;
-  // Full cadence checks every commit; only the couple of loop-control ops
-  // that don't read $s1 can slip between injection and detection.
-  EXPECT_LT(r.stats.committed, 2000u + 32);
+  expect_divergence_at(r.error, r.stats.committed + 500, 2000, "warm-up");
 }
 
-TEST(CoSimModes, OffModeRunsUncheckedThroughInjection) {
+// The run-wide default (RunnerOptions::cosim, bsp-sweep's --cosim) reaches
+// the same check as a task's own label.
+TEST(CoSimModes, SpotDetectsInjectedDivergenceWithinOneWindow) {
+  const InjectGuard guard("2000");
   const Program prog = s1_chain_program(3000);
-  const SimResult clean = run_mode(prog, CosimMode::kOff);
-  ASSERT_TRUE(clean.ok()) << clean.error;
-
-  const InjectGuard guard("2000:17");
-  const SimResult r = run_mode(prog, CosimMode::kOff);
-  // The documented caveat: no checker, so the injected desync is
-  // invisible — the run completes with identical timing stats.
-  ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_TRUE(r.exited);
-  EXPECT_EQ(r.stats.committed, clean.stats.committed);
-  EXPECT_EQ(r.stats.cycles, clean.stats.cycles);
-}
-
-TEST(CoSimModes, ExitPathAgreesAcrossModes) {
-  const Program prog = s1_chain_program(500);
-  const SimResult full = run_mode(prog, CosimMode::kFull);
-  const SimResult spot = run_mode(prog, CosimMode::kSpot, 64);
-  const SimResult off = run_mode(prog, CosimMode::kOff);
-  for (const SimResult* r : {&full, &spot, &off}) {
-    ASSERT_TRUE(r->ok()) << r->error;
-    EXPECT_TRUE(r->exited);
-    EXPECT_EQ(r->exit_code, 7);
-    EXPECT_EQ(r->stats.committed, full.stats.committed);
-    EXPECT_EQ(r->stats.cycles, full.stats.cycles);
+  campaign::TaskSpec task;
+  task.instructions = 40'000;
+  task.warmup = 0;
+  for (const char* mode : {"spot", "spot:64"}) {
+    campaign::RunnerOptions options;
+    options.cosim = mode;
+    const campaign::TaskOutcome r =
+        campaign::simulate_task(task, base_machine(), prog, nullptr, options);
+    ASSERT_FALSE(r.error.empty()) << mode << " committed a lost entry";
+    expect_divergence_at(r.error, r.stats.committed, 2000, mode);
   }
 }
 
-TEST(CoSimModes, SpotMatchesFullStatsOnCleanRun) {
-  const Program prog = s1_chain_program(2000);
-  const SimResult full = run_mode(prog, CosimMode::kFull);
-  const SimResult spot = run_mode(prog, CosimMode::kSpot, 7);
-  ASSERT_TRUE(full.ok()) << full.error;
-  ASSERT_TRUE(spot.ok()) << spot.error;
-  EXPECT_EQ(full.stats.committed, spot.stats.committed);
-  EXPECT_EQ(full.stats.cycles, spot.stats.cycles);
-  EXPECT_EQ(full.stats.branches, spot.stats.branches);
-  EXPECT_EQ(full.stats.branch_mispredicts, spot.stats.branch_mispredicts);
-  EXPECT_EQ(full.stats.l1d_hits, spot.stats.l1d_hits);
+TEST(CoSimModes, OffModeStillDetectsInjectedDivergence) {
+  const InjectGuard guard("2000");
+  const Program prog = s1_chain_program(3000);
+  for (const char* mode : kSpellings) {
+    const campaign::TaskOutcome r = run_labelled(prog, mode);
+    ASSERT_FALSE(r.error.empty()) << "'" << mode << "' committed a lost entry";
+    expect_divergence_at(r.error, r.stats.committed, 2000, mode);
+  }
 }
 
-// The hook arms only on a well-formed COMMIT:REG naming a register: an
-// out-of-range or unparsable register leaves the run clean (it used to
-// write past the checker's register file).
+// A clean run exits through the oracle's exit code under every label, with
+// the same number on every counter.
+TEST(CoSimModes, ExitPathAgreesAcrossModes) {
+  const Program prog = s1_chain_program(500);
+  const campaign::TaskOutcome full = run_labelled(prog, "full");
+  for (const char* mode : kSpellings) {
+    const campaign::TaskOutcome r = run_labelled(prog, mode);
+    ASSERT_TRUE(r.error.empty()) << mode << ": " << r.error;
+    EXPECT_TRUE(r.exited) << mode;
+    EXPECT_EQ(r.exit_code, 7) << mode;
+    for (const obs::CounterDesc& c : obs::simstats_counters())
+      EXPECT_EQ(r.stats.*c.field, full.stats.*c.field)
+          << mode << ": " << c.name;
+  }
+}
+
+// The hook arms only on a whole positive decimal: anything else, the old
+// "COMMIT:REG" form included, leaves the run clean.
 TEST(CoSimModes, MalformedInjectionIsIgnored) {
   const Program prog = s1_chain_program(3000);
-  for (const char* spec : {"2000:99", "2000:x", "2000:17x", "2000"}) {
+  for (const char* spec : {"", "x", "2000x", "0", "2000:17"}) {
     const InjectGuard guard(spec);
-    const SimResult r = run_mode(prog, CosimMode::kFull);
-    EXPECT_TRUE(r.ok()) << spec << ": " << r.error;
+    const SimResult r = Simulator(base_machine(), prog).run(40'000);
+    EXPECT_TRUE(r.ok()) << "'" << spec << "': " << r.error;
     EXPECT_TRUE(r.exited) << spec;
   }
 }
 
 TEST(CoSimModes, ParseCosimSpecs) {
-  SimOptions so;
-  EXPECT_TRUE(parse_cosim("full", &so));
-  EXPECT_EQ(so.cosim, CosimMode::kFull);
-  EXPECT_TRUE(parse_cosim("off", &so));
-  EXPECT_EQ(so.cosim, CosimMode::kOff);
-  EXPECT_TRUE(parse_cosim("spot", &so));
-  EXPECT_EQ(so.cosim, CosimMode::kSpot);
-  EXPECT_TRUE(parse_cosim("spot:128", &so));
-  EXPECT_EQ(so.cosim, CosimMode::kSpot);
-  EXPECT_EQ(so.cosim_period, 128u);
-  EXPECT_EQ(cosim_name(so), "spot:128");
-  EXPECT_FALSE(parse_cosim("", &so));
-  EXPECT_FALSE(parse_cosim("spot:0", &so));
-  EXPECT_FALSE(parse_cosim("spot:7x", &so));
-  EXPECT_FALSE(parse_cosim("sometimes", &so));
+  for (const char* ok : {"full", "off", "spot", "spot:1", "spot:128"})
+    EXPECT_TRUE(campaign::valid_cosim(ok)) << ok;
+  for (const char* bad : {"", "spot:0", "spot:7x", "spot:", "sometimes",
+                          "Full", "spot:-1"})
+    EXPECT_FALSE(campaign::valid_cosim(bad)) << bad;
+  // A task that carries a rejected label fails before simulating.
+  const campaign::TaskOutcome r =
+      run_labelled(s1_chain_program(10), "sometimes");
+  EXPECT_EQ(r.error, "bad cosim mode: sometimes");
 }
 
 }  // namespace

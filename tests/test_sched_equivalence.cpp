@@ -20,9 +20,11 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "config/machine_config.hpp"
 #include "core/simulator.hpp"
 #include "emu/checkpoint.hpp"
+#include "obs/interval.hpp"
 #include "sampling/sampled.hpp"
 #include "workloads/workloads.hpp"
 
@@ -271,32 +273,32 @@ TEST(SchedEquivalence, OneIntervalSampledRunMatchesGolden) {
   expect_matches_golden("gzip/base", s.aggregate);
 }
 
-// Co-simulation cadence is a pure check: spot and off runs must commit
-// the identical schedule, so they reproduce the same scan-scheduler
-// goldens as the default full-cadence run — bit for bit, every counter.
+// A --cosim label is recorded, never simulated: a campaign task under any
+// accepted spelling runs the one commit-stream check, so it reproduces the
+// scan-scheduler golden and the unlabelled task on every SimStats counter.
 TEST(SchedEquivalence, CosimSpotAndOffMatchGoldens) {
-  SimOptions spot;
-  spot.cosim = CosimMode::kSpot;
-  spot.cosim_period = 64;
-  SimOptions off;
-  off.cosim = CosimMode::kOff;
-  for (const SimOptions* so : {&spot, &off}) {
-    for (const char* wname : {"gzip", "li"}) {
-      const Workload w = build_workload(wname);
-      Simulator sim(base_machine(), w.program);
-      sim.set_options(*so);
-      const SimResult r = sim.run(kCommits, kWarmup);
-      ASSERT_TRUE(r.ok()) << cosim_name(*so) << ": " << r.error;
-      expect_matches_golden(std::string(wname) + "/base", r.stats);
-    }
-    const Workload gzip = build_workload("gzip");
-    for (const StackPoint& p : technique_stack(2)) {
-      Simulator sim(p.config, gzip.program);
-      sim.set_options(*so);
-      const SimResult r = sim.run(kCommits, kWarmup);
-      ASSERT_TRUE(r.ok()) << cosim_name(*so) << "/" << p.label << ": "
-                          << r.error;
-      expect_matches_golden(std::string("gzip/s2/") + p.label, r.stats);
+  const Workload gzip = build_workload("gzip");
+  const StackPoint all = technique_stack(2).back();
+  const std::pair<std::string, MachineConfig> configs[] = {
+      {"gzip/base", base_machine()},
+      {"gzip/s2/" + all.label, all.config}};
+  for (const auto& [tag, config] : configs) {
+    campaign::TaskSpec task;
+    task.workload = "gzip";
+    task.instructions = kCommits;
+    task.warmup = kWarmup;
+    const campaign::TaskOutcome plain =
+        campaign::simulate_task(task, config, gzip.program, nullptr, {});
+    ASSERT_TRUE(plain.error.empty()) << tag << ": " << plain.error;
+    expect_matches_golden(tag, plain.stats);
+    for (const char* cosim : {"full", "spot:64", "off"}) {
+      task.cosim = cosim;
+      const campaign::TaskOutcome r =
+          campaign::simulate_task(task, config, gzip.program, nullptr, {});
+      ASSERT_TRUE(r.error.empty()) << tag << "/" << cosim << ": " << r.error;
+      for (const obs::CounterDesc& c : obs::simstats_counters())
+        EXPECT_EQ(r.stats.*c.field, plain.stats.*c.field)
+            << tag << "/" << cosim << ": " << c.name;
     }
   }
 }

@@ -69,9 +69,10 @@ TEST(Simulator, InvalidSliceGeometryThrowsAtConstruction) {
   EXPECT_NO_THROW(Simulator(ok, p));
 }
 
-// The decisive correctness gate: every workload commits the same
-// architectural sequence as the reference emulator (the simulator verifies
-// at commit and reports any divergence), on every pipeline configuration.
+// The decisive correctness gate: every workload commits exactly the
+// oracle's instruction sequence (the commit-stream check reports any
+// wrong-path, skipped, repeated or lost entry), on every pipeline
+// configuration.
 struct CoSimCase {
   const char* workload;
   unsigned slices;

@@ -122,13 +122,8 @@ void print_host_profile(const SimStats& s) {
   const auto pct = [&](double v) {
     return total > 0 ? 100.0 * v / total : 0.0;
   };
-  // Nested shares (co-sim inside commit, replay inside memory) say "of
-  // total" explicitly so the parenthetical can't be misread as a share of
-  // its parent phase; co-sim disappears when it never ran (--cosim off).
-  char cosim[64] = "";
-  if (hp.cosim > 0)
-    std::snprintf(cosim, sizeof cosim, "  (co-sim %.1f%% of total)",
-                  pct(hp.cosim));
+  // The nested share (replay inside memory) says "of total" explicitly so
+  // the parenthetical can't be misread as a share of its parent phase.
   char replay[64] = "";
   if (hp.replay > 0)
     std::snprintf(replay, sizeof replay, "  (replay %.1f%% of total)",
@@ -137,7 +132,7 @@ void print_host_profile(const SimStats& s) {
   std::snprintf(buf, sizeof buf,
                 "host:         %.3fs wall, %.3fs in phases over %llu loop "
                 "cycles\n"
-                "  commit   %5.1f%%%s\n"
+                "  commit   %5.1f%%\n"
                 "  resolve  %5.1f%%\n"
                 "  select   %5.1f%%\n"
                 "  memory   %5.1f%%%s\n"
@@ -145,7 +140,7 @@ void print_host_profile(const SimStats& s) {
                 "  fetch    %5.1f%%\n",
                 s.host_seconds, total,
                 static_cast<unsigned long long>(hp.loop_cycles),
-                pct(hp.commit), cosim, pct(hp.resolve),
+                pct(hp.commit), pct(hp.resolve),
                 pct(hp.select), pct(hp.memory), replay,
                 pct(hp.dispatch), pct(hp.fetch));
   std::cout << buf;
@@ -275,8 +270,7 @@ int main(int argc, char** argv) {
     std::cerr << "bsp-sim: --interval must be > 0\n";
     return 2;
   }
-  SimOptions sim_opts;
-  if (!run.cosim.empty() && !parse_cosim(run.cosim, &sim_opts)) {
+  if (!run.cosim.empty() && !campaign::valid_cosim(run.cosim)) {
     std::cerr << "bsp-sim: --cosim must be full, spot[:N], or off\n";
     return 2;
   }
@@ -382,7 +376,6 @@ int main(int argc, char** argv) {
   if (detail) sim.enable_detail();
   if (run.host_profile) sim.enable_host_profile();
   if (run.cpi_stack) sim.enable_cpi_stack();
-  sim.set_options(sim_opts);
 
   // Structured sinks and the interval sampler stream straight to their
   // files; the ofstreams must outlive run().

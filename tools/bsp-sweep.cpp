@@ -258,13 +258,10 @@ int main(int argc, char** argv) {
               << isolate << "'\n";
     return 2;
   }
-  if (!runner_options.cosim.empty()) {
-    SimOptions probe;
-    if (!parse_cosim(runner_options.cosim, &probe)) {
-      std::cerr << "bsp-sweep: --cosim must be full, spot[:N], or off, got '"
-                << runner_options.cosim << "'\n";
-      return 2;
-    }
+  if (!runner_options.cosim.empty() && !valid_cosim(runner_options.cosim)) {
+    std::cerr << "bsp-sweep: --cosim must be full, spot[:N], or off, got '"
+              << runner_options.cosim << "'\n";
+    return 2;
   }
 
   // One task = one scheduler slot either way: the sampled runner simulates
