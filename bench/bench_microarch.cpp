@@ -10,6 +10,7 @@
 
 #include "asm/assembler.hpp"
 #include "branch/predictor.hpp"
+#include "campaign/ckpt_cache.hpp"
 #include "core/select_order.hpp"
 #include "core/simulator.hpp"
 #include "emu/checkpoint.hpp"
@@ -354,13 +355,24 @@ void BM_AssembleWorkload(benchmark::State& state) {
 BENCHMARK(BM_AssembleWorkload)->Unit(benchmark::kMillisecond);
 
 // --- simulation set-up: what every short run pays before its first cycle --
-// gcc has the suite's largest generated source (~300 KB of .word data), so
-// its build is dominated by formatting and re-assembling that text.
+// gcc has the suite's most initialised data (32K words, ~300 KB as `.word`
+// text); build_workload copies those words into the image as binary.
 void BM_BuildWorkload(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(build_workload("gcc"));
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BuildWorkload)->Unit(benchmark::kMillisecond);
+
+// The checkpoint-cache key's image hash over mcf, the suite's largest image
+// (2 MiB, nearly all a zero `.space`). Every task that restores a cached
+// checkpoint pays it once.
+void BM_ImageHash(benchmark::State& state) {
+  const Workload w = build_workload("mcf");
+  for (auto _ : state)
+    benchmark::DoNotOptimize(campaign::ImageHash(w.program).key(1'000'000));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ImageHash)->Unit(benchmark::kMillisecond);
 
 // A campaign task's Simulator: mcf (the 2 MiB image) on the x2 full stack,
 // started from a 1M-instruction checkpoint. Construction installs the image

@@ -13,10 +13,10 @@
 # re-measures the BM_SimulatorThroughput configs, the scheduler
 # microbenches (BM_WakeupSelect / BM_DispatchOnly / BM_CommitOnly, and
 # BM_SelectSort: the candidate ordering, an insertion sort at 8 keys and
-# std::sort at 64 and 256) and the set-up benches (BM_SimulatorConstruct: mcf from a
-# checkpoint on x2; BM_BuildWorkload: gcc) and compares them against the
-# committed baseline JSON,
-# exiting non-zero if any tracked benchmark lost more than 15% of its
+# std::sort at 64 and 256) and the set-up benches (BM_SimulatorConstruct:
+# mcf from a checkpoint on x2; BM_BuildWorkload: gcc; BM_ImageHash: mcf's
+# checkpoint-cache key) and compares them against the committed baseline
+# JSON, exiting non-zero if any tracked benchmark lost more than 15% of its
 # items_per_second. The same library_build_type gate applies (Release
 # builds only unless --allow-debug-library): a debug-library measurement
 # would fail the threshold for reasons that have nothing to do with the
@@ -25,13 +25,15 @@
 # --paired is the honest A/B protocol for before/after claims: it takes
 # two already-built bench_microarch binaries (old first) and interleaves
 # BM_SimulatorThroughput/0, /2 and /4 runs (base, slice-2, slice-4),
-# BM_WakeupSelect (the base machine's wakeup/select path alone) and the
-# emulator rates (step() with and without an ExecRecord, run_fast) in one
-# window so host drift (thermal, cron, page cache) lands on both sides
-# equally. Within-pair run order alternates (old/new, then new/old, ...)
-# because the first run of a pair systematically sees a different
-# frequency/cache state than the second; each measurement also runs
-# >= 2s (--benchmark_min_time) so per-run jitter amortizes. Per-pair
+# BM_WakeupSelect (the base machine's wakeup/select path alone), the
+# emulator rates (step() with and without an ExecRecord, run_fast) and the
+# set-up benches (BM_BuildWorkload, BM_ImageHash) in one window so host
+# drift (thermal, cron, page cache) lands on both sides equally. A
+# benchmark the old binary lacks is left out. Within-pair run order
+# alternates (old/new, then new/old, ...) because the first run of a pair
+# systematically sees a different frequency/cache state than the second;
+# each measurement also runs >= 2s (--benchmark_min_time) so per-run
+# jitter amortizes. Per-pair
 # ratios and one median ratio per benchmark are merged under "paired" in
 # the output JSON (default BENCH_simcore.json). PAIRED_REPS overrides the
 # pair count (default 7).
@@ -51,12 +53,14 @@
 # BM_TechniqueStackThroughput: the slice-4 cumulative technique stacks) plus
 # the emulator step rate and the fast-forward interpreter rate
 # (BM_EmulatorFastRunThroughput — the run_fast path campaigns use to reach
-# checkpoint regions; the acceptance floor is 3x the step rate). The script
-# also times a small fast-forwarding sweep twice against one checkpoint
-# cache directory and records the cold/warm wall-clock seconds under
-# "ckpt_cache_sweep" in the output JSON. Wall-clock numbers are host- and
-# load-sensitive: compare runs from the same machine, and prefer the best
-# of a few repeats.
+# checkpoint regions; the acceptance floor is 3x the step rate) and the
+# set-up benches. The script also times a small fast-forwarding sweep twice
+# against one checkpoint cache directory and records each run's wall-clock
+# seconds and materialised/reused checkpoint counts under
+# "ckpt_cache_sweep" in the output JSON. A re-record keeps every top-level
+# key of the previous output that it does not write itself ("paired").
+# Wall-clock numbers are host- and load-sensitive: compare runs from the
+# same machine, and prefer the best of a few repeats.
 #
 # A baseline is only recorded when the benchmark context reports
 # "library_build_type": "release" — a debug-built Google Benchmark library
@@ -72,7 +76,7 @@ if [ "${1:-}" = "--paired" ]; then
   NEW_BIN="${3:?--paired needs OLD_BIN NEW_BIN}"
   OUT="${4:-BENCH_simcore.json}"
   REPS="${PAIRED_REPS:-7}"
-  PFILTER='BM_SimulatorThroughput/[024]$|BM_WakeupSelect$|BM_Emulator(Step|StepRecord|FastRun)Throughput$'
+  PFILTER='BM_SimulatorThroughput/[024]$|BM_WakeupSelect$|BM_Emulator(Step|StepRecord|FastRun)Throughput$|BM_BuildWorkload$|BM_ImageHash$'
   TMPD=$(mktemp -d)
   trap 'rm -rf "$TMPD"' EXIT
   run_side() {  # run_side BIN old|new PAIR
@@ -106,8 +110,7 @@ for name in sorted(old[0]):
     n = [r[name] for r in new]
     ratios = [b / a for a, b in zip(o, n)]
     for i, (a, b, q) in enumerate(zip(o, n, ratios), 1):
-        print(f"{name} pair {i}: old {a/1e6:.3f}M/s  new {b/1e6:.3f}M/s  "
-              f"({q:.3f}x)")
+        print(f"{name} pair {i}: old {a:.4g}/s  new {b:.4g}/s  ({q:.3f}x)")
     median = statistics.median(ratios)
     wins = sum(q > 1 for q in ratios)
     print(f"{name}: median speedup {median:.3f}x over {reps} interleaved "
@@ -150,10 +153,10 @@ cmake --build "$BUILD" --target bench_microarch -j "$(nproc)" > /dev/null
 TMP="$OUT.tmp"
 trap 'rm -f "$TMP"' EXIT
 
-FILTER='SimulatorThroughput|TechniqueStackThroughput|EmulatorStep|EmulatorFastRun|WakeupSelect|DispatchOnly|SelectSort|CommitOnly|SimulatorConstruct|BuildWorkload'
+FILTER='SimulatorThroughput|TechniqueStackThroughput|EmulatorStep|EmulatorFastRun|WakeupSelect|DispatchOnly|SelectSort|CommitOnly|SimulatorConstruct|BuildWorkload|ImageHash'
 if [ "$CHECK" -eq 1 ]; then
   # The gate re-measures only the benchmarks it compares.
-  FILTER='SimulatorThroughput/|WakeupSelect|DispatchOnly|SelectSort|CommitOnly|SimulatorConstruct|BuildWorkload'
+  FILTER='SimulatorThroughput/|WakeupSelect|DispatchOnly|SelectSort|CommitOnly|SimulatorConstruct|BuildWorkload|ImageHash'
 fi
 
 "$BUILD/bench/bench_microarch" \
@@ -206,31 +209,42 @@ EOF
 fi
 
 # Cold/warm checkpoint-cache sweep: the same small fast-forwarding
-# campaign twice against one cache directory. Cold pays the fast-forwards
-# and materialises the cache; warm restores everything from it, so
-# warm_sec < cold_sec is the end-to-end win the cache exists for.
+# campaign twice against one cache directory. Cold pays the fast-forward
+# and materialises the cache; warm restores everything from it. The 50M
+# instruction fast-forward dominates the cold run, so warm < cold is the
+# end-to-end win the cache exists for, and each run's materialised and
+# reused counts sit next to its time: a cache that silently misses reads
+# "materialised": 1 on the warm run.
 cmake --build "$BUILD" --target bsp-sweep -j "$(nproc)" > /dev/null
 CKPT_DIR=$(mktemp -d)
 SWEEP_OUT=$(mktemp -u)
 trap 'rm -f "$TMP"; rm -rf "$CKPT_DIR" "$SWEEP_OUT".*' EXIT
-sweep_secs() {
+SWEEP_ARGS="fig11 -w gzip -n 5000 --warmup 1000 --fast-forward 50000000"
+sweep_run() {  # sweep_run NAME: writes $SWEEP_OUT.NAME.txt and .sec
   start=$(date +%s.%N)
-  "$BUILD/tools/bsp-sweep" --campaign fig11 -w gzip -n 5000 --warmup 1000 \
-    --fast-forward 2000000 --ckpt-cache "$CKPT_DIR" \
-    --out "$1" --fresh --no-progress > /dev/null
+  # shellcheck disable=SC2086
+  "$BUILD/tools/bsp-sweep" --campaign $SWEEP_ARGS --ckpt-cache "$CKPT_DIR" \
+    --out "$SWEEP_OUT.$1.jsonl" --fresh --no-progress > "$SWEEP_OUT.$1.txt"
   end=$(date +%s.%N)
-  echo "$start $end" | awk '{ printf "%.3f", $2 - $1 }'
+  echo "$start $end" | awk '{ printf "%.3f", $2 - $1 }' > "$SWEEP_OUT.$1.sec"
 }
-COLD_SEC=$(sweep_secs "$SWEEP_OUT.cold.jsonl")
-WARM_SEC=$(sweep_secs "$SWEEP_OUT.warm.jsonl")
-python3 - "$TMP" "$COLD_SEC" "$WARM_SEC" <<'EOF'
-import json, sys
-path, cold, warm = sys.argv[1], float(sys.argv[2]), float(sys.argv[3])
+sweep_run cold
+sweep_run warm
+python3 - "$TMP" "$SWEEP_OUT" "$SWEEP_ARGS" "$OUT" <<'EOF'
+import json, os, re, sys
+path, sweep_out, campaign, out = sys.argv[1:5]
+def run(name):
+    text = open(f"{sweep_out}.{name}.txt").read()
+    m = re.search(r"checkpoint cache: (\d+) materialised, (\d+) reused", text)
+    if not m:
+        sys.exit(f"error: the {name} sweep printed no checkpoint cache line")
+    return {"sec": float(open(f"{sweep_out}.{name}.sec").read()),
+            "materialised": int(m.group(1)), "reused": int(m.group(2))}
 data = json.load(open(path))
 data["ckpt_cache_sweep"] = {
-    "campaign": "fig11 -w gzip -n 5000 --warmup 1000 --fast-forward 2000000",
-    "cold_sec": cold,
-    "warm_sec": warm,
+    "campaign": campaign,
+    "cold": run("cold"),
+    "warm": run("warm"),
 }
 # CPI-stack accounting overhead: enabled vs plain base-machine throughput
 # from this same benchmark process (acceptance < 10%; the disabled path is
@@ -246,11 +260,19 @@ if base and cpi:
         "cpi_stack_items_per_second": cpi,
         "overhead_frac": 1.0 - cpi / base,
     }
+# Keys of the previous record this run does not write itself, such as
+# "paired", carry over unchanged.
+if os.path.exists(out):
+    for key, value in json.load(open(out)).items():
+        data.setdefault(key, value)
 json.dump(data, open(path, "w"), indent=1)
+cold, warm = data["ckpt_cache_sweep"]["cold"], data["ckpt_cache_sweep"]["warm"]
+print(f"ckpt cache sweep: cold {cold['sec']}s ({cold['materialised']} "
+      f"materialised), warm {warm['sec']}s ({warm['reused']} reused)")
 EOF
 
 mv "$TMP" "$OUT"
-echo "wrote $OUT (ckpt cache sweep: cold ${COLD_SEC}s, warm ${WARM_SEC}s)"
+echo "wrote $OUT"
 [ "$SAMPLING" -eq 1 ] || exit 0
 
 # Sampled-simulation baseline: monolithic vs K=8 sampled on long runs.

@@ -7,6 +7,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <sstream>
@@ -15,13 +16,35 @@ namespace bsp::campaign {
 namespace {
 
 struct Fnv1a {
+  static constexpr u64 kPrime = 1099511628211ull;
+  // A zero byte's step is h ^= 0; h *= P, so eight of them are one
+  // multiply by P^8 (mod 2^64). Program images are mostly zeros (mcf
+  // reserves 2 MiB), and skipping them in 8-byte chunks gives the same
+  // hash as the byte loop.
+  static constexpr u64 kPrime8 = [] {
+    u64 p8 = 1;
+    for (int i = 0; i < 8; ++i) p8 *= kPrime;
+    return p8;
+  }();
+
   u64 h = 14695981039346656037ull;
   void bytes(const void* p, std::size_t n) {
     const unsigned char* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      u64 chunk;
+      std::memcpy(&chunk, b + i, 8);
+      if (chunk == 0) {
+        h *= kPrime8;
+        continue;
+      }
+      for (std::size_t j = i; j < i + 8; ++j) step(b[j]);
     }
+    for (; i < n; ++i) step(b[i]);
+  }
+  void step(unsigned char byte) {
+    h ^= byte;
+    h *= kPrime;
   }
   void word(u64 v) {
     unsigned char b[8];

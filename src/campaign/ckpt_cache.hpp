@@ -39,9 +39,10 @@ struct CkptFetch {
 };
 
 // The FNV-1a state after hashing a program image (bases, text and data
-// bytes, entry). Hashing a multi-MiB image takes milliseconds, so a pass
-// over several fast-forward offsets hashes the image once here and derives
-// each offset's key by appending the count.
+// bytes, entry). Zero runs hash 8 bytes per multiply, the rest a byte at a
+// time, so an image costs time in its size; a pass over several
+// fast-forward offsets hashes the image once here and derives each
+// offset's key by appending the count.
 class ImageHash {
  public:
   explicit ImageHash(const Program& program);

@@ -13,6 +13,7 @@
 #include <charconv>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -21,9 +22,18 @@ namespace bsp::kernels {
 
 namespace {
 
-// Emits `.word` lines in chunks of eight lowercase hex values. Formatted
-// with to_chars into one buffer: a data-heavy kernel emits ~10^5 words.
-void emit_words(std::ostringstream& os, const std::vector<u32>& words) {
+// Emits the data block `label`: the label, then its words as `.word` lines
+// in chunks of eight lowercase hex values, or, with `binary`, a `.space` of
+// the same size, handing the words to *binary. Text is formatted with
+// to_chars into one buffer: a data-heavy kernel emits ~10^5 words.
+void data_block(std::ostringstream& os, DataBlocks* binary, const char* label,
+                std::vector<u32> words) {
+  os << label << ":\n";
+  if (binary) {
+    os << "  .space " << words.size() * 4 << "\n";
+    binary->push_back({label, std::move(words)});
+    return;
+  }
   std::string text;
   // "  .word " + 8 x "0x" and up to 8 digits + 7 x ", " + "\n" per line.
   text.reserve((words.size() / 8 + 1) * 104);
@@ -79,7 +89,7 @@ void xorshift(std::ostringstream& os) {
 // table update (load-modify-store chains). Cache-friendly, branchy but
 // mostly predictable.
 // ---------------------------------------------------------------------------
-std::string bzip(const WorkloadParams& p) {
+std::string bzip(const WorkloadParams& p, DataBlocks* binary) {
   constexpr u32 kBlockBytes = 32 * 1024;
   Rng rng(p.seed ^ 0xb21b);
   std::vector<u32> block(kBlockBytes / 4);
@@ -120,9 +130,8 @@ std::string bzip(const WorkloadParams& p) {
      << "  addiu $t0, $t0, 1\n"
      << "  bne $t0, $s2, scan\n";
   epilogue(os, "outer");
-  os << ".data\n"
-     << "block:\n";
-  emit_words(os, block);
+  os << ".data\n";
+  data_block(os, binary, "block", std::move(block));
   os << "counts:\n  .space 1024\n";
   return os.str();
 }
@@ -132,7 +141,7 @@ std::string bzip(const WorkloadParams& p) {
 // search tree of 8192 16-byte nodes (128 KB: spills L1, lives in L2), probed
 // with pseudo-random keys; each step is a load -> compare -> branch chain.
 // ---------------------------------------------------------------------------
-std::string gcc(const WorkloadParams& p) {
+std::string gcc(const WorkloadParams& p, DataBlocks* binary) {
   constexpr u32 kNodes = 8192;
   constexpr u32 kNodeBytes = 16;  // {key, left, right, pad}
   const u32 tree_base = kDefaultDataBase;
@@ -210,9 +219,8 @@ std::string gcc(const WorkloadParams& p) {
      << "  lw $t6, 0($t5)\n"
      << "  sw $t9, 12($t6)\n";
   epilogue(os, "outer");
-  os << ".data\n"
-     << "tree:\n";
-  emit_words(os, words);
+  os << ".data\n";
+  data_block(os, binary, "tree", std::move(words));
   os << "spill:\n  .space 256\n";
   return os.str();
 }
@@ -222,7 +230,7 @@ std::string gcc(const WorkloadParams& p) {
 // unpredictable branches per iteration mixed with predictable bookkeeping
 // lands the prediction accuracy near the paper's 84 %.
 // ---------------------------------------------------------------------------
-std::string go(const WorkloadParams& p) {
+std::string go(const WorkloadParams& p, DataBlocks*) {
   std::ostringstream os;
   prologue(os, p.iterations, p.seed);
   os << "  la $s0, board\n"
@@ -261,7 +269,7 @@ std::string go(const WorkloadParams& p) {
 // table; candidate positions are compared byte by byte (the inner match loop
 // is the data-dependent part).
 // ---------------------------------------------------------------------------
-std::string gzip(const WorkloadParams& p) {
+std::string gzip(const WorkloadParams& p, DataBlocks* binary) {
   constexpr u32 kWindowBytes = 16 * 1024;
   Rng rng(p.seed ^ 0x621b);
   std::vector<u32> window(kWindowBytes / 4);
@@ -306,9 +314,8 @@ std::string gzip(const WorkloadParams& p) {
      << "  move $s3, $0\n"
      << "noreset:\n";
   epilogue(os, "outer");
-  os << ".data\n"
-     << "window:\n";
-  emit_words(os, window);
+  os << ".data\n";
+  data_block(os, binary, "window", std::move(window));
   os << "heads:\n  .space 4096\n";
   return os.str();
 }
@@ -317,7 +324,7 @@ std::string gzip(const WorkloadParams& p) {
 // ijpeg: integer DCT-like butterflies. Long add/sub/shift dependence chains
 // over sequential 8-word rows; very few data-dependent branches.
 // ---------------------------------------------------------------------------
-std::string ijpeg(const WorkloadParams& p) {
+std::string ijpeg(const WorkloadParams& p, DataBlocks* binary) {
   // 16 KB: comfortably L1-resident — ijpeg is the suite's compute-bound,
   // cache-friendly member.
   constexpr u32 kImageBytes = 16 * 1024;
@@ -363,8 +370,8 @@ std::string ijpeg(const WorkloadParams& p) {
      << "  addiu $s3, $s3, 16\n"
      << "  bne $s3, $s2, row\n";
   epilogue(os, "outer");
-  os << ".data\nimage:\n";
-  emit_words(os, image);
+  os << ".data\n";
+  data_block(os, binary, "image", std::move(image));
   return os.str();
 }
 
@@ -374,7 +381,7 @@ std::string ijpeg(const WorkloadParams& p) {
 // Nodes carry a flag byte that the kernel tests, marks, and periodically
 // clears, so the flag-test branch stays partially unpredictable.
 // ---------------------------------------------------------------------------
-std::string li(const WorkloadParams& p) {
+std::string li(const WorkloadParams& p, DataBlocks* binary) {
   constexpr u32 kNodes = 4096;
   constexpr u32 kNodeBytes = 8;  // {next, flags}
   const u32 base = kDefaultDataBase;
@@ -413,8 +420,8 @@ std::string li(const WorkloadParams& p) {
      << "  lw $16, 0($16)\n"
      << "  bne $16, $0, mark_loop\n";
   epilogue(os, "outer");
-  os << ".data\nnodes:\n";
-  emit_words(os, words);
+  os << ".data\n";
+  data_block(os, binary, "nodes", std::move(words));
   return os.str();
 }
 
@@ -423,7 +430,7 @@ std::string li(const WorkloadParams& p) {
 // arc array (far beyond L1 and most of L2's reach), with highly predictable
 // control (the paper reports 98 % accuracy and the suite's lowest IPC).
 // ---------------------------------------------------------------------------
-std::string mcf(const WorkloadParams& p) {
+std::string mcf(const WorkloadParams& p, DataBlocks*) {
   // 2 MB: strictly larger than the whole hierarchy (L2 is 1 MB), so the
   // kernel reaches its memory-bound steady state immediately — the real
   // mcf's working set dwarfs the caches, giving the suite's lowest IPC.
@@ -465,7 +472,7 @@ std::string mcf(const WorkloadParams& p) {
 // chains of {hash, next} nodes; the chain-walk compare branch is data
 // dependent.
 // ---------------------------------------------------------------------------
-std::string parser(const WorkloadParams& p) {
+std::string parser(const WorkloadParams& p, DataBlocks* binary) {
   constexpr u32 kBuckets = 1024;
   constexpr u32 kChainNodes = 4096;
   const u32 base = kDefaultDataBase;  // buckets first, then nodes
@@ -507,10 +514,9 @@ std::string parser(const WorkloadParams& p) {
      << "  lw $t6, 0($t5)\n"
      << "  addu $s1, $s1, $t6\n";
   epilogue(os, "outer");
-  os << ".data\nbuckets:\n";
-  emit_words(os, bucket_head);
-  os << "chain_nodes:\n";
-  emit_words(os, node_words);
+  os << ".data\n";
+  data_block(os, binary, "buckets", std::move(bucket_head));
+  data_block(os, binary, "chain_nodes", std::move(node_words));
   os << "results:\n  .space " << (kBuckets * 4) << "\n";
   return os.str();
 }
@@ -519,7 +525,7 @@ std::string parser(const WorkloadParams& p) {
 // twolf: placement/annealing surrogate — random small-record updates
 // (load two fields, integer math, compare, store back) over a 128 KB array.
 // ---------------------------------------------------------------------------
-std::string twolf(const WorkloadParams& p) {
+std::string twolf(const WorkloadParams& p, DataBlocks* binary) {
   constexpr u32 kRecords = 8192;  // 16 B each -> 128 KB
   std::ostringstream os;
   prologue(os, p.iterations, p.seed);
@@ -549,11 +555,11 @@ std::string twolf(const WorkloadParams& p) {
      << "cont:\n"
      << "  sw $s1, 8($t1)\n";
   epilogue(os, "outer");
-  os << ".data\ncells:\n";
+  os << ".data\n";
   Rng rng(p.seed ^ 0x201f);
   std::vector<u32> cells(kRecords * 4);
   for (auto& w : cells) w = rng.next() & 0xffff;  // small positive costs
-  emit_words(os, cells);
+  data_block(os, binary, "cells", std::move(cells));
   return os.str();
 }
 
@@ -562,7 +568,7 @@ std::string twolf(const WorkloadParams& p) {
 // (sll / lui / addu / lw address chain) plus store-then-reload field updates
 // that exercise store-to-load forwarding in the LSQ.
 // ---------------------------------------------------------------------------
-std::string vortex(const WorkloadParams& p) {
+std::string vortex(const WorkloadParams& p, DataBlocks* binary) {
   constexpr u32 kRecords = 2048;  // 32 B records -> 64 KB (straddles L1)
   const u32 base = kDefaultDataBase;
   const u32 records_base = base + kRecords * 8;  // past the pointer table
@@ -593,19 +599,17 @@ std::string vortex(const WorkloadParams& p) {
      << "store_back:\n"
      << "  sw $t3, 12($2)\n";
   epilogue(os, "outer");
-  os << ".data\n"
-     << "rectable:\n";
+  os << ".data\n";
   // Note: the sll-by-3 chain indexes 8-byte strides; keep the table dense.
   std::vector<u32> dense(kRecords * 2);
   for (u32 i = 0; i < kRecords; ++i) {
     dense[i * 2] = table[i];
     dense[i * 2 + 1] = table[(i + 1) % kRecords];
   }
-  emit_words(os, dense);
-  os << "records:\n";
+  data_block(os, binary, "rectable", std::move(dense));
   std::vector<u32> record_words(kRecords * 8);
   for (auto& w : record_words) w = rng.next() & 0x7fff;
-  emit_words(os, record_words);
+  data_block(os, binary, "records", std::move(record_words));
   return os.str();
 }
 
@@ -613,7 +617,7 @@ std::string vortex(const WorkloadParams& p) {
 // vpr: routing surrogate — a random walk over a 256x256 cost grid with
 // bounds-check branches that are rarely taken (96 % accuracy).
 // ---------------------------------------------------------------------------
-std::string vpr(const WorkloadParams& p) {
+std::string vpr(const WorkloadParams& p, DataBlocks*) {
   constexpr u32 kDim = 256;
   std::ostringstream os;
   prologue(os, p.iterations, p.seed);
@@ -664,7 +668,7 @@ std::string vpr(const WorkloadParams& p) {
 // fp_saxpy (not in the suite): the §6 corner case. FP loads, mul/add
 // chains, an FP compare and an integer div, all full-collect. Fixed 60000
 // iterations; the seed does not enter.
-std::string fp_saxpy(const WorkloadParams&) {
+std::string fp_saxpy(const WorkloadParams&, DataBlocks*) {
   return R"(
 .text
 main:

@@ -1,6 +1,6 @@
 #include "workloads/workloads.hpp"
 
-#include <functional>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 
@@ -12,7 +12,7 @@ namespace bsp {
 namespace {
 
 struct KernelDef {
-  std::function<std::string(const WorkloadParams&)> generate;
+  std::string (*generate)(const WorkloadParams&, kernels::DataBlocks*);
   const char* description;
   double paper_branch_accuracy;  // <0: lost in the archival copy
 };
@@ -76,6 +76,13 @@ const std::map<std::string, KernelDef>& registry() {
   return defs;
 }
 
+const KernelDef& kernel(const std::string& name) {
+  const auto it = registry().find(name);
+  if (it == registry().end())
+    throw std::runtime_error("unknown workload: " + name);
+  return it->second;
+}
+
 }  // namespace
 
 const std::vector<std::string>& workload_names() {
@@ -87,21 +94,16 @@ const std::vector<std::string>& workload_names() {
 
 std::string workload_source(const std::string& name,
                             const WorkloadParams& params) {
-  const auto it = registry().find(name);
-  if (it == registry().end())
-    throw std::runtime_error("unknown workload: " + name);
-  return it->second.generate(params);
+  return kernel(name).generate(params, nullptr);
 }
 
 WorkloadInfo workload_info(const std::string& name) {
-  const auto it = registry().find(name);
-  if (it == registry().end())
-    throw std::runtime_error("unknown workload: " + name);
+  const KernelDef& def = kernel(name);
   WorkloadInfo info;
   info.name = name;
-  info.description = it->second.description;
-  if (it->second.paper_branch_accuracy >= 0)
-    info.paper_branch_accuracy = it->second.paper_branch_accuracy;
+  info.description = def.description;
+  if (def.paper_branch_accuracy >= 0)
+    info.paper_branch_accuracy = def.paper_branch_accuracy;
   return info;
 }
 
@@ -109,11 +111,24 @@ Workload build_workload(const std::string& name,
                         const WorkloadParams& params) {
   Workload w;
   w.info = workload_info(name);
-  AsmResult r = assemble(workload_source(name, params));
+  kernels::DataBlocks blocks;
+  AsmResult r = assemble(kernel(name).generate(params, &blocks));
   if (!r.ok())
     throw std::runtime_error("workload '" + name +
                              "' failed to assemble:\n" + r.error_text());
   w.program = std::move(r.program);
+  // The source reserved each block at its label; fill it in place.
+  Program& prog = w.program;
+  for (const kernels::DataBlock& b : blocks) {
+    const std::size_t bytes = b.words.size() * sizeof(u32);
+    const std::size_t offset = prog.symbol(b.label) - prog.data_base;
+    if (!prog.has_symbol(b.label) || offset % sizeof(u32) != 0 ||
+        offset > prog.data.size() || bytes > prog.data.size() - offset)
+      throw std::runtime_error("workload '" + name + "': data block '" +
+                               b.label + "' is not reserved in its data");
+    // Little-endian host == little-endian target, as for `.word`.
+    std::memcpy(prog.data.data() + offset, b.words.data(), bytes);
+  }
   return w;
 }
 

@@ -39,12 +39,16 @@ struct Workload {
 // "fp_saxpy", the §6 FP/div corner-case kernel, which is not in the suite.
 const std::vector<std::string>& workload_names();
 
-// Generated assembly for the kernel (useful for tests and examples).
+// Generated assembly for the kernel, its data blocks rendered as `.word`
+// text (useful for tests and examples).
 std::string workload_source(const std::string& name,
                             const WorkloadParams& params = {});
 
-// Assembles the kernel; throws std::runtime_error on generator/assembler
-// bugs (they are internal errors, not user input).
+// Builds the kernel's image, equal to assemble(workload_source()): the
+// code is assembled with each data block reserved, and the blocks' words
+// are copied in without being formatted and parsed as text. Throws
+// std::runtime_error on generator/assembler bugs (they are internal
+// errors, not user input).
 Workload build_workload(const std::string& name,
                         const WorkloadParams& params = {});
 

@@ -857,6 +857,82 @@ TEST(CkptCache, MissMaterialisesThenHitsAndSurvivesCorruption) {
   std::filesystem::remove_all(dir);
 }
 
+// FNV-1a a byte at a time over the fields ImageHash covers, then the
+// fast-forward count: the reference for the chunked hash.
+std::string byte_loop_cache_key(const Program& p, u64 fast_forward) {
+  u64 h = 14695981039346656037ull;
+  const auto bytes = [&h](const void* data, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= static_cast<const unsigned char*>(data)[i];
+      h *= 1099511628211ull;
+    }
+  };
+  const auto word = [&bytes](u64 v) {
+    unsigned char b[8];
+    for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
+    bytes(b, 8);
+  };
+  word(p.text_base);
+  word(p.text.size());
+  bytes(p.text.data(), p.text.size() * sizeof(u32));
+  word(p.data_base);
+  word(p.data.size());
+  bytes(p.data.data(), p.data.size());
+  word(p.entry);
+  word(fast_forward);
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+// ImageHash takes an all-zero 8-byte chunk in one multiply by P^8. Every
+// key must still equal the byte loop's, whatever the zeros' sizes and
+// offsets.
+TEST(CkptCache, ZeroRunHashMatchesTheByteLoop) {
+  const auto expect_same = [](const Program& p, const std::string& what) {
+    for (const u64 ff : {u64{0}, u64{1'000'000}})
+      EXPECT_EQ(checkpoint_cache_key(p, ff), byte_loop_cache_key(p, ff))
+          << what << ", fast_forward " << ff;
+  };
+  Program p;
+  expect_same(p, "empty text and data");
+  p.text = {0x24020001, 0, 0, 0x0000000c};  // zero words inside the text
+  expect_same(p, "empty data");
+
+  for (std::size_t n = 1; n <= 17; ++n) {
+    p.data.assign(n, 0);
+    expect_same(p, "all-zero data of " + std::to_string(n) + " bytes");
+  }
+  for (const std::size_t n : {std::size_t{4096}, std::size_t{2} << 20}) {
+    p.data.assign(n, 0);
+    expect_same(p, "all-zero data of " + std::to_string(n) + " bytes");
+  }
+
+  // A zero run of every length up to 20 at every start offset in two
+  // chunks, inside 43 bytes of non-zero data: runs that straddle, fill and
+  // miss 8-byte boundaries, and a size that is no multiple of 8.
+  for (std::size_t start = 0; start < 16; ++start) {
+    for (std::size_t len = 1; len <= 20; ++len) {
+      p.data.assign(43, 0xa5);
+      std::fill_n(p.data.begin() + start, len, 0);
+      expect_same(p, "zeros at [" + std::to_string(start) + ", " +
+                         std::to_string(start + len) + ")");
+    }
+  }
+
+  p.data.resize(1003);
+  for (std::size_t i = 0; i < p.data.size(); ++i)
+    p.data[i] = static_cast<u8>(i % 255 + 1);
+  expect_same(p, "data with no zero byte");
+
+  p.data.assign(4099, 0);
+  p.data[8] = 1;
+  p.data[4098] = 0xff;
+  expect_same(p, "sparse data of 4099 bytes");
+
+  expect_same(build_workload("mcf").program, "mcf");
+}
+
 TEST(CkptCache, ConcurrentMaterialisationRaceIsSafe) {
   // Two threads race the same cold cache entry. Each writes to a private
   // tmp file and renames into place, so both must succeed, produce

@@ -5,7 +5,9 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "asm/assembler.hpp"
 #include "campaign/ckpt_cache.hpp"
 #include "trace/studies.hpp"
 #include "trace/trace.hpp"
@@ -110,6 +112,31 @@ TEST(Workloads, ProgramImagesArePinned) {
     const Workload w = build_workload(id.first, params);
     EXPECT_EQ(campaign::checkpoint_cache_key(w.program, 1'000'000), key)
         << id.first << " seed " << id.second;
+  }
+}
+
+// build_workload copies each data block into Program::data as words, while
+// workload_source renders the same blocks as `.word` text. Both must give
+// one image, for every registered kernel (fp_saxpy included) and seed.
+TEST(Workloads, BinaryDataMatchesTheAssembledSource) {
+  std::vector<std::string> names = workload_names();
+  names.push_back("fp_saxpy");
+  for (const std::string& name : names) {
+    for (const u64 seed : {u64{0x5eed}, u64{9}, u64{7}}) {
+      WorkloadParams params;
+      params.seed = seed;
+      const Program built = build_workload(name, params).program;
+      const AsmResult text = assemble(workload_source(name, params));
+      ASSERT_TRUE(text.ok()) << name << ": " << text.error_text();
+      const Program& want = text.program;
+      SCOPED_TRACE(name + " seed " + std::to_string(seed));
+      EXPECT_EQ(built.text_base, want.text_base);
+      EXPECT_EQ(built.text, want.text);
+      EXPECT_EQ(built.data_base, want.data_base);
+      EXPECT_EQ(built.data, want.data);
+      EXPECT_EQ(built.entry, want.entry);
+      EXPECT_EQ(built.symbols, want.symbols);
+    }
   }
 }
 
