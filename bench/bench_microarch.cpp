@@ -234,19 +234,24 @@ void BM_SimulatorThroughput(benchmark::State& state) {
                                       static_cast<unsigned>(state.range(0)),
                                       kAllTechniques);
   HostEvents ev;
+  unsigned reallocs = 0;
   for (auto _ : state) {
     Simulator sim(cfg, w.program);
     const SimResult r = sim.run(20'000);
     if (!r.ok()) state.SkipWithError(r.error.c_str());
     benchmark::DoNotOptimize(r.stats.cycles);
     ev = sim.host_events();
+    reallocs = sim.scratch_reallocations();
   }
   state.SetItemsProcessed(state.iterations() * 20'000);
-  // Deterministic cost ledger: every host-event count per commit. Each
+  // Deterministic cost ledger: every host-event count per commit, plus the
+  // hot-path scratch vectors that grew past their reservation. Each
   // iteration runs the same simulation, so these repeat bit for bit across
-  // runs and hosts; a moved count is an algorithmic change, never noise.
+  // runs and hosts; a moved count is an algorithmic change, never noise
+  // (bench_perf.sh --check compares them exactly).
   for (const HostEventDesc& d : kHostEventFields)
     state.counters[d.name] = static_cast<double>(ev.*d.field) / 20'000;
+  state.counters["scratch_reallocations"] = reallocs;
 }
 BENCHMARK(BM_SimulatorThroughput)->Arg(0)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
@@ -329,17 +334,20 @@ void BM_TechniqueStackThroughput(benchmark::State& state) {
   state.SetLabel(point.label);
   constexpr u64 kCommits = 10'000;
   HostEvents ev;
+  unsigned reallocs = 0;
   for (auto _ : state) {
     Simulator sim(point.config, w.program);
     const SimResult r = sim.run(kCommits);
     if (!r.ok()) state.SkipWithError(r.error.c_str());
     benchmark::DoNotOptimize(r.stats.cycles);
     ev = sim.host_events();
+    reallocs = sim.scratch_reallocations();
   }
   state.SetItemsProcessed(state.iterations() * kCommits);
-  // The same per-commit cost ledger as BM_SimulatorThroughput.
+  // The same cost ledger as BM_SimulatorThroughput.
   for (const HostEventDesc& d : kHostEventFields)
     state.counters[d.name] = static_cast<double>(ev.*d.field) / kCommits;
+  state.counters["scratch_reallocations"] = reallocs;
 }
 BENCHMARK(BM_TechniqueStackThroughput)
     ->DenseRange(0, 5)

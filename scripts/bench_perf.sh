@@ -10,17 +10,21 @@
 #   scripts/bench_perf.sh --paired OLD_BIN NEW_BIN [output-json]
 #
 # --check is the regression gate: instead of recording a new baseline it
-# re-measures the BM_SimulatorThroughput configs, the scheduler
-# microbenches (BM_WakeupSelect / BM_DispatchOnly / BM_CommitOnly, and
-# BM_SelectSort: the candidate ordering, an insertion sort at 8 keys and
-# std::sort at 64 and 256) and the set-up benches (BM_SimulatorConstruct:
-# mcf from a checkpoint on x2; BM_BuildWorkload: gcc; BM_ImageHash: mcf's
+# re-measures the BM_SimulatorThroughput configs and the
+# BM_TechniqueStackThroughput stacks, the scheduler microbenches
+# (BM_WakeupSelect / BM_DispatchOnly / BM_CommitOnly, and BM_SelectSort:
+# the candidate ordering, an insertion sort at 8 keys and std::sort at 64
+# and 256) and the set-up benches (BM_SimulatorConstruct: mcf from a
+# checkpoint on x2; BM_BuildWorkload: gcc; BM_ImageHash: mcf's
 # checkpoint-cache key) and compares them against the committed baseline
-# JSON, exiting non-zero if any tracked benchmark lost more than 15% of its
-# items_per_second. The same library_build_type gate applies (Release
-# builds only unless --allow-debug-library): a debug-library measurement
-# would fail the threshold for reasons that have nothing to do with the
-# code under test.
+# JSON. It fails if any tracked benchmark lost more than 15% of its
+# items_per_second, or if any count of the deterministic cost ledger moved
+# at all: every per-commit host-event count (kHostEventFields) and
+# scratch_reallocations of the two throughput families, which repeat bit
+# for bit on an unchanged simulator. Each moved count is named. The same
+# library_build_type gate applies (Release builds only unless
+# --allow-debug-library): a debug-library measurement would fail the
+# threshold for reasons that have nothing to do with the code under test.
 #
 # --paired is the honest A/B protocol for before/after claims: it takes
 # two already-built bench_microarch binaries (old first) and interleaves
@@ -156,7 +160,7 @@ trap 'rm -f "$TMP"' EXIT
 FILTER='SimulatorThroughput|TechniqueStackThroughput|EmulatorStep|EmulatorFastRun|WakeupSelect|DispatchOnly|SelectSort|CommitOnly|SimulatorConstruct|BuildWorkload|ImageHash'
 if [ "$CHECK" -eq 1 ]; then
   # The gate re-measures only the benchmarks it compares.
-  FILTER='SimulatorThroughput/|WakeupSelect|DispatchOnly|SelectSort|CommitOnly|SimulatorConstruct|BuildWorkload|ImageHash'
+  FILTER='SimulatorThroughput/|TechniqueStackThroughput/|WakeupSelect|DispatchOnly|SelectSort|CommitOnly|SimulatorConstruct|BuildWorkload|ImageHash'
 fi
 
 "$BUILD/bench/bench_microarch" \
@@ -200,11 +204,38 @@ for name in tracked:
         failed = True
     print(f"{tag:>10}  {name}: {fresh[name]/1e6:.3f}M/s "
           f"vs baseline {base[name]/1e6:.3f}M/s ({ratio:.2f}x)")
+# The exact half: every user counter of a ledger benchmark is a count, so
+# anything but the Google Benchmark run fields must match bit for bit.
+RUN_FIELDS = {"name", "family_index", "per_family_instance_index",
+              "run_name", "run_type", "repetitions", "repetition_index",
+              "threads", "iterations", "real_time", "cpu_time", "time_unit",
+              "items_per_second", "label", "error_occurred", "error_message"}
+bench = lambda doc: {b["name"]: b for b in doc["benchmarks"]}
+fresh_b, base_b = bench(fresh_doc), bench(base_doc)
+moved = 0
+for name in sorted(fresh_b):
+    if not name.startswith(("BM_SimulatorThroughput/",
+                            "BM_TechniqueStackThroughput/")):
+        continue
+    if name not in base_b:
+        sys.exit(f"error: {name} has no baseline entry to compare counts to")
+    for key in sorted(set(fresh_b[name]) - RUN_FIELDS):
+        if key not in base_b[name]:
+            sys.exit(f"error: {name} count {key} is not recorded in the "
+                     "baseline (re-record it with scripts/bench_perf.sh)")
+        new, old = fresh_b[name][key], base_b[name][key]
+        if new != old:
+            moved += 1
+            print(f"     MOVED  {name} {key}: {old!r} -> {new!r}")
+if moved:
+    failed = True
+    print(f"error: {moved} cost-ledger count(s) moved")
+else:
+    print("        ok  cost ledger: every count matches the baseline")
 if failed:
-    sys.exit("error: >15% throughput regression against the committed "
-             "baseline")
+    sys.exit("error: the check failed against the committed baseline")
 EOF
-  echo "throughput check passed (within 15% of $OUT)"
+  echo "check passed (throughput within 15% of $OUT, cost ledger exact)"
   exit 0
 fi
 

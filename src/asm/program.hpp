@@ -28,9 +28,6 @@ struct Program {
   u32 text_end() const {
     return text_base + static_cast<u32>(text.size()) * 4;
   }
-  u32 data_end() const {
-    return data_base + static_cast<u32>(data.size());
-  }
   // Address of a symbol; asserts it exists (tests use the throwing lookup).
   u32 symbol(const std::string& name) const {
     const auto it = symbols.find(name);

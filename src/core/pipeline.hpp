@@ -7,8 +7,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
-#include <vector>
 
 #include "core/sliced_value.hpp"
 #include "emu/emulator.hpp"
@@ -30,21 +28,6 @@ struct ProducerRef {
   u64 seq = 0;
 
   bool from_regfile() const { return index < 0; }
-};
-
-// One schedulable micro-operation: a bit-slice of an instruction's execution
-// (or the whole instruction for full-collect classes / unsliced machines).
-// The simulator keeps these as struct-of-arrays slabs indexed by RUU slot
-// (select and done cycles in separate dense arrays) rather than embedded in
-// RuuEntry; this struct remains the conceptual unit and is still used by
-// standalone scheduling helpers/tests.
-struct SliceOp {
-  Cycle select_cycle = kNever;  // cycle the scheduler picked it
-  Cycle done_cycle = kNever;    // cycle its result slice(s) broadcast
-
-  bool selected() const { return select_cycle != kNever; }
-  bool done_by(Cycle now) const { return done_cycle <= now; }
-  void reset() { select_cycle = done_cycle = kNever; }
 };
 
 // Result-time class of an entry, fixed at dispatch: which completion time(s)
@@ -147,20 +130,13 @@ struct RuuEntry {
   bool forwarded = false;             // data came from an older store
   int forward_store = -1;             // RUU index of that store
   u64 forward_store_seq = 0;
-  bool used_partial_lsq = false;      // issued before full address compare
   bool used_partial_tag = false;      // accessed cache with partial tag
   bool early_miss = false;            // partial tag proved a miss early
-  int predicted_way = -1;             // way-predictor choice; -2 marks a
-                                      // plain hit-speculated miss, -3 a
-                                      // speculative partial-match forward
+  int predicted_way = -1;             // way-predictor choice (-1: none)
   Cycle true_data_cycle = kNever;     // actual data time on a known miss
   u32 spec_forward_value = 0;         // value forwarded speculatively
-  bool narrow_result = false;         // result is a sign-extension of its
-                                      // low slice (NarrowWidth extension)
 
   // --- control state (branches/jumps) ---
-  bool predicted_taken = false;
-  u32 predicted_target = 0;
   u32 history_checkpoint = 0;  // gshare history at prediction time
   bool mispredicted = false;     // prediction disagrees with the oracle
   bool resolved = false;
@@ -180,19 +156,16 @@ struct RuuEntry {
   ProducerRef prev_hi;
   ProducerRef prev_lo;
 
-  bool is_load() const { return !bogus ? oracle.is_load : inst.is_load(); }
-  bool is_store() const { return !bogus ? oracle.is_store : inst.is_store(); }
-
   // Dispatch-time reset: clears exactly the fields a recycled slot could
   // otherwise leak into the new incarnation. Everything not listed is
   // either written unconditionally by dispatch before any read (valid,
   // bogus, seq, pc, si, inst, flags/num_ops/op_latency/order/res_kind,
-  // ready_floor, dispatch_cycle, sources[0..1], prediction state from the
-  // fetch slot, lsq_slot for memory ops) or only ever read behind a guard that dispatch re-arms
-  // (prev_* behind dest/hi-lo renames, forward_store_seq and
-  // spec_forward_value behind `forwarded`/way markers, narrow_result
-  // behind the narrow-candidate branch). Clearing the whole entry instead
-  // is correct but rewrites ~3 cache lines of cold state per dispatch.
+  // ready_floor, dispatch_cycle, sources[0..1], history_checkpoint,
+  // lsq_slot for memory ops) or only ever read behind a guard that dispatch
+  // re-arms (prev_* behind dest/hi-lo renames, forward_store_seq and
+  // spec_forward_value behind `forwarded`/the load's LoadSpec). Clearing
+  // the whole entry instead is correct but rewrites ~3 cache lines of cold
+  // state per dispatch.
   void reset_for_dispatch() {
     data_cycle = kNever;
     sources[2] = ProducerRef{};
@@ -202,7 +175,6 @@ struct RuuEntry {
     data_final = false;
     forwarded = false;
     forward_store = -1;
-    used_partial_lsq = false;
     used_partial_tag = false;
     early_miss = false;
     predicted_way = -1;
@@ -329,14 +301,10 @@ struct SimStats {
   // Defined in core/stats_merge.cpp.
   void merge(const SimStats& other);
 
-  // Simulated commits (cycles) retired per host-second: the simulator-
-  // throughput figures the campaign engine reports.
+  // Simulated commits retired per host-second: the simulator-throughput
+  // figure the campaign engine reports.
   double commits_per_host_second() const {
     return host_seconds > 0 ? static_cast<double>(committed) / host_seconds
-                            : 0.0;
-  }
-  double cycles_per_host_second() const {
-    return host_seconds > 0 ? static_cast<double>(cycles) / host_seconds
                             : 0.0;
   }
 };
@@ -350,18 +318,6 @@ struct DetailedStats {
   Histogram load_to_use{200};          // load data time - dispatch cycle
   Histogram branch_resolve_delay{100}; // resolve cycle - dispatch cycle
   Histogram commit_width{4};           // commits per cycle
-  Histogram idle_skip_length{256};     // cycles jumped per idle-skip event
-
-  // Folds another run's distributions into this one (per-histogram sample
-  // union); used when stitching per-interval detail stats.
-  void merge(const DetailedStats& other) {
-    ruu_occupancy.merge(other.ruu_occupancy);
-    lsq_occupancy.merge(other.lsq_occupancy);
-    load_to_use.merge(other.load_to_use);
-    branch_resolve_delay.merge(other.branch_resolve_delay);
-    commit_width.merge(other.commit_width);
-    idle_skip_length.merge(other.idle_skip_length);
-  }
 };
 
 }  // namespace bsp

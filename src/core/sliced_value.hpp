@@ -1,10 +1,9 @@
 // Slice-level dependence rules of the bit-sliced datapath (paper Figure 8).
 //
-// Each RUU entry's result is produced slice by slice; SliceTimes records the
-// cycle each slice became available. The rules below say, for every ExecClass,
-// in which order an instruction's slice-ops execute and which *source* slices
-// a given slice-op consumes. They are pure functions so the scheduler, the
-// tests and the documentation all share one definition.
+// Each RUU entry's result is produced slice by slice. The rules below say,
+// for every ExecClass, in which order an instruction's slice-ops execute and
+// which *source* slices a given slice-op consumes. They are pure functions so
+// the scheduler, the tests and the documentation all share one definition.
 #pragma once
 
 #include <array>
@@ -18,36 +17,6 @@ namespace bsp {
 
 using Cycle = u64;
 inline constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
-
-// Per-slice completion times of a value (or of an instruction's slice-ops).
-struct SliceTimes {
-  std::array<Cycle, kMaxSlices> done;
-
-  SliceTimes() { done.fill(kNever); }
-
-  // All slices complete at a single cycle (atomic result).
-  static SliceTimes all_at(Cycle c, unsigned count) {
-    SliceTimes t;
-    for (unsigned s = 0; s < count; ++s) t.done[s] = c;
-    return t;
-  }
-  static SliceTimes ready(unsigned count) { return all_at(0, count); }
-
-  Cycle last(unsigned count) const {
-    Cycle m = 0;
-    for (unsigned s = 0; s < count; ++s) m = std::max(m, done[s]);
-    return m;
-  }
-  bool complete(unsigned count) const { return last(count) != kNever; }
-
-  // Number of contiguous completed low slices by cycle `now` (how many low
-  // bits of an address are known).
-  unsigned contiguous_low_done(unsigned count, Cycle now) const {
-    unsigned n = 0;
-    while (n < count && done[n] != kNever && done[n] <= now) ++n;
-    return n;
-  }
-};
 
 // How an instruction's slice-ops are ordered.
 enum class SliceOrder : u8 {

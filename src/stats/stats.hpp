@@ -45,21 +45,6 @@ class Histogram {
     prefix_valid_ = false;
   }
 
-  // Combines another histogram's samples into this one (per-bucket count
-  // sums). Both histograms must have the same bucket count — merging
-  // differently-shaped distributions is a logic error, asserted. Used by the
-  // sampled-simulation stitcher to fold per-interval distributions into an
-  // aggregate; merging is exactly equivalent to having add()ed every sample
-  // into one histogram.
-  void merge(const Histogram& other) {
-    assert(counts_.size() == other.counts_.size());
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-      counts_[i] += other.counts_[i];
-    total_ += other.total_;
-    sum_ += other.sum_;
-    prefix_valid_ = false;
-  }
-
   u64 count(std::size_t bucket) const { return counts_[bucket]; }
   u64 overflow() const { return counts_.back(); }
   u64 total() const { return total_; }

@@ -126,8 +126,6 @@ class EarlyBranchStudy {
   }
   // Fraction of mispredictions detectable once operand bits [0, k] exist.
   double detected_by_bit(unsigned k) const;
-  // Raw histogram: mispredictions first detectable exactly at bit k.
-  u64 detect_at(unsigned k) const { return detect_at_bit_[k]; }
 
   // §5.3 statistics: beq/bne share of dynamic branches and of mispredictions.
   u64 eq_branches() const { return eq_branches_; }

@@ -61,8 +61,6 @@ class Rng {
     return below(den) < num;
   }
 
-  double uniform01() { return next() * (1.0 / 4294967296.0); }
-
  private:
   static constexpr u32 rotl(u32 x, int k) {
     return (x << k) | (x >> (32 - k));

@@ -9,6 +9,7 @@
 
 #include "lsq/disambig.hpp"
 #include "mem/cache.hpp"
+#include "reference_disambig.hpp"
 #include "util/rng.hpp"
 
 namespace bsp {
@@ -128,7 +129,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 // With complete knowledge, disambiguate_load must agree with a trivial
-// youngest-conflict scan.
+// youngest-conflict scan (reference_disambig.hpp).
 TEST(DisambigDifferential, FullKnowledgeMatchesBruteForce) {
   Rng rng(0xD15A);
   for (int trial = 0; trial < 20000; ++trial) {
@@ -150,25 +151,12 @@ TEST(DisambigDifferential, FullKnowledgeMatchesBruteForce) {
     LoadQuery load{32, base + (rng.next() & 0x3c), 1u << rng.below(3)};
     load.addr &= ~(load.bytes - 1);
 
-    // Brute force: youngest overlapping store decides.
-    const StoreView* conflict = nullptr;
-    for (const auto& s : stores)
-      if (ranges_overlap(load.addr, load.bytes, s.addr, s.bytes))
-        conflict = &s;
-
+    const DisambigResult want = reference_disambig(load, stores);
     const DisambigResult r = disambiguate_load(load, stores, true);
-    if (!conflict) {
-      EXPECT_EQ(r.decision, LoadDecision::Issue);
-    } else if (conflict->data_ready &&
-               forward_bytes(load.addr, load.bytes, conflict->addr,
-                             conflict->bytes, conflict->data)) {
-      EXPECT_EQ(r.decision, LoadDecision::Forward);
-      EXPECT_EQ(r.store_id, conflict->id);
-      EXPECT_EQ(r.forwarded,
-                *forward_bytes(load.addr, load.bytes, conflict->addr,
-                               conflict->bytes, conflict->data));
-    } else {
-      EXPECT_EQ(r.decision, LoadDecision::WaitStore);
+    EXPECT_EQ(r.decision, want.decision);
+    if (want.decision == LoadDecision::Forward) {
+      EXPECT_EQ(r.store_id, want.store_id);
+      EXPECT_EQ(r.forwarded, want.forwarded);
     }
   }
 }

@@ -108,20 +108,6 @@ TEST(Merge, SimStatsSumsEveryRegisteredCounter) {
   EXPECT_DOUBLE_EQ(a.host_seconds, 3.75);
 }
 
-TEST(Merge, HistogramMergeEqualsAddingEverySample) {
-  Histogram direct(8), left(8), right(8);
-  const u64 samples_a[] = {0, 1, 1, 7, 20};  // 20 overflows
-  const u64 samples_b[] = {2, 7, 7, 100};
-  for (const u64 v : samples_a) { direct.add(v); left.add(v); }
-  for (const u64 v : samples_b) { direct.add(v); right.add(v); }
-  left.merge(right);
-  ASSERT_EQ(left.total(), direct.total());
-  for (std::size_t i = 0; i <= left.buckets(); ++i)
-    EXPECT_EQ(left.count(i), direct.count(i)) << "bucket " << i;
-  EXPECT_DOUBLE_EQ(left.mean(), direct.mean());
-  EXPECT_DOUBLE_EQ(left.cumulative(7), direct.cumulative(7));
-}
-
 TEST(Merge, RunningMeanMergeHandlesEmptySides) {
   RunningMean a, b, empty;
   a.add(1.0);

@@ -95,20 +95,6 @@ TEST(SliceDeps, VariableShiftsReadAmountSlice0) {
   EXPECT_FALSE(reads_amount_slice0(Op::ADD));
 }
 
-TEST(SliceTimes, ContiguousLowDone) {
-  SliceTimes t;
-  EXPECT_EQ(t.contiguous_low_done(4, 100), 0u);
-  t.done[0] = 5;
-  t.done[1] = 7;
-  t.done[3] = 6;  // slice 2 missing: counting stops there
-  EXPECT_EQ(t.contiguous_low_done(4, 100), 2u);
-  EXPECT_EQ(t.contiguous_low_done(4, 6), 1u);  // slice 1 not done by cycle 6
-  t.done[2] = 9;
-  EXPECT_EQ(t.contiguous_low_done(4, 100), 4u);
-  EXPECT_TRUE(t.complete(4));
-  EXPECT_EQ(t.last(4), 9u);
-}
-
 // --- configuration presets ----------------------------------------------------------
 
 TEST(Config, BaseMachineIsTable2) {
