@@ -3,6 +3,9 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
+
+#include "asm/assembler.hpp"
 
 namespace bsp {
 
@@ -111,6 +114,28 @@ std::optional<Program> load_object_file(const std::string& path,
     return std::nullopt;
   }
   return load_object(is, error);
+}
+
+std::optional<Program> load_program_file(const std::string& path,
+                                         std::string* error) {
+  if (path.size() > 5 && path.compare(path.size() - 5, 5, ".bspo") == 0)
+    return load_object_file(path, error);
+  std::ifstream in(path);
+  if (!in) {
+    if (error) *error = "cannot open " + path;
+    return std::nullopt;
+  }
+  std::stringstream ss;
+  ss << in.rdbuf();
+  AsmResult r = assemble(ss.str());
+  if (!r.ok()) {
+    if (error) {
+      *error = path + ":\n" + r.error_text();
+      error->pop_back();  // error_text() ends every line with '\n'
+    }
+    return std::nullopt;
+  }
+  return std::move(r.program);
 }
 
 }  // namespace bsp

@@ -29,4 +29,11 @@ bool save_object_file(const Program& program, const std::string& path);
 std::optional<Program> load_object_file(const std::string& path,
                                         std::string* error = nullptr);
 
+// The tools' one program loader: a BSPO image when `path` ends in ".bspo",
+// otherwise assembly source. Returns nullopt (and fills *error, if given)
+// when the file cannot be read, the image is malformed or the source does
+// not assemble ("PATH:" then one line per assembler error).
+std::optional<Program> load_program_file(const std::string& path,
+                                         std::string* error = nullptr);
+
 }  // namespace bsp

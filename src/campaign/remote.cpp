@@ -57,25 +57,6 @@ std::optional<u64> json_uint(const obs::JsonValue& obj, const char* key,
   return v ? v->as_uint(max) : std::nullopt;
 }
 
-// One distinct (workload, seed, fast_forward > 0) representative per group,
-// mirroring prewarm_checkpoint_cache()'s grouping — these ride to every
-// worker as PREWARM frames so each *host* pays each fast-forward once,
-// before its first task, instead of on the critical path.
-std::vector<TaskSpec> prewarm_representatives(
-    const std::vector<TaskSpec>& tasks, const std::deque<std::size_t>& todo) {
-  std::vector<TaskSpec> reps;
-  for (const std::size_t i : todo) {
-    const TaskSpec& t = tasks[i];
-    if (t.fast_forward == 0) continue;
-    const auto same = [&](const TaskSpec& r) {
-      return r.workload == t.workload && r.seed == t.seed &&
-             r.fast_forward == t.fast_forward;
-    };
-    if (std::none_of(reps.begin(), reps.end(), same)) reps.push_back(t);
-  }
-  return reps;
-}
-
 }  // namespace
 
 std::string encode_remote_spec(const RemoteSpec& spec) {
@@ -232,7 +213,11 @@ CampaignReport serve_campaign(const SweepSpec& spec,
                                    .c_str()
                              : "");
 
-  const std::vector<TaskSpec> reps = prewarm_representatives(tasks, queue);
+  // Each pending checkpoint group rides to every worker as a PREWARM frame,
+  // so each host pays each fast-forward once, before its first task.
+  std::vector<TaskSpec> pending;
+  for (const std::size_t i : queue) pending.push_back(tasks[i]);
+  const std::vector<TaskSpec> reps = checkpoint_groups(pending);
   RemoteSpec wire_spec = remote.spec;
   wire_spec.heartbeat_sec = remote.heartbeat_sec;  // fleet-wide PING period
   const std::string spec_frame = "SPEC " + encode_remote_spec(wire_spec);

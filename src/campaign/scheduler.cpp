@@ -167,28 +167,25 @@ TaskOutcome run_one_task_process(const TaskSpec& task,
 
 }  // namespace
 
+std::vector<TaskSpec> checkpoint_groups(const std::vector<TaskSpec>& tasks) {
+  std::vector<TaskSpec> reps;
+  for (const TaskSpec& t : tasks) {
+    if (t.fast_forward == 0) continue;
+    const auto same = [&](const TaskSpec& r) {
+      return r.workload == t.workload && r.seed == t.seed &&
+             r.fast_forward == t.fast_forward;
+    };
+    if (std::none_of(reps.begin(), reps.end(), same)) reps.push_back(t);
+  }
+  return reps;
+}
+
 PrewarmStats prewarm_checkpoint_cache(const std::vector<TaskSpec>& tasks,
                                       const SchedulerOptions& options) {
   PrewarmStats stats;
   if (options.ckpt_cache_dir.empty()) return stats;
 
-  // One representative task per distinct (workload, seed, fast_forward):
-  // all tasks of a group start timing from the same architectural state.
-  struct Group {
-    std::string workload;
-    u64 seed = 0;
-    u64 fast_forward = 0;
-  };
-  std::vector<Group> groups;
-  for (const TaskSpec& t : tasks) {
-    if (t.fast_forward == 0) continue;
-    const auto same = [&](const Group& g) {
-      return g.workload == t.workload && g.seed == t.seed &&
-             g.fast_forward == t.fast_forward;
-    };
-    if (std::none_of(groups.begin(), groups.end(), same))
-      groups.push_back({t.workload, t.seed, t.fast_forward});
-  }
+  const std::vector<TaskSpec> groups = checkpoint_groups(tasks);
   stats.groups = groups.size();
   if (groups.empty()) return stats;
 
@@ -196,7 +193,7 @@ PrewarmStats prewarm_checkpoint_cache(const std::vector<TaskSpec>& tasks,
   parallel_for(
       groups.size(),
       [&](std::size_t i) {
-        const Group& g = groups[i];
+        const TaskSpec& g = groups[i];
         CkptFetch fetch;
         try {
           WorkloadParams params;

@@ -68,11 +68,16 @@ struct SchedulerOptions {
   std::string ckpt_cache_dir;
 };
 
-// Checkpoint-cache pre-pass: groups `tasks` by (workload, seed,
-// fast_forward), drops the fast_forward == 0 groups, and materialises each
-// remaining group's BSPC checkpoint into options.ckpt_cache_dir exactly
-// once (ckpt_cache.hpp does the content keying and the atomic publish).
-// Runs groups on options.jobs threads. After this pass every worker —
+// One representative task per distinct (workload, seed, fast_forward > 0),
+// in first-seen order: every task of a group starts timing from the same
+// checkpoint. The local pre-pass below materialises one per group; a remote
+// coordinator sends each to every worker as a PREWARM frame.
+std::vector<TaskSpec> checkpoint_groups(const std::vector<TaskSpec>& tasks);
+
+// Checkpoint-cache pre-pass: materialises the BSPC checkpoint of each
+// checkpoint_groups() group into options.ckpt_cache_dir exactly once
+// (ckpt_cache.hpp does the content keying and the atomic publish). Runs
+// groups on options.jobs threads. After this pass every worker —
 // thread or subprocess, this sweep or a concurrent one over the same
 // directory — restores in milliseconds instead of re-emulating. No-op
 // (all-zero stats) when ckpt_cache_dir is empty.

@@ -1,9 +1,11 @@
 #include "campaign/store.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,76 +17,7 @@ namespace {
 
 using obs::fixed6;
 using obs::json_escape;
-
-// The record's stats block covers every SimStats counter, in the
-// observability layer's registry order (obs/interval.hpp) — the same single
-// source of truth the interval sampler and trace validation use, so the
-// store, the sampler and the schema can never drift apart.
-
-// Reads the four hex digits of a \uXXXX escape at s[i..i+3]; nullopt when
-// the line is torn mid-escape or the digits are garbage.
-std::optional<char32_t> hex4_at(const std::string& s, std::size_t i) {
-  if (i + 4 > s.size()) return std::nullopt;
-  char32_t cp = 0;
-  for (int k = 0; k < 4; ++k) {
-    const char c = s[i + static_cast<std::size_t>(k)];
-    cp <<= 4;
-    if (c >= '0' && c <= '9')
-      cp |= static_cast<char32_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      cp |= static_cast<char32_t>(c - 'a' + 10);
-    else if (c >= 'A' && c <= 'F')
-      cp |= static_cast<char32_t>(c - 'A' + 10);
-    else
-      return std::nullopt;
-  }
-  return cp;
-}
-
-std::string unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out += s[i];
-      continue;
-    }
-    switch (s[++i]) {
-      case 'n': out += '\n'; break;
-      case 't': out += '\t'; break;
-      case 'r': out += '\r'; break;
-      case 'u': {
-        // Full \uXXXX decode, surrogate pairs included (obs::append_utf8
-        // is the shared encoder). Malformed escapes pass through verbatim —
-        // a field extractor must not throw on a torn line — and an unpaired
-        // surrogate decodes to U+FFFD, never to invalid UTF-8.
-        auto cp = hex4_at(s, i + 1);
-        if (!cp) {
-          out += "\\u";
-          break;
-        }
-        i += 4;
-        if (*cp >= 0xD800 && *cp <= 0xDBFF) {
-          std::optional<char32_t> lo;
-          if (i + 2 < s.size() && s[i + 1] == '\\' && s[i + 2] == 'u')
-            lo = hex4_at(s, i + 3);
-          if (lo && *lo >= 0xDC00 && *lo <= 0xDFFF) {
-            *cp = 0x10000 + ((*cp - 0xD800) << 10) + (*lo - 0xDC00);
-            i += 6;
-          } else {
-            *cp = 0xFFFD;  // high surrogate without its low half
-          }
-        } else if (*cp >= 0xDC00 && *cp <= 0xDFFF) {
-          *cp = 0xFFFD;  // stray low surrogate
-        }
-        obs::append_utf8(*cp, out);
-        break;
-      }
-      default: out += s[i];
-    }
-  }
-  return out;
-}
+using obs::JsonValue;
 
 std::string fmt_ms(double ms) {
   char buf[64];
@@ -92,24 +25,98 @@ std::string fmt_ms(double ms) {
   return buf;
 }
 
-// Parses "[[1,2],[3,4]]" (jsonl_array_field output) back into rows.
-std::vector<std::vector<u64>> parse_series(const std::string& raw) {
-  std::vector<std::vector<u64>> rows;
-  std::vector<u64> row;
-  int depth = 0;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    const char c = raw[i];
-    if (c == '[') {
-      if (++depth == 2) row.clear();
-    } else if (c == ']') {
-      if (depth-- == 2) rows.push_back(std::move(row));
-    } else if (c >= '0' && c <= '9') {
-      char* end = nullptr;
-      row.push_back(std::strtoull(raw.c_str() + i, &end, 10));
-      i = static_cast<std::size_t>(end - raw.c_str()) - 1;
+// Largest integer a record number is read as. A double holds every integer
+// up to 2^53 exactly, but the text 2^53 + 1 already reads back as 2^53.
+constexpr u64 kMaxExact = (u64{1} << 53) - 1;
+
+// Reads typed members of one JSON object. A member that is present with the
+// wrong type or out of range, or a required member that is absent, clears
+// `ok`: the line is garbage, never a record with a field quietly lost.
+struct FieldReader {
+  const JsonValue& obj;
+  bool& ok;
+
+  const JsonValue* get(const char* key, bool required) {
+    const JsonValue* v = obj.get(key);
+    if (!v && required) ok = false;
+    return v;
+  }
+  void str(const char* key, std::string& out, bool required = false) {
+    if (const JsonValue* v = get(key, required)) {
+      if (v->is_string())
+        out = v->str;
+      else
+        ok = false;
     }
   }
-  return rows;
+  void real(const char* key, double& out) {
+    if (const JsonValue* v = get(key, false)) {
+      if (v->is_number())
+        out = v->number;
+      else
+        ok = false;
+    }
+  }
+  template <typename T>
+  void uint(const char* key, T& out, bool required = false) {
+    if (const JsonValue* v = get(key, required)) {
+      const auto n = v->as_uint(
+          std::min<u64>(kMaxExact, std::numeric_limits<T>::max()));
+      if (n)
+        out = static_cast<T>(*n);
+      else
+        ok = false;
+    }
+  }
+  // A required "0x<hex>" string (seed, techniques), the way to_jsonl writes
+  // the values a double could not hold.
+  template <typename T>
+  void hex(const char* key, T& out) {
+    const JsonValue* v = get(key, true);
+    if (!v || !v->is_string() || v->str.rfind("0x", 0) != 0) {
+      ok = false;
+      return;
+    }
+    u64 n = 0;
+    const char* last = v->str.data() + v->str.size();
+    const auto [end, ec] = std::from_chars(v->str.data() + 2, last, n, 16);
+    if (ec != std::errc() || end != last || n > std::numeric_limits<T>::max())
+      ok = false;
+    else
+      out = static_cast<T>(n);
+  }
+  // An object member; nullptr when absent or (clearing `ok`) not an object.
+  const JsonValue* object(const char* key) {
+    const JsonValue* v = get(key, false);
+    if (v && !v->is_object()) {
+      ok = false;
+      return nullptr;
+    }
+    return v;
+  }
+  // Rows of integers ("series", "samples").
+  void rows(const char* key, std::vector<std::vector<u64>>& out) {
+    const JsonValue* v = get(key, false);
+    if (!v) return;
+    ok = ok && v->is_array();
+    for (std::size_t r = 0; ok && r < v->array.size(); ++r) {
+      const JsonValue& row = v->array[r];
+      ok = row.is_array();
+      out.emplace_back();
+      for (std::size_t i = 0; ok && i < row.array.size(); ++i) {
+        const auto n = row.array[i].as_uint(kMaxExact);
+        ok = n.has_value();
+        if (ok) out.back().push_back(*n);
+      }
+    }
+  }
+};
+
+std::optional<MachineKind> machine_kind_named(const std::string& name) {
+  for (const MachineKind k :
+       {MachineKind::Base, MachineKind::Simple, MachineKind::Sliced})
+    if (name == machine_kind_name(k)) return k;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -133,9 +140,7 @@ std::string to_jsonl(const TaskRecord& rec) {
      << ",\"warmup\":" << t.warmup;
   // Written only when nonzero so pre-fast-forward stores stay byte-stable.
   if (t.fast_forward != 0) os << ",\"fast_forward\":" << t.fast_forward;
-  // Written only when set so pre-cosim stores stay byte-stable. Key is
-  // "cosim_mode", not "cosim": host_phases below already owns a "cosim"
-  // key and the line-oriented parser matches needles anywhere in the line.
+  // Written only when set so pre-cosim stores stay byte-stable.
   if (!t.cosim.empty())
     os << ",\"cosim_mode\":\"" << json_escape(t.cosim) << "\"";
   os << ",\"status\":\"" << json_escape(rec.status) << "\""
@@ -153,19 +158,19 @@ std::string to_jsonl(const TaskRecord& rec) {
   }
   if (rec.stats.host_profile.enabled) {
     const obs::HostProfile& hp = rec.stats.host_profile;
-    os << ",\"host_phases\":{\"commit\":" << fixed6(hp.commit)
-       << ",\"resolve\":" << fixed6(hp.resolve)
-       << ",\"select\":" << fixed6(hp.select)
-       << ",\"memory\":" << fixed6(hp.memory)
-       << ",\"dispatch\":" << fixed6(hp.dispatch)
-       << ",\"fetch\":" << fixed6(hp.fetch)
-       << ",\"cosim\":" << fixed6(hp.cosim)
-       << ",\"replay\":" << fixed6(hp.replay)
-       << ",\"ffwd\":" << fixed6(hp.ffwd)
-       << ",\"loop_cycles\":" << hp.loop_cycles << "}";
+    const char* sep = ",\"host_phases\":{\"";
+    for (const obs::HostPhaseDesc& p : obs::kHostPhaseFields) {
+      os << sep << p.name << "\":" << fixed6(hp.*p.field);
+      sep = ",\"";
+    }
+    os << ",\"loop_cycles\":" << hp.loop_cycles << "}";
   }
   if (!rec.error.empty())
     os << ",\"error\":\"" << json_escape(rec.error) << "\"";
+  // The stats block covers every SimStats counter, in the observability
+  // layer's registry order (obs/interval.hpp) — the same single source of
+  // truth the interval sampler and trace validation use, so the store, the
+  // sampler and the schema can never drift apart.
   if (rec.status == "ok") {
     os << ",\"stats\":{";
     bool first = true;
@@ -236,164 +241,68 @@ std::vector<TaskRecord> load_records(const std::string& path) {
   return records;
 }
 
-std::optional<std::string> jsonl_field(const std::string& line,
-                                       const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  std::size_t i = at + needle.size();
-  if (i >= line.size()) return std::nullopt;
-  if (line[i] == '"') {  // string value: scan to the unescaped close quote
-    std::string raw;
-    for (++i; i < line.size(); ++i) {
-      if (line[i] == '\\' && i + 1 < line.size()) {
-        raw += line[i];
-        raw += line[++i];
-      } else if (line[i] == '"') {
-        return unescape(raw);
-      } else {
-        raw += line[i];
-      }
-    }
-    return std::nullopt;  // unterminated string: torn line
-  }
-  std::size_t end = i;  // number: raw token up to , } or end
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  if (end == i) return std::nullopt;
-  return line.substr(i, end - i);
-}
-
-std::optional<std::string> jsonl_array_field(const std::string& line,
-                                             const std::string& key) {
-  const std::string needle = "\"" + key + "\":[";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t open = at + needle.size() - 1;  // the '['
-  int depth = 0;
-  for (std::size_t i = open; i < line.size(); ++i) {
-    if (line[i] == '[') {
-      ++depth;
-    } else if (line[i] == ']') {
-      if (--depth == 0) return line.substr(open, i - open + 1);
-    }
-  }
-  return std::nullopt;  // unbalanced: torn line
-}
-
 std::optional<TaskRecord> parse_jsonl(const std::string& line) {
-  if (line.empty() || line.front() != '{' || line.back() != '}')
-    return std::nullopt;
+  const auto doc = obs::parse_json(line);
+  if (!doc || !doc->is_object()) return std::nullopt;
+  bool ok = true;
+  FieldReader r{*doc, ok};
   TaskRecord rec;
-  const auto str = [&](const char* key) { return jsonl_field(line, key); };
-  const auto num = [&](const char* key) -> std::optional<u64> {
-    const auto v = jsonl_field(line, key);
-    if (!v) return std::nullopt;
-    return std::strtoull(v->c_str(), nullptr, 0);
-  };
-
-  const auto campaign = str("campaign");
-  const auto workload = str("workload");
-  const auto seed = num("seed");
-  const auto machine = str("machine");
-  const auto slices = num("slices");
-  const auto techniques = num("techniques");
-  const auto label = str("label");
-  const auto instructions = num("instructions");
-  const auto warmup = num("warmup");
-  const auto status = str("status");
-  const auto attempts = num("attempts");
-  if (!campaign || !workload || !seed || !machine || !slices || !techniques ||
-      !label || !instructions || !warmup || !status || !attempts)
-    return std::nullopt;
-
-  rec.task.campaign = *campaign;
-  rec.task.workload = *workload;
-  rec.task.seed = *seed;
-  if (*machine == "base") {
-    rec.task.machine.kind = MachineKind::Base;
-  } else if (*machine == "simple") {
-    rec.task.machine.kind = MachineKind::Simple;
-  } else if (*machine == "sliced") {
-    rec.task.machine.kind = MachineKind::Sliced;
-  } else {
-    return std::nullopt;
-  }
-  rec.task.machine.slices = static_cast<unsigned>(*slices);
-  rec.task.machine.techniques = static_cast<TechniqueSet>(*techniques);
-  rec.task.machine.label = *label;
-  if (const auto o = str("overrides")) rec.task.machine.overrides = *o;
-  rec.task.instructions = *instructions;
-  rec.task.warmup = *warmup;
-  if (const auto ff = num("fast_forward")) rec.task.fast_forward = *ff;
-  if (const auto cm = str("cosim_mode")) rec.task.cosim = *cm;
-  rec.status = *status;
-  rec.attempts = static_cast<unsigned>(*attempts);
-  if (const auto e = str("error")) rec.error = *e;
-  if (const auto d = str("duration_ms"))
-    rec.duration_ms = std::strtod(d->c_str(), nullptr);
+  TaskSpec& t = rec.task;
+  std::string machine;
+  r.str("campaign", t.campaign, true);
+  r.str("workload", t.workload, true);
+  r.hex("seed", t.seed);
+  r.str("machine", machine, true);
+  r.uint("slices", t.machine.slices, true);
+  r.hex("techniques", t.machine.techniques);
+  r.str("label", t.machine.label, true);
+  r.str("overrides", t.machine.overrides);
+  r.uint("instructions", t.instructions, true);
+  r.uint("warmup", t.warmup, true);
+  r.uint("fast_forward", t.fast_forward);
+  r.str("cosim_mode", t.cosim);
+  r.str("status", rec.status, true);
+  r.uint("attempts", rec.attempts, true);
+  r.str("error", rec.error);
+  r.real("duration_ms", rec.duration_ms);
   // Host-side throughput telemetry: optional (older stores lack it), and
   // deliberately not part of the simulated-stats equivalence surface.
-  if (const auto h = str("host_seconds"))
-    rec.stats.host_seconds = std::strtod(h->c_str(), nullptr);
-  // Process-isolation rusage: optional; keys are unique within a line.
-  if (const auto v = num("max_rss_kb"))
-    rec.max_rss_kb = static_cast<long>(*v);
-  if (const auto v = str("user_sec"))
-    rec.user_sec = std::strtod(v->c_str(), nullptr);
-  if (const auto v = str("sys_sec"))
-    rec.sys_sec = std::strtod(v->c_str(), nullptr);
-  // "ffwd_sec" and the host_phases "ffwd" key never collide: the extractor
-  // needles include the closing quote-colon.
-  if (const auto v = str("ckpt_cache")) rec.ckpt_cache = *v;
-  if (const auto v = str("ffwd_sec"))
-    rec.ffwd_sec = std::strtod(v->c_str(), nullptr);
-  if (jsonl_field(line, "host_phases")) {
-    // Phase keys are unique within a line (no stats counter is an exact
-    // match), so the flat extractor reads them through the nested object.
+  r.real("host_seconds", rec.stats.host_seconds);
+  if (const JsonValue* ru = r.object("rusage")) {
+    FieldReader u{*ru, ok};
+    u.uint("max_rss_kb", rec.max_rss_kb);
+    u.real("user_sec", rec.user_sec);
+    u.real("sys_sec", rec.sys_sec);
+  }
+  r.str("ckpt_cache", rec.ckpt_cache);
+  r.real("ffwd_sec", rec.ffwd_sec);
+  if (const JsonValue* phases = r.object("host_phases")) {
     obs::HostProfile& hp = rec.stats.host_profile;
     hp.enabled = true;
-    const auto phase = [&](const char* key, double& out) {
-      if (const auto v = jsonl_field(line, key))
-        out = std::strtod(v->c_str(), nullptr);
-    };
-    phase("commit", hp.commit);
-    phase("resolve", hp.resolve);
-    phase("select", hp.select);
-    phase("memory", hp.memory);
-    phase("dispatch", hp.dispatch);
-    phase("fetch", hp.fetch);
-    phase("cosim", hp.cosim);
-    phase("replay", hp.replay);
-    phase("ffwd", hp.ffwd);
-    if (const auto v = num("loop_cycles")) hp.loop_cycles = *v;
+    FieldReader h{*phases, ok};
+    for (const obs::HostPhaseDesc& p : obs::kHostPhaseFields)
+      h.real(p.name, hp.*p.field);
+    h.uint("loop_cycles", hp.loop_cycles);
   }
   if (rec.status == "ok") {
-    for (const obs::CounterDesc& c : obs::simstats_counters()) {
-      const auto v = num(c.name);
-      if (!v) {
-        // Counters appended after a store shipped (registry `optional`)
-        // default to 0, so pre-upgrade stores keep parsing and resuming.
-        if (c.optional) continue;
-        return std::nullopt;
-      }
-      rec.stats.*c.field = *v;
-    }
-    if (const auto iv = num("interval")) rec.interval = *iv;
-    if (const auto arr = jsonl_array_field(line, "series"))
-      rec.series = parse_series(*arr);
+    const JsonValue* stats = r.object("stats");
+    if (!stats) return std::nullopt;
+    FieldReader c{*stats, ok};
+    // Counters appended after a store shipped (registry `optional`)
+    // default to 0, so pre-upgrade stores keep parsing and resuming.
+    for (const obs::CounterDesc& d : obs::simstats_counters())
+      c.uint(d.name, rec.stats.*d.field, !d.optional);
+    r.uint("interval", rec.interval);
+    r.rows("series", rec.series);
   }
-  // Sampled-simulation block (optional; "sample_warmup" never collides
-  // with "warmup" — the extractor needles include the opening quote).
-  if (const auto k = num("sample_intervals")) {
-    rec.sample_intervals = *k;
-    if (const auto n = num("sample_warmup")) rec.sample_warmup = *n;
-    if (const auto v = jsonl_field(line, "ipc_mean"))
-      rec.ipc_mean = std::strtod(v->c_str(), nullptr);
-    if (const auto v = jsonl_field(line, "ipc_ci95"))
-      rec.ipc_ci95 = std::strtod(v->c_str(), nullptr);
-    if (const auto arr = jsonl_array_field(line, "samples"))
-      rec.samples = parse_series(*arr);
-  }
+  r.uint("sample_intervals", rec.sample_intervals);
+  r.uint("sample_warmup", rec.sample_warmup);
+  r.real("ipc_mean", rec.ipc_mean);
+  r.real("ipc_ci95", rec.ipc_ci95);
+  r.rows("samples", rec.samples);
+  const auto kind = machine_kind_named(machine);
+  if (!ok || !kind) return std::nullopt;
+  t.machine.kind = *kind;
   return rec;
 }
 

@@ -7,9 +7,10 @@
 // records. A torn trailing line from a killed writer is detected and
 // ignored on load, which is what makes kill-and-rerun resume safe.
 //
-// The format is our own, so the reader is a deliberately small field
-// extractor rather than a general JSON parser: it relies on record keys
-// being unique within a line (true for every field written here).
+// Lines are read back with the tree's one JSON parser (obs/json.hpp). A line
+// that is not one complete JSON object, or whose fields do not fit a
+// record, is garbage; since a record is one object, that includes every
+// proper prefix of a record line.
 #pragma once
 
 #include <optional>
@@ -84,7 +85,8 @@ struct TaskRecord : TaskOutcome {
 std::string to_jsonl(const TaskRecord& rec);
 
 // Parses a line produced by to_jsonl. Returns nullopt for torn/garbage
-// lines (including the empty string).
+// lines (including the empty string): integers must be exact (counters
+// below 2^53), seed and techniques "0x" hex, every field its written type.
 std::optional<TaskRecord> parse_jsonl(const std::string& line);
 
 // Serialises a bare TaskSpec as a status:"queued" record line — the wire
@@ -101,17 +103,6 @@ std::string task_jsonl(const TaskSpec& task);
 // iterating raw lines instead double-counts any task that was re-run or
 // re-dispatched.
 std::vector<TaskRecord> load_records(const std::string& path);
-
-// Extracts the value of `key` from a to_jsonl line: the unquoted/unescaped
-// string for string fields, the raw token for numbers. nullopt if absent.
-std::optional<std::string> jsonl_field(const std::string& line,
-                                       const std::string& key);
-
-// Extracts the raw text of `key`'s array value, brackets included, by
-// bracket matching (the store's arrays are numeric-only, so no quoted "]"
-// can fool it). nullopt if absent or unbalanced (torn line).
-std::optional<std::string> jsonl_array_field(const std::string& line,
-                                             const std::string& key);
 
 class ResultStore {
  public:

@@ -13,6 +13,8 @@
 // six top-level phases only.
 #pragma once
 
+#include <array>
+
 #include "util/bitops.hpp"
 
 namespace bsp::obs {
@@ -53,19 +55,37 @@ struct HostProfile {
   // Accumulates another run's profile (phase sums; enabled if either side
   // was). Host time is additive across runs whether they executed serially
   // or in parallel — the sum is total CPU time spent, not wall clock.
-  void merge(const HostProfile& other) {
-    enabled = enabled || other.enabled;
-    commit += other.commit;
-    resolve += other.resolve;
-    select += other.select;
-    memory += other.memory;
-    dispatch += other.dispatch;
-    fetch += other.fetch;
-    cosim += other.cosim;
-    replay += other.replay;
-    ffwd += other.ffwd;
-    loop_cycles += other.loop_cycles;
-  }
+  void merge(const HostProfile& other);
 };
+
+// Every phase by its record key, in the order the campaign store writes its
+// "host_phases" object (loop_cycles, a count, follows them there): the one
+// list the store's writer and reader and merge() walk.
+struct HostPhaseDesc {
+  const char* name;
+  double HostProfile::*field;
+};
+inline constexpr std::array<HostPhaseDesc, 9> kHostPhaseFields = {{
+    {"commit", &HostProfile::commit},
+    {"resolve", &HostProfile::resolve},
+    {"select", &HostProfile::select},
+    {"memory", &HostProfile::memory},
+    {"dispatch", &HostProfile::dispatch},
+    {"fetch", &HostProfile::fetch},
+    {"cosim", &HostProfile::cosim},
+    {"replay", &HostProfile::replay},
+    {"ffwd", &HostProfile::ffwd},
+}};
+// The two words beside the phases are `enabled` (padded) and loop_cycles.
+static_assert(sizeof(HostProfile) ==
+                  (kHostPhaseFields.size() + 2) * sizeof(double),
+              "kHostPhaseFields must list every HostProfile phase");
+
+inline void HostProfile::merge(const HostProfile& other) {
+  enabled = enabled || other.enabled;
+  for (const HostPhaseDesc& p : kHostPhaseFields)
+    this->*p.field += other.*p.field;
+  loop_cycles += other.loop_cycles;
+}
 
 }  // namespace bsp::obs

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace bsp::obs {
 
@@ -170,8 +171,14 @@ class Parser {
   bool value(JsonValue& out) {
     if (pos_ >= s_.size()) return false;
     const char c = s_[pos_];
-    if (c == '{') return object(out);
-    if (c == '[') return array(out);
+    if (c == '{' || c == '[') {
+      // Bounded recursion: a deeper document is rejected, not a crash.
+      if (depth_ == kMaxDepth) return false;
+      ++depth_;
+      const bool ok = c == '{' ? object(out) : array(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       out.kind = JsonValue::Kind::String;
       return string(out.str);
@@ -184,10 +191,15 @@ class Parser {
 
   bool number(JsonValue& out) {
     const char* start = s_.c_str() + pos_;
+    // JSON numbers only: strtod alone would also take "+1", hex, "inf" and
+    // "nan".
+    if (*start != '-' && !std::isdigit(static_cast<unsigned char>(*start)))
+      return false;
     char* end = nullptr;
     out.number = std::strtod(start, &end);
-    if (end == start) return false;
-    pos_ += static_cast<std::size_t>(end - start);
+    const auto len = static_cast<std::size_t>(end - start);
+    if (len == 0 || std::strspn(start, "0123456789+-.eE") < len) return false;
+    pos_ += len;
     out.kind = JsonValue::Kind::Number;
     return true;
   }
@@ -229,8 +241,13 @@ class Parser {
     }
   }
 
+  // Records and frames nest three deep; the bound only has to stop a
+  // hostile peer from exhausting the stack.
+  static constexpr int kMaxDepth = 64;
+
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

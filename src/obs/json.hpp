@@ -1,9 +1,10 @@
-// Minimal recursive-descent JSON parser — just enough to let the tests
-// validate the observability layer's own output (Chrome trace JSON,
-// interval-stats JSONL) without an external dependency. Not a general
-// JSON library: numbers are doubles and inputs larger than a trace file
-// was ever meant to be are the caller's problem. \uXXXX escapes decode to
-// UTF-8, surrogate pairs included; a lone surrogate is a syntax error.
+// Minimal recursive-descent JSON parser: the tree's one JSON reader. It reads
+// campaign-store records, the remote SPEC/HELLO/TASK/RECORD frames, and the
+// observability layer's own output (Chrome trace JSON, interval-stats JSONL)
+// without an external dependency. Numbers are doubles, so a reader of
+// integers goes through JsonValue::as_uint. \uXXXX escapes decode to UTF-8,
+// surrogate pairs included; a lone surrogate is a syntax error. Nesting
+// deeper than 64 is rejected, so a peer's frame cannot exhaust the stack.
 #pragma once
 
 #include <map>
@@ -48,9 +49,8 @@ struct JsonValue {
 // garbage rejected). Returns nullopt on any syntax error.
 std::optional<JsonValue> parse_json(const std::string& text);
 
-// Appends `cp` (a Unicode scalar value, <= U+10FFFF) to `out` as UTF-8.
-// Shared by every \uXXXX unescaper in the tree (this parser, the campaign
-// store's field extractor) so they cannot drift on encoding rules.
+// Appends `cp` (a Unicode scalar value, <= U+10FFFF) to `out` as UTF-8: the
+// parser's \uXXXX decoder.
 void append_utf8(char32_t cp, std::string& out);
 
 // `s` escaped for use inside a JSON string literal: quote, backslash and

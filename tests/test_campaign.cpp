@@ -157,24 +157,33 @@ TEST(ResultStore, JsonlRoundTripsAllFields) {
 }
 
 TEST(ResultStore, UnescapeHandlesSurrogatesAndMalformedEscapes) {
-  // Worker stderr tails can carry arbitrary \uXXXX escapes from external
-  // writers. A valid pair must combine; an unpaired surrogate must decode
-  // to U+FFFD (never to encoded-surrogate invalid UTF-8); bad hex must
-  // pass the escape through verbatim, backslash included.
+  // to_jsonl writes a \u escape only below 0x20 (json_escape), so a valid
+  // surrogate pair still decodes, but a lone surrogate or bad hex marks a
+  // line no writer produced: it is garbage and rejected whole. Worker
+  // stderr need not be UTF-8; its raw bytes pass through unchanged.
   TaskRecord rec;
   rec.task = small_spec().expand().front();
   rec.status = "failed";
   rec.error = "MARKER";
-  std::string line = to_jsonl(rec);
+  const std::string line = to_jsonl(rec);
   const std::string marker = "\"error\":\"MARKER\"";
   const std::size_t at = line.find(marker);
   ASSERT_NE(at, std::string::npos);
-  line.replace(at, marker.size(),
-               "\"error\":\"\\ud83d\\ude00 \\ud800x \\udc00 \\uZZZZ\"");
-  const auto back = parse_jsonl(line);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->error,
-            "\xF0\x9F\x98\x80 \xEF\xBF\xBDx \xEF\xBF\xBD \\uZZZZ");
+  const auto with_error = [&](const std::string& escaped) {
+    return parse_jsonl(std::string(line).replace(
+        at, marker.size(), "\"error\":\"" + escaped + "\""));
+  };
+  const auto pair = with_error("a\\ud83d\\ude00z");
+  ASSERT_TRUE(pair.has_value());
+  EXPECT_EQ(pair->error, "a\xF0\x9F\x98\x80z");
+  for (const char* bad : {"\\ud800x", "\\ud83d", "\\udc00", "\\uZZZZ",
+                          "\\u12"})
+    EXPECT_FALSE(with_error(bad).has_value()) << bad;
+
+  rec.error = "segfault in \xFF\xFE\xC3 (not UTF-8)";
+  const auto raw = parse_jsonl(to_jsonl(rec));
+  ASSERT_TRUE(raw.has_value());
+  EXPECT_EQ(raw->error, rec.error);
 }
 
 TEST(ResultStore, IgnoresTornTrailingLine) {
@@ -1156,6 +1165,134 @@ TEST(ResultStore, JsonlBytesArePinned) {
       R"("warmup":0,"fast_forward":50000,"cosim_mode":"spot:64",)"
       R"("status":"queued","attempts":1,"duration_ms":0.000,)"
       R"("host_seconds":0.000})");
+}
+
+// One line of each record shape JsonlBytesArePinned pins, built the same
+// way: monolithic (every optional block, series included), sampled, failed
+// with rusage, and queued.
+std::vector<std::string> record_shape_lines() {
+  SimStats stats;
+  stats.cycles = 1234;
+  stats.committed = 1000;
+  stats.branches = 77;
+  stats.l1d_misses = 5;
+  stats.host_seconds = 0.25;
+
+  TaskRecord mono;
+  mono.task = small_spec().expand()[1];
+  mono.task.fast_forward = 50'000;
+  mono.task.cosim = "spot:64";
+  mono.status = "ok";
+  mono.duration_ms = 3.5;
+  mono.stats = stats;
+  mono.stats.host_profile.enabled = true;
+  mono.stats.host_profile.commit = 0.125;
+  mono.stats.host_profile.ffwd = 0.5;
+  mono.stats.host_profile.loop_cycles = 900;
+  mono.interval = 500;
+  mono.series = {{600, 500, 1, 2}, {1234, 1000, 3, 4}};
+  mono.ckpt_cache = "miss";
+  mono.ffwd_sec = 0.5;
+
+  TaskRecord sampled;
+  sampled.task = small_spec().expand().front();
+  sampled.status = "ok";
+  sampled.duration_ms = 7.25;
+  sampled.stats = stats;
+  sampled.ckpt_cache = "hit";
+  sampled.sample_intervals = 2;
+  sampled.sample_warmup = 2000;
+  sampled.ipc_mean = 0.8125;
+  sampled.ipc_ci95 = 0.0625;
+  sampled.samples = {{0, 0, 0, 500, 610, 500}, {1, 2500, 2000, 500, 624, 500}};
+
+  TaskRecord failed;
+  failed.task = small_spec().expand()[2];
+  failed.status = "failed";
+  failed.error = "co-simulation divergence at \"pc\"\n";
+  failed.attempts = 2;
+  failed.duration_ms = 41.0;
+  failed.max_rss_kb = 20480;
+  failed.user_sec = 0.375;
+  failed.sys_sec = 0.0625;
+
+  return {to_jsonl(mono), to_jsonl(sampled), to_jsonl(failed),
+          task_jsonl(mono.task)};
+}
+
+// A killed writer can stop anywhere in a line, and a prefix that happens to
+// end on a nested '}' (after "stats" or "rusage") must not read back as a
+// smaller record: a sampled run as a monolithic one, a failure without its
+// error, a series run without its series.
+TEST(ResultStore, EveryProperPrefixOfARecordLineIsRejected) {
+  for (const std::string& line : record_shape_lines()) {
+    ASSERT_TRUE(parse_jsonl(line).has_value()) << line;
+    for (std::size_t n = 0; n < line.size(); ++n)
+      EXPECT_FALSE(parse_jsonl(line.substr(0, n)).has_value())
+          << "accepted prefix: " << line.substr(0, n);
+  }
+}
+
+TEST(ResultStore, TornSampledTailIsNotADoneTask) {
+  const std::vector<std::string> lines = record_shape_lines();
+  const std::string& sampled = lines[1];
+  const std::size_t cut = sampled.find(",\"sample_intervals\"");
+  ASSERT_NE(cut, std::string::npos);
+  ASSERT_EQ(sampled[cut - 1], '}');  // the torn line ends on stats' brace
+  const std::string path = temp_path("torn_sampled");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << lines[0] << "\n" << sampled.substr(0, cut);
+  }
+  ResultStore store(path);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_FALSE(store.has(small_spec().expand().front().id()));
+  std::remove(path.c_str());
+}
+
+// Integers are read exactly or not at all: no wrap of a negative number, no
+// truncation of a fraction, no seed of 0 from bad hex, no counter a double
+// cannot hold exactly.
+TEST(ResultStore, MalformedNumbersAreRejected) {
+  const std::vector<std::string> lines = record_shape_lines();
+  const std::string& record = lines[0];
+  const std::string& queued = lines[3];
+  const auto with = [](std::string line, const std::string& from,
+                       const std::string& to) {
+    const std::size_t at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? line : line.replace(at, from.size(), to);
+  };
+  const std::vector<std::pair<std::string, std::string>> task_edits = {
+      {"\"instructions\":1000", "\"instructions\":-200000"},
+      {"\"seed\":\"0x5eed\"", "\"seed\":\"0xZZ\""},
+      {"\"seed\":\"0x5eed\"", "\"seed\":\"5eed\""},
+      {"\"seed\":\"0x5eed\"", "\"seed\":\"0x\""},
+      {"\"seed\":\"0x5eed\"", "\"seed\":\"0x10000000000000000\""},
+      {"\"techniques\":\"0x1f\"", "\"techniques\":\"0x100000000\""},
+      {"\"attempts\":1,", "\"attempts\":1.5,"},
+      {"\"slices\":2", "\"slices\":-2"},
+      {"\"slices\":2", "\"slices\":4294967298"},
+      {"\"fast_forward\":50000", "\"fast_forward\":\"50000\""},
+  };
+  for (const auto& [from, to] : task_edits) {
+    EXPECT_FALSE(parse_jsonl(with(queued, from, to)).has_value()) << to;
+    EXPECT_FALSE(parse_jsonl(with(record, from, to)).has_value()) << to;
+  }
+  // 2^53 + 1 reads back as the double 2^53: no counter at or above 2^53
+  // can be trusted, and none below it is ever rounded.
+  for (const char* counter :
+       {"\"cycles\":9007199254740993", "\"cycles\":18446744073709551615",
+        "\"cycles\":-1"})
+    EXPECT_FALSE(
+        parse_jsonl(with(record, "\"cycles\":1234", counter)).has_value())
+        << counter;
+  EXPECT_FALSE(parse_jsonl(with(record, "[600,500,1,2]", "[600,-500,1,2]"))
+                   .has_value());
+  const auto top = parse_jsonl(
+      with(record, "\"cycles\":1234", "\"cycles\":9007199254740991"));
+  ASSERT_TRUE(top.has_value());
+  EXPECT_EQ(top->stats.cycles, 9007199254740991u);
 }
 
 TEST(Campaign, WarmCheckpointCacheReproducesColdStatsWithAllHits) {

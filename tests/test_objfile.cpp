@@ -1,6 +1,8 @@
 // Object-file round-trip and robustness tests, plus pipeview smoke tests.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "asm/assembler.hpp"
@@ -99,6 +101,30 @@ TEST(ObjFile, RejectsImplausibleSizes) {
   std::string error;
   EXPECT_FALSE(load_object(buf, &error).has_value());
   EXPECT_EQ(error, "implausible section sizes");
+}
+
+// bsp-run, bsp-dbg and bsp-sim all load programs through this one call.
+TEST(ObjFile, LoadProgramFileTakesObjectsAndSource) {
+  const std::string base = testing::TempDir() + "bsp_objfile_load";
+  const Program original = sample_program();
+  ASSERT_TRUE(save_object_file(original, base + ".bspo"));
+  const std::string source = ".text\nmain:\n  li $v0, 10\n  syscall\n";
+  std::ofstream(base + ".s") << source;
+  std::ofstream(base + "_bad.s") << ".text\nmain:\n  bogus $t0\n";
+  std::string error;
+  const auto obj = load_program_file(base + ".bspo", &error);
+  ASSERT_TRUE(obj.has_value()) << error;
+  EXPECT_EQ(obj->text, original.text);
+  const auto src = load_program_file(base + ".s", &error);
+  ASSERT_TRUE(src.has_value()) << error;
+  EXPECT_EQ(src->text, assemble(source).program.text);
+
+  EXPECT_FALSE(load_program_file(base + "_bad.s", &error).has_value());
+  EXPECT_EQ(error, base + "_bad.s:\nline 3: unknown mnemonic 'bogus'");
+  EXPECT_FALSE(load_program_file(base + "_missing.s", &error).has_value());
+  EXPECT_EQ(error, "cannot open " + base + "_missing.s");
+  for (const char* suffix : {".bspo", ".s", "_bad.s"})
+    std::remove((base + suffix).c_str());
 }
 
 TEST(PipeTrace, EmitsStageEventsAndDoesNotPerturbTiming) {

@@ -401,6 +401,32 @@ TEST(ObsJson, UnicodeEscapesDecodeToUtf8) {
   EXPECT_FALSE(obs::parse_json(R"("\u12g4")").has_value());
 }
 
+// Peer frames reach the parser from the network: nesting must be refused
+// past a fixed depth instead of recursing until the stack runs out.
+TEST(ObsJson, NestingDepthIsBounded) {
+  const auto nested = [](std::size_t depth, const std::string& open,
+                         const std::string& close) {
+    std::string s;
+    for (std::size_t i = 0; i < depth; ++i) s += open;
+    s += "0";
+    for (std::size_t i = 0; i < depth; ++i) s += close;
+    return s;
+  };
+  EXPECT_TRUE(obs::parse_json(nested(64, "[", "]")).has_value());
+  EXPECT_TRUE(obs::parse_json(nested(64, "{\"a\":", "}")).has_value());
+  EXPECT_FALSE(obs::parse_json(nested(65, "[", "]")).has_value());
+  EXPECT_FALSE(obs::parse_json(std::string(1'000'000, '[')).has_value());
+  EXPECT_FALSE(
+      obs::parse_json(nested(1'000'000, "{\"a\":", "}")).has_value());
+}
+
+TEST(ObsJson, NumbersFollowJsonSyntax) {
+  EXPECT_DOUBLE_EQ(obs::parse_json("1e3")->number, 1000.0);
+  EXPECT_DOUBLE_EQ(obs::parse_json("-0.5E-2")->number, -0.005);
+  for (const char* bad : {"+1", "0x10", "-0x1", "inf", "-inf", "nan", ".5"})
+    EXPECT_FALSE(obs::parse_json(bad).has_value()) << bad;
+}
+
 TEST(ObsJson, AppendUtf8CoversAllWidths) {
   const auto enc = [](char32_t cp) {
     std::string out;

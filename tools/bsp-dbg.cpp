@@ -4,11 +4,8 @@
 //
 // Reads commands from stdin (scriptable: `echo "s 10\np all\nq" | bsp-dbg
 // prog.s`). Run `h` inside for the command list.
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
-#include "asm/assembler.hpp"
 #include "asm/objfile.hpp"
 #include "emu/debugger.hpp"
 
@@ -21,28 +18,11 @@ int main(int argc, char** argv) {
   }
   const std::string path = argv[1];
 
-  std::optional<Program> program;
-  if (path.size() > 5 && path.substr(path.size() - 5) == ".bspo") {
-    std::string error;
-    program = load_object_file(path, &error);
-    if (!program) {
-      std::cerr << "bsp-dbg: " << error << "\n";
-      return 1;
-    }
-  } else {
-    std::ifstream in(path);
-    if (!in) {
-      std::cerr << "bsp-dbg: cannot open " << path << "\n";
-      return 1;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    AsmResult r = assemble(ss.str());
-    if (!r.ok()) {
-      std::cerr << r.error_text();
-      return 1;
-    }
-    program = std::move(r.program);
+  std::string error;
+  const auto program = load_program_file(path, &error);
+  if (!program) {
+    std::cerr << "bsp-dbg: " << error << "\n";
+    return 1;
   }
 
   std::cout << path << ": " << program->text.size()

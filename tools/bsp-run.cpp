@@ -4,41 +4,11 @@
 //   bsp-run program.{s,bspo} [--max N] [--stats]
 //
 // Prints the program's syscall output; --stats adds retirement counters.
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
-#include "asm/assembler.hpp"
 #include "asm/objfile.hpp"
 #include "emu/checkpoint.hpp"
 #include "emu/emulator.hpp"
-
-namespace {
-
-std::optional<bsp::Program> load_program(const std::string& path) {
-  using namespace bsp;
-  if (path.size() > 5 && path.substr(path.size() - 5) == ".bspo") {
-    std::string error;
-    auto p = load_object_file(path, &error);
-    if (!p) std::cerr << "bsp-run: " << error << "\n";
-    return p;
-  }
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "bsp-run: cannot open " << path << "\n";
-    return std::nullopt;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  AsmResult r = assemble(ss.str());
-  if (!r.ok()) {
-    std::cerr << path << ":\n" << r.error_text();
-    return std::nullopt;
-  }
-  return std::move(r.program);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace bsp;
@@ -77,8 +47,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const auto program = load_program(input);
-  if (!program) return 1;
+  std::string error;
+  const auto program = load_program_file(input, &error);
+  if (!program) {
+    std::cerr << "bsp-run: " << error << "\n";
+    return 1;
+  }
 
   Emulator emu(*program);
   if (!from_ckpt.empty()) {

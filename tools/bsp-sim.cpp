@@ -17,7 +17,6 @@
 #include <sstream>
 #include <vector>
 
-#include "asm/assembler.hpp"
 #include "asm/objfile.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/ckpt_cache.hpp"
@@ -40,26 +39,11 @@ std::optional<Program> load_input(const std::string& spec) {
     return spec.size() > s.size() &&
            spec.compare(spec.size() - s.size(), s.size(), s) == 0;
   };
-  if (ends_with(".bspo")) {
+  if (ends_with(".bspo") || ends_with(".s")) {
     std::string error;
-    auto p = load_object_file(spec, &error);
+    auto p = load_program_file(spec, &error);
     if (!p) std::cerr << "bsp-sim: " << error << "\n";
     return p;
-  }
-  if (ends_with(".s")) {
-    std::ifstream in(spec);
-    if (!in) {
-      std::cerr << "bsp-sim: cannot open " << spec << "\n";
-      return std::nullopt;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    AsmResult r = assemble(ss.str());
-    if (!r.ok()) {
-      std::cerr << spec << ":\n" << r.error_text();
-      return std::nullopt;
-    }
-    return std::move(r.program);
   }
   try {
     return build_workload(spec).program;
