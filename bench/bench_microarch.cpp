@@ -382,6 +382,30 @@ void BM_ImageHash(benchmark::State& state) {
 }
 BENCHMARK(BM_ImageHash)->Unit(benchmark::kMillisecond);
 
+// One checkpoint's round trip through the cache: capture mcf at 1M
+// instructions, serialise, load and restore it into an emulator with the
+// image loaded. `bytes` is the serialised size, a deterministic count.
+void BM_CheckpointSaveLoad(benchmark::State& state) {
+  const Workload w = build_workload("mcf");
+  Emulator source(w.program);
+  if (source.run_fast(1'000'000) != 1'000'000) std::abort();
+  Emulator target(w.program);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::stringstream buf;
+    if (!save_checkpoint(capture_checkpoint(source), buf)) std::abort();
+    bytes = buf.str().size();
+    const std::optional<Checkpoint> loaded = load_checkpoint(buf);
+    if (!loaded) std::abort();
+    restore_checkpoint(target, *loaded);
+    benchmark::DoNotOptimize(target);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_CheckpointSaveLoad)->Unit(benchmark::kMillisecond);
+
 // A campaign task's Simulator: mcf (the 2 MiB image) on the x2 full stack,
 // started from a 1M-instruction checkpoint. Construction installs the image
 // and the checkpoint into the oracle emulator.

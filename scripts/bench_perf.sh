@@ -15,13 +15,15 @@
 # (BM_WakeupSelect / BM_DispatchOnly / BM_CommitOnly, and BM_SelectSort:
 # the candidate ordering, an insertion sort at 8 keys and std::sort at 64
 # and 256) and the set-up benches (BM_SimulatorConstruct: mcf from a
-# checkpoint on x2; BM_BuildWorkload: gcc; BM_ImageHash: mcf's
-# checkpoint-cache key) and compares them against the committed baseline
-# JSON. It fails if any tracked benchmark lost more than 15% of its
-# items_per_second, or if any count of the deterministic cost ledger moved
-# at all: every per-commit host-event count (kHostEventFields) and
-# scratch_reallocations of the two throughput families, which repeat bit
-# for bit on an unchanged simulator. Each moved count is named. The same
+# checkpoint on x2; BM_CheckpointSaveLoad: mcf's 1M-instruction checkpoint
+# captured, serialised, loaded and restored; BM_BuildWorkload: gcc;
+# BM_ImageHash: mcf's checkpoint-cache key) and compares them against the
+# committed baseline JSON. It fails if any tracked benchmark lost more than
+# 15% of its items_per_second, or if any count of the deterministic cost
+# ledger moved at all: every per-commit host-event count (kHostEventFields)
+# and scratch_reallocations of the two throughput families, and the
+# checkpoint's serialised `bytes`, which repeat bit for bit on an
+# unchanged simulator. Each moved count is named. The same
 # library_build_type gate applies (Release builds only unless
 # --allow-debug-library): a debug-library measurement would fail the
 # threshold for reasons that have nothing to do with the code under test.
@@ -31,13 +33,13 @@
 # BM_SimulatorThroughput/0, /2 and /4 runs (base, slice-2, slice-4),
 # BM_WakeupSelect (the base machine's wakeup/select path alone), the
 # emulator rates (step() with and without an ExecRecord, run_fast) and the
-# set-up benches (BM_BuildWorkload, BM_ImageHash) in one window so host
-# drift (thermal, cron, page cache) lands on both sides equally. A
-# benchmark the old binary lacks is left out. Within-pair run order
-# alternates (old/new, then new/old, ...) because the first run of a pair
-# systematically sees a different frequency/cache state than the second;
-# each measurement also runs >= 2s (--benchmark_min_time) so per-run
-# jitter amortizes. Per-pair
+# set-up benches (BM_BuildWorkload, BM_ImageHash, BM_SimulatorConstruct,
+# BM_CheckpointSaveLoad) in one window so host drift (thermal, cron, page
+# cache) lands on both sides equally. A benchmark the old binary lacks is
+# left out. Within-pair run order alternates (old/new, then new/old, ...)
+# because the first run of a pair systematically sees a different
+# frequency/cache state than the second; each measurement also runs >= 2s
+# (--benchmark_min_time) so per-run jitter amortizes. Per-pair
 # ratios and one median ratio per benchmark are merged under "paired" in
 # the output JSON (default BENCH_simcore.json). PAIRED_REPS overrides the
 # pair count (default 7).
@@ -80,7 +82,7 @@ if [ "${1:-}" = "--paired" ]; then
   NEW_BIN="${3:?--paired needs OLD_BIN NEW_BIN}"
   OUT="${4:-BENCH_simcore.json}"
   REPS="${PAIRED_REPS:-7}"
-  PFILTER='BM_SimulatorThroughput/[024]$|BM_WakeupSelect$|BM_Emulator(Step|StepRecord|FastRun)Throughput$|BM_BuildWorkload$|BM_ImageHash$'
+  PFILTER='BM_SimulatorThroughput/[024]$|BM_WakeupSelect$|BM_Emulator(Step|StepRecord|FastRun)Throughput$|BM_BuildWorkload$|BM_ImageHash$|BM_SimulatorConstruct$|BM_CheckpointSaveLoad$'
   TMPD=$(mktemp -d)
   trap 'rm -rf "$TMPD"' EXIT
   run_side() {  # run_side BIN old|new PAIR
@@ -157,10 +159,10 @@ cmake --build "$BUILD" --target bench_microarch -j "$(nproc)" > /dev/null
 TMP="$OUT.tmp"
 trap 'rm -f "$TMP"' EXIT
 
-FILTER='SimulatorThroughput|TechniqueStackThroughput|EmulatorStep|EmulatorFastRun|WakeupSelect|DispatchOnly|SelectSort|CommitOnly|SimulatorConstruct|BuildWorkload|ImageHash'
+FILTER='SimulatorThroughput|TechniqueStackThroughput|EmulatorStep|EmulatorFastRun|WakeupSelect|DispatchOnly|SelectSort|CommitOnly|SimulatorConstruct|CheckpointSaveLoad|BuildWorkload|ImageHash'
 if [ "$CHECK" -eq 1 ]; then
   # The gate re-measures only the benchmarks it compares.
-  FILTER='SimulatorThroughput/|TechniqueStackThroughput/|WakeupSelect|DispatchOnly|SelectSort|CommitOnly|SimulatorConstruct|BuildWorkload|ImageHash'
+  FILTER='SimulatorThroughput/|TechniqueStackThroughput/|WakeupSelect|DispatchOnly|SelectSort|CommitOnly|SimulatorConstruct|CheckpointSaveLoad|BuildWorkload|ImageHash'
 fi
 
 run_benchmarks() {
@@ -224,7 +226,8 @@ fresh_b, base_b = bench(fresh_doc), bench(base_doc)
 moved = 0
 for name in sorted(fresh_b):
     if not name.startswith(("BM_SimulatorThroughput/",
-                            "BM_TechniqueStackThroughput/")):
+                            "BM_TechniqueStackThroughput/",
+                            "BM_CheckpointSaveLoad")):
         continue
     if name not in base_b:
         sys.exit(f"error: {name} has no baseline entry to compare counts to")

@@ -344,10 +344,15 @@ CampaignReport serve_campaign(const SweepSpec& spec,
         const auto hello_proto = hello && hello->is_object()
                                      ? json_uint(*hello, "proto", INT_MAX)
                                      : std::nullopt;
-        const int proto = hello_proto ? static_cast<int>(*hello_proto) : -1;
-        if (proto != kRemoteProtocolVersion) {
+        if (!hello_proto) {
+          c.ch->queue_send("ERROR malformed HELLO");
+          drop_conn(c, "malformed HELLO");
+          return;
+        }
+        if (*hello_proto != kRemoteProtocolVersion) {
           c.ch->queue_send("ERROR incompatible protocol version " +
-                           std::to_string(proto) + " (coordinator speaks " +
+                           std::to_string(*hello_proto) +
+                           " (coordinator speaks " +
                            std::to_string(kRemoteProtocolVersion) + ")");
           drop_conn(c, "protocol version mismatch");
           return;

@@ -92,6 +92,10 @@ const std::vector<std::string>& workload_names() {
   return names;
 }
 
+bool is_workload(const std::string& name) {
+  return registry().count(name) != 0;
+}
+
 std::string workload_source(const std::string& name,
                             const WorkloadParams& params) {
   return kernel(name).generate(params, nullptr);

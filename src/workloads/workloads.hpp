@@ -39,6 +39,10 @@ struct Workload {
 // "fp_saxpy", the §6 FP/div corner-case kernel, which is not in the suite.
 const std::vector<std::string>& workload_names();
 
+// True when the registry builds `name`: one of workload_names() or
+// "fp_saxpy".
+bool is_workload(const std::string& name);
+
 // Generated assembly for the kernel, its data blocks rendered as `.word`
 // text (useful for tests and examples).
 std::string workload_source(const std::string& name,

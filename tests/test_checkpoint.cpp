@@ -2,9 +2,16 @@
 // runs started from a checkpoint.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "asm/assembler.hpp"
+#include "campaign/ckpt_cache.hpp"
 #include "core/simulator.hpp"
 #include "emu/checkpoint.hpp"
 #include "util/rng.hpp"
@@ -12,6 +19,55 @@
 
 namespace bsp {
 namespace {
+
+// Offset of the page count in a BSPC file: magic, version, pc, 32 regs,
+// 32 FP regs, fcc, hi, lo and retired lo/hi come first, all u32s.
+constexpr std::size_t kPageCountOff = (2 + 1 + 32 + 32 + 1 + 2 + 2) * 4;
+
+// A run header: first word in the low 10 bits, word count above.
+constexpr u16 run(u32 first, u32 count) {
+  return static_cast<u16>(first | count << 10);
+}
+
+std::string serialise(const Checkpoint& ckpt) {
+  std::stringstream buf;
+  EXPECT_TRUE(save_checkpoint(ckpt, buf));
+  return buf.str();
+}
+
+template <typename T = u32>
+std::string with(std::string bytes, std::size_t off, T v) {
+  for (std::size_t i = 0; i < sizeof v; ++i)
+    bytes[off + i] = static_cast<char>(v >> (8 * i));
+  return bytes;
+}
+
+void expect_load_error(const std::string& bytes, const std::string& why) {
+  std::string error;
+  std::stringstream is(bytes);
+  EXPECT_FALSE(load_checkpoint(is, &error).has_value()) << why;
+  EXPECT_EQ(error, why);
+}
+
+// The BSPC v2 layout (every page as 4 KiB of bytes) of `ckpt`: what the
+// cache directory of an older build holds.
+std::string serialise_v2(const Checkpoint& ckpt) {
+  std::string out =
+      with(serialise(ckpt).substr(0, kPageCountOff + 4), 4, 2);
+  for (const Checkpoint::Page& page : ckpt.pages) {
+    std::vector<u32> words(Checkpoint::Page::kWords, 0);
+    const u32* nonzero = page.words.data();
+    for (const u16 header : page.runs) {
+      const u32 first = header & 0x3ffu, count = header >> 10u;
+      std::copy_n(nonzero, count, &words[first]);
+      nonzero += count;
+    }
+    out.append(reinterpret_cast<const char*>(&page.base), sizeof page.base);
+    out.append(reinterpret_cast<const char*>(words.data()),
+               words.size() * sizeof(u32));
+  }
+  return out;
+}
 
 TEST(Checkpoint, CaptureRestoreResumesExactly) {
   const Workload w = build_workload("gzip");
@@ -56,7 +112,8 @@ TEST(Checkpoint, SerialisationRoundTrip) {
   ASSERT_EQ(loaded->pages.size(), ckpt->pages.size());
   for (std::size_t i = 0; i < ckpt->pages.size(); ++i) {
     EXPECT_EQ(loaded->pages[i].base, ckpt->pages[i].base);
-    EXPECT_EQ(loaded->pages[i].bytes, ckpt->pages[i].bytes);
+    EXPECT_EQ(loaded->pages[i].runs, ckpt->pages[i].runs);
+    EXPECT_EQ(loaded->pages[i].words, ckpt->pages[i].words);
   }
 }
 
@@ -91,11 +148,12 @@ TEST(Checkpoint, RejectsHostileHeaders) {
   const std::string pristine = buf.str();
 
   // Layout: magic, version, pc, 32 regs, 32 fp regs, fcc, hi, lo,
-  // retired lo/hi, page_count — all u32s — then (base, page bytes) pairs.
-  const std::size_t page_count_off = (2 + 1 + 32 + 32 + 1 + 2 + 2) * 4;
-  const std::size_t first_base_off = page_count_off + 4;
+  // retired lo/hi, page_count — all u32s — then per page its base, its run
+  // count, its run headers (u16) and its words.
+  const std::size_t first_base_off = kPageCountOff + 4;
   const std::size_t second_base_off =
-      first_base_off + 4 + SparseMemory::kPageSize;
+      first_base_off + 8 + 2 * ckpt->pages[0].runs.size() +
+      4 * ckpt->pages[0].words.size();
   const auto read_u32 = [&](const std::string& b, std::size_t off) {
     u32 v = 0;
     for (int i = 0; i < 4; ++i)
@@ -103,40 +161,185 @@ TEST(Checkpoint, RejectsHostileHeaders) {
            << (8 * i);
     return v;
   };
-  const auto with_u32 = [&](std::size_t off, u32 v) {
-    std::string b = pristine;
-    for (int i = 0; i < 4; ++i)
-      b[off + static_cast<std::size_t>(i)] = static_cast<char>(v >> (8 * i));
-    return b;
+  const auto patched = [&](std::size_t off, u32 v) {
+    return with(pristine, off, v);
   };
-  const auto expect_error = [&](const std::string& bytes, const char* why) {
-    std::string error;
-    std::stringstream is(bytes);
-    EXPECT_FALSE(load_checkpoint(is, &error).has_value());
-    EXPECT_EQ(error, why);
-  };
-
   // Page count far beyond the bytes actually present: rejected before any
   // page allocation (the stream is seekable, so the size cross-check runs).
-  expect_error(with_u32(page_count_off, 0xfffffu),
-               "page count exceeds file size");
+  expect_load_error(patched(kPageCountOff, 0xfffffu),
+                    "page count exceeds file size");
   // Absurd page count: the hard bound rejects it on any stream.
-  expect_error(with_u32(page_count_off, 0xffffffffu),
-               "implausible page count");
+  expect_load_error(patched(kPageCountOff, 0xffffffffu),
+                    "implausible page count");
   // Misaligned page base.
-  expect_error(with_u32(first_base_off,
-                        read_u32(pristine, first_base_off) + 2),
-               "misaligned page base");
+  expect_load_error(patched(first_base_off,
+                            read_u32(pristine, first_base_off) + 2),
+                    "misaligned page base");
   // Duplicate page (ascending-order violation). Needs >= 2 pages.
   ASSERT_GE(ckpt->pages.size(), 2u);
-  expect_error(with_u32(second_base_off,
-                        read_u32(pristine, first_base_off)),
-               "pages not in ascending order");
+  expect_load_error(patched(second_base_off,
+                            read_u32(pristine, first_base_off)),
+                    "pages not in ascending order");
 
   // And the pristine image still loads.
   std::string error;
   std::stringstream is(pristine);
   EXPECT_TRUE(load_checkpoint(is, &error).has_value()) << error;
+}
+
+TEST(Checkpoint, RejectsMalformedRuns) {
+  // A hand-made checkpoint whose runs sit at known offsets: a page with
+  // runs [5, 7) and [10, 11), then an all-zero page.
+  Checkpoint c;
+  c.pages.push_back({0x10000000, {run(5, 2), run(10, 1)}, {7, 8, 9}});
+  c.pages.push_back({0x10001000, {}, {}});
+  const std::string pristine = serialise(c);
+  const std::size_t run_count_off = kPageCountOff + 8;  // page 0's
+  const std::size_t run0_off = run_count_off + 4;
+  const std::size_t run1_off = run0_off + 2;
+  const std::size_t words_off = run1_off + 2;
+  ASSERT_EQ(pristine.size(), words_off + 12 + 8);
+  {
+    std::string error;
+    std::stringstream is(pristine);
+    const auto loaded = load_checkpoint(is, &error);
+    ASSERT_TRUE(loaded.has_value()) << error;
+    EXPECT_EQ(loaded->pages, c.pages);
+  }
+
+  expect_load_error(with(pristine, run1_off, run(10, 0)), "empty run");
+  expect_load_error(with(pristine, run1_off, run(6, 1)),
+                    "runs overlap or descend");
+  expect_load_error(with(pristine, run1_off, run(0, 1)),
+                    "runs overlap or descend");
+  expect_load_error(with(pristine, run1_off, run(1023, 2)),
+                    "run past page end");
+  expect_load_error(with(pristine, run1_off, run(1000, 63)),
+                    "run past page end");
+  expect_load_error(with(pristine, run_count_off, 513u),
+                    "too many runs in page");
+  // More headers than the file holds, and a cut inside the words: both
+  // keep the 8 bytes per page the size cross-check asks for, so only the
+  // read finds them.
+  expect_load_error(with(pristine, run_count_off, 200u),
+                    "truncated run headers");
+  expect_load_error(pristine.substr(0, words_off + 6), "truncated run words");
+  // The smallest page count the remaining bytes cannot hold; one fewer
+  // passes the cross-check and fails on a read instead.
+  const u32 fits = static_cast<u32>((pristine.size() - kPageCountOff - 4) / 8);
+  expect_load_error(with(pristine, kPageCountOff, fits + 1),
+                    "page count exceeds file size");
+  expect_load_error(with(pristine, kPageCountOff, fits),
+                    "truncated page header");
+}
+
+TEST(Checkpoint, RunsCoverTheNonzeroWordsAndRoundTrip) {
+  // One page per pattern: alternating words (the 512-run bound), all
+  // nonzero (17 runs of at most 63 words), all zero (no runs), runs
+  // touching both page ends, and a single word in the middle.
+  const AsmResult r = assemble(".text\nmain:\n  nop\n");
+  ASSERT_TRUE(r.ok());
+  Emulator emu(r.program);
+  SparseMemory& mem = emu.memory();
+  const u32 base = 0x20000000, ps = SparseMemory::kPageSize;
+  for (u32 w = 0; w < 1024; ++w) {
+    if (w % 2 == 0) mem.store_u32(base + 4 * w, w + 1);
+    mem.store_u32(base + ps + 4 * w, ~w);
+  }
+  mem.store_u8(base + 2 * ps, 0);
+  for (const u32 w : {0u, 1u, 1022u, 1023u})
+    mem.store_u32(base + 3 * ps + 4 * w, 0x80000000u >> (w % 8));
+  mem.store_u8(base + 4 * ps + 2049, 0x5a);
+
+  const Checkpoint ckpt = capture_checkpoint(emu);
+  std::vector<std::size_t> run_counts;
+  for (const Checkpoint::Page& page : ckpt.pages)
+    if (page.base >= base) run_counts.push_back(page.runs.size());
+  EXPECT_EQ(run_counts, (std::vector<std::size_t>{512, 17, 0, 2, 1}));
+  EXPECT_EQ(ckpt.pages.back().runs, std::vector<u16>{run(512, 1)});
+  EXPECT_EQ(ckpt.pages.back().words, std::vector<u32>{0x5a00});
+
+  std::stringstream buf(serialise(ckpt));
+  std::string error;
+  const auto loaded = load_checkpoint(buf, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->pages, ckpt.pages);
+
+  Emulator other(r.program);
+  restore_checkpoint(other, *loaded);
+  EXPECT_EQ(other.memory().pages_allocated(), mem.pages_allocated());
+  for (u32 a = base; a < base + 5 * ps; a += 4)
+    ASSERT_EQ(other.memory().load_u32(a), mem.load_u32(a)) << std::hex << a;
+}
+
+TEST(Checkpoint, RestoreOverwritesStaleWordsWithZeros) {
+  // Restoring into an emulator whose pages hold other values must leave
+  // exactly the captured words: the gaps between runs are written too.
+  const Workload w = build_workload("mcf");
+  Emulator at(w.program);
+  at.run(50'000);
+  const Checkpoint ckpt = capture_checkpoint(at);
+  Emulator later(w.program);
+  later.run(200'000);
+  restore_checkpoint(later, ckpt);
+  // `later` may have touched pages the capture never saw; every captured
+  // page must read back the same.
+  for (const Checkpoint::Page& page : ckpt.pages)
+    for (u32 off = 0; off < SparseMemory::kPageSize; off += 4)
+      ASSERT_EQ(later.memory().load_u32(page.base + off),
+                at.memory().load_u32(page.base + off))
+          << std::hex << page.base + off;
+}
+
+TEST(Checkpoint, RejectsVersion2Files) {
+  const Workload w = build_workload("li");
+  const auto ckpt = fast_forward(w.program, 10'000);
+  ASSERT_TRUE(ckpt.has_value());
+  expect_load_error(serialise_v2(*ckpt), "unsupported BSPC version");
+}
+
+TEST(Checkpoint, McfCheckpointIsCompact) {
+  // mcf's 2 MiB arena is mostly zero words, which a checkpoint does not
+  // store: the file stays under an eighth of its pages' bytes.
+  const Workload w = build_workload("mcf");
+  const auto ckpt = fast_forward(w.program, 1'000'000);
+  ASSERT_TRUE(ckpt.has_value());
+  const std::size_t bytes = serialise(*ckpt).size();
+  EXPECT_GE(ckpt->pages.size(), 512u);
+  EXPECT_LE(bytes, ckpt->pages.size() * SparseMemory::kPageSize / 8);
+}
+
+TEST(CkptCache, Version2FileIsHealed) {
+  // A cache file from a build that wrote BSPC v2 is a miss: the
+  // checkpoint is re-materialised and the file overwritten with v3.
+  const std::string dir =
+      testing::TempDir() + "bsp_ckptv2_" + std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  const Workload w = build_workload("li");
+  const auto ckpt = fast_forward(w.program, 20'000);
+  ASSERT_TRUE(ckpt.has_value());
+  const std::string path = campaign::checkpoint_cache_path(
+      dir, "li", 0x5eed, campaign::ImageHash(w.program), 20'000);
+  const std::string v2 = serialise_v2(*ckpt);
+  std::ofstream(path, std::ios::binary) << v2;
+
+  const campaign::CkptFetch heal =
+      campaign::fetch_checkpoint(dir, "li", 0x5eed, w.program, 20'000);
+  ASSERT_TRUE(heal.ok()) << heal.error;
+  EXPECT_FALSE(heal.hit);
+  EXPECT_EQ(heal.path, path);
+  EXPECT_EQ(heal.checkpoint->pages, ckpt->pages);
+  std::ifstream in(path, std::ios::binary);
+  const std::string now((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_EQ(now, serialise(*ckpt));
+  EXPECT_LT(now.size(), v2.size());
+
+  const campaign::CkptFetch again =
+      campaign::fetch_checkpoint(dir, "li", 0x5eed, w.program, 20'000);
+  ASSERT_TRUE(again.ok()) << again.error;
+  EXPECT_TRUE(again.hit);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, CaptureRestoreCaptureIsByteIdentical) {

@@ -544,8 +544,9 @@ TEST(RemoteCampaign, ProtocolVersionMismatchIsRejectedAtHello) {
                         "\"slots\":1}"));
     const auto reply = expect_frame(ch);
     ASSERT_TRUE(reply);
-    EXPECT_EQ(reply->rfind("ERROR", 0), 0u) << *reply;
-    EXPECT_NE(reply->find("version"), std::string::npos) << *reply;
+    EXPECT_EQ(*reply, "ERROR incompatible protocol version 99 (coordinator "
+                      "speaks " +
+                          std::to_string(kRemoteProtocolVersion) + ")");
   }
   // run_remote_worker reports the same rejection as a worker-level error.
   const WorkerReport rejected =
@@ -553,6 +554,48 @@ TEST(RemoteCampaign, ProtocolVersionMismatchIsRejectedAtHello) {
   (void)rejected;  // (connect to port 0 fails; just exercising the path)
 
   // A current-protocol worker still finishes the campaign.
+  auto good = std::async(std::launch::async, [&] {
+    return run_remote_worker(worker_options(ports.port, 1),
+                             test_setup(fake_runner()));
+  });
+  const CampaignReport report = serve.get();
+  EXPECT_TRUE(good.get().done);
+  EXPECT_EQ(report.ok, 1u);
+  std::remove(out.c_str());
+  std::remove(ports_path.c_str());
+}
+
+TEST(RemoteCampaign, MalformedHelloIsRejectedAsMalformed) {
+  const SweepSpec spec = tiny_spec({0x5eed});
+  const std::string out = temp_path("badhello") + ".jsonl";
+  const std::string ports_path = temp_path("badhello_ports");
+
+  RemoteOptions ropts;
+  ropts.bind = {"127.0.0.1", 0};
+  ropts.port_file = ports_path;
+  auto serve = std::async(std::launch::async, [&] {
+    return serve_campaign(spec, serve_options(out, true), ropts);
+  });
+  const Ports ports = wait_ports(ports_path);
+  ASSERT_NE(ports.port, 0);
+
+  // A body that does not parse, and bodies with no integer "proto", name
+  // the frame as malformed instead of blaming a version nobody sent.
+  for (const char* hello :
+       {"HELLO {\"proto\":", "HELLO [[[", "HELLO {\"host\":\"h\"}",
+        "HELLO {\"proto\":\"2\"}", "HELLO {\"proto\":2.5}",
+        "HELLO {\"proto\":-2}", "HELLO 2"}) {
+    std::string err;
+    const int fd = tcp_connect({"127.0.0.1", ports.port}, 5, &err);
+    ASSERT_GE(fd, 0) << err;
+    FrameChannel ch(fd);
+    ASSERT_TRUE(ch.send(hello));
+    const auto reply = expect_frame(ch);
+    ASSERT_TRUE(reply) << hello;
+    EXPECT_EQ(*reply, "ERROR malformed HELLO") << hello;
+  }
+
+  // A well-formed worker still finishes the campaign.
   auto good = std::async(std::launch::async, [&] {
     return run_remote_worker(worker_options(ports.port, 1),
                              test_setup(fake_runner()));

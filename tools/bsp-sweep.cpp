@@ -51,6 +51,7 @@
 #include "util/cli.hpp"
 #include "util/subprocess.hpp"
 #include "util/table.hpp"
+#include "workloads/workloads.hpp"
 
 namespace {
 
@@ -354,6 +355,15 @@ int main(int argc, char** argv) {
   if (has_warmup) spec.warmup = warmup;
   if (has_ff) spec.fast_forward = fast_forward;
   if (!runner_options.cosim.empty()) spec.cosim = runner_options.cosim;
+  // A name no kernel has would fail every task of the grid; reject it
+  // before the first one runs.
+  for (const std::string& w : workloads) {
+    if (!is_workload(w)) {
+      std::cerr << "bsp-sweep: unknown workload '" << w
+                << "' (-w takes one kernel name; repeat it for more)\n";
+      return 2;
+    }
+  }
 
   if (dry_run) {
     for (const auto& task : spec.expand()) std::cout << task.id() << "\n";
