@@ -1,6 +1,5 @@
 #include "campaign/ckpt_cache.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -64,17 +63,6 @@ std::string sanitise(const std::string& s) {
   return out;
 }
 
-// fsync one path (a file or, with O_DIRECTORY, its parent). Returns false
-// only on a real sync failure, not on open failure of an exotic filesystem
-// that forbids O_DIRECTORY reads — those surface at rename time anyway.
-bool sync_path(const std::string& path, int open_flags) {
-  const int fd = ::open(path.c_str(), open_flags);
-  if (fd < 0) return true;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-}
-
 }  // namespace
 
 ImageHash::ImageHash(const Program& program) {
@@ -126,22 +114,17 @@ std::string publish_checkpoint(const std::string& dir,
   // files apart even when the racers are threads of one process — a
   // shared temp name would let one racer rename the file out from under
   // the other mid-publish.
+  //
+  // Nothing is synced to disk. After a machine crash the file is absent (a
+  // miss), torn or zero-filled (its checksum or a structural check fails
+  // on load, a miss, and fetch_checkpoint overwrites it) or intact (a
+  // hit), so a crash costs at most a recomputation.
   static std::atomic<unsigned> publish_seq{0};
   std::ostringstream tmp;
   tmp << path << ".tmp." << ::getpid() << "." << publish_seq++;
   if (!save_checkpoint_file(ckpt, tmp.str())) {
     std::remove(tmp.str().c_str());
     if (error) *error = "cannot write checkpoint cache file " + tmp.str();
-    return "";
-  }
-  // Durability: flush the temp file's bytes before the rename makes them
-  // visible, and the directory entry after. Without the first, a crash
-  // shortly after publish can leave the *renamed* file empty or truncated —
-  // exactly the present-but-corrupt state the cache's heal path exists for,
-  // but self-inflicted; without the second, the rename itself can vanish.
-  if (!sync_path(tmp.str(), O_RDONLY)) {
-    std::remove(tmp.str().c_str());
-    if (error) *error = "cannot fsync checkpoint cache file " + tmp.str();
     return "";
   }
   std::filesystem::rename(tmp.str(), path, ec);
@@ -152,7 +135,6 @@ std::string publish_checkpoint(const std::string& dir,
                ec.message();
     return "";
   }
-  sync_path(dir, O_RDONLY | O_DIRECTORY);
   return path;
 }
 
@@ -176,9 +158,10 @@ CkptFetch fetch_checkpoint(const std::string& dir, const std::string& workload,
       out.hit = true;
       return out;
     }
-    // Missing file is the normal cold path; a present-but-corrupt file (torn
-    // concurrent writer that died before rename never leaves one, but a
-    // truncated disk might) falls through and is overwritten below.
+    // Missing file is the normal cold path; a present file that fails to
+    // load (an older BSPC version, or torn by a machine crash: a writer that
+    // died before its rename never leaves one) falls through and is
+    // overwritten below.
   }
 
   const auto t0 = std::chrono::steady_clock::now();

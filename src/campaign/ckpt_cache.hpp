@@ -14,9 +14,13 @@
 // can be kept across code changes. The readable "<workload>-s<seed>-ffN-"
 // prefix exists for humans; only the hash carries correctness.
 //
-// Atomicity: writers serialise to "<final>.tmp.<pid>" and rename(2) into
-// place. Concurrent sweeps may both do the fast-forward, but a reader only
-// ever sees a complete file, and the last rename wins with identical bytes.
+// Atomicity and integrity: writers serialise to "<final>.tmp.<pid>.<n>" and
+// rename(2) into place. Concurrent sweeps may both do the fast-forward, but
+// a reader only ever sees a complete file, and the last rename wins with
+// identical bytes. Nothing is synced to disk: a machine crash can leave a
+// renamed file torn or zero-filled, and BSPC v4's checksum makes such a
+// file fail to load, which is a miss that re-materialises and overwrites
+// it.
 #pragma once
 
 #include <memory>
@@ -65,12 +69,12 @@ std::string checkpoint_cache_path(const std::string& dir,
 
 // Atomically publishes `ckpt` as the cache file for (workload, seed,
 // program image, fast_forward) under `dir`: serialise to
-// "<final>.tmp.<pid>", rename(2) into place. Concurrent publishers of the
-// same key race benignly (identical bytes, last rename wins). Returns the
-// final path, or "" on failure with *error describing why. The
-// sampled-simulation prewarm uses this directly — it captures checkpoints
-// from one incremental emulator pass instead of calling fetch_checkpoint()
-// per offset.
+// "<final>.tmp.<pid>.<n>", rename(2) into place, without syncing to disk.
+// Concurrent publishers of the same key race benignly (identical bytes,
+// last rename wins). Returns the final path, or "" on failure with *error
+// describing why. The sampled-simulation prewarm uses this directly — it
+// captures checkpoints from one incremental emulator pass instead of
+// calling fetch_checkpoint() per offset.
 std::string publish_checkpoint(const std::string& dir,
                                const std::string& workload, u64 seed,
                                const ImageHash& image, u64 fast_forward,

@@ -60,14 +60,15 @@ const MachineConfig& checked_config(const MachineConfig& config) {
 struct Simulator::Impl {
   // --- construction ---------------------------------------------------------
 
-  Impl(const MachineConfig& config, const Program& program)
+  Impl(const MachineConfig& config, const Program& program,
+       const Checkpoint* start)
       : cfg(config),
         core(cfg.core),
         geom(core.slice_geometry()),
         sliced_sched(core.has(Technique::PartialBypass)),
         text_base(program.text_base),
         text_end(program.text_end()),
-        oracle(program),
+        oracle(program, start),
         predictor(cfg.branch),
         mem(cfg.memory),
         ruu(core.ruu_entries, geom, core.has(Technique::SumAddressed)),
@@ -102,7 +103,7 @@ struct Simulator::Impl {
       if (end != inj && *end == '\0') inject_at_ = at;
     }
     rename.fill(ProducerRef{});
-    fetch_pc = program.entry;
+    fetch_pc = oracle.pc();
     // Dense predecoded table: one row per text word (plus a shared nop row
     // for off-image wrong-path fetches), built once under this machine's
     // geometry/techniques. Dispatch and fetch index it by pc.
@@ -1440,14 +1441,12 @@ struct Simulator::Impl {
 
 Simulator::Simulator(const MachineConfig& config, const Program& program)
     : cfg_(checked_config(config)),
-      impl_(std::make_unique<Impl>(config, program)) {}
+      impl_(std::make_unique<Impl>(config, program, nullptr)) {}
 
 Simulator::Simulator(const MachineConfig& config, const Program& program,
                      const Checkpoint& start)
-    : Simulator(config, program) {
-  restore_checkpoint(impl_->oracle, start);
-  impl_->fetch_pc = start.pc;
-}
+    : cfg_(checked_config(config)),
+      impl_(std::make_unique<Impl>(config, program, &start)) {}
 
 Simulator::Simulator(Simulator&&) noexcept = default;
 Simulator& Simulator::operator=(Simulator&&) noexcept = default;

@@ -119,7 +119,8 @@ class Simulator {
   Simulator(const MachineConfig& config, const Program& program);
   // Starts from a captured architectural state (see emu/checkpoint.hpp)
   // instead of the program's entry point: the oracle and the fetch pc begin
-  // at the checkpoint (the image is installed once, into the oracle). Caches
+  // at the checkpoint, whose pages are the oracle's whole memory (the image
+  // is not copied; `start` must come from this program). Caches
   // and predictors start cold — combine with run()'s warm-up to heat them.
   Simulator(const MachineConfig& config, const Program& program,
             const Checkpoint& start);

@@ -8,15 +8,16 @@
 // implied. Workload memory is mostly zero (0.4-7% of the words of mcf's
 // 2 MiB arena are nonzero over its first million instructions), so a
 // checkpoint costs what the program wrote, not what it allocated. The
-// same two arrays per page are the page record of the "BSPC" v3 file
+// same two arrays per page are the page record of the "BSPC" v4 file
 // format, little-endian:
 //
-//   magic "BSPC", version 3, pc, 32 regs, 32 FP regs, fcc, hi, lo,
+//   magic "BSPC", version 4, pc, 32 regs, 32 FP regs, fcc, hi, lo,
 //   retired (lo, hi), page count                    all u32
 //   per page:  base, run count                      u32, u32
 //              one header per run                   u16: first word
 //                                                   | word count << 10
 //              the runs' words, in run order        u32 each
+//   checksum of every byte above                    u64
 //
 // Pages ascend by base and runs by first word; runs never overlap, and a
 // run holds 1 to 63 words, so a longer stretch of nonzero words is stored
@@ -24,6 +25,17 @@
 // so the page set restored equals the page set captured. Files of earlier
 // versions are rejected ("unsupported BSPC version"), which the checkpoint
 // cache treats as a miss and overwrites.
+//
+// Integrity: save_checkpoint computes the checksum as it writes and
+// load_checkpoint as it reads, with no copy of the file. The loader runs
+// its structural checks first, so each keeps its named error; a file that
+// passes them fails with "checksum mismatch" when its bytes differ from
+// those written (always when the change lies within one 8-byte word, and
+// otherwise but for a chance of about 2^-64), "truncated checksum" when
+// the trailer is cut and "trailing bytes after checksum" when the file
+// runs on. The checkpoint cache relies on this instead of syncing files
+// to disk: a file torn or zero-filled by a machine crash fails to load,
+// which is a miss.
 #pragma once
 
 #include <iosfwd>
@@ -63,10 +75,12 @@ Checkpoint capture_checkpoint(const Emulator& emu);
 
 // Replaces `emu`'s architectural state (the program image must already be
 // loaded; each captured page is written once in full, zeros included, so
-// capture+restore round-trips).
+// capture+restore round-trips). To start an emulator from a checkpoint,
+// construct it with Emulator(program, &ckpt) instead, which installs the
+// checkpoint's pages without first copying the image.
 void restore_checkpoint(Emulator& emu, const Checkpoint& ckpt);
 
-// Serialisation (BSPC v3, see above).
+// Serialisation (BSPC v4, see above).
 bool save_checkpoint(const Checkpoint& ckpt, std::ostream& os);
 std::optional<Checkpoint> load_checkpoint(std::istream& is,
                                           std::string* error = nullptr);

@@ -4,9 +4,11 @@
 #include <cmath>
 #include <cstring>
 
+#include "emu/checkpoint.hpp"
+
 namespace bsp {
 
-void Emulator::load(const Program& program) {
+void Emulator::load(const Program& program, const Checkpoint* start) {
   regs_.fill(0);
   fp_regs_.fill(0);
   fcc_ = false;
@@ -17,6 +19,15 @@ void Emulator::load(const Program& program) {
   exited_ = false;
   exit_code_ = 0;
 
+  assert(!decode(kUnfilled.raw));
+  text_base_ = program.text_base;
+  slots_.assign(program.text.size(), Slot{});
+  fetch_ = FetchCache{};
+
+  if (start) {
+    restore_checkpoint(*this, *start);
+    return;
+  }
   // Host and target are both little-endian, so the text words' bytes are
   // the image store_u32 would write one word at a time.
   mem_.write_block(program.text_base, program.text.data(),
@@ -28,11 +39,6 @@ void Emulator::load(const Program& program) {
   pc_ = program.entry;
   regs_[R_SP] = kDefaultStackTop;
   regs_[R_GP] = program.data_base;
-
-  assert(!decode(kUnfilled.raw));
-  text_base_ = program.text_base;
-  slots_.assign(program.text.size(), Slot{});
-  fetch_ = FetchCache{};
 }
 
 bool branch_outcome(const DecodedInst& inst, u32 src1, u32 src2) {

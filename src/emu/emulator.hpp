@@ -56,6 +56,8 @@ struct ExecRecord {
   u32 next_pc = 0;      // actual successor PC
 };
 
+struct Checkpoint;  // emu/checkpoint.hpp
+
 struct StepResult {
   enum class Kind { Ok, Exited, Fault } kind = Kind::Ok;
   int exit_code = 0;
@@ -68,10 +70,17 @@ struct StepResult {
 class Emulator {
  public:
   Emulator() = default;
-  explicit Emulator(const Program& program) { load(program); }
+  explicit Emulator(const Program& program,
+                    const Checkpoint* start = nullptr) {
+    load(program, start);
+  }
 
-  // Resets all state and installs the program image.
-  void load(const Program& program);
+  // Resets all state and installs the program image. With `start`, memory
+  // and registers come from that checkpoint alone (it holds every page of
+  // the image it was captured from, so `program` must be that image), and
+  // only the text's decode slots come from `program`: the image itself is
+  // never copied.
+  void load(const Program& program, const Checkpoint* start = nullptr);
 
   // Executes the instruction at pc(); fills `record` (may be null).
   StepResult step(ExecRecord* record = nullptr);

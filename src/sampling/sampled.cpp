@@ -28,11 +28,9 @@ PrewarmResult materialise_interval_checkpoints(const Program& program,
   const WallTimer timer;
   // One incremental functional pass: ascending offsets extend the same
   // emulator, which is loaded only once some offset misses the cache. A
-  // miss after hits continues from the latest hit's checkpoint — legal
-  // because a later capture's page set is a superset of any earlier
-  // prefix's (same deterministic stream), so the restore fully overwrites
-  // the emulator's state. When every offset hits, nothing is emulated or
-  // restored.
+  // miss after hits continues from the latest hit's checkpoint, in an
+  // emulator started from it (its pages alone, no image copy). When every
+  // offset hits, nothing is emulated or restored.
   std::optional<campaign::ImageHash> image;
   if (!cache_dir.empty()) image.emplace(program);
   std::optional<Emulator> emu;
@@ -50,11 +48,8 @@ PrewarmResult materialise_interval_checkpoints(const Program& program,
         continue;
       }
     }
-    if (!emu) emu.emplace(program);
-    if (resume) {
-      restore_checkpoint(*emu, *resume);
-      resume = nullptr;
-    }
+    if (!emu || resume) emu.emplace(program, resume.get());
+    resume = nullptr;
     emu->run_fast(offset - pos);
     pos = emu->instructions_retired();
     if (pos < offset) {

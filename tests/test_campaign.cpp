@@ -857,8 +857,8 @@ TEST(CkptCache, MissMaterialisesThenHitsAndSurvivesCorruption) {
   ASSERT_TRUE(again.ok()) << again.error;
   EXPECT_TRUE(again.hit);
 
-  // The durable publish path (write tmp, fsync, rename, fsync dir) must
-  // never leave `.tmp.<pid>` staging files behind, heal or no heal.
+  // The publish path (write tmp, rename) must never leave `.tmp.<pid>`
+  // staging files behind, heal or no heal.
   for (const auto& entry : std::filesystem::directory_iterator(dir))
     EXPECT_EQ(entry.path().filename().string().find(".tmp."),
               std::string::npos)

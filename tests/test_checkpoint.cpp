@@ -198,7 +198,8 @@ TEST(Checkpoint, RejectsMalformedRuns) {
   const std::size_t run0_off = run_count_off + 4;
   const std::size_t run1_off = run0_off + 2;
   const std::size_t words_off = run1_off + 2;
-  ASSERT_EQ(pristine.size(), words_off + 12 + 8);
+  // Page 0's three words, page 1's base and run count, the checksum.
+  ASSERT_EQ(pristine.size(), words_off + 12 + 8 + 8);
   {
     std::string error;
     std::stringstream is(pristine);
@@ -218,19 +219,81 @@ TEST(Checkpoint, RejectsMalformedRuns) {
                     "run past page end");
   expect_load_error(with(pristine, run_count_off, 513u),
                     "too many runs in page");
-  // More headers than the file holds, and a cut inside the words: both
-  // keep the 8 bytes per page the size cross-check asks for, so only the
-  // read finds them.
+  // More headers than the file holds, and a cut inside the words of a file
+  // that declares one page: both keep the 8 bytes per page and the 8-byte
+  // checksum the size cross-check asks for, so only the read finds them.
   expect_load_error(with(pristine, run_count_off, 200u),
                     "truncated run headers");
-  expect_load_error(pristine.substr(0, words_off + 6), "truncated run words");
-  // The smallest page count the remaining bytes cannot hold; one fewer
-  // passes the cross-check and fails on a read instead.
-  const u32 fits = static_cast<u32>((pristine.size() - kPageCountOff - 4) / 8);
+  expect_load_error(with(pristine.substr(0, words_off + 6), kPageCountOff, 1u),
+                    "truncated run words");
+  // The smallest page count the remaining bytes cannot hold beside the
+  // checksum; one fewer passes the cross-check and, with the checksum cut
+  // off, fails on a read instead.
+  const u32 fits =
+      static_cast<u32>((pristine.size() - kPageCountOff - 4 - 8) / 8);
   expect_load_error(with(pristine, kPageCountOff, fits + 1),
                     "page count exceeds file size");
-  expect_load_error(with(pristine, kPageCountOff, fits),
-                    "truncated page header");
+  expect_load_error(
+      with(pristine.substr(0, pristine.size() - 8), kPageCountOff, fits - 1),
+      "truncated page header");
+}
+
+TEST(Checkpoint, ChecksumCatchesWhatTheStructureCannot) {
+  // Three pages of 1,024 nonzero words each (17 runs apiece): page k's
+  // record is 8 + 34 + 4,096 bytes and starts at kPageCountOff + 4 +
+  // 4,138 k.
+  Checkpoint c;
+  c.pc = 0x00400010;
+  for (u32 k = 0; k < 3; ++k) {
+    Checkpoint::Page page{0x10000000 + k * SparseMemory::kPageSize, {}, {}};
+    for (u32 w = 0; w < 1024; w += 63)
+      page.runs.push_back(run(w, std::min(63u, 1024 - w)));
+    for (u32 w = 0; w < 1024; ++w)
+      page.words.push_back(0x01010101u * (k + 1) + w);
+    c.pages.push_back(std::move(page));
+  }
+  const std::string pristine = serialise(c);
+  const std::size_t record = 8 + 17 * 2 + 4096;
+  const std::size_t page1_off = kPageCountOff + 4 + record;
+  ASSERT_EQ(pristine.size(), kPageCountOff + 4 + 3 * record + 8);
+  {
+    std::string error;
+    std::stringstream is(pristine);
+    const auto loaded = load_checkpoint(is, &error);
+    ASSERT_TRUE(loaded.has_value()) << error;
+    EXPECT_EQ(loaded->pages, c.pages);
+  }
+
+  // One data word flipped, and page 0's words from 4 KiB to the end of
+  // the page zeroed: both still parse, and only the checksum sees them.
+  const std::size_t word_off = page1_off + 8 + 34 + 4 * 500;
+  expect_load_error(with(pristine, word_off, 0xdeadbeefu), "checksum mismatch");
+  std::string zeroed = pristine;
+  std::fill(zeroed.begin() + 4096, zeroed.begin() + page1_off, '\0');
+  expect_load_error(zeroed, "checksum mismatch");
+  // A zeroed 4 KiB block in mid-file, as a crash can leave one, also takes
+  // out page 1's header: the structural check that sees it first names it.
+  zeroed = pristine;
+  ASSERT_LT(page1_off, 8192u);
+  std::fill(zeroed.begin() + 4096, zeroed.begin() + 8192, '\0');
+  expect_load_error(zeroed, "pages not in ascending order");
+  // The trailer cut short, and a byte after it.
+  expect_load_error(pristine.substr(0, pristine.size() - 3),
+                    "truncated checksum");
+  expect_load_error(pristine + '\0', "trailing bytes after checksum");
+
+  // Every single-bit flip fails to load, whichever check names it.
+  Checkpoint small;
+  small.pages.push_back({0x10000000, {run(5, 2), run(10, 1)}, {7, 8, 9}});
+  const std::string bytes = serialise(small);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      std::stringstream is(flipped);
+      ASSERT_FALSE(load_checkpoint(is).has_value())
+          << "byte " << i << " bit " << bit;
+    }
 }
 
 TEST(Checkpoint, RunsCoverTheNonzeroWordsAndRoundTrip) {
@@ -309,37 +372,78 @@ TEST(Checkpoint, McfCheckpointIsCompact) {
   EXPECT_LE(bytes, ckpt->pages.size() * SparseMemory::kPageSize / 8);
 }
 
-TEST(CkptCache, Version2FileIsHealed) {
-  // A cache file from a build that wrote BSPC v2 is a miss: the
-  // checkpoint is re-materialised and the file overwritten with v3.
+// Plants `stale` as li's cache file at 20,000 instructions and checks the
+// heal: a miss that re-materialises the checkpoint and overwrites the file
+// with its v4 bytes, then a hit.
+void expect_heals(const std::string& stale, const Checkpoint& ckpt,
+                  const Program& program) {
   const std::string dir =
-      testing::TempDir() + "bsp_ckptv2_" + std::to_string(::getpid());
+      testing::TempDir() + "bsp_ckptheal_" + std::to_string(::getpid());
   std::filesystem::create_directories(dir);
-  const Workload w = build_workload("li");
-  const auto ckpt = fast_forward(w.program, 20'000);
-  ASSERT_TRUE(ckpt.has_value());
   const std::string path = campaign::checkpoint_cache_path(
-      dir, "li", 0x5eed, campaign::ImageHash(w.program), 20'000);
-  const std::string v2 = serialise_v2(*ckpt);
-  std::ofstream(path, std::ios::binary) << v2;
+      dir, "li", 0x5eed, campaign::ImageHash(program), 20'000);
+  std::ofstream(path, std::ios::binary) << stale;
 
   const campaign::CkptFetch heal =
-      campaign::fetch_checkpoint(dir, "li", 0x5eed, w.program, 20'000);
+      campaign::fetch_checkpoint(dir, "li", 0x5eed, program, 20'000);
   ASSERT_TRUE(heal.ok()) << heal.error;
   EXPECT_FALSE(heal.hit);
   EXPECT_EQ(heal.path, path);
-  EXPECT_EQ(heal.checkpoint->pages, ckpt->pages);
+  EXPECT_EQ(heal.checkpoint->pages, ckpt.pages);
   std::ifstream in(path, std::ios::binary);
   const std::string now((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
-  EXPECT_EQ(now, serialise(*ckpt));
-  EXPECT_LT(now.size(), v2.size());
+  EXPECT_EQ(now, serialise(ckpt));
+  EXPECT_NE(now, stale);
 
   const campaign::CkptFetch again =
-      campaign::fetch_checkpoint(dir, "li", 0x5eed, w.program, 20'000);
+      campaign::fetch_checkpoint(dir, "li", 0x5eed, program, 20'000);
   ASSERT_TRUE(again.ok()) << again.error;
   EXPECT_TRUE(again.hit);
   std::filesystem::remove_all(dir);
+}
+
+TEST(CkptCache, Version2FileIsHealed) {
+  // A cache file from a build that wrote BSPC v2 is a miss: the
+  // checkpoint is re-materialised and the file overwritten with v4.
+  const Workload w = build_workload("li");
+  const auto ckpt = fast_forward(w.program, 20'000);
+  ASSERT_TRUE(ckpt.has_value());
+  const std::string v2 = serialise_v2(*ckpt);
+  EXPECT_GT(v2.size(), serialise(*ckpt).size());
+  expect_heals(v2, *ckpt, w.program);
+}
+
+TEST(CkptCache, Version3FileIsHealed) {
+  // BSPC v3 is v4 without the checksum: rejected by version, then healed.
+  const Workload w = build_workload("li");
+  const auto ckpt = fast_forward(w.program, 20'000);
+  ASSERT_TRUE(ckpt.has_value());
+  const std::string v4 = serialise(*ckpt);
+  const std::string v3 = with(v4.substr(0, v4.size() - 8), 4, 3u);
+  expect_load_error(v3, "unsupported BSPC version");
+  expect_heals(v3, *ckpt, w.program);
+}
+
+TEST(CkptCache, CorruptVersion4FileIsHealed) {
+  // What a machine crash after an unsynced publish can leave: one byte
+  // changed in mid-file, a zeroed 4 KiB block, the whole file zero-filled.
+  // Each fails to load, so the lookup is a miss that overwrites the file.
+  const Workload w = build_workload("li");
+  const auto ckpt = fast_forward(w.program, 20'000);
+  ASSERT_TRUE(ckpt.has_value());
+  const std::string v4 = serialise(*ckpt);
+  ASSERT_GT(v4.size(), 2 * 4096u);
+  std::string flipped = v4;
+  flipped[v4.size() / 2] = static_cast<char>(flipped[v4.size() / 2] ^ 0x10);
+  std::string block = v4;
+  std::fill(block.begin() + 4096, block.begin() + 8192, '\0');
+  for (const std::string& stale :
+       {flipped, block, std::string(v4.size(), '\0')}) {
+    std::stringstream is(stale);
+    EXPECT_FALSE(load_checkpoint(is).has_value());
+    expect_heals(stale, *ckpt, w.program);
+  }
 }
 
 TEST(Checkpoint, CaptureRestoreCaptureIsByteIdentical) {

@@ -54,16 +54,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  Emulator emu(*program);
+  std::optional<Checkpoint> ckpt;
   if (!from_ckpt.empty()) {
-    std::string error;
-    const auto ckpt = load_checkpoint_file(from_ckpt, &error);
+    ckpt = load_checkpoint_file(from_ckpt, &error);
     if (!ckpt) {
       std::cerr << "bsp-run: " << error << "\n";
       return 1;
     }
-    restore_checkpoint(emu, *ckpt);
   }
+  Emulator emu(*program, ckpt ? &*ckpt : nullptr);
   StepResult final;
   if (fast)
     emu.run_fast(max_instructions, &final);
