@@ -1,7 +1,6 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <future>
 #include <map>
@@ -11,7 +10,6 @@
 #include <type_traits>
 
 #include "campaign/ckpt_cache.hpp"
-#include "campaign/progress.hpp"
 #include "core/simulator.hpp"
 #include "obs/interval.hpp"
 #include "obs/json.hpp"
@@ -61,62 +59,113 @@ class BuildOnce {
   std::map<Key, std::shared_future<Value>> map_;
 };
 
+// Whether the store already satisfies each task: any record, or with
+// retry_failed an "ok" one.
+std::vector<bool> satisfied(const std::vector<TaskSpec>& tasks,
+                            const ResultStore& store, bool retry_failed) {
+  std::vector<bool> done(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const std::string status = store.status(tasks[i].id());
+    done[i] = retry_failed ? status == "ok" : !status.empty();
+  }
+  return done;
+}
+
 }  // namespace
+
+CampaignLedger::CampaignLedger(const SweepSpec& spec,
+                               const CampaignOptions& options)
+    : tasks_(spec.expand()),
+      store_(options.out_path.empty() ? spec.name + ".jsonl"
+                                      : options.out_path,
+             options.fresh),
+      done_(satisfied(tasks_, store_, options.retry_failed)),
+      meter_(spec.name, tasks_.size(),
+             static_cast<std::size_t>(
+                 std::count(done_.begin(), done_.end(), true)),
+             options.progress) {
+  report_.total = tasks_.size();
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    index_.emplace(tasks_[i].id(), i);
+    if (done_[i])
+      ++report_.skipped;
+    else
+      pending_.push_back(i);
+  }
+}
+
+std::vector<TaskSpec> CampaignLedger::pending_tasks() const {
+  std::vector<TaskSpec> out;
+  out.reserve(pending_.size());
+  for (const std::size_t i : pending_) out.push_back(tasks_[i]);
+  return out;
+}
+
+std::optional<std::size_t> CampaignLedger::index_of(
+    const std::string& id) const {
+  const auto it = index_.find(id);
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
+}
+
+bool CampaignLedger::record(std::size_t idx, const TaskRecord& rec) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (done_[idx]) return false;
+  done_[idx] = true;
+  store_.append(rec);
+  meter_.task_done(rec);
+  ++report_.ran;
+  if (rec.ckpt_cache == "hit") ++report_.ckpt_hits;
+  if (rec.ckpt_cache == "miss") ++report_.ckpt_misses;
+  if (rec.ok())
+    ++report_.ok;
+  else if (rec.status == "crashed")
+    ++report_.crashed;
+  else
+    ++report_.failed;  // "failed" and "timeout" statuses
+  if (rec.retried()) ++report_.retried;
+  return true;
+}
+
+bool CampaignLedger::done(std::size_t idx) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return done_[idx];
+}
+
+std::size_t CampaignLedger::remaining() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return report_.total - report_.skipped - report_.ran;
+}
+
+CampaignReport CampaignLedger::counts() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return report_;
+}
+
+CampaignReport CampaignLedger::finish() {
+  meter_.finish();
+  std::lock_guard<std::mutex> lock(mutex_);
+  CampaignReport report = report_;
+  for (const TaskSpec& task : tasks_)
+    if (const TaskRecord* rec = store_.find(task.id()))
+      report.records.push_back(*rec);
+  return report;
+}
 
 CampaignReport run_campaign(const SweepSpec& spec, const TaskRunner& runner,
                             const CampaignOptions& options) {
-  const std::vector<TaskSpec> tasks = spec.expand();
-  const std::string out_path =
-      options.out_path.empty() ? spec.name + ".jsonl" : options.out_path;
-  ResultStore store(out_path, options.fresh);
-
-  // Partition the grid into already-satisfied tasks and work to do.
-  std::vector<std::size_t> todo;  // indices into `tasks`
-  CampaignReport report;
-  report.total = tasks.size();
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const std::string status = store.status(tasks[i].id());
-    const bool satisfied =
-        options.retry_failed ? status == "ok" : !status.empty();
-    if (satisfied)
-      ++report.skipped;
-    else
-      todo.push_back(i);
-  }
-
-  ProgressMeter meter(spec.name, tasks.size(), report.skipped,
-                      options.progress);
-  std::mutex report_mutex;
-  std::vector<TaskSpec> pending;
-  pending.reserve(todo.size());
-  for (const std::size_t i : todo) pending.push_back(tasks[i]);
-
+  CampaignLedger ledger(spec, options);
+  const std::vector<TaskSpec> pending = ledger.pending_tasks();
   // Checkpoint-cache pre-pass: pay each distinct fast-forward once, up
   // front, so the sweep's workers (thread or process) only ever restore.
-  report.prewarm = prewarm_checkpoint_cache(pending, options.scheduler);
-
+  const PrewarmStats prewarm =
+      prewarm_checkpoint_cache(pending, options.scheduler);
   run_tasks(pending, runner, options.scheduler,
             [&](std::size_t pi, const TaskOutcome& out) {
-              // Thread-safe, atomic line append.
-              store.append(TaskRecord{out, pending[pi]});
-              meter.task_done(out);
-              std::lock_guard<std::mutex> lock(report_mutex);
-              ++report.ran;
-              if (out.ckpt_cache == "hit") ++report.ckpt_hits;
-              if (out.ckpt_cache == "miss") ++report.ckpt_misses;
-              if (out.ok())
-                ++report.ok;
-              else if (out.status == "crashed")
-                ++report.crashed;
-              else
-                ++report.failed;  // "failed" and "timeout" statuses
-              if (out.retried()) ++report.retried;
+              ledger.record(ledger.pending()[pi], TaskRecord{out, pending[pi]});
             });
-  meter.finish();
-
-  for (const auto& task : tasks)
-    if (const TaskRecord* rec = store.find(task.id()))
-      report.records.push_back(*rec);
+  CampaignReport report = ledger.finish();
+  report.prewarm = prewarm;
   return report;
 }
 
@@ -160,11 +209,6 @@ const std::vector<RunOptionField>& run_option_fields() {
        "CPI-stack cycle accounting: charge every commit slot to a stall "
        "cause (cpi_* counters, sum == cycles * commit width) and print it",
        &RunnerOptions::cpi_stack},
-      {"cosim", "--cosim", "MODE",
-       "co-simulation label: full (default), spot[:N] or off; every run "
-       "gets the same commit-stream check, the label is part of a sweep's "
-       "task ids",
-       &RunnerOptions::cosim, /*host_local=*/false, /*frame_optional=*/true},
       {"sample_intervals", "--sample-intervals", "K",
        "sampled simulation: split the measured window into K intervals "
        "simulated from functional checkpoints, stitched with a mean-IPC "
@@ -177,16 +221,6 @@ const std::vector<RunOptionField>& run_option_fields() {
        &RunnerOptions::sample_warmup},
   };
   return kFields;
-}
-
-bool valid_cosim(const std::string& mode) {
-  if (mode == "full" || mode == "off" || mode == "spot") return true;
-  if (mode.rfind("spot:", 0) != 0) return false;
-  const char* s = mode.c_str() + 5;
-  if (*s < '0' || *s > '9') return false;  // strtoull would take "-1"
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(s, &end, 10);
-  return *end == '\0' && n != 0;
 }
 
 namespace {
@@ -280,12 +314,6 @@ TaskOutcome simulate_task(const TaskSpec& task, const MachineConfig& config,
                           const Program& program, const Checkpoint* start,
                           const RunnerOptions& options) {
   TaskOutcome r;
-  const std::string& cosim_text =
-      !task.cosim.empty() ? task.cosim : options.cosim;
-  if (!cosim_text.empty() && !valid_cosim(cosim_text)) {
-    r.error = "bad cosim mode: " + cosim_text;
-    return r;
-  }
   Simulator sim = start ? Simulator(config, program, *start)
                         : Simulator(config, program);
   obs::IntervalSampler sampler(options.interval ? options.interval : 1);

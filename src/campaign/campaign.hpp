@@ -4,10 +4,14 @@
 #pragma once
 
 #include <functional>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <variant>
 #include <vector>
 
+#include "campaign/progress.hpp"
 #include "campaign/scheduler.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/store.hpp"
@@ -52,6 +56,48 @@ struct CampaignReport {
   std::vector<TaskRecord> records;
 };
 
+// One campaign's resume and record bookkeeping, the same for run_campaign
+// and serve_campaign. It expands the grid, opens the store at
+// options.out_path and splits the grid into tasks the store already
+// satisfies (any record; with retry_failed, an "ok" one) and tasks to run.
+// Each task then takes one record: record() appends the first to the
+// store and counts it into the progress meter and the report, and refuses
+// any later one. finish() gathers every task's final record.
+class CampaignLedger {
+ public:
+  CampaignLedger(const SweepSpec& spec, const CampaignOptions& options);
+
+  const std::vector<TaskSpec>& tasks() const { return tasks_; }
+  // Indices into tasks() of the tasks this run executes, in grid order.
+  const std::vector<std::size_t>& pending() const { return pending_; }
+  std::vector<TaskSpec> pending_tasks() const;
+  // The grid index of a task id; nullopt for a task outside the grid.
+  std::optional<std::size_t> index_of(const std::string& id) const;
+
+  // Thread-safe. Takes `rec` as task idx's record; false, with nothing
+  // written or counted, when the task already has one.
+  bool record(std::size_t idx, const TaskRecord& rec);
+  bool done(std::size_t idx) const;
+  std::size_t remaining() const;  // tasks without a record
+
+  ProgressSnapshot progress() const { return meter_.snapshot(); }
+  // The report so far, without records.
+  CampaignReport counts() const;
+  // Ends the progress line; the report with every task's final record in
+  // grid order.
+  CampaignReport finish();
+
+ private:
+  std::vector<TaskSpec> tasks_;
+  std::unordered_map<std::string, std::size_t> index_;  // id -> tasks_ idx
+  ResultStore store_;
+  std::vector<std::size_t> pending_;
+  mutable std::mutex mutex_;  // guards done_ and report_
+  std::vector<bool> done_;
+  CampaignReport report_;
+  ProgressMeter meter_;
+};
+
 // Runs `spec` with `runner`, appending one record per executed task to the
 // store at options.out_path. Rerunning with the same path resumes: tasks
 // whose records already exist are skipped (any status; with retry_failed,
@@ -81,9 +127,6 @@ struct RunnerOptions {
   // the SimStats cpi_* leaves land in every record, ready for
   // `bsp-report --cpi-stack` aggregation.
   bool cpi_stack = false;
-  // Run-wide co-simulation label ("full", "off", "spot[:N]"; see
-  // valid_cosim()); a task's own TaskSpec::cosim overrides it. "" = full.
-  std::string cosim;
   // Sampled simulation (src/sampling/): K intervals per task, each with
   // `sample_warmup` discarded warm-up commits. 0 = monolithic;
   // sampling::make_sampled_runner() is the runner that honours them.
@@ -107,13 +150,9 @@ struct RunOptionField {
   // Reaches local worker processes but never the SPEC frame: a remote
   // worker keeps its own value (the checkpoint cache is a host's choice).
   bool host_local = false;
-  // Written to the SPEC frame after RemoteSpec's own fields and only when
-  // set: the field came after the frame shipped, so frames that leave it
-  // unset keep their earlier bytes.
-  bool frame_optional = false;
 
   bool is_default(const RunnerOptions& o) const;
-  // The value as a JSON token: true, 5000, "spot:64".
+  // The value as a JSON token: true, 5000, "/tmp/ckpt".
   std::string json(const RunnerOptions& o) const;
   // Sets the member from a SPEC-frame value. False — leaving *o as it
   // was — on a wrong JSON type or a number that is negative, fractional
@@ -125,12 +164,6 @@ struct RunOptionField {
 // Every RunnerOptions member, in declaration order; the SPEC frame and
 // the worker argv write fields in this order.
 const std::vector<RunOptionField>& run_option_fields();
-
-// Whether `mode` is a --cosim spelling: "full", "off", "spot" or "spot:N"
-// with N a positive decimal. The mode is a recorded label only (task ids,
-// the store's "cosim_mode", the SPEC frame): every run gets the same
-// commit-stream check.
-bool valid_cosim(const std::string& mode);
 
 // Registers one option per registry field on `parser`, writing into *out.
 // Fields whose key is in `skip` are left out (bsp-sim owns a different
@@ -158,10 +191,9 @@ TaskRunner memoise_workloads(WorkloadTaskBody body);
 // sampled intervals alike: `config` runs `program` from `start` (the
 // functional state after task.fast_forward instructions; null = reset),
 // discards task.warmup commits, then measures task.instructions, with
-// `options`' interval series, host profile and CPI stack. A --cosim label
-// that valid_cosim() rejects (task.cosim wins over options.cosim) fails the
-// task. Fills the outcome's stats, error, series and exit status;
-// checkpoint bookkeeping is the caller's.
+// `options`' interval series, host profile and CPI stack. Fills the
+// outcome's stats, error, series and exit status; checkpoint bookkeeping is
+// the caller's.
 TaskOutcome simulate_task(const TaskSpec& task, const MachineConfig& config,
                           const Program& program, const Checkpoint* start,
                           const RunnerOptions& options);

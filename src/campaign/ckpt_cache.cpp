@@ -86,10 +86,6 @@ std::string ImageHash::key(u64 fast_forward) const {
   return buf;
 }
 
-std::string checkpoint_cache_key(const Program& program, u64 fast_forward) {
-  return ImageHash(program).key(fast_forward);
-}
-
 std::string checkpoint_cache_path(const std::string& dir,
                                   const std::string& workload, u64 seed,
                                   const ImageHash& image, u64 fast_forward) {

@@ -58,9 +58,6 @@ class ImageHash {
   u64 state_;
 };
 
-// ImageHash(program).key(fast_forward).
-std::string checkpoint_cache_key(const Program& program, u64 fast_forward);
-
 // Full cache file path for a (workload, seed, program image, fast_forward)
 // tuple.
 std::string checkpoint_cache_path(const std::string& dir,

@@ -27,32 +27,6 @@ void ProgressMeter::task_done(const TaskOutcome& outcome) {
   if (enabled_) print_line_locked();
 }
 
-std::size_t ProgressMeter::done() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return done_;
-}
-
-std::size_t ProgressMeter::failed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return failed_;
-}
-
-std::size_t ProgressMeter::retried() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return retried_;
-}
-
-double ProgressMeter::commits_per_host_second() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return host_seconds_ > 0 ? static_cast<double>(committed_) / host_seconds_
-                           : 0.0;
-}
-
-long ProgressMeter::max_rss_kb() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return max_rss_kb_;
-}
-
 double ProgressMeter::elapsed_locked() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start_)

@@ -54,16 +54,6 @@ class ProgressMeter {
   // Prints the final state and a newline (once).
   void finish();
 
-  std::size_t done() const;
-  std::size_t failed() const;
-  std::size_t retried() const;
-  // Aggregate simulator throughput over successful tasks, in committed
-  // instructions per host-second (0 until a task with host_seconds lands).
-  double commits_per_host_second() const;
-  // Largest per-task peak RSS seen so far (process-isolation rusage;
-  // 0 until a task that carries one finishes).
-  long max_rss_kb() const;
-
   ProgressSnapshot snapshot() const;
   // Deterministic variant for tests: same math, caller-supplied elapsed.
   ProgressSnapshot snapshot_at(double elapsed_sec) const;

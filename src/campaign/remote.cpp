@@ -20,11 +20,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "campaign/ckpt_cache.hpp"
-#include "campaign/progress.hpp"
 #include "campaign/store.hpp"
 #include "obs/json.hpp"
 
@@ -61,22 +59,14 @@ std::optional<u64> json_uint(const obs::JsonValue& obj, const char* key,
 
 std::string encode_remote_spec(const RemoteSpec& spec) {
   std::ostringstream os;
-  // Forwarded run options in registry order; the frame_optional ones go
-  // after RemoteSpec's own fields, and only when set.
-  const auto run_fields = [&](bool optional) {
-    for (const RunOptionField& f : run_option_fields())
-      if (!f.host_local && f.frame_optional == optional &&
-          !(optional && f.is_default(spec.run)))
-        os << ",\"" << f.key << "\":" << f.json(spec.run);
-  };
   os << "{\"proto\":" << spec.proto << ",\"campaign\":\""
      << obs::json_escape(spec.campaign) << "\"";
-  run_fields(false);
+  // Forwarded run options, in registry order.
+  for (const RunOptionField& f : run_option_fields())
+    if (!f.host_local) os << ",\"" << f.key << "\":" << f.json(spec.run);
   os << ",\"timeout_sec\":" << obs::fixed6(spec.timeout_sec)
      << ",\"max_attempts\":" << spec.max_attempts
-     << ",\"heartbeat_sec\":" << obs::fixed6(spec.heartbeat_sec);
-  run_fields(true);
-  os << "}";
+     << ",\"heartbeat_sec\":" << obs::fixed6(spec.heartbeat_sec) << "}";
   return os.str();
 }
 
@@ -118,7 +108,6 @@ struct Conn {
 };
 
 struct TaskState {
-  bool done = false;
   unsigned runners = 0;  // live connections currently holding the task
   Clock::time_point first_dispatch{};
 };
@@ -147,41 +136,13 @@ constexpr double kStatusDeadlineSec = 2.0;
 CampaignReport serve_campaign(const SweepSpec& spec,
                               const CampaignOptions& options,
                               const RemoteOptions& remote) {
-  const std::vector<TaskSpec> tasks = spec.expand();
-  const std::string out_path =
-      options.out_path.empty() ? spec.name + ".jsonl" : options.out_path;
-  ResultStore store(out_path, options.fresh);
-
-  CampaignReport report;
-  report.total = tasks.size();
-  std::deque<std::size_t> queue;
+  CampaignLedger ledger(spec, options);
+  const std::vector<TaskSpec>& tasks = ledger.tasks();
+  std::deque<std::size_t> queue(ledger.pending().begin(),
+                                ledger.pending().end());
   std::vector<TaskState> state(tasks.size());
-  std::unordered_map<std::string, std::size_t> idx_by_id;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    idx_by_id.emplace(tasks[i].id(), i);
-    const std::string status = store.status(tasks[i].id());
-    const bool satisfied =
-        options.retry_failed ? status == "ok" : !status.empty();
-    if (satisfied) {
-      ++report.skipped;
-      state[i].done = true;
-    } else {
-      queue.push_back(i);
-    }
-  }
-  std::size_t done_count = report.skipped;
-
-  ProgressMeter meter(spec.name, tasks.size(), report.skipped,
-                      options.progress);
-
-  const auto finish = [&]() -> CampaignReport {
-    meter.finish();
-    for (const auto& task : tasks)
-      if (const TaskRecord* rec = store.find(task.id()))
-        report.records.push_back(*rec);
-    return report;
-  };
-  if (queue.empty()) return finish();  // fully resumed: nothing to serve
+  // Fully resumed: nothing to serve.
+  if (queue.empty()) return ledger.finish();
 
   TcpListener listener;
   std::string err;
@@ -215,9 +176,7 @@ CampaignReport serve_campaign(const SweepSpec& spec,
 
   // Each pending checkpoint group rides to every worker as a PREWARM frame,
   // so each host pays each fast-forward once, before its first task.
-  std::vector<TaskSpec> pending;
-  for (const std::size_t i : queue) pending.push_back(tasks[i]);
-  const std::vector<TaskSpec> reps = checkpoint_groups(pending);
+  const std::vector<TaskSpec> reps = checkpoint_groups(ledger.pending_tasks());
   RemoteSpec wire_spec = remote.spec;
   wire_spec.heartbeat_sec = remote.heartbeat_sec;  // fleet-wide PING period
   const std::string spec_frame = "SPEC " + encode_remote_spec(wire_spec);
@@ -237,7 +196,6 @@ CampaignReport serve_campaign(const SweepSpec& spec,
 
   std::vector<std::unique_ptr<Conn>> conns;
   std::size_t duplicates_dropped = 0;
-  std::mutex report_mutex;  // meter/report are also read by status replies
 
   const auto drop_conn = [&](Conn& c, const char* why) {
     if (c.stage == Conn::kDead) return;
@@ -249,7 +207,7 @@ CampaignReport serve_campaign(const SweepSpec& spec,
     for (const auto& [idx, at] : c.inflight) {
       (void)at;
       if (state[idx].runners > 0) --state[idx].runners;
-      if (!state[idx].done && state[idx].runners == 0)
+      if (!ledger.done(idx) && state[idx].runners == 0)
         queue.push_front(idx);  // front: a re-queued task is the oldest work
     }
     c.inflight.clear();
@@ -262,7 +220,7 @@ CampaignReport serve_campaign(const SweepSpec& spec,
     while (!queue.empty()) {
       const std::size_t idx = queue.front();
       queue.pop_front();
-      if (!state[idx].done) return idx;
+      if (!ledger.done(idx)) return idx;
     }
     // Queue dry: steal the longest-in-flight straggler this worker is not
     // already running. Capped at two runners per task — one straggler, one
@@ -270,7 +228,7 @@ CampaignReport serve_campaign(const SweepSpec& spec,
     const auto now = Clock::now();
     std::optional<std::size_t> best;
     for (std::size_t i = 0; i < state.size(); ++i) {
-      if (state[i].done || state[i].runners == 0 || state[i].runners >= 2)
+      if (ledger.done(i) || state[i].runners == 0 || state[i].runners >= 2)
         continue;
       if (c.inflight.count(i)) continue;
       if (seconds_between(state[i].first_dispatch, now) <
@@ -303,31 +261,12 @@ CampaignReport serve_campaign(const SweepSpec& spec,
   const auto handle_record = [&](Conn& c, const std::string& body) {
     const auto rec = parse_jsonl(body);
     if (!rec) return;
-    const auto it = idx_by_id.find(rec->task.id());
-    if (it == idx_by_id.end()) return;  // foreign record: ignore
-    const std::size_t idx = it->second;
-    if (c.inflight.erase(idx) && state[idx].runners > 0)
-      --state[idx].runners;
-    if (state[idx].done) {
-      ++duplicates_dropped;  // re-dispatch race: first record already won
-      return;
-    }
-    state[idx].done = true;
-    ++done_count;
-    store.append(*rec);
-    const TaskOutcome& out = *rec;
-    meter.task_done(out);
-    std::lock_guard<std::mutex> lock(report_mutex);
-    ++report.ran;
-    if (out.ckpt_cache == "hit") ++report.ckpt_hits;
-    if (out.ckpt_cache == "miss") ++report.ckpt_misses;
-    if (out.ok())
-      ++report.ok;
-    else if (out.status == "crashed")
-      ++report.crashed;
-    else
-      ++report.failed;
-    if (out.retried()) ++report.retried;
+    const auto idx = ledger.index_of(rec->task.id());
+    if (!idx) return;  // foreign record: ignore
+    if (c.inflight.erase(*idx) && state[*idx].runners > 0)
+      --state[*idx].runners;
+    // A re-dispatch race: the first record already won.
+    if (!ledger.record(*idx, *rec)) ++duplicates_dropped;
   };
 
   const auto handle_frame = [&](Conn& c, const std::string& payload) {
@@ -393,7 +332,8 @@ CampaignReport serve_campaign(const SweepSpec& spec,
   };
 
   const auto status_json = [&]() -> std::string {
-    const ProgressSnapshot s = meter.snapshot();
+    const ProgressSnapshot s = ledger.progress();
+    const CampaignReport counts = ledger.counts();
     std::size_t inflight = 0;
     std::ostringstream workers;
     bool first = true;
@@ -408,13 +348,12 @@ CampaignReport serve_campaign(const SweepSpec& spec,
       first = false;
     }
     std::ostringstream os;
-    std::lock_guard<std::mutex> lock(report_mutex);
     os << "{\"campaign\":\"" << obs::json_escape(spec.name)
        << "\",\"proto\":" << kRemoteProtocolVersion
        << ",\"total\":" << s.total << ",\"skipped\":" << s.skipped
-       << ",\"done\":" << s.done << ",\"ok\":" << report.ok
-       << ",\"failed\":" << report.failed
-       << ",\"crashed\":" << report.crashed
+       << ",\"done\":" << s.done << ",\"ok\":" << counts.ok
+       << ",\"failed\":" << counts.failed
+       << ",\"crashed\":" << counts.crashed
        << ",\"retried\":" << s.retried << ",\"queued\":" << queue.size()
        << ",\"inflight\":" << inflight
        << ",\"elapsed_sec\":" << obs::fixed6(s.elapsed_sec)
@@ -484,7 +423,7 @@ CampaignReport serve_campaign(const SweepSpec& spec,
     if (!sc.dead && !sc.out.empty() && (revents & POLLOUT)) flush_status(sc);
   };
 
-  while (done_count < tasks.size()) {
+  while (ledger.remaining() > 0) {
     std::vector<struct pollfd> fds;
     fds.push_back({listener.fd(), POLLIN, 0});
     const std::size_t status_listener_at = fds.size();
@@ -612,7 +551,7 @@ CampaignReport serve_campaign(const SweepSpec& spec,
                  "bsp-sweep: dropped %zu duplicate record%s from "
                  "re-dispatched tasks (first record per task wins)\n",
                  duplicates_dropped, duplicates_dropped == 1 ? "" : "s");
-  return finish();
+  return ledger.finish();
 }
 
 // ------------------------------------------------------------------ worker

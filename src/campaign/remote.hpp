@@ -46,8 +46,9 @@ namespace bsp::campaign {
 
 // Bumped on any frame-format or semantics change; a HELLO carrying a
 // different version is rejected at handshake time (ERROR frame).
-// v2: SPEC frame gained the optional fleet-wide "cosim" default.
-constexpr int kRemoteProtocolVersion = 2;
+// v3: the co-simulation label left the SPEC frame and the task ids, so a
+// v2 peer's labelled task ids would name tasks this grid does not have.
+constexpr int kRemoteProtocolVersion = 3;
 
 // Everything a worker must know to execute tasks the way the coordinator
 // would have locally: the per-task run options plus the retry/timeout
@@ -58,9 +59,7 @@ struct RemoteSpec {
   int proto = kRemoteProtocolVersion;
   std::string campaign;
   // Forwarded fields: every run_option_fields() entry that is not
-  // host-local. A non-empty cosim is the fleet-wide default; per-task
-  // TaskSpec::cosim (carried in the TASK frame's record JSONL) still wins,
-  // and "" (full) is omitted from the frame.
+  // host-local.
   RunnerOptions run;
   double timeout_sec = 0;     // per-task wall clock (0 = none)
   unsigned max_attempts = 2;  // worker-local bounded retry

@@ -42,7 +42,6 @@ std::string TaskSpec::id() const {
      << std::dec << "/" << machine.key() << "/n=" << instructions
      << "/w=" << warmup;
   if (fast_forward != 0) os << "/ff=" << fast_forward;
-  if (!cosim.empty()) os << "/cosim=" << cosim;
   return os.str();
 }
 
@@ -60,7 +59,6 @@ std::vector<TaskSpec> SweepSpec::expand() const {
         t.instructions = instructions;
         t.warmup = warmup;
         t.fast_forward = fast_forward;
-        t.cosim = cosim;
         if (seen.insert(t.id()).second) tasks.push_back(std::move(t));
       }
     }

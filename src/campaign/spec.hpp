@@ -55,16 +55,11 @@ struct TaskSpec {
   // timing starts (the paper skips ~1B per benchmark). 0 = start at reset.
   // Tasks sharing (workload, seed, fast_forward) can reuse one checkpoint.
   u64 fast_forward = 0;
-  // Co-simulation label ("full", "off", "spot" or "spot:N"; see
-  // campaign::valid_cosim()). "" = the runner's default (full). Every run
-  // gets the same commit-stream check, so SimStats do not depend on it; it
-  // is part of the task id when set.
-  std::string cosim;
 
   // Canonical unique key, e.g.
   // "fig11/li/seed=0x5eed/sliced-x2-t0x1f/n=200000/w=300000"; a nonzero
-  // fast_forward appends "/ff=N" and a non-empty cosim "/cosim=MODE" (unset
-  // adds nothing, so pre-existing stores resume unchanged).
+  // fast_forward appends "/ff=N" (zero adds nothing, so pre-existing stores
+  // resume unchanged).
   std::string id() const;
 };
 
@@ -76,7 +71,6 @@ struct SweepSpec {
   u64 instructions = 200'000;
   u64 warmup = 300'000;
   u64 fast_forward = 0;   // applied to every expanded task
-  std::string cosim;      // applied to every expanded task ("" = full)
 
   // Deterministic expansion: workload-major, then seed, then machine point,
   // in declaration order. Duplicate grid entries (a repeated workload, seed

@@ -140,9 +140,6 @@ std::string to_jsonl(const TaskRecord& rec) {
      << ",\"warmup\":" << t.warmup;
   // Written only when nonzero so pre-fast-forward stores stay byte-stable.
   if (t.fast_forward != 0) os << ",\"fast_forward\":" << t.fast_forward;
-  // Written only when set so pre-cosim stores stay byte-stable.
-  if (!t.cosim.empty())
-    os << ",\"cosim_mode\":\"" << json_escape(t.cosim) << "\"";
   os << ",\"status\":\"" << json_escape(rec.status) << "\""
      << ",\"attempts\":" << rec.attempts
      << ",\"duration_ms\":" << fmt_ms(rec.duration_ms)
@@ -260,7 +257,6 @@ std::optional<TaskRecord> parse_jsonl(const std::string& line) {
   r.uint("instructions", t.instructions, true);
   r.uint("warmup", t.warmup, true);
   r.uint("fast_forward", t.fast_forward);
-  r.str("cosim_mode", t.cosim);
   r.str("status", rec.status, true);
   r.uint("attempts", rec.attempts, true);
   r.str("error", rec.error);

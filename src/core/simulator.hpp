@@ -22,8 +22,7 @@
 //   co-simulation divergence. The oracle supplies every committed value, so
 //   a second emulator stepping at commit could only catch the same faults —
 //   a wrong-path, skipped, repeated or reordered entry — which the index
-//   catches exactly, in O(1). `--cosim` modes are run labels only: every
-//   run is checked the same way.
+//   catches exactly, in O(1). Every run is checked this way.
 // * Event-driven scheduler core: ready ops come off an event wheel /
 //   producer waiter-lists instead of a per-cycle RUU scan, replay walks
 //   consumer edges only, and fully idle cycles are skipped in one jump —

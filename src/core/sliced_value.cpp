@@ -83,35 +83,6 @@ u32 needed_source_slices(ExecClass cls, unsigned s, const SliceGeometry& g) {
   return all;
 }
 
-bool has_inter_slice_dep(ExecClass cls) {
-  switch (cls) {
-    case ExecClass::Add:
-    case ExecClass::Load:
-    case ExecClass::Store:
-    case ExecClass::Compare:
-    case ExecClass::BranchSign:
-    case ExecClass::ShiftLeft:
-    case ExecClass::ShiftRight:
-      return true;
-    case ExecClass::Logic:
-    case ExecClass::MfHiLo:
-    case ExecClass::BranchEq:
-    case ExecClass::Mul:
-    case ExecClass::Div:
-    case ExecClass::Jump:
-    case ExecClass::JumpReg:
-    case ExecClass::Syscall:
-    case ExecClass::FpAlu:
-    case ExecClass::FpMul:
-    case ExecClass::FpDiv:
-    case ExecClass::FpSqrt:
-    case ExecClass::FpCompare:
-    case ExecClass::FpBranch:
-      return false;
-  }
-  return false;
-}
-
 bool reads_amount_slice0(Op op) {
   return op == Op::SLLV || op == Op::SRLV || op == Op::SRAV;
 }

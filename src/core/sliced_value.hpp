@@ -46,11 +46,6 @@ inline unsigned slice_visit_pos(SliceOrder order, unsigned num_ops,
 // For Collect, every slice-op needs all source slices.
 u32 needed_source_slices(ExecClass cls, unsigned s, const SliceGeometry& g);
 
-// Does slice-op `s` additionally require the *previous* slice-op of the same
-// instruction (carry / shifted-in bits), i.e. an inter-slice dependence?
-// "Previous" means s-1 for LowToHigh, s+1 for HighToLow.
-bool has_inter_slice_dep(ExecClass cls);
-
 // Variable shifts consume the shift amount from the low slice of rs.
 bool reads_amount_slice0(Op op);
 

@@ -111,10 +111,6 @@ unsigned DecodedInst::mem_bytes() const {
   }
 }
 
-bool DecodedInst::mem_sign_extend() const {
-  return op == Op::LB || op == Op::LH;
-}
-
 // ---------------------------------------------------------------------------
 // Decode / encode
 // ---------------------------------------------------------------------------

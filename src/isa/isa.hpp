@@ -219,7 +219,6 @@ struct DecodedInst {
 
   // Memory access size in bytes (1/2/4); 0 for non-memory ops.
   unsigned mem_bytes() const;
-  bool mem_sign_extend() const;  // lb/lh sign-extend, lbu/lhu do not
 };
 
 // Operand-register accessors, inline for the same reason as op_info():

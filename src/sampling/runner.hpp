@@ -19,8 +19,8 @@ namespace bsp::sampling {
 
 // Builds the sampling TaskRunner from the campaign's per-task knobs:
 // options.sample_intervals (K, > 0) and sample_warmup shape each task's
-// plan; ckpt_cache_dir, host_profile, cpi_stack and cosim mean what they
-// mean for make_sim_runner(). Interval workers always run as threads on the
+// plan; ckpt_cache_dir, host_profile and cpi_stack mean what they mean for
+// make_sim_runner(). Interval workers always run as threads on the
 // task's own scheduler slot — the sweep's --isolate process already wraps
 // the whole task in a subprocess, and nesting another fork/exec layer per
 // interval would multiply process churn for no extra containment.

@@ -102,7 +102,7 @@ struct SampledResult {
 
 // The engine: plan, prewarm, run every interval (parallel), stitch.
 // `task` is the monolithic run being sampled (workload, seed,
-// instructions, warmup, fast_forward, cosim) on `config`; each interval
+// instructions, warmup, fast_forward) on `config`; each interval
 // runs as a copy of it whose fast_forward, warmup and instructions are the
 // interval's offset, warm-up and chunk, with `run`'s knobs.
 SampledResult run_sampled(const campaign::TaskSpec& task,

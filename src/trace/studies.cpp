@@ -41,17 +41,6 @@ double LsqAliasStudy::resolved_fraction(unsigned k) const {
 // PartialTagStudy
 // ---------------------------------------------------------------------------
 
-const char* PartialTagStudy::outcome_name(Outcome o) {
-  switch (o) {
-    case Outcome::ZeroMatch: return "zero match";
-    case Outcome::SingleHit: return "single entry - hit";
-    case Outcome::SingleMiss: return "single entry - miss";
-    case Outcome::MultMatch: return "mult match";
-    case Outcome::kCount: break;
-  }
-  return "?";
-}
-
 PartialTagStudy::PartialTagStudy(CacheGeometry geometry)
     : cache_(geometry), counts_(geometry.tag_bits()) {}
 

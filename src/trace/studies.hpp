@@ -74,7 +74,6 @@ class PartialTagStudy {
     MultMatch,    // several ways match: needs prediction or more bits
     kCount
   };
-  static const char* outcome_name(Outcome o);
   static constexpr unsigned kNumOutcomes = static_cast<unsigned>(Outcome::kCount);
 
   explicit PartialTagStudy(CacheGeometry geometry);

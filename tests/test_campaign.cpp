@@ -325,6 +325,57 @@ TEST(Campaign, ResumeSkipsCompletedTasks) {
   std::remove(path.c_str());
 }
 
+// Stores written while a co-simulation label existed carry "cosim_mode"
+// and a "/cosim=MODE" id suffix. Every label ran the same check, so such a
+// line loads as the unlabelled task and resumes it.
+TEST(Campaign, CosimLabelledRecordResumesTheUnlabelledTask) {
+  SweepSpec spec = small_spec();
+  spec.workloads = {"li"};
+  spec.seeds = {0x5eed};
+  const auto tasks = spec.expand();
+  ASSERT_EQ(tasks.size(), 2u);
+  TaskRecord rec;
+  rec.task = tasks[0];
+  rec.status = "ok";
+  rec.stats = fake_stats(tasks[0]);
+  std::string line = to_jsonl(rec);
+  const std::string id = "\"task\":\"" + tasks[0].id() + "\"";
+  const std::size_t at_id = line.find(id);
+  ASSERT_NE(at_id, std::string::npos);
+  line.insert(at_id + id.size() - 1, "/cosim=spot:64");
+  const std::size_t at_status = line.find("\"status\":");
+  ASSERT_NE(at_status, std::string::npos);
+  line.insert(at_status, "\"cosim_mode\":\"spot:64\",");
+
+  const auto loaded = parse_jsonl(line);
+  ASSERT_TRUE(loaded.has_value()) << line;
+  EXPECT_EQ(loaded->task.id(), tasks[0].id());
+
+  const std::string path = temp_path("cosim_label");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << line << "\n";
+  }
+  std::mutex m;
+  std::set<std::string> ran;
+  CampaignOptions options;
+  options.out_path = path;
+  options.progress = false;
+  const auto report = run_campaign(
+      spec,
+      [&](const TaskSpec& task) {
+        { std::lock_guard<std::mutex> lock(m); ran.insert(task.id()); }
+        return fake_runner()(task);
+      },
+      options);
+  EXPECT_EQ(report.skipped, 1u);
+  EXPECT_EQ(report.ran, 1u);
+  EXPECT_EQ(ran, std::set<std::string>{tasks[1].id()});
+  ASSERT_EQ(report.records.size(), 2u);
+  EXPECT_EQ(report.records[0].task.id(), tasks[0].id());
+  std::remove(path.c_str());
+}
+
 TEST(Campaign, InjectedFailureIsRetriedThenRecordedWithoutAborting) {
   const SweepSpec spec = small_spec();
   const auto tasks = spec.expand();
@@ -900,7 +951,7 @@ std::string byte_loop_cache_key(const Program& p, u64 fast_forward) {
 TEST(CkptCache, ZeroRunHashMatchesTheByteLoop) {
   const auto expect_same = [](const Program& p, const std::string& what) {
     for (const u64 ff : {u64{0}, u64{1'000'000}})
-      EXPECT_EQ(checkpoint_cache_key(p, ff), byte_loop_cache_key(p, ff))
+      EXPECT_EQ(ImageHash(p).key(ff), byte_loop_cache_key(p, ff))
           << what << ", fast_forward " << ff;
   };
   Program p;
@@ -1085,7 +1136,6 @@ TEST(ResultStore, JsonlBytesArePinned) {
   TaskRecord mono;
   mono.task = small_spec().expand()[1];
   mono.task.fast_forward = 50'000;
-  mono.task.cosim = "spot:64";
   mono.status = "ok";
   mono.attempts = 1;
   mono.duration_ms = 3.5;
@@ -1100,11 +1150,10 @@ TEST(ResultStore, JsonlBytesArePinned) {
   mono.ffwd_sec = 0.5;
   EXPECT_EQ(to_jsonl(mono),
       R"({"campaign":"unit",)"
-      R"("task":"unit/li/seed=0x5eed/sliced-x2-t0x1f/n=1000/w=0/ff=50000/co)"
-      R"(sim=spot:64",)"
+      R"("task":"unit/li/seed=0x5eed/sliced-x2-t0x1f/n=1000/w=0/ff=50000",)"
       R"("workload":"li","seed":"0x5eed","machine":"sliced","slices":2,)"
       R"("techniques":"0x1f","label":"full x2","instructions":1000,)"
-      R"("warmup":0,"fast_forward":50000,"cosim_mode":"spot:64",)"
+      R"("warmup":0,"fast_forward":50000,)"
       R"("status":"ok","attempts":1,"duration_ms":3.500,)"
       R"("host_seconds":0.250,"ckpt_cache":"miss","ffwd_sec":0.500000,)"
       R"("host_phases":{"commit":0.125000,"resolve":0.000000,)"
@@ -1158,11 +1207,10 @@ TEST(ResultStore, JsonlBytesArePinned) {
   // A queued line carries attempts 1, the TaskRecord default.
   EXPECT_EQ(task_jsonl(mono.task),
       R"({"campaign":"unit",)"
-      R"("task":"unit/li/seed=0x5eed/sliced-x2-t0x1f/n=1000/w=0/ff=50000/co)"
-      R"(sim=spot:64",)"
+      R"("task":"unit/li/seed=0x5eed/sliced-x2-t0x1f/n=1000/w=0/ff=50000",)"
       R"("workload":"li","seed":"0x5eed","machine":"sliced","slices":2,)"
       R"("techniques":"0x1f","label":"full x2","instructions":1000,)"
-      R"("warmup":0,"fast_forward":50000,"cosim_mode":"spot:64",)"
+      R"("warmup":0,"fast_forward":50000,)"
       R"("status":"queued","attempts":1,"duration_ms":0.000,)"
       R"("host_seconds":0.000})");
 }
@@ -1181,7 +1229,6 @@ std::vector<std::string> record_shape_lines() {
   TaskRecord mono;
   mono.task = small_spec().expand()[1];
   mono.task.fast_forward = 50'000;
-  mono.task.cosim = "spot:64";
   mono.status = "ok";
   mono.duration_ms = 3.5;
   mono.stats = stats;

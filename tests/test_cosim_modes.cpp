@@ -1,8 +1,7 @@
 // The commit-stream check (core/simulator.hpp): every committing entry must
-// be the next correct-path oracle step. An injected lost entry is caught at
-// exactly the commit it hits, under every accepted --cosim spelling — the
-// mode is a recorded label only, `off` included — and the label never
-// changes a number.
+// be the next correct-path oracle step, on every run. An injected lost entry
+// is caught at exactly the commit it hits, and a campaign task reports it as
+// its outcome's error.
 //
 // Fault injection uses the BSP_COSIM_INJECT="N" hook read at Simulator
 // construction: at the Nth total commit (warm-up included) the expected
@@ -17,13 +16,9 @@
 #include "campaign/campaign.hpp"
 #include "config/machine_config.hpp"
 #include "core/simulator.hpp"
-#include "obs/interval.hpp"
 
 namespace bsp {
 namespace {
-
-constexpr const char* kSpellings[] = {"", "full", "spot", "spot:7",
-                                      "spot:64", "off"};
 
 Program s1_chain_program(unsigned iterations) {
   std::ostringstream os;
@@ -44,16 +39,6 @@ struct InjectGuard {
   }
   ~InjectGuard() { ::unsetenv("BSP_COSIM_INJECT"); }
 };
-
-// One campaign task on the base machine under a --cosim label, the way
-// bsp-sweep and bsp-sim run it.
-campaign::TaskOutcome run_labelled(const Program& prog, const char* cosim) {
-  campaign::TaskSpec task;
-  task.instructions = 40'000;
-  task.warmup = 0;
-  task.cosim = cosim;
-  return campaign::simulate_task(task, base_machine(), prog, nullptr, {});
-}
 
 void expect_divergence_at(const std::string& error, u64 committed, u64 at,
                           const std::string& what) {
@@ -79,48 +64,24 @@ TEST(CoSimModes, FullDetectsInjectedDivergencePromptly) {
   expect_divergence_at(r.error, r.stats.committed + 500, 2000, "warm-up");
 }
 
-// The run-wide default (RunnerOptions::cosim, bsp-sweep's --cosim) reaches
-// the same check as a task's own label.
-TEST(CoSimModes, SpotDetectsInjectedDivergenceWithinOneWindow) {
-  const InjectGuard guard("2000");
-  const Program prog = s1_chain_program(3000);
+// A campaign task, the way bsp-sweep and bsp-sim run one, exits through the
+// oracle's exit code when clean and turns a divergence into its outcome's
+// error, never an abort.
+TEST(CoSimModes, InjectedDivergenceIsATaskOutcomeError) {
   campaign::TaskSpec task;
   task.instructions = 40'000;
   task.warmup = 0;
-  for (const char* mode : {"spot", "spot:64"}) {
-    campaign::RunnerOptions options;
-    options.cosim = mode;
-    const campaign::TaskOutcome r =
-        campaign::simulate_task(task, base_machine(), prog, nullptr, options);
-    ASSERT_FALSE(r.error.empty()) << mode << " committed a lost entry";
-    expect_divergence_at(r.error, r.stats.committed, 2000, mode);
-  }
-}
+  const campaign::TaskOutcome clean = campaign::simulate_task(
+      task, base_machine(), s1_chain_program(500), nullptr, {});
+  ASSERT_TRUE(clean.error.empty()) << clean.error;
+  EXPECT_TRUE(clean.exited);
+  EXPECT_EQ(clean.exit_code, 7);
 
-TEST(CoSimModes, OffModeStillDetectsInjectedDivergence) {
   const InjectGuard guard("2000");
-  const Program prog = s1_chain_program(3000);
-  for (const char* mode : kSpellings) {
-    const campaign::TaskOutcome r = run_labelled(prog, mode);
-    ASSERT_FALSE(r.error.empty()) << "'" << mode << "' committed a lost entry";
-    expect_divergence_at(r.error, r.stats.committed, 2000, mode);
-  }
-}
-
-// A clean run exits through the oracle's exit code under every label, with
-// the same number on every counter.
-TEST(CoSimModes, ExitPathAgreesAcrossModes) {
-  const Program prog = s1_chain_program(500);
-  const campaign::TaskOutcome full = run_labelled(prog, "full");
-  for (const char* mode : kSpellings) {
-    const campaign::TaskOutcome r = run_labelled(prog, mode);
-    ASSERT_TRUE(r.error.empty()) << mode << ": " << r.error;
-    EXPECT_TRUE(r.exited) << mode;
-    EXPECT_EQ(r.exit_code, 7) << mode;
-    for (const obs::CounterDesc& c : obs::simstats_counters())
-      EXPECT_EQ(r.stats.*c.field, full.stats.*c.field)
-          << mode << ": " << c.name;
-  }
+  const campaign::TaskOutcome r = campaign::simulate_task(
+      task, base_machine(), s1_chain_program(3000), nullptr, {});
+  ASSERT_FALSE(r.error.empty()) << "committed a lost entry";
+  expect_divergence_at(r.error, r.stats.committed, 2000, "task");
 }
 
 // The hook arms only on a whole positive decimal: anything else, the old
@@ -133,18 +94,6 @@ TEST(CoSimModes, MalformedInjectionIsIgnored) {
     EXPECT_TRUE(r.ok()) << "'" << spec << "': " << r.error;
     EXPECT_TRUE(r.exited) << spec;
   }
-}
-
-TEST(CoSimModes, ParseCosimSpecs) {
-  for (const char* ok : {"full", "off", "spot", "spot:1", "spot:128"})
-    EXPECT_TRUE(campaign::valid_cosim(ok)) << ok;
-  for (const char* bad : {"", "spot:0", "spot:7x", "spot:", "sometimes",
-                          "Full", "spot:-1"})
-    EXPECT_FALSE(campaign::valid_cosim(bad)) << bad;
-  // A task that carries a rejected label fails before simulating.
-  const campaign::TaskOutcome r =
-      run_labelled(s1_chain_program(10), "sometimes");
-  EXPECT_EQ(r.error, "bad cosim mode: sometimes");
 }
 
 }  // namespace

@@ -161,8 +161,6 @@ TEST(Isa, MemAccessMetadata) {
   EXPECT_EQ(make_mem(Op::LB, 1, 2, 0).mem_bytes(), 1u);
   EXPECT_EQ(make_mem(Op::LHU, 1, 2, 0).mem_bytes(), 2u);
   EXPECT_EQ(make_mem(Op::SW, 1, 2, 0).mem_bytes(), 4u);
-  EXPECT_TRUE(make_mem(Op::LB, 1, 2, 0).mem_sign_extend());
-  EXPECT_FALSE(make_mem(Op::LBU, 1, 2, 0).mem_sign_extend());
   EXPECT_EQ(make_r3(Op::ADD, 1, 2, 3).mem_bytes(), 0u);
 }
 

@@ -322,25 +322,22 @@ TEST(RemoteSpecJson, FrameBytesArePinned) {
   spec.run.cpi_stack = true;
   spec.run.sample_intervals = 30;
   spec.run.sample_warmup = 1234;
-  spec.run.cosim = "spot:64";
   spec.run.ckpt_cache_dir = "/host/local";  // never on the wire
   spec.timeout_sec = 12.5;
   spec.max_attempts = 3;
   spec.heartbeat_sec = 0.25;
   EXPECT_EQ(encode_remote_spec(spec),
-            R"({"proto":2,"campaign":"fig11","interval":5000,)"
+            R"({"proto":3,"campaign":"fig11","interval":5000,)"
             R"("host_profile":true,"cpi_stack":true,"sample_intervals":30,)"
             R"("sample_warmup":1234,"timeout_sec":12.500000,)"
-            R"("max_attempts":3,"heartbeat_sec":0.250000,)"
-            R"("cosim":"spot:64"})");
+            R"("max_attempts":3,"heartbeat_sec":0.250000})");
   EXPECT_EQ(encode_remote_spec(RemoteSpec{}),
-            R"({"proto":2,"campaign":"","interval":0,"host_profile":false,)"
+            R"({"proto":3,"campaign":"","interval":0,"host_profile":false,)"
             R"("cpi_stack":false,"sample_intervals":0,"sample_warmup":2000,)"
             R"("timeout_sec":0.000000,"max_attempts":2,)"
             R"("heartbeat_sec":1.000000})");
   const auto back = parse_remote_spec(encode_remote_spec(spec));
   ASSERT_TRUE(back);
-  EXPECT_EQ(back->run.cosim, "spot:64");
   EXPECT_TRUE(back->run.ckpt_cache_dir.empty());
 }
 
@@ -369,11 +366,11 @@ TEST(RemoteSpecJson, RejectsNumbersOutsideTheFieldsRange) {
 // member is added; the loop then demands a registry entry for it.
 TEST(RunOptions, EveryMemberIsRegistered) {
   RunnerOptions o;
-  auto& [interval, host_profile, ckpt_cache_dir, cpi_stack, cosim,
+  auto& [interval, host_profile, ckpt_cache_dir, cpi_stack,
          sample_intervals, sample_warmup] = o;
   const std::vector<const void*> members = {
-      &interval, &host_profile,     &ckpt_cache_dir, &cpi_stack,
-      &cosim,    &sample_intervals, &sample_warmup};
+      &interval,  &host_profile,     &ckpt_cache_dir,
+      &cpi_stack, &sample_intervals, &sample_warmup};
   std::vector<const void*> registered;
   for (const RunOptionField& f : run_option_fields())
     registered.push_back(
@@ -534,18 +531,19 @@ TEST(RemoteCampaign, ProtocolVersionMismatchIsRejectedAtHello) {
   const Ports ports = wait_ports(ports_path);
   ASSERT_NE(ports.port, 0);
 
-  // A worker speaking tomorrow's protocol gets an ERROR frame, not a SPEC.
-  {
+  // A worker speaking v2 (whose task ids carried the co-simulation label)
+  // or tomorrow's protocol gets an ERROR frame, not a SPEC.
+  for (const int proto : {2, 99}) {
     std::string err;
     const int fd = tcp_connect({"127.0.0.1", ports.port}, 5, &err);
     ASSERT_GE(fd, 0) << err;
     FrameChannel ch(fd);
-    ASSERT_TRUE(ch.send("HELLO {\"proto\":99,\"host\":\"future\","
-                        "\"slots\":1}"));
+    ASSERT_TRUE(ch.send("HELLO {\"proto\":" + std::to_string(proto) +
+                        ",\"host\":\"other\",\"slots\":1}"));
     const auto reply = expect_frame(ch);
     ASSERT_TRUE(reply);
-    EXPECT_EQ(*reply, "ERROR incompatible protocol version 99 (coordinator "
-                      "speaks " +
+    EXPECT_EQ(*reply, "ERROR incompatible protocol version " +
+                          std::to_string(proto) + " (coordinator speaks " +
                           std::to_string(kRemoteProtocolVersion) + ")");
   }
   // A current-protocol worker still finishes the campaign.

@@ -20,11 +20,9 @@
 #include <utility>
 #include <vector>
 
-#include "campaign/campaign.hpp"
 #include "config/machine_config.hpp"
 #include "core/simulator.hpp"
 #include "emu/checkpoint.hpp"
-#include "obs/interval.hpp"
 #include "sampling/sampled.hpp"
 #include "workloads/workloads.hpp"
 
@@ -271,36 +269,6 @@ TEST(SchedEquivalence, OneIntervalSampledRunMatchesGolden) {
       /*fast_forward=*/0, opts);
   ASSERT_TRUE(s.ok()) << s.error;
   expect_matches_golden("gzip/base", s.aggregate);
-}
-
-// A --cosim label is recorded, never simulated: a campaign task under any
-// accepted spelling runs the one commit-stream check, so it reproduces the
-// scan-scheduler golden and the unlabelled task on every SimStats counter.
-TEST(SchedEquivalence, CosimSpotAndOffMatchGoldens) {
-  const Workload gzip = build_workload("gzip");
-  const StackPoint all = technique_stack(2).back();
-  const std::pair<std::string, MachineConfig> configs[] = {
-      {"gzip/base", base_machine()},
-      {"gzip/s2/" + all.label, all.config}};
-  for (const auto& [tag, config] : configs) {
-    campaign::TaskSpec task;
-    task.workload = "gzip";
-    task.instructions = kCommits;
-    task.warmup = kWarmup;
-    const campaign::TaskOutcome plain =
-        campaign::simulate_task(task, config, gzip.program, nullptr, {});
-    ASSERT_TRUE(plain.error.empty()) << tag << ": " << plain.error;
-    expect_matches_golden(tag, plain.stats);
-    for (const char* cosim : {"full", "spot:64", "off"}) {
-      task.cosim = cosim;
-      const campaign::TaskOutcome r =
-          campaign::simulate_task(task, config, gzip.program, nullptr, {});
-      ASSERT_TRUE(r.error.empty()) << tag << "/" << cosim << ": " << r.error;
-      for (const obs::CounterDesc& c : obs::simstats_counters())
-        EXPECT_EQ(r.stats.*c.field, plain.stats.*c.field)
-            << tag << "/" << cosim << ": " << c.name;
-    }
-  }
 }
 
 // The idle-cycle skip must be invisible in simulated time: cycles advance

@@ -79,15 +79,6 @@ TEST(SliceDeps, CollectClassesReadEverything) {
   EXPECT_EQ(needed_source_slices(ExecClass::JumpReg, 0, g), 0b11u);
 }
 
-TEST(SliceDeps, InterSliceDependences) {
-  EXPECT_TRUE(has_inter_slice_dep(ExecClass::Add));
-  EXPECT_TRUE(has_inter_slice_dep(ExecClass::ShiftLeft));
-  EXPECT_TRUE(has_inter_slice_dep(ExecClass::Compare));
-  EXPECT_FALSE(has_inter_slice_dep(ExecClass::Logic));
-  EXPECT_FALSE(has_inter_slice_dep(ExecClass::BranchEq));
-  EXPECT_FALSE(has_inter_slice_dep(ExecClass::Mul));
-}
-
 TEST(SliceDeps, VariableShiftsReadAmountSlice0) {
   EXPECT_TRUE(reads_amount_slice0(Op::SLLV));
   EXPECT_TRUE(reads_amount_slice0(Op::SRAV));

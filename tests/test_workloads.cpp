@@ -110,7 +110,7 @@ TEST(Workloads, ProgramImagesArePinned) {
     WorkloadParams params;
     params.seed = id.second;
     const Workload w = build_workload(id.first, params);
-    EXPECT_EQ(campaign::checkpoint_cache_key(w.program, 1'000'000), key)
+    EXPECT_EQ(campaign::ImageHash(w.program).key(1'000'000), key)
         << id.first << " seed " << id.second;
   }
 }

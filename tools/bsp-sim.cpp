@@ -3,7 +3,7 @@
 //
 //   bsp-sim <program.{s,bspo} | workload> [options]      (--help lists them)
 //
-// The run knobs bsp-sweep shares (--host-profile, --cpi-stack, --cosim,
+// The run knobs bsp-sweep shares (--host-profile, --cpi-stack,
 // --sample-intervals, --sample-warmup, --ckpt-cache) come from the
 // campaign::RunnerOptions registry; --interval-stats here streams a
 // monolithic run's time-series to a file instead. With --sample-intervals
@@ -252,10 +252,6 @@ int main(int argc, char** argv) {
   }
   if (interval == 0) {
     std::cerr << "bsp-sim: --interval must be > 0\n";
-    return 2;
-  }
-  if (!run.cosim.empty() && !campaign::valid_cosim(run.cosim)) {
-    std::cerr << "bsp-sim: --cosim must be full, spot[:N], or off\n";
     return 2;
   }
 

@@ -259,11 +259,6 @@ int main(int argc, char** argv) {
               << isolate << "'\n";
     return 2;
   }
-  if (!runner_options.cosim.empty() && !valid_cosim(runner_options.cosim)) {
-    std::cerr << "bsp-sweep: --cosim must be full, spot[:N], or off, got '"
-              << runner_options.cosim << "'\n";
-    return 2;
-  }
 
   // One task = one scheduler slot either way: the sampled runner simulates
   // its intervals serially inside the slot, so sweep-level parallelism
@@ -354,7 +349,6 @@ int main(int argc, char** argv) {
   if (has_n) spec.instructions = instructions;
   if (has_warmup) spec.warmup = warmup;
   if (has_ff) spec.fast_forward = fast_forward;
-  if (!runner_options.cosim.empty()) spec.cosim = runner_options.cosim;
   // A name no kernel has would fail every task of the grid; reject it
   // before the first one runs.
   for (const std::string& w : workloads) {
