@@ -71,6 +71,31 @@ std::vector<bool> satisfied(const std::vector<TaskSpec>& tasks,
   return done;
 }
 
+// The tasks not yet `done`, round-robin across workloads: the first pending
+// task of every workload (workloads in grid order), then the second of
+// every workload, and so on; each workload's own tasks stay in grid order.
+// Concurrent workers then run different programs, so a big program's pages
+// are live in one task at a time rather than in all of them at once.
+std::vector<std::size_t> dispatch_order(const std::vector<TaskSpec>& tasks,
+                                        const std::vector<bool>& done) {
+  std::vector<std::vector<std::size_t>> by_workload;
+  std::unordered_map<std::string, std::size_t> slot;
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (done[i]) continue;
+    const auto [it, fresh] = slot.emplace(tasks[i].workload, slot.size());
+    if (fresh) by_workload.emplace_back();
+    by_workload[it->second].push_back(i);
+    ++count;
+  }
+  std::vector<std::size_t> order;
+  order.reserve(count);
+  for (std::size_t round = 0; order.size() < count; ++round)
+    for (const std::vector<std::size_t>& w : by_workload)
+      if (round < w.size()) order.push_back(w[round]);
+  return order;
+}
+
 }  // namespace
 
 CampaignLedger::CampaignLedger(const SweepSpec& spec,
@@ -85,13 +110,10 @@ CampaignLedger::CampaignLedger(const SweepSpec& spec,
                  std::count(done_.begin(), done_.end(), true)),
              options.progress) {
   report_.total = tasks_.size();
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+  for (std::size_t i = 0; i < tasks_.size(); ++i)
     index_.emplace(tasks_[i].id(), i);
-    if (done_[i])
-      ++report_.skipped;
-    else
-      pending_.push_back(i);
-  }
+  pending_ = dispatch_order(tasks_, done_);
+  report_.skipped = tasks_.size() - pending_.size();
 }
 
 std::vector<TaskSpec> CampaignLedger::pending_tasks() const {

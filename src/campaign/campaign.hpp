@@ -68,8 +68,15 @@ class CampaignLedger {
   CampaignLedger(const SweepSpec& spec, const CampaignOptions& options);
 
   const std::vector<TaskSpec>& tasks() const { return tasks_; }
-  // Indices into tasks() of the tasks this run executes, in grid order.
+  // Indices into tasks() of the tasks this run executes, in dispatch
+  // order: round-robin across workloads (the first pending task of each
+  // workload, workloads in grid order, then the second of each, ...), each
+  // workload's tasks in grid order. Local runs and the --serve
+  // coordinator's queue both hand tasks out in this order; the store
+  // appends records as they complete, and finish() reports them in grid
+  // order.
   const std::vector<std::size_t>& pending() const { return pending_; }
+  // The pending() tasks, in the same order.
   std::vector<TaskSpec> pending_tasks() const;
   // The grid index of a task id; nullopt for a task outside the grid.
   std::optional<std::size_t> index_of(const std::string& id) const;

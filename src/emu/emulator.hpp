@@ -155,9 +155,10 @@ class Emulator {
   u32 text_base_ = 0;
   std::vector<Slot> slots_;
 
-  // Instruction-fetch page cache, separate from SparseMemory's data-access
-  // cache. Only mapped pages are cached (a store can map a page later); a
-  // mapped page's storage never moves while mem_ lives.
+  // Instruction-fetch page cache: the current text page's bytes, so a fetch
+  // skips SparseMemory's page directory. Only mapped pages are cached (a
+  // store can map a page later); a mapped page's storage never moves while
+  // mem_ lives.
   struct FetchCache {
     const u8* page = nullptr;
     u32 base = 1;  // never page-aligned, so the first fetch misses

@@ -4,13 +4,18 @@
 // the program actually uses. Little-endian, matching the host so data-segment
 // images can be copied in directly. Unaligned u16/u32 accesses are supported
 // (assembled programs never produce them, but synthetic stress tests do).
+//
+// A two-level page directory finds a page: the top 10 address bits pick a
+// table of 1024 page pointers, the next 10 a page. The 4 KiB pages come
+// from one process-wide pool (memory.cpp) and go back to it when the memory
+// dies, so the next memory on any thread reuses them instead of growing
+// that thread's malloc arena.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstring>
-#include <memory>
-#include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "util/bitops.hpp"
 
@@ -20,6 +25,18 @@ class SparseMemory {
  public:
   static constexpr unsigned kPageShift = 12;
   static constexpr u32 kPageSize = 1u << kPageShift;
+
+  SparseMemory() = default;
+  SparseMemory(SparseMemory&& o) noexcept : dir_(o.dir_), pages_(o.pages_) {
+    o.dir_.fill(nullptr);
+    o.pages_ = 0;
+  }
+  SparseMemory& operator=(SparseMemory&& o) noexcept {
+    std::swap(dir_, o.dir_);
+    std::swap(pages_, o.pages_);
+    return *this;
+  }
+  ~SparseMemory() { release(); }
 
   u8 load_u8(u32 addr) const {
     const Page* p = find_page(addr);
@@ -80,67 +97,67 @@ class SparseMemory {
     }
   }
 
-  std::size_t pages_allocated() const { return pages_.size(); }
+  std::size_t pages_allocated() const { return pages_; }
 
   // Read-only pointer to the allocated page containing `addr` (null when the
-  // page was never touched). Page storage is heap-allocated and never moves
-  // while this SparseMemory lives, so the pointer stays valid across later
-  // loads/stores — the fast-forward interpreter caches it for instruction
-  // fetch. A null result must not be cached: a later store can allocate the
-  // page.
+  // page was never touched). A page never moves while this SparseMemory
+  // lives, so the pointer stays valid across later loads/stores — the
+  // fast-forward interpreter caches it for instruction fetch. A null result
+  // must not be cached: a later store can allocate the page.
   const u8* page_bytes(u32 addr) const {
     const Page* p = find_page(addr);
-    return p ? p->bytes.data() : nullptr;
+    return p ? p->bytes : nullptr;
   }
 
-  // Visits every allocated page in ascending page-id order (deterministic,
+  // Visits every allocated page in ascending address order (deterministic,
   // for checkpoint serialisation). The callback receives the page's base
   // address and kPageSize bytes.
   template <typename Fn>
   void for_each_page(Fn&& fn) const {
-    std::vector<u32> ids;
-    ids.reserve(pages_.size());
-    for (const auto& [id, page] : pages_) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    for (const u32 id : ids)
-      fn(id << kPageShift, pages_.at(id)->bytes.data());
+    for (u32 t = 0; t < kTableSize; ++t) {
+      if (!dir_[t]) continue;
+      for (u32 i = 0; i < kTableSize; ++i)
+        if (const Page* p = (*dir_[t])[i])
+          fn(((t << kTableBits) | i) << kPageShift, p->bytes);
+    }
   }
+
+  // Pages the process-wide pool has ever mapped, in use or free. Memories
+  // that die hand their pages back, so this stops growing once the pool
+  // covers the most pages ever live at once.
+  static std::size_t pool_pages();
 
  private:
   struct Page {
-    std::vector<u8> bytes = std::vector<u8>(kPageSize, 0);
+    u8 bytes[kPageSize];
   };
+  class Pool;  // memory.cpp
+  static constexpr unsigned kTableBits = 10;
+  static constexpr u32 kTableSize = 1u << kTableBits;
+  using Table = std::array<Page*, kTableSize>;
 
-  mutable u32 cached_id_ = 0;
-  mutable Page* cached_page_ = nullptr;  // null: cache empty
-
-  static u32 page_id(u32 addr) { return addr >> kPageShift; }
   static u32 offset(u32 addr) { return addr & (kPageSize - 1); }
+  static u32 table_of(u32 addr) { return addr >> (kPageShift + kTableBits); }
+  static u32 slot_of(u32 addr) {
+    return (addr >> kPageShift) & (kTableSize - 1);
+  }
 
-  // One-entry translation cache: page objects are heap-allocated and never
-  // freed or moved while the map lives, so a cached pointer stays valid
-  // across inserts and rehashes. Accesses cluster heavily (straight-line
-  // code, stack traffic), making this hit most of the time.
   const Page* find_page(u32 addr) const {
-    const u32 id = page_id(addr);
-    if (id == cached_id_ && cached_page_) return cached_page_;
-    const auto it = pages_.find(id);
-    if (it == pages_.end()) return nullptr;
-    cached_id_ = id;
-    cached_page_ = it->second.get();
-    return cached_page_;
+    const Table* t = dir_[table_of(addr)];
+    return t ? (*t)[slot_of(addr)] : nullptr;
   }
   Page& page(u32 addr) {
-    const u32 id = page_id(addr);
-    if (id == cached_id_ && cached_page_) return *cached_page_;
-    auto& slot = pages_[id];
-    if (!slot) slot = std::make_unique<Page>();
-    cached_id_ = id;
-    cached_page_ = slot.get();
-    return *slot;
+    if (Table* t = dir_[table_of(addr)])
+      if (Page* p = (*t)[slot_of(addr)]) return *p;
+    return allocate(addr);
   }
+  // Maps the page containing `addr` (and its table) to a zeroed pool page.
+  Page& allocate(u32 addr);
+  // Gives every page back to the pool and frees the tables.
+  void release();
 
-  std::unordered_map<u32, std::unique_ptr<Page>> pages_;
+  std::array<Table*, kTableSize> dir_{};
+  std::size_t pages_ = 0;
 };
 
 }  // namespace bsp

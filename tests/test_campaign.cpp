@@ -478,7 +478,7 @@ TEST(Campaign, SameSpecAndSeedGivesByteIdenticalJsonlModuloDurations) {
   CampaignOptions options;
   options.fresh = true;
   options.progress = false;
-  options.scheduler.jobs = 1;  // sequential => record order is task order
+  options.scheduler.jobs = 1;  // sequential => record order is dispatch order
   options.out_path = path_a;
   run_campaign(spec, fake_runner(), options);
   options.out_path = path_b;
@@ -493,6 +493,129 @@ TEST(Campaign, SameSpecAndSeedGivesByteIdenticalJsonlModuloDurations) {
   EXPECT_EQ(a, b);
   std::remove(path_a.c_str());
   std::remove(path_b.c_str());
+}
+
+// The rule CampaignLedger::pending() keeps: each workload's tasks in grid
+// order, and no task dispatched while a workload with pending tasks has had
+// fewer dispatched than the task's own workload (round-robin).
+void expect_round_robin(const std::vector<TaskSpec>& tasks,
+                        const std::vector<std::size_t>& order) {
+  std::map<std::string, std::size_t> left, sent, last;
+  for (const std::size_t i : order) ++left[tasks[i].workload];
+  for (const std::size_t i : order) {
+    const std::string& w = tasks[i].workload;
+    if (sent[w] > 0) {
+      EXPECT_LT(last[w], i) << "grid order broken in " << w;
+    }
+    for (const auto& [other, n] : left) {
+      if (n > 0) {
+        EXPECT_LE(sent[w], sent[other])
+            << tasks[i].id() << " dispatched while " << other << " waits";
+      }
+    }
+    last[w] = i;
+    ++sent[w];
+    --left[w];
+  }
+}
+
+CampaignOptions ledger_options(const std::string& path, bool fresh) {
+  CampaignOptions options;
+  options.out_path = path;
+  options.fresh = fresh;
+  options.progress = false;
+  return options;
+}
+
+TEST(DispatchOrder, Fig11StartsWithEveryWorkloadOnce) {
+  const SweepSpec spec = find_campaign("fig11")->make();
+  const std::string path = temp_path("dispatch_fig11");
+  const CampaignLedger ledger(spec, ledger_options(path, true));
+  const std::vector<std::size_t>& order = ledger.pending();
+  ASSERT_EQ(order.size(), ledger.tasks().size());
+  ASSERT_EQ(spec.workloads.size(), 11u);
+  std::set<std::string> first;
+  for (std::size_t k = 0; k < 11; ++k)
+    first.insert(ledger.tasks()[order[k]].workload);
+  EXPECT_EQ(first.size(), 11u);
+  expect_round_robin(ledger.tasks(), order);
+  const std::vector<TaskSpec> pending = ledger.pending_tasks();
+  for (std::size_t k = 0; k < order.size(); ++k)
+    EXPECT_EQ(pending[k].id(), ledger.tasks()[order[k]].id());
+  std::remove(path.c_str());
+}
+
+TEST(DispatchOrder, ResumedStoreKeepsTheRuleForTheRest) {
+  const SweepSpec spec = find_campaign("fig11")->make();
+  const std::string path = temp_path("dispatch_resume");
+  std::vector<std::size_t> first_run;
+  {
+    const CampaignLedger ledger(spec, ledger_options(path, true));
+    first_run = ledger.pending();
+  }
+  // Two killed runs: one that ran the first half of the dispatch order,
+  // and one (from a store written in grid order) that ran the first half
+  // of the grid.
+  const std::vector<TaskSpec> tasks = spec.expand();
+  std::vector<std::size_t> grid(tasks.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) grid[i] = i;
+  for (const std::vector<std::size_t>* ran : {&first_run, &grid}) {
+    const std::size_t half = tasks.size() / 2;
+    std::set<std::size_t> stored;
+    {
+      ResultStore store(path, /*truncate=*/true);
+      for (std::size_t k = 0; k < half; ++k) {
+        TaskRecord rec;
+        rec.task = tasks[(*ran)[k]];
+        rec.status = "ok";
+        rec.stats = fake_stats(rec.task);
+        store.append(rec);
+        stored.insert((*ran)[k]);
+      }
+    }
+    const CampaignLedger ledger(spec, ledger_options(path, false));
+    const std::vector<std::size_t>& order = ledger.pending();
+    EXPECT_EQ(order.size(), tasks.size() - half);
+    for (const std::size_t i : order) EXPECT_EQ(stored.count(i), 0u);
+    expect_round_robin(ledger.tasks(), order);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(DispatchOrder, ReportsStayInGridOrderAndTheStoreHoldsEveryTask) {
+  const SweepSpec spec = small_spec();
+  const std::string path = temp_path("dispatch_report");
+  CampaignOptions options = ledger_options(path, true);
+  options.scheduler.jobs = 1;
+  std::vector<TaskSpec> ran;  // jobs = 1 runs every task on this thread
+  const CampaignReport report = run_campaign(
+      spec,
+      [&](const TaskSpec& task) {
+        ran.push_back(task);
+        return fake_runner()(task);
+      },
+      options);
+  const std::vector<TaskSpec> tasks = spec.expand();
+  ASSERT_EQ(report.records.size(), tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    EXPECT_EQ(report.records[i].task.id(), tasks[i].id());
+  // The workloads alternate from the first task on.
+  ASSERT_EQ(ran.size(), tasks.size());
+  EXPECT_EQ(ran[0].id(), tasks[0].id());
+  EXPECT_NE(ran[1].workload, ran[0].workload);
+  // A sequential store appends in run order, and holds each task once with
+  // the same record a grid-order run writes.
+  const std::vector<TaskRecord> stored = load_records(path);
+  ASSERT_EQ(stored.size(), tasks.size());
+  std::set<std::string> ids;
+  for (std::size_t k = 0; k < stored.size(); ++k) {
+    EXPECT_EQ(stored[k].task.id(), ran[k].id());
+    EXPECT_EQ(stored[k].status, "ok");
+    EXPECT_EQ(stored[k].stats.cycles, fake_stats(stored[k].task).cycles);
+    ids.insert(stored[k].task.id());
+  }
+  EXPECT_EQ(ids.size(), tasks.size());
+  std::remove(path.c_str());
 }
 
 TEST(Campaign, SimRunnerMatchesLegacySimulate) {

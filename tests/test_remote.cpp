@@ -766,6 +766,51 @@ TEST(RemoteCampaign, ResumeSkipsStoredTasksAndServesOnlyTheRest) {
   std::remove(ports_path.c_str());
 }
 
+// The coordinator's queue is CampaignLedger::pending(): a one-slot worker
+// receives TASK frames round-robin across workloads, as a local run would
+// dispatch them.
+TEST(DispatchOrder, OneSlotServeWorkerReceivesTasksInDispatchOrder) {
+  SweepSpec spec = tiny_spec({0x5eed, 0x1111});
+  spec.workloads = {"li", "go", "bzip"};
+  const std::string out = temp_path("order") + ".jsonl";
+  const std::string ports_path = temp_path("order_ports");
+  std::vector<std::string> want;
+  {
+    const CampaignLedger ledger(spec, serve_options(out, true));
+    for (const TaskSpec& t : ledger.pending_tasks()) want.push_back(t.id());
+  }
+  ASSERT_EQ(want.size(), 6u);
+
+  RemoteOptions ropts;
+  ropts.bind = {"127.0.0.1", 0};
+  ropts.port_file = ports_path;
+  auto serve = std::async(std::launch::async, [&] {
+    return serve_campaign(spec, serve_options(out, true), ropts);
+  });
+  const Ports ports = wait_ports(ports_path);
+  ASSERT_NE(ports.port, 0);
+  auto worker = fake_ready_worker(ports.port);
+  ASSERT_TRUE(worker);
+  std::vector<std::string> got;
+  for (;;) {
+    const auto frame = expect_frame(*worker);
+    ASSERT_TRUE(frame);
+    if (*frame == "DONE") break;
+    if (frame->rfind("TASK ", 0) != 0) continue;  // PING
+    const auto rec = parse_jsonl(frame->substr(5));
+    ASSERT_TRUE(rec) << *frame;
+    got.push_back(rec->task.id());
+    ASSERT_TRUE(worker->send("RECORD " + to_jsonl(ok_record(rec->task))));
+  }
+  const CampaignReport report = serve.get();
+  EXPECT_EQ(got, want);
+  EXPECT_NE(spec.expand()[1].id(), want[1]) << "grid order is not dispatch "
+                                               "order";
+  EXPECT_EQ(report.ok, 6u);
+  std::remove(out.c_str());
+  std::remove(ports_path.c_str());
+}
+
 TEST(RemoteCampaign, FullyResumedCampaignReturnsWithoutListening) {
   const SweepSpec spec = tiny_spec({0x5eed, 0x1111});
   const auto tasks = spec.expand();
