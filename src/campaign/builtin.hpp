@@ -45,4 +45,20 @@ const std::vector<ReportView>& report_views();
 // nullptr when unknown.
 const ReportView* find_view(const std::string& name);
 
+// One machine point's CPI stack over a store: its ok records' counters
+// merged. The cpi_* leaves are plain counters, so the merge keeps the
+// identity sum(cpi_*) == cycles * commit width. bsp-sweep --cpi-stack and
+// bsp-report --cpi-stack print these with obs::format_cpi_stack and
+// friends.
+struct MachineCpi {
+  std::string label;
+  unsigned commit_width = 0;
+  SimStats stats;
+  std::size_t runs = 0;
+};
+
+// One MachineCpi per machine label with an ok record, labels in the order
+// `records` first shows them.
+std::vector<MachineCpi> cpi_by_machine(const std::vector<TaskRecord>& records);
+
 }  // namespace bsp::campaign

@@ -1,8 +1,9 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <cstdio>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -59,18 +60,6 @@ class BuildOnce {
   std::map<Key, std::shared_future<Value>> map_;
 };
 
-// Whether the store already satisfies each task: any record, or with
-// retry_failed an "ok" one.
-std::vector<bool> satisfied(const std::vector<TaskSpec>& tasks,
-                            const ResultStore& store, bool retry_failed) {
-  std::vector<bool> done(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const std::string status = store.status(tasks[i].id());
-    done[i] = retry_failed ? status == "ok" : !status.empty();
-  }
-  return done;
-}
-
 // The tasks not yet `done`, round-robin across workloads: the first pending
 // task of every workload (workloads in grid order), then the second of
 // every workload, and so on; each workload's own tasks stay in grid order.
@@ -96,24 +85,103 @@ std::vector<std::size_t> dispatch_order(const std::vector<TaskSpec>& tasks,
   return order;
 }
 
+// The live line: "\r[name] done/total (resumed) | failed | crashed |
+// retried | tasks/s | commits per host-second | peak RSS | ETA".
+void print_line(const std::string& name, const ProgressSnapshot& s) {
+  const CampaignReport& c = s.counts;
+  char eta[32];
+  if (s.eta_sec >= 0) {
+    if (s.eta_sec >= 90)
+      std::snprintf(eta, sizeof eta, "%.1fmin", s.eta_sec / 60);
+    else
+      std::snprintf(eta, sizeof eta, "%.0fs", s.eta_sec);
+  } else {
+    std::snprintf(eta, sizeof eta, "?");
+  }
+  char sim_rate[32] = "";
+  if (s.commits_per_host_second > 0)
+    std::snprintf(sim_rate, sizeof sim_rate, " | %.2fM commits/hs",
+                  s.commits_per_host_second / 1e6);
+  char rss[32] = "";
+  if (c.max_rss_kb > 0)
+    std::snprintf(rss, sizeof rss, " | peak %.0fMB",
+                  static_cast<double>(c.max_rss_kb) / 1024.0);
+  std::fprintf(stderr,
+               "\r[%s] %zu/%zu done (%zu resumed) | %zu failed | %zu crashed "
+               "| %zu retried | %.2f tasks/s%s%s | ETA %s   ",
+               name.c_str(), c.ran + c.skipped, c.total, c.skipped, c.failed,
+               c.crashed, c.retried, s.rate, sim_rate, rss, eta);
+  std::fflush(stderr);
+}
+
+// The summed host-phase profile as shares of the instrumented loop.
+void print_phases(const std::string& name, const obs::HostProfile& hp) {
+  const double total = hp.total();
+  if (total <= 0) return;
+  const auto pct = [&](double v) { return 100.0 * v / total; };
+  // replay is nested inside memory, so its parenthetical says "of total"
+  // explicitly — a bare percentage inside "memory X% (...)" reads as a
+  // share of memory. ffwd happens before the cycle loop, so it reports in
+  // absolute seconds beside the loop's 100%, not as a share of it.
+  char replay[48] = "";
+  if (hp.replay > 0)
+    std::snprintf(replay, sizeof replay, " (replay %.1f%% of total)",
+                  pct(hp.replay));
+  char ffwd[40] = "";
+  if (hp.ffwd > 0)
+    std::snprintf(ffwd, sizeof ffwd, " | ffwd %.2fs pre-loop", hp.ffwd);
+  std::fprintf(stderr,
+               "[%s] host phases: commit %.1f%% | "
+               "resolve %.1f%% | select %.1f%% | memory %.1f%%%s"
+               " | dispatch %.1f%% | fetch %.1f%%%s\n",
+               name.c_str(), pct(hp.commit), pct(hp.resolve),
+               pct(hp.select), pct(hp.memory), replay, pct(hp.dispatch),
+               pct(hp.fetch), ffwd);
+}
+
 }  // namespace
+
+ProgressSnapshot progress_at(const CampaignReport& counts,
+                             double elapsed_sec) {
+  ProgressSnapshot s;
+  s.counts = counts;
+  s.elapsed_sec = elapsed_sec;
+  s.rate = elapsed_sec > 0 ? static_cast<double>(counts.ran) / elapsed_sec
+                           : 0;
+  s.eta_sec =
+      s.rate > 0 ? static_cast<double>(counts.remaining()) / s.rate : -1;
+  s.commits_per_host_second =
+      counts.host_seconds > 0
+          ? static_cast<double>(counts.committed) / counts.host_seconds
+          : 0.0;
+  return s;
+}
 
 CampaignLedger::CampaignLedger(const SweepSpec& spec,
                                const CampaignOptions& options)
-    : tasks_(spec.expand()),
+    : name_(spec.name),
+      print_(options.progress),
+      tasks_(spec.expand()),
       store_(options.out_path.empty() ? spec.name + ".jsonl"
                                       : options.out_path,
              options.fresh),
-      done_(satisfied(tasks_, store_, options.retry_failed)),
-      meter_(spec.name, tasks_.size(),
-             static_cast<std::size_t>(
-                 std::count(done_.begin(), done_.end(), true)),
-             options.progress) {
-  report_.total = tasks_.size();
+      latest_(tasks_.size()),
+      done_(tasks_.size()) {
   for (std::size_t i = 0; i < tasks_.size(); ++i)
     index_.emplace(tasks_[i].id(), i);
+  if (!options.fresh) {
+    // Records for tasks outside this grid stay in the file, not here.
+    for (TaskRecord& rec : load_records(store_.path())) {
+      const auto idx = index_of(rec.task.id());
+      if (!idx) continue;
+      done_[*idx] = !options.retry_failed || rec.ok();
+      latest_[*idx] = std::move(rec);
+    }
+  }
   pending_ = dispatch_order(tasks_, done_);
+  report_.total = tasks_.size();
   report_.skipped = tasks_.size() - pending_.size();
+  start_ = std::chrono::steady_clock::now();
 }
 
 std::vector<TaskSpec> CampaignLedger::pending_tasks() const {
@@ -130,22 +198,29 @@ std::optional<std::size_t> CampaignLedger::index_of(
   return it->second;
 }
 
-bool CampaignLedger::record(std::size_t idx, const TaskRecord& rec) {
+bool CampaignLedger::record(std::size_t idx, TaskRecord rec) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (done_[idx]) return false;
   done_[idx] = true;
   store_.append(rec);
-  meter_.task_done(rec);
   ++report_.ran;
   if (rec.ckpt_cache == "hit") ++report_.ckpt_hits;
   if (rec.ckpt_cache == "miss") ++report_.ckpt_misses;
-  if (rec.ok())
+  if (rec.ok()) {
     ++report_.ok;
-  else if (rec.status == "crashed")
+    report_.committed += rec.stats.committed;
+    report_.host_seconds += rec.stats.host_seconds;
+    if (rec.stats.host_profile.enabled)
+      report_.host_phases.merge(rec.stats.host_profile);
+  } else if (rec.status == "crashed") {
     ++report_.crashed;
-  else
+  } else {
     ++report_.failed;  // "failed" and "timeout" statuses
+  }
   if (rec.retried()) ++report_.retried;
+  report_.max_rss_kb = std::max(report_.max_rss_kb, rec.max_rss_kb);
+  latest_[idx] = std::move(rec);
+  if (print_) print_line(name_, progress_locked());
   return true;
 }
 
@@ -156,21 +231,33 @@ bool CampaignLedger::done(std::size_t idx) const {
 
 std::size_t CampaignLedger::remaining() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return report_.total - report_.skipped - report_.ran;
+  return report_.remaining();
 }
 
-CampaignReport CampaignLedger::counts() const {
+ProgressSnapshot CampaignLedger::progress_locked() const {
+  return progress_at(report_, std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - start_)
+                                  .count());
+}
+
+ProgressSnapshot CampaignLedger::progress() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return report_;
+  return progress_locked();
 }
 
 CampaignReport CampaignLedger::finish() {
-  meter_.finish();
   std::lock_guard<std::mutex> lock(mutex_);
+  if (print_) {
+    const ProgressSnapshot s = progress_locked();
+    print_line(name_, s);
+    std::fputc('\n', stderr);
+    if (s.counts.host_phases.enabled)
+      print_phases(name_, s.counts.host_phases);
+    std::fflush(stderr);
+  }
   CampaignReport report = report_;
-  for (const TaskSpec& task : tasks_)
-    if (const TaskRecord* rec = store_.find(task.id()))
-      report.records.push_back(*rec);
+  for (std::optional<TaskRecord>& rec : latest_)
+    if (rec) report.records.push_back(std::move(*rec));
   return report;
 }
 

@@ -3,6 +3,7 @@
 // fault-tolerant scheduler with live progress, and summarise.
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -11,7 +12,6 @@
 #include <variant>
 #include <vector>
 
-#include "campaign/progress.hpp"
 #include "campaign/scheduler.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/store.hpp"
@@ -52,17 +52,44 @@ struct CampaignReport {
   // the cache ("hit") vs. paid-here fast-forwards ("miss").
   std::size_t ckpt_hits = 0;
   std::size_t ckpt_misses = 0;
+  // This run's throughput: committed instructions and host seconds summed
+  // over ok tasks, the peak per-task worker RSS (process isolation only),
+  // and the summed host-phase profile (enabled when any ok task had one).
+  u64 committed = 0;
+  double host_seconds = 0;
+  long max_rss_kb = 0;
+  obs::HostProfile host_phases;
   // Final state of every task in the grid (resumed + fresh), in grid order.
   std::vector<TaskRecord> records;
+
+  std::size_t remaining() const { return total - skipped - ran; }
 };
 
-// One campaign's resume and record bookkeeping, the same for run_campaign
-// and serve_campaign. It expands the grid, opens the store at
-// options.out_path and splits the grid into tasks the store already
-// satisfies (any record; with retry_failed, an "ok" one) and tasks to run.
-// Each task then takes one record: record() appends the first to the
-// store and counts it into the progress meter and the report, and refuses
-// any later one. finish() gathers every task's final record.
+// A campaign's counts at one moment, with the rates derived from them. The
+// resume baseline (`skipped`) counts toward done/total but never toward the
+// rate or the ETA: both come from this run's completions (`ran`) only, so
+// resuming a 99%-complete campaign predicts the last 1% at this run's pace
+// instead of crediting this run with a previous run's work.
+struct ProgressSnapshot {
+  CampaignReport counts;   // the ledger leaves records empty
+  double elapsed_sec = 0;  // since this run launched
+  double rate = 0;         // this run's completions per second
+  double eta_sec = -1;     // remaining / rate; < 0 = unknown yet
+  double commits_per_host_second = 0;
+};
+
+// The snapshot of `counts` taken `elapsed_sec` into this run.
+ProgressSnapshot progress_at(const CampaignReport& counts, double elapsed_sec);
+
+// One owner of a campaign's state, the same for run_campaign and
+// serve_campaign. It expands the grid, reads each task's latest record from
+// the store at options.out_path and splits the grid into tasks those
+// records satisfy (any record; with retry_failed, an "ok" one) and tasks
+// to run. Each task then takes one record: record() appends the first to
+// the store, makes it the task's latest record, counts it and redraws the
+// live stderr line (options.progress), and refuses any later one. finish()
+// gathers every task's latest record. One mutex guards the records, the
+// counts and the sums.
 class CampaignLedger {
  public:
   CampaignLedger(const SweepSpec& spec, const CampaignOptions& options);
@@ -83,26 +110,31 @@ class CampaignLedger {
 
   // Thread-safe. Takes `rec` as task idx's record; false, with nothing
   // written or counted, when the task already has one.
-  bool record(std::size_t idx, const TaskRecord& rec);
+  bool record(std::size_t idx, TaskRecord rec);
   bool done(std::size_t idx) const;
   std::size_t remaining() const;  // tasks without a record
 
-  ProgressSnapshot progress() const { return meter_.snapshot(); }
-  // The report so far, without records.
-  CampaignReport counts() const;
-  // Ends the progress line; the report with every task's final record in
-  // grid order.
+  // Counts, sums and rates so far, under one lock; the live line, the
+  // final host-phase line and the --status-endpoint JSON all print this.
+  ProgressSnapshot progress() const;
+  // Ends the progress line; the report with every task's latest record in
+  // grid order. Call once: the records move into the report.
   CampaignReport finish();
 
  private:
+  ProgressSnapshot progress_locked() const;
+
+  std::string name_;
+  bool print_;
   std::vector<TaskSpec> tasks_;
   std::unordered_map<std::string, std::size_t> index_;  // id -> tasks_ idx
   ResultStore store_;
   std::vector<std::size_t> pending_;
-  mutable std::mutex mutex_;  // guards done_ and report_
-  std::vector<bool> done_;
-  CampaignReport report_;
-  ProgressMeter meter_;
+  std::chrono::steady_clock::time_point start_;
+  mutable std::mutex mutex_;  // guards everything below
+  std::vector<std::optional<TaskRecord>> latest_;  // per task, grid order
+  std::vector<bool> done_;  // satisfied at open or recorded this run
+  CampaignReport report_;   // counts and sums, never records
 };
 
 // Runs `spec` with `runner`, appending one record per executed task to the
@@ -123,7 +155,7 @@ struct RunnerOptions {
   // ("interval" + "series" fields). 0 = off.
   u64 interval = 0;
   // Collect host-phase profiles (SimStats::host_profile, serialised as the
-  // record's "host_phases" object) and feed the progress meter's breakdown.
+  // record's "host_phases" object) and print their sum after the run.
   bool host_profile = false;
   // Shared checkpoint cache directory for fast_forward > 0 tasks ("" = no
   // on-disk cache; concurrent in-process tasks still share one fast-forward

@@ -259,14 +259,14 @@ CampaignReport serve_campaign(const SweepSpec& spec,
   };
 
   const auto handle_record = [&](Conn& c, const std::string& body) {
-    const auto rec = parse_jsonl(body);
+    auto rec = parse_jsonl(body);
     if (!rec) return;
     const auto idx = ledger.index_of(rec->task.id());
     if (!idx) return;  // foreign record: ignore
     if (c.inflight.erase(*idx) && state[*idx].runners > 0)
       --state[*idx].runners;
     // A re-dispatch race: the first record already won.
-    if (!ledger.record(*idx, *rec)) ++duplicates_dropped;
+    if (!ledger.record(*idx, std::move(*rec))) ++duplicates_dropped;
   };
 
   const auto handle_frame = [&](Conn& c, const std::string& payload) {
@@ -333,7 +333,7 @@ CampaignReport serve_campaign(const SweepSpec& spec,
 
   const auto status_json = [&]() -> std::string {
     const ProgressSnapshot s = ledger.progress();
-    const CampaignReport counts = ledger.counts();
+    const CampaignReport& counts = s.counts;
     std::size_t inflight = 0;
     std::ostringstream workers;
     bool first = true;
@@ -350,18 +350,18 @@ CampaignReport serve_campaign(const SweepSpec& spec,
     std::ostringstream os;
     os << "{\"campaign\":\"" << obs::json_escape(spec.name)
        << "\",\"proto\":" << kRemoteProtocolVersion
-       << ",\"total\":" << s.total << ",\"skipped\":" << s.skipped
-       << ",\"done\":" << s.done << ",\"ok\":" << counts.ok
+       << ",\"total\":" << counts.total << ",\"skipped\":" << counts.skipped
+       << ",\"done\":" << counts.ran << ",\"ok\":" << counts.ok
        << ",\"failed\":" << counts.failed
        << ",\"crashed\":" << counts.crashed
-       << ",\"retried\":" << s.retried << ",\"queued\":" << queue.size()
+       << ",\"retried\":" << counts.retried << ",\"queued\":" << queue.size()
        << ",\"inflight\":" << inflight
        << ",\"elapsed_sec\":" << obs::fixed6(s.elapsed_sec)
        << ",\"rate_tasks_per_sec\":" << obs::fixed6(s.rate)
        << ",\"eta_sec\":" << obs::fixed6(s.eta_sec)
        << ",\"commits_per_host_second\":"
        << obs::fixed6(s.commits_per_host_second)
-       << ",\"max_rss_kb\":" << s.max_rss_kb << ",\"workers\":["
+       << ",\"max_rss_kb\":" << counts.max_rss_kb << ",\"workers\":["
        << workers.str() << "]}";
     return os.str();
   };

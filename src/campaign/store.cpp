@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "obs/interval.hpp"
 #include "obs/json.hpp"
@@ -311,9 +312,6 @@ ResultStore::ResultStore(const std::string& path, bool truncate)
   }
   bool unterminated_tail = false;
   if (!truncate) {
-    records_ = load_records(path);
-    for (std::size_t i = 0; i < records_.size(); ++i)
-      by_id_.emplace(records_[i].task.id(), i);
     // A writer killed mid-append leaves the file without a final newline.
     // Appending straight onto that would splice the next record into the
     // partial line, corrupting both; note it so the first append starts on
@@ -334,8 +332,8 @@ ResultStore::ResultStore(const std::string& path, bool truncate)
     throw std::runtime_error("campaign: cannot open result store " + path);
   if (unterminated_tail) {
     // Newline-terminate rather than truncate: a complete record that only
-    // lost its newline was parsed above and must keep its bytes; a torn
-    // tail becomes an isolated line every future load ignores.
+    // lost its newline is a record and must keep its bytes; a torn tail
+    // becomes an isolated line every future load ignores.
     std::fputc('\n', file_);
     std::fflush(file_);
   }
@@ -345,16 +343,6 @@ ResultStore::~ResultStore() {
   if (file_) std::fclose(file_);
 }
 
-std::string ResultStore::status(const std::string& task_id) const {
-  const TaskRecord* rec = find(task_id);
-  return rec ? rec->status : "";
-}
-
-const TaskRecord* ResultStore::find(const std::string& task_id) const {
-  const auto it = by_id_.find(task_id);
-  return it == by_id_.end() ? nullptr : &records_[it->second];
-}
-
 void ResultStore::append(const TaskRecord& rec) {
   const std::string line = to_jsonl(rec) + "\n";
   std::lock_guard<std::mutex> lock(mutex_);
@@ -362,14 +350,6 @@ void ResultStore::append(const TaskRecord& rec) {
   // we die mid-write) a torn final line the next load ignores.
   std::fwrite(line.data(), 1, line.size(), file_);
   std::fflush(file_);
-  const std::string id = rec.task.id();
-  const auto it = by_id_.find(id);
-  if (it != by_id_.end()) {
-    records_[it->second] = rec;
-  } else {
-    by_id_.emplace(id, records_.size());
-    records_.push_back(rec);
-  }
 }
 
 }  // namespace bsp::campaign

@@ -13,10 +13,10 @@
 // proper prefix of a record line.
 #pragma once
 
-#include <optional>
+#include <cstdio>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "campaign/spec.hpp"
@@ -96,24 +96,22 @@ std::optional<TaskRecord> parse_jsonl(const std::string& line);
 // re-expanding the campaign grid.
 std::string task_jsonl(const TaskSpec& task);
 
-// Reads a store file the way ResultStore's resume path does — skip
-// torn/garbage lines, keep only the LAST record per task id — but without
-// opening it for appending. First-seen file order is preserved. This is the
-// one true read path for aggregation (bsp-report, sweep-end summaries):
-// iterating raw lines instead double-counts any task that was re-run or
-// re-dispatched.
+// Reads a store file: skips torn/garbage lines and keeps only the LAST
+// record per task id, in first-seen file order. The one read path for
+// resume (CampaignLedger) and aggregation (bsp-report, sweep-end
+// summaries): iterating raw lines instead double-counts any task that was
+// re-run or re-dispatched.
 std::vector<TaskRecord> load_records(const std::string& path);
 
+// The append side of a store file; reading it back is load_records'.
 class ResultStore {
  public:
   // Opens `path` for appending, creating it (and its parent directory) if
-  // needed; `truncate` discards any existing records first. Existing
-  // well-formed records are indexed for resume, later duplicates of a task
-  // id superseding earlier ones. A file left without a trailing newline by
-  // a killed writer is newline-terminated before the first append, so the
-  // next record starts on its own line: a torn tail stays an isolated
-  // ignorable line, and a complete record that merely lost its newline
-  // keeps its (already indexed) value.
+  // needed; `truncate` discards any existing records first. A file left
+  // without a trailing newline by a killed writer is newline-terminated
+  // before the first append, so the next record starts on its own line: a
+  // torn tail stays an isolated ignorable line, and a complete record that
+  // merely lost its newline keeps its bytes.
   explicit ResultStore(const std::string& path, bool truncate = false);
   ~ResultStore();
 
@@ -122,27 +120,13 @@ class ResultStore {
 
   const std::string& path() const { return path_; }
 
-  // Records loaded at open time plus everything appended since, in file
-  // order. Thread-safe only between appends — snapshot after the run.
-  const std::vector<TaskRecord>& records() const { return records_; }
-  std::size_t size() const { return records_.size(); }
-
-  bool has(const std::string& task_id) const {
-    return by_id_.count(task_id) != 0;
-  }
-  // "" when the task has no record yet.
-  std::string status(const std::string& task_id) const;
-  const TaskRecord* find(const std::string& task_id) const;
-
   // Thread-safe append of one record line.
   void append(const TaskRecord& rec);
 
  private:
   std::string path_;
   std::FILE* file_ = nullptr;
-  mutable std::mutex mutex_;
-  std::vector<TaskRecord> records_;
-  std::unordered_map<std::string, std::size_t> by_id_;  // id -> records_ idx
+  std::mutex mutex_;
 };
 
 }  // namespace bsp::campaign

@@ -583,4 +583,24 @@ const ReportView* find_view(const std::string& name) {
   return nullptr;
 }
 
+std::vector<MachineCpi> cpi_by_machine(
+    const std::vector<TaskRecord>& records) {
+  std::vector<MachineCpi> out;
+  std::map<std::string, std::size_t> index;  // label -> out slot
+  for (const TaskRecord& rec : records) {
+    if (!rec.ok()) continue;
+    const std::string& label = rec.task.machine.label;
+    auto it = index.find(label);
+    if (it == index.end()) {
+      it = index.emplace(label, out.size()).first;
+      out.push_back({label, rec.task.machine.build().core.commit_width,
+                     SimStats{}, 0});
+    }
+    MachineCpi& agg = out[it->second];
+    agg.stats.merge(rec.stats);
+    ++agg.runs;
+  }
+  return out;
+}
+
 }  // namespace bsp::campaign

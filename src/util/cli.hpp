@@ -1,5 +1,6 @@
-// Minimal declarative CLI parser shared by the tools (bsp-sim, bsp-sweep,
-// bsp-report, bsp-study), replacing hand-rolled strcmp chains. Supports
+// Minimal declarative CLI parser shared by the tools (bsp-asm, bsp-run,
+// bsp-sim, bsp-sweep, bsp-report, bsp-study), replacing hand-rolled strcmp
+// chains. Supports
 // long and short aliases, typed value options, repeatable options, flags
 // with optional trailing values, hidden (internal) options, and a
 // generated --help. Matches the historical bench behaviour:

@@ -24,7 +24,6 @@
 #include "campaign/builtin.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/ckpt_cache.hpp"
-#include "campaign/progress.hpp"
 #include "core/simulator.hpp"
 #include "emu/checkpoint.hpp"
 #include "workloads/workloads.hpp"
@@ -54,6 +53,14 @@ SweepSpec small_spec() {
   sliced.techniques = kAllTechniques;
   spec.machines.push_back(sliced);
   return spec;
+}
+
+// Each task's latest record in the store at `path`, by task id.
+std::map<std::string, TaskRecord> stored_by_id(const std::string& path) {
+  std::map<std::string, TaskRecord> out;
+  for (TaskRecord& rec : load_records(path))
+    out.emplace(rec.task.id(), std::move(rec));
+  return out;
 }
 
 // Deterministic fake stats derived from the task id, so fake runs are
@@ -197,9 +204,9 @@ TEST(ResultStore, IgnoresTornTrailingLine) {
     out << to_jsonl(rec) << "\n";
     out << to_jsonl(rec).substr(0, 40);  // killed mid-append
   }
-  ResultStore store(path);
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_TRUE(store.has(rec.task.id()));
+  const std::vector<TaskRecord> records = load_records(path);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].task.id(), rec.task.id());
   std::remove(path.c_str());
 }
 
@@ -236,10 +243,6 @@ TEST(ResultStore, LoadRecordsKeepsOnlyTheLastRecordPerTask) {
   EXPECT_EQ(records[0].status, "ok");
   EXPECT_EQ(records[0].attempts, 2u);
   EXPECT_EQ(records[1].task.id(), tasks[1].id());
-  // ResultStore agrees (it is built on the same read path).
-  ResultStore store(path);
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.status(tasks[0].id()), "ok");
   std::remove(path.c_str());
 }
 
@@ -248,36 +251,57 @@ TEST(Progress, ResumeRateAndEtaComeFromThisRunOnly) {
   // in the first 10 seconds of this run: the rate must be 0.5/s (not the
   // 9.5/s a naive done/elapsed over the full baseline would claim), and
   // the ETA must extrapolate only over the 5 genuinely remaining tasks.
-  ProgressMeter meter("unit", 100, 90, /*enabled=*/false);
-  ProgressSnapshot fresh = meter.snapshot_at(10.0);
-  EXPECT_EQ(fresh.total, 100u);
-  EXPECT_EQ(fresh.skipped, 90u);
-  EXPECT_EQ(fresh.remaining, 10u);
+  CampaignReport counts;
+  counts.total = 100;
+  counts.skipped = 90;
+  const ProgressSnapshot fresh = progress_at(counts, 10.0);
+  EXPECT_EQ(fresh.counts.total, 100u);
+  EXPECT_EQ(fresh.counts.skipped, 90u);
+  EXPECT_EQ(fresh.counts.remaining(), 10u);
   EXPECT_DOUBLE_EQ(fresh.rate, 0.0);
   EXPECT_LT(fresh.eta_sec, 0) << "no completions yet: ETA is unknown";
-  for (int i = 0; i < 5; ++i) {
-    TaskOutcome out;
-    out.status = "ok";
-    out.attempts = 1;
-    meter.task_done(out);
-  }
-  const ProgressSnapshot s = meter.snapshot_at(10.0);
-  EXPECT_EQ(s.done, 5u);
-  EXPECT_EQ(s.remaining, 5u);
+  counts.ran = 5;
+  counts.ok = 5;
+  const ProgressSnapshot s = progress_at(counts, 10.0);
+  EXPECT_EQ(s.counts.ran, 5u);
+  EXPECT_EQ(s.counts.remaining(), 5u);
   EXPECT_DOUBLE_EQ(s.rate, 0.5);
   EXPECT_DOUBLE_EQ(s.eta_sec, 10.0);
 }
 
-TEST(Progress, OverfullResumeBaselineFloorsRemainingAtZero) {
-  // A store can hold more satisfied tasks than the (narrowed) spec asks
-  // for; remaining must floor at zero rather than wrap.
-  ProgressMeter meter("unit", 4, 4, /*enabled=*/false);
-  TaskOutcome out;
-  out.status = "ok";
-  meter.task_done(out);
-  const ProgressSnapshot s = meter.snapshot_at(1.0);
-  EXPECT_EQ(s.remaining, 0u);
-  EXPECT_DOUBLE_EQ(s.eta_sec, 0.0);
+TEST(Progress, NarrowedGridResumesOnlyItsOwnTasks) {
+  // A store written by the full grid, resumed by a one-workload grid: the
+  // other workloads' records stay in the file but count nowhere.
+  const SweepSpec wide = small_spec();
+  SweepSpec narrow = wide;
+  narrow.workloads = {"go"};
+  const std::size_t wide_tasks = wide.expand().size();
+  const std::size_t narrow_tasks = narrow.expand().size();
+  ASSERT_LT(narrow_tasks, wide_tasks);
+  const std::string path = temp_path("narrowed");
+  CampaignOptions options;
+  options.out_path = path;
+  options.fresh = true;
+  options.progress = false;
+  ASSERT_EQ(run_campaign(wide, fake_runner(), options).ran, wide_tasks);
+
+  options.fresh = false;
+  CampaignLedger ledger(narrow, options);
+  EXPECT_TRUE(ledger.pending().empty());
+  EXPECT_EQ(ledger.remaining(), 0u);
+  const ProgressSnapshot s = ledger.progress();
+  EXPECT_EQ(s.counts.total, narrow_tasks);
+  EXPECT_EQ(s.counts.skipped, narrow_tasks);
+  EXPECT_EQ(s.counts.remaining(), 0u);
+  const CampaignReport report = ledger.finish();
+  EXPECT_EQ(report.skipped, narrow_tasks);
+  EXPECT_EQ(report.ran, 0u);
+  ASSERT_EQ(report.records.size(), narrow_tasks);
+  for (const TaskRecord& rec : report.records)
+    EXPECT_EQ(rec.task.workload, "go") << rec.task.id();
+  EXPECT_EQ(load_records(path).size(), wide_tasks)
+      << "the other workloads' records stay in the file";
+  std::remove(path.c_str());
 }
 
 TEST(Campaign, ResumeSkipsCompletedTasks) {
@@ -413,16 +437,14 @@ TEST(Campaign, InjectedFailureIsRetriedThenRecordedWithoutAborting) {
   EXPECT_EQ(attempts[poison], 3);
   EXPECT_EQ(attempts[flaky], 2);
 
-  ResultStore store(path);
-  const TaskRecord* poisoned = store.find(poison);
-  ASSERT_NE(poisoned, nullptr);
-  EXPECT_EQ(poisoned->status, "failed");
-  EXPECT_EQ(poisoned->attempts, 3u);
-  EXPECT_NE(poisoned->error.find("co-sim abort"), std::string::npos);
-  const TaskRecord* flaked = store.find(flaky);
-  ASSERT_NE(flaked, nullptr);
-  EXPECT_EQ(flaked->status, "ok");
-  EXPECT_EQ(flaked->attempts, 2u);
+  const auto stored = stored_by_id(path);
+  const TaskRecord& poisoned = stored.at(poison);
+  EXPECT_EQ(poisoned.status, "failed");
+  EXPECT_EQ(poisoned.attempts, 3u);
+  EXPECT_NE(poisoned.error.find("co-sim abort"), std::string::npos);
+  const TaskRecord& flaked = stored.at(flaky);
+  EXPECT_EQ(flaked.status, "ok");
+  EXPECT_EQ(flaked.attempts, 2u);
 
   // retry_failed reruns exactly the failed task.
   options.fresh = false;
@@ -430,8 +452,7 @@ TEST(Campaign, InjectedFailureIsRetriedThenRecordedWithoutAborting) {
   const auto retry = run_campaign(spec, fake_runner(), options);
   EXPECT_EQ(retry.ran, 1u);
   EXPECT_EQ(retry.ok, 1u);
-  ResultStore after(path);
-  EXPECT_EQ(after.status(poison), "ok");
+  EXPECT_EQ(stored_by_id(path).at(poison).status, "ok");
   std::remove(path.c_str());
 }
 
@@ -464,8 +485,7 @@ TEST(Campaign, TimedOutTaskIsRecordedAndDoesNotKillTheCampaign) {
   EXPECT_EQ(report.ran, 2u);
   EXPECT_EQ(report.failed, 1u);
   EXPECT_EQ(report.ok, 1u);
-  ResultStore store(path);
-  EXPECT_EQ(store.status(slow), "timeout");
+  EXPECT_EQ(stored_by_id(path).at(slow).status, "timeout");
   // Let the abandoned detached attempt drain before the test exits.
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
   std::remove(path.c_str());
@@ -1414,9 +1434,9 @@ TEST(ResultStore, TornSampledTailIsNotADoneTask) {
     std::ofstream out(path, std::ios::binary);
     out << lines[0] << "\n" << sampled.substr(0, cut);
   }
-  ResultStore store(path);
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_FALSE(store.has(small_spec().expand().front().id()));
+  const auto stored = stored_by_id(path);
+  EXPECT_EQ(stored.size(), 1u);
+  EXPECT_EQ(stored.count(small_spec().expand().front().id()), 0u);
   std::remove(path.c_str());
 }
 

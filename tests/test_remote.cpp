@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <fstream>
 #include <future>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -169,6 +170,35 @@ std::unique_ptr<FrameChannel> fake_ready_worker(
   }
   if (!ch->send("READY {\"groups\":0}")) return nullptr;
   return ch;
+}
+
+// Each task's latest record in the store at `path`, by task id.
+std::map<std::string, TaskRecord> stored_by_id(const std::string& path) {
+  std::map<std::string, TaskRecord> out;
+  for (TaskRecord& rec : load_records(path))
+    out.emplace(rec.task.id(), std::move(rec));
+  return out;
+}
+
+// One GET of the coordinator's --status-endpoint: the raw HTTP reply, or
+// "" when the connection failed.
+std::string http_get(std::uint16_t port) {
+  std::string err;
+  const int fd = tcp_connect({"127.0.0.1", port}, 2, &err);
+  if (fd < 0) {
+    ADD_FAILURE() << err;
+    return "";
+  }
+  const std::string req = "GET / HTTP/1.0\r\n\r\n";
+  EXPECT_EQ(::send(fd, req.data(), req.size(), 0),
+            static_cast<ssize_t>(req.size()));
+  std::string resp;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0)
+    resp.append(buf, static_cast<std::size_t>(n));
+  ::close(fd);
+  return resp;
 }
 
 std::size_t count_lines(const std::string& path) {
@@ -477,13 +507,13 @@ TEST(RemoteCampaign, DistributedRunMatchesTheLocalRunnerByteForByte) {
   // Exactly once in the store, and every record carries the same stats the
   // local runner would have produced.
   EXPECT_EQ(count_lines(out), 4u);
-  ResultStore store(out);
+  const auto stored = stored_by_id(out);
   for (const auto& task : spec.expand()) {
-    const TaskRecord* rec = store.find(task.id());
-    ASSERT_NE(rec, nullptr) << task.id();
-    EXPECT_EQ(rec->status, "ok");
-    EXPECT_EQ(rec->stats.cycles, fake_stats(task).cycles);
-    EXPECT_EQ(rec->stats.committed, fake_stats(task).committed);
+    ASSERT_EQ(stored.count(task.id()), 1u) << task.id();
+    const TaskRecord& rec = stored.at(task.id());
+    EXPECT_EQ(rec.status, "ok");
+    EXPECT_EQ(rec.stats.cycles, fake_stats(task).cycles);
+    EXPECT_EQ(rec.stats.committed, fake_stats(task).committed);
   }
   std::remove(out.c_str());
   std::remove(ports_path.c_str());
@@ -759,9 +789,9 @@ TEST(RemoteCampaign, ResumeSkipsStoredTasksAndServesOnlyTheRest) {
 
   // The healed store holds each task exactly once (the torn line stays as
   // an ignorable isolated line).
-  EXPECT_EQ(load_records(out).size(), 4u);
-  ResultStore store(out);
-  for (const auto& t : tasks) EXPECT_EQ(store.status(t.id()), "ok");
+  const auto stored = stored_by_id(out);
+  EXPECT_EQ(stored.size(), 4u);
+  for (const auto& t : tasks) EXPECT_EQ(stored.at(t.id()).status, "ok");
   std::remove(out.c_str());
   std::remove(ports_path.c_str());
 }
@@ -859,18 +889,7 @@ TEST(RemoteCampaign, StatusEndpointServesProgressJsonOverHttp) {
   std::optional<obs::JsonValue> status;
   const auto t0 = Clock::now();
   while (!status && seconds_since(t0) < 10) {
-    std::string err;
-    const int fd = tcp_connect({"127.0.0.1", ports.status}, 2, &err);
-    ASSERT_GE(fd, 0) << err;
-    const std::string req = "GET / HTTP/1.0\r\n\r\n";
-    ASSERT_EQ(::send(fd, req.data(), req.size(), 0),
-              static_cast<ssize_t>(req.size()));
-    std::string resp;
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0)
-      resp.append(buf, static_cast<std::size_t>(n));
-    ::close(fd);
+    const std::string resp = http_get(ports.status);
     const std::size_t body_at = resp.find("\r\n\r\n");
     if (body_at == std::string::npos) continue;
     EXPECT_EQ(resp.rfind("HTTP/1.0 200 OK", 0), 0u);
@@ -894,6 +913,79 @@ TEST(RemoteCampaign, StatusEndpointServesProgressJsonOverHttp) {
   const CampaignReport report = serve.get();
   EXPECT_TRUE(w.get().done);
   EXPECT_EQ(report.ok, 2u);
+  std::remove(out.c_str());
+  std::remove(ports_path.c_str());
+}
+
+TEST(Progress, CrashedAndFailedCountAlikeInTheLiveLineStatusAndReport) {
+  // A crashed task and a failed one are one "crashed" and one "failed"
+  // everywhere a count shows: the live stderr line, the status endpoint's
+  // JSON and the final report.
+  const SweepSpec spec = tiny_spec({0x5eed, 0x1111, 0x2222});
+  const std::string out = temp_path("crash_fail") + ".jsonl";
+  const std::string ports_path = temp_path("crash_fail_ports");
+
+  RemoteOptions ropts;
+  ropts.bind = {"127.0.0.1", 0};
+  ropts.status = true;
+  ropts.status_bind = {"127.0.0.1", 0};
+  ropts.port_file = ports_path;
+  CampaignOptions options = serve_options(out, true);
+  options.progress = true;
+  testing::internal::CaptureStderr();
+  auto serve = std::async(std::launch::async, [&] {
+    return serve_campaign(spec, options, ropts);
+  });
+  const Ports ports = wait_ports(ports_path);
+  ASSERT_NE(ports.port, 0);
+  ASSERT_NE(ports.status, 0);
+
+  auto fake = fake_ready_worker(ports.port, kRemoteProtocolVersion, 3);
+  ASSERT_TRUE(fake);
+  std::vector<TaskRecord> recs;
+  for (int i = 0; i < 3; ++i) {
+    const auto frame = expect_frame(*fake);
+    ASSERT_TRUE(frame && frame->rfind("TASK ", 0) == 0);
+    const auto queued = parse_jsonl(frame->substr(5));
+    ASSERT_TRUE(queued);
+    recs.push_back(ok_record(queued->task));
+  }
+  recs[0].status = "crashed";
+  recs[0].error = "SIGSEGV";
+  recs[1].status = "failed";
+  recs[1].error = "injected";
+  ASSERT_TRUE(fake->send("RECORD " + to_jsonl(recs[0])));
+  ASSERT_TRUE(fake->send("RECORD " + to_jsonl(recs[1])));
+
+  std::optional<obs::JsonValue> status;
+  const auto t0 = Clock::now();
+  while (seconds_since(t0) < 10) {
+    const std::string resp = http_get(ports.status);
+    const std::size_t body_at = resp.find("\r\n\r\n");
+    if (body_at != std::string::npos)
+      status = obs::parse_json(resp.substr(body_at + 4));
+    if (status && status->get("done") && status->get("done")->number == 2)
+      break;
+    sleep_sec(0.01);
+  }
+  ASSERT_TRUE(status && status->is_object());
+  EXPECT_DOUBLE_EQ(status->get("done")->number, 2.0);
+  EXPECT_DOUBLE_EQ(status->get("ok")->number, 0.0);
+  EXPECT_DOUBLE_EQ(status->get("failed")->number, 1.0);
+  EXPECT_DOUBLE_EQ(status->get("crashed")->number, 1.0);
+
+  ASSERT_TRUE(fake->send("RECORD " + to_jsonl(recs[2])));
+  const CampaignReport report = serve.get();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(report.ok, 1u);
+  EXPECT_EQ(report.failed, 1u);
+  EXPECT_EQ(report.crashed, 1u);
+  EXPECT_NE(err.find("2/3 done (0 resumed) | 1 failed | 1 crashed |"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("3/3 done (0 resumed) | 1 failed | 1 crashed |"),
+            std::string::npos)
+      << err;
   std::remove(out.c_str());
   std::remove(ports_path.c_str());
 }

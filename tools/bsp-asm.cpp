@@ -10,27 +10,29 @@
 #include "asm/assembler.hpp"
 #include "asm/objfile.hpp"
 #include "isa/isa.hpp"
+#include "util/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace bsp;
   std::string input, output;
   bool list = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "-o" && i + 1 < argc) {
-      output = argv[++i];
-    } else if (a == "--list") {
-      list = true;
-    } else if (a == "-h" || a == "--help") {
-      std::cout << "usage: bsp-asm input.s [-o output.bspo] [--list]\n";
-      return 0;
-    } else if (!a.empty() && a[0] != '-' && input.empty()) {
-      input = a;
-    } else {
-      std::cerr << "bsp-asm: unknown argument '" << a << "'\n";
-      return 2;
+
+  ArgParser parser(
+      "bsp-asm: assemble a BSP-32 source file into a BSPO object file\n\n"
+      "usage: bsp-asm input.s [options]");
+  parser.set_positional([&](const std::string& a) {
+    if (!input.empty()) {
+      std::cerr << "bsp-asm: unexpected argument '" << a << "'\n";
+      std::exit(2);
     }
-  }
+    input = a;
+  });
+  parser.add_value("-o", "OUTPUT.bspo",
+                   "object file to write (default: input with .bspo)",
+                   &output);
+  parser.add_flag("--list", "print the assembled instructions with addresses",
+                  &list);
+  parser.parse(argc, argv);
   if (input.empty()) {
     std::cerr << "bsp-asm: no input file (try --help)\n";
     return 2;

@@ -18,52 +18,18 @@
 //   bsp-report --cpi-stack results/fig11.jsonl --full
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "campaign/store.hpp"
 #include "campaign/builtin.hpp"
-#include "config/machine_config.hpp"
 #include "obs/cpi_stack.hpp"
 #include "obs/json.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-namespace {
-
 using namespace bsp;
 using namespace bsp::campaign;
-
-// One machine point's aggregate across its ok records, in store order.
-struct MachineAgg {
-  std::string label;
-  unsigned commit_width = 0;
-  SimStats stats;
-  std::size_t runs = 0;
-};
-
-std::vector<MachineAgg> aggregate_by_machine(
-    const std::vector<TaskRecord>& records) {
-  std::vector<MachineAgg> out;
-  std::map<std::string, std::size_t> index;  // label -> out slot
-  for (const TaskRecord& rec : records) {
-    if (rec.status != "ok") continue;
-    const std::string& label = rec.task.machine.label;
-    auto it = index.find(label);
-    if (it == index.end()) {
-      it = index.emplace(label, out.size()).first;
-      out.push_back({label, rec.task.machine.build().core.commit_width,
-                     SimStats{}, 0});
-    }
-    MachineAgg& agg = out[it->second];
-    agg.stats.merge(rec.stats);
-    ++agg.runs;
-  }
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bool cpi_stack = false, json = false, csv = false, full = false;
@@ -140,9 +106,9 @@ int main(int argc, char** argv) {
     if (!cpi_stack) return 0;
   }
 
-  const std::vector<MachineAgg> machines = aggregate_by_machine(records);
+  const std::vector<MachineCpi> machines = cpi_by_machine(records);
   bool any_enabled = false;
-  for (const MachineAgg& m : machines)
+  for (const MachineCpi& m : machines)
     if (obs::cpi_enabled(m.stats)) any_enabled = true;
   if (!any_enabled) {
     std::cerr << "bsp-report: store has no cpi_* counters — rerun the "
@@ -154,7 +120,7 @@ int main(int argc, char** argv) {
   // a violation turns the exit code, not just a table cell.
   bool identity_ok = true;
   std::vector<std::string> violations;
-  for (const MachineAgg& m : machines) {
+  for (const MachineCpi& m : machines) {
     std::string why;
     if (!obs::cpi_identity_holds(m.stats, m.commit_width, &why)) {
       identity_ok = false;
@@ -167,7 +133,7 @@ int main(int argc, char** argv) {
               << "\",\"identity\":" << (identity_ok ? "true" : "false")
               << ",\"machines\":[";
     for (std::size_t i = 0; i < machines.size(); ++i) {
-      const MachineAgg& m = machines[i];
+      const MachineCpi& m = machines[i];
       std::cout << (i ? "," : "") << "{\"label\":\""
                 << obs::json_escape(m.label)
                 << "\",\"runs\":" << m.runs << ",\"stack\":"
@@ -175,7 +141,7 @@ int main(int argc, char** argv) {
     }
     std::cout << "]}\n";
   } else if (full) {
-    for (const MachineAgg& m : machines)
+    for (const MachineCpi& m : machines)
       std::cout << "== " << m.label << " (" << m.runs
                 << (m.runs == 1 ? " run" : " runs") << ") ==\n"
                 << obs::format_cpi_stack(m.stats, m.commit_width) << "\n";
@@ -184,15 +150,15 @@ int main(int argc, char** argv) {
     // per machine with the leaf's CPI contribution (they sum to the CPI
     // row). Percentages of the slot total ride along in --full mode.
     std::vector<std::string> header = {"leaf", "group"};
-    for (const MachineAgg& m : machines) header.push_back(m.label);
+    for (const MachineCpi& m : machines) header.push_back(m.label);
     Table table(std::move(header));
     for (const obs::CpiLeafDesc& leaf : obs::cpi_leaves()) {
       bool nonzero = false;
-      for (const MachineAgg& m : machines)
+      for (const MachineCpi& m : machines)
         if (m.stats.*leaf.field) nonzero = true;
       if (!nonzero) continue;
       std::vector<std::string> row = {leaf.name, leaf.group};
-      for (const MachineAgg& m : machines)
+      for (const MachineCpi& m : machines)
         row.push_back(Table::num(
             obs::cpi_contribution(m.stats.*leaf.field, m.stats.committed,
                                   m.commit_width),
@@ -201,7 +167,7 @@ int main(int argc, char** argv) {
     }
     std::vector<std::string> cpi_row = {"CPI", ""};
     std::vector<std::string> runs_row = {"runs", ""};
-    for (const MachineAgg& m : machines) {
+    for (const MachineCpi& m : machines) {
       cpi_row.push_back(Table::num(m.stats.ipc() > 0
                                        ? 1.0 / m.stats.ipc()
                                        : 0.0,

@@ -9,6 +9,7 @@
 #include "asm/objfile.hpp"
 #include "emu/checkpoint.hpp"
 #include "emu/emulator.hpp"
+#include "util/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace bsp;
@@ -16,32 +17,30 @@ int main(int argc, char** argv) {
   u64 max_instructions = 1u << 30;
   bool stats = false;
   bool fast = true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--max" && i + 1 < argc) {
-      max_instructions = std::strtoull(argv[++i], nullptr, 0);
-    } else if (a == "--stats") {
-      stats = true;
-    } else if (a == "--no-fast") {
-      fast = false;
-    } else if (a == "--save-checkpoint" && i + 1 < argc) {
-      save_ckpt = argv[++i];
-    } else if (a == "--checkpoint" && i + 1 < argc) {
-      from_ckpt = argv[++i];
-    } else if (a == "-h" || a == "--help") {
-      std::cout << "usage: bsp-run program.{s,bspo} [--max N] [--stats]\n"
-                << "               [--checkpoint in.bspc] "
-                   "[--save-checkpoint out.bspc] [--no-fast]\n"
-                << "--no-fast uses the one-instruction step() loop instead "
-                   "of the fast interpreter (debugging aid; same results)\n";
-      return 0;
-    } else if (!a.empty() && a[0] != '-' && input.empty()) {
-      input = a;
-    } else {
-      std::cerr << "bsp-run: unknown argument '" << a << "'\n";
-      return 2;
+
+  ArgParser parser(
+      "bsp-run: execute a program on the functional emulator\n\n"
+      "usage: bsp-run program.{s,bspo} [options]");
+  parser.set_positional([&](const std::string& a) {
+    if (!input.empty()) {
+      std::cerr << "bsp-run: unexpected argument '" << a << "'\n";
+      std::exit(2);
     }
-  }
+    input = a;
+  });
+  parser.add_value("--max", "N", "stop after N instructions (default 2^30)",
+                   &max_instructions);
+  parser.add_flag("--stats", "print retirement counters to stderr", &stats);
+  parser.add_value("--checkpoint", "IN.bspc",
+                   "start from a saved checkpoint instead of reset",
+                   &from_ckpt);
+  parser.add_value("--save-checkpoint", "OUT.bspc",
+                   "save a checkpoint of the final state", &save_ckpt);
+  parser.add_flag("--no-fast",
+                  "use the one-instruction step() loop instead of the fast "
+                  "interpreter (debugging aid; same results)",
+                  [&] { fast = false; });
+  parser.parse(argc, argv);
   if (input.empty()) {
     std::cerr << "bsp-run: no input (try --help)\n";
     return 2;

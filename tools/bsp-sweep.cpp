@@ -33,6 +33,7 @@
 //   bsp-sweep --campaign fig11 --isolate process --timeout 600
 //   bsp-sweep --campaign fig11 --serve :9000 --status-endpoint :9001
 //   bsp-sweep --connect coordinator-host:9000 -j 8
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -427,21 +428,16 @@ int main(int argc, char** argv) {
   find_view(spec.name)->render(report.records, csv, std::cout);
 
   if (runner_options.cpi_stack) {
-    // Per-machine CPI aggregate: cpi_* leaves are registered counters, so
-    // merging ok records keeps the identity sum == cycles * commit width.
+    // One stack per machine point with an ok record, in spec order.
+    const std::vector<MachineCpi> stacks = cpi_by_machine(report.records);
     for (const auto& machine : spec.machines) {
-      SimStats agg;
-      std::size_t n = 0;
-      for (const auto& rec : report.records)
-        if (rec.status == "ok" && rec.task.machine.label == machine.label) {
-          agg.merge(rec.stats);
-          ++n;
-        }
-      if (n == 0) continue;
-      std::cout << "\n== cpi stack: " << machine.label << " (" << n
-                << (n == 1 ? " run" : " runs") << ") ==\n"
-                << obs::format_cpi_stack(agg,
-                                         machine.build().core.commit_width);
+      const auto m = std::find_if(
+          stacks.begin(), stacks.end(),
+          [&](const MachineCpi& c) { return c.label == machine.label; });
+      if (m == stacks.end()) continue;
+      std::cout << "\n== cpi stack: " << m->label << " (" << m->runs
+                << (m->runs == 1 ? " run" : " runs") << ") ==\n"
+                << obs::format_cpi_stack(m->stats, m->commit_width);
     }
   }
 
