@@ -415,7 +415,7 @@ void BM_SimulatorConstruct(benchmark::State& state) {
   const std::optional<Checkpoint> ckpt = fast_forward(w.program, 1'000'000);
   if (!ckpt) std::abort();
   for (auto _ : state) {
-    Simulator sim(cfg, w.program, *ckpt);
+    Simulator sim(cfg, w.program, &*ckpt);
     benchmark::DoNotOptimize(sim);
   }
   state.SetItemsProcessed(state.iterations());

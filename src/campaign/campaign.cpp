@@ -423,8 +423,7 @@ TaskOutcome simulate_task(const TaskSpec& task, const MachineConfig& config,
                           const Program& program, const Checkpoint* start,
                           const RunnerOptions& options) {
   TaskOutcome r;
-  Simulator sim = start ? Simulator(config, program, *start)
-                        : Simulator(config, program);
+  Simulator sim(config, program, start);
   obs::IntervalSampler sampler(options.interval ? options.interval : 1);
   if (options.interval) sim.set_interval_sampler(&sampler);
   if (options.host_profile) sim.enable_host_profile();
@@ -450,47 +449,45 @@ TaskOutcome simulate_task(const TaskSpec& task, const MachineConfig& config,
 }
 
 TaskRunner make_sim_runner(const RunnerOptions& options) {
-  // (workload, seed, fast_forward) -> start checkpoint: within one process
+  // (workload, seed, fast_forward) -> its checkpoint: within one process
   // each distinct fast-forward is paid (or its cache file read) exactly
   // once, no matter how many concurrent tasks need it.
-  using CkptMemo = BuildOnce<std::tuple<std::string, u64, u64>, CkptFetch>;
+  using CkptMemo =
+      BuildOnce<std::tuple<std::string, u64, u64>, CheckpointSet>;
   auto ckpts = std::make_shared<CkptMemo>();
   return memoise_workloads([ckpts, options](const TaskSpec& task,
                                             const Workload& workload) {
     // Fast-forward tasks start from a shared checkpoint: in-process memo
     // first, then the on-disk cache, then (cold path) one fast-forward run
     // whose result every later task reuses.
-    CkptFetch ckpt;
+    CheckpointSet ckpt;
+    bool builder = false;
     if (task.fast_forward > 0) {
-      bool builder = false;
       ckpt = ckpts->get(
           {task.workload, task.seed, task.fast_forward},
           [&] {
-            return fetch_checkpoint(options.ckpt_cache_dir, task.workload,
-                                    task.seed, workload.program,
-                                    task.fast_forward);
+            return materialise_checkpoints(workload.program, task.workload,
+                                           task.seed, {task.fast_forward},
+                                           options.ckpt_cache_dir);
           },
           &builder);
-      if (!ckpt.ok()) {
+      if (std::string why = ckpt.failure(task.fast_forward); !why.empty()) {
         TaskOutcome r;
-        r.error = "fast-forward failed: " + ckpt.error;
+        r.error = std::move(why);
         return r;
-      }
-      // Memo consumers after the first share the builder's fetch; only the
-      // builder reports its miss (and pays its ffwd_sec) so per-task
-      // records sum to the real host cost instead of multiply counting it.
-      if (!builder) {
-        ckpt.hit = true;
-        ckpt.ffwd_sec = 0;
       }
     }
     TaskOutcome r = simulate_task(task, task.machine.build(),
-                                  workload.program, ckpt.checkpoint.get(),
-                                  options);
+                                  workload.program,
+                                  ckpt.start(task.fast_forward), options);
     if (task.fast_forward > 0) {
-      r.ckpt_cache = ckpt.hit ? "hit" : "miss";
-      r.ffwd_sec = ckpt.ffwd_sec;
-      if (options.host_profile) r.stats.host_profile.ffwd = ckpt.ffwd_sec;
+      // Memo consumers after the first share the builder's pass; only the
+      // builder reports its miss (and pays its ffwd_sec) so per-task
+      // records sum to the real host cost instead of multiply counting it.
+      const bool miss = builder && ckpt.materialised > 0;
+      r.ckpt_cache = miss ? "miss" : "hit";
+      r.ffwd_sec = miss ? ckpt.ffwd_sec : 0;
+      if (options.host_profile) r.stats.host_profile.ffwd = r.ffwd_sec;
     }
     return r;
   });

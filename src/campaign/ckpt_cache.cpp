@@ -4,12 +4,14 @@
 
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <optional>
 #include <sstream>
+
+#include "emu/emulator.hpp"
+#include "stats/stats.hpp"
 
 namespace bsp::campaign {
 namespace {
@@ -63,6 +65,39 @@ std::string sanitise(const std::string& s) {
   return out;
 }
 
+// Publishes `ckpt` as the cache file `path` under `dir`. Write-then-rename:
+// readers never observe a partial file, and two concurrent materialisers
+// of the same key race benignly (identical bytes, last rename wins). The
+// pid + per-call counter keep their temp files apart even when the racers
+// are threads of one process — a shared temp name would let one racer
+// rename the file out from under the other mid-publish.
+//
+// Nothing is synced to disk. After a machine crash the file is absent (a
+// miss), torn or zero-filled (its checksum or a structural check fails on
+// load, a miss, and the next pass overwrites it) or intact (a hit), so a
+// crash costs at most a recomputation.
+bool publish(const std::string& dir, const std::string& path,
+             const Checkpoint& ckpt, std::string* error) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  static std::atomic<unsigned> publish_seq{0};
+  std::ostringstream tmp;
+  tmp << path << ".tmp." << ::getpid() << "." << publish_seq++;
+  if (!save_checkpoint_file(ckpt, tmp.str())) {
+    std::remove(tmp.str().c_str());
+    *error = "cannot write checkpoint cache file " + tmp.str();
+    return false;
+  }
+  std::filesystem::rename(tmp.str(), path, ec);
+  if (ec) {
+    std::remove(tmp.str().c_str());
+    *error =
+        "cannot publish checkpoint cache file " + path + ": " + ec.message();
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 ImageHash::ImageHash(const Program& program) {
@@ -96,90 +131,65 @@ std::string checkpoint_cache_path(const std::string& dir,
   return os.str();
 }
 
-std::string publish_checkpoint(const std::string& dir,
-                               const std::string& workload, u64 seed,
-                               const ImageHash& image, u64 fast_forward,
-                               const Checkpoint& ckpt, std::string* error) {
-  const std::string path =
-      checkpoint_cache_path(dir, workload, seed, image, fast_forward);
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  // Write-then-rename: readers never observe a partial file, and two
-  // concurrent materialisers of the same key race benignly (identical
-  // bytes, last rename wins). The pid + per-call counter keep their temp
-  // files apart even when the racers are threads of one process — a
-  // shared temp name would let one racer rename the file out from under
-  // the other mid-publish.
-  //
-  // Nothing is synced to disk. After a machine crash the file is absent (a
-  // miss), torn or zero-filled (its checksum or a structural check fails
-  // on load, a miss, and fetch_checkpoint overwrites it) or intact (a
-  // hit), so a crash costs at most a recomputation.
-  static std::atomic<unsigned> publish_seq{0};
-  std::ostringstream tmp;
-  tmp << path << ".tmp." << ::getpid() << "." << publish_seq++;
-  if (!save_checkpoint_file(ckpt, tmp.str())) {
-    std::remove(tmp.str().c_str());
-    if (error) *error = "cannot write checkpoint cache file " + tmp.str();
-    return "";
-  }
-  std::filesystem::rename(tmp.str(), path, ec);
-  if (ec) {
-    std::remove(tmp.str().c_str());
-    if (error)
-      *error = "cannot publish checkpoint cache file " + path + ": " +
-               ec.message();
-    return "";
-  }
-  return path;
+const Checkpoint* CheckpointSet::start(u64 offset) const {
+  const auto it = by_offset.find(offset);
+  return it == by_offset.end() ? nullptr : it->second.get();
 }
 
-CkptFetch fetch_checkpoint(const std::string& dir, const std::string& workload,
-                           u64 seed, const Program& program,
-                           u64 fast_forward) {
-  CkptFetch out;
-  if (fast_forward == 0) {
-    out.error = "fast_forward must be nonzero";
-    return out;
-  }
+std::string CheckpointSet::failure(u64 offset) const {
+  if (!error.empty()) return "fast-forward failed: " + error;
+  if (offset == 0 || by_offset.count(offset)) return "";
+  return "fast-forward failed: program exited or faulted before "
+         "fast_forward=" +
+         std::to_string(offset);
+}
 
+CheckpointSet materialise_checkpoints(const Program& program,
+                                      const std::string& workload, u64 seed,
+                                      const std::set<u64>& offsets,
+                                      const std::string& dir) {
+  CheckpointSet out;
+  // One incremental functional pass: ascending offsets extend the same
+  // emulator, which is loaded only once some offset misses the cache. A
+  // miss after hits continues from the latest hit's checkpoint, in an
+  // emulator started from it (its pages alone, no image copy). When every
+  // offset hits, nothing is emulated or restored.
   std::optional<ImageHash> image;
-  if (!dir.empty()) {
-    image.emplace(program);
-    out.path =
-        checkpoint_cache_path(dir, workload, seed, *image, fast_forward);
-    std::string load_error;
-    if (auto ckpt = load_checkpoint_file(out.path, &load_error)) {
-      out.checkpoint = std::make_shared<const Checkpoint>(std::move(*ckpt));
-      out.hit = true;
-      return out;
+  if (!dir.empty()) image.emplace(program);
+  std::optional<Emulator> emu;
+  u64 pos = 0;
+  std::shared_ptr<const Checkpoint> resume;  // latest hit not yet restored
+  for (const u64 offset : offsets) {
+    if (offset == 0) continue;  // detail starts at reset
+    std::string path;
+    if (image) {
+      path = checkpoint_cache_path(dir, workload, seed, *image, offset);
+      // A missing file is the normal cold path; one that fails to load is
+      // a miss too, and the publish below overwrites it.
+      if (auto ckpt = load_checkpoint_file(path)) {
+        resume = std::make_shared<const Checkpoint>(std::move(*ckpt));
+        pos = offset;
+        ++out.reused;
+        out.by_offset[offset] = resume;
+        continue;
+      }
     }
-    // Missing file is the normal cold path; a present file that fails to
-    // load (an older BSPC version, or torn by a machine crash: a writer that
-    // died before its rename never leaves one) falls through and is
-    // overwritten below.
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  // Qualified: the `fast_forward` parameter shadows the emu-layer function.
-  auto ckpt = ::bsp::fast_forward(program, fast_forward);
-  out.ffwd_sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (!ckpt) {
-    out.error = "program exited or faulted before fast_forward=" +
-                std::to_string(fast_forward);
-    return out;
-  }
-  out.checkpoint = std::make_shared<const Checkpoint>(std::move(*ckpt));
-
-  if (image) {
-    if (publish_checkpoint(dir, workload, seed, *image, fast_forward,
-                           *out.checkpoint, &out.error)
-            .empty()) {
-      out.checkpoint = nullptr;
-      return out;
+    const WallTimer timer;
+    if (!emu || resume) emu.emplace(program, resume.get());
+    resume = nullptr;
+    emu->run_fast(offset - pos);
+    pos = emu->instructions_retired();
+    if (pos < offset) {
+      // Exited or faulted before the offset: no later one is reachable.
+      out.ffwd_sec += timer.seconds();
+      break;
     }
+    auto ckpt = std::make_shared<const Checkpoint>(capture_checkpoint(*emu));
+    const bool published = !image || publish(dir, path, *ckpt, &out.error);
+    out.ffwd_sec += timer.seconds();
+    if (!published) break;
+    out.by_offset[offset] = std::move(ckpt);
+    ++out.materialised;
   }
   return out;
 }

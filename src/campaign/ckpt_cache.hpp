@@ -1,11 +1,14 @@
-// Shared on-disk checkpoint cache for campaign fast-forwards.
+// The fast-forward materialiser and its shared on-disk checkpoint cache.
 //
-// Every task with the same (workload, seed, fast_forward) starts detailed
+// Every run with the same (workload, seed, fast_forward) starts detailed
 // timing from the same architectural state, so an N-task sweep should pay
-// for one fast-forward, not N. This module materialises that state once as
-// a BSPC file in a cache directory and lets every later task — in this
-// process, a worker subprocess, or a concurrent sweep over the same
-// directory — restore it instead of re-emulating.
+// for one fast-forward, not N. materialise_checkpoints() is the one place
+// that state is produced: for a set of offsets it loads each cached BSPC
+// file, emulates the rest in one incremental pass, and publishes each
+// capture so every later run — in this process, a worker subprocess, or a
+// concurrent sweep over the same directory — loads it instead of
+// re-emulating. Sweep tasks, the sweep's prewarm, bsp-sim --fast-forward
+// and sampled runs all come through it.
 //
 // Keying: the file name embeds an FNV-1a hash over the program image
 // (text/data bytes, bases, entry) and the fast-forward count. Workload
@@ -23,24 +26,15 @@
 // it.
 #pragma once
 
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "asm/program.hpp"
 #include "emu/checkpoint.hpp"
 
 namespace bsp::campaign {
-
-// Outcome of one cache lookup-or-materialise.
-struct CkptFetch {
-  std::shared_ptr<const Checkpoint> checkpoint;  // null on failure
-  bool hit = false;      // loaded from an existing cache file
-  double ffwd_sec = 0;   // host seconds spent fast-forwarding (miss only)
-  std::string path;      // cache file involved ("" when dir is empty)
-  std::string error;     // non-empty on failure
-
-  bool ok() const { return checkpoint != nullptr; }
-};
 
 // The FNV-1a state after hashing a program image (bases, text and data
 // bytes, entry). Zero runs hash 8 bytes per multiply, the rest a byte at a
@@ -64,28 +58,38 @@ std::string checkpoint_cache_path(const std::string& dir,
                                   const std::string& workload, u64 seed,
                                   const ImageHash& image, u64 fast_forward);
 
-// Atomically publishes `ckpt` as the cache file for (workload, seed,
-// program image, fast_forward) under `dir`: serialise to
-// "<final>.tmp.<pid>.<n>", rename(2) into place, without syncing to disk.
-// Concurrent publishers of the same key race benignly (identical bytes,
-// last rename wins). Returns the final path, or "" on failure with *error
-// describing why. The sampled-simulation prewarm uses this directly — it
-// captures checkpoints from one incremental emulator pass instead of
-// calling fetch_checkpoint() per offset.
-std::string publish_checkpoint(const std::string& dir,
-                               const std::string& workload, u64 seed,
-                               const ImageHash& image, u64 fast_forward,
-                               const Checkpoint& ckpt,
-                               std::string* error = nullptr);
+// Checkpoints at a set of fast-forward offsets, from one functional pass.
+struct CheckpointSet {
+  // An offset missing here was not reached: the program exited or faulted
+  // before it, or the pass stopped at `error`.
+  std::map<u64, std::shared_ptr<const Checkpoint>> by_offset;
+  std::size_t materialised = 0;  // emulated (and published) this call
+  std::size_t reused = 0;        // loaded from an existing cache file
+  double ffwd_sec = 0;           // host seconds the misses took
+  std::string error;             // non-empty on fatal failure (publish I/O)
 
-// Returns the checkpoint for (program, fast_forward), preferring the cache:
-//  * cache file exists and loads cleanly -> hit;
-//  * otherwise fast-forward on the emulator, publish atomically -> miss.
-// With an empty `dir` the fast-forward always runs and nothing is written
-// (ffwd_sec still reported). A corrupt cache file is treated as a miss and
-// overwritten. Thread- and process-safe against concurrent fetches of the
-// same tuple. fast_forward == 0 is invalid (callers skip the cache).
-CkptFetch fetch_checkpoint(const std::string& dir, const std::string& workload,
-                           u64 seed, const Program& program, u64 fast_forward);
+  bool ok() const { return error.empty(); }
+  // The state a run starting at `offset` begins from: null for offset 0
+  // (reset) and for an offset the pass did not reach.
+  const Checkpoint* start(u64 offset) const;
+  // Why a run starting at `offset` cannot begin: "fast-forward failed: "
+  // and the pass's error, or the program's exit or fault before the
+  // offset. "" when it can.
+  std::string failure(u64 offset) const;
+};
+
+// The one fast-forward materialiser. Ascending offsets share one emulator;
+// offset 0 needs no checkpoint and is skipped. With a cache `dir`, an
+// offset whose file loads cleanly is a hit, loaded and never restored; a
+// miss after hits starts an emulator from the latest hit's checkpoint
+// (Emulator(program, &ckpt)); every capture is published write-then-rename.
+// A file that fails to load (an older BSPC version, or torn) is a miss and
+// is overwritten. With an empty `dir` nothing is read or written. The pass
+// stops at the first offset the program does not reach. Thread- and
+// process-safe against concurrent passes over the same files.
+CheckpointSet materialise_checkpoints(const Program& program,
+                                      const std::string& workload, u64 seed,
+                                      const std::set<u64>& offsets,
+                                      const std::string& dir);
 
 }  // namespace bsp::campaign

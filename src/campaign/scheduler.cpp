@@ -194,24 +194,25 @@ PrewarmStats prewarm_checkpoint_cache(const std::vector<TaskSpec>& tasks,
       groups.size(),
       [&](std::size_t i) {
         const TaskSpec& g = groups[i];
-        CkptFetch fetch;
+        CheckpointSet set;
         try {
           WorkloadParams params;
           params.seed = g.seed;
           const Workload w = build_workload(g.workload, params);
-          fetch = fetch_checkpoint(options.ckpt_cache_dir, g.workload, g.seed,
-                                   w.program, g.fast_forward);
+          set = materialise_checkpoints(w.program, g.workload, g.seed,
+                                        {g.fast_forward},
+                                        options.ckpt_cache_dir);
         } catch (const std::exception& e) {
-          fetch.error = std::string("workload build failed: ") + e.what();
+          set.error = std::string("workload build failed: ") + e.what();
         }
         std::lock_guard<std::mutex> lock(m);
-        if (!fetch.ok())
+        if (!set.failure(g.fast_forward).empty())
           ++stats.failed;  // workers will hit the same error per-task
-        else if (fetch.hit)
+        else if (set.reused)
           ++stats.reused;
         else
           ++stats.materialised;
-        stats.ffwd_sec += fetch.ffwd_sec;
+        stats.ffwd_sec += set.ffwd_sec;
       },
       options.jobs);
   return stats;

@@ -1439,14 +1439,10 @@ struct Simulator::Impl {
   }
 };
 
-Simulator::Simulator(const MachineConfig& config, const Program& program)
-    : cfg_(checked_config(config)),
-      impl_(std::make_unique<Impl>(config, program, nullptr)) {}
-
 Simulator::Simulator(const MachineConfig& config, const Program& program,
-                     const Checkpoint& start)
+                     const Checkpoint* start)
     : cfg_(checked_config(config)),
-      impl_(std::make_unique<Impl>(config, program, &start)) {}
+      impl_(std::make_unique<Impl>(config, program, start)) {}
 
 Simulator::Simulator(Simulator&&) noexcept = default;
 Simulator& Simulator::operator=(Simulator&&) noexcept = default;
@@ -1497,12 +1493,6 @@ const DetailedStats& Simulator::detail() const {
 SimResult simulate(const MachineConfig& config, const Program& program,
                    u64 max_commits, u64 warmup_commits) {
   return Simulator(config, program).run(max_commits, warmup_commits);
-}
-
-SimResult simulate(const MachineConfig& config, const Program& program,
-                   const Checkpoint& start, u64 max_commits,
-                   u64 warmup_commits) {
-  return Simulator(config, program, start).run(max_commits, warmup_commits);
 }
 
 }  // namespace bsp

@@ -114,15 +114,14 @@ static_assert(sizeof(HostEvents) == kHostEventFields.size() * sizeof(u64),
 class Simulator {
  public:
   // Throws std::invalid_argument when config's slice geometry is invalid
-  // (SliceGeometry::valid(): 1, 2, 4 or 8 slices).
-  Simulator(const MachineConfig& config, const Program& program);
-  // Starts from a captured architectural state (see emu/checkpoint.hpp)
-  // instead of the program's entry point: the oracle and the fetch pc begin
-  // at the checkpoint, whose pages are the oracle's whole memory (the image
-  // is not copied; `start` must come from this program). Caches
-  // and predictors start cold — combine with run()'s warm-up to heat them.
+  // (SliceGeometry::valid(): 1, 2, 4 or 8 slices). With `start`, begins
+  // from that captured architectural state (see emu/checkpoint.hpp) instead
+  // of the program's entry point: the oracle and the fetch pc begin at the
+  // checkpoint, whose pages are the oracle's whole memory (the image is not
+  // copied; `start` must come from this program). Caches and predictors
+  // start cold — combine with run()'s warm-up to heat them.
   Simulator(const MachineConfig& config, const Program& program,
-            const Checkpoint& start);
+            const Checkpoint* start = nullptr);
   Simulator(Simulator&&) noexcept;
   Simulator& operator=(Simulator&&) noexcept;
   ~Simulator();
@@ -194,12 +193,5 @@ class Simulator {
 // (after an optional discarded warm-up).
 SimResult simulate(const MachineConfig& config, const Program& program,
                    u64 max_commits, u64 warmup_commits = 0);
-
-// Same, starting from a captured architectural state — the campaign
-// fast-forward entry point (checkpoint from emu/checkpoint.hpp or a
-// campaign ckpt-cache file).
-SimResult simulate(const MachineConfig& config, const Program& program,
-                   const Checkpoint& start, u64 max_commits,
-                   u64 warmup_commits = 0);
 
 }  // namespace bsp

@@ -1,12 +1,8 @@
 #include "sampling/sampled.hpp"
 
-#include <memory>
-#include <optional>
 #include <set>
 #include <sstream>
 
-#include "campaign/ckpt_cache.hpp"
-#include "emu/checkpoint.hpp"
 #include "obs/interval.hpp"
 #include "obs/json.hpp"
 #include "stats/stats.hpp"
@@ -19,60 +15,10 @@ PrewarmResult materialise_interval_checkpoints(const Program& program,
                                                u64 seed,
                                                const SamplePlan& plan,
                                                const std::string& cache_dir) {
-  PrewarmResult out;
   std::set<u64> offsets;
-  for (const IntervalSpec& spec : plan.intervals)
-    if (spec.offset > 0) offsets.insert(spec.offset);
-  if (offsets.empty()) return out;
-
-  const WallTimer timer;
-  // One incremental functional pass: ascending offsets extend the same
-  // emulator, which is loaded only once some offset misses the cache. A
-  // miss after hits continues from the latest hit's checkpoint, in an
-  // emulator started from it (its pages alone, no image copy). When every
-  // offset hits, nothing is emulated or restored.
-  std::optional<campaign::ImageHash> image;
-  if (!cache_dir.empty()) image.emplace(program);
-  std::optional<Emulator> emu;
-  u64 pos = 0;
-  std::shared_ptr<const Checkpoint> resume;  // latest hit not yet restored
-  for (const u64 offset : offsets) {
-    if (image) {
-      const std::string path = campaign::checkpoint_cache_path(
-          cache_dir, workload, seed, *image, offset);
-      if (auto ckpt = load_checkpoint_file(path)) {
-        resume = std::make_shared<const Checkpoint>(std::move(*ckpt));
-        pos = offset;
-        ++out.reused;
-        out.by_offset[offset] = resume;
-        continue;
-      }
-    }
-    if (!emu || resume) emu.emplace(program, resume.get());
-    resume = nullptr;
-    emu->run_fast(offset - pos);
-    pos = emu->instructions_retired();
-    if (pos < offset) {
-      // Exit/fault before the offset: later intervals are unreachable.
-      // Not an error — their specs are recorded as skipped.
-      break;
-    }
-    auto ckpt = std::make_shared<const Checkpoint>(capture_checkpoint(*emu));
-    if (image) {
-      std::string err;
-      if (campaign::publish_checkpoint(cache_dir, workload, seed, *image,
-                                       offset, *ckpt, &err)
-              .empty()) {
-        out.error = err;
-        out.ffwd_sec = timer.seconds();
-        return out;
-      }
-    }
-    out.by_offset[offset] = std::move(ckpt);
-    ++out.materialised;
-  }
-  out.ffwd_sec = timer.seconds();
-  return out;
+  for (const IntervalSpec& spec : plan.intervals) offsets.insert(spec.offset);
+  return campaign::materialise_checkpoints(program, workload, seed, offsets,
+                                           cache_dir);
 }
 
 std::string interval_to_jsonl(const IntervalResult& r) {
@@ -113,21 +59,25 @@ SampledResult run_sampled(const campaign::TaskSpec& task,
   out.plan = plan_intervals(task.instructions, task.warmup, task.fast_forward,
                             opts.intervals, opts.warmup);
 
-  PrewarmResult prewarm = materialise_interval_checkpoints(
+  const PrewarmResult prewarm = materialise_interval_checkpoints(
       program, task.workload, task.seed, out.plan, opts.ckpt_cache_dir);
   out.ckpt_materialised = prewarm.materialised;
   out.ckpt_reused = prewarm.reused;
   out.prewarm_sec = prewarm.ffwd_sec;
-  if (!prewarm.ok()) {
-    out.error = "prewarm: " + prewarm.error;
+  // Interval 0 starts at the run's own fast-forward: a failed pass, or a
+  // program that ends before that offset, fails the run exactly as it
+  // fails the monolithic one.
+  out.error = prewarm.failure(task.fast_forward);
+  if (!out.error.empty()) {
     out.wall_sec = wall.seconds();
     return out;
   }
 
   const std::size_t k = out.plan.intervals.size();
   out.intervals.resize(k);
-  // Intervals whose checkpoint the functional pass never reached (program
-  // exited first) are skipped up front; workers run the rest in parallel.
+  // Later intervals whose checkpoint the functional pass never reached
+  // (the program exited first) are skipped up front; workers run the rest
+  // in parallel.
   std::vector<std::size_t> runnable;
   for (std::size_t i = 0; i < k; ++i) {
     const IntervalSpec& spec = out.plan.intervals[i];
@@ -147,12 +97,9 @@ SampledResult run_sampled(const campaign::TaskSpec& task,
         t.fast_forward = iv.spec.offset;
         t.warmup = iv.spec.warmup;
         t.instructions = iv.spec.commits;
-        const Checkpoint* start =
-            t.fast_forward > 0 ? prewarm.by_offset.at(t.fast_forward).get()
-                               : nullptr;
         const WallTimer timer;
-        campaign::TaskOutcome o =
-            campaign::simulate_task(t, config, program, start, run);
+        campaign::TaskOutcome o = campaign::simulate_task(
+            t, config, program, prewarm.start(t.fast_forward), run);
         iv.stats = std::move(o.stats);
         iv.error = std::move(o.error);
         iv.exited = o.exited;

@@ -4,13 +4,13 @@
 // Pipeline (ARCHITECTURE.md §12):
 //  1. plan    — plan_intervals() splits the measured region into K
 //               contiguous chunks (sampling/plan.hpp);
-//  2. prewarm — one *incremental* emulator pass materialises a BSPC
-//               checkpoint at every distinct interval offset: ascending
-//               offsets share a single functional execution (restore an
-//               already-cached checkpoint to skip ahead, run_fast the
-//               gaps), and each capture publishes atomically into the
-//               campaign checkpoint cache so concurrent runs and worker
-//               subprocesses share it;
+//  2. prewarm — campaign::materialise_checkpoints (ckpt_cache.hpp), the
+//               one fast-forward materialiser, captures a BSPC checkpoint
+//               at every distinct interval offset in one incremental
+//               emulator pass and publishes each into the campaign
+//               checkpoint cache so concurrent runs and worker
+//               subprocesses share it. An unreachable interval-0 offset
+//               (the run's own fast-forward) fails the run;
 //  3. workers — each interval is a monolithic task: fast-forward to its
 //               offset (the prewarmed checkpoint, straight from memory),
 //               discard its warm-up commits, measure its chunk — through
@@ -30,12 +30,11 @@
 // prewarm_sec, wall_sec) are the only nondeterministic fields.
 #pragma once
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "campaign/ckpt_cache.hpp"
 #include "config/machine_config.hpp"
 #include "core/simulator.hpp"
 #include "sampling/plan.hpp"
@@ -44,8 +43,7 @@
 namespace bsp::sampling {
 
 // How a run is sharded; what each interval records (host profile, CPI
-// stack, co-simulation cadence) comes from the campaign::RunnerOptions
-// passed next to it.
+// stack) comes from the campaign::RunnerOptions passed next to it.
 struct SampleOptions {
   unsigned intervals = 8;  // K
   u64 warmup = kDefaultSampleWarmup;  // N: per-interval warm-up commits
@@ -58,21 +56,12 @@ struct SampleOptions {
 
 // Prewarm outcome: checkpoints by functional offset. An offset missing
 // from `by_offset` means the program exited/faulted before reaching it —
-// its intervals are recorded as skipped, not failed.
-struct PrewarmResult {
-  std::size_t materialised = 0;  // captured + published this call
-  std::size_t reused = 0;        // loaded from an existing cache file
-  double ffwd_sec = 0;           // host seconds in the functional pass
-  std::string error;             // non-empty on fatal failure (publish I/O)
-  std::map<u64, std::shared_ptr<const Checkpoint>> by_offset;
+// at interval 0's offset the run fails, at a later one its intervals are
+// recorded as skipped.
+using PrewarmResult = campaign::CheckpointSet;
 
-  bool ok() const { return error.empty(); }
-};
-
-// Materialises one checkpoint per distinct nonzero offset in `plan`, in
-// one incremental emulator pass (offset 0 needs none: detail starts at
-// reset). With a cache dir, existing files are restored instead of
-// re-emulated and fresh captures are published atomically.
+// The interval checkpoints of `plan`: campaign::materialise_checkpoints
+// over its distinct offsets (offset 0 needs none: detail starts at reset).
 PrewarmResult materialise_interval_checkpoints(const Program& program,
                                                const std::string& workload,
                                                u64 seed,
@@ -91,10 +80,11 @@ struct SampledResult {
   IpcEstimate ipc;     // weighted + mean ± ci95
   bool exited = false;       // program exited inside (or before) an interval
   int exit_code = 0;
-  std::string error;         // non-empty when any interval failed
+  std::string error;         // non-empty when the fast-forward or an
+                             // interval failed
   std::size_t ckpt_materialised = 0;  // prewarm traffic
   std::size_t ckpt_reused = 0;
-  double prewarm_sec = 0;    // functional prewarm host seconds
+  double prewarm_sec = 0;    // host seconds the prewarm's misses took
   double wall_sec = 0;       // end-to-end wall clock (prewarm + workers)
 
   bool ok() const { return error.empty(); }

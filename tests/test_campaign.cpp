@@ -1010,28 +1010,41 @@ TEST(ResultStore, JsonlRoundTripsCheckpointCacheFields) {
   EXPECT_DOUBLE_EQ(lback->ffwd_sec, 0.0);
 }
 
+// One fast-forward offset through the materialiser, as a sweep task asks
+// for its start state.
+CheckpointSet materialise_one(const std::string& dir, const Program& program,
+                              u64 fast_forward) {
+  return materialise_checkpoints(program, "li", 0x5eed, {fast_forward}, dir);
+}
+
 TEST(CkptCache, MissMaterialisesThenHitsAndSurvivesCorruption) {
   const std::string dir =
       testing::TempDir() + "bsp_ckptcache_" + std::to_string(::getpid());
   std::filesystem::create_directories(dir);
   const Workload w = build_workload("li");
 
-  const CkptFetch miss = fetch_checkpoint(dir, "li", 0x5eed, w.program, 30'000);
+  const CheckpointSet miss = materialise_one(dir, w.program, 30'000);
   ASSERT_TRUE(miss.ok()) << miss.error;
-  EXPECT_FALSE(miss.hit);
+  EXPECT_EQ(miss.materialised, 1u);
+  EXPECT_EQ(miss.reused, 0u);
   EXPECT_GE(miss.ffwd_sec, 0.0);
   const ImageHash image(w.program);
-  EXPECT_EQ(miss.path, checkpoint_cache_path(dir, "li", 0x5eed, image, 30'000));
-  EXPECT_TRUE(std::filesystem::exists(miss.path));
-  EXPECT_EQ(miss.checkpoint->retired, 30'000u);
+  const std::string path =
+      checkpoint_cache_path(dir, "li", 0x5eed, image, 30'000);
+  EXPECT_TRUE(std::filesystem::exists(path));
+  ASSERT_NE(miss.start(30'000), nullptr);
+  EXPECT_EQ(miss.start(30'000)->retired, 30'000u);
 
-  const CkptFetch hit = fetch_checkpoint(dir, "li", 0x5eed, w.program, 30'000);
+  const CheckpointSet hit = materialise_one(dir, w.program, 30'000);
   ASSERT_TRUE(hit.ok()) << hit.error;
-  EXPECT_TRUE(hit.hit);
-  EXPECT_EQ(hit.checkpoint->pc, miss.checkpoint->pc);
-  EXPECT_EQ(hit.checkpoint->regs, miss.checkpoint->regs);
-  EXPECT_EQ(hit.checkpoint->retired, miss.checkpoint->retired);
-  EXPECT_EQ(hit.checkpoint->pages.size(), miss.checkpoint->pages.size());
+  EXPECT_EQ(hit.reused, 1u);
+  EXPECT_EQ(hit.materialised, 0u);
+  ASSERT_NE(hit.start(30'000), nullptr);
+  EXPECT_EQ(hit.start(30'000)->pc, miss.start(30'000)->pc);
+  EXPECT_EQ(hit.start(30'000)->regs, miss.start(30'000)->regs);
+  EXPECT_EQ(hit.start(30'000)->retired, miss.start(30'000)->retired);
+  EXPECT_EQ(hit.start(30'000)->pages.size(),
+            miss.start(30'000)->pages.size());
 
   // Distinct fast-forward counts key distinct files.
   EXPECT_NE(checkpoint_cache_path(dir, "li", 0x5eed, image, 30'000),
@@ -1040,16 +1053,17 @@ TEST(CkptCache, MissMaterialisesThenHitsAndSurvivesCorruption) {
   // A truncated cache file is a miss, not an error: re-materialised and
   // overwritten with a good image.
   {
-    std::ofstream out(miss.path, std::ios::binary | std::ios::trunc);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << "BSPC";  // magic only
   }
-  const CkptFetch heal = fetch_checkpoint(dir, "li", 0x5eed, w.program, 30'000);
+  const CheckpointSet heal = materialise_one(dir, w.program, 30'000);
   ASSERT_TRUE(heal.ok()) << heal.error;
-  EXPECT_FALSE(heal.hit);
-  const CkptFetch again = fetch_checkpoint(dir, "li", 0x5eed, w.program,
-                                           30'000);
+  EXPECT_EQ(heal.materialised, 1u);
+  EXPECT_EQ(heal.reused, 0u);
+  const CheckpointSet again = materialise_one(dir, w.program, 30'000);
   ASSERT_TRUE(again.ok()) << again.error;
-  EXPECT_TRUE(again.hit);
+  EXPECT_EQ(again.reused, 1u);
+  EXPECT_EQ(again.materialised, 0u);
 
   // The publish path (write tmp, rename) must never leave `.tmp.<pid>`
   // staging files behind, heal or no heal.
@@ -1147,21 +1161,20 @@ TEST(CkptCache, ConcurrentMaterialisationRaceIsSafe) {
   std::filesystem::create_directories(dir);
   const Workload w = build_workload("li");
 
-  CkptFetch a, b;
-  std::thread ta([&] {
-    a = fetch_checkpoint(dir, "li", 0x5eed, w.program, 20'000);
-  });
-  std::thread tb([&] {
-    b = fetch_checkpoint(dir, "li", 0x5eed, w.program, 20'000);
-  });
+  CheckpointSet a, b;
+  std::thread ta([&] { a = materialise_one(dir, w.program, 20'000); });
+  std::thread tb([&] { b = materialise_one(dir, w.program, 20'000); });
   ta.join();
   tb.join();
   ASSERT_TRUE(a.ok()) << a.error;
   ASSERT_TRUE(b.ok()) << b.error;
-  EXPECT_EQ(a.checkpoint->pc, b.checkpoint->pc);
-  EXPECT_EQ(a.checkpoint->regs, b.checkpoint->regs);
-  EXPECT_EQ(a.checkpoint->retired, 20'000u);
-  EXPECT_TRUE(std::filesystem::exists(a.path));
+  ASSERT_NE(a.start(20'000), nullptr);
+  ASSERT_NE(b.start(20'000), nullptr);
+  EXPECT_EQ(a.start(20'000)->pc, b.start(20'000)->pc);
+  EXPECT_EQ(a.start(20'000)->regs, b.start(20'000)->regs);
+  EXPECT_EQ(a.start(20'000)->retired, 20'000u);
+  EXPECT_TRUE(std::filesystem::exists(checkpoint_cache_path(
+      dir, "li", 0x5eed, ImageHash(w.program), 20'000)));
   // No tmp litter survives the race.
   std::size_t files = 0;
   for (const auto& e : std::filesystem::directory_iterator(dir)) {
@@ -1170,10 +1183,9 @@ TEST(CkptCache, ConcurrentMaterialisationRaceIsSafe) {
   }
   EXPECT_EQ(files, 1u);
 
-  const CkptFetch after = fetch_checkpoint(dir, "li", 0x5eed, w.program,
-                                           20'000);
+  const CheckpointSet after = materialise_one(dir, w.program, 20'000);
   ASSERT_TRUE(after.ok()) << after.error;
-  EXPECT_TRUE(after.hit);
+  EXPECT_EQ(after.reused, 1u);
   std::filesystem::remove_all(dir);
 }
 

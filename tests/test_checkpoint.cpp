@@ -384,22 +384,25 @@ void expect_heals(const std::string& stale, const Checkpoint& ckpt,
       dir, "li", 0x5eed, campaign::ImageHash(program), 20'000);
   std::ofstream(path, std::ios::binary) << stale;
 
-  const campaign::CkptFetch heal =
-      campaign::fetch_checkpoint(dir, "li", 0x5eed, program, 20'000);
+  const auto materialise = [&] {
+    return campaign::materialise_checkpoints(program, "li", 0x5eed, {20'000},
+                                             dir);
+  };
+  const campaign::CheckpointSet heal = materialise();
   ASSERT_TRUE(heal.ok()) << heal.error;
-  EXPECT_FALSE(heal.hit);
-  EXPECT_EQ(heal.path, path);
-  EXPECT_EQ(heal.checkpoint->pages, ckpt.pages);
+  EXPECT_EQ(heal.materialised, 1u);
+  EXPECT_EQ(heal.reused, 0u);
+  ASSERT_NE(heal.start(20'000), nullptr);
+  EXPECT_EQ(heal.start(20'000)->pages, ckpt.pages);
   std::ifstream in(path, std::ios::binary);
   const std::string now((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
   EXPECT_EQ(now, serialise(ckpt));
   EXPECT_NE(now, stale);
 
-  const campaign::CkptFetch again =
-      campaign::fetch_checkpoint(dir, "li", 0x5eed, program, 20'000);
+  const campaign::CheckpointSet again = materialise();
   ASSERT_TRUE(again.ok()) << again.error;
-  EXPECT_TRUE(again.hit);
+  EXPECT_EQ(again.reused, 1u);
   std::filesystem::remove_all(dir);
 }
 
@@ -478,7 +481,7 @@ TEST(Checkpoint, SimulatorStartsFromCheckpointAndCoSimulates) {
   const auto ckpt = fast_forward(w.program, 100'000);
   ASSERT_TRUE(ckpt.has_value());
 
-  Simulator sim(bitsliced_machine(2, kAllTechniques), w.program, *ckpt);
+  Simulator sim(bitsliced_machine(2, kAllTechniques), w.program, &*ckpt);
   const SimResult r = sim.run(30'000);
   ASSERT_TRUE(r.ok()) << r.error;  // co-simulation from the restored state
   EXPECT_EQ(r.stats.committed, 30'000u);
@@ -494,7 +497,7 @@ TEST(Checkpoint, CheckpointedRunMatchesFastForwardedRunExactly) {
   const Workload w = build_workload("bzip");
   const auto ckpt = fast_forward(w.program, 60'000);
   ASSERT_TRUE(ckpt.has_value());
-  Simulator from_ckpt(base_machine(), w.program, *ckpt);
+  Simulator from_ckpt(base_machine(), w.program, &*ckpt);
   const SimResult a = from_ckpt.run(20'000);
   ASSERT_TRUE(a.ok()) << a.error;
 

@@ -330,7 +330,7 @@ TEST(Ruu, ReusedProducerSlotGetsNoEdge) {
   const Workload w = build_workload("gcc", params);
   const std::optional<Checkpoint> start = fast_forward(w.program, 1'000'000);
   ASSERT_TRUE(start);
-  Simulator sim(bitsliced_machine(4, kAllTechniques), w.program, *start);
+  Simulator sim(bitsliced_machine(4, kAllTechniques), w.program, &*start);
   const SimResult r = sim.run(20'000, 20'000);
   EXPECT_TRUE(r.ok()) << r.error;
 }

@@ -4,14 +4,16 @@
 // bit-identical to the monolithic run, every interval equals the task it
 // describes, per-interval stats are
 // deterministic across reruns, the prewarm pass reuses published
-// checkpoints, and a K-interval estimate's confidence interval contains
-// the monolithic IPC on the pinned workload.
+// checkpoints, a fast-forward the program never reaches fails the run as
+// it fails the monolithic one, and a K-interval estimate's confidence
+// interval contains the monolithic IPC on the pinned workload.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <unistd.h>
@@ -19,11 +21,13 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/ckpt_cache.hpp"
+#include "campaign/scheduler.hpp"
 #include "config/machine_config.hpp"
 #include "core/simulator.hpp"
 #include "emu/checkpoint.hpp"
 #include "obs/interval.hpp"
 #include "obs/json.hpp"
+#include "sampling/runner.hpp"
 #include "sampling/sampled.hpp"
 #include "stats/stats.hpp"
 #include "workloads/workloads.hpp"
@@ -449,8 +453,10 @@ TEST(Sampled, PrewarmContinuesFromTheLatestHitAtAMiss) {
   std::filesystem::create_directories(dir);
   const Workload w = build_workload("li");
   const SamplePlan plan = plan_intervals(9'000, 0, 0, 4, 500);
-  const PrewarmResult cold =
-      materialise_interval_checkpoints(w.program, "li", 0x5eed, plan, dir);
+  std::set<u64> offsets;
+  for (const IntervalSpec& spec : plan.intervals) offsets.insert(spec.offset);
+  const campaign::CheckpointSet cold =
+      campaign::materialise_checkpoints(w.program, "li", 0x5eed, offsets, dir);
   ASSERT_TRUE(cold.ok()) << cold.error;
   ASSERT_EQ(cold.materialised, 3u);
   const auto bytes = [](const Checkpoint& c) {
@@ -463,8 +469,8 @@ TEST(Sampled, PrewarmContinuesFromTheLatestHitAtAMiss) {
   const u64 middle = std::next(cold.by_offset.begin())->first;
   ASSERT_TRUE(std::filesystem::remove(campaign::checkpoint_cache_path(
       dir, "li", 0x5eed, campaign::ImageHash(w.program), middle)));
-  const PrewarmResult partial =
-      materialise_interval_checkpoints(w.program, "li", 0x5eed, plan, dir);
+  const campaign::CheckpointSet partial =
+      campaign::materialise_checkpoints(w.program, "li", 0x5eed, offsets, dir);
   ASSERT_TRUE(partial.ok()) << partial.error;
   EXPECT_EQ(partial.reused, 2u);
   EXPECT_EQ(partial.materialised, 1u);
@@ -473,6 +479,49 @@ TEST(Sampled, PrewarmContinuesFromTheLatestHitAtAMiss) {
     EXPECT_EQ(bytes(*partial.by_offset.at(offset)), bytes(*ckpt))
         << "offset " << offset;
   std::filesystem::remove_all(dir);
+}
+
+// A sampled run's interval 0 starts at the run's own fast-forward. When
+// the program ends before that offset, the run fails exactly as the
+// monolithic run does — same record error, in thread mode and from a real
+// --isolate process worker — instead of measuring nothing and passing.
+TEST(Sampled, UnreachableFastForwardFailsLikeTheMonolithicRun) {
+  campaign::TaskSpec task;
+  task.workload = "li";
+  task.machine.label = "base";
+  task.machine.kind = campaign::MachineKind::Base;
+  task.instructions = 5'000;
+  task.fast_forward = 100'000'000;  // li exits long before
+  const std::string expected =
+      "fast-forward failed: program exited or faulted before "
+      "fast_forward=100000000";
+
+  campaign::RunnerOptions mono;
+  campaign::RunnerOptions sampled;
+  sampled.sample_intervals = 2;
+  for (const campaign::RunnerOptions& ropts : {mono, sampled}) {
+    const std::string what =
+        ropts.sample_intervals ? "sampled" : "monolithic";
+    const campaign::TaskRunner runner = ropts.sample_intervals
+                                            ? make_sampled_runner(ropts)
+                                            : campaign::make_sim_runner(ropts);
+    campaign::SchedulerOptions thread;
+    thread.max_attempts = 1;  // the failure is deterministic
+    const campaign::TaskOutcome t = run_one_task(task, runner, thread);
+    EXPECT_EQ(t.status, "failed") << what << ", thread";
+    EXPECT_EQ(t.error, expected) << what << ", thread";
+
+    campaign::SchedulerOptions process = thread;
+    process.isolate = campaign::IsolationMode::kProcess;
+    process.worker_task_json = true;
+    process.worker_cmd = {BSP_SWEEP_EXE};
+    for (std::string& arg : campaign::run_option_args(ropts))
+      process.worker_cmd.push_back(std::move(arg));
+    process.worker_cmd.push_back("--worker-json");
+    const campaign::TaskOutcome p = run_one_task(task, runner, process);
+    EXPECT_EQ(p.status, "failed") << what << ", process";
+    EXPECT_EQ(p.error, expected) << what << ", process";
+  }
 }
 
 // The headline acceptance property on the pinned configuration (the same

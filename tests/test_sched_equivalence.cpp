@@ -230,7 +230,7 @@ TEST(SchedEquivalence, CheckpointRestoredRun) {
   const Workload w = build_workload("gzip");
   const auto ckpt = fast_forward(w.program, 40'000);
   ASSERT_TRUE(ckpt.has_value());
-  Simulator sim(bitsliced_machine(4, kAllTechniques), w.program, *ckpt);
+  Simulator sim(bitsliced_machine(4, kAllTechniques), w.program, &*ckpt);
   const SimResult r = sim.run(kCommits, kWarmup);
   ASSERT_TRUE(r.ok()) << r.error;
   expect_matches_golden("gzip/ckpt40k/s4/alltech", r.stats);
@@ -249,7 +249,7 @@ TEST(SchedEquivalence, CacheRoundTrippedCheckpointMatchesGolden) {
   std::string error;
   const auto loaded = load_checkpoint(buf, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
-  Simulator sim(bitsliced_machine(4, kAllTechniques), w.program, *loaded);
+  Simulator sim(bitsliced_machine(4, kAllTechniques), w.program, &*loaded);
   const SimResult r = sim.run(kCommits, kWarmup);
   ASSERT_TRUE(r.ok()) << r.error;
   expect_matches_golden("gzip/ckpt40k/s4/alltech", r.stats);

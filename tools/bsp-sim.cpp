@@ -325,33 +325,36 @@ int main(int argc, char** argv) {
     return res.exited ? res.exit_code : 0;
   }
 
-  std::optional<Checkpoint> ckpt;
+  std::optional<Checkpoint> loaded;  // --checkpoint
+  campaign::CheckpointSet ffwd;      // --fast-forward
+  const Checkpoint* start = nullptr;
   if (!ckpt_path.empty()) {
     std::string error;
-    ckpt = load_checkpoint_file(ckpt_path, &error);
-    if (!ckpt) {
+    loaded = load_checkpoint_file(ckpt_path, &error);
+    if (!loaded) {
       std::cerr << "bsp-sim: " << error << "\n";
       return 1;
     }
+    start = &*loaded;
   }
   if (fast_forward > 0) {
-    if (ckpt) {
+    if (start) {
       std::cerr << "bsp-sim: --checkpoint and --fast-forward are mutually "
                    "exclusive\n";
       return 2;
     }
     // Through the campaign cache when --ckpt-cache is given (publishes for
     // later runs), a plain emulator fast-forward otherwise.
-    campaign::CkptFetch fetch = campaign::fetch_checkpoint(
-        run.ckpt_cache_dir, input, kSeed, *program, fast_forward);
-    if (!fetch.ok()) {
-      std::cerr << "bsp-sim: " << fetch.error << "\n";
+    ffwd = campaign::materialise_checkpoints(*program, input, kSeed,
+                                             {fast_forward},
+                                             run.ckpt_cache_dir);
+    if (const std::string why = ffwd.failure(fast_forward); !why.empty()) {
+      std::cerr << "bsp-sim: " << why << "\n";
       return 1;
     }
-    ckpt = *fetch.checkpoint;
+    start = ffwd.start(fast_forward);
   }
-  Simulator sim = ckpt ? Simulator(cfg, *program, *ckpt)
-                       : Simulator(cfg, *program);
+  Simulator sim(cfg, *program, start);
   if (trace) sim.set_pipe_trace(std::cout, trace_start, trace_end);
   if (detail) sim.enable_detail();
   if (run.host_profile) sim.enable_host_profile();
