@@ -57,15 +57,11 @@ SweepSpec make_abl_slice_width() {
   return s;
 }
 
-// §5.1/§6 extensions on top of the full slice-by-4 stack.
+// The §6 narrow-width extension on top of the full slice-by-4 stack.
 SweepSpec make_abl_extensions() {
-  const unsigned spec_fwd = tech(Technique::SpecForward);
-  const unsigned narrow = tech(Technique::NarrowWidth);
   return spec("abl_extensions", workload_names(),
               {point("paper stack", Sliced, 4, kAllTechniques),
-               point("+spec fwd", Sliced, 4, kAllTechniques | spec_fwd),
-               point("+narrow width", Sliced, 4, kAllTechniques | narrow),
-               point("+both", Sliced, 4, kExtendedTechniques)});
+               point("+narrow width", Sliced, 4, kExtendedTechniques)});
 }
 
 // Partial tag matching vs sum-addressed memory (§5.2), slice-by-4.
@@ -167,7 +163,7 @@ const std::vector<BuiltinCampaign>& builtin_campaigns() {
        &make_fig11},
       {"abl_slice_width", "x2/x4/x8 full stack vs simple pipelining",
        &make_abl_slice_width},
-      {"abl_extensions", "spec forwarding, narrow width on the x4 stack",
+      {"abl_extensions", "narrow width on the x4 stack",
        &make_abl_extensions},
       {"abl_sam", "partial tag matching vs sum-addressed memory (x4)",
        &make_abl_sam},

@@ -152,15 +152,12 @@ std::vector<std::vector<MachinePoint>> by_overrides(
 
 // One IPC column per machine point and one row per (workload, seed);
 // `mean` labels a final row averaging each column ("" = none), and
-// `counters` appends the last point's extension counters.
+// `narrow` appends the last point's narrow-result count.
 Table ipc_table(const RecordIndex& ix, const std::string& mean,
-                bool counters = false) {
+                bool narrow = false) {
   std::vector<std::string> header = {"benchmark"};
   for (const MachinePoint& m : ix.machines()) header.push_back(m.label);
-  if (counters)
-    for (const char* h :
-         {"spec fwd tried", "spec fwd missed", "narrow results"})
-      header.push_back(h);
+  if (narrow) header.push_back("narrow results");
   Table table(std::move(header));
   std::vector<double> sums(ix.machines().size(), 0.0);
   unsigned rows = 0;
@@ -172,11 +169,7 @@ Table ipc_table(const RecordIndex& ix, const std::string& mean,
       cells.push_back(Table::num(s[i]->ipc(), 3));
       sums[i] += s[i]->ipc();
     }
-    if (counters)
-      for (const u64 n : {s.back()->spec_forwards,
-                          s.back()->spec_forward_misses,
-                          s.back()->narrow_operands})
-        cells.push_back(std::to_string(n));
+    if (narrow) cells.push_back(std::to_string(s.back()->narrow_operands));
     table.add_row(std::move(cells));
     ++rows;
   }
@@ -198,12 +191,8 @@ void render_abl_slice_width(const std::vector<TaskRecord>& records, bool csv,
 
 void render_abl_extensions(const std::vector<TaskRecord>& records, bool csv,
                            std::ostream& os) {
-  os << "== Ablation: speculative forwarding & narrow-width relaxation "
-        "(slice-by-4) ==\n";
+  os << "== Ablation: narrow-width relaxation (slice-by-4) ==\n";
   emit(os, ipc_table(RecordIndex(records), "", true), csv);
-  os << "The paper predicts speculative partial-match forwarding "
-        "confirms with very high accuracy (Figure 2's single-match "
-        "category converges to the exact match).\n";
 }
 
 void render_abl_sam(const std::vector<TaskRecord>& records, bool csv,

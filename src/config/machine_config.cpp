@@ -12,7 +12,6 @@ const char* technique_name(Technique t) {
     case Technique::EarlyBranch: return "early branch resolution";
     case Technique::EarlyLsq: return "early l/s disambiguation";
     case Technique::PartialTag: return "partial tag matching";
-    case Technique::SpecForward: return "speculative partial forwarding";
     case Technique::NarrowWidth: return "narrow-width slice relaxation";
     case Technique::SumAddressed: return "sum-addressed memory";
   }
@@ -60,8 +59,7 @@ std::string MachineConfig::describe() const {
     for (const auto t :
          {Technique::PartialBypass, Technique::OooSlices,
           Technique::EarlyBranch, Technique::EarlyLsq, Technique::PartialTag,
-          Technique::SpecForward, Technique::NarrowWidth,
-          Technique::SumAddressed}) {
+          Technique::NarrowWidth, Technique::SumAddressed}) {
       if (core.has(t)) {
         os << (any ? ", " : " ") << technique_name(t);
         any = true;

@@ -21,10 +21,8 @@ enum class Technique : unsigned {
   EarlyLsq      = 1u << 3,  // early load-store disambiguation
   PartialTag    = 1u << 4,  // partial tag match + MRU way prediction in L1D
 
-  // Extensions the paper suggests but does not evaluate:
-  SpecForward   = 1u << 5,  // §5.1: forward store data on a unique *partial*
-                            // address match, verified when the full
-                            // comparison completes
+  // Extensions the paper suggests but does not evaluate. Bit 5 (speculative
+  // partial-match forwarding, removed) stays reserved so old task ids parse.
   NarrowWidth   = 1u << 6,  // §6: results that are sign-extensions of their
                             // low slice release all high slices at once
                             // (significance-compression style, refs [3,6])
@@ -46,10 +44,9 @@ inline constexpr TechniqueSet kAllTechniques =
     static_cast<unsigned>(Technique::EarlyBranch) |
     static_cast<unsigned>(Technique::EarlyLsq) |
     static_cast<unsigned>(Technique::PartialTag);
-// Everything, including the suggested-but-unevaluated extensions.
+// The paper's configuration plus narrow-width relaxation.
 inline constexpr TechniqueSet kExtendedTechniques =
-    kAllTechniques | static_cast<unsigned>(Technique::SpecForward) |
-    static_cast<unsigned>(Technique::NarrowWidth);
+    kAllTechniques | static_cast<unsigned>(Technique::NarrowWidth);
 
 inline bool has_technique(TechniqueSet set, Technique t) {
   return (set & static_cast<unsigned>(t)) != 0;

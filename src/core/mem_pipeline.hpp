@@ -1,8 +1,7 @@
 // The memory pipeline of the timing core: the unified load/store queue and
 // every step that moves a load or store through it — LSQ disambiguation
 // with partial addresses, partial-tag and hit-speculated cache accesses,
-// the speculative partial-match forward, and their verification (paper
-// §5.1).
+// and their verification (paper §5.1).
 //
 // MemPipeline owns the LSQ ring, its per-slot `due` and `store_wait`
 // bitmaps, the count of entries not yet MemPhase::Done, the store-view
@@ -50,7 +49,6 @@ enum class LoadSpec : u8 {
   kWay,      // partial-tag access on the predicted way (RuuEntry::
              // predicted_way; -1 when the predictor named none)
   kHitMiss,  // a known miss whose consumers were woken as if it hit
-  kForward,  // speculative partial-match forward (LoadDecision::SpecForward)
 };
 
 // What the memory phase would do with one LSQ entry this cycle.
@@ -208,16 +206,11 @@ class MemPipeline {
     }
     bool changed = false;
     // Forwarded data must still be legal: the decision cycle (data_cycle - 1)
-    // must postdate the store's address, the store's data and — for a
-    // confirmed (non-speculative) forward — the load's own full address.
-    // A committed forwarding store is always legal.
-    const bool spec_forward = e.forwarded &&
-                              e.mem_phase == MemPhase::Access &&
-                              spec(e) == LoadSpec::kForward;
-    if (e.forwarded && (e.mem_phase == MemPhase::Done || spec_forward)) {
+    // must postdate the store's address, the store's data and the load's
+    // own full address. A committed forwarding store is always legal.
+    if (e.forwarded && e.mem_phase == MemPhase::Done) {
       const Cycle decision = e.data_cycle - 1;
-      bool legal =
-          spec_forward || ruu_.addr_bits_known_at(e, decision) == 32;
+      bool legal = ruu_.addr_bits_known_at(e, decision) == 32;
       const RuuEntry& s = ruu_[static_cast<unsigned>(e.forward_store)];
       if (legal && s.valid && s.seq == e.forward_store_seq) {
         const Cycle dt = ruu_.store_data_time(s);
@@ -279,7 +272,7 @@ class MemPipeline {
       refresh_views(pos);
       p.d = disambiguate_load(
           LoadQuery{p.bits, e.oracle.mem_addr, e.oracle.mem_bytes}, views_,
-          core_.has(Technique::EarlyLsq), core_.has(Technique::SpecForward));
+          core_.has(Technique::EarlyLsq));
       if (p.d.decision == LoadDecision::WaitStore) {
         p.store_wait = true;
         return p;
@@ -300,9 +293,8 @@ class MemPipeline {
     // Access. Verification happens the cycle *after* the speculative data
     // return (paper Figure 3: "verify with full tag bits on next cycle"),
     // so dependents selected against the speculative time are genuinely in
-    // flight and must replay on a mis-speculation. A speculative
-    // partial-match forward and a partial-tag access need the full
-    // address; a hit-speculated miss does not.
+    // flight and must replay on a mis-speculation. A partial-tag access
+    // needs the full address; a hit-speculated miss does not.
     if (now_ < e.data_cycle + 1) return p;
     const Cycle full_at = ruu_.full_addr_cycle(e);
     if ((full_at != kNever && full_at <= now_) ||
@@ -451,25 +443,17 @@ class MemPipeline {
                      .seq = e.seq, .pc = e.pc,
                      .flags = d.used_partial ? obs::kFlagPartial : 0u,
                      .a = p.bits,
-                     .b = d.decision == LoadDecision::Forward       ? 1u
-                          : d.decision == LoadDecision::SpecForward ? 2u
-                                                                    : 0u});
+                     .b = d.decision == LoadDecision::Forward ? 1u : 0u});
     }
 
-    if (d.decision == LoadDecision::Forward ||
-        d.decision == LoadDecision::SpecForward) {
-      const bool spec_forward = d.decision == LoadDecision::SpecForward;
-      ++(spec_forward ? stats_.spec_forwards : stats_.load_forwards);
+    if (d.decision == LoadDecision::Forward) {
+      ++stats_.load_forwards;
       e.forwarded = true;
       e.forward_store = d.store_id;
       e.forward_store_seq = ruu_[static_cast<unsigned>(d.store_id)].seq;
       e.data_cycle = now_ + 1;
-      e.data_final = !spec_forward;
-      if (spec_forward) {
-        e.spec_forward_value = d.forwarded;
-        spec_[e.lsq_slot] = LoadSpec::kForward;
-      }
-      set_phase(e, spec_forward ? MemPhase::Access : MemPhase::Done);
+      e.data_final = true;
+      set_phase(e, MemPhase::Done);
       // Replay edge: if the store's address/data times regress, this
       // load's forward must be revalidated.
       ruu_.cons_pool.append(ruu_.consumers[static_cast<unsigned>(d.store_id)],
@@ -552,26 +536,11 @@ class MemPipeline {
   }
 
   // Settles the load's speculation: called when the full address exists
-  // (partial-tag access, speculative forward) or at the optimistic wakeup
-  // time (hit-speculated miss).
+  // (partial-tag access) or at the optimistic wakeup time (hit-speculated
+  // miss).
   void verify_load(RuuEntry& e, unsigned idx) {
     Cache& l1d = mem_.l1d();
     const u32 addr = e.oracle.mem_addr;
-    if (spec(e) == LoadSpec::kForward) {
-      // Was the forwarded value the architecturally loaded one?
-      if (e.spec_forward_value == e.oracle.load_value) {
-        e.data_final = true;
-        set_phase(e, MemPhase::Done);
-        sched_.note_activity();
-        emit_verify(e, 4, e.data_cycle, false);
-      } else {
-        ++stats_.spec_forward_misses;
-        emit_verify(e, 5, 0, true);
-        reset_load(e);
-        sched_.replay(idx);  // data regressed to undefined
-      }
-      return;
-    }
     if (spec(e) == LoadSpec::kHitMiss) {
       // Hit-speculation on a known miss: retime and replay consumers.
       ++stats_.load_replays;

@@ -134,7 +134,6 @@ struct RuuEntry {
   bool early_miss = false;            // partial tag proved a miss early
   int predicted_way = -1;             // way-predictor choice (-1: none)
   Cycle true_data_cycle = kNever;     // actual data time on a known miss
-  u32 spec_forward_value = 0;         // value forwarded speculatively
 
   // --- control state (branches/jumps) ---
   u32 history_checkpoint = 0;  // gshare history at prediction time
@@ -162,10 +161,9 @@ struct RuuEntry {
   // bogus, seq, pc, si, inst, flags/num_ops/op_latency/order/res_kind,
   // ready_floor, dispatch_cycle, sources[0..1], history_checkpoint,
   // lsq_slot for memory ops) or only ever read behind a guard that dispatch
-  // re-arms (prev_* behind dest/hi-lo renames, forward_store_seq and
-  // spec_forward_value behind `forwarded`/the load's LoadSpec). Clearing
-  // the whole entry instead is correct but rewrites ~3 cache lines of cold
-  // state per dispatch.
+  // re-arms (prev_* behind dest/hi-lo renames, forward_store_seq behind
+  // `forwarded`). Clearing the whole entry instead is correct but rewrites
+  // ~3 cache lines of cold state per dispatch.
   void reset_for_dispatch() {
     data_cycle = kNever;
     sources[2] = ProducerRef{};
@@ -219,8 +217,11 @@ struct SimStats {
   u64 early_miss_detects = 0;
   u64 load_replays = 0;         // any load-latency mis-speculation replay
   u64 op_replays = 0;           // slice-ops squashed by selective replay
-  u64 spec_forwards = 0;        // speculative partial-match forwards tried
-  u64 spec_forward_misses = 0;  // ... that verification refuted
+  // Reserved, never written: speculative forwarding was removed, but these
+  // stay registered so store records and benchmark fingerprints keep their
+  // fields.
+  u64 spec_forwards = 0;
+  u64 spec_forward_misses = 0;
   u64 narrow_operands = 0;      // results eligible for narrow-width release
 
   u64 l1d_hits = 0;
@@ -259,7 +260,7 @@ struct SimStats {
   u64 cpi_lsq_disambig = 0;  // head load blocked on LSQ disambiguation
   u64 cpi_dcache = 0;        // head load waiting on D-cache data
   u64 cpi_partial_tag = 0;   // partial-tag speculation being verified
-  u64 cpi_spec_forward = 0;  // speculative partial-match forward pending
+  u64 cpi_spec_forward = 0;  // reserved, never charged (like spec_forwards)
   u64 cpi_store_data = 0;    // head store waiting for address/data
   u64 cpi_drain = 0;         // program exit drain / end-of-measurement
   u64 cpi_other = 0;         // unattributed (kept for the hard identity)

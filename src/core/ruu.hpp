@@ -51,11 +51,11 @@ struct OpRef {
   // frozen at its old incarnation — harmless, it is dropped on sight.)
   u64 key;
   // sched_epoch at queue time. Every path that moves a recorded time
-  // *later* (replay, load retime, spec-forward miss) bumps sched_epoch, and
-  // times otherwise only transition kNever -> finite (which cannot raise a
-  // ready time that was already finite when this ref was queued), so while
-  // the epoch still matches, the ready time computed at queue time is
-  // still exact and select can skip re-deriving it.
+  // *later* (replay, load retime) bumps sched_epoch, and times otherwise
+  // only transition kNever -> finite (which cannot raise a ready time that
+  // was already finite when this ref was queued), so while the epoch still
+  // matches, the ready time computed at queue time is still exact and
+  // select can skip re-deriving it.
   u64 epoch;
 };
 // Two wake kinds share the wheel, waiter lists and node pool with slice-op

@@ -1266,8 +1266,6 @@ struct Simulator::Impl {
             return e.lsq_decision_cycle >= now ? CpiCause::LsqDisambig
                                                : CpiCause::Dcache;
           case MemPhase::Access:
-            if (mem_pipe.spec(e) == LoadSpec::kForward)
-              return CpiCause::SpecForward;
             if (e.used_partial_tag) return CpiCause::PartialTag;
             return CpiCause::Dcache;
           case MemPhase::Done:

@@ -94,8 +94,7 @@ std::optional<u32> forward_bytes(u32 load_addr, unsigned load_bytes,
 
 DisambigResult disambiguate_load(const LoadQuery& load,
                                  std::span<const StoreView> older_stores,
-                                 bool enable_partial,
-                                 bool enable_spec_forward) {
+                                 bool enable_partial) {
   DisambigResult result;
 
   if (older_stores.empty()) {
@@ -113,8 +112,6 @@ DisambigResult disambiguate_load(const LoadQuery& load,
   if (load.addr_known_bits <= kDisambigLoBit) return result;
 
   const StoreView* candidate = nullptr;  // youngest full match
-  const StoreView* partial_candidate = nullptr;  // youngest partial match
-  unsigned partial_matches = 0;
   for (const auto& s : older_stores) {
     if (s.addr_known_bits <= kDisambigLoBit) return result;  // unknown blocks
 
@@ -124,42 +121,12 @@ DisambigResult disambiguate_load(const LoadQuery& load,
                     common - kDisambigLoBit))
       continue;  // ruled out
 
-    if (common < 32) {
-      ++partial_matches;
-      partial_candidate = &s;
-      continue;
-    }
+    if (common < 32) return result;  // unconfirmed partial match: wait
 
     // Fully matching word: does it actually overlap at byte granularity?
     if (!ranges_overlap(load.addr, load.bytes, s.addr, s.bytes)) continue;
     candidate = &s;  // youngest overlapping store wins (stores are oldest
                      // first, so keep overwriting)
-  }
-
-  if (partial_matches > 0) {
-    // Unconfirmed partial matches: speculate on the unique one when allowed
-    // (Figure 2: a sole surviving partial match is almost always the true
-    // forwarding source), otherwise wait for more address bits.
-    if (enable_spec_forward && partial_matches == 1 && candidate == nullptr &&
-        partial_candidate->addr_known_bits == 32 &&
-        partial_candidate->data_ready &&
-        load.addr_known_bits >= kSpecForwardMinBits) {
-      // Speculate that the load's word is the store's word; the load's byte
-      // offset lives in its (known) low bits.
-      const u32 spec_addr =
-          (partial_candidate->addr & ~u32{3}) | (load.addr & 3);
-      if (const auto v =
-              forward_bytes(spec_addr, load.bytes, partial_candidate->addr,
-                            partial_candidate->bytes,
-                            partial_candidate->data)) {
-        result.decision = LoadDecision::SpecForward;
-        result.store_id = partial_candidate->id;
-        result.forwarded = *v;
-        result.used_partial = true;
-        return result;
-      }
-    }
-    return result;  // WaitStore
   }
 
   result.used_partial = load.addr_known_bits < 32;

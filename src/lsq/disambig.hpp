@@ -16,12 +16,6 @@ namespace bsp {
 inline constexpr unsigned kDisambigLoBit = 2;   // first bit compared
 inline constexpr unsigned kDisambigBits = 30;   // bits 2..31
 
-// Speculative forwarding only engages once this many low address bits are
-// known: Figure 2 shows a *unique* partial match is almost always the true
-// forwarding source only after ~9 compared bits (address bits 2..10); with
-// fewer bits the uniqueness is accidental and the speculation mostly wrong.
-inline constexpr unsigned kSpecForwardMinBits = 12;
-
 // --- Figure 2 categories -----------------------------------------------------
 
 // Outcome of comparing a load address against the stores in the LSQ using
@@ -76,16 +70,14 @@ struct LoadQuery {
 enum class LoadDecision : u8 {
   Issue,        // no conflicting older store — may go to memory
   Forward,      // unique fully-matching older store with ready data
-  SpecForward,  // unique *partial* match: forward speculatively, verify when
-                // the full comparison completes (paper §5.1's suggestion)
   WaitStore,    // must wait (unknown store address / partial match pending /
                 // overlapping store not forwardable yet)
 };
 
 struct DisambigResult {
   LoadDecision decision = LoadDecision::WaitStore;
-  int store_id = -1;       // Forward/SpecForward: the source store
-  u32 forwarded = 0;       // Forward/SpecForward: load result value
+  int store_id = -1;       // Forward: the source store
+  u32 forwarded = 0;       // Forward: load result value
   bool used_partial = false;  // decision was reached before the load's
                               // address was completely generated
 };
@@ -99,14 +91,9 @@ struct DisambigResult {
 //   * partial matches that cannot be confirmed yet block.
 // When `enable_partial` is false the load needs its own full address and all
 // store addresses before any decision (the conventional baseline).
-// With `enable_spec_forward`, a single surviving partial match whose store
-// address is complete and whose data is ready is forwarded speculatively
-// (decision SpecForward); the paper's Figure 2 shows such matches almost
-// always confirm. The caller must verify once the full address exists.
 DisambigResult disambiguate_load(const LoadQuery& load,
                                  std::span<const StoreView> older_stores,
-                                 bool enable_partial,
-                                 bool enable_spec_forward = false);
+                                 bool enable_partial);
 
 // Extracts the bytes a load wants from a covering store's data.
 // Returns nullopt when the store does not fully cover the load.

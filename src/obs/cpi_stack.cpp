@@ -31,8 +31,6 @@ const std::vector<CpiLeafDesc>& cpi_leaves() {
        "D-cache load data", &SimStats::cpi_dcache},
       {CpiCause::PartialTag, "cpi_partial_tag", "speculation",
        "partial-tag way verification", &SimStats::cpi_partial_tag},
-      {CpiCause::SpecForward, "cpi_spec_forward", "speculation",
-       "speculative forward verification", &SimStats::cpi_spec_forward},
       {CpiCause::StoreData, "cpi_store_data", "memory",
        "store address/data ops", &SimStats::cpi_store_data},
       {CpiCause::Drain, "cpi_drain", "drain",

@@ -23,8 +23,8 @@ namespace bsp::obs {
 
 // One leaf per distinct "why did this commit slot not retire an
 // instruction" answer (plus Base for the slots that did). Enum order is
-// the registry/report order and matches the cpi_* block in
-// simstats_counters() — append only.
+// the report order and follows the cpi_* block in simstats_counters(),
+// which also holds the reserved, never-charged cpi_spec_forward.
 enum class CpiCause : u8 {
   Base = 0,     // useful slot: an instruction retired
   FeIcache,     // front end stalled on an I-cache miss
@@ -38,7 +38,6 @@ enum class CpiCause : u8 {
   LsqDisambig,  // head load blocked on LSQ address disambiguation
   Dcache,       // head load waiting on D-cache data
   PartialTag,   // partial-tag way speculation being verified
-  SpecForward,  // speculative partial-match forward pending verification
   StoreData,    // head store waiting for its address/data ops
   Drain,        // program-exit drain / end-of-measurement clamp
   Other,        // unattributed backstop (keeps the identity hard)

@@ -41,6 +41,10 @@ const std::vector<CounterDesc>& simstats_counters() {
        &SimStats::load_replays},
       {"op_replays", "events", "slice-ops squashed by selective replay",
        &SimStats::op_replays},
+      // Reserved: speculative forwarding was removed and nothing writes
+      // these two or cpi_spec_forward. Store records, interval JSONL
+      // (descriptions included) and the benchmark's golden fingerprints
+      // cover every entry, so they stay in place, always 0.
       {"spec_forwards", "events",
        "speculative partial-match store forwards tried",
        &SimStats::spec_forwards},
@@ -55,9 +59,9 @@ const std::vector<CounterDesc>& simstats_counters() {
       {"idle_cycles_skipped", "cycles",
        "simulated cycles fast-forwarded by the idle-skip optimisation",
        &SimStats::idle_cycles_skipped},
-      // CPI-stack leaves (obs/cpi_stack.hpp), appended in PR 8 and
-      // therefore optional for the store parser. Keep this block in
-      // CpiCause enum order — cpi_leaves() indexes it by cause.
+      // CPI-stack leaves (obs/cpi_stack.hpp), appended after the first
+      // stores were written and therefore optional for the store parser.
+      // Keep this block in CpiCause enum order.
       {"cpi_base", "slots", "commit slots that retired an instruction",
        &SimStats::cpi_base, true},
       {"cpi_fe_icache", "slots", "slots lost to I-cache fetch stalls",
@@ -90,6 +94,7 @@ const std::vector<CounterDesc>& simstats_counters() {
       {"cpi_partial_tag", "slots",
        "slots lost verifying partial-tag way speculation",
        &SimStats::cpi_partial_tag, true},
+      // Reserved, never charged: see spec_forwards above.
       {"cpi_spec_forward", "slots",
        "slots lost verifying speculative partial-match forwards",
        &SimStats::cpi_spec_forward, true},

@@ -17,11 +17,7 @@ std::string hex_pc(u32 pc) {
 }
 
 const char* lsq_decision_name(u64 decision) {
-  switch (decision) {
-    case 1: return "forward";
-    case 2: return "spec-forward";
-    default: return "issue";
-  }
+  return decision == 1 ? "forward" : "issue";
 }
 
 const char* verify_outcome_name(u64 outcome) {
@@ -29,8 +25,6 @@ const char* verify_outcome_name(u64 outcome) {
     case 1: return "hit-speculated miss";
     case 2: return "way mispredict";
     case 3: return "miss";
-    case 4: return "spec-forward ok";
-    case 5: return "spec-forward refuted";
     default: return "confirmed";
   }
 }

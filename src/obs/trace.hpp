@@ -31,12 +31,11 @@ namespace bsp::obs {
 //   OpSelect      slice-op    done cycle         -
 //   OpReplay      slice-op    -                  -          (select reverted)
 //   LsqDecision   -           known addr bits    decision (0 issue,
-//                                                 1 forward, 2 spec-forward)
+//                                                 1 forward)
 //   CacheAccess   -           spec. data cycle   known addr bits
 //   CacheVerify   -           final data cycle   outcome (0 confirmed,
 //                                                 1 hit-spec miss, 2 way
-//                                                 mispredict, 3 miss,
-//                                                 4 spec-fwd ok, 5 refuted)
+//                                                 mispredict, 3 miss)
 //   BranchResolve -           resolve cycle      -
 //   Squash        -           -                  stall cause (recovery victim)
 //   Commit        -           dispatch cycle     -

@@ -106,10 +106,9 @@ TEST(MemPipeline, PlanMatchesTheDisambiguatorOnRandomLsqStates) {
   Rng rng(0x15A);
   unsigned full_knowledge = 0;
   for (int trial = 0; trial < 4000; ++trial) {
-    const bool early = rng.chance(1, 2), spec = rng.chance(1, 2);
+    const bool early = rng.chance(1, 2);
     TechniqueSet t = kBypass;
     if (early) t |= static_cast<unsigned>(Technique::EarlyLsq);
-    if (spec) t |= static_cast<unsigned>(Technique::SpecForward);
     Lsq q(t);
     const u32 base = (rng.next() & 0x0fffff00u) + 0x1000;
     const auto pick = [&](unsigned& bytes) {
@@ -153,7 +152,7 @@ TEST(MemPipeline, PlanMatchesTheDisambiguatorOnRandomLsqStates) {
     const MemPlan p = q.lsq.plan_mem(q[l], l, q.lsq.size() - 1);
 
     const LoadQuery load{bits, addr, bytes};
-    const DisambigResult want = disambiguate_load(load, views, early, spec);
+    const DisambigResult want = disambiguate_load(load, views, early);
     ASSERT_EQ(p.d.decision, want.decision) << "trial " << trial;
     EXPECT_EQ(p.d.store_id, want.store_id);
     EXPECT_EQ(p.d.forwarded, want.forwarded);

@@ -66,7 +66,6 @@ std::optional<TechniqueSet> parse_techniques(const std::string& spec) {
     else if (item == "branch") set |= static_cast<unsigned>(Technique::EarlyBranch);
     else if (item == "lsq") set |= static_cast<unsigned>(Technique::EarlyLsq);
     else if (item == "tag") set |= static_cast<unsigned>(Technique::PartialTag);
-    else if (item == "specfwd") set |= static_cast<unsigned>(Technique::SpecForward);
     else if (item == "narrow") set |= static_cast<unsigned>(Technique::NarrowWidth);
     else return std::nullopt;
   }
@@ -93,10 +92,8 @@ void print_stats(const SimStats& s) {
             << "early:        " << s.early_resolved_branches
             << " branch resolutions, " << s.early_miss_detects
             << " miss detects\n";
-  if (s.spec_forwards || s.narrow_operands)
-    std::cout << "extensions:   " << s.spec_forwards << " spec forwards ("
-              << s.spec_forward_misses << " refuted), " << s.narrow_operands
-              << " narrow results\n";
+  if (s.narrow_operands)
+    std::cout << "extensions:   " << s.narrow_operands << " narrow results\n";
 }
 
 void print_host_profile(const SimStats& s) {
@@ -189,7 +186,7 @@ int main(int argc, char** argv) {
                    &slices);
   parser.add_value("--techniques", "SPEC",
                    "none | all | extended | comma list of bypass,ooo,branch,"
-                   "lsq,tag,specfwd,narrow (default all)",
+                   "lsq,tag,narrow (default all)",
                    &techniques_spec);
   parser.add_value("-n, --instructions", "N",
                    "measured commit budget (default 200000)", &instructions);
