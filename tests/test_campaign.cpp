@@ -1000,7 +1000,7 @@ INSTANTIATE_TEST_SUITE_P(
         std::pair{"fig12", R"(average total speedup \(mean of per-)"},
         std::pair{"table1", R"(li +[0-9.]+ +[0-9.]+% .* 95%)"},
         std::pair{"abl_slice_width", R"(li +[0-9.]+ .*\nmean +[0-9.]+)"},
-        std::pair{"abl_extensions", R"(li +[0-9.]+ +[0-9.]+ +[0-9]+\n)"},
+        std::pair{"abl_extensions", R"(li( +[0-9.]+){2} +[0-9]+\n)"},
         std::pair{"abl_sam", R"(average( +[0-9.]+){4})"},
         std::pair{"abl_seeds", R"(li +spread +[-0-9.]+%\.\.)"},
         std::pair{"abl_predictor", R"(li +bimodal-4k +[0-9]+%)"},
