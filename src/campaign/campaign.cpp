@@ -14,6 +14,7 @@
 #include "core/simulator.hpp"
 #include "obs/interval.hpp"
 #include "obs/json.hpp"
+#include "sampling/sampled.hpp"
 #include "util/cli.hpp"
 #include "workloads/workloads.hpp"
 
@@ -278,28 +279,6 @@ CampaignReport run_campaign(const SweepSpec& spec, const TaskRunner& runner,
   return report;
 }
 
-TaskRunner memoise_workloads(WorkloadTaskBody body) {
-  using Memo =
-      BuildOnce<std::pair<std::string, u64>, std::shared_ptr<const Workload>>;
-  auto memo = std::make_shared<Memo>();
-  return [memo, body = std::move(body)](const TaskSpec& task) {
-    std::shared_ptr<const Workload> workload;
-    try {
-      workload = memo->get({task.workload, task.seed}, [&] {
-        WorkloadParams params;
-        params.seed = task.seed;
-        return std::make_shared<const Workload>(
-            build_workload(task.workload, params));
-      });
-    } catch (const std::exception& e) {
-      TaskOutcome r;
-      r.error = std::string("workload build failed: ") + e.what();
-      return r;
-    }
-    return body(task, *workload);
-  };
-}
-
 const std::vector<RunOptionField>& run_option_fields() {
   static const std::vector<RunOptionField> kFields = {
       {"interval", "--interval-stats", "N",
@@ -448,49 +427,113 @@ TaskOutcome simulate_task(const TaskSpec& task, const MachineConfig& config,
   return r;
 }
 
+namespace {
+
+// A sampled task's record: the stitched aggregate as its stats, the plan's
+// shape, the IPC estimate and one row per measured interval.
+TaskOutcome sampled_outcome(const sampling::SampledResult& res) {
+  TaskOutcome r;
+  r.stats = res.aggregate;
+  r.error = res.error;
+  r.exited = res.exited;
+  r.exit_code = res.exit_code;
+  r.sample_intervals = res.plan.intervals.size();
+  r.sample_warmup = res.plan.sample_warmup;
+  r.ipc_mean = res.ipc.mean;
+  r.ipc_ci95 = res.ipc.ci95;
+  for (const sampling::IntervalResult& iv : res.intervals) {
+    if (!iv.measured()) continue;
+    r.samples.push_back({iv.spec.index, iv.spec.offset, iv.spec.warmup,
+                         iv.spec.commits, iv.stats.cycles,
+                         iv.stats.committed});
+  }
+  return r;
+}
+
+}  // namespace
+
 TaskRunner make_sim_runner(const RunnerOptions& options) {
-  // (workload, seed, fast_forward) -> its checkpoint: within one process
-  // each distinct fast-forward is paid (or its cache file read) exactly
-  // once, no matter how many concurrent tasks need it.
+  // (workload, seed) -> its program, and (workload, seed, fast_forward) ->
+  // its checkpoint: within one process each program is built, and each
+  // distinct fast-forward paid (or its cache file read), exactly once, no
+  // matter how many concurrent tasks need it. Both memos live in the
+  // runner behind shared_ptrs, so detached timed-out attempts stay
+  // memory-safe.
+  using WorkloadMemo =
+      BuildOnce<std::pair<std::string, u64>, std::shared_ptr<const Workload>>;
   using CkptMemo =
       BuildOnce<std::tuple<std::string, u64, u64>, CheckpointSet>;
+  auto workloads = std::make_shared<WorkloadMemo>();
   auto ckpts = std::make_shared<CkptMemo>();
-  return memoise_workloads([ckpts, options](const TaskSpec& task,
-                                            const Workload& workload) {
-    // Fast-forward tasks start from a shared checkpoint: in-process memo
-    // first, then the on-disk cache, then (cold path) one fast-forward run
-    // whose result every later task reuses.
-    CheckpointSet ckpt;
-    bool builder = false;
-    if (task.fast_forward > 0) {
-      ckpt = ckpts->get(
-          {task.workload, task.seed, task.fast_forward},
-          [&] {
-            return materialise_checkpoints(workload.program, task.workload,
-                                           task.seed, {task.fast_forward},
-                                           options.ckpt_cache_dir);
-          },
-          &builder);
-      if (std::string why = ckpt.failure(task.fast_forward); !why.empty()) {
-        TaskOutcome r;
-        r.error = std::move(why);
-        return r;
-      }
+  // A sampled task already occupies one scheduler slot, so its intervals
+  // run inline on it and a sweep's thread count stays at --jobs;
+  // --isolate process contains the whole task, not each interval.
+  sampling::SampleOptions sample;
+  sample.intervals = options.sample_intervals;
+  sample.warmup = options.sample_warmup;
+  sample.jobs = 1;
+  sample.ckpt_cache_dir = options.ckpt_cache_dir;
+  return [workloads, ckpts, sample, options](const TaskSpec& task) {
+    std::shared_ptr<const Workload> workload;
+    try {
+      workload = workloads->get({task.workload, task.seed}, [&] {
+        WorkloadParams params;
+        params.seed = task.seed;
+        return std::make_shared<const Workload>(
+            build_workload(task.workload, params));
+      });
+    } catch (const std::exception& e) {
+      TaskOutcome r;
+      r.error = std::string("workload build failed: ") + e.what();
+      return r;
     }
-    TaskOutcome r = simulate_task(task, task.machine.build(),
-                                  workload.program,
-                                  ckpt.start(task.fast_forward), options);
-    if (task.fast_forward > 0) {
+    const Program& program = workload->program;
+
+    TaskOutcome r;
+    std::size_t restored = 0;  // start checkpoints the task ran from
+    bool miss = false;         // ... any of which this task emulated
+    double ffwd_sec = 0;       // ... taking this many host seconds
+    if (sample.intervals > 0) {
+      const sampling::SampledResult res = sampling::run_sampled(
+          task, task.machine.build(), program, sample, options);
+      r = sampled_outcome(res);
+      restored = res.ckpt_materialised + res.ckpt_reused;
+      miss = res.ckpt_materialised > 0;
+      ffwd_sec = res.prewarm_sec;
+    } else {
+      // Fast-forward tasks start from a shared checkpoint: in-process memo
+      // first, then the on-disk cache, then (cold path) one fast-forward
+      // run whose result every later task reuses.
+      CheckpointSet ckpt;
+      bool builder = false;
+      if (task.fast_forward > 0) {
+        ckpt = ckpts->get(
+            {task.workload, task.seed, task.fast_forward},
+            [&] {
+              return materialise_checkpoints(program, task.workload,
+                                             task.seed, {task.fast_forward},
+                                             options.ckpt_cache_dir);
+            },
+            &builder);
+        r.error = ckpt.failure(task.fast_forward);
+        if (!r.error.empty()) return r;
+      }
+      r = simulate_task(task, task.machine.build(), program,
+                        ckpt.start(task.fast_forward), options);
       // Memo consumers after the first share the builder's pass; only the
       // builder reports its miss (and pays its ffwd_sec) so per-task
       // records sum to the real host cost instead of multiply counting it.
-      const bool miss = builder && ckpt.materialised > 0;
+      restored = ckpt.materialised + ckpt.reused;
+      miss = builder && ckpt.materialised > 0;
+      ffwd_sec = miss ? ckpt.ffwd_sec : 0;
+    }
+    if (restored > 0) {
       r.ckpt_cache = miss ? "miss" : "hit";
-      r.ffwd_sec = miss ? ckpt.ffwd_sec : 0;
-      if (options.host_profile) r.stats.host_profile.ffwd = r.ffwd_sec;
+      r.ffwd_sec = ffwd_sec;
+      if (options.host_profile) r.stats.host_profile.ffwd = ffwd_sec;
     }
     return r;
-  });
+  };
 }
 
 }  // namespace bsp::campaign

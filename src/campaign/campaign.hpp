@@ -4,7 +4,6 @@
 #pragma once
 
 #include <chrono>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -21,7 +20,6 @@ namespace bsp {
 class ArgParser;
 struct Checkpoint;
 struct Program;
-struct Workload;
 namespace obs {
 struct JsonValue;
 }
@@ -144,7 +142,7 @@ class CampaignLedger {
 CampaignReport run_campaign(const SweepSpec& spec, const TaskRunner& runner,
                             const CampaignOptions& options);
 
-// Per-task knobs for the production runners: the one declaration of every
+// Per-task knobs for the production runner: the one declaration of every
 // option that changes how a task is simulated or what its record carries.
 // run_option_fields() below describes each member once; the tools' flags,
 // the process-worker argv and the remote SPEC frame (RemoteSpec::run) are
@@ -152,23 +150,23 @@ CampaignReport run_campaign(const SweepSpec& spec, const TaskRunner& runner,
 struct RunnerOptions {
   // Sample deltas of every SimStats counter each `interval` committed
   // instructions (obs/interval.hpp); the series lands in the task's record
-  // ("interval" + "series" fields). 0 = off.
+  // ("interval" + "series" fields; a sampled task records none). 0 = off.
   u64 interval = 0;
   // Collect host-phase profiles (SimStats::host_profile, serialised as the
   // record's "host_phases" object) and print their sum after the run.
   bool host_profile = false;
   // Shared checkpoint cache directory for fast_forward > 0 tasks ("" = no
-  // on-disk cache; concurrent in-process tasks still share one fast-forward
-  // through the runner's memo). Point workers at the same directory the
-  // scheduler prewarmed. Host-local: never sent to remote workers.
+  // on-disk cache; concurrent in-process monolithic tasks still share one
+  // fast-forward through the runner's memo). Point workers at the same
+  // directory the scheduler prewarmed. Host-local: never sent to remote
+  // workers.
   std::string ckpt_cache_dir;
   // CPI-stack cycle accounting per task (Simulator::enable_cpi_stack):
   // the SimStats cpi_* leaves land in every record, ready for
   // `bsp-report --cpi-stack` aggregation.
   bool cpi_stack = false;
   // Sampled simulation (src/sampling/): K intervals per task, each with
-  // `sample_warmup` discarded warm-up commits. 0 = monolithic;
-  // sampling::make_sampled_runner() is the runner that honours them.
+  // `sample_warmup` discarded warm-up commits. 0 = monolithic.
   unsigned sample_intervals = 0;
   u64 sample_warmup = sampling::kDefaultSampleWarmup;
 
@@ -214,33 +212,26 @@ void add_run_option_flags(ArgParser& parser, RunnerOptions* out,
 // field that differs from its default, host-local ones included.
 std::vector<std::string> run_option_args(const RunnerOptions& options);
 
-// Simulates one task against its (memoised) workload program.
-using WorkloadTaskBody =
-    std::function<TaskOutcome(const TaskSpec& task, const Workload& workload)>;
-
-// Wraps `body` in the (workload, seed) memo every production runner uses:
-// the first task to need a program builds it, concurrent tasks for the
-// same key wait for that build instead of re-assembling, and a build
-// failure comes back as each task's error. The memo lives in the returned
-// runner behind a shared_ptr, so detached timed-out attempts stay
-// memory-safe.
-TaskRunner memoise_workloads(WorkloadTaskBody body);
-
-// The task body every production runner shares, monolithic tasks and
-// sampled intervals alike: `config` runs `program` from `start` (the
-// functional state after task.fast_forward instructions; null = reset),
-// discards task.warmup commits, then measures task.instructions, with
-// `options`' interval series, host profile and CPI stack. Fills the
-// outcome's stats, error, series and exit status; checkpoint bookkeeping is
-// the caller's.
+// The body of every simulated run, monolithic tasks and sampled intervals
+// alike: `config` runs `program` from `start` (the functional state after
+// task.fast_forward instructions; null = reset), discards task.warmup
+// commits, then measures task.instructions, with `options`' interval
+// series, host profile and CPI stack. Fills the outcome's stats, error,
+// series and exit status; checkpoint bookkeeping is the caller's.
 TaskOutcome simulate_task(const TaskSpec& task, const MachineConfig& config,
                           const Program& program, const Checkpoint* start,
                           const RunnerOptions& options);
 
 // The production runner: runs each task's machine configuration on its
-// memoised workload, restoring fast-forward checkpoints through a second
-// build-once memo. Co-simulation divergence and workload-build failures
-// come back as outcome errors, never as exceptions or aborts.
+// workload program, built once per (workload, seed) and shared by
+// concurrent tasks. With options.sample_intervals == 0 a task is one
+// simulate_task run from its fast-forward checkpoint, which a second
+// build-once memo restores (or materialises) once per (workload, seed,
+// fast_forward); with K > 0 it is sampling::run_sampled's K intervals,
+// run one after another on the task's own scheduler slot, and its record
+// carries the interval rows and the IPC estimate. Co-simulation
+// divergence, an unreachable fast-forward and workload-build failures come
+// back as outcome errors, never as exceptions or aborts.
 TaskRunner make_sim_runner(const RunnerOptions& options = {});
 
 }  // namespace bsp::campaign

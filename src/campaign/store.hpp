@@ -45,10 +45,11 @@ struct TaskOutcome {
   long max_rss_kb = 0;
   double user_sec = 0;
   double sys_sec = 0;
-  // Fast-forward bookkeeping (fast_forward > 0 tasks only; "" — and omitted
-  // from the JSONL — otherwise): "hit" when the start checkpoint came from
-  // the cache or the runner's in-process memo, "miss" when this task paid
-  // the fast-forward, plus the host seconds it spent doing so (0 for a hit).
+  // Fast-forward bookkeeping (tasks that started from a checkpoint: every
+  // fast_forward > 0 task, and a sampled task's later intervals; "" — and
+  // omitted from the JSONL — otherwise): "hit" when the start checkpoints
+  // came from the cache or the runner's in-process memo, "miss" when this
+  // task paid a fast-forward, plus the host seconds it spent doing so.
   std::string ckpt_cache;
   double ffwd_sec = 0;
   // Sampled-simulation fields (src/sampling/): interval count K and

@@ -42,15 +42,6 @@ namespace bsp {
 // Memory ports into the L1 D-cache (load accesses started per cycle).
 inline constexpr unsigned kDCachePorts = 2;
 
-// What a load in MemPhase::Access is speculating on, settled at its
-// verification point.
-enum class LoadSpec : u8 {
-  kNone,
-  kWay,      // partial-tag access on the predicted way (RuuEntry::
-             // predicted_way; -1 when the predictor named none)
-  kHitMiss,  // a known miss whose consumers were woken as if it hit
-};
-
 // What the memory phase would do with one LSQ entry this cycle.
 enum class MemStep : u8 {
   kNone,       // nothing can change this cycle
@@ -82,7 +73,7 @@ class MemPipeline {
     lsq_.init(core.lsq_entries);
     due_.assign((lsq_.capacity() + 63) / 64, 0);
     store_wait_.assign(due_.size(), 0);
-    spec_.assign(lsq_.capacity(), LoadSpec::kNone);
+    hit_miss_.assign(due_.size(), 0);
     views_.reserve(core.lsq_entries);
   }
 
@@ -92,7 +83,6 @@ class MemPipeline {
   // A load lost the D-cache port race this cycle and retries next cycle,
   // so the idle skip must not jump.
   bool retry() const { return retry_; }
-  LoadSpec spec(const RuuEntry& e) const { return spec_[e.lsq_slot]; }
   bool due(const RuuEntry& e) const { return test(due_, e.lsq_slot); }
   bool store_waiting(const RuuEntry& e) const {
     return test(store_wait_, e.lsq_slot);
@@ -105,7 +95,6 @@ class MemPipeline {
   // advance before an agen op completes, which wakes it.
   void insert(RuuEntry& e, unsigned idx) {
     e.lsq_slot = lsq_.push_back(static_cast<int>(idx));
-    spec_[e.lsq_slot] = LoadSpec::kNone;
     ++active_;
   }
 
@@ -297,8 +286,7 @@ class MemPipeline {
     // needs the full address; a hit-speculated miss does not.
     if (now_ < e.data_cycle + 1) return p;
     const Cycle full_at = ruu_.full_addr_cycle(e);
-    if ((full_at != kNever && full_at <= now_) ||
-        spec(e) == LoadSpec::kHitMiss)
+    if ((full_at != kNever && full_at <= now_) || hit_speculated_miss(e))
       p.step = MemStep::kVerify;
     return p;
   }
@@ -313,10 +301,15 @@ class MemPipeline {
   static void clear(std::vector<u64>& bits, unsigned slot) {
     bits[slot >> 6] &= ~(u64{1} << (slot & 63));
   }
+  // A known miss whose consumers were woken as if it hit.
+  bool hit_speculated_miss(const RuuEntry& e) const {
+    return test(hit_miss_, e.lsq_slot);
+  }
   // An entry leaving the LSQ takes its slot's bits with it.
   void forget(const RuuEntry& e) {
     clear(due_, e.lsq_slot);
     clear(store_wait_, e.lsq_slot);
+    clear(hit_miss_, e.lsq_slot);
   }
   // A store's view changed: every load whose last decision waited on an
   // older store looks again.
@@ -511,7 +504,6 @@ class MemPipeline {
       e.data_cycle = now_ + l1d.hit_latency();  // speculative return
       e.data_final = false;
       e.predicted_way = way ? static_cast<int>(*way) : -1;
-      spec_[e.lsq_slot] = LoadSpec::kWay;
       return;
     }
 
@@ -531,7 +523,7 @@ class MemPipeline {
       e.true_data_cycle = now_ + lat;
       e.data_final = false;
       set_phase(e, MemPhase::Access);
-      spec_[e.lsq_slot] = LoadSpec::kHitMiss;
+      set(hit_miss_, e.lsq_slot);
     }
   }
 
@@ -541,7 +533,7 @@ class MemPipeline {
   void verify_load(RuuEntry& e, unsigned idx) {
     Cache& l1d = mem_.l1d();
     const u32 addr = e.oracle.mem_addr;
-    if (spec(e) == LoadSpec::kHitMiss) {
+    if (hit_speculated_miss(e)) {
       // Hit-speculation on a known miss: retime and replay consumers.
       ++stats_.load_replays;
       emit_verify(e, 1, e.true_data_cycle, true);
@@ -592,7 +584,7 @@ class MemPipeline {
     e.forwarded = false;
     e.forward_store = -1;
     e.predicted_way = -1;
-    spec_[e.lsq_slot] = LoadSpec::kNone;
+    clear(hit_miss_, e.lsq_slot);
     ++stats_.load_replays;
   }
 
@@ -619,10 +611,12 @@ class MemPipeline {
   // its next run; a bit set behind the walk's position carries over to the
   // next cycle, exactly when a polling walk would next have looked.
   // `store_wait_`: loads whose last disambiguation waited on an older
-  // store, woken together whenever a store's view changes.
+  // store, woken together whenever a store's view changes. `hit_miss_`:
+  // loads in Access on a known miss whose consumers were woken as if it
+  // hit; set by the access, cleared by reset_load and by leaving the LSQ.
   std::vector<u64> due_;
   std::vector<u64> store_wait_;
-  std::vector<LoadSpec> spec_;  // per ring slot; meaningful in Access
+  std::vector<u64> hit_miss_;
   int active_ = 0;
   bool retry_ = false;
   // Store-view cache: views of the stores below LSQ position views_built_,

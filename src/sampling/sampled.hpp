@@ -1,5 +1,7 @@
 // Sampled-simulation engine: one long detailed run, sharded into K
-// intervals and simulated in parallel.
+// intervals and simulated in parallel. It is compiled into the campaign
+// library: campaign::make_sim_runner runs a task with sample_intervals > 0
+// through run_sampled, and bsp-sim --sample-intervals calls it directly.
 //
 // Pipeline (ARCHITECTURE.md §12):
 //  1. plan    — plan_intervals() splits the measured region into K
@@ -14,8 +16,9 @@
 //  3. workers — each interval is a monolithic task: fast-forward to its
 //               offset (the prewarmed checkpoint, straight from memory),
 //               discard its warm-up commits, measure its chunk — through
-//               campaign::simulate_task, the body every production runner
-//               shares. Thread pool (util/parallel.hpp); process
+//               campaign::simulate_task, the body of every simulated
+//               run. Thread pool (util/parallel.hpp; a sweep task runs
+//               its intervals inline on its own slot); process
 //               containment is per task, `bsp-sweep --sample-intervals K
 //               --isolate process`;
 //  4. stitch  — SimStats::merge folds the K measured chunks into one

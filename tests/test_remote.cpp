@@ -519,6 +519,44 @@ TEST(RemoteCampaign, DistributedRunMatchesTheLocalRunnerByteForByte) {
   std::remove(ports_path.c_str());
 }
 
+// The SPEC's run options reach the runner a worker builds from them:
+// with run.sample_intervals set, make_sim_runner(spec.run) runs every
+// served task as a sampled run, and its record carries the interval rows.
+TEST(RemoteCampaign, ServedSampledCampaignRecordsEveryTasksIntervals) {
+  const SweepSpec spec = tiny_spec({0x5eed, 0x1111});
+  const std::string out = temp_path("sampled") + ".jsonl";
+  const std::string ports_path = temp_path("sampled_ports");
+
+  RemoteOptions ropts;
+  ropts.bind = {"127.0.0.1", 0};
+  ropts.port_file = ports_path;
+  ropts.spec.run.sample_intervals = 2;
+  auto serve = std::async(std::launch::async, [&] {
+    return serve_campaign(spec, serve_options(out, true), ropts);
+  });
+  const Ports ports = wait_ports(ports_path);
+  ASSERT_NE(ports.port, 0);
+  const WorkerSetup setup = [](const RemoteSpec& rs, TaskRunner* r,
+                               SchedulerOptions*) {
+    *r = make_sim_runner(rs.run);
+  };
+  const WorkerReport wr =
+      run_remote_worker(worker_options(ports.port, 2), setup);
+  const CampaignReport report = serve.get();
+
+  EXPECT_TRUE(wr.done);
+  EXPECT_EQ(report.ok, 2u);
+  const auto stored = stored_by_id(out);
+  ASSERT_EQ(stored.size(), 2u);
+  for (const auto& [id, rec] : stored) {
+    EXPECT_EQ(rec.status, "ok") << id << ": " << rec.error;
+    EXPECT_EQ(rec.sample_intervals, 2u) << id;
+    EXPECT_EQ(rec.samples.size(), 2u) << id;
+  }
+  std::remove(out.c_str());
+  std::remove(ports_path.c_str());
+}
+
 TEST(RemoteWorker, DoneInPlaceOfSpecIsACleanFinish) {
   // A worker that connects after the last task was served gets DONE where
   // it expects SPEC: the campaign is over, and it ran nothing.

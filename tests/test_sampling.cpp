@@ -19,6 +19,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "campaign/builtin.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/ckpt_cache.hpp"
 #include "campaign/scheduler.hpp"
@@ -27,7 +28,6 @@
 #include "emu/checkpoint.hpp"
 #include "obs/interval.hpp"
 #include "obs/json.hpp"
-#include "sampling/runner.hpp"
 #include "sampling/sampled.hpp"
 #include "stats/stats.hpp"
 #include "workloads/workloads.hpp"
@@ -444,6 +444,77 @@ TEST(Sampled, EveryIntervalEqualsTheTaskItDescribes) {
   std::filesystem::remove_all(dir);
 }
 
+// make_sim_runner is the one production runner: with sample_intervals
+// set, a task runs as run_sampled's K intervals and its record carries the
+// sampled run, number for number. A campaign of such tasks writes the same
+// records, host times aside, on four threads as on one.
+TEST(Sampled, TheSimRunnerRecordsTheSampledRun) {
+  campaign::TaskSpec task;
+  task.workload = "li";
+  task.machine.label = "base";
+  task.machine.kind = campaign::MachineKind::Base;
+  task.instructions = 6'000;
+  task.warmup = 1'000;
+  task.fast_forward = 2'000;
+  campaign::RunnerOptions ropts;
+  ropts.sample_intervals = 2;
+  ropts.sample_warmup = 500;
+  const campaign::TaskOutcome r = campaign::make_sim_runner(ropts)(task);
+  ASSERT_TRUE(r.error.empty()) << r.error;
+
+  SampleOptions opts;
+  opts.intervals = 2;
+  opts.warmup = 500;
+  const SampledResult s = run_sampled(task, task.machine.build(),
+                                      build_workload("li").program, opts);
+  ASSERT_TRUE(s.ok()) << s.error;
+  ASSERT_EQ(s.intervals.size(), 2u);
+  EXPECT_EQ(r.sample_intervals, 2u);
+  EXPECT_EQ(r.sample_warmup, 500u);
+  EXPECT_EQ(r.ipc_mean, s.ipc.mean);
+  EXPECT_EQ(r.ipc_ci95, s.ipc.ci95);
+  EXPECT_EQ(counter_values(r.stats), counter_values(s.aggregate));
+  ASSERT_EQ(r.samples.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const IntervalResult& iv = s.intervals[i];
+    EXPECT_EQ(r.samples[i],
+              (std::vector<u64>{iv.spec.index, iv.spec.offset, iv.spec.warmup,
+                                iv.spec.commits, iv.stats.cycles,
+                                iv.stats.committed}))
+        << "interval " << i;
+  }
+
+  campaign::SweepSpec spec = campaign::find_campaign("fig11")->make();
+  spec.workloads = {"li"};
+  spec.instructions = 2'000;
+  spec.warmup = 500;
+  spec.fast_forward = 1'000;
+  const auto records = [&](unsigned jobs) {
+    campaign::CampaignOptions options;
+    options.out_path = testing::TempDir() + "bsp_sampling_jobs" +
+                       std::to_string(jobs) + "_" +
+                       std::to_string(::getpid()) + ".jsonl";
+    options.fresh = true;
+    options.progress = false;
+    options.scheduler.jobs = jobs;
+    options.scheduler.max_attempts = 1;
+    campaign::CampaignReport report = campaign::run_campaign(
+        spec, campaign::make_sim_runner(ropts), options);
+    std::filesystem::remove(options.out_path);
+    EXPECT_EQ(report.ok, 13u) << jobs << " jobs";
+    std::vector<std::string> lines;
+    for (campaign::TaskRecord& rec : report.records) {
+      EXPECT_EQ(rec.samples.size(), 2u) << rec.task.id();
+      rec.duration_ms = 0;
+      rec.stats.host_seconds = 0;
+      rec.ffwd_sec = 0;
+      lines.push_back(campaign::to_jsonl(rec));
+    }
+    return lines;
+  };
+  EXPECT_EQ(records(4), records(1));
+}
+
 // A pass over a partly populated cache loads the hits without restoring
 // them; the miss between them continues from the latest hit's checkpoint.
 // Every checkpoint must equal the one a cold pass captured.
@@ -502,9 +573,7 @@ TEST(Sampled, UnreachableFastForwardFailsLikeTheMonolithicRun) {
   for (const campaign::RunnerOptions& ropts : {mono, sampled}) {
     const std::string what =
         ropts.sample_intervals ? "sampled" : "monolithic";
-    const campaign::TaskRunner runner = ropts.sample_intervals
-                                            ? make_sampled_runner(ropts)
-                                            : campaign::make_sim_runner(ropts);
+    const campaign::TaskRunner runner = campaign::make_sim_runner(ropts);
     campaign::SchedulerOptions thread;
     thread.max_attempts = 1;  // the failure is deterministic
     const campaign::TaskOutcome t = run_one_task(task, runner, thread);

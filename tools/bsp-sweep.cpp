@@ -48,7 +48,6 @@
 #include "campaign/remote.hpp"
 #include "core/simulator.hpp"
 #include "obs/cpi_stack.hpp"
-#include "sampling/runner.hpp"
 #include "util/cli.hpp"
 #include "util/subprocess.hpp"
 #include "util/table.hpp"
@@ -261,15 +260,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // One task = one scheduler slot either way: the sampled runner simulates
-  // its intervals serially inside the slot, so sweep-level parallelism
-  // (and process isolation) keep working unchanged.
-  const auto make_runner = [&]() -> TaskRunner {
-    return runner_options.sample_intervals > 0
-               ? sampling::make_sampled_runner(runner_options)
-               : make_sim_runner(runner_options);
-  };
-
   // Self-contained process-isolation worker command: this binary, the
   // run options as flags, and --worker-json as the terminal flag (the
   // scheduler appends the task's queued record line as its value). No
@@ -284,7 +274,8 @@ int main(int argc, char** argv) {
 
   // Worker entry points that need no campaign: the task (or the whole
   // sweep) arrives from the parent process or the coordinator.
-  if (!worker_json.empty()) return run_worker_json(make_runner(), worker_json);
+  if (!worker_json.empty())
+    return run_worker_json(make_sim_runner(runner_options), worker_json);
 
   if (!connect_addr.empty()) {
     const auto addr = parse_socket_addr(connect_addr);
@@ -305,7 +296,7 @@ int main(int argc, char** argv) {
       for (const RunOptionField& f : run_option_fields())
         if (!f.host_local) f.copy(rs.run, &runner_options);
       sched->ckpt_cache_dir = runner_options.ckpt_cache_dir;
-      *runner = with_fault_injection(make_runner());
+      *runner = with_fault_injection(make_sim_runner(runner_options));
       if (isolate == "process") {
         sched->isolate = IsolationMode::kProcess;
         sched->worker_cmd = worker_json_cmd();
@@ -407,7 +398,7 @@ int main(int argc, char** argv) {
     ropts.spec.max_attempts = options.scheduler.max_attempts;
     report = serve_campaign(spec, options, ropts);
   } else {
-    report = run_campaign(spec, make_runner(), options);
+    report = run_campaign(spec, make_sim_runner(runner_options), options);
   }
 
   std::cout << "== campaign " << spec.name << " ==\n"
