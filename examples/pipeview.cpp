@@ -10,6 +10,7 @@
 
 #include "asm/assembler.hpp"
 #include "core/simulator.hpp"
+#include "obs/sinks.hpp"
 
 int main() {
   using namespace bsp;
@@ -45,7 +46,8 @@ data: .space 256
             << "D=dispatch  X=slice-op executes  M=memory event  "
                "B=branch resolution  C=commit\n\n";
   Simulator sim(bitsliced_machine(2, kAllTechniques), assembled.program);
-  sim.set_pipe_trace(std::cout, 0, 400);
+  obs::PipeTextSink trace(std::cout, 0, 400);
+  sim.add_trace_sink(&trace);
   const SimResult r = sim.run(10'000);
   if (!r.ok()) {
     std::cerr << r.error << "\n";

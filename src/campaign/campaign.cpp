@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <tuple>
 #include <type_traits>
 
@@ -429,8 +430,9 @@ TaskOutcome simulate_task(const TaskSpec& task, const MachineConfig& config,
 
 namespace {
 
-// A sampled task's record: the stitched aggregate as its stats, the plan's
-// shape, the IPC estimate and one row per measured interval.
+// A sampled task's record: the stitched aggregate as its stats (so
+// stats.ipc() is the run's Σcommitted/Σcycles), the plan's shape and one
+// row per measured interval.
 TaskOutcome sampled_outcome(const sampling::SampledResult& res) {
   TaskOutcome r;
   r.stats = res.aggregate;
@@ -439,8 +441,6 @@ TaskOutcome sampled_outcome(const sampling::SampledResult& res) {
   r.exit_code = res.exit_code;
   r.sample_intervals = res.plan.intervals.size();
   r.sample_warmup = res.plan.sample_warmup;
-  r.ipc_mean = res.ipc.mean;
-  r.ipc_ci95 = res.ipc.ci95;
   for (const sampling::IntervalResult& iv : res.intervals) {
     if (!iv.measured()) continue;
     r.samples.push_back({iv.spec.index, iv.spec.offset, iv.spec.warmup,
@@ -456,9 +456,7 @@ TaskRunner make_sim_runner(const RunnerOptions& options) {
   // (workload, seed) -> its program, and (workload, seed, fast_forward) ->
   // its checkpoint: within one process each program is built, and each
   // distinct fast-forward paid (or its cache file read), exactly once, no
-  // matter how many concurrent tasks need it. Both memos live in the
-  // runner behind shared_ptrs, so detached timed-out attempts stay
-  // memory-safe.
+  // matter how many concurrent tasks need it.
   using WorkloadMemo =
       BuildOnce<std::pair<std::string, u64>, std::shared_ptr<const Workload>>;
   using CkptMemo =
@@ -493,39 +491,47 @@ TaskRunner make_sim_runner(const RunnerOptions& options) {
     std::size_t restored = 0;  // start checkpoints the task ran from
     bool miss = false;         // ... any of which this task emulated
     double ffwd_sec = 0;       // ... taking this many host seconds
-    if (sample.intervals > 0) {
-      const sampling::SampledResult res = sampling::run_sampled(
-          task, task.machine.build(), program, sample, options);
-      r = sampled_outcome(res);
-      restored = res.ckpt_materialised + res.ckpt_reused;
-      miss = res.ckpt_materialised > 0;
-      ffwd_sec = res.prewarm_sec;
-    } else {
-      // Fast-forward tasks start from a shared checkpoint: in-process memo
-      // first, then the on-disk cache, then (cold path) one fast-forward
-      // run whose result every later task reuses.
-      CheckpointSet ckpt;
-      bool builder = false;
-      if (task.fast_forward > 0) {
-        ckpt = ckpts->get(
-            {task.workload, task.seed, task.fast_forward},
-            [&] {
-              return materialise_checkpoints(program, task.workload,
-                                             task.seed, {task.fast_forward},
-                                             options.ckpt_cache_dir);
-            },
-            &builder);
-        r.error = ckpt.failure(task.fast_forward);
-        if (!r.error.empty()) return r;
+    try {
+      if (sample.intervals > 0) {
+        const sampling::SampledResult res = sampling::run_sampled(
+            task, task.machine.build(), program, sample, options);
+        r = sampled_outcome(res);
+        restored = res.ckpt_materialised + res.ckpt_reused;
+        miss = res.ckpt_materialised > 0;
+        ffwd_sec = res.prewarm_sec;
+      } else {
+        // Fast-forward tasks start from a shared checkpoint: in-process memo
+        // first, then the on-disk cache, then (cold path) one fast-forward
+        // run whose result every later task reuses.
+        CheckpointSet ckpt;
+        bool builder = false;
+        if (task.fast_forward > 0) {
+          ckpt = ckpts->get(
+              {task.workload, task.seed, task.fast_forward},
+              [&] {
+                return materialise_checkpoints(program, task.workload,
+                                               task.seed, {task.fast_forward},
+                                               options.ckpt_cache_dir);
+              },
+              &builder);
+          r.error = ckpt.failure(task.fast_forward);
+          if (!r.error.empty()) return r;
+        }
+        r = simulate_task(task, task.machine.build(), program,
+                          ckpt.start(task.fast_forward), options);
+        // Memo consumers after the first share the builder's pass; only the
+        // builder reports its miss (and pays its ffwd_sec) so per-task
+        // records sum to the real host cost instead of multiply counting it.
+        restored = ckpt.materialised + ckpt.reused;
+        miss = builder && ckpt.materialised > 0;
+        ffwd_sec = miss ? ckpt.ffwd_sec : 0;
       }
-      r = simulate_task(task, task.machine.build(), program,
-                        ckpt.start(task.fast_forward), options);
-      // Memo consumers after the first share the builder's pass; only the
-      // builder reports its miss (and pays its ffwd_sec) so per-task
-      // records sum to the real host cost instead of multiply counting it.
-      restored = ckpt.materialised + ckpt.reused;
-      miss = builder && ckpt.materialised > 0;
-      ffwd_sec = miss ? ckpt.ffwd_sec : 0;
+    } catch (const std::invalid_argument& e) {
+      // A machine that does not build (a malformed override, a bad slice
+      // geometry) fails the same way on every attempt.
+      r = TaskOutcome{};
+      r.error = std::string("invalid machine: ") + e.what();
+      return r;
     }
     if (restored > 0) {
       r.ckpt_cache = miss ? "miss" : "hit";

@@ -109,6 +109,7 @@ struct Conn {
 
 struct TaskState {
   unsigned runners = 0;  // live connections currently holding the task
+  unsigned lost = 0;     // workers lost while holding the task
   Clock::time_point first_dispatch{};
 };
 
@@ -197,18 +198,34 @@ CampaignReport serve_campaign(const SweepSpec& spec,
   std::vector<std::unique_ptr<Conn>> conns;
   std::size_t duplicates_dropped = 0;
 
+  // A lost worker charges each task it held once. A task that has cost
+  // max_attempts workers is recorded as crashed instead of re-queued, so
+  // one task that kills every worker cannot hang the campaign.
+  const unsigned max_lost = std::max(1u, remote.spec.max_attempts);
   const auto drop_conn = [&](Conn& c, const char* why) {
     if (c.stage == Conn::kDead) return;
     if (!c.inflight.empty() || c.stage == Conn::kReady)
       std::fprintf(stderr,
-                   "bsp-sweep: worker %s lost (%s), re-queueing %zu task%s\n",
+                   "bsp-sweep: worker %s lost (%s) holding %zu task%s\n",
                    c.host.c_str(), why, c.inflight.size(),
                    c.inflight.size() == 1 ? "" : "s");
     for (const auto& [idx, at] : c.inflight) {
       (void)at;
-      if (state[idx].runners > 0) --state[idx].runners;
-      if (!ledger.done(idx) && state[idx].runners == 0)
+      TaskState& t = state[idx];
+      if (t.runners > 0) --t.runners;
+      ++t.lost;
+      if (ledger.done(idx) || t.runners > 0) continue;
+      if (t.lost < max_lost) {
         queue.push_front(idx);  // front: a re-queued task is the oldest work
+        continue;
+      }
+      TaskRecord rec;
+      rec.task = tasks[idx];
+      rec.status = "crashed";
+      rec.error = "worker lost " + std::to_string(t.lost) +
+                  " times while running it";
+      rec.attempts = t.lost;
+      ledger.record(idx, std::move(rec));
     }
     c.inflight.clear();
     c.stage = Conn::kDead;

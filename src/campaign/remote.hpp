@@ -62,7 +62,9 @@ struct RemoteSpec {
   // host-local.
   RunnerOptions run;
   double timeout_sec = 0;     // per-task wall clock (0 = none)
-  unsigned max_attempts = 2;  // worker-local bounded retry
+  // Bounded retry inside each worker, and the coordinator's cap on workers
+  // lost while holding one task: at this many the task is recorded crashed.
+  unsigned max_attempts = 2;
   double heartbeat_sec = 1;   // PING period every worker must keep
 };
 std::string encode_remote_spec(const RemoteSpec& spec);
@@ -83,7 +85,9 @@ struct RemoteOptions {
 // Runs `spec` to completion over remote workers, blocking until every task
 // has a record (resumed or streamed back). Identical store/resume contract
 // to run_campaign(); returns the same report shape. The coordinator never
-// simulates anything itself.
+// simulates anything itself. A lost worker's tasks are re-queued, except a
+// task that has now cost spec.max_attempts workers: that one is recorded
+// as "crashed".
 CampaignReport serve_campaign(const SweepSpec& spec,
                               const CampaignOptions& options,
                               const RemoteOptions& remote);
@@ -99,8 +103,9 @@ struct WorkerOptions {
 // Called once, after the SPEC frame arrives, to build this worker's task
 // runner and scheduler policy from the coordinator's knobs. `sched` comes
 // pre-seeded with the SPEC's timeout/max_attempts and the advertised slot
-// count in `jobs`; the callback supplies the runner and may switch on
-// process isolation (worker_cmd + isolate).
+// count in `jobs`; the callback supplies the runner and the worker command
+// (worker_cmd, needed for process isolation and for any timeout) and may
+// switch on process isolation.
 using WorkerSetup =
     std::function<void(const RemoteSpec& spec, TaskRunner* runner,
                        SchedulerOptions* sched)>;

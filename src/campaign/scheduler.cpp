@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <memory>
 #include <mutex>
-#include <thread>
 
 #include "campaign/ckpt_cache.hpp"
 #include "campaign/store.hpp"
@@ -19,56 +16,36 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-TaskOutcome guarded_call(const TaskRunner& runner, const TaskSpec& task) {
-  try {
-    return runner(task);
-  } catch (const std::exception& e) {
-    TaskOutcome r;
-    r.error = std::string("exception: ") + e.what();
-    return r;
-  } catch (...) {
-    TaskOutcome r;
-    r.error = "unknown exception";
-    return r;
-  }
+// One attempt's outcome, status and error set, and whether it is worth
+// another attempt. The one retry rule: a throw, a crashed worker, a spawn
+// error and a worker without a usable record are transient; an outcome
+// the runner produced (success, or an error that is a property of the
+// task: an unreachable fast-forward, a co-simulation divergence, a machine
+// that does not build) and a timeout are final.
+struct Attempt {
+  TaskOutcome out;
+  bool transient = false;
+};
+
+Attempt transient_failure(std::string status, std::string error) {
+  Attempt a;
+  a.out.status = std::move(status);
+  a.out.error = std::move(error);
+  a.transient = true;
+  return a;
 }
 
-// One attempt under a wall-clock deadline. The attempt runs on its own
-// thread; on timeout that thread is detached and its (eventual) result
-// discarded. Everything the detached thread touches is owned by the
-// shared_ptr state, so abandonment is memory-safe — but the thread keeps
-// burning a core until it finishes. IsolationMode::kProcess is the mode
-// that actually reclaims the core (SIGKILL + reap).
-TaskOutcome timed_call(const TaskRunner& runner, const TaskSpec& task,
-                       double timeout_sec, bool* timed_out) {
-  struct Shared {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    TaskOutcome result;
-  };
-  auto shared = std::make_shared<Shared>();
-  std::thread worker([shared, runner, task] {
-    TaskOutcome r = guarded_call(runner, task);
-    std::lock_guard<std::mutex> lock(shared->m);
-    shared->result = std::move(r);
-    shared->done = true;
-    shared->cv.notify_all();
-  });
-  bool done;
-  {
-    std::unique_lock<std::mutex> lock(shared->m);
-    done = shared->cv.wait_for(lock, std::chrono::duration<double>(timeout_sec),
-                               [&] { return shared->done; });
+Attempt inline_attempt(const TaskRunner& runner, const TaskSpec& task) {
+  Attempt a;
+  try {
+    a.out = runner(task);
+  } catch (const std::exception& e) {
+    return transient_failure("failed", std::string("exception: ") + e.what());
+  } catch (...) {
+    return transient_failure("failed", "unknown exception");
   }
-  if (!done) {
-    worker.detach();
-    *timed_out = true;
-    return TaskOutcome{};
-  }
-  worker.join();
-  *timed_out = false;
-  return std::move(shared->result);
+  a.out.status = a.out.error.empty() ? "ok" : "failed";
+  return a;
 }
 
 std::string fmt_timeout(double sec) {
@@ -101,68 +78,39 @@ std::string stderr_tail(const std::string& err) {
   return tail.empty() ? "" : "; stderr: " + tail;
 }
 
-// One task under process isolation: fork/exec the worker per attempt,
-// enforce the deadline with SIGKILL, and take the worker's printed record
-// as the outcome. Attempts, duration and rusage are the scheduler's own.
-TaskOutcome run_one_task_process(const TaskSpec& task,
-                                 const SchedulerOptions& options) {
-  TaskOutcome out;
-  const auto t0 = Clock::now();
-  const unsigned max_attempts = std::max(1u, options.max_attempts);
-  std::vector<std::string> argv = options.worker_cmd;
-  argv.push_back(options.worker_task_json ? task_jsonl(task) : task.id());
-  unsigned attempts = 0;
-  long max_rss_kb = 0;
-  double user_sec = 0, sys_sec = 0;
-  for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-    attempts = attempt;
-    SubprocessLimits limits;
-    limits.timeout_sec = options.timeout_sec;
-    const SubprocessResult sp = run_subprocess(argv, limits);
-    max_rss_kb = std::max(max_rss_kb, sp.max_rss_kb);
-    user_sec += sp.user_sec;
-    sys_sec += sp.sys_sec;
-    if (sp.timed_out) {
-      // Not retried — re-running a wedged configuration would just park
-      // another core on it; --retry-failed on a later run opts back in.
-      out.status = "timeout";
-      out.error = "worker SIGKILLed after exceeding " +
-                  fmt_timeout(options.timeout_sec) + "s wall-clock timeout";
-      break;
-    }
-    if (sp.spawn_error) {
-      out.status = "failed";
-      out.error = "worker spawn failed: " + sp.error;
-      continue;
-    }
-    if (sp.signal != 0) {
-      // The containment path: the worker died, the campaign did not. A
-      // crash can be transient (e.g. the kernel OOM killer), so it gets
-      // the same bounded retry as a failure.
-      out.status = "crashed";
-      out.error = "worker killed by " + signal_name(sp.signal) +
-                  stderr_tail(sp.err);
-      continue;
-    }
-    auto rec = parse_jsonl(last_nonempty_line(sp.out));
-    if (!rec || rec->task.id() != task.id()) {
-      out.status = "failed";
-      out.error = "worker exited " + std::to_string(sp.exit_code) +
-                  (rec ? " with a record for the wrong task"
-                       : " without a usable record") +
-                  stderr_tail(sp.err);
-      continue;
-    }
-    out = std::move(static_cast<TaskOutcome&>(*rec));
-    if (out.ok()) break;
+// An attempt in a worker process: the deadline is a SIGKILL, and the
+// record the worker prints is the runner's outcome. `sp` receives the
+// worker's rusage.
+Attempt worker_attempt(const std::vector<std::string>& argv,
+                       const TaskSpec& task, double timeout_sec,
+                       SubprocessResult* sp) {
+  SubprocessLimits limits;
+  limits.timeout_sec = timeout_sec;
+  *sp = run_subprocess(argv, limits);
+  if (sp->timed_out) {
+    // Final: re-running a wedged configuration would just park another
+    // core on it; --retry-failed on a later run opts back in.
+    Attempt a;
+    a.out.status = "timeout";
+    a.out.error = "worker SIGKILLed after exceeding " +
+                  fmt_timeout(timeout_sec) + "s wall-clock timeout";
+    return a;
   }
-  out.attempts = attempts;
-  out.max_rss_kb = max_rss_kb;
-  out.user_sec = user_sec;
-  out.sys_sec = sys_sec;
-  out.duration_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  return out;
+  if (sp->spawn_error)
+    return transient_failure("failed", "worker spawn failed: " + sp->error);
+  if (sp->signal != 0)
+    // The containment path: the worker died, the campaign did not.
+    return transient_failure("crashed", "worker killed by " +
+                                            signal_name(sp->signal) +
+                                            stderr_tail(sp->err));
+  auto rec = parse_jsonl(last_nonempty_line(sp->out));
+  if (!rec || rec->task.id() != task.id())
+    return transient_failure(
+        "failed", "worker exited " + std::to_string(sp->exit_code) +
+                      (rec ? " with a record for the wrong task"
+                           : " without a usable record") +
+                      stderr_tail(sp->err));
+  return {std::move(static_cast<TaskOutcome&>(*rec)), false};
 }
 
 }  // namespace
@@ -220,43 +168,46 @@ PrewarmStats prewarm_checkpoint_cache(const std::vector<TaskSpec>& tasks,
 
 TaskOutcome run_one_task(const TaskSpec& task, const TaskRunner& runner,
                          const SchedulerOptions& options) {
-  if (options.isolate == IsolationMode::kProcess) {
-    if (options.worker_cmd.empty()) {
-      TaskOutcome out;
-      out.attempts = 1;
-      out.status = "failed";
-      out.error = "process isolation requested but no worker_cmd configured";
-      return out;
-    }
-    return run_one_task_process(task, options);
+  // A deadline needs a process to kill, so a timeout moves attempts into
+  // worker processes too.
+  const bool in_worker =
+      options.isolate == IsolationMode::kProcess || options.timeout_sec > 0;
+  if (in_worker && options.worker_cmd.empty()) {
+    TaskOutcome out;
+    out.attempts = 1;
+    out.status = "failed";
+    out.error = "worker process attempts requested but no worker_cmd "
+                "configured";
+    return out;
   }
-  TaskOutcome out;
+  std::vector<std::string> argv;
+  if (in_worker) {
+    argv = options.worker_cmd;
+    argv.push_back(options.worker_task_json ? task_jsonl(task) : task.id());
+  }
   const auto t0 = Clock::now();
   const unsigned max_attempts = std::max(1u, options.max_attempts);
+  Attempt a;
   unsigned attempts = 0;
-  for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-    attempts = attempt;
-    bool timed_out = false;
-    TaskOutcome r =
-        options.timeout_sec > 0
-            ? timed_call(runner, task, options.timeout_sec, &timed_out)
-            : guarded_call(runner, task);
-    if (timed_out) {
-      out.status = "timeout";
-      out.error = "attempt exceeded " + std::to_string(options.timeout_sec) +
-                  "s wall-clock timeout";
-      break;
+  long max_rss_kb = 0;
+  double user_sec = 0, sys_sec = 0;
+  do {
+    ++attempts;
+    if (in_worker) {
+      SubprocessResult sp;
+      a = worker_attempt(argv, task, options.timeout_sec, &sp);
+      max_rss_kb = std::max(max_rss_kb, sp.max_rss_kb);
+      user_sec += sp.user_sec;
+      sys_sec += sp.sys_sec;
+    } else {
+      a = inline_attempt(runner, task);
     }
-    if (r.error.empty()) {
-      out = std::move(r);
-      out.status = "ok";
-      break;
-    }
-    // A failed attempt contributes only its error.
-    out.status = "failed";
-    out.error = std::move(r.error);
-  }
+  } while (a.transient && attempts < max_attempts);
+  TaskOutcome out = std::move(a.out);
   out.attempts = attempts;
+  out.max_rss_kb = max_rss_kb;
+  out.user_sec = user_sec;
+  out.sys_sec = sys_sec;
   out.duration_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   return out;

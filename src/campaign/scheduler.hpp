@@ -2,27 +2,34 @@
 //
 // Layered on util/parallel.hpp's worker pool, adding the three things a
 // long unattended sweep needs and a bare parallel loop lacks:
-//  * fault isolation — a task that throws or returns a co-simulation error
-//    is recorded as failed; it never brings down the campaign (and per the
+//  * fault isolation — a task that throws, crashes its worker or returns an
+//    error is recorded; it never brings down the campaign (and per the
 //    parallel_for contract, exceptions must not escape into the pool);
-//  * bounded retry — failed attempts are retried up to max_attempts before
-//    the task is recorded as "failed";
-//  * a per-attempt wall-clock timeout — a wedged attempt is abandoned and
-//    recorded as "timeout".
+//  * bounded retry — up to max_attempts, for transient failures only;
+//  * a per-attempt wall-clock timeout — a wedged attempt's worker process
+//    is SIGKILLed and reaped, and the task recorded as "timeout".
 //
-// Two isolation modes govern how strong that containment is:
-//  * IsolationMode::kThread (default) — attempts run in-process on pool
-//    threads. Cheap (shared workload cache), but a segfaulting task takes
-//    the whole campaign down, and a timed-out attempt's thread can only be
-//    *detached*, not killed (C++ has no safe thread kill): it keeps a
-//    core's worth of work alive until it finishes on its own.
-//  * IsolationMode::kProcess — each attempt fork/execs a worker process
-//    (util/subprocess.hpp) that runs exactly one task and prints its
-//    TaskRecord JSONL on stdout. A crashing worker is recorded as
-//    "crashed" with its signal name instead of killing the sweep; a
-//    timed-out worker is SIGKILLed and reaped, so the core is actually
-//    reclaimed; per-task rusage (peak RSS, user/sys CPU) flows into the
-//    outcome. Costs a fork/exec and a workload re-build per task.
+// An attempt runs one of two ways:
+//  * inline — the runner is called on the pool thread. Cheap (shared
+//    workload and checkpoint memos), but a segfaulting task takes the
+//    whole campaign down. Used for IsolationMode::kThread without a
+//    timeout.
+//  * in a worker process — each attempt fork/execs worker_cmd
+//    (util/subprocess.hpp), which runs exactly one task and prints its
+//    TaskRecord JSONL on stdout. A crashing worker is recorded as "crashed"
+//    with its signal name instead of killing the sweep; a timed-out worker
+//    is SIGKILLed and reaped, so the core is reclaimed; per-task rusage
+//    (peak RSS, user/sys CPU) flows into the outcome. Costs a fork/exec and
+//    a workload re-build per task. Used for IsolationMode::kProcess, and
+//    for any timeout_sec > 0: a deadline needs a process to kill.
+//
+// One rule decides what is retried, from where the failure came from:
+//  * a throw, a crashed worker, a spawn error, or a worker that printed no
+//    usable record is retried, up to max_attempts in all;
+//  * an error the runner returned is final — it is a property of the task
+//    (an unreachable fast-forward, a co-simulation divergence, a workload
+//    or machine that does not build) and would recur;
+//  * a timeout is final — another attempt would park another core on it.
 #pragma once
 
 #include <functional>
@@ -34,17 +41,15 @@
 
 namespace bsp::campaign {
 
-// Runs a single attempt and returns its TaskOutcome, runner-side fields
-// filled (empty `error` means success). May throw; the scheduler converts
-// the exception into a failed attempt. Must be safe to call from several
-// threads at once and must stay valid until every (possibly detached)
-// attempt finished — in practice: keep all state inside shared_ptr
-// captures, as make_sim_runner() does.
+// Runs a single attempt inline and returns its TaskOutcome, runner-side
+// fields filled (empty `error` means success; a returned error is final).
+// May throw; the scheduler records the exception as a transient failure.
+// Must be safe to call from several threads at once.
 using TaskRunner = std::function<TaskOutcome(const TaskSpec&)>;
 
 enum class IsolationMode {
-  kThread,   // in-process attempts on pool threads (shared address space)
-  kProcess,  // one worker subprocess per attempt (crash/timeout containment)
+  kThread,   // inline attempts on pool threads, unless timeout_sec > 0
+  kProcess,  // one worker subprocess per attempt (crash containment)
 };
 
 struct SchedulerOptions {
@@ -52,7 +57,8 @@ struct SchedulerOptions {
   unsigned max_attempts = 2;  // first try + bounded retries
   double timeout_sec = 0;     // per-attempt wall clock; 0 = no timeout
   IsolationMode isolate = IsolationMode::kThread;
-  // kProcess only: argv prefix of the worker command; the scheduler appends
+  // Worker attempts (kProcess, or timeout_sec > 0): argv prefix of the
+  // worker command; without one such an attempt fails. The scheduler appends
   // the task as the final argument. With worker_task_json set that is the
   // full status:"queued" record line (task_jsonl) — the form bsp-sweep's
   // hidden --worker-json flag reads, self-contained because the record
@@ -91,7 +97,7 @@ struct PrewarmStats {
 PrewarmStats prewarm_checkpoint_cache(const std::vector<TaskSpec>& tasks,
                                       const SchedulerOptions& options);
 
-// Runs one task to completion (attempts + timeout handling).
+// Runs one task to completion: attempts, retry rule and timeout.
 TaskOutcome run_one_task(const TaskSpec& task, const TaskRunner& runner,
                          const SchedulerOptions& options);
 

@@ -193,19 +193,15 @@ std::string to_jsonl(const TaskRecord& rec) {
   if (rec.sample_intervals > 0) {
     os << ",\"sample_intervals\":" << rec.sample_intervals
        << ",\"sample_warmup\":" << rec.sample_warmup;
-    if (rec.status == "ok") {
-      os << ",\"ipc_mean\":" << fixed6(rec.ipc_mean)
-         << ",\"ipc_ci95\":" << fixed6(rec.ipc_ci95);
-      if (!rec.samples.empty()) {
-        os << ",\"samples\":[";
-        for (std::size_t r = 0; r < rec.samples.size(); ++r) {
-          os << (r ? ",[" : "[");
-          for (std::size_t i = 0; i < rec.samples[r].size(); ++i)
-            os << (i ? "," : "") << rec.samples[r][i];
-          os << "]";
-        }
+    if (rec.status == "ok" && !rec.samples.empty()) {
+      os << ",\"samples\":[";
+      for (std::size_t r = 0; r < rec.samples.size(); ++r) {
+        os << (r ? ",[" : "[");
+        for (std::size_t i = 0; i < rec.samples[r].size(); ++i)
+          os << (i ? "," : "") << rec.samples[r][i];
         os << "]";
       }
+      os << "]";
     }
   }
   os << "}";
@@ -294,8 +290,6 @@ std::optional<TaskRecord> parse_jsonl(const std::string& line) {
   }
   r.uint("sample_intervals", rec.sample_intervals);
   r.uint("sample_warmup", rec.sample_warmup);
-  r.real("ipc_mean", rec.ipc_mean);
-  r.real("ipc_ci95", rec.ipc_ci95);
   r.rows("samples", rec.samples);
   const auto kind = machine_kind_named(machine);
   if (!ok || !kind) return std::nullopt;

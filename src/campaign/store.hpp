@@ -39,9 +39,10 @@ struct TaskOutcome {
   // [cycle, committed, <delta per registered counter, registry order>].
   u64 interval = 0;
   std::vector<std::vector<u64>> series;
-  // Per-task rusage, recorded by the process-isolation scheduler: peak RSS
-  // over all attempts, CPU summed across them. Zero — and omitted from the
-  // JSONL — in thread mode, where the process-wide numbers would lie.
+  // Per-task rusage, recorded when attempts run in worker processes: peak
+  // RSS over all attempts, CPU summed across them. Zero — and omitted from
+  // the JSONL — for inline attempts, where the process-wide numbers would
+  // lie.
   long max_rss_kb = 0;
   double user_sec = 0;
   double sys_sec = 0;
@@ -52,16 +53,15 @@ struct TaskOutcome {
   // task paid a fast-forward, plus the host seconds it spent doing so.
   std::string ckpt_cache;
   double ffwd_sec = 0;
-  // Sampled-simulation fields (src/sampling/): interval count K and
-  // per-interval warm-up N, the per-interval IPC mean ± 95% CI half-width,
-  // and one numeric row per measured interval —
-  // [index, offset, warmup, commits, cycles, committed]. All zero/empty —
-  // and omitted from the JSONL, keeping monolithic stores byte-stable —
-  // when the task ran monolithically.
+  // Sampled-simulation fields (src/sampling/): interval count K,
+  // per-interval warm-up N, and one numeric row per measured interval —
+  // [index, offset, warmup, commits, cycles, committed], from which the
+  // interval spread can be computed. All zero/empty — and omitted from the
+  // JSONL, keeping monolithic stores byte-stable — when the task ran
+  // monolithically. A sampled record's `stats` is the stitched aggregate,
+  // so stats.ipc() is the run's Σcommitted/Σcycles.
   u64 sample_intervals = 0;
   u64 sample_warmup = 0;
-  double ipc_mean = 0;
-  double ipc_ci95 = 0;
   std::vector<std::vector<u64>> samples;
   // The program ran to SYS_EXIT inside the task's window, with this code.
   // Not stored: a record's committed count already shows a short window;

@@ -5,7 +5,6 @@
 #include <array>
 #include <chrono>
 #include <cstdlib>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -15,7 +14,6 @@
 #include "core/select_order.hpp"
 #include "obs/cpi_stack.hpp"
 #include "obs/interval.hpp"
-#include "obs/sinks.hpp"
 #include "obs/trace.hpp"
 #include "stats/stats.hpp"
 
@@ -220,11 +218,9 @@ struct Simulator::Impl {
 
   // Observability: every pipeline event funnels through emit() to the
   // attached sinks (obs/trace.hpp). `obs_on` keeps each emission site to a
-  // single predictable branch when nothing is attached; set_pipe_trace()
-  // is now sugar for attaching an owned PipeTextSink.
+  // single predictable branch when nothing is attached.
   std::vector<obs::TraceSink*> sinks;
   bool obs_on = false;
-  std::unique_ptr<obs::PipeTextSink> owned_pipe_sink;
   void emit(const obs::TraceEvent& ev) {
     for (obs::TraceSink* s : sinks) s->event(ev);
   }
@@ -1448,17 +1444,6 @@ Simulator::~Simulator() = default;
 
 SimResult Simulator::run(u64 max_commits, u64 warmup_commits) {
   return impl_->run(max_commits, warmup_commits);
-}
-
-void Simulator::set_pipe_trace(std::ostream& os, Cycle start, Cycle end) {
-  if (impl_->owned_pipe_sink) {  // re-target: drop the previous sink
-    auto& v = impl_->sinks;
-    v.erase(std::remove(v.begin(), v.end(), impl_->owned_pipe_sink.get()),
-            v.end());
-  }
-  impl_->owned_pipe_sink =
-      std::make_unique<obs::PipeTextSink>(os, start, end);
-  impl_->sinks.push_back(impl_->owned_pipe_sink.get());
 }
 
 void Simulator::add_trace_sink(obs::TraceSink* sink) {

@@ -38,7 +38,6 @@
 #pragma once
 
 #include <array>
-#include <iosfwd>
 #include <memory>
 #include <string>
 
@@ -133,18 +132,11 @@ class Simulator {
   // called once per Simulator instance.
   SimResult run(u64 max_commits, u64 warmup_commits = 0);
 
-  // Enables a cycle-by-cycle event trace ("pipeview") on `os` for cycles in
-  // [start, end): dispatches, slice-op selections, memory events, branch
-  // resolutions/recoveries and commits. Must be called before run().
-  // Equivalent to add_trace_sink() with an internally-owned
-  // obs::PipeTextSink.
-  void set_pipe_trace(std::ostream& os, Cycle start = 0, Cycle end = kNever);
-
-  // Attaches a structured trace sink (obs/trace.hpp: Chrome trace JSON,
-  // Konata, or any custom TraceSink). Not owned; must outlive run(). May be
-  // called multiple times — every sink sees every event. Must be called
-  // before run(). With no sinks attached the event points cost one
-  // predictable branch each.
+  // Attaches a trace sink (obs/sinks.hpp: the text "pipeview", Chrome trace
+  // JSON, Konata, or any custom obs::TraceSink). Not owned; must outlive
+  // run(). May be called multiple times — every sink sees every event. Must
+  // be called before run(). With no sinks attached the event points cost
+  // one predictable branch each.
   void add_trace_sink(obs::TraceSink* sink);
 
   // Attaches an interval time-series sampler (obs/interval.hpp): deltas of

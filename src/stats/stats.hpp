@@ -1,11 +1,10 @@
-// Lightweight statistics primitives for the simulator and benches: fixed-
-// range histograms and running means with deterministic output.
+// Lightweight statistics primitives for the simulator and benches: a
+// wall-clock stopwatch and fixed-range histograms with deterministic output.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -101,57 +100,6 @@ class Histogram {
   // invalidated by add(), rebuilt on demand.
   mutable std::vector<u64> prefix_;
   mutable bool prefix_valid_ = false;
-};
-
-class RunningMean {
- public:
-  void add(double v) {
-    ++n_;
-    sum_ += v;
-    min_ = n_ == 1 ? v : (v < min_ ? v : min_);
-    max_ = n_ == 1 ? v : (v > max_ ? v : max_);
-  }
-  // Combines another accumulator's samples (order-independent; an empty
-  // side contributes nothing, including to min/max).
-  void merge(const RunningMean& other) {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-      *this = other;
-      return;
-    }
-    n_ += other.n_;
-    sum_ += other.sum_;
-    min_ = other.min_ < min_ ? other.min_ : min_;
-    max_ = other.max_ > max_ ? other.max_ : max_;
-  }
-  u64 count() const { return n_; }
-  double mean() const { return n_ ? sum_ / n_ : 0.0; }
-  // An empty accumulator has no extrema; min()/max() are defined to return
-  // 0.0 (matching mean()) so report code can print an empty series without
-  // branching, instead of reading whatever the fields happened to hold.
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
- private:
-  u64 n_ = 0;
-  double sum_ = 0, min_ = 0, max_ = 0;
-};
-
-// Geometric mean accumulator (speedups are averaged geometrically in the
-// ablation reports; the paper's averages are arithmetic and we report both).
-class GeoMean {
- public:
-  void add(double v) {
-    assert(v > 0);
-    ++n_;
-    log_sum_ += std::log(v);
-  }
-  u64 count() const { return n_; }
-  double mean() const { return n_ ? std::exp(log_sum_ / n_) : 0.0; }
-
- private:
-  u64 n_ = 0;
-  double log_sum_ = 0;
 };
 
 }  // namespace bsp

@@ -4,11 +4,11 @@
 // ended (exit code, terminating signal, or timeout) plus its rusage
 // (peak RSS, user/sys CPU time).
 //
-// Unlike the scheduler's thread-mode timeout — which can only *detach* a
-// wedged attempt, leaving it burning a core — a timed-out child here is
-// SIGKILLed and reaped before run_subprocess() returns, so the core comes
-// back and nothing outlives the call. A crashing child takes only itself
-// down; the caller sees the signal instead of dying with it.
+// A timed-out child is SIGKILLed and reaped before run_subprocess()
+// returns, so the core comes back and nothing outlives the call — C++ has
+// no such kill for a thread, which is why the campaign scheduler runs every
+// attempt under a deadline through here. A crashing child takes only
+// itself down; the caller sees the signal instead of dying with it.
 #pragma once
 
 #include <cstddef>

@@ -466,8 +466,8 @@ TEST(Campaign, RetiredExtensionPointsLoadAndStayOutOfTheReport) {
 TEST(Campaign, InjectedFailureIsRetriedThenRecordedWithoutAborting) {
   const SweepSpec spec = small_spec();
   const auto tasks = spec.expand();
-  const std::string poison = tasks[3].id();   // always fails
-  const std::string flaky = tasks[7].id();    // fails once, then succeeds
+  const std::string poison = tasks[3].id();   // always throws
+  const std::string flaky = tasks[7].id();    // throws once, then succeeds
   const std::string path = temp_path("faults");
 
   std::mutex m;
@@ -484,11 +484,8 @@ TEST(Campaign, InjectedFailureIsRetriedThenRecordedWithoutAborting) {
         int n;
         { std::lock_guard<std::mutex> lock(m); n = ++attempts[task.id()]; }
         if (task.id() == poison) throw std::runtime_error("co-sim abort");
-        if (task.id() == flaky && n == 1) {
-          TaskOutcome fail;
-          fail.error = "transient divergence";
-          return fail;
-        }
+        if (task.id() == flaky && n == 1)
+          throw std::runtime_error("transient failure");
         return fake_runner()(task);
       },
       options);
@@ -519,6 +516,46 @@ TEST(Campaign, InjectedFailureIsRetriedThenRecordedWithoutAborting) {
   std::remove(path.c_str());
 }
 
+// An error the runner returns is a property of the task (an unreachable
+// fast-forward, a divergence, a machine that does not build): another
+// attempt would fail the same way, so it is recorded at the first one. A
+// throw is not the runner's verdict and gets every attempt.
+TEST(Campaign, ReturnedErrorIsFinalAndAThrowIsRetried) {
+  const TaskSpec task = small_spec().expand().front();
+  SchedulerOptions options;
+  options.max_attempts = 3;
+  int calls = 0;
+  const TaskOutcome returned = run_one_task(
+      task,
+      [&](const TaskSpec&) {
+        ++calls;
+        TaskOutcome r;
+        r.error = "fast-forward failed";
+        return r;
+      },
+      options);
+  EXPECT_EQ(returned.status, "failed");
+  EXPECT_EQ(returned.error, "fast-forward failed");
+  EXPECT_EQ(returned.attempts, 1u);
+  EXPECT_EQ(calls, 1);
+
+  calls = 0;
+  const TaskOutcome thrown = run_one_task(
+      task,
+      [&](const TaskSpec&) -> TaskOutcome {
+        ++calls;
+        throw std::runtime_error("bad_alloc-like");
+      },
+      options);
+  EXPECT_EQ(thrown.status, "failed");
+  EXPECT_EQ(thrown.error, "exception: bad_alloc-like");
+  EXPECT_EQ(thrown.attempts, 3u);
+  EXPECT_EQ(calls, 3);
+}
+
+// A timeout needs a process to kill, so thread-mode attempts under a
+// deadline run as worker processes: the wedged one is SIGKILLed, recorded
+// as "timeout" with its rusage, and the campaign goes on.
 TEST(Campaign, TimedOutTaskIsRecordedAndDoesNotKillTheCampaign) {
   SweepSpec spec = small_spec();
   spec.workloads = {"li"};
@@ -533,24 +570,37 @@ TEST(Campaign, TimedOutTaskIsRecordedAndDoesNotKillTheCampaign) {
   options.fresh = true;
   options.progress = false;
   options.scheduler.jobs = 1;
-  options.scheduler.timeout_sec = 0.05;
-  // `slow` by value: the timed-out attempt's detached thread outlives this
-  // scope's locals (TaskRunner's contract).
+  options.scheduler.isolate = IsolationMode::kThread;
+  options.scheduler.timeout_sec = 0.5;
+  TaskRecord healthy{fake_runner()(tasks[1]), tasks[1]};
+  healthy.status = "ok";
+  // $0 is the healthy task's record, $1 the wedged task's id and $2 the
+  // task the scheduler appended.
+  options.scheduler.worker_cmd = {
+      "/bin/sh", "-c",
+      "[ \"$2\" = \"$1\" ] && exec sleep 30; printf '%s\\n' \"$0\"",
+      to_jsonl(healthy), slow};
+  const auto t0 = std::chrono::steady_clock::now();
   const auto report = run_campaign(
       spec,
-      [slow](const TaskSpec& task) -> TaskOutcome {
-        if (task.id() == slow)
-          std::this_thread::sleep_for(std::chrono::milliseconds(500));
-        return fake_runner()(task);
+      [](const TaskSpec& task) -> TaskOutcome {
+        ADD_FAILURE() << "inline attempt for " << task.id();
+        return {};
       },
       options);
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
 
   EXPECT_EQ(report.ran, 2u);
   EXPECT_EQ(report.failed, 1u);
   EXPECT_EQ(report.ok, 1u);
-  EXPECT_EQ(stored_by_id(path).at(slow).status, "timeout");
-  // Let the abandoned detached attempt drain before the test exits.
-  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  EXPECT_LT(elapsed, 0.5 + 2.0) << "the wedged worker must die at its "
+                                   "deadline, not run for 30s";
+  const TaskRecord timed_out = stored_by_id(path).at(slow);
+  EXPECT_EQ(timed_out.status, "timeout");
+  EXPECT_EQ(timed_out.attempts, 1u);
+  EXPECT_GT(timed_out.max_rss_kb, 0) << "a killed worker still has rusage";
   std::remove(path.c_str());
 }
 
@@ -699,6 +749,33 @@ TEST(DispatchOrder, ReportsStayInGridOrderAndTheStoreHoldsEveryTask) {
   }
   EXPECT_EQ(ids.size(), tasks.size());
   std::remove(path.c_str());
+}
+
+// A machine that does not build is the task's own error, returned (not
+// thrown) by the production runner, so the scheduler records it at the
+// first attempt.
+TEST(Campaign, SimRunnerReturnsAnInvalidMachineAsItsError) {
+  TaskSpec bad_override;
+  bad_override.workload = "li";
+  bad_override.instructions = 1000;
+  bad_override.machine.overrides = "width=banana";
+  TaskSpec bad_geometry = bad_override;
+  bad_geometry.machine.overrides = "";
+  bad_geometry.machine.kind = MachineKind::Sliced;
+  bad_geometry.machine.slices = 3;
+  SchedulerOptions options;
+  options.max_attempts = 3;
+  for (const u64 sample_intervals : {0u, 2u}) {
+    RunnerOptions ropts;
+    ropts.sample_intervals = sample_intervals;
+    for (const TaskSpec& task : {bad_override, bad_geometry}) {
+      const TaskOutcome out =
+          run_one_task(task, make_sim_runner(ropts), options);
+      EXPECT_EQ(out.status, "failed") << task.id();
+      EXPECT_EQ(out.error.rfind("invalid machine: ", 0), 0u) << out.error;
+      EXPECT_EQ(out.attempts, 1u) << task.id();
+    }
+  }
 }
 
 TEST(Campaign, SimRunnerMatchesLegacySimulate) {
@@ -1294,8 +1371,6 @@ TEST(ResultStore, JsonlRoundTripsSampledFields) {
   rec.stats = fake_stats(rec.task);
   rec.sample_intervals = 4;
   rec.sample_warmup = 2'000;
-  rec.ipc_mean = 1.537625;
-  rec.ipc_ci95 = 0.078125;
   rec.samples = {{0, 0, 0, 1'000, 12'648, 1'000},
                  {1, 0, 1'000, 1'000, 9'967, 1'000}};
 
@@ -1303,8 +1378,6 @@ TEST(ResultStore, JsonlRoundTripsSampledFields) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->sample_intervals, 4u);
   EXPECT_EQ(back->sample_warmup, 2'000u);
-  EXPECT_DOUBLE_EQ(back->ipc_mean, 1.537625);
-  EXPECT_DOUBLE_EQ(back->ipc_ci95, 0.078125);
   EXPECT_EQ(back->samples, rec.samples);
 
   // Non-sampled records keep the legacy byte shape: no sampled keys at
@@ -1321,6 +1394,38 @@ TEST(ResultStore, JsonlRoundTripsSampledFields) {
   ASSERT_TRUE(lback.has_value());
   EXPECT_EQ(lback->sample_intervals, 0u);
   EXPECT_TRUE(lback->samples.empty());
+}
+
+// Sampled records used to carry "ipc_mean" and "ipc_ci95", which nothing
+// read. A store written then still loads, and its tasks resume.
+TEST(ResultStore, SampledLineWithRetiredIpcKeysLoadsAndResumes) {
+  const SweepSpec spec = small_spec();
+  TaskRecord rec;
+  rec.task = spec.expand().front();
+  rec.status = "ok";
+  rec.stats = fake_stats(rec.task);
+  rec.sample_intervals = 2;
+  rec.sample_warmup = 2'000;
+  rec.samples = {{0, 0, 0, 500, 610, 500}, {1, 2'500, 2'000, 500, 624, 500}};
+  std::string line = to_jsonl(rec);
+  const std::size_t at = line.find("\"samples\"");
+  ASSERT_NE(at, std::string::npos);
+  line.insert(at, R"("ipc_mean":0.812500,"ipc_ci95":0.062500,)");
+
+  const auto back = parse_jsonl(line);
+  ASSERT_TRUE(back.has_value()) << line;
+  EXPECT_EQ(to_jsonl(*back), to_jsonl(rec));
+
+  const std::string path = temp_path("retired_ipc_keys");
+  std::ofstream(path) << line << "\n";
+  CampaignOptions options;
+  options.out_path = path;
+  options.progress = false;
+  options.scheduler.jobs = 1;
+  const CampaignReport report = run_campaign(spec, fake_runner(), options);
+  EXPECT_EQ(report.skipped, 1u);
+  EXPECT_EQ(report.ran, spec.expand().size() - 1);
+  std::remove(path.c_str());
 }
 
 // The store's bytes are the contract resumed stores and bsp-report rely
@@ -1387,8 +1492,6 @@ TEST(ResultStore, JsonlBytesArePinned) {
   sampled.ckpt_cache = "hit";
   sampled.sample_intervals = 2;
   sampled.sample_warmup = 2000;
-  sampled.ipc_mean = 0.8125;
-  sampled.ipc_ci95 = 0.0625;
   sampled.samples = {{0, 0, 0, 500, 610, 500}, {1, 2500, 2000, 500, 624, 500}};
   EXPECT_EQ(to_jsonl(sampled),
       R"({"campaign":"unit","task":"unit/li/seed=0x5eed/base/n=1000/w=0",)"
@@ -1397,9 +1500,8 @@ TEST(ResultStore, JsonlBytesArePinned) {
       R"("status":"ok","attempts":1,"duration_ms":7.250,)"
       R"("host_seconds":0.250,"ckpt_cache":"hit","ffwd_sec":0.000000,)" +
             kStats +
-      R"(,"sample_intervals":2,"sample_warmup":2000,"ipc_mean":0.812500,)"
-      R"("ipc_ci95":0.062500,"samples":[[0,0,0,500,610,500],[1,2500,2000,)"
-      R"(500,624,500]]})");
+      R"(,"sample_intervals":2,"sample_warmup":2000,)"
+      R"("samples":[[0,0,0,500,610,500],[1,2500,2000,500,624,500]]})");
 
   TaskRecord failed;
   failed.task = small_spec().expand()[2];
@@ -1465,8 +1567,6 @@ std::vector<std::string> record_shape_lines() {
   sampled.ckpt_cache = "hit";
   sampled.sample_intervals = 2;
   sampled.sample_warmup = 2000;
-  sampled.ipc_mean = 0.8125;
-  sampled.ipc_ci95 = 0.0625;
   sampled.samples = {{0, 0, 0, 500, 610, 500}, {1, 2500, 2000, 500, 624, 500}};
 
   TaskRecord failed;

@@ -201,8 +201,7 @@ TEST(ProcessIsolation, CrashedWorkerIsContainedAndNamed) {
   const TaskOutcome out = run_one_task(task, unused_runner(), options);
   EXPECT_EQ(out.status, "crashed");
   EXPECT_NE(out.error.find("SIGABRT"), std::string::npos) << out.error;
-  EXPECT_EQ(out.attempts, 2u) << "a crash gets the same bounded retry as "
-                                 "a failure";
+  EXPECT_EQ(out.attempts, 2u) << "a crash gets the bounded retry";
 }
 
 TEST(ProcessIsolation, WedgedWorkerIsKilledAtTheDeadlineAndNotRetried) {
@@ -273,6 +272,55 @@ TEST(ProcessIsolation, SilentWorkerIsAFailureWithStderrContext) {
   EXPECT_EQ(out.status, "failed");
   EXPECT_NE(out.error.find("exited 9"), std::string::npos) << out.error;
   EXPECT_NE(out.error.find("boom"), std::string::npos) << out.error;
+}
+
+// The retry rule in worker processes: a record the worker printed is the
+// runner's verdict, so a "failed" one is final; a worker that died or
+// printed nothing usable gets every attempt. `calls` counts the worker's
+// runs through a file each run appends a line to.
+std::size_t count_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::size_t n = 0;
+  for (std::string line; std::getline(in, line);) ++n;
+  return n;
+}
+
+TEST(ProcessIsolation, FailedRecordIsFinal) {
+  const TaskSpec task = tiny_spec({0x5eed}).expand().front();
+  TaskRecord rec;
+  rec.task = task;
+  rec.status = "failed";
+  rec.error = "fast-forward failed: program exited or faulted before "
+              "fast_forward=100000000";
+  const std::string calls = temp_path("failed_record_calls");
+  std::remove(calls.c_str());
+  SchedulerOptions options = process_options(
+      {"/bin/sh", "-c", "echo run >> \"$1\"; printf '%s\\n' \"$0\"",
+       to_jsonl(rec), calls});
+  options.max_attempts = 3;
+  const TaskOutcome out = run_one_task(task, unused_runner(), options);
+  EXPECT_EQ(out.status, "failed");
+  EXPECT_EQ(out.error, rec.error);
+  EXPECT_EQ(out.attempts, 1u);
+  EXPECT_EQ(count_lines(calls), 1u);
+  std::remove(calls.c_str());
+}
+
+TEST(ProcessIsolation, CrashedAndSilentWorkersGetEveryAttempt) {
+  const TaskSpec task = tiny_spec({0x5eed}).expand().front();
+  for (const char* body : {"kill -SEGV $$", "echo boom >&2; exit 9"}) {
+    const std::string calls = temp_path("transient_calls");
+    std::remove(calls.c_str());
+    SchedulerOptions options = process_options(
+        {"/bin/sh", "-c", std::string("echo run >> \"$0\"; ") + body,
+         calls});
+    options.max_attempts = 3;
+    const TaskOutcome out = run_one_task(task, unused_runner(), options);
+    EXPECT_EQ(out.status, body[0] == 'k' ? "crashed" : "failed") << body;
+    EXPECT_EQ(out.attempts, 3u) << body;
+    EXPECT_EQ(count_lines(calls), 3u) << body;
+    std::remove(calls.c_str());
+  }
 }
 
 // The acceptance-shaped campaign: one segfaulting task, one wedged task,

@@ -58,28 +58,6 @@ TEST(Histogram, CumulativeMemoizationSurvivesInterleavedAdds) {
   EXPECT_EQ(h.percentile(0.5), 2u);
 }
 
-TEST(RunningMean, EmptyAndExtrema) {
-  // Empty accumulator: extrema are defined as 0.0, matching mean(), so an
-  // empty series prints deterministically.
-  RunningMean m;
-  EXPECT_EQ(m.count(), 0u);
-  EXPECT_DOUBLE_EQ(m.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(m.min(), 0.0);
-  EXPECT_DOUBLE_EQ(m.max(), 0.0);
-
-  // First sample seeds both extrema even when it is negative or larger than
-  // the 0.0 default.
-  m.add(-3.5);
-  EXPECT_DOUBLE_EQ(m.min(), -3.5);
-  EXPECT_DOUBLE_EQ(m.max(), -3.5);
-  m.add(4.0);
-  m.add(1.0);
-  EXPECT_EQ(m.count(), 3u);
-  EXPECT_DOUBLE_EQ(m.min(), -3.5);
-  EXPECT_DOUBLE_EQ(m.max(), 4.0);
-  EXPECT_DOUBLE_EQ(m.mean(), 0.5);
-}
-
 TEST(DetailStats, ConsistentWithHeadlineCounters) {
   const Workload w = build_workload("gzip");
   Simulator sim(bitsliced_machine(2, kAllTechniques), w.program);

@@ -9,6 +9,7 @@
 #include "asm/objfile.hpp"
 #include "core/simulator.hpp"
 #include "emu/emulator.hpp"
+#include "obs/sinks.hpp"
 #include "util/rng.hpp"
 
 namespace bsp {
@@ -130,8 +131,9 @@ TEST(ObjFile, LoadProgramFileTakesObjectsAndSource) {
 TEST(PipeTrace, EmitsStageEventsAndDoesNotPerturbTiming) {
   const Program p = sample_program();
   std::stringstream trace;
+  obs::PipeTextSink sink(trace, 0, 100000);
   Simulator traced(bitsliced_machine(2, kAllTechniques), p);
-  traced.set_pipe_trace(trace, 0, 100000);
+  traced.add_trace_sink(&sink);
   const SimResult rt = traced.run(1000);
   ASSERT_TRUE(rt.ok()) << rt.error;
 
@@ -152,8 +154,9 @@ TEST(PipeTrace, EmitsStageEventsAndDoesNotPerturbTiming) {
 TEST(PipeTrace, WindowRestrictsOutput) {
   const Program p = sample_program();
   std::stringstream trace;
+  obs::PipeTextSink sink(trace, 5, 6);  // a single (early, empty) cycle
   Simulator sim(bitsliced_machine(2, kAllTechniques), p);
-  sim.set_pipe_trace(trace, 5, 6);  // a single (early, empty) cycle
+  sim.add_trace_sink(&sink);
   ASSERT_TRUE(sim.run(1000).ok());
   // Cycle 5 precedes the first dispatch (cold I$ miss), so nothing prints.
   EXPECT_TRUE(trace.str().empty()) << trace.str();

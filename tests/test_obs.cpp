@@ -42,13 +42,6 @@ TEST(PipeTrace, GoldenDeterminismAndLegacyEquivalence) {
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a.empty());
 
-  // set_pipe_trace is sugar for an owned PipeTextSink: identical bytes.
-  std::ostringstream legacy;
-  Simulator sim(test_machine(), program);
-  sim.set_pipe_trace(legacy, 0, 400);
-  EXPECT_TRUE(sim.run(kCommits).ok());
-  EXPECT_EQ(a, legacy.str());
-
   // The pinned line shapes of the original inline trace.
   EXPECT_NE(a.find("cyc "), std::string::npos);
   EXPECT_NE(a.find(": D    #"), std::string::npos);

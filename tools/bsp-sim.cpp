@@ -352,7 +352,6 @@ int main(int argc, char** argv) {
     start = ffwd.start(fast_forward);
   }
   Simulator sim(cfg, *program, start);
-  if (trace) sim.set_pipe_trace(std::cout, trace_start, trace_end);
   if (detail) sim.enable_detail();
   if (run.host_profile) sim.enable_host_profile();
   if (run.cpi_stack) sim.enable_cpi_stack();
@@ -371,6 +370,8 @@ int main(int argc, char** argv) {
   std::unique_ptr<obs::ChromeTraceSink> perfetto_sink;
   std::unique_ptr<obs::KonataSink> konata_sink;
   std::unique_ptr<obs::IntervalSampler> sampler;
+  obs::PipeTextSink pipe_sink(std::cout, trace_start, trace_end);
+  if (trace) sim.add_trace_sink(&pipe_sink);
   if (!perfetto_path.empty()) {
     perfetto_os = open_out(perfetto_path);
     perfetto_sink = std::make_unique<obs::ChromeTraceSink>(*perfetto_os);

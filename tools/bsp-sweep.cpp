@@ -10,10 +10,11 @@
 // (campaign/builtin.hpp) over the grid's records.
 //
 // With --isolate process every task runs in its own worker subprocess
-// (this binary re-exec'd with the hidden --worker-json flag): a segfaulting
-// configuration is recorded as "crashed" with its signal name, a wedged
-// one is SIGKILLed at the --timeout deadline and its core reclaimed, and
-// per-task rusage lands in the store. The sweep itself exits 0 whenever it
+// (this binary re-exec'd with the hidden --worker-json flag), and so does
+// every task of a sweep with a --timeout: a segfaulting configuration is
+// recorded as "crashed" with its signal name, a wedged one is SIGKILLed at
+// the --timeout deadline and its core reclaimed, and per-task rusage lands
+// in the store. The sweep itself exits 0 whenever it
 // ran to completion — per-task failures are data in the store (and the
 // summary), not a process error; use --retry-failed on a rerun to retry
 // them. Exit 2 is reserved for usage errors.
@@ -182,10 +183,15 @@ int main(int argc, char** argv) {
                   "re-run tasks recorded as failed/timeout/crashed",
                   &retry_failed);
   parser.add_value("--timeout", "SEC",
-                   "per-task wall-clock timeout (default: none)",
+                   "per-attempt wall-clock timeout (default: none); a "
+                   "timeout runs every attempt in a worker process, which "
+                   "is SIGKILLed at the deadline and recorded as "
+                   "\"timeout\", not retried",
                    &options.scheduler.timeout_sec);
   parser.add_value("--retries", "N",
-                   "extra attempts for a failed task (default 1)",
+                   "extra attempts for a task that threw or whose worker "
+                   "crashed or printed no record (default 1); an error the "
+                   "simulation returned is recorded at once",
                    [&](const std::string& v) {
                      options.scheduler.max_attempts =
                          1 + parse_cli_unsigned("--retries", v);
@@ -297,11 +303,9 @@ int main(int argc, char** argv) {
         if (!f.host_local) f.copy(rs.run, &runner_options);
       sched->ckpt_cache_dir = runner_options.ckpt_cache_dir;
       *runner = with_fault_injection(make_sim_runner(runner_options));
-      if (isolate == "process") {
-        sched->isolate = IsolationMode::kProcess;
-        sched->worker_cmd = worker_json_cmd();
-        sched->worker_task_json = true;
-      }
+      sched->worker_cmd = worker_json_cmd();
+      sched->worker_task_json = true;
+      if (isolate == "process") sched->isolate = IsolationMode::kProcess;
     };
     const WorkerReport wr = run_remote_worker(wopts, setup);
     std::cout << "== worker done ==\n"
@@ -356,11 +360,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (isolate == "process") {
+  // Worker processes run every attempt under --isolate process, and under
+  // any --timeout: a deadline needs a process to kill.
+  options.scheduler.worker_cmd = worker_json_cmd();
+  options.scheduler.worker_task_json = true;
+  if (isolate == "process")
     options.scheduler.isolate = IsolationMode::kProcess;
-    options.scheduler.worker_cmd = worker_json_cmd();
-    options.scheduler.worker_task_json = true;
-  }
 
   options.fresh = fresh;
   options.retry_failed = retry_failed;
