@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <tuple>
 #include <type_traits>
@@ -298,18 +299,24 @@ const std::vector<RunOptionField>& run_option_fields() {
        "CPI-stack cycle accounting: charge every commit slot to a stall "
        "cause (cpi_* counters, sum == cycles * commit width) and print it",
        &RunnerOptions::cpi_stack},
-      {"sample_intervals", "--sample-intervals", "K",
-       "sampled simulation: split the measured window into K intervals "
-       "simulated from functional checkpoints, stitched with a mean-IPC "
-       "95% confidence interval (0 = monolithic)",
-       &RunnerOptions::sample_intervals},
-      {"sample_warmup", "--sample-warmup", "N",
-       "warm-up commits discarded before each sampled interval (default " +
-           std::to_string(sampling::kDefaultSampleWarmup) +
-           "; interval 0 keeps the run's own, so K=1 is the monolithic run)",
-       &RunnerOptions::sample_warmup},
   };
   return kFields;
+}
+
+void add_sample_flags(ArgParser& parser, unsigned* intervals, u64* warmup) {
+  parser.add_value("--sample-intervals", "K",
+                   "sampled simulation: split the measured window into K "
+                   "intervals simulated from functional checkpoints, "
+                   "stitched with a mean-IPC 95% confidence interval (0 = "
+                   "monolithic)",
+                   intervals);
+  parser.add_value("--sample-warmup", "N",
+                   "warm-up commits discarded before each sampled interval "
+                   "(default " +
+                       std::to_string(sampling::kDefaultSampleWarmup) +
+                       "; interval 0 keeps the run's own, so K=1 is the "
+                       "monolithic run)",
+                   warmup);
 }
 
 namespace {
@@ -431,16 +438,14 @@ TaskOutcome simulate_task(const TaskSpec& task, const MachineConfig& config,
 namespace {
 
 // A sampled task's record: the stitched aggregate as its stats (so
-// stats.ipc() is the run's Σcommitted/Σcycles), the plan's shape and one
-// row per measured interval.
+// stats.ipc() is the run's Σcommitted/Σcycles) and one row per measured
+// interval.
 TaskOutcome sampled_outcome(const sampling::SampledResult& res) {
   TaskOutcome r;
   r.stats = res.aggregate;
   r.error = res.error;
   r.exited = res.exited;
   r.exit_code = res.exit_code;
-  r.sample_intervals = res.plan.intervals.size();
-  r.sample_warmup = res.plan.sample_warmup;
   for (const sampling::IntervalResult& iv : res.intervals) {
     if (!iv.measured()) continue;
     r.samples.push_back({iv.spec.index, iv.spec.offset, iv.spec.warmup,
@@ -453,25 +458,17 @@ TaskOutcome sampled_outcome(const sampling::SampledResult& res) {
 }  // namespace
 
 TaskRunner make_sim_runner(const RunnerOptions& options) {
-  // (workload, seed) -> its program, and (workload, seed, fast_forward) ->
-  // its checkpoint: within one process each program is built, and each
-  // distinct fast-forward paid (or its cache file read), exactly once, no
-  // matter how many concurrent tasks need it.
+  // (workload, seed) -> its program, and (workload, seed, offsets) -> its
+  // checkpoints: within one process each program is built, and each
+  // distinct set of start states paid (or its cache files read), exactly
+  // once, no matter how many concurrent tasks need it.
   using WorkloadMemo =
       BuildOnce<std::pair<std::string, u64>, std::shared_ptr<const Workload>>;
   using CkptMemo =
-      BuildOnce<std::tuple<std::string, u64, u64>, CheckpointSet>;
+      BuildOnce<std::tuple<std::string, u64, std::set<u64>>, CheckpointSet>;
   auto workloads = std::make_shared<WorkloadMemo>();
   auto ckpts = std::make_shared<CkptMemo>();
-  // A sampled task already occupies one scheduler slot, so its intervals
-  // run inline on it and a sweep's thread count stays at --jobs;
-  // --isolate process contains the whole task, not each interval.
-  sampling::SampleOptions sample;
-  sample.intervals = options.sample_intervals;
-  sample.warmup = options.sample_warmup;
-  sample.jobs = 1;
-  sample.ckpt_cache_dir = options.ckpt_cache_dir;
-  return [workloads, ckpts, sample, options](const TaskSpec& task) {
+  return [workloads, ckpts, options](const TaskSpec& task) {
     std::shared_ptr<const Workload> workload;
     try {
       workload = workloads->get({task.workload, task.seed}, [&] {
@@ -487,45 +484,36 @@ TaskRunner make_sim_runner(const RunnerOptions& options) {
     }
     const Program& program = workload->program;
 
+    // Start states come from the memo first, then the on-disk cache, then
+    // (cold path) one functional pass whose result every later task with
+    // the same offsets reuses. Interval 0 of a sampled task starts at the
+    // task's own fast-forward, so an unreachable one fails both kinds.
+    const std::set<u64> offsets = checkpoint_offsets(task);
+    CheckpointSet ckpt;
+    bool builder = false;
+    if (!offsets.empty()) {
+      ckpt = ckpts->get(
+          {task.workload, task.seed, offsets},
+          [&] {
+            return materialise_checkpoints(program, task.workload, task.seed,
+                                           offsets, options.ckpt_cache_dir);
+          },
+          &builder);
+    }
     TaskOutcome r;
-    std::size_t restored = 0;  // start checkpoints the task ran from
-    bool miss = false;         // ... any of which this task emulated
-    double ffwd_sec = 0;       // ... taking this many host seconds
+    r.error = ckpt.failure(task.fast_forward);
+    if (!r.error.empty()) return r;
     try {
-      if (sample.intervals > 0) {
-        const sampling::SampledResult res = sampling::run_sampled(
-            task, task.machine.build(), program, sample, options);
-        r = sampled_outcome(res);
-        restored = res.ckpt_materialised + res.ckpt_reused;
-        miss = res.ckpt_materialised > 0;
-        ffwd_sec = res.prewarm_sec;
-      } else {
-        // Fast-forward tasks start from a shared checkpoint: in-process memo
-        // first, then the on-disk cache, then (cold path) one fast-forward
-        // run whose result every later task reuses.
-        CheckpointSet ckpt;
-        bool builder = false;
-        if (task.fast_forward > 0) {
-          ckpt = ckpts->get(
-              {task.workload, task.seed, task.fast_forward},
-              [&] {
-                return materialise_checkpoints(program, task.workload,
-                                               task.seed, {task.fast_forward},
-                                               options.ckpt_cache_dir);
-              },
-              &builder);
-          r.error = ckpt.failure(task.fast_forward);
-          if (!r.error.empty()) return r;
-        }
-        r = simulate_task(task, task.machine.build(), program,
-                          ckpt.start(task.fast_forward), options);
-        // Memo consumers after the first share the builder's pass; only the
-        // builder reports its miss (and pays its ffwd_sec) so per-task
-        // records sum to the real host cost instead of multiply counting it.
-        restored = ckpt.materialised + ckpt.reused;
-        miss = builder && ckpt.materialised > 0;
-        ffwd_sec = miss ? ckpt.ffwd_sec : 0;
-      }
+      const MachineConfig config = task.machine.build();
+      // A sampled task already occupies one scheduler slot, so its
+      // intervals run inline on it and a sweep's thread count stays at
+      // --jobs; --isolate process contains the whole task, not each
+      // interval.
+      r = task.sample_intervals > 0
+              ? sampled_outcome(sampling::run_intervals(
+                    task, config, program, ckpt, options, /*jobs=*/1))
+              : simulate_task(task, config, program,
+                              ckpt.start(task.fast_forward), options);
     } catch (const std::invalid_argument& e) {
       // A machine that does not build (a malformed override, a bad slice
       // geometry) fails the same way on every attempt.
@@ -533,10 +521,14 @@ TaskRunner make_sim_runner(const RunnerOptions& options) {
       r.error = std::string("invalid machine: ") + e.what();
       return r;
     }
-    if (restored > 0) {
+    // Memo consumers after the first share the builder's pass; only the
+    // builder reports its miss (and pays its ffwd_sec) so per-task records
+    // sum to the real host cost instead of multiply counting it.
+    if (ckpt.materialised + ckpt.reused > 0) {
+      const bool miss = builder && ckpt.materialised > 0;
       r.ckpt_cache = miss ? "miss" : "hit";
-      r.ffwd_sec = ffwd_sec;
-      if (options.host_profile) r.stats.host_profile.ffwd = ffwd_sec;
+      r.ffwd_sec = miss ? ckpt.ffwd_sec : 0;
+      if (options.host_profile) r.stats.host_profile.ffwd = r.ffwd_sec;
     }
     return r;
   };

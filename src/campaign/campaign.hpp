@@ -14,7 +14,6 @@
 #include "campaign/scheduler.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/store.hpp"
-#include "sampling/plan.hpp"
 
 namespace bsp {
 class ArgParser;
@@ -143,7 +142,8 @@ CampaignReport run_campaign(const SweepSpec& spec, const TaskRunner& runner,
                             const CampaignOptions& options);
 
 // Per-task knobs for the production runner: the one declaration of every
-// option that changes how a task is simulated or what its record carries.
+// option that changes what a task's record carries. Which run a task is
+// (its budgets, fast-forward and sampled shape) is the TaskSpec's alone.
 // run_option_fields() below describes each member once; the tools' flags,
 // the process-worker argv and the remote SPEC frame (RemoteSpec::run) are
 // all generated from that registry.
@@ -155,9 +155,9 @@ struct RunnerOptions {
   // Collect host-phase profiles (SimStats::host_profile, serialised as the
   // record's "host_phases" object) and print their sum after the run.
   bool host_profile = false;
-  // Shared checkpoint cache directory for fast_forward > 0 tasks ("" = no
-  // on-disk cache; concurrent in-process monolithic tasks still share one
-  // fast-forward through the runner's memo). Point workers at the same
+  // Shared checkpoint cache directory for the checkpoint_offsets of every
+  // task ("" = no on-disk cache; concurrent in-process tasks still share
+  // one fast-forward through the runner's memo). Point workers at the same
   // directory the scheduler prewarmed. Host-local: never sent to remote
   // workers.
   std::string ckpt_cache_dir;
@@ -165,10 +165,6 @@ struct RunnerOptions {
   // the SimStats cpi_* leaves land in every record, ready for
   // `bsp-report --cpi-stack` aggregation.
   bool cpi_stack = false;
-  // Sampled simulation (src/sampling/): K intervals per task, each with
-  // `sample_warmup` discarded warm-up commits. 0 = monolithic.
-  unsigned sample_intervals = 0;
-  u64 sample_warmup = sampling::kDefaultSampleWarmup;
 
   bool operator==(const RunnerOptions&) const = default;
 };
@@ -181,8 +177,8 @@ struct RunOptionField {
   const char* flag;         // CLI flag, e.g. "--cpi-stack"
   const char* placeholder;  // value placeholder ("" for a bool flag)
   std::string help;
-  std::variant<bool RunnerOptions::*, unsigned RunnerOptions::*,
-               u64 RunnerOptions::*, std::string RunnerOptions::*>
+  std::variant<bool RunnerOptions::*, u64 RunnerOptions::*,
+               std::string RunnerOptions::*>
       member;
   // Reaches local worker processes but never the SPEC frame: a remote
   // worker keeps its own value (the checkpoint cache is a host's choice).
@@ -212,6 +208,10 @@ void add_run_option_flags(ArgParser& parser, RunnerOptions* out,
 // field that differs from its default, host-local ones included.
 std::vector<std::string> run_option_args(const RunnerOptions& options);
 
+// Registers --sample-intervals and --sample-warmup, a sampled task's shape
+// (TaskSpec::sample_intervals and sample_warmup), on `parser`.
+void add_sample_flags(ArgParser& parser, unsigned* intervals, u64* warmup);
+
 // The body of every simulated run, monolithic tasks and sampled intervals
 // alike: `config` runs `program` from `start` (the functional state after
 // task.fast_forward instructions; null = reset), discards task.warmup
@@ -224,14 +224,14 @@ TaskOutcome simulate_task(const TaskSpec& task, const MachineConfig& config,
 
 // The production runner: runs each task's machine configuration on its
 // workload program, built once per (workload, seed) and shared by
-// concurrent tasks. With options.sample_intervals == 0 a task is one
-// simulate_task run from its fast-forward checkpoint, which a second
-// build-once memo restores (or materialises) once per (workload, seed,
-// fast_forward); with K > 0 it is sampling::run_sampled's K intervals,
-// run one after another on the task's own scheduler slot, and its record
-// carries the interval rows and the IPC estimate. Co-simulation
-// divergence, an unreachable fast-forward and workload-build failures come
-// back as outcome errors, never as exceptions or aborts.
+// concurrent tasks. A second build-once memo restores (or materialises)
+// the checkpoints a task starts from once per (workload, seed,
+// checkpoint_offsets). A monolithic task is one simulate_task run from its
+// fast-forward checkpoint; a sampled one (task.sample_intervals > 0) is
+// sampling::run_intervals' K intervals, run one after another on the
+// task's own scheduler slot, and its record carries the interval rows.
+// Co-simulation divergence, an unreachable fast-forward and workload-build
+// failures come back as outcome errors, never as exceptions or aborts.
 TaskRunner make_sim_runner(const RunnerOptions& options = {});
 
 }  // namespace bsp::campaign

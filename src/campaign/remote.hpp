@@ -48,7 +48,9 @@ namespace bsp::campaign {
 // different version is rejected at handshake time (ERROR frame).
 // v3: the co-simulation label left the SPEC frame and the task ids, so a
 // v2 peer's labelled task ids would name tasks this grid does not have.
-constexpr int kRemoteProtocolVersion = 3;
+// v4: the sampled shape left the SPEC frame for the task lines and ids; a
+// v3 worker would run every sampled task monolithically.
+constexpr int kRemoteProtocolVersion = 4;
 
 // Everything a worker must know to execute tasks the way the coordinator
 // would have locally: the per-task run options plus the retry/timeout

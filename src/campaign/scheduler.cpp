@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <mutex>
+#include <set>
+#include <tuple>
 
 #include "campaign/ckpt_cache.hpp"
 #include "campaign/store.hpp"
@@ -117,13 +119,12 @@ Attempt worker_attempt(const std::vector<std::string>& argv,
 
 std::vector<TaskSpec> checkpoint_groups(const std::vector<TaskSpec>& tasks) {
   std::vector<TaskSpec> reps;
+  std::set<std::tuple<std::string, u64, std::set<u64>>> seen;
   for (const TaskSpec& t : tasks) {
-    if (t.fast_forward == 0) continue;
-    const auto same = [&](const TaskSpec& r) {
-      return r.workload == t.workload && r.seed == t.seed &&
-             r.fast_forward == t.fast_forward;
-    };
-    if (std::none_of(reps.begin(), reps.end(), same)) reps.push_back(t);
+    std::set<u64> offsets = checkpoint_offsets(t);
+    if (!offsets.empty() &&
+        seen.emplace(t.workload, t.seed, std::move(offsets)).second)
+      reps.push_back(t);
   }
   return reps;
 }
@@ -148,7 +149,7 @@ PrewarmStats prewarm_checkpoint_cache(const std::vector<TaskSpec>& tasks,
           params.seed = g.seed;
           const Workload w = build_workload(g.workload, params);
           set = materialise_checkpoints(w.program, g.workload, g.seed,
-                                        {g.fast_forward},
+                                        checkpoint_offsets(g),
                                         options.ckpt_cache_dir);
         } catch (const std::exception& e) {
           set.error = std::string("workload build failed: ") + e.what();
@@ -156,10 +157,10 @@ PrewarmStats prewarm_checkpoint_cache(const std::vector<TaskSpec>& tasks,
         std::lock_guard<std::mutex> lock(m);
         if (!set.failure(g.fast_forward).empty())
           ++stats.failed;  // workers will hit the same error per-task
-        else if (set.reused)
-          ++stats.reused;
-        else
+        else if (set.materialised)
           ++stats.materialised;
+        else
+          ++stats.reused;
         stats.ffwd_sec += set.ffwd_sec;
       },
       options.jobs);

@@ -74,13 +74,13 @@ struct SchedulerOptions {
   std::string ckpt_cache_dir;
 };
 
-// One representative task per distinct (workload, seed, fast_forward > 0),
-// in first-seen order: every task of a group starts timing from the same
-// checkpoint. The local pre-pass below materialises one per group; a remote
-// coordinator sends each to every worker as a PREWARM frame.
+// One representative task per distinct non-empty (workload, seed,
+// checkpoint_offsets), in first-seen order. The local pre-pass below
+// materialises each group's checkpoints; a remote coordinator sends each
+// representative to every worker as a PREWARM frame.
 std::vector<TaskSpec> checkpoint_groups(const std::vector<TaskSpec>& tasks);
 
-// Checkpoint-cache pre-pass: materialises the BSPC checkpoint of each
+// Checkpoint-cache pre-pass: materialises the BSPC checkpoints of each
 // checkpoint_groups() group into options.ckpt_cache_dir exactly once
 // (ckpt_cache.hpp does the content keying and the atomic publish). Runs
 // groups on options.jobs threads. After this pass every worker —
@@ -88,9 +88,9 @@ std::vector<TaskSpec> checkpoint_groups(const std::vector<TaskSpec>& tasks);
 // directory — restores in milliseconds instead of re-emulating. No-op
 // (all-zero stats) when ckpt_cache_dir is empty.
 struct PrewarmStats {
-  std::size_t groups = 0;        // distinct (workload, seed, ff>0) tuples
-  std::size_t materialised = 0;  // fast-forwarded and published this call
-  std::size_t reused = 0;        // already present in the cache directory
+  std::size_t groups = 0;        // checkpoint_groups() of the tasks
+  std::size_t materialised = 0;  // groups this call fast-forwarded
+  std::size_t reused = 0;        // groups wholly in the cache directory
   std::size_t failed = 0;        // build/fast-forward/publish failures
   double ffwd_sec = 0;           // host seconds across materialisations
 };

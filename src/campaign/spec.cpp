@@ -42,7 +42,22 @@ std::string TaskSpec::id() const {
      << std::dec << "/" << machine.key() << "/n=" << instructions
      << "/w=" << warmup;
   if (fast_forward != 0) os << "/ff=" << fast_forward;
+  if (sample_intervals > 0)
+    os << "/k=" << sample_intervals << "/sw=" << sample_warmup;
   return os.str();
+}
+
+std::set<u64> checkpoint_offsets(const TaskSpec& task) {
+  std::set<u64> offsets = {task.fast_forward};  // interval 0's offset too
+  if (task.sample_intervals > 0)
+    for (const sampling::IntervalSpec& iv :
+         sampling::plan_intervals(task.instructions, task.warmup,
+                                  task.fast_forward, task.sample_intervals,
+                                  task.sample_warmup)
+             .intervals)
+      offsets.insert(iv.offset);
+  offsets.erase(0);
+  return offsets;
 }
 
 std::vector<TaskSpec> SweepSpec::expand() const {
@@ -59,6 +74,8 @@ std::vector<TaskSpec> SweepSpec::expand() const {
         t.instructions = instructions;
         t.warmup = warmup;
         t.fast_forward = fast_forward;
+        t.sample_intervals = sample_intervals;
+        t.sample_warmup = sample_warmup;
         if (seen.insert(t.id()).second) tasks.push_back(std::move(t));
       }
     }

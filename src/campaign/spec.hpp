@@ -8,10 +8,12 @@
 // processes.
 #pragma once
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "config/machine_config.hpp"
+#include "sampling/plan.hpp"
 
 namespace bsp::campaign {
 
@@ -53,15 +55,27 @@ struct TaskSpec {
   u64 warmup = 300'000;
   // Instructions to fast-forward on the functional emulator before detailed
   // timing starts (the paper skips ~1B per benchmark). 0 = start at reset.
-  // Tasks sharing (workload, seed, fast_forward) can reuse one checkpoint.
   u64 fast_forward = 0;
+  // Sampled simulation (src/sampling/): the measured window split into K
+  // intervals, each after `sample_warmup` discarded warm-up commits
+  // (interval 0 keeps `warmup`). 0 = monolithic.
+  unsigned sample_intervals = 0;
+  u64 sample_warmup = sampling::kDefaultSampleWarmup;
 
   // Canonical unique key, e.g.
   // "fig11/li/seed=0x5eed/sliced-x2-t0x1f/n=200000/w=300000"; a nonzero
-  // fast_forward appends "/ff=N" (zero adds nothing, so pre-existing stores
-  // resume unchanged).
+  // fast_forward appends "/ff=N" and a sampled task "/k=K/sw=N" (a
+  // monolithic task at reset adds nothing, so pre-existing stores resume
+  // unchanged).
   std::string id() const;
 };
+
+// The functional offsets a task's detailed timing starts from, one
+// checkpoint each: {fast_forward} for a monolithic task, the distinct
+// interval offsets of sampling::plan_intervals for a sampled one; offset 0
+// (reset) needs none. Tasks with the same (workload, seed, offsets) share
+// one set of checkpoints, in the sweep's prewarm and the runner's memo.
+std::set<u64> checkpoint_offsets(const TaskSpec& task);
 
 struct SweepSpec {
   std::string name;
@@ -70,7 +84,10 @@ struct SweepSpec {
   std::vector<u64> seeds = {0x5eedu};
   u64 instructions = 200'000;
   u64 warmup = 300'000;
-  u64 fast_forward = 0;   // applied to every expanded task
+  // Applied to every expanded task.
+  u64 fast_forward = 0;
+  unsigned sample_intervals = 0;
+  u64 sample_warmup = sampling::kDefaultSampleWarmup;
 
   // Deterministic expansion: workload-major, then seed, then machine point,
   // in declaration order. Duplicate grid entries (a repeated workload, seed

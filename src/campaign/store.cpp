@@ -188,11 +188,11 @@ std::string to_jsonl(const TaskRecord& rec) {
       os << "]";
     }
   }
-  // Sampled-simulation block, only when the task actually sampled — a
-  // monolithic store stays byte-identical to pre-sampling builds.
-  if (rec.sample_intervals > 0) {
-    os << ",\"sample_intervals\":" << rec.sample_intervals
-       << ",\"sample_warmup\":" << rec.sample_warmup;
+  // The sampled shape, only for a sampled task — a monolithic store stays
+  // byte-identical to pre-sampling builds.
+  if (t.sample_intervals > 0) {
+    os << ",\"sample_intervals\":" << t.sample_intervals
+       << ",\"sample_warmup\":" << t.sample_warmup;
     if (rec.status == "ok" && !rec.samples.empty()) {
       os << ",\"samples\":[";
       for (std::size_t r = 0; r < rec.samples.size(); ++r) {
@@ -288,8 +288,8 @@ std::optional<TaskRecord> parse_jsonl(const std::string& line) {
     r.uint("interval", rec.interval);
     r.rows("series", rec.series);
   }
-  r.uint("sample_intervals", rec.sample_intervals);
-  r.uint("sample_warmup", rec.sample_warmup);
+  r.uint("sample_intervals", t.sample_intervals);
+  r.uint("sample_warmup", t.sample_warmup);
   r.rows("samples", rec.samples);
   const auto kind = machine_kind_named(machine);
   if (!ok || !kind) return std::nullopt;

@@ -1,11 +1,12 @@
 // Append-only JSONL result store (the campaign engine's back half).
 //
-// One line per finished task: the full parameter tuple, the run status, and
-// the SimStats counters. Appends are atomic at line granularity (a single
-// flushed fwrite under a mutex), so concurrent workers never interleave and
-// a reader tailing the file — or a rerun resuming from it — sees only whole
-// records. A torn trailing line from a killed writer is detected and
-// ignored on load, which is what makes kill-and-rerun resume safe.
+// One line per finished task: the full parameter tuple (a sampled task's
+// K and N included), the run status, and the SimStats counters. Appends
+// are atomic at line granularity (a single flushed fwrite under a mutex),
+// so concurrent workers never interleave and a reader tailing the file —
+// or a rerun resuming from it — sees only whole records. A torn trailing
+// line from a killed writer is detected and ignored on load, which is what
+// makes kill-and-rerun resume safe.
 //
 // Lines are read back with the tree's one JSON parser (obs/json.hpp). A line
 // that is not one complete JSON object, or whose fields do not fit a
@@ -26,7 +27,7 @@ namespace bsp::campaign {
 
 // What running one task produced: the single declaration of a task's
 // result fields. The runner fills `error`, `stats` and the interval,
-// checkpoint and sampling fields; the scheduler fills `status`,
+// checkpoint and sample rows; the scheduler fills `status`,
 // `attempts`, `duration_ms` and the rusage fields.
 struct TaskOutcome {
   std::string status;  // "ok" | "failed" | "timeout" | "crashed"
@@ -53,15 +54,12 @@ struct TaskOutcome {
   // task paid a fast-forward, plus the host seconds it spent doing so.
   std::string ckpt_cache;
   double ffwd_sec = 0;
-  // Sampled-simulation fields (src/sampling/): interval count K,
-  // per-interval warm-up N, and one numeric row per measured interval —
-  // [index, offset, warmup, commits, cycles, committed], from which the
-  // interval spread can be computed. All zero/empty — and omitted from the
-  // JSONL, keeping monolithic stores byte-stable — when the task ran
-  // monolithically. A sampled record's `stats` is the stitched aggregate,
-  // so stats.ipc() is the run's Σcommitted/Σcycles.
-  u64 sample_intervals = 0;
-  u64 sample_warmup = 0;
+  // A sampled task's (TaskSpec::sample_intervals > 0) rows, one per
+  // measured interval — [index, offset, warmup, commits, cycles,
+  // committed], from which the interval spread can be computed. Empty — and
+  // omitted from the JSONL — for a monolithic task. A sampled record's
+  // `stats` is the stitched aggregate, so stats.ipc() is the run's
+  // Σcommitted/Σcycles.
   std::vector<std::vector<u64>> samples;
   // The program ran to SYS_EXIT inside the task's window, with this code.
   // Not stored: a record's committed count already shows a short window;

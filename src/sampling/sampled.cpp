@@ -50,29 +50,20 @@ std::string interval_to_jsonl(const IntervalResult& r) {
   return os.str();
 }
 
-SampledResult run_sampled(const campaign::TaskSpec& task,
-                          const MachineConfig& config, const Program& program,
-                          const SampleOptions& opts,
-                          const campaign::RunnerOptions& run) {
+SampledResult run_intervals(const campaign::TaskSpec& task,
+                            const MachineConfig& config,
+                            const Program& program,
+                            const campaign::CheckpointSet& ckpts,
+                            const campaign::RunnerOptions& run,
+                            unsigned jobs) {
   SampledResult out;
-  const WallTimer wall;
   out.plan = plan_intervals(task.instructions, task.warmup, task.fast_forward,
-                            opts.intervals, opts.warmup);
-
-  const PrewarmResult prewarm = materialise_interval_checkpoints(
-      program, task.workload, task.seed, out.plan, opts.ckpt_cache_dir);
-  out.ckpt_materialised = prewarm.materialised;
-  out.ckpt_reused = prewarm.reused;
-  out.prewarm_sec = prewarm.ffwd_sec;
+                            task.sample_intervals, task.sample_warmup);
   // Interval 0 starts at the run's own fast-forward: a failed pass, or a
   // program that ends before that offset, fails the run exactly as it
   // fails the monolithic one.
-  out.error = prewarm.failure(task.fast_forward);
-  if (!out.error.empty()) {
-    out.wall_sec = wall.seconds();
-    return out;
-  }
-
+  out.error = ckpts.failure(task.fast_forward);
+  if (!out.error.empty()) return out;
   const std::size_t k = out.plan.intervals.size();
   out.intervals.resize(k);
   // Later intervals whose checkpoint the functional pass never reached
@@ -82,7 +73,7 @@ SampledResult run_sampled(const campaign::TaskSpec& task,
   for (std::size_t i = 0; i < k; ++i) {
     const IntervalSpec& spec = out.plan.intervals[i];
     out.intervals[i].spec = spec;
-    if (spec.offset > 0 && !prewarm.by_offset.count(spec.offset)) {
+    if (spec.offset > 0 && !ckpts.by_offset.count(spec.offset)) {
       out.intervals[i].skipped = true;
     } else {
       runnable.push_back(i);
@@ -94,19 +85,20 @@ SampledResult run_sampled(const campaign::TaskSpec& task,
       [&](std::size_t r) {
         IntervalResult& iv = out.intervals[runnable[r]];
         campaign::TaskSpec t = task;
+        t.sample_intervals = 0;
         t.fast_forward = iv.spec.offset;
         t.warmup = iv.spec.warmup;
         t.instructions = iv.spec.commits;
         const WallTimer timer;
         campaign::TaskOutcome o = campaign::simulate_task(
-            t, config, program, prewarm.start(t.fast_forward), run);
+            t, config, program, ckpts.start(t.fast_forward), run);
         iv.stats = std::move(o.stats);
         iv.error = std::move(o.error);
         iv.exited = o.exited;
         iv.exit_code = o.exit_code;
         iv.host_sec = timer.seconds();
       },
-      opts.jobs);
+      jobs);
 
   for (const IntervalResult& r : out.intervals) {
     if (r.skipped) {
@@ -121,6 +113,20 @@ SampledResult run_sampled(const campaign::TaskSpec& task,
 
   out.aggregate = stitch_stats(out.intervals);
   out.ipc = estimate_ipc(out.intervals);
+  return out;
+}
+
+SampledResult run_sampled(const campaign::TaskSpec& task,
+                          const MachineConfig& config, const Program& program,
+                          const campaign::RunnerOptions& run, unsigned jobs) {
+  const WallTimer wall;
+  const PrewarmResult prewarm = campaign::materialise_checkpoints(
+      program, task.workload, task.seed, campaign::checkpoint_offsets(task),
+      run.ckpt_cache_dir);
+  SampledResult out = run_intervals(task, config, program, prewarm, run, jobs);
+  out.ckpt_materialised = prewarm.materialised;
+  out.ckpt_reused = prewarm.reused;
+  out.prewarm_sec = prewarm.ffwd_sec;
   out.wall_sec = wall.seconds();
   return out;
 }
@@ -136,7 +142,11 @@ SampledResult run_sampled(const MachineConfig& config, const Program& program,
   task.instructions = max_commits;
   task.warmup = warmup;
   task.fast_forward = fast_forward;
-  return run_sampled(task, config, program, opts, run);
+  task.sample_intervals = opts.intervals;
+  task.sample_warmup = opts.warmup;
+  campaign::RunnerOptions with_cache = run;
+  with_cache.ckpt_cache_dir = opts.ckpt_cache_dir;
+  return run_sampled(task, config, program, with_cache, opts.jobs);
 }
 
 }  // namespace bsp::sampling

@@ -1,18 +1,19 @@
 // Sampled-simulation engine: one long detailed run, sharded into K
 // intervals and simulated in parallel. It is compiled into the campaign
 // library: campaign::make_sim_runner runs a task with sample_intervals > 0
-// through run_sampled, and bsp-sim --sample-intervals calls it directly.
+// through run_intervals, and bsp-sim --sample-intervals through
+// run_sampled. A task's sampled shape (K, N) is part of its TaskSpec.
 //
 // Pipeline (ARCHITECTURE.md §12):
 //  1. plan    — plan_intervals() splits the measured region into K
 //               contiguous chunks (sampling/plan.hpp);
 //  2. prewarm — campaign::materialise_checkpoints (ckpt_cache.hpp), the
 //               one fast-forward materialiser, captures a BSPC checkpoint
-//               at every distinct interval offset in one incremental
-//               emulator pass and publishes each into the campaign
-//               checkpoint cache so concurrent runs and worker
-//               subprocesses share it. An unreachable interval-0 offset
-//               (the run's own fast-forward) fails the run;
+//               at every one of the task's campaign::checkpoint_offsets
+//               in one incremental emulator pass and publishes each into
+//               the campaign checkpoint cache so concurrent runs and
+//               worker subprocesses share it. An unreachable interval-0
+//               offset (the run's own fast-forward) fails the run;
 //  3. workers — each interval is a monolithic task: fast-forward to its
 //               offset (the prewarmed checkpoint, straight from memory),
 //               discard its warm-up commits, measure its chunk — through
@@ -25,6 +26,8 @@
 //               aggregate, and estimate_ipc() puts a Student-t 95%
 //               confidence interval on the per-interval IPC mean
 //               (sampling/stitch.hpp).
+// run_sampled is steps 1-4; the sweep runner calls run_intervals (3-4)
+// with the set from its memo.
 //
 // Determinism: the plan, every checkpoint, and every interval's measured
 // SimStats depend only on (config, program, seed, M, W, FF, K, N) — never
@@ -45,8 +48,9 @@
 
 namespace bsp::sampling {
 
-// How a run is sharded; what each interval records (host profile, CPI
-// stack) comes from the campaign::RunnerOptions passed next to it.
+// The parameter-list run_sampled's shape and pool. What each interval
+// records (host profile, CPI stack) comes from the campaign::RunnerOptions
+// passed next to it.
 struct SampleOptions {
   unsigned intervals = 8;  // K
   u64 warmup = kDefaultSampleWarmup;  // N: per-interval warm-up commits
@@ -85,23 +89,35 @@ struct SampledResult {
   int exit_code = 0;
   std::string error;         // non-empty when the fast-forward or an
                              // interval failed
-  std::size_t ckpt_materialised = 0;  // prewarm traffic
+  // run_sampled's prewarm traffic and end-to-end wall clock (prewarm +
+  // workers); run_intervals leaves them zero.
+  std::size_t ckpt_materialised = 0;
   std::size_t ckpt_reused = 0;
   double prewarm_sec = 0;    // host seconds the prewarm's misses took
-  double wall_sec = 0;       // end-to-end wall clock (prewarm + workers)
+  double wall_sec = 0;
 
   bool ok() const { return error.empty(); }
 };
 
-// The engine: plan, prewarm, run every interval (parallel), stitch.
-// `task` is the monolithic run being sampled (workload, seed,
-// instructions, warmup, fast_forward) on `config`; each interval
-// runs as a copy of it whose fast_forward, warmup and instructions are the
-// interval's offset, warm-up and chunk, with `run`'s knobs.
+// Steps 3-4: runs every interval of `task`'s plan on `jobs` threads (0 =
+// hardware concurrency) from `ckpts`, the checkpoints at
+// campaign::checkpoint_offsets(task), and stitches them. A set that misses
+// task.fast_forward fails the run; a later offset it lacks skips its
+// intervals. Each interval is a copy of `task` over its chunk, with `run`'s
+// knobs.
+SampledResult run_intervals(const campaign::TaskSpec& task,
+                            const MachineConfig& config,
+                            const Program& program,
+                            const campaign::CheckpointSet& ckpts,
+                            const campaign::RunnerOptions& run,
+                            unsigned jobs);
+
+// The engine: plan, prewarm (into run.ckpt_cache_dir), run every interval
+// (parallel), stitch. `task` is the sampled run, on `config`.
 SampledResult run_sampled(const campaign::TaskSpec& task,
                           const MachineConfig& config, const Program& program,
-                          const SampleOptions& opts,
-                          const campaign::RunnerOptions& run = {});
+                          const campaign::RunnerOptions& run = {},
+                          unsigned jobs = 0);
 // The same run, given as its parameters.
 SampledResult run_sampled(const MachineConfig& config, const Program& program,
                           const std::string& workload, u64 seed,

@@ -130,6 +130,41 @@ TEST(SweepSpec, TaskIdEncodesEveryAxis) {
   EXPECT_EQ(ids.size(), 7u);
 }
 
+// The sampled shape is part of the task: it enters the id only when K > 0
+// (so monolithic ids are as before), expand() copies it to every task, and
+// it decides the offsets the task's checkpoints sit at.
+TEST(SweepSpec, SampledShapeIsPartOfTheTask) {
+  SweepSpec spec = small_spec();
+  spec.instructions = 4'000;
+  spec.warmup = 1'000;
+  spec.fast_forward = 20'000;
+  const TaskSpec mono = spec.expand().front();
+  EXPECT_EQ(mono.id(), "unit/li/seed=0x5eed/base/n=4000/w=1000/ff=20000");
+  TaskSpec other_warmup = mono;
+  other_warmup.sample_warmup = 7;
+  EXPECT_EQ(other_warmup.id(), mono.id());
+  EXPECT_EQ(checkpoint_offsets(mono), (std::set<u64>{20'000}));
+
+  spec.sample_intervals = 2;
+  spec.sample_warmup = 500;
+  for (const TaskSpec& t : spec.expand()) {
+    EXPECT_EQ(t.sample_intervals, 2u);
+    EXPECT_EQ(t.sample_warmup, 500u);
+  }
+  const TaskSpec sampled = spec.expand().front();
+  EXPECT_EQ(sampled.id(), mono.id() + "/k=2/sw=500");
+  // Interval 1 starts 500 commits before measured commit 2000.
+  EXPECT_EQ(checkpoint_offsets(sampled),
+            (std::set<u64>{20'000, 20'000 + 1'000 + 2'000 - 500}));
+
+  TaskSpec at_reset = mono;
+  at_reset.fast_forward = 0;
+  EXPECT_TRUE(checkpoint_offsets(at_reset).empty());
+  at_reset.sample_intervals = 2;
+  at_reset.sample_warmup = 500;
+  EXPECT_EQ(checkpoint_offsets(at_reset), (std::set<u64>{2'500}));
+}
+
 TEST(ResultStore, JsonlRoundTripsAllFields) {
   TaskRecord rec;
   rec.task = small_spec().expand().front();
@@ -765,12 +800,10 @@ TEST(Campaign, SimRunnerReturnsAnInvalidMachineAsItsError) {
   bad_geometry.machine.slices = 3;
   SchedulerOptions options;
   options.max_attempts = 3;
-  for (const u64 sample_intervals : {0u, 2u}) {
-    RunnerOptions ropts;
-    ropts.sample_intervals = sample_intervals;
-    for (const TaskSpec& task : {bad_override, bad_geometry}) {
-      const TaskOutcome out =
-          run_one_task(task, make_sim_runner(ropts), options);
+  for (const unsigned sample_intervals : {0u, 2u}) {
+    for (TaskSpec task : {bad_override, bad_geometry}) {
+      task.sample_intervals = sample_intervals;
+      const TaskOutcome out = run_one_task(task, make_sim_runner(), options);
       EXPECT_EQ(out.status, "failed") << task.id();
       EXPECT_EQ(out.error.rfind("invalid machine: ", 0), 0u) << out.error;
       EXPECT_EQ(out.attempts, 1u) << task.id();
@@ -1367,23 +1400,24 @@ TEST(Campaign, SimRunnerMemoisesTheCheckpointSoOneTaskPaysTheMiss) {
 TEST(ResultStore, JsonlRoundTripsSampledFields) {
   TaskRecord rec;
   rec.task = small_spec().expand().front();
+  rec.task.sample_intervals = 4;
+  rec.task.sample_warmup = 2'000;
   rec.status = "ok";
   rec.stats = fake_stats(rec.task);
-  rec.sample_intervals = 4;
-  rec.sample_warmup = 2'000;
   rec.samples = {{0, 0, 0, 1'000, 12'648, 1'000},
                  {1, 0, 1'000, 1'000, 9'967, 1'000}};
 
   const auto back = parse_jsonl(to_jsonl(rec));
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->sample_intervals, 4u);
-  EXPECT_EQ(back->sample_warmup, 2'000u);
+  EXPECT_EQ(back->task.sample_intervals, 4u);
+  EXPECT_EQ(back->task.sample_warmup, 2'000u);
+  EXPECT_EQ(back->task.id(), rec.task.id());
   EXPECT_EQ(back->samples, rec.samples);
 
   // Non-sampled records keep the legacy byte shape: no sampled keys at
   // all, and parsing leaves the fields zeroed.
   TaskRecord legacy;
-  legacy.task = rec.task;
+  legacy.task = small_spec().expand().front();
   legacy.status = "ok";
   legacy.stats = fake_stats(legacy.task);
   const std::string line = to_jsonl(legacy);
@@ -1392,20 +1426,19 @@ TEST(ResultStore, JsonlRoundTripsSampledFields) {
   EXPECT_EQ(line.find("\"samples\""), std::string::npos);
   const auto lback = parse_jsonl(line);
   ASSERT_TRUE(lback.has_value());
-  EXPECT_EQ(lback->sample_intervals, 0u);
+  EXPECT_EQ(lback->task.sample_intervals, 0u);
   EXPECT_TRUE(lback->samples.empty());
 }
 
 // Sampled records used to carry "ipc_mean" and "ipc_ci95", which nothing
 // read. A store written then still loads, and its tasks resume.
 TEST(ResultStore, SampledLineWithRetiredIpcKeysLoadsAndResumes) {
-  const SweepSpec spec = small_spec();
+  SweepSpec spec = small_spec();
+  spec.sample_intervals = 2;
   TaskRecord rec;
   rec.task = spec.expand().front();
   rec.status = "ok";
   rec.stats = fake_stats(rec.task);
-  rec.sample_intervals = 2;
-  rec.sample_warmup = 2'000;
   rec.samples = {{0, 0, 0, 500, 610, 500}, {1, 2'500, 2'000, 500, 624, 500}};
   std::string line = to_jsonl(rec);
   const std::size_t at = line.find("\"samples\"");
@@ -1425,6 +1458,43 @@ TEST(ResultStore, SampledLineWithRetiredIpcKeysLoadsAndResumes) {
   const CampaignReport report = run_campaign(spec, fake_runner(), options);
   EXPECT_EQ(report.skipped, 1u);
   EXPECT_EQ(report.ran, spec.expand().size() - 1);
+  std::remove(path.c_str());
+}
+
+// Sampled lines used to carry the sampled shape only beside the task, so
+// their "task" id lacked "/k=K/sw=N". Such a line loads as the sampled
+// task, resumes a sampled grid and satisfies no task of the monolithic one.
+TEST(ResultStore, SampledLineWithoutShapeInItsIdResumesTheSampledTask) {
+  SweepSpec sampled = small_spec();
+  sampled.sample_intervals = 2;
+  TaskRecord rec;
+  rec.task = sampled.expand().front();
+  rec.status = "ok";
+  rec.stats = fake_stats(rec.task);
+  rec.samples = {{0, 0, 0, 500, 610, 500}, {1, 2'500, 2'000, 500, 624, 500}};
+  std::string line = to_jsonl(rec);
+  const std::string id = rec.task.id();
+  const std::string old_id = small_spec().expand().front().id();
+  ASSERT_EQ(id, old_id + "/k=2/sw=2000");
+  line.replace(line.find(id), id.size(), old_id);
+
+  const auto back = parse_jsonl(line);
+  ASSERT_TRUE(back.has_value()) << line;
+  EXPECT_EQ(back->task.sample_intervals, 2u);
+  EXPECT_EQ(back->task.id(), id);
+
+  const std::string path = temp_path("unshaped_sampled_id");
+  CampaignOptions options;
+  options.out_path = path;
+  options.progress = false;
+  options.scheduler.jobs = 1;
+  for (const SweepSpec& spec : {sampled, small_spec()}) {
+    std::ofstream(path) << line << "\n";
+    const CampaignReport report = run_campaign(spec, fake_runner(), options);
+    const std::size_t resumed = spec.sample_intervals ? 1 : 0;
+    EXPECT_EQ(report.skipped, resumed) << spec.sample_intervals;
+    EXPECT_EQ(report.ran, spec.expand().size() - resumed);
+  }
   std::remove(path.c_str());
 }
 
@@ -1490,11 +1560,12 @@ TEST(ResultStore, JsonlBytesArePinned) {
   sampled.duration_ms = 7.25;
   sampled.stats = stats;
   sampled.ckpt_cache = "hit";
-  sampled.sample_intervals = 2;
-  sampled.sample_warmup = 2000;
+  sampled.task.sample_intervals = 2;
+  sampled.task.sample_warmup = 2000;
   sampled.samples = {{0, 0, 0, 500, 610, 500}, {1, 2500, 2000, 500, 624, 500}};
   EXPECT_EQ(to_jsonl(sampled),
-      R"({"campaign":"unit","task":"unit/li/seed=0x5eed/base/n=1000/w=0",)"
+      R"({"campaign":"unit",)"
+      R"("task":"unit/li/seed=0x5eed/base/n=1000/w=0/k=2/sw=2000",)"
       R"("workload":"li","seed":"0x5eed","machine":"base","slices":1,)"
       R"("techniques":"0x0","label":"base","instructions":1000,"warmup":0,)"
       R"("status":"ok","attempts":1,"duration_ms":7.250,)"
@@ -1565,8 +1636,8 @@ std::vector<std::string> record_shape_lines() {
   sampled.duration_ms = 7.25;
   sampled.stats = stats;
   sampled.ckpt_cache = "hit";
-  sampled.sample_intervals = 2;
-  sampled.sample_warmup = 2000;
+  sampled.task.sample_intervals = 2;
+  sampled.task.sample_warmup = 2000;
   sampled.samples = {{0, 0, 0, 500, 610, 500}, {1, 2500, 2000, 500, 624, 500}};
 
   TaskRecord failed;
@@ -1609,7 +1680,7 @@ TEST(ResultStore, TornSampledTailIsNotADoneTask) {
   }
   const auto stored = stored_by_id(path);
   EXPECT_EQ(stored.size(), 1u);
-  EXPECT_EQ(stored.count(small_spec().expand().front().id()), 0u);
+  EXPECT_EQ(stored.count(parse_jsonl(sampled)->task.id()), 0u);
   std::remove(path.c_str());
 }
 

@@ -321,8 +321,6 @@ TEST(RemoteSpecJson, RoundTripsEveryField) {
   spec.run.interval = 5000;
   spec.run.host_profile = true;
   spec.run.cpi_stack = true;
-  spec.run.sample_intervals = 30;
-  spec.run.sample_warmup = 1234;
   spec.timeout_sec = 12.5;
   spec.max_attempts = 3;
   spec.heartbeat_sec = 0.25;
@@ -333,8 +331,6 @@ TEST(RemoteSpecJson, RoundTripsEveryField) {
   EXPECT_EQ(back->run.interval, 5000u);
   EXPECT_TRUE(back->run.host_profile);
   EXPECT_TRUE(back->run.cpi_stack);
-  EXPECT_EQ(back->run.sample_intervals, 30u);
-  EXPECT_EQ(back->run.sample_warmup, 1234u);
   EXPECT_DOUBLE_EQ(back->timeout_sec, 12.5);
   EXPECT_EQ(back->max_attempts, 3u);
   EXPECT_DOUBLE_EQ(back->heartbeat_sec, 0.25);
@@ -350,21 +346,17 @@ TEST(RemoteSpecJson, FrameBytesArePinned) {
   spec.run.interval = 5000;
   spec.run.host_profile = true;
   spec.run.cpi_stack = true;
-  spec.run.sample_intervals = 30;
-  spec.run.sample_warmup = 1234;
   spec.run.ckpt_cache_dir = "/host/local";  // never on the wire
   spec.timeout_sec = 12.5;
   spec.max_attempts = 3;
   spec.heartbeat_sec = 0.25;
   EXPECT_EQ(encode_remote_spec(spec),
-            R"({"proto":3,"campaign":"fig11","interval":5000,)"
-            R"("host_profile":true,"cpi_stack":true,"sample_intervals":30,)"
-            R"("sample_warmup":1234,"timeout_sec":12.500000,)"
+            R"({"proto":4,"campaign":"fig11","interval":5000,)"
+            R"("host_profile":true,"cpi_stack":true,"timeout_sec":12.500000,)"
             R"("max_attempts":3,"heartbeat_sec":0.250000})");
   EXPECT_EQ(encode_remote_spec(RemoteSpec{}),
-            R"({"proto":3,"campaign":"","interval":0,"host_profile":false,)"
-            R"("cpi_stack":false,"sample_intervals":0,"sample_warmup":2000,)"
-            R"("timeout_sec":0.000000,"max_attempts":2,)"
+            R"({"proto":4,"campaign":"","interval":0,"host_profile":false,)"
+            R"("cpi_stack":false,"timeout_sec":0.000000,"max_attempts":2,)"
             R"("heartbeat_sec":1.000000})");
   const auto back = parse_remote_spec(encode_remote_spec(spec));
   ASSERT_TRUE(back);
@@ -375,18 +367,32 @@ TEST(RemoteSpecJson, FrameBytesArePinned) {
 // out-of-range value rejects the frame instead of wrapping into a huge or
 // zero knob.
 TEST(RemoteSpecJson, RejectsNumbersOutsideTheFieldsRange) {
-  EXPECT_FALSE(parse_remote_spec(R"({"proto":2,"sample_intervals":-1})"));
-  EXPECT_FALSE(parse_remote_spec(R"({"proto":2,"sample_warmup":1e30})"));
+  EXPECT_FALSE(parse_remote_spec(R"({"proto":2,"interval":-1})"));
+  EXPECT_FALSE(parse_remote_spec(R"({"proto":2,"interval":1e30})"));
   EXPECT_FALSE(parse_remote_spec(R"({"proto":1e30})"));
   EXPECT_FALSE(parse_remote_spec(R"({"proto":2,"interval":0.5})"));
-  EXPECT_FALSE(
-      parse_remote_spec(R"({"proto":2,"sample_intervals":4294967296})"));
   EXPECT_FALSE(parse_remote_spec(R"({"proto":2,"max_attempts":-2})"));
   EXPECT_FALSE(parse_remote_spec(R"({"proto":2,"cpi_stack":1})"));
-  const auto edge =
-      parse_remote_spec(R"({"proto":2,"sample_intervals":4294967295})");
+  // The sampled shape arrives on the task line, in the store's schema: a
+  // 32-bit K past its range is garbage, its largest value parses.
+  TaskSpec task;
+  task.campaign = "fig11";
+  task.workload = "li";
+  task.sample_intervals = 7;
+  const std::string line = task_jsonl(task);
+  const auto with_k = [&](const std::string& k) {
+    std::string out = line;
+    const std::string from = "\"sample_intervals\":7";
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << out;
+    return at == std::string::npos ? out
+                                   : out.replace(at, from.size(),
+                                                 "\"sample_intervals\":" + k);
+  };
+  EXPECT_FALSE(parse_jsonl(with_k("4294967296")));
+  const auto edge = parse_jsonl(with_k("4294967295"));
   ASSERT_TRUE(edge);
-  EXPECT_EQ(edge->run.sample_intervals, 4294967295u);
+  EXPECT_EQ(edge->task.sample_intervals, 4294967295u);
 }
 
 // --------------------------------------------------------------- run options
@@ -396,11 +402,9 @@ TEST(RemoteSpecJson, RejectsNumbersOutsideTheFieldsRange) {
 // member is added; the loop then demands a registry entry for it.
 TEST(RunOptions, EveryMemberIsRegistered) {
   RunnerOptions o;
-  auto& [interval, host_profile, ckpt_cache_dir, cpi_stack,
-         sample_intervals, sample_warmup] = o;
-  const std::vector<const void*> members = {
-      &interval,  &host_profile,     &ckpt_cache_dir,
-      &cpi_stack, &sample_intervals, &sample_warmup};
+  auto& [interval, host_profile, ckpt_cache_dir, cpi_stack] = o;
+  const std::vector<const void*> members = {&interval, &host_profile,
+                                            &ckpt_cache_dir, &cpi_stack};
   std::vector<const void*> registered;
   for (const RunOptionField& f : run_option_fields())
     registered.push_back(
@@ -519,18 +523,18 @@ TEST(RemoteCampaign, DistributedRunMatchesTheLocalRunnerByteForByte) {
   std::remove(ports_path.c_str());
 }
 
-// The SPEC's run options reach the runner a worker builds from them:
-// with run.sample_intervals set, make_sim_runner(spec.run) runs every
-// served task as a sampled run, and its record carries the interval rows.
+// The sampled shape rides on each TASK line: a worker's runner runs every
+// served task of a sampled spec as a sampled run, and its record carries
+// the interval rows.
 TEST(RemoteCampaign, ServedSampledCampaignRecordsEveryTasksIntervals) {
-  const SweepSpec spec = tiny_spec({0x5eed, 0x1111});
+  SweepSpec spec = tiny_spec({0x5eed, 0x1111});
+  spec.sample_intervals = 2;
   const std::string out = temp_path("sampled") + ".jsonl";
   const std::string ports_path = temp_path("sampled_ports");
 
   RemoteOptions ropts;
   ropts.bind = {"127.0.0.1", 0};
   ropts.port_file = ports_path;
-  ropts.spec.run.sample_intervals = 2;
   auto serve = std::async(std::launch::async, [&] {
     return serve_campaign(spec, serve_options(out, true), ropts);
   });
@@ -550,7 +554,7 @@ TEST(RemoteCampaign, ServedSampledCampaignRecordsEveryTasksIntervals) {
   ASSERT_EQ(stored.size(), 2u);
   for (const auto& [id, rec] : stored) {
     EXPECT_EQ(rec.status, "ok") << id << ": " << rec.error;
-    EXPECT_EQ(rec.sample_intervals, 2u) << id;
+    EXPECT_EQ(rec.task.sample_intervals, 2u) << id;
     EXPECT_EQ(rec.samples.size(), 2u) << id;
   }
   std::remove(out.c_str());
@@ -599,9 +603,10 @@ TEST(RemoteCampaign, ProtocolVersionMismatchIsRejectedAtHello) {
   const Ports ports = wait_ports(ports_path);
   ASSERT_NE(ports.port, 0);
 
-  // A worker speaking v2 (whose task ids carried the co-simulation label)
-  // or tomorrow's protocol gets an ERROR frame, not a SPEC.
-  for (const int proto : {2, 99}) {
+  // A worker speaking v2 (whose task ids carried the co-simulation label),
+  // v3 (which read the sampled shape from the SPEC frame) or tomorrow's
+  // protocol gets an ERROR frame, not a SPEC.
+  for (const int proto : {2, 3, 99}) {
     std::string err;
     const int fd = tcp_connect({"127.0.0.1", ports.port}, 5, &err);
     ASSERT_GE(fd, 0) << err;

@@ -428,8 +428,7 @@ TEST(Sampled, EveryIntervalEqualsTheTaskItDescribes) {
 
 // make_sim_runner is the one production runner: with sample_intervals
 // set, a task runs as run_sampled's K intervals and its record carries the
-// sampled run, number for number. A campaign of such tasks writes the same
-// records, host times aside, on four threads as on one.
+// sampled run, number for number.
 TEST(Sampled, TheSimRunnerRecordsTheSampledRun) {
   campaign::TaskSpec task;
   task.workload = "li";
@@ -438,21 +437,15 @@ TEST(Sampled, TheSimRunnerRecordsTheSampledRun) {
   task.instructions = 6'000;
   task.warmup = 1'000;
   task.fast_forward = 2'000;
-  campaign::RunnerOptions ropts;
-  ropts.sample_intervals = 2;
-  ropts.sample_warmup = 500;
-  const campaign::TaskOutcome r = campaign::make_sim_runner(ropts)(task);
+  task.sample_intervals = 2;
+  task.sample_warmup = 500;
+  const campaign::TaskOutcome r = campaign::make_sim_runner()(task);
   ASSERT_TRUE(r.error.empty()) << r.error;
 
-  SampleOptions opts;
-  opts.intervals = 2;
-  opts.warmup = 500;
   const SampledResult s = run_sampled(task, task.machine.build(),
-                                      build_workload("li").program, opts);
+                                      build_workload("li").program);
   ASSERT_TRUE(s.ok()) << s.error;
   ASSERT_EQ(s.intervals.size(), 2u);
-  EXPECT_EQ(r.sample_intervals, 2u);
-  EXPECT_EQ(r.sample_warmup, 500u);
   EXPECT_EQ(counter_values(r.stats), counter_values(s.aggregate));
   ASSERT_EQ(r.samples.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
@@ -463,12 +456,21 @@ TEST(Sampled, TheSimRunnerRecordsTheSampledRun) {
                                 iv.stats.committed}))
         << "interval " << i;
   }
+}
 
+// Concurrent sampled tasks of one workload share one fast-forward: the
+// runner's memo materialises the interval checkpoints once per process, so
+// a 13-task campaign records one "miss" on four threads as on one, and the
+// same records otherwise, host times aside. Which task pays the miss is
+// whichever thread got there first, so the records compare without it.
+TEST(Sampled, ConcurrentSampledTasksShareOneFastForward) {
   campaign::SweepSpec spec = campaign::find_campaign("fig11")->make();
   spec.workloads = {"li"};
   spec.instructions = 2'000;
   spec.warmup = 500;
   spec.fast_forward = 1'000;
+  spec.sample_intervals = 2;
+  spec.sample_warmup = 500;
   const auto records = [&](unsigned jobs) {
     campaign::CampaignOptions options;
     options.out_path = testing::TempDir() + "bsp_sampling_jobs" +
@@ -479,17 +481,24 @@ TEST(Sampled, TheSimRunnerRecordsTheSampledRun) {
     options.scheduler.jobs = jobs;
     options.scheduler.max_attempts = 1;
     campaign::CampaignReport report = campaign::run_campaign(
-        spec, campaign::make_sim_runner(ropts), options);
+        spec, campaign::make_sim_runner(), options);
     std::filesystem::remove(options.out_path);
     EXPECT_EQ(report.ok, 13u) << jobs << " jobs";
+    EXPECT_EQ(report.ckpt_misses, 1u) << jobs << " jobs";
+    std::size_t misses = 0;
     std::vector<std::string> lines;
     for (campaign::TaskRecord& rec : report.records) {
       EXPECT_EQ(rec.samples.size(), 2u) << rec.task.id();
+      misses += rec.ckpt_cache == "miss";
+      EXPECT_TRUE(rec.ckpt_cache == "miss" || rec.ckpt_cache == "hit")
+          << rec.task.id() << ": " << rec.ckpt_cache;
+      rec.ckpt_cache.clear();
       rec.duration_ms = 0;
       rec.stats.host_seconds = 0;
       rec.ffwd_sec = 0;
       lines.push_back(campaign::to_jsonl(rec));
     }
+    EXPECT_EQ(misses, 1u) << jobs << " jobs";
     return lines;
   };
   EXPECT_EQ(records(4), records(1));
@@ -547,27 +556,22 @@ TEST(Sampled, UnreachableFastForwardFailsLikeTheMonolithicRun) {
       "fast-forward failed: program exited or faulted before "
       "fast_forward=100000000";
 
-  campaign::RunnerOptions mono;
-  campaign::RunnerOptions sampled;
+  campaign::TaskSpec sampled = task;
   sampled.sample_intervals = 2;
-  for (const campaign::RunnerOptions& ropts : {mono, sampled}) {
-    const std::string what =
-        ropts.sample_intervals ? "sampled" : "monolithic";
-    const campaign::TaskRunner runner = campaign::make_sim_runner(ropts);
+  for (const campaign::TaskSpec& run : {task, sampled}) {
+    const std::string what = run.sample_intervals ? "sampled" : "monolithic";
+    const campaign::TaskRunner runner = campaign::make_sim_runner();
     campaign::SchedulerOptions thread;
     thread.max_attempts = 1;  // the failure is deterministic
-    const campaign::TaskOutcome t = run_one_task(task, runner, thread);
+    const campaign::TaskOutcome t = run_one_task(run, runner, thread);
     EXPECT_EQ(t.status, "failed") << what << ", thread";
     EXPECT_EQ(t.error, expected) << what << ", thread";
 
     campaign::SchedulerOptions process = thread;
     process.isolate = campaign::IsolationMode::kProcess;
     process.worker_task_json = true;
-    process.worker_cmd = {BSP_SWEEP_EXE};
-    for (std::string& arg : campaign::run_option_args(ropts))
-      process.worker_cmd.push_back(std::move(arg));
-    process.worker_cmd.push_back("--worker-json");
-    const campaign::TaskOutcome p = run_one_task(task, runner, process);
+    process.worker_cmd = {BSP_SWEEP_EXE, "--worker-json"};
+    const campaign::TaskOutcome p = run_one_task(run, runner, process);
     EXPECT_EQ(p.status, "failed") << what << ", process";
     EXPECT_EQ(p.error, expected) << what << ", process";
   }

@@ -4,12 +4,11 @@
 //   bsp-sim <program.{s,bspo} | workload> [options]      (--help lists them)
 //
 // The run knobs bsp-sweep shares (--host-profile, --cpi-stack,
-// --sample-intervals, --sample-warmup, --ckpt-cache) come from the
-// campaign::RunnerOptions registry; --interval-stats here streams a
-// monolithic run's time-series to a file instead. With --sample-intervals
-// K the measured region is sharded into K intervals simulated in parallel
-// (src/sampling/) and stitched back with a confidence interval on the IPC
-// estimate.
+// --ckpt-cache) come from the campaign::RunnerOptions registry;
+// --interval-stats here streams a monolithic run's time-series to a file
+// instead. With --sample-intervals K the measured region is sharded into K
+// intervals simulated in parallel (src/sampling/) and stitched back with a
+// confidence interval on the IPC estimate.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -159,9 +158,9 @@ int main(int argc, char** argv) {
   std::string input, ckpt_path;
   unsigned slices = 2;
   std::string techniques_spec = "all";
-  u64 instructions = 200'000;
-  u64 warmup = 0;
-  u64 fast_forward = 0;
+  // The run's budgets and sampled shape; workload and seed are set below.
+  campaign::TaskSpec task;
+  task.warmup = 0;
   bool print_config = false;
   bool detail = false;
   bool trace = false;
@@ -189,12 +188,15 @@ int main(int argc, char** argv) {
                    "lsq,tag,narrow (default all)",
                    &techniques_spec);
   parser.add_value("-n, --instructions", "N",
-                   "measured commit budget (default 200000)", &instructions);
+                   "measured commit budget (default 200000)",
+                   &task.instructions);
   parser.add_value("--warmup", "N",
-                   "detail commits discarded before measuring", &warmup);
+                   "detail commits discarded before measuring", &task.warmup);
   parser.add_value("--fast-forward", "N",
                    "functional instructions skipped before detail",
-                   &fast_forward);
+                   &task.fast_forward);
+  campaign::add_sample_flags(parser, &task.sample_intervals,
+                             &task.sample_warmup);
   parser.add_value("--checkpoint", "FILE",
                    "start from a captured BSPC state", &ckpt_path);
   parser.add_optional_values(
@@ -261,12 +263,13 @@ int main(int argc, char** argv) {
     std::cout << cfg.describe() << "Figure 10 pipeline: "
               << pipeline_diagram(cfg) << "\n\n";
 
+  task.workload = input;
   // Checkpoint-cache keying seed: bsp-sim builds workloads with the
   // default WorkloadParams seed, and the content hash carries correctness
   // anyway (the readable prefix is for humans).
-  constexpr u64 kSeed = 0x5eed;
+  task.seed = 0x5eed;
 
-  if (run.sample_intervals > 0) {
+  if (task.sample_intervals > 0) {
     if (!ckpt_path.empty()) {
       std::cerr << "bsp-sim: --checkpoint cannot be combined with sampled "
                    "simulation (use --fast-forward)\n";
@@ -278,14 +281,8 @@ int main(int argc, char** argv) {
                    "monolithic run; drop --sample-intervals\n";
       return 2;
     }
-    sampling::SampleOptions opts;
-    opts.intervals = run.sample_intervals;
-    opts.warmup = run.sample_warmup;
-    opts.jobs = sample_jobs;
-    opts.ckpt_cache_dir = run.ckpt_cache_dir;
     const sampling::SampledResult res =
-        sampling::run_sampled(cfg, *program, input, kSeed, instructions,
-                              warmup, fast_forward, opts, run);
+        sampling::run_sampled(task, cfg, *program, run, sample_jobs);
     if (!sample_out.empty()) {
       std::ofstream os(sample_out);
       if (!os) {
@@ -334,7 +331,7 @@ int main(int argc, char** argv) {
     }
     start = &*loaded;
   }
-  if (fast_forward > 0) {
+  if (task.fast_forward > 0) {
     if (start) {
       std::cerr << "bsp-sim: --checkpoint and --fast-forward are mutually "
                    "exclusive\n";
@@ -342,14 +339,14 @@ int main(int argc, char** argv) {
     }
     // Through the campaign cache when --ckpt-cache is given (publishes for
     // later runs), a plain emulator fast-forward otherwise.
-    ffwd = campaign::materialise_checkpoints(*program, input, kSeed,
-                                             {fast_forward},
-                                             run.ckpt_cache_dir);
-    if (const std::string why = ffwd.failure(fast_forward); !why.empty()) {
+    ffwd = campaign::materialise_checkpoints(
+        *program, input, task.seed, {task.fast_forward}, run.ckpt_cache_dir);
+    if (const std::string why = ffwd.failure(task.fast_forward);
+        !why.empty()) {
       std::cerr << "bsp-sim: " << why << "\n";
       return 1;
     }
-    start = ffwd.start(fast_forward);
+    start = ffwd.start(task.fast_forward);
   }
   Simulator sim(cfg, *program, start);
   if (detail) sim.enable_detail();
@@ -389,7 +386,7 @@ int main(int argc, char** argv) {
     sim.set_interval_sampler(sampler.get());
   }
 
-  const SimResult r = sim.run(instructions, warmup);
+  const SimResult r = sim.run(task.instructions, task.warmup);
   if (!r.ok()) {
     std::cerr << "bsp-sim: " << r.error << "\n";
     return 1;

@@ -130,8 +130,9 @@ int main(int argc, char** argv) {
   std::string campaign_name;
   bool list = false, dry_run = false, csv = false;
   bool fresh = false, retry_failed = false, no_progress = false;
-  bool has_n = false, has_warmup = false, has_ff = false;
-  u64 instructions = 0, warmup = 0, fast_forward = 0;
+  // The budgets and sampled shape every task of the grid gets (builtin
+  // campaigns declare only their axes).
+  SweepSpec grid;
   std::vector<std::string> workloads;
   std::vector<u64> seeds;
   std::string isolate = "thread";
@@ -148,23 +149,15 @@ int main(int argc, char** argv) {
   parser.add_flag("--list", "list the built-in campaigns", &list);
   parser.add_value("-n, --n, --instructions", "N",
                    "override measured instructions per run",
-                   [&](const std::string& v) {
-                     instructions = parse_cli_u64("--instructions", v);
-                     has_n = true;
-                   });
+                   &grid.instructions);
   parser.add_value("--warmup", "N", "override discarded timing warm-up",
-                   [&](const std::string& v) {
-                     warmup = parse_cli_u64("--warmup", v);
-                     has_warmup = true;
-                   });
+                   &grid.warmup);
   parser.add_value("--fast-forward", "N",
                    "functionally fast-forward N instructions before timing "
                    "starts (the paper skips ~1B per benchmark); tasks "
                    "sharing a workload+seed reuse one checkpoint",
-                   [&](const std::string& v) {
-                     fast_forward = parse_cli_u64("--fast-forward", v);
-                     has_ff = true;
-                   });
+                   &grid.fast_forward);
+  add_sample_flags(parser, &grid.sample_intervals, &grid.sample_warmup);
   parser.add_value("-w, --workload", "NAME",
                    "restrict to one workload (repeatable)", &workloads);
   parser.add_value("--seed", "S",
@@ -342,9 +335,11 @@ int main(int argc, char** argv) {
   SweepSpec spec = builtin->make();
   if (!workloads.empty()) spec.workloads = workloads;
   if (!seeds.empty()) spec.seeds = seeds;
-  if (has_n) spec.instructions = instructions;
-  if (has_warmup) spec.warmup = warmup;
-  if (has_ff) spec.fast_forward = fast_forward;
+  spec.instructions = grid.instructions;
+  spec.warmup = grid.warmup;
+  spec.fast_forward = grid.fast_forward;
+  spec.sample_intervals = grid.sample_intervals;
+  spec.sample_warmup = grid.sample_warmup;
   // A name no kernel has would fail every task of the grid; reject it
   // before the first one runs.
   for (const std::string& w : workloads) {
