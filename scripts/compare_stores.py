@@ -5,10 +5,8 @@ Checks that two runs of the same campaign produced the same records: the
 same task ids, and for every task the same fields with the same values,
 apart from host measurements — wall-clock and CPU times, rusage and the
 host-phase timings (host_phases keeps its key set and loop_cycles, which
-are simulated quantities) — and whether a task's start checkpoints were a
-cache "hit" or a "miss" (ckpt_cache keeps its presence: threads of one
-process share one fast-forward, worker processes each pay their own). The
-last record per task id wins, as in the store's own resume path.
+are simulated quantities). The last record per task id wins, as in the
+store's own resume path.
 
 Run the same sweep under --isolate thread and --isolate process and
 compare: any per-task knob a process worker failed to receive shows up as
@@ -48,8 +46,6 @@ def load(path):
 
 def comparable(rec):
     out = {k: v for k, v in rec.items() if k not in HOST_FIELDS}
-    if "ckpt_cache" in out:
-        out["ckpt_cache"] = None
     if "host_phases" in out:
         phases = out["host_phases"]
         out["host_phases"] = {

@@ -159,8 +159,9 @@ PrewarmStats prewarm_checkpoint_cache(const std::vector<TaskSpec>& tasks,
           ++stats.failed;  // workers will hit the same error per-task
         else if (set.materialised)
           ++stats.materialised;
-        else
+        else if (set.reused)
           ++stats.reused;
+        // else the program ends before every offset: nothing to count
         stats.ffwd_sec += set.ffwd_sec;
       },
       options.jobs);

@@ -86,7 +86,8 @@ std::vector<TaskSpec> checkpoint_groups(const std::vector<TaskSpec>& tasks);
 // groups on options.jobs threads. After this pass every worker —
 // thread or subprocess, this sweep or a concurrent one over the same
 // directory — restores in milliseconds instead of re-emulating. No-op
-// (all-zero stats) when ckpt_cache_dir is empty.
+// (all-zero stats) when ckpt_cache_dir is empty. A group whose program
+// ends before every offset is neither materialised, reused nor failed.
 struct PrewarmStats {
   std::size_t groups = 0;        // checkpoint_groups() of the tasks
   std::size_t materialised = 0;  // groups this call fast-forwarded

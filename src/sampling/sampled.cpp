@@ -116,21 +116,6 @@ SampledResult run_intervals(const campaign::TaskSpec& task,
   return out;
 }
 
-SampledResult run_sampled(const campaign::TaskSpec& task,
-                          const MachineConfig& config, const Program& program,
-                          const campaign::RunnerOptions& run, unsigned jobs) {
-  const WallTimer wall;
-  const PrewarmResult prewarm = campaign::materialise_checkpoints(
-      program, task.workload, task.seed, campaign::checkpoint_offsets(task),
-      run.ckpt_cache_dir);
-  SampledResult out = run_intervals(task, config, program, prewarm, run, jobs);
-  out.ckpt_materialised = prewarm.materialised;
-  out.ckpt_reused = prewarm.reused;
-  out.prewarm_sec = prewarm.ffwd_sec;
-  out.wall_sec = wall.seconds();
-  return out;
-}
-
 SampledResult run_sampled(const MachineConfig& config, const Program& program,
                           const std::string& workload, u64 seed,
                           u64 max_commits, u64 warmup, u64 fast_forward,
@@ -144,9 +129,17 @@ SampledResult run_sampled(const MachineConfig& config, const Program& program,
   task.fast_forward = fast_forward;
   task.sample_intervals = opts.intervals;
   task.sample_warmup = opts.warmup;
-  campaign::RunnerOptions with_cache = run;
-  with_cache.ckpt_cache_dir = opts.ckpt_cache_dir;
-  return run_sampled(task, config, program, with_cache, opts.jobs);
+  const WallTimer wall;
+  const PrewarmResult prewarm = campaign::materialise_checkpoints(
+      program, workload, seed, campaign::checkpoint_offsets(task),
+      opts.ckpt_cache_dir);
+  SampledResult out =
+      run_intervals(task, config, program, prewarm, run, opts.jobs);
+  out.ckpt_materialised = prewarm.materialised;
+  out.ckpt_reused = prewarm.reused;
+  out.prewarm_sec = prewarm.ffwd_sec;
+  out.wall_sec = wall.seconds();
+  return out;
 }
 
 }  // namespace bsp::sampling

@@ -1,8 +1,7 @@
 // Sampled-simulation engine: one long detailed run, sharded into K
 // intervals and simulated in parallel. It is compiled into the campaign
-// library: campaign::make_sim_runner runs a task with sample_intervals > 0
-// through run_intervals, and bsp-sim --sample-intervals through
-// run_sampled. A task's sampled shape (K, N) is part of its TaskSpec.
+// library: make_sim_runner and bsp-sim run a task whose TaskSpec sets the
+// sampled shape (K, N) through run_intervals, from their own checkpoints.
 //
 // Pipeline (ARCHITECTURE.md §12):
 //  1. plan    — plan_intervals() splits the measured region into K
@@ -26,8 +25,7 @@
 //               aggregate, and estimate_ipc() puts a Student-t 95%
 //               confidence interval on the per-interval IPC mean
 //               (sampling/stitch.hpp).
-// run_sampled is steps 1-4; the sweep runner calls run_intervals (3-4)
-// with the set from its memo.
+// run_intervals is steps 3-4; run_sampled, kept for benchmark/, is 1-4.
 //
 // Determinism: the plan, every checkpoint, and every interval's measured
 // SimStats depend only on (config, program, seed, M, W, FF, K, N) — never
@@ -48,9 +46,8 @@
 
 namespace bsp::sampling {
 
-// The parameter-list run_sampled's shape and pool. What each interval
-// records (host profile, CPI stack) comes from the campaign::RunnerOptions
-// passed next to it.
+// run_sampled's shape and pool; what each interval records (host profile,
+// CPI stack) comes from the campaign::RunnerOptions passed next to it.
 struct SampleOptions {
   unsigned intervals = 8;  // K
   u64 warmup = kDefaultSampleWarmup;  // N: per-interval warm-up commits
@@ -89,12 +86,10 @@ struct SampledResult {
   int exit_code = 0;
   std::string error;         // non-empty when the fast-forward or an
                              // interval failed
-  // run_sampled's prewarm traffic and end-to-end wall clock (prewarm +
-  // workers); run_intervals leaves them zero.
-  std::size_t ckpt_materialised = 0;
+  std::size_t ckpt_materialised = 0;  // run_sampled's prewarm traffic
   std::size_t ckpt_reused = 0;
   double prewarm_sec = 0;    // host seconds the prewarm's misses took
-  double wall_sec = 0;
+  double wall_sec = 0;       // run_sampled's prewarm + workers wall clock
 
   bool ok() const { return error.empty(); }
 };
@@ -112,13 +107,8 @@ SampledResult run_intervals(const campaign::TaskSpec& task,
                             const campaign::RunnerOptions& run,
                             unsigned jobs);
 
-// The engine: plan, prewarm (into run.ckpt_cache_dir), run every interval
-// (parallel), stitch. `task` is the sampled run, on `config`.
-SampledResult run_sampled(const campaign::TaskSpec& task,
-                          const MachineConfig& config, const Program& program,
-                          const campaign::RunnerOptions& run = {},
-                          unsigned jobs = 0);
-// The same run, given as its parameters.
+// The engine as one call, for callers that hold no checkpoints: plan,
+// prewarm (into opts.ckpt_cache_dir), run every interval, stitch.
 SampledResult run_sampled(const MachineConfig& config, const Program& program,
                           const std::string& workload, u64 seed,
                           u64 max_commits, u64 warmup, u64 fast_forward,

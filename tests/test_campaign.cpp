@@ -1498,6 +1498,42 @@ TEST(ResultStore, SampledLineWithoutShapeInItsIdResumesTheSampledTask) {
   std::remove(path.c_str());
 }
 
+// A limit of that compatibility: a sampled task that failed before its
+// intervals ran (a crash, a timeout, an invalid machine, a workload that
+// did not build) was stored without the shape keys, so its line reads as
+// the monolithic task. A monolithic rerun resumes it as done unless
+// retry_failed (or fresh) is set; a sampled rerun runs it again.
+TEST(ResultStore, OldFailedSampledLineLoadsAsTheMonolithicTask) {
+  SweepSpec sampled = small_spec();
+  sampled.sample_intervals = 2;
+  TaskRecord rec;
+  rec.task = small_spec().expand().front();
+  rec.status = "failed";
+  rec.error = "invalid machine: bad slice geometry";
+  const std::string line = to_jsonl(rec);  // the shape-less old line
+  const auto back = parse_jsonl(line);
+  ASSERT_TRUE(back.has_value()) << line;
+  EXPECT_EQ(back->task.sample_intervals, 0u);
+  EXPECT_EQ(back->task.id(), rec.task.id());
+
+  const std::string path = temp_path("unshaped_failed_sampled");
+  CampaignOptions options;
+  options.out_path = path;
+  options.progress = false;
+  options.scheduler.jobs = 1;
+  for (const bool retry : {false, true}) {
+    for (const SweepSpec& spec : {sampled, small_spec()}) {
+      std::ofstream(path) << line << "\n";
+      options.retry_failed = retry;
+      const CampaignReport report = run_campaign(spec, fake_runner(), options);
+      const std::size_t resumed = !retry && !spec.sample_intervals ? 1 : 0;
+      EXPECT_EQ(report.skipped, resumed) << spec.sample_intervals << retry;
+      EXPECT_EQ(report.ran, spec.expand().size() - resumed);
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // The store's bytes are the contract resumed stores and bsp-report rely
 // on: these literal lines pin to_jsonl for each record shape, so a change
 // to how records are declared or assembled cannot silently move a key, a
@@ -1727,6 +1763,29 @@ TEST(ResultStore, MalformedNumbersAreRejected) {
       with(record, "\"cycles\":1234", "\"cycles\":9007199254740991"));
   ASSERT_TRUE(top.has_value());
   EXPECT_EQ(top->stats.cycles, 9007199254740991u);
+}
+
+// A sampled group at fast-forward 0 whose program ends before its one
+// interval offset materialises nothing and reuses nothing, so the
+// prewarm counts it as neither (its tasks skip that interval); it is no
+// failure either, since interval 0 starts at reset.
+TEST(Campaign, PrewarmCountsAGroupThatReachesNoOffsetAsNeither) {
+  TaskSpec task;
+  task.workload = "li";
+  task.instructions = 200'000'000;  // li exits long before interval 1
+  task.warmup = 0;
+  task.sample_intervals = 2;
+  ASSERT_EQ(checkpoint_offsets(task).size(), 1u);
+  const std::string dir =
+      testing::TempDir() + "bsp_prewarm_none_" + std::to_string(::getpid());
+  SchedulerOptions options;
+  options.ckpt_cache_dir = dir;
+  const PrewarmStats s = prewarm_checkpoint_cache({task}, options);
+  EXPECT_EQ(s.groups, 1u);
+  EXPECT_EQ(s.materialised, 0u);
+  EXPECT_EQ(s.reused, 0u);
+  EXPECT_EQ(s.failed, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Campaign, WarmCheckpointCacheReproducesColdStatsWithAllHits) {

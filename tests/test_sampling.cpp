@@ -427,8 +427,8 @@ TEST(Sampled, EveryIntervalEqualsTheTaskItDescribes) {
 }
 
 // make_sim_runner is the one production runner: with sample_intervals
-// set, a task runs as run_sampled's K intervals and its record carries the
-// sampled run, number for number.
+// set, a task runs as the sampled engine's K intervals and its record
+// carries the same run as run_sampled, number for number.
 TEST(Sampled, TheSimRunnerRecordsTheSampledRun) {
   campaign::TaskSpec task;
   task.workload = "li";
@@ -442,8 +442,12 @@ TEST(Sampled, TheSimRunnerRecordsTheSampledRun) {
   const campaign::TaskOutcome r = campaign::make_sim_runner()(task);
   ASSERT_TRUE(r.error.empty()) << r.error;
 
-  const SampledResult s = run_sampled(task, task.machine.build(),
-                                      build_workload("li").program);
+  SampleOptions opts;
+  opts.intervals = 2;
+  opts.warmup = 500;
+  const SampledResult s =
+      run_sampled(task.machine.build(), build_workload("li").program, "li",
+                  task.seed, 6'000, 1'000, 2'000, opts);
   ASSERT_TRUE(s.ok()) << s.error;
   ASSERT_EQ(s.intervals.size(), 2u);
   EXPECT_EQ(counter_values(r.stats), counter_values(s.aggregate));

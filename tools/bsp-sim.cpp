@@ -281,8 +281,37 @@ int main(int argc, char** argv) {
                    "monolithic run; drop --sample-intervals\n";
       return 2;
     }
-    const sampling::SampledResult res =
-        sampling::run_sampled(task, cfg, *program, run, sample_jobs);
+  }
+  if (!ckpt_path.empty() && task.fast_forward > 0) {
+    std::cerr << "bsp-sim: --checkpoint and --fast-forward are mutually "
+                 "exclusive\n";
+    return 2;
+  }
+  std::optional<Checkpoint> loaded;  // --checkpoint
+  if (!ckpt_path.empty()) {
+    std::string error;
+    loaded = load_checkpoint_file(ckpt_path, &error);
+    if (!loaded) {
+      std::cerr << "bsp-sim: " << error << "\n";
+      return 1;
+    }
+  }
+  // Every start state the run needs, through the campaign cache when
+  // --ckpt-cache is given (publishes for later runs), a plain emulator
+  // fast-forward otherwise.
+  const WallTimer wall;
+  const campaign::CheckpointSet ckpts = campaign::materialise_checkpoints(
+      *program, input, task.seed, campaign::checkpoint_offsets(task),
+      run.ckpt_cache_dir);
+  if (const std::string why = ckpts.failure(task.fast_forward);
+      !why.empty()) {
+    std::cerr << "bsp-sim: " << why << "\n";
+    return 1;
+  }
+
+  if (task.sample_intervals > 0) {
+    const sampling::SampledResult res = sampling::run_intervals(
+        task, cfg, *program, ckpts, run, sample_jobs);
     if (!sample_out.empty()) {
       std::ofstream os(sample_out);
       if (!os) {
@@ -312,42 +341,15 @@ int main(int argc, char** argv) {
                   "detail)\n",
                   res.plan.intervals.size(),
                   static_cast<unsigned long long>(res.plan.sample_warmup),
-                  res.ckpt_materialised, res.ckpt_reused, res.ipc.mean,
-                  res.ipc.ci95, res.ipc.weighted, res.ipc.n, res.wall_sec,
-                  res.prewarm_sec, res.aggregate.host_seconds);
+                  ckpts.materialised, ckpts.reused, res.ipc.mean,
+                  res.ipc.ci95, res.ipc.weighted, res.ipc.n, wall.seconds(),
+                  ckpts.ffwd_sec, res.aggregate.host_seconds);
     std::cout << buf;
     return res.exited ? res.exit_code : 0;
   }
 
-  std::optional<Checkpoint> loaded;  // --checkpoint
-  campaign::CheckpointSet ffwd;      // --fast-forward
-  const Checkpoint* start = nullptr;
-  if (!ckpt_path.empty()) {
-    std::string error;
-    loaded = load_checkpoint_file(ckpt_path, &error);
-    if (!loaded) {
-      std::cerr << "bsp-sim: " << error << "\n";
-      return 1;
-    }
-    start = &*loaded;
-  }
-  if (task.fast_forward > 0) {
-    if (start) {
-      std::cerr << "bsp-sim: --checkpoint and --fast-forward are mutually "
-                   "exclusive\n";
-      return 2;
-    }
-    // Through the campaign cache when --ckpt-cache is given (publishes for
-    // later runs), a plain emulator fast-forward otherwise.
-    ffwd = campaign::materialise_checkpoints(
-        *program, input, task.seed, {task.fast_forward}, run.ckpt_cache_dir);
-    if (const std::string why = ffwd.failure(task.fast_forward);
-        !why.empty()) {
-      std::cerr << "bsp-sim: " << why << "\n";
-      return 1;
-    }
-    start = ffwd.start(task.fast_forward);
-  }
+  const Checkpoint* start =
+      loaded ? &*loaded : ckpts.start(task.fast_forward);
   Simulator sim(cfg, *program, start);
   if (detail) sim.enable_detail();
   if (run.host_profile) sim.enable_host_profile();
