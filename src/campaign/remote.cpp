@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <stop_token>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -132,11 +134,23 @@ struct StatusConn {
 constexpr double kStatusLingerSec = 0.25;
 constexpr double kStatusDeadlineSec = 2.0;
 
+// Coordinator timeouts, in periods of the SPEC frame's heartbeat: a worker
+// silent this long is dead, and an idle worker may steal a task in flight
+// this long.
+constexpr double kDeadlinePeriods = 15;
+constexpr double kStealPeriods = 20;
+
 }  // namespace
 
 CampaignReport serve_campaign(const SweepSpec& spec,
                               const CampaignOptions& options,
                               const RemoteOptions& remote) {
+  const double period = remote.spec.heartbeat_sec;
+  if (!(std::isfinite(period) && period > 0))
+    throw std::invalid_argument(
+        "serve_campaign: the heartbeat period must be positive and finite");
+  const double deadline_sec = kDeadlinePeriods * period;
+  const double steal_sec = kStealPeriods * period;
   CampaignLedger ledger(spec, options);
   const std::vector<TaskSpec>& tasks = ledger.tasks();
   std::deque<std::size_t> queue(ledger.pending().begin(),
@@ -178,22 +192,7 @@ CampaignReport serve_campaign(const SweepSpec& spec,
   // Each pending checkpoint group rides to every worker as a PREWARM frame,
   // so each host pays each fast-forward once, before its first task.
   const std::vector<TaskSpec> reps = checkpoint_groups(ledger.pending_tasks());
-  RemoteSpec wire_spec = remote.spec;
-  wire_spec.heartbeat_sec = remote.heartbeat_sec;  // fleet-wide PING period
-  const std::string spec_frame = "SPEC " + encode_remote_spec(wire_spec);
-
-  // A deadline below the PING period would declare every healthy worker
-  // dead between heartbeats; floor it at two missed beats.
-  double worker_deadline_sec = remote.worker_deadline_sec;
-  if (remote.heartbeat_sec > 0 &&
-      worker_deadline_sec < 2 * remote.heartbeat_sec) {
-    worker_deadline_sec = 2 * remote.heartbeat_sec;
-    std::fprintf(stderr,
-                 "bsp-sweep: --worker-deadline %.3gs is under twice the "
-                 "%.3gs heartbeat; using %.3gs\n",
-                 remote.worker_deadline_sec, remote.heartbeat_sec,
-                 worker_deadline_sec);
-  }
+  const std::string spec_frame = "SPEC " + encode_remote_spec(remote.spec);
 
   std::vector<std::unique_ptr<Conn>> conns;
   std::size_t duplicates_dropped = 0;
@@ -248,8 +247,7 @@ CampaignReport serve_campaign(const SweepSpec& spec,
       if (ledger.done(i) || state[i].runners == 0 || state[i].runners >= 2)
         continue;
       if (c.inflight.count(i)) continue;
-      if (seconds_between(state[i].first_dispatch, now) <
-          remote.steal_after_sec)
+      if (seconds_between(state[i].first_dispatch, now) < steal_sec)
         continue;
       if (!best || state[i].first_dispatch < state[*best].first_dispatch)
         best = i;
@@ -527,7 +525,7 @@ CampaignReport serve_campaign(const SweepSpec& spec,
     // or SIGKILLed without the FIN reaching us — forfeits its tasks.
     for (const auto& c : conns) {
       if (c->stage == Conn::kDead) continue;
-      if (seconds_between(c->last_seen, now) > worker_deadline_sec)
+      if (seconds_between(c->last_seen, now) > deadline_sec)
         drop_conn(*c, "heartbeat deadline");
     }
     // Top up idle capacity: newly re-queued tasks and stealable stragglers
@@ -573,61 +571,6 @@ CampaignReport serve_campaign(const SweepSpec& spec,
 
 // ------------------------------------------------------------------ worker
 
-namespace {
-
-// Proof of life independent of task progress, running from the moment the
-// coordinator knows this worker: the prewarm pre-pass can outlast any sane
-// worker deadline, so PINGs must not wait for READY. The period can be
-// retuned mid-flight (the SPEC frame carries the fleet-wide value); the
-// destructor stops and joins, so every early-return path is covered.
-class Heartbeat {
- public:
-  Heartbeat(FrameChannel& ch, double period_sec)
-      : period_(period_sec > 0 ? period_sec : 1.0),
-        th_([this, &ch] { loop(ch); }) {}
-  ~Heartbeat() {
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    th_.join();
-  }
-  void set_period(double sec) {
-    if (sec <= 0) return;
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      period_ = sec;
-      ++gen_;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  void loop(FrameChannel& ch) {
-    std::unique_lock<std::mutex> lk(m_);
-    for (;;) {
-      const std::uint64_t gen = gen_;
-      const auto period = std::chrono::duration<double>(period_);
-      cv_.wait_for(lk, period, [&] { return stop_ || gen_ != gen; });
-      if (stop_) return;
-      if (gen_ != gen) continue;  // retuned: restart the wait at the new period
-      lk.unlock();
-      ch.send("PING");
-      lk.lock();
-    }
-  }
-
-  std::mutex m_;
-  std::condition_variable cv_;
-  double period_;
-  std::uint64_t gen_ = 0;
-  bool stop_ = false;
-  std::thread th_;
-};
-
-}  // namespace
-
 WorkerReport run_remote_worker(const WorkerOptions& options,
                                const WorkerSetup& setup) {
   WorkerReport rep;
@@ -659,10 +602,6 @@ WorkerReport run_remote_worker(const WorkerOptions& options,
       return rep;
     }
   }
-  // Heartbeat from HELLO onward — the coordinator's deadline clock is
-  // already running, and prewarm (below) can take minutes.
-  Heartbeat beat(ch, options.heartbeat_sec);
-
   std::string payload;
   if (ch.recv(&payload, 30.0) != FrameResult::kFrame) {
     rep.error = "no SPEC from coordinator within 30s";
@@ -689,7 +628,21 @@ WorkerReport run_remote_worker(const WorkerOptions& options,
       rep.error = "unparseable or incompatible SPEC frame";
       return rep;
     }
-    beat.set_period(spec->heartbeat_sec);  // fleet-wide period wins
+    // Proof of life at the SPEC frame's period, independent of task
+    // progress: PREWARM frames, setup and the prewarm below can outlast
+    // the coordinator's deadline, which started when it queued SPEC with
+    // its answer to HELLO. Leaving scope stops and joins the thread.
+    const double sec = spec->heartbeat_sec;
+    const std::chrono::duration<double> period(
+        std::isfinite(sec) && sec > 0 ? sec : 1.0);
+    const std::jthread beat([&ch, period](std::stop_token stop) {
+      std::mutex m;
+      std::condition_variable_any cv;
+      std::unique_lock<std::mutex> lk(m);
+      while (!cv.wait_for(lk, stop, period, [] { return false; }) &&
+             !stop.stop_requested())
+        ch.send("PING");
+    });
 
     std::vector<TaskSpec> prewarm_tasks;
     for (;;) {

@@ -21,15 +21,16 @@
 //   PING                           TASK <task jsonl>      (up to `slots` open)
 //   RECORD <record jsonl>          TASK ... | DONE
 //
-// PINGs start right after HELLO — prewarm can outlast any sane worker
-// deadline, so proof of life must not wait for READY. The SPEC frame's
-// heartbeat_sec retunes the period fleet-wide.
+// The SPEC frame's heartbeat_sec is the fleet's clock: each worker PINGs
+// at that period from the moment SPEC arrives — before PREWARM, setup and
+// prewarm, which can outlast the deadline, so proof of life must not wait
+// for READY — and every coordinator timeout counts whole periods of it.
 //
 // Delivery semantics: the coordinator tracks every task as pending,
-// in-flight, or done. A worker that misses its heartbeat deadline or drops
-// its socket has its in-flight tasks re-queued; when the queue runs dry,
-// idle workers duplicate-dispatch ("steal") the oldest in-flight straggler
-// past `steal_after_sec`. The first record to arrive per task id wins and
+// in-flight, or done. A worker silent for kDeadlinePeriods (15) or whose
+// socket drops has its in-flight tasks re-queued; when the queue runs dry,
+// idle workers duplicate-dispatch ("steal") the oldest straggler in flight
+// for kStealPeriods (20). The first record to arrive per task id wins and
 // is the only one appended — duplicates from a re-dispatch race are
 // dropped, so the store sees each task exactly once and its aggregate is
 // byte-identical to a single-host run of the same spec.
@@ -67,7 +68,9 @@ struct RemoteSpec {
   // Bounded retry inside each worker, and the coordinator's cap on workers
   // lost while holding one task: at this many the task is recorded crashed.
   unsigned max_attempts = 2;
-  double heartbeat_sec = 1;   // PING period every worker must keep
+  // The fleet's PING period; the worker deadline and the steal threshold
+  // are whole multiples of it.
+  double heartbeat_sec = 1;
 };
 std::string encode_remote_spec(const RemoteSpec& spec);
 std::optional<RemoteSpec> parse_remote_spec(const std::string& json);
@@ -77,11 +80,8 @@ struct RemoteOptions {
   bool status = false;             // serve the status endpoint?
   SocketAddr status_bind;          // --status-endpoint address
   std::string port_file;           // "" = none; else "port=N\nstatus_port=M\n"
-  double heartbeat_sec = 1.0;      // worker PING period, forwarded in SPEC
-  double worker_deadline_sec = 15; // silence past this marks a worker dead
-                                   // (floored at 2x heartbeat_sec)
-  double steal_after_sec = 20;     // idle workers duplicate-dispatch after
-  RemoteSpec spec;                 // forwarded to every worker
+  RemoteSpec spec;                 // forwarded to every worker; its
+                                   // heartbeat_sec times the coordinator too
 };
 
 // Runs `spec` to completion over remote workers, blocking until every task
@@ -89,7 +89,8 @@ struct RemoteOptions {
 // to run_campaign(); returns the same report shape. The coordinator never
 // simulates anything itself. A lost worker's tasks are re-queued, except a
 // task that has now cost spec.max_attempts workers: that one is recorded
-// as "crashed".
+// as "crashed". Throws std::invalid_argument unless
+// remote.spec.heartbeat_sec is positive and finite.
 CampaignReport serve_campaign(const SweepSpec& spec,
                               const CampaignOptions& options,
                               const RemoteOptions& remote);
@@ -97,7 +98,6 @@ CampaignReport serve_campaign(const SweepSpec& spec,
 struct WorkerOptions {
   SocketAddr connect;
   unsigned slots = 0;  // concurrent tasks advertised (0 = hardware threads)
-  double heartbeat_sec = 1.0;  // initial PING period; SPEC overrides it
   double connect_timeout_sec = 10;
   std::string hostname;  // "" = gethostname()
 };

@@ -6,15 +6,8 @@
 namespace bsp {
 
 const char* technique_name(Technique t) {
-  switch (t) {
-    case Technique::PartialBypass: return "partial operand bypassing";
-    case Technique::OooSlices: return "out-of-order slices";
-    case Technique::EarlyBranch: return "early branch resolution";
-    case Technique::EarlyLsq: return "early l/s disambiguation";
-    case Technique::PartialTag: return "partial tag matching";
-    case Technique::NarrowWidth: return "narrow-width slice relaxation";
-    case Technique::SumAddressed: return "sum-addressed memory";
-  }
+  for (const TechniqueInfo& row : kTechniqueTable)
+    if (row.technique == t) return row.name;
   return "?";
 }
 
@@ -56,12 +49,9 @@ std::string MachineConfig::describe() const {
     os << "bit-slicing: " << core.slices << " x "
        << core.slice_geometry().width() << "-bit slices; techniques:";
     bool any = false;
-    for (const auto t :
-         {Technique::PartialBypass, Technique::OooSlices,
-          Technique::EarlyBranch, Technique::EarlyLsq, Technique::PartialTag,
-          Technique::NarrowWidth, Technique::SumAddressed}) {
-      if (core.has(t)) {
-        os << (any ? ", " : " ") << technique_name(t);
+    for (const TechniqueInfo& row : kTechniqueTable) {
+      if (core.has(row.technique)) {
+        os << (any ? ", " : " ") << row.name;
         any = true;
       }
     }

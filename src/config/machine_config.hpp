@@ -48,6 +48,23 @@ inline constexpr TechniqueSet kAllTechniques =
 inline constexpr TechniqueSet kExtendedTechniques =
     kAllTechniques | static_cast<unsigned>(Technique::NarrowWidth);
 
+// One row per technique, in bit order: its bit, the name Table 2 and the
+// stack labels print, and bsp-sim's --techniques token.
+struct TechniqueInfo {
+  Technique technique;
+  const char* name;
+  const char* token;
+};
+inline constexpr TechniqueInfo kTechniqueTable[] = {
+    {Technique::PartialBypass, "partial operand bypassing", "bypass"},
+    {Technique::OooSlices, "out-of-order slices", "ooo"},
+    {Technique::EarlyBranch, "early branch resolution", "branch"},
+    {Technique::EarlyLsq, "early l/s disambiguation", "lsq"},
+    {Technique::PartialTag, "partial tag matching", "tag"},
+    {Technique::NarrowWidth, "narrow-width slice relaxation", "narrow"},
+    {Technique::SumAddressed, "sum-addressed memory", "sam"},
+};
+
 inline bool has_technique(TechniqueSet set, Technique t) {
   return (set & static_cast<unsigned>(t)) != 0;
 }

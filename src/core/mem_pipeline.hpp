@@ -584,6 +584,8 @@ class MemPipeline {
     e.forwarded = false;
     e.forward_store = -1;
     e.predicted_way = -1;
+    e.used_partial_tag = false;
+    e.early_miss = false;
     clear(hit_miss_, e.lsq_slot);
     ++stats_.load_replays;
   }

@@ -264,6 +264,42 @@ TEST(MemPipeline, RetireAndSquashClearTheirSlotsBits) {
   EXPECT_EQ(q.lsq.active(), 1);
 }
 
+// A load whose partial-tag access is revalidated away and re-issued with
+// its full address is a full-address access: it carries neither partial
+// flag, and revalidation checks it by the full-address rule.
+TEST(MemPipeline, ReissuedFullAccessDropsThePartialFlags) {
+  Lsq q(kBypass | static_cast<unsigned>(Technique::PartialTag));
+  ASSERT_EQ(q.mem.l1d().geometry().tag_lo_bit(), 14u);
+  const unsigned l = q.add(kLoad, 0x12345670, 4, 16);
+  q.lsq.mark_due(q[l]);
+  q.lsq.progress();
+  ASSERT_TRUE(q[l].used_partial_tag);  // a partial access on 16 bits
+  ASSERT_EQ(q[l].access_start_cycle, q.now);
+
+  // The top agen op behind it is reverted: 8 bits were not enough.
+  q.ruu.op_sel(l, 1) = kNever;
+  q.ruu.op_done(l, 1) = kNever;
+  ASSERT_TRUE(q.lsq.revalidate(q.ruu[l]));
+  ASSERT_EQ(q[l].mem_phase, MemPhase::Agen);
+  EXPECT_FALSE(q[l].used_partial_tag || q[l].early_miss);
+
+  // Every agen op is done 10 cycles later: the access is re-issued whole.
+  q.now += 10;
+  for (unsigned k = 0; k < 4; ++k) q.ruu.op_sel(l, k) = q.now - 2;
+  q.complete_agen(l);
+  q.lsq.mark_due(q[l]);
+  q.lsq.progress();
+  ASSERT_EQ(q[l].access_start_cycle, q.now);
+  EXPECT_FALSE(q[l].used_partial_tag);
+  EXPECT_FALSE(q[l].early_miss);
+
+  // Its full address moves past the access start: the full-address rule
+  // resets it, where the partial-bits rule (24 bits > tag_lo) would not.
+  q.ruu.op_done(l, 3) = q.now + 5;
+  EXPECT_TRUE(q.lsq.revalidate(q.ruu[l]));
+  EXPECT_EQ(q[l].mem_phase, MemPhase::Agen);
+}
+
 TEST(Ruu, AddrBitsKnownCountsContiguousLowSlices) {
   for (const bool sum_addressed : {false, true}) {
     Ruu ruu(4, SliceGeometry{4}, sum_addressed);

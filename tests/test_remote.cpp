@@ -9,12 +9,14 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <fstream>
 #include <future>
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -134,7 +136,6 @@ WorkerOptions worker_options(std::uint16_t port, unsigned slots = 1) {
   WorkerOptions w;
   w.connect = {"127.0.0.1", port};
   w.slots = slots;
-  w.heartbeat_sec = 0.1;
   w.connect_timeout_sec = 5;
   w.hostname = "test-worker";
   return w;
@@ -723,8 +724,7 @@ TEST(RemoteCampaign, SilentWorkerHitsTheHeartbeatDeadline) {
   RemoteOptions ropts;
   ropts.bind = {"127.0.0.1", 0};
   ropts.port_file = ports_path;
-  ropts.heartbeat_sec = 0.2;        // floor for the deadline below
-  ropts.worker_deadline_sec = 0.5;  // a wedged worker is declared dead fast
+  ropts.spec.heartbeat_sec = 0.03;  // a wedged worker is declared dead fast
   auto serve = std::async(std::launch::async, [&] {
     return serve_campaign(spec, serve_options(out, true), ropts);
   });
@@ -761,8 +761,8 @@ TEST(RemoteCampaign, IdleWorkerStealsTheStraggler) {
   RemoteOptions ropts;
   ropts.bind = {"127.0.0.1", 0};
   ropts.port_file = ports_path;
-  ropts.steal_after_sec = 0.3;
-  ropts.worker_deadline_sec = 30;  // heartbeats keep the slow worker alive
+  ropts.spec.heartbeat_sec = 0.015;  // steal after 0.3 s; the slow worker
+                                     // pings while its runner grinds
   auto serve = std::async(std::launch::async, [&] {
     return serve_campaign(spec, serve_options(out, true), ropts);
   });
@@ -906,6 +906,23 @@ TEST(RemoteCampaign, FullyResumedCampaignReturnsWithoutListening) {
   std::remove(out.c_str());
 }
 
+// Every coordinator timeout is a multiple of the heartbeat period, so a
+// period that is not positive and finite is refused before the store is
+// opened or a port bound.
+TEST(RemoteCampaign, PeriodThatIsNotPositiveAndFiniteIsRefused) {
+  const std::string out = temp_path("period") + ".jsonl";
+  for (const double period : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    RemoteOptions ropts;
+    ropts.bind = {"127.0.0.1", 0};
+    ropts.spec.heartbeat_sec = period;
+    EXPECT_THROW(
+        serve_campaign(tiny_spec({0x5eed}), serve_options(out, true), ropts),
+        std::invalid_argument)
+        << period;
+  }
+  EXPECT_FALSE(std::ifstream(out).good());
+}
+
 TEST(RemoteCampaign, StatusEndpointServesProgressJsonOverHttp) {
   const SweepSpec spec = tiny_spec({0x5eed, 0x1111});
   const std::string out = temp_path("status") + ".jsonl";
@@ -1036,14 +1053,12 @@ TEST(Progress, CrashedAndFailedCountAlikeInTheLiveLineStatusAndReport) {
 TEST(RemoteWorker, HeartbeatCoversTheHandshakeAndPrewarm) {
   // A prewarm (here: a slow setup callback) routinely outlasts the
   // coordinator's worker deadline; the worker must prove life the whole
-  // time, not only after READY — and at the SPEC frame's fleet-wide
-  // period, overriding its own much slower default.
+  // time, not only after READY — at the SPEC frame's period.
   TcpListener listener;
   std::string err;
   ASSERT_TRUE(listener.open({"127.0.0.1", 0}, &err)) << err;
 
   WorkerOptions w = worker_options(listener.port(), 1);
-  w.heartbeat_sec = 30;  // the SPEC below must override this
   auto worker = std::async(std::launch::async, [&] {
     return run_remote_worker(
         w, [](const RemoteSpec&, TaskRunner* r, SchedulerOptions*) {

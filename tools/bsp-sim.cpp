@@ -9,9 +9,11 @@
 // instead. With --sample-intervals K the measured region is sharded into K
 // intervals simulated in parallel (src/sampling/) and stitched back with a
 // confidence interval on the IPC estimate.
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -60,13 +62,11 @@ std::optional<TechniqueSet> parse_techniques(const std::string& spec) {
   std::stringstream ss(spec);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (item == "bypass") set |= static_cast<unsigned>(Technique::PartialBypass);
-    else if (item == "ooo") set |= static_cast<unsigned>(Technique::OooSlices);
-    else if (item == "branch") set |= static_cast<unsigned>(Technique::EarlyBranch);
-    else if (item == "lsq") set |= static_cast<unsigned>(Technique::EarlyLsq);
-    else if (item == "tag") set |= static_cast<unsigned>(Technique::PartialTag);
-    else if (item == "narrow") set |= static_cast<unsigned>(Technique::NarrowWidth);
-    else return std::nullopt;
+    const auto row =
+        std::find_if(std::begin(kTechniqueTable), std::end(kTechniqueTable),
+                     [&](const TechniqueInfo& r) { return item == r.token; });
+    if (row == std::end(kTechniqueTable)) return std::nullopt;
+    set |= static_cast<unsigned>(row->technique);
   }
   return set;
 }
@@ -183,9 +183,12 @@ int main(int argc, char** argv) {
   });
   parser.add_value("--slices", "N", "1 (base), 2, 4 or 8 (default 2)",
                    &slices);
+  std::string tokens;
+  for (const TechniqueInfo& row : kTechniqueTable)
+    tokens += (tokens.empty() ? "" : ",") + std::string(row.token);
   parser.add_value("--techniques", "SPEC",
-                   "none | all | extended | comma list of bypass,ooo,branch,"
-                   "lsq,tag,narrow (default all)",
+                   "none | all | extended | comma list of " + tokens +
+                       " (default all)",
                    &techniques_spec);
   parser.add_value("-n, --instructions", "N",
                    "measured commit budget (default 200000)",

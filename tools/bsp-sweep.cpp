@@ -39,7 +39,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <chrono>
+#include <cmath>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -138,7 +140,7 @@ int main(int argc, char** argv) {
   std::string isolate = "thread";
   std::string worker_json;
   std::string serve_addr, connect_addr, status_addr, port_file;
-  double heartbeat_sec = 1.0, worker_deadline_sec = 15, steal_after_sec = 20;
+  std::optional<double> heartbeat_sec;
   CampaignOptions options;
 
   ArgParser parser(
@@ -224,19 +226,14 @@ int main(int argc, char** argv) {
                    "handshake for port 0",
                    &port_file);
   parser.add_value("--heartbeat", "SEC",
-                   "worker PING period in distributed mode; --serve "
-                   "forwards it to every worker via the SPEC frame "
-                   "(default 1)",
-                   &heartbeat_sec);
-  parser.add_value("--worker-deadline", "SEC",
-                   "with --serve: a worker silent this long is declared "
-                   "dead and its in-flight tasks re-dispatched (default 15)",
-                   &worker_deadline_sec);
-  parser.add_value("--steal-after", "SEC",
-                   "with --serve: once the queue is empty, idle workers "
-                   "duplicate-dispatch in-flight tasks older than this "
-                   "(default 20; first record wins)",
-                   &steal_after_sec);
+                   "with --serve: the PING period every worker keeps "
+                   "(default 1); a worker silent for 15 periods is declared "
+                   "dead and its tasks re-dispatched, and once the queue is "
+                   "empty idle workers duplicate-dispatch tasks in flight "
+                   "for 20 periods (first record wins)",
+                   [&](const std::string& v) {
+                     heartbeat_sec = parse_cli_double("--heartbeat", v);
+                   });
   parser.add_hidden_value("--worker-json", "RECORD",
                           "(internal) run the task described by a queued "
                           "record line and print its record",
@@ -256,6 +253,17 @@ int main(int argc, char** argv) {
   if (isolate != "thread" && isolate != "process") {
     std::cerr << "bsp-sweep: --isolate must be 'thread' or 'process', got '"
               << isolate << "'\n";
+    return 2;
+  }
+  // Only the coordinator sets the period: workers keep the SPEC frame's.
+  if (heartbeat_sec && serve_addr.empty()) {
+    std::cerr << "bsp-sweep: --heartbeat needs --serve\n";
+    return 2;
+  }
+  if (heartbeat_sec &&
+      !(std::isfinite(*heartbeat_sec) && *heartbeat_sec > 0)) {
+    std::cerr << "bsp-sweep: --heartbeat wants a positive period, got "
+              << *heartbeat_sec << "\n";
     return 2;
   }
 
@@ -286,7 +294,6 @@ int main(int argc, char** argv) {
     WorkerOptions wopts;
     wopts.connect = *addr;
     wopts.slots = options.scheduler.jobs;
-    wopts.heartbeat_sec = heartbeat_sec;
     const WorkerSetup setup = [&](const RemoteSpec& rs, TaskRunner* runner,
                                   SchedulerOptions* sched) {
       // The coordinator's SPEC overrides the run options — every worker
@@ -389,9 +396,7 @@ int main(int argc, char** argv) {
       ropts.status_bind = *sb;
     }
     ropts.port_file = port_file;
-    ropts.heartbeat_sec = heartbeat_sec;
-    ropts.worker_deadline_sec = worker_deadline_sec;
-    ropts.steal_after_sec = steal_after_sec;
+    if (heartbeat_sec) ropts.spec.heartbeat_sec = *heartbeat_sec;
     ropts.spec.campaign = spec.name;
     ropts.spec.run = runner_options;
     ropts.spec.timeout_sec = options.scheduler.timeout_sec;
